@@ -9,7 +9,6 @@ oracles, recursion-bound analysis tools, and an experiment harness.
 from spdfp._kernels import backend
 from spdfp.gradients import (
     BatchPlan,
-    GradSample,
     VarianceConstants,
     full_gradient,
     make_batch_plan,
@@ -56,7 +55,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdmmConfig", "AdmmState", "BatchPlan", "ConstantSchedule", "Dataset",
-    "ErrorTrace", "GradSample", "IterState", "ProblemSpec", "ProxSpec",
+    "ErrorTrace", "IterState", "ProblemSpec", "ProxSpec",
     "RecursionParams", "Reference", "RunRecord", "SolverConfig",
     "SparseMatrix", "SpectralEstimate", "StepSchedule", "VarianceConstants",
     "backend", "build_difference_matrix", "estimate_spectrum",

@@ -1,34 +1,23 @@
 """Kernel backend selection.
 
 The compiled Cython core is used when it was built; otherwise the pure-NumPy
-implementation takes over. Set SPDFP_FORCE_NUMPY=1 to skip the compiled lane
-(used by the kernel benchmark and parity tests).
+implementation takes over.
 """
 
-import os
-
-if os.environ.get("SPDFP_FORCE_NUMPY") == "1":
+try:
+    from spdfp._kernels._core import (  # noqa: F401
+        csr_matvec_range,
+        csr_rmatvec_range,
+        soft_threshold,
+    )
+    BACKEND = "cython"
+except ImportError:
     from spdfp._kernels._numpy import (  # noqa: F401
         csr_matvec_range,
         csr_rmatvec_range,
         soft_threshold,
     )
     BACKEND = "numpy"
-else:
-    try:
-        from spdfp._kernels._core import (  # noqa: F401
-            csr_matvec_range,
-            csr_rmatvec_range,
-            soft_threshold,
-        )
-        BACKEND = "cython"
-    except ImportError:
-        from spdfp._kernels._numpy import (  # noqa: F401
-            csr_matvec_range,
-            csr_rmatvec_range,
-            soft_threshold,
-        )
-        BACKEND = "numpy"
 
 
 def backend():

@@ -31,12 +31,6 @@ class BatchPlan:
         return (stop - start) / self.n
 
 
-@dataclass(frozen=True)
-class GradSample:
-    batch_index: int
-    gradient: np.ndarray
-
-
 def make_batch_plan(n, p):
     """Split {0..n-1} into ceil(n/p) contiguous batches, the first n//p of
     size p and, when p does not divide n, a final short batch of size n % p."""
@@ -79,7 +73,7 @@ def stochastic_gradient(spec, plan, i, x):
     if x.shape != (spec.dim,):
         raise ValueError(f"x must have dimension {spec.dim}")
     start, stop = plan.ranges[i]
-    return GradSample(batch_index=i, gradient=_range_gradient(spec, x, start, stop))
+    return _range_gradient(spec, x, start, stop)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ import csv
 import os
 import re
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -284,11 +284,13 @@ def compute_ground_truth(spec, prox_spec=None, cfg=None, iters=DEFAULT_TRUTH_ITE
     """Run PDFP for a fixed iteration budget and certify the result."""
     if prox_spec is None:
         prox_spec = prox_for(spec)
+    rho_max = None
     if cfg is None:
+        rho_max = estimate_spectrum(spec.B).rho_max
         cfg = SolverConfig(schedule=ConstantSchedule(default_gamma(spec)),
-                           lam=default_lambda(spec), p=spec.n)
-    check_lambda(cfg, spec.B)
-    state = initial_state(spec, gamma1=cfg.schedule.c)
+                           lam=default_lambda(spec, rho_max=rho_max), p=spec.n)
+    check_lambda(cfg, spec.B, rho_max=rho_max)
+    state = initial_state(spec)
     for _ in range(iters):
         state = pdfp_step(spec, prox_spec, cfg, state)
     gamma, lam = cfg.schedule.c, cfg.lam
@@ -346,6 +348,10 @@ _SOLVER_RE = re.compile(r"(\w+)\s*\(([^)]*)\)")
 
 
 def parse_solver_list(text):
+    """Parse 'kind(key=val,...)' clauses separated by whitespace, ';' or ','."""
+    leftover = re.sub(r"[\s;,]+", " ", _SOLVER_RE.sub(" ", text)).strip()
+    if leftover:
+        raise ValueError(f"solvers: unexpected text {leftover!r} outside solver clauses")
     entries = []
     for m in _SOLVER_RE.finditer(text):
         kind = m.group(1)
@@ -388,14 +394,22 @@ def parse_experiment_config(path):
                             master_seed=int(kv["master_seed"]))
 
 
+_SYNTH_KEYS = ("n", "d", "perturb_frac", "noise_sd", "seed", "mu", "nu")
+
+
 def resolve_problem(source):
-    """A problem source is 'synth:key=val,...' or a path to a .problem file."""
+    """A problem source is 'synth:key=val,...' with keys from _SYNTH_KEYS
+    (omitted ones take the desk-scale defaults) or a path to a .problem file."""
     if isinstance(source, ProblemSpec):
         return source
     if source.startswith("synth:"):
         params = {}
         for item in source[len("synth:"):].split(","):
+            if "=" not in item:
+                raise ValueError(f"{source}: expected key=value, got {item.strip()!r}")
             k, _, v = item.partition("=")
+            if k.strip() not in _SYNTH_KEYS:
+                raise ValueError(f"{source}: unknown synth key {k.strip()!r}")
             params[k.strip()] = v.strip()
         return synth_fused_lasso(
             n=int(params.get("n", 1000)), d=int(params.get("d", 50)),
@@ -406,22 +420,17 @@ def resolve_problem(source):
     return load_problem(source)
 
 
-def _float_or_auto(value, auto):
-    if value == "auto":
-        return auto
-    return float(value)
-
-
 def build_solver_configs(entry, spec, rho_max, seed, epochs):
     """Translate a SolverEntry into (SolverConfig, AdmmConfig-or-None)."""
     params = dict(entry.params)
-    lam = _float_or_auto(params.pop("lambda", "auto"), DEFAULT_LAMBDA_FRACTION / rho_max)
+    lam = params.pop("lambda", "auto")
+    lam = DEFAULT_LAMBDA_FRACTION / rho_max if lam == "auto" else float(lam)
     p = int(params.pop("p", spec.n))
     stop_tol = float(params.pop("stop_tol", 0.0))
     admm_cfg = None
     if entry.kind == "pdfp":
-        gamma = _float_or_auto(params.pop("gamma", "auto"), default_gamma(spec))
-        schedule = ConstantSchedule(gamma)
+        gamma = params.pop("gamma", "auto")
+        schedule = ConstantSchedule(default_gamma(spec) if gamma == "auto" else float(gamma))
     elif entry.kind in ("spdfp1", "spdfp2"):
         # logistic runs default to the 2/k^0.55 schedule; square-loss runs
         # to 1/k^0.7 (both pilot-tuned, both overridable per clause)
@@ -481,19 +490,18 @@ def run_experiment(cfg, ground_truth=None):
                     f"objective={ground_truth.objective_star!r}"]
     all_records = []
     for entry in cfg.solvers:
+        run_cfg, admm_cfg = build_solver_configs(entry, spec, rho_max, rep_seeds[0], cfg.epochs)
+        raw = " ".join(f"{k}={v}" for k, v in sorted(entry.params.items())
+                       if k not in ("lambda", "p"))
+        header_lines.append(
+            f"# solver {entry.label}: kind={entry.kind}"
+            + (f" {raw}" if raw else "")
+            + f" lambda={run_cfg.lam!r} p={run_cfg.p}")
         for rep, seed in enumerate(rep_seeds):
-            run_cfg, admm_cfg = build_solver_configs(entry, spec, rho_max, seed, cfg.epochs)
-            recs = run_solver(entry.kind, spec, prox_spec, run_cfg,
+            recs = run_solver(entry.kind, spec, prox_spec, replace(run_cfg, seed=seed),
                               admm_cfg=admm_cfg, reference=reference,
                               rho_max=rho_max, name=entry.label)
             all_records.append((entry.label, rep, recs))
-            if rep == 0:
-                raw = " ".join(f"{k}={v}" for k, v in sorted(entry.params.items())
-                               if k not in ("lambda", "p"))
-                header_lines.append(
-                    f"# solver {entry.label}: kind={entry.kind}"
-                    + (f" {raw}" if raw else "")
-                    + f" lambda={run_cfg.lam!r} p={run_cfg.p}")
 
     rows_path = cfg.output + ".csv"
     mean_path = cfg.output + "_mean.csv"

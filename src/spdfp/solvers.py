@@ -16,6 +16,7 @@ Four solvers share the state layout (primal x, dual v, counter k):
 
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -66,7 +67,6 @@ class IterState:
     x: np.ndarray
     v: np.ndarray
     k: int
-    gamma_k: float
 
 
 @dataclass
@@ -114,12 +114,12 @@ class AdmmConfig:
             raise ValueError("beta_tilde must be positive")
 
 
-def initial_state(spec, x0=None, v0=None, gamma1=None):
+def initial_state(spec, x0=None, v0=None):
     x = np.zeros(spec.dim) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
     v = np.zeros(spec.B.n_rows) if v0 is None else np.asarray(v0, dtype=np.float64).copy()
     if x.shape != (spec.dim,) or v.shape != (spec.B.n_rows,):
         raise ValueError("initial iterates have wrong dimensions")
-    return IterState(x=x, v=v, k=1, gamma_k=gamma1 if gamma1 is not None else np.nan)
+    return IterState(x=x, v=v, k=1)
 
 
 def initial_admm_state(spec, x0=None):
@@ -142,46 +142,42 @@ def pdfp_step(spec, prox_spec, cfg, state):
     arg = B.matvec(x_half) + _dual_reflect(B, lam, state.v)
     v_new = prox_residual(prox_spec, gamma / lam, arg)
     x_new = x_half - lam * B.rmatvec(v_new)
-    return IterState(x=x_new, v=v_new, k=state.k + 1, gamma_k=gamma)
+    return IterState(x=x_new, v=v_new, k=state.k + 1)
 
 
-def spdfp_step_alg1(spec, prox_spec, cfg, state, rng, plan=None):
+def spdfp_step_alg1(spec, prox_spec, cfg, state, rng, plan):
     """One stochastic step, dual on the subgradient scale."""
     B = spec.B
-    if plan is None:
-        plan = make_batch_plan(spec.n, cfg.p)
     k = state.k
     gamma_k = cfg.schedule.gamma(k)
     lam = cfg.lam
     i = draw_batch_index(plan, rng)
-    g = stochastic_gradient(spec, plan, i, state.x).gradient
+    g = stochastic_gradient(spec, plan, i, state.x)
     x_half = state.x - gamma_k * g
     arg = B.matvec(x_half) + (gamma_k / lam) * _dual_reflect(B, lam, state.v)
     v_new = (lam / gamma_k) * prox_residual(prox_spec, gamma_k / lam, arg)
     x_new = x_half - gamma_k * B.rmatvec(v_new)
-    return IterState(x=x_new, v=v_new, k=k + 1, gamma_k=gamma_k)
+    return IterState(x=x_new, v=v_new, k=k + 1)
 
 
-def spdfp_step_alg2(spec, prox_spec, cfg, state, rng, plan=None):
+def spdfp_step_alg2(spec, prox_spec, cfg, state, rng, plan):
     """One stochastic step in the rescaled form.
 
     At k = 1 the dual memory term carries the factor gamma_1/lambda; for
     k >= 2 it carries ((k-1)/k)**alpha.
     """
     B = spec.B
-    if plan is None:
-        plan = make_batch_plan(spec.n, cfg.p)
     k = state.k
     gamma_k = cfg.schedule.gamma(k)
     lam = cfg.lam
     i = draw_batch_index(plan, rng)
-    g = stochastic_gradient(spec, plan, i, state.x).gradient
+    g = stochastic_gradient(spec, plan, i, state.x)
     x_half = state.x - gamma_k * g
     factor = gamma_k / lam if k == 1 else ((k - 1) / k) ** cfg.schedule.alpha
     arg = B.matvec(x_half) + factor * _dual_reflect(B, lam, state.v)
     v_new = prox_residual(prox_spec, gamma_k / lam, arg)
     x_new = x_half - lam * B.rmatvec(v_new)
-    return IterState(x=x_new, v=v_new, k=k + 1, gamma_k=gamma_k)
+    return IterState(x=x_new, v=v_new, k=k + 1)
 
 
 class _AdmmWorkspace:
@@ -203,17 +199,15 @@ class _AdmmWorkspace:
         return M
 
 
-def stoc_admm_step(spec, prox_spec, admm_cfg, state, rng, plan=None, workspace=None):
+def stoc_admm_step(spec, prox_spec, admm_cfg, state, rng, plan, workspace=None):
     """One stochastic ADMM step (x linear solve, y prox, multiplier update)."""
     B = spec.B
-    if plan is None:
-        plan = make_batch_plan(spec.n, spec.n)
     if workspace is None:
         workspace = _AdmmWorkspace(spec, admm_cfg)
     beta = admm_cfg.beta_tilde
     zeta = admm_cfg.zeta_schedule.gamma(state.k)
     i = draw_batch_index(plan, rng)
-    g = stochastic_gradient(spec, plan, i, state.x).gradient
+    g = stochastic_gradient(spec, plan, i, state.x)
     rhs = B.rmatvec(beta * state.y + state.multiplier) + state.x / zeta - g
     M = workspace.system(admm_cfg, zeta)
     x_new = np.linalg.solve(M, rhs)
@@ -310,7 +304,8 @@ def run_solver(kind, spec, prox_spec, cfg, admm_cfg=None, x0=None, v0=None,
     stochastic steps) otherwise. PDFP additionally stops once the
     fixed-point residual drops below cfg.stop_tolerance. Records include
     error columns when a Reference is supplied. on_step, when given, is
-    called with the state after every step.
+    called with the state after every step: an IterState, or an AdmmState
+    for 'stoc_admm'.
     """
     if kind not in SOLVER_KINDS:
         raise ValueError(f"unknown solver kind {kind!r}")
@@ -324,26 +319,24 @@ def run_solver(kind, spec, prox_spec, cfg, admm_cfg=None, x0=None, v0=None,
     steps_per_epoch = 1 if kind == "pdfp" else plan.n_batches
     t0 = time.perf_counter()
 
+    # the step functions are looked up here, once per run, so a module-level
+    # replacement of e.g. pdfp_step still takes effect
     if kind == "stoc_admm":
-        workspace = _AdmmWorkspace(spec, admm_cfg)
-        astate = initial_admm_state(spec, x0=x0)
-        state = IterState(x=astate.x, v=np.zeros(spec.B.n_rows), k=1, gamma_k=np.nan)
+        state = initial_admm_state(spec, x0=x0)
+        step = partial(stoc_admm_step, spec, prox_spec, admm_cfg, rng=rng, plan=plan,
+                       workspace=_AdmmWorkspace(spec, admm_cfg))
+    elif kind == "pdfp":
+        state = initial_state(spec, x0=x0, v0=v0)
+        step = partial(pdfp_step, spec, prox_spec, cfg)
     else:
-        state = initial_state(spec, x0=x0, v0=v0, gamma1=cfg.schedule.gamma(1))
+        state = initial_state(spec, x0=x0, v0=v0)
+        alg = spdfp_step_alg1 if kind == "spdfp1" else spdfp_step_alg2
+        step = partial(alg, spec, prox_spec, cfg, rng=rng, plan=plan)
 
     records = [_record(kind, name, spec, cfg, state, cfg.seed, 0, t0, reference)]
     for epoch in range(1, cfg.max_epochs + 1):
         for _ in range(steps_per_epoch):
-            if kind == "pdfp":
-                state = pdfp_step(spec, prox_spec, cfg, state)
-            elif kind == "spdfp1":
-                state = spdfp_step_alg1(spec, prox_spec, cfg, state, rng, plan)
-            elif kind == "spdfp2":
-                state = spdfp_step_alg2(spec, prox_spec, cfg, state, rng, plan)
-            else:
-                astate = stoc_admm_step(spec, prox_spec, admm_cfg, astate, rng,
-                                        plan, workspace)
-                state = IterState(x=astate.x, v=state.v, k=astate.k, gamma_k=np.nan)
+            state = step(state)
             if on_step is not None:
                 on_step(state)
         records.append(_record(kind, name, spec, cfg, state, cfg.seed, epoch, t0, reference))

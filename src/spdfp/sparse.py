@@ -1,7 +1,7 @@
 """Row-compressed sparse matrices and spectral estimation.
 
 The solvers only ever need y = Mx, y = M^T x (optionally restricted to a row
-range) and the extreme eigenvalues of M M^T, so that is the whole surface of
+range) and the largest eigenvalue of M M^T, so that is the whole surface of
 this module. Storage is canonical CSR: sorted column indices within each row,
 duplicates summed and exact zeros dropped at construction, which fixes the
 reduction order and keeps runs bit-reproducible.
@@ -183,62 +183,44 @@ def stack_identity(G):
 
 @dataclass(frozen=True)
 class SpectralEstimate:
-    """Extreme eigenvalues of B B^T from power iteration.
+    """rho_max(B B^T) from power iteration.
 
-    rho_min is a best-effort diagnostic (0 for rank-deficient B); solvers
-    only consume rho_max.
+    iterations_used and converged describe that one power iteration: the
+    number of B(B^T u) products taken and whether successive Rayleigh
+    quotients agreed to the relative tolerance within max_iter.
     """
 
     rho_max: float
-    rho_min: float
     iterations_used: int
     tolerance: float
     converged: bool
 
 
-def _power_top(apply_op, dim, tol, max_iter, rng):
-    """Largest eigenvalue of a symmetric PSD operator by power iteration."""
-    u = rng.standard_normal(dim)
-    u /= np.linalg.norm(u)
-    rho = 0.0
-    for it in range(1, max_iter + 1):
-        s = apply_op(u)
-        ns = np.linalg.norm(s)
-        if ns <= 1e-300:
-            return 0.0, it, True
-        rho_new = float(u @ s)
-        u = s / ns
-        if abs(rho_new - rho) <= tol * max(abs(rho_new), 1e-300):
-            return rho_new, it, True
-        rho = rho_new
-    return rho, max_iter, False
-
-
 def estimate_spectrum(B, tol=1e-10, max_iter=10000):
-    """Estimate rho_max(B B^T) and, as a diagnostic, rho_min(B B^T).
+    """Estimate rho_max(B B^T) by power iteration on u -> B(B^T u).
 
-    rho_max comes from power iteration on u -> B(B^T u); rho_min from a
-    second power iteration on the shifted operator rho_max*I - B B^T.
-    A failure to converge within max_iter is reported through the
-    ``converged`` flag, not an exception.
+    The start vector is the first draw of default_rng(0), so the estimate is
+    reproducible. A failure to converge within max_iter is reported through
+    the ``converged`` flag, not an exception.
     """
     if B.n_rows == 0 or B.n_cols == 0:
         raise ValueError("cannot estimate spectrum of an empty matrix")
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    rng = np.random.default_rng(0)
-
-    def bbt(u):
-        return B.matvec(B.rmatvec(u))
-
-    rho_max, it1, ok1 = _power_top(bbt, B.n_rows, tol, max_iter, rng)
-    rho_max = max(rho_max, 0.0)
-
-    def shifted(u):
-        return rho_max * u - bbt(u)
-
-    top_shift, it2, ok2 = _power_top(shifted, B.n_rows, tol, max_iter, rng)
-    rho_min = min(max(rho_max - max(top_shift, 0.0), 0.0), rho_max)
-    return SpectralEstimate(rho_max=rho_max, rho_min=rho_min,
-                            iterations_used=it1 + it2, tolerance=tol,
-                            converged=ok1 and ok2)
+    u = np.random.default_rng(0).standard_normal(B.n_rows)
+    u /= np.linalg.norm(u)
+    rho = 0.0
+    for it in range(1, max_iter + 1):
+        s = B.matvec(B.rmatvec(u))
+        ns = np.linalg.norm(s)
+        if ns <= 1e-300:
+            return SpectralEstimate(rho_max=0.0, iterations_used=it, tolerance=tol,
+                                    converged=True)
+        rho_new = float(u @ s)
+        u = s / ns
+        if abs(rho_new - rho) <= tol * max(abs(rho_new), 1e-300):
+            return SpectralEstimate(rho_max=max(rho_new, 0.0), iterations_used=it,
+                                    tolerance=tol, converged=True)
+        rho = rho_new
+    return SpectralEstimate(rho_max=max(rho, 0.0), iterations_used=max_iter,
+                            tolerance=tol, converged=False)

@@ -92,7 +92,7 @@ def test_criterion_2_unbiasedness():
                 full = full_gradient(spec, x)
                 mix = np.zeros(d)
                 for i in range(plan.n_batches):
-                    mix += (p / n) * stochastic_gradient(spec, plan, i, x).gradient
+                    mix += (p / n) * stochastic_gradient(spec, plan, i, x)
                 worst = max(worst, float(np.max(np.abs(mix - full))))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-12 and elapsed < 1.0
@@ -149,7 +149,7 @@ def test_criterion_4_variance_constants():
             for _ in range(100):
                 x = rng.standard_normal(d) * rng.uniform(0, 5)
                 second = sum(plan.probability(i)
-                             * np.sum(stochastic_gradient(spec, plan, i, x).gradient ** 2)
+                             * np.sum(stochastic_gradient(spec, plan, i, x) ** 2)
                              for i in range(plan.n_batches))
                 worst_slack = min(worst_slack, vc.C1 * (x @ x) + vc.C2 - second)
     elapsed = time.perf_counter() - t0

@@ -99,14 +99,14 @@ def test_single_batch_equals_full_gradient():
     spec = make_spec(A, rng.standard_normal(6))
     plan = make_batch_plan(6, 6)
     x = rng.standard_normal(3)
-    np.testing.assert_array_equal(stochastic_gradient(spec, plan, 0, x).gradient,
+    np.testing.assert_array_equal(stochastic_gradient(spec, plan, 0, x),
                                   full_gradient(spec, x))
 
 
 def test_singleton_batch_hand_value():
     spec = make_spec(np.eye(2), [1.0, 2.0])
     plan = make_batch_plan(2, 1)
-    g = stochastic_gradient(spec, plan, 0, np.zeros(2)).gradient
+    g = stochastic_gradient(spec, plan, 0, np.zeros(2))
     np.testing.assert_allclose(g, [-1.0, 0.0], atol=1e-15)
 
 
@@ -131,7 +131,7 @@ def test_unbiasedness_all_losses_and_batch_sizes():
                 full = full_gradient(spec, x)
                 mix = np.zeros(d)
                 for i in range(plan.n_batches):
-                    mix += plan.probability(i) * stochastic_gradient(spec, plan, i, x).gradient
+                    mix += plan.probability(i) * stochastic_gradient(spec, plan, i, x)
                 np.testing.assert_allclose(mix, full, atol=1e-12)
 
 
@@ -195,7 +195,7 @@ def test_second_moment_bound_square_loss():
             for _ in range(100):
                 x = rng.standard_normal(d) * rng.uniform(0, 5)
                 second = sum(plan.probability(i)
-                             * np.sum(stochastic_gradient(spec, plan, i, x).gradient ** 2)
+                             * np.sum(stochastic_gradient(spec, plan, i, x) ** 2)
                              for i in range(plan.n_batches))
                 assert second <= vc.C1 * (x @ x) + vc.C2 + 1e-9
 

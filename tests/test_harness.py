@@ -14,6 +14,7 @@ from spdfp.harness import (
     parse_experiment_config,
     parse_solver_list,
     prox_for,
+    resolve_problem,
     run_experiment,
     save_libsvm,
     save_matrix,
@@ -252,6 +253,24 @@ def test_parse_solver_list():
     assert entries[1].label == "admm"
     with pytest.raises(ValueError):
         parse_solver_list("   ")
+    # text outside the matched clauses is an error, not silently dropped
+    with pytest.raises(ValueError, match="stoc_admm"):
+        parse_solver_list("spdfp2(c=1.0) stoc_admm(beta=30")
+    with pytest.raises(ValueError, match="garbage"):
+        parse_solver_list("spdfp2(c=1.0) garbage pdfp()")
+    assert [e.kind for e in parse_solver_list("spdfp2(c=1.0),pdfp() ;\n pdfp()")] == \
+        ["spdfp2", "pdfp", "pdfp"]
+
+
+def test_synth_source_rejects_unknown_keys():
+    spec = resolve_problem("synth:n=20,d=5,seed=3,mu=0.2")
+    assert spec.dataset.samples.shape == (20, 5) and spec.composite_weight == 0.2
+    with pytest.raises(ValueError, match="size"):
+        resolve_problem("synth:size=10,sed=3")
+    with pytest.raises(ValueError, match="sed"):
+        resolve_problem("synth:n=20,sed=3")
+    with pytest.raises(ValueError, match="d5"):
+        resolve_problem("synth:n=20,d5")
 
 
 def test_config_validation_names_offending_field(tmp_path):
@@ -333,3 +352,37 @@ def test_experiment_problem_file_and_truth_cache(tmp_path):
     # pdfp stops early once the residual tolerance is met
     assert len(rows) - 1 < 501
     assert float(rows[-1][5]) <= 1e-5
+
+
+def test_each_operator_estimated_once_per_run(tmp_path, monkeypatch):
+    import spdfp.harness
+    import spdfp.solvers
+
+    spec = synth_fused_lasso(40, 6, 0.1, 0.01, seed=2)
+    truth = compute_ground_truth(spec, iters=50)
+    calls = []
+    real = spdfp.harness.estimate_spectrum
+
+    def counting(M, *args, **kwargs):
+        calls.append(M)
+        return real(M, *args, **kwargs)
+
+    monkeypatch.setattr(spdfp.harness, "estimate_spectrum", counting)
+    monkeypatch.setattr(spdfp.solvers, "estimate_spectrum", counting)
+
+    def count(rows):
+        return sum(M.n_rows == rows for M in calls)
+
+    for solvers, data_estimates in (("pdfp()", 1), ("pdfp(gamma=0.5)", 0)):
+        calls.clear()
+        cfg = ExperimentConfig(problem="synth:n=40,d=6,seed=2,perturb_frac=0.1",
+                               solvers=parse_solver_list(solvers),
+                               repetitions=3, epochs=1, output=str(tmp_path / "run"),
+                               master_seed=1)
+        run_experiment(cfg, ground_truth=truth)
+        assert count(40) == data_estimates, solvers  # A is 40 x 6
+        assert count(5) == 1, solvers                # B is 5 x 6
+
+    calls.clear()
+    compute_ground_truth(spec, iters=1)
+    assert count(5) == 1 and count(40) == 1

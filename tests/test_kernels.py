@@ -78,16 +78,3 @@ def test_soft_threshold_values():
     kernels.soft_threshold(y, 0.5, out)
     np.testing.assert_array_equal(out, [1.5, 0.0, 0.0, 0.0, 0.0])
 
-
-def test_force_numpy_env_selects_fallback():
-    import os
-    import subprocess
-    import sys
-
-    import spdfp
-    code = "import spdfp, sys; sys.exit(0 if spdfp.backend() == 'numpy' else 1)"
-    src = os.path.dirname(os.path.dirname(os.path.abspath(spdfp.__file__)))
-    env = dict(os.environ, SPDFP_FORCE_NUMPY="1",
-               PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    r = subprocess.run([sys.executable, "-c", code], env=env)
-    assert r.returncode == 0

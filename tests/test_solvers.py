@@ -82,7 +82,7 @@ def test_pdfp_reduces_to_gradient_descent_with_zero_prox():
     spec, A, b = fused_spec(12, 5, seed=1)
     gamma = 0.1
     cfg = SolverConfig(schedule=ConstantSchedule(gamma), lam=0.2, p=12)
-    state = initial_state(spec, x0=np.ones(5), gamma1=gamma)
+    state = initial_state(spec, x0=np.ones(5))
     new = pdfp_step(spec, ZERO, cfg, state)
     np.testing.assert_array_equal(new.v, np.zeros(4))
     np.testing.assert_allclose(new.x, np.ones(5) - gamma * full_gradient(spec, np.ones(5)),
@@ -95,7 +95,7 @@ def test_pdfp_zero_state_is_fixed_when_gradient_vanishes():
     spec = ProblemSpec(loss="square", dataset=ds, l2_weight=0.0,
                        composite_weight=1.0, B=build_difference_matrix(4))
     cfg = SolverConfig(schedule=ConstantSchedule(0.5), lam=0.2, p=4)
-    state = initial_state(spec, gamma1=0.5)
+    state = initial_state(spec)
     new = pdfp_step(spec, L1, cfg, state)
     np.testing.assert_array_equal(new.x, np.zeros(4))
     np.testing.assert_array_equal(new.v, np.zeros(3))
@@ -108,7 +108,7 @@ def test_pdfp_step_matches_transcription():
     cfg = SolverConfig(schedule=ConstantSchedule(gamma), lam=lam, p=9)
     rng = np.random.default_rng(3)
     x0, v0 = rng.standard_normal(5), rng.standard_normal(4)
-    state = initial_state(spec, x0=x0, v0=v0, gamma1=gamma)
+    state = initial_state(spec, x0=x0, v0=v0)
     prox_spec = ProxSpec("l1", spec.composite_weight)
     for _ in range(3):
         state = pdfp_step(spec, prox_spec, cfg, state)
@@ -123,7 +123,7 @@ def test_pdfp_stationarity_at_fixed_point():
     gamma = 0.5
     lam = 0.9 / np.linalg.eigvalsh(spec.B.to_dense() @ spec.B.to_dense().T).max()
     cfg = SolverConfig(schedule=ConstantSchedule(gamma), lam=lam, p=40)
-    state = initial_state(spec, gamma1=gamma)
+    state = initial_state(spec)
     for _ in range(4000):
         state = pdfp_step(spec, L1, cfg, state)
     res = fixed_point_residual(spec, L1, gamma, lam, state.x, state.v)
@@ -142,11 +142,11 @@ def test_spdfp1_single_batch_x_matches_pdfp_with_gamma_k():
     c, alpha = 0.4, 0.7
     cfg = SolverConfig(schedule=StepSchedule(c=c, alpha=alpha), lam=lam, p=10)
     rng = np.random.default_rng(0)
-    state = initial_state(spec, x0=np.ones(4), v0=np.zeros(3), gamma1=c)
-    got = spdfp_step_alg1(spec, L1, cfg, state, rng)
+    state = initial_state(spec, x0=np.ones(4), v0=np.zeros(3))
+    got = spdfp_step_alg1(spec, L1, cfg, state, rng, make_batch_plan(10, 10))
     # same x as a batch step with gamma = gamma_1 = c
     cfg_b = SolverConfig(schedule=ConstantSchedule(c), lam=lam, p=10)
-    want = pdfp_step(spec, L1, cfg_b, initial_state(spec, x0=np.ones(4), gamma1=c))
+    want = pdfp_step(spec, L1, cfg_b, initial_state(spec, x0=np.ones(4)))
     np.testing.assert_allclose(got.x, want.x, atol=1e-12)
     # dual scales differ by lam/gamma
     np.testing.assert_allclose((c / lam) * got.v, want.v, atol=1e-12)
@@ -157,10 +157,10 @@ def test_spdfp1_zero_prox_is_sgd():
     cfg = SolverConfig(schedule=StepSchedule(c=0.3, alpha=0.6), lam=0.2, p=2, seed=9)
     rng = np.random.default_rng(9)
     plan = make_batch_plan(8, 2)
-    state = initial_state(spec, x0=np.ones(4), gamma1=0.3)
+    state = initial_state(spec, x0=np.ones(4))
     draws = replay_draws(9, 8, 2, 1)
     new = spdfp_step_alg1(spec, ZERO, cfg, state, rng, plan)
-    g = stochastic_gradient(spec, plan, draws[0], np.ones(4)).gradient
+    g = stochastic_gradient(spec, plan, draws[0], np.ones(4))
     np.testing.assert_allclose(new.x, np.ones(4) - 0.3 * g, atol=1e-14)
     np.testing.assert_array_equal(new.v, np.zeros(3))
 
@@ -175,7 +175,7 @@ def test_spdfp_50_steps_match_transcription(alg, oracle):
     plan = make_batch_plan(8, p)
     rng = np.random.default_rng(seed)
     step = spdfp_step_alg1 if alg == "alg1" else spdfp_step_alg2
-    state = initial_state(spec, gamma1=c)
+    state = initial_state(spec)
     lib_x, lib_v = [state.x.copy()], [state.v.copy()]
     for _ in range(50):
         state = step(spec, L1 if spec.composite_weight == 1.0 else
@@ -212,7 +212,7 @@ def test_stoc_admm_zero_fixed_point():
     admm = AdmmConfig(beta_tilde=1.0, zeta_schedule=ConstantSchedule(0.5))
     state = initial_admm_state(spec)
     rng = np.random.default_rng(0)
-    new = stoc_admm_step(spec, ZERO, admm, state, rng)
+    new = stoc_admm_step(spec, ZERO, admm, state, rng, make_batch_plan(3, 3))
     np.testing.assert_array_equal(new.x, np.zeros(3))
     np.testing.assert_array_equal(new.y, np.zeros(3))
     np.testing.assert_array_equal(new.multiplier, np.zeros(3))
@@ -344,7 +344,7 @@ def test_one_step_joint_error_estimate():
 
     # reference pair from a long batch run; dual rescaled to subgradient scale
     cfgb = SolverConfig(schedule=ConstantSchedule(gamma), lam=lam, p=n)
-    st = initial_state(spec, gamma1=gamma)
+    st = initial_state(spec)
     for _ in range(5000):
         st = pdfp_step(spec, prox_spec, cfgb, st)
     x_star = st.x
@@ -356,7 +356,7 @@ def test_one_step_joint_error_estimate():
     cfg = SolverConfig(schedule=StepSchedule(c=c, alpha=alpha), lam=lam, p=p, seed=3)
     plan = make_batch_plan(n, p)
     rng2 = np.random.default_rng(3)
-    state = initial_state(spec, gamma1=c)
+    state = initial_state(spec)
     for _ in range(5):
         state = spdfp_step_alg1(spec, prox_spec, cfg, state, rng2, plan)
     k = state.k
@@ -368,7 +368,7 @@ def test_one_step_joint_error_estimate():
     acc = 0.0
     n_samples = 2000
     for _ in range(n_samples):
-        trial = IterStateCopy = initial_state(spec, x0=state.x, v0=state.v, gamma1=gam_k)
+        trial = IterStateCopy = initial_state(spec, x0=state.x, v0=state.v)
         trial.k = k
         nxt = spdfp_step_alg1(spec, prox_spec, cfg, trial, draw_rng, plan)
         dx = nxt.x - x_star
@@ -380,7 +380,7 @@ def test_one_step_joint_error_estimate():
     gx = full_gradient(spec, state.x)
     gstar = full_gradient(spec, x_star)
     quad = sum(plan.probability(i)
-               * np.sum((stochastic_gradient(spec, plan, i, state.x).gradient - gstar) ** 2)
+               * np.sum((stochastic_gradient(spec, plan, i, state.x) - gstar) ** 2)
                for i in range(plan.n_batches))
     dx = state.x - x_star
     dv = state.v - v_star

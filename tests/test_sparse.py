@@ -120,7 +120,6 @@ def test_spectrum_identity():
     est = estimate_spectrum(identity(3), tol=1e-12)
     assert est.converged
     assert est.rho_max == pytest.approx(1.0, abs=1e-9)
-    assert est.rho_min == pytest.approx(1.0, abs=1e-9)
 
 
 def test_spectrum_diagonal():
@@ -135,7 +134,6 @@ def test_spectrum_difference_matrix_against_dense():
     dense = np.linalg.eigvalsh(B.to_dense() @ B.to_dense().T)
     assert est.rho_max == pytest.approx(dense.max(), rel=1e-6)
     assert est.rho_max < 4.0
-    assert est.rho_min == pytest.approx(dense.min(), abs=1e-6)
 
 
 def test_spectrum_rayleigh_lower_bound():
