@@ -43,18 +43,28 @@ def make_batch_plan(n, p):
 
 def draw_batch_index(plan, rng):
     """Draw batch i with probability (batch size)/n using one uniform draw."""
-    u = int(rng.integers(0, plan.n))
-    return min(u // plan.p, plan.n_batches - 1)
+    return _draw_batch_indices(plan, rng, None)
+
+
+def _draw_batch_indices(plan, rng, size):
+    # one array draw gives the same stream as `size` scalar draws
+    u = rng.integers(0, plan.n, size=size)
+    return np.minimum(u // plan.p, plan.n_batches - 1).tolist()
+
+
+def _rows_gradient(loss, l2_weight, rows, labels, x):
+    """Mean loss gradient over the rows of a RowView, plus nu*x. Unchecked:
+    x must be a float64 vector of the right length."""
+    w = loss_weights(loss, rows.matvec(x), labels)
+    g = rows.rmatvec(w) / rows.n_rows
+    if l2_weight:
+        g += l2_weight * x
+    return g
 
 
 def _range_gradient(spec, x, start, stop):
-    A = spec.dataset.samples
-    margins = A.matvec_range(x, start, stop)
-    w = loss_weights(spec.loss, margins, spec.dataset.labels[start:stop])
-    g = A.rmatvec_range(w, start, stop) / (stop - start)
-    if spec.l2_weight:
-        g += spec.l2_weight * x
-    return g
+    return _rows_gradient(spec.loss, spec.l2_weight, spec.dataset.samples.row_view(start, stop),
+                          spec.dataset.labels[start:stop], x)
 
 
 def full_gradient(spec, x):

@@ -30,10 +30,11 @@ from spdfp.solvers import (
     Reference,
     SolverConfig,
     StepSchedule,
+    _fixed_point_residual,
+    _pdfp,
+    _RunContext,
     check_lambda,
-    fixed_point_residual,
     initial_state,
-    pdfp_step,
     run_solver,
 )
 from spdfp.sparse import SparseMatrix, build_difference_matrix, estimate_spectrum
@@ -280,24 +281,29 @@ def prox_for(spec):
     return ProxSpec(kind="zero", weight=0.0)
 
 
-def compute_ground_truth(spec, prox_spec=None, cfg=None, iters=DEFAULT_TRUTH_ITERS):
-    """Run PDFP for a fixed iteration budget and certify the result."""
+def compute_ground_truth(spec, prox_spec=None, cfg=None, iters=DEFAULT_TRUTH_ITERS,
+                         rho_max=None):
+    """Run PDFP for a fixed iteration budget and certify the result.
+
+    rho_max, when given, is rho_max(B B^T) and saves estimating it again.
+    """
     if prox_spec is None:
         prox_spec = prox_for(spec)
-    rho_max = None
-    if cfg is None:
+    if rho_max is None:
         rho_max = estimate_spectrum(spec.B).rho_max
+    if cfg is None:
         cfg = SolverConfig(schedule=ConstantSchedule(default_gamma(spec)),
                            lam=default_lambda(spec, rho_max=rho_max), p=spec.n)
     check_lambda(cfg, spec.B, rho_max=rho_max)
+    ctx = _RunContext(spec, prox_spec)
     state = initial_state(spec)
-    for _ in range(iters):
-        state = pdfp_step(spec, prox_spec, cfg, state)
+    x, v = state.x, state.v
+    for k in range(1, iters + 1):
+        x, v = _pdfp(ctx, cfg, k, ctx.full, x, v)
     gamma, lam = cfg.schedule.c, cfg.lam
-    res = fixed_point_residual(spec, prox_spec, gamma, lam, state.x, state.v)
-    return GroundTruth(x_star=state.x, v_star=(lam / gamma) * state.v,
-                       v_star_pdfp=state.v,
-                       objective_star=objective_value(spec, state.x),
+    res = _fixed_point_residual(ctx, gamma, lam, x, v)
+    return GroundTruth(x_star=x, v_star=(lam / gamma) * v, v_star_pdfp=v,
+                       objective_star=objective_value(spec, x),
                        residual=res, gamma=gamma, lam=lam, iterations=iters)
 
 
@@ -477,7 +483,7 @@ def run_experiment(cfg, ground_truth=None):
         if truth_cache and os.path.exists(truth_cache):
             ground_truth = load_ground_truth(truth_cache)
         else:
-            ground_truth = compute_ground_truth(spec)
+            ground_truth = compute_ground_truth(spec, rho_max=rho_max)
     reference = ground_truth.reference()
 
     rep_seeds = [int(s) for s in np.random.SeedSequence(cfg.master_seed).generate_state(

@@ -117,10 +117,15 @@ def objective_value(spec, x):
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (spec.dim,):
         raise ValueError(f"x must have dimension {spec.dim}")
-    margins = spec.dataset.samples.matvec(x)
-    val = float(np.mean(loss_values(spec.loss, margins, spec.dataset.labels)))
+    return _objective(spec, x, spec.dataset.samples, spec.B)
+
+
+def _objective(spec, x, A, B):
+    """objective_value with the products taken from A and B, each a
+    SparseMatrix or a RowView of all its rows. Unchecked."""
+    val = float(np.mean(loss_values(spec.loss, A.matvec(x), spec.dataset.labels)))
     if spec.l2_weight:
         val += 0.5 * spec.l2_weight * float(x @ x)
     if spec.composite_weight:
-        val += spec.composite_weight * float(np.sum(np.abs(spec.B.matvec(x))))
+        val += spec.composite_weight * float(np.sum(np.abs(B.matvec(x))))
     return val

@@ -12,17 +12,19 @@ Four solvers share the state layout (primal x, dual v, counter k):
                        per step
 
 ``run_solver`` wraps any of them into an epoch loop with per-epoch records.
+It checks its inputs once and builds a _RunContext (raw CSR arrays, row maps
+and scalars); the loop then calls the private reference step of each kind on
+it. Each public step function builds a context and calls the same step.
 """
 
 import time
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property
 
 import numpy as np
 
-from spdfp.gradients import draw_batch_index, full_gradient, make_batch_plan, stochastic_gradient
-from spdfp.problem import objective_value
-from spdfp.prox import prox, prox_residual
+from spdfp.gradients import _draw_batch_indices, _rows_gradient, draw_batch_index, make_batch_plan
+from spdfp.problem import _objective
 from spdfp.sparse import estimate_spectrum
 
 SOLVER_KINDS = ("pdfp", "spdfp1", "spdfp2", "stoc_admm")
@@ -114,70 +116,23 @@ class AdmmConfig:
             raise ValueError("beta_tilde must be positive")
 
 
+def _iterate(arr, size, name):
+    arr = np.ascontiguousarray(arr, dtype=np.float64)
+    if arr.shape != (size,):
+        raise ValueError(f"{name} must have length {size}, got shape {arr.shape}")
+    return arr
+
+
 def initial_state(spec, x0=None, v0=None):
-    x = np.zeros(spec.dim) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
-    v = np.zeros(spec.B.n_rows) if v0 is None else np.asarray(v0, dtype=np.float64).copy()
-    if x.shape != (spec.dim,) or v.shape != (spec.B.n_rows,):
-        raise ValueError("initial iterates have wrong dimensions")
+    x = np.zeros(spec.dim) if x0 is None else _iterate(x0, spec.dim, "x0").copy()
+    v = np.zeros(spec.B.n_rows) if v0 is None else _iterate(v0, spec.B.n_rows, "v0").copy()
     return IterState(x=x, v=v, k=1)
 
 
 def initial_admm_state(spec, x0=None):
-    x = np.zeros(spec.dim) if x0 is None else np.asarray(x0, dtype=np.float64).copy()
+    x = np.zeros(spec.dim) if x0 is None else _iterate(x0, spec.dim, "x0").copy()
     m = spec.B.n_rows
     return AdmmState(x=x, y=np.zeros(m), multiplier=np.zeros(m), k=1)
-
-
-def _dual_reflect(B, lam, v):
-    # (I - lam B B^T) v without materializing B B^T
-    return v - lam * B.matvec(B.rmatvec(v))
-
-
-def pdfp_step(spec, prox_spec, cfg, state):
-    """One batch step with constant gamma = cfg.schedule.c."""
-    B = spec.B
-    gamma = cfg.schedule.c
-    lam = cfg.lam
-    x_half = state.x - gamma * full_gradient(spec, state.x)
-    arg = B.matvec(x_half) + _dual_reflect(B, lam, state.v)
-    v_new = prox_residual(prox_spec, gamma / lam, arg)
-    x_new = x_half - lam * B.rmatvec(v_new)
-    return IterState(x=x_new, v=v_new, k=state.k + 1)
-
-
-def spdfp_step_alg1(spec, prox_spec, cfg, state, rng, plan):
-    """One stochastic step, dual on the subgradient scale."""
-    B = spec.B
-    k = state.k
-    gamma_k = cfg.schedule.gamma(k)
-    lam = cfg.lam
-    i = draw_batch_index(plan, rng)
-    g = stochastic_gradient(spec, plan, i, state.x)
-    x_half = state.x - gamma_k * g
-    arg = B.matvec(x_half) + (gamma_k / lam) * _dual_reflect(B, lam, state.v)
-    v_new = (lam / gamma_k) * prox_residual(prox_spec, gamma_k / lam, arg)
-    x_new = x_half - gamma_k * B.rmatvec(v_new)
-    return IterState(x=x_new, v=v_new, k=k + 1)
-
-
-def spdfp_step_alg2(spec, prox_spec, cfg, state, rng, plan):
-    """One stochastic step in the rescaled form.
-
-    At k = 1 the dual memory term carries the factor gamma_1/lambda; for
-    k >= 2 it carries ((k-1)/k)**alpha.
-    """
-    B = spec.B
-    k = state.k
-    gamma_k = cfg.schedule.gamma(k)
-    lam = cfg.lam
-    i = draw_batch_index(plan, rng)
-    g = stochastic_gradient(spec, plan, i, state.x)
-    x_half = state.x - gamma_k * g
-    factor = gamma_k / lam if k == 1 else ((k - 1) / k) ** cfg.schedule.alpha
-    arg = B.matvec(x_half) + factor * _dual_reflect(B, lam, state.v)
-    v_new = prox_residual(prox_spec, gamma_k / lam, arg)
-    x_new = x_half - lam * B.rmatvec(v_new)
-    return IterState(x=x_new, v=v_new, k=k + 1)
 
 
 class _AdmmWorkspace:
@@ -199,22 +154,139 @@ class _AdmmWorkspace:
         return M
 
 
-def stoc_admm_step(spec, prox_spec, admm_cfg, state, rng, plan, workspace=None):
-    """One stochastic ADMM step (x linear solve, y prox, multiplier update)."""
-    B = spec.B
-    if workspace is None:
-        workspace = _AdmmWorkspace(spec, admm_cfg)
+class _RunContext:
+    """What the reference steps read, built once per run from checked inputs.
+
+    ``full`` is (RowView of all of A, labels), built on first use;
+    ``batches`` holds one such pair per row range given, in order, and ``B``
+    is a RowView of all of B. The steps convert and check nothing: iterates
+    must be float64 vectors of the right lengths.
+    """
+
+    def __init__(self, spec, prox_spec, ranges=(), admm_cfg=None):
+        self.spec = spec
+        self.prox_l1 = prox_spec.kind == "l1"
+        self.prox_weight = prox_spec.weight
+        self.batches = [self.full if (lo, hi) == (0, spec.n) else self._rows(lo, hi)
+                        for lo, hi in ranges]
+        self.B = spec.B.row_view(0, spec.B.n_rows)
+        self.workspace = None if admm_cfg is None else _AdmmWorkspace(spec, admm_cfg)
+
+    @cached_property
+    def full(self):
+        return self._rows(0, self.spec.n)
+
+    def _rows(self, lo, hi):
+        return self.spec.dataset.samples.row_view(lo, hi), self.spec.dataset.labels[lo:hi]
+
+    def gradient(self, batch, x):
+        rows, labels = batch
+        return _rows_gradient(self.spec.loss, self.spec.l2_weight, rows, labels, x)
+
+    def prox(self, tau, y):
+        # the NumPy lane's soft_threshold, op for op
+        if self.prox_l1:
+            return np.sign(y) * np.maximum(np.abs(y) - tau * self.prox_weight, 0.0)
+        return y.copy()
+
+    def prox_residual(self, tau, y):
+        return y - self.prox(tau, y)
+
+    def dual_reflect(self, lam, v):
+        # (I - lam B B^T) v without materializing B B^T
+        return v - lam * self.B.matvec(self.B.rmatvec(v))
+
+    def objective(self, x):
+        return _objective(self.spec, x, self.full[0], self.B)
+
+
+# Reference steps: (ctx, params, k, batch, *iterates) -> new iterates, always
+# fresh arrays. k is the 1-based step counter before the step.
+
+def _pdfp(ctx, cfg, k, batch, x, v):
+    gamma, lam = cfg.schedule.c, cfg.lam
+    x_half = x - gamma * ctx.gradient(batch, x)
+    arg = ctx.B.matvec(x_half) + ctx.dual_reflect(lam, v)
+    v_new = ctx.prox_residual(gamma / lam, arg)
+    return x_half - lam * ctx.B.rmatvec(v_new), v_new
+
+
+def _spdfp1(ctx, cfg, k, batch, x, v):
+    gamma_k, lam = cfg.schedule.gamma(k), cfg.lam
+    x_half = x - gamma_k * ctx.gradient(batch, x)
+    arg = ctx.B.matvec(x_half) + (gamma_k / lam) * ctx.dual_reflect(lam, v)
+    v_new = (lam / gamma_k) * ctx.prox_residual(gamma_k / lam, arg)
+    return x_half - gamma_k * ctx.B.rmatvec(v_new), v_new
+
+
+def _spdfp2(ctx, cfg, k, batch, x, v):
+    gamma_k, lam = cfg.schedule.gamma(k), cfg.lam
+    x_half = x - gamma_k * ctx.gradient(batch, x)
+    factor = gamma_k / lam if k == 1 else ((k - 1) / k) ** cfg.schedule.alpha
+    arg = ctx.B.matvec(x_half) + factor * ctx.dual_reflect(lam, v)
+    v_new = ctx.prox_residual(gamma_k / lam, arg)
+    return x_half - lam * ctx.B.rmatvec(v_new), v_new
+
+
+def _stoc_admm(ctx, admm_cfg, k, batch, x, y, multiplier):
     beta = admm_cfg.beta_tilde
-    zeta = admm_cfg.zeta_schedule.gamma(state.k)
-    i = draw_batch_index(plan, rng)
-    g = stochastic_gradient(spec, plan, i, state.x)
-    rhs = B.rmatvec(beta * state.y + state.multiplier) + state.x / zeta - g
-    M = workspace.system(admm_cfg, zeta)
-    x_new = np.linalg.solve(M, rhs)
-    Bx = B.matvec(x_new)
-    y_new = prox(prox_spec, 1.0 / beta, Bx - state.multiplier / beta)
-    mult_new = state.multiplier - beta * (Bx - y_new)
-    return AdmmState(x=x_new, y=y_new, multiplier=mult_new, k=state.k + 1)
+    zeta = admm_cfg.zeta_schedule.gamma(k)
+    g = ctx.gradient(batch, x)
+    rhs = ctx.B.rmatvec(beta * y + multiplier) + x / zeta - g
+    x_new = np.linalg.solve(ctx.workspace.system(admm_cfg, zeta), rhs)
+    Bx = ctx.B.matvec(x_new)
+    y_new = ctx.prox(1.0 / beta, Bx - multiplier / beta)
+    return x_new, y_new, multiplier - beta * (Bx - y_new)
+
+
+def _checked_iterates(spec, state):
+    return (_iterate(state.x, spec.dim, "state.x"),
+            _iterate(state.v, spec.B.n_rows, "state.v"))
+
+
+def pdfp_step(spec, prox_spec, cfg, state):
+    """One batch step with constant gamma = cfg.schedule.c."""
+    ctx = _RunContext(spec, prox_spec)
+    x, v = _pdfp(ctx, cfg, state.k, ctx.full, *_checked_iterates(spec, state))
+    return IterState(x=x, v=v, k=state.k + 1)
+
+
+def spdfp_step_alg1(spec, prox_spec, cfg, state, rng, plan):
+    """One stochastic step, dual on the subgradient scale."""
+    return _stochastic_step(_spdfp1, spec, prox_spec, cfg, state, rng, plan)
+
+
+def spdfp_step_alg2(spec, prox_spec, cfg, state, rng, plan):
+    """One stochastic step in the rescaled form.
+
+    At k = 1 the dual memory term carries the factor gamma_1/lambda; for
+    k >= 2 it carries ((k-1)/k)**alpha.
+    """
+    return _stochastic_step(_spdfp2, spec, prox_spec, cfg, state, rng, plan)
+
+
+def _stochastic_step(step, spec, prox_spec, cfg, state, rng, plan):
+    ctx = _RunContext(spec, prox_spec, (plan.ranges[draw_batch_index(plan, rng)],))
+    x, v = step(ctx, cfg, state.k, ctx.batches[0], *_checked_iterates(spec, state))
+    return IterState(x=x, v=v, k=state.k + 1)
+
+
+def stoc_admm_step(spec, prox_spec, admm_cfg, state, rng, plan):
+    """One stochastic ADMM step (x linear solve, y prox, multiplier update)."""
+    ctx = _RunContext(spec, prox_spec, (plan.ranges[draw_batch_index(plan, rng)],), admm_cfg)
+    m = spec.B.n_rows
+    x, y, mult = _stoc_admm(ctx, admm_cfg, state.k, ctx.batches[0],
+                            _iterate(state.x, spec.dim, "state.x"),
+                            _iterate(state.y, m, "state.y"),
+                            _iterate(state.multiplier, m, "state.multiplier"))
+    return AdmmState(x=x, y=y, multiplier=mult, k=state.k + 1)
+
+
+def _fixed_point_residual(ctx, gamma, lam, x, v):
+    g = ctx.gradient(ctx.full, x)
+    arg = ctx.B.matvec(x - gamma * g) + ctx.dual_reflect(lam, v)
+    t0 = ctx.prox_residual(gamma / lam, arg)
+    return float(np.linalg.norm(v - t0) + np.linalg.norm(gamma * g + lam * ctx.B.rmatvec(t0)))
 
 
 def fixed_point_residual(spec, prox_spec, gamma, lam, x, v):
@@ -225,11 +297,8 @@ def fixed_point_residual(spec, prox_spec, gamma, lam, x, v):
     """
     if gamma <= 0 or lam <= 0:
         raise ValueError("gamma and lambda must be positive")
-    B = spec.B
-    g = full_gradient(spec, x)
-    arg = B.matvec(x - gamma * g) + _dual_reflect(B, lam, v)
-    t0 = prox_residual(prox_spec, gamma / lam, arg)
-    return float(np.linalg.norm(v - t0) + np.linalg.norm(gamma * g + lam * B.rmatvec(t0)))
+    return _fixed_point_residual(_RunContext(spec, prox_spec), gamma, lam,
+                                 _iterate(x, spec.dim, "x"), _iterate(v, spec.B.n_rows, "v"))
 
 
 def check_lambda(cfg, B, rho_max=None):
@@ -268,32 +337,35 @@ class RunRecord:
     a_k: float = None
 
 
-def _dual_on_subgradient_scale(kind, cfg, state):
+def _dual_on_subgradient_scale(kind, cfg, v, k):
     # alg2 / pdfp duals carry a factor gamma/lam relative to the alg1 scale
-    if kind == "spdfp1" or state.k == 1:
-        return state.v
+    if kind == "spdfp1" or k == 1:
+        return v
     if kind == "pdfp":
-        return (cfg.lam / cfg.schedule.c) * state.v
-    gamma_prev = cfg.schedule.gamma(state.k - 1)
-    return (cfg.lam / gamma_prev) * state.v
+        return (cfg.lam / cfg.schedule.c) * v
+    gamma_prev = cfg.schedule.gamma(k - 1)
+    return (cfg.lam / gamma_prev) * v
 
 
-def _record(kind, name, spec, cfg, state, seed, epoch, t0, reference):
-    obj = objective_value(spec, state.x)
-    rec = RunRecord(solver=name, seed=seed, epoch=epoch,
+def _record(kind, name, ctx, cfg, iterates, k, epoch, t0, reference):
+    x = iterates[0]
+    obj = ctx.objective(x)
+    rec = RunRecord(solver=name, seed=cfg.seed, epoch=epoch,
                     wall_time=time.perf_counter() - t0, objective=obj)
     if reference is not None:
-        diff = state.x - reference.x_star
+        diff = x - reference.x_star
         rec.iterate_sq_error = float(diff @ diff)
         if reference.objective_star is not None:
             f_star = reference.objective_star
             rec.rel_obj_error = (obj - f_star) / max(abs(f_star), 1e-12)
         if reference.v_star is not None and kind != "stoc_admm":
-            v1 = _dual_on_subgradient_scale(kind, cfg, state)
-            dv = v1 - reference.v_star
-            gk = cfg.schedule.gamma(state.k)  # the iterate after step k-1 is x_k
+            dv = _dual_on_subgradient_scale(kind, cfg, iterates[1], k) - reference.v_star
+            gk = cfg.schedule.gamma(k)  # the iterate after step k-1 is x_k
             rec.a_k = float(diff @ diff + gk**2 / cfg.lam * (dv @ dv))
     return rec
+
+
+_STEPS = {"pdfp": _pdfp, "spdfp1": _spdfp1, "spdfp2": _spdfp2}
 
 
 def run_solver(kind, spec, prox_spec, cfg, admm_cfg=None, x0=None, v0=None,
@@ -303,9 +375,13 @@ def run_solver(kind, spec, prox_spec, cfg, admm_cfg=None, x0=None, v0=None,
     One epoch is one batch step for 'pdfp' and one full pass (n_batches
     stochastic steps) otherwise. PDFP additionally stops once the
     fixed-point residual drops below cfg.stop_tolerance. Records include
-    error columns when a Reference is supplied. on_step, when given, is
-    called with the state after every step: an IterState, or an AdmmState
-    for 'stoc_admm'.
+    error columns when a Reference is supplied.
+
+    Every input (kind, the lambda guard, the batch plan, x0 and v0) is
+    checked once, before the first step; the steps then run unchecked on
+    raw arrays. on_step, when given, is called with the state after every
+    step: an IterState, or an AdmmState for 'stoc_admm'. Its arrays are
+    fresh each step, so a caller may keep them.
     """
     if kind not in SOLVER_KINDS:
         raise ValueError(f"unknown solver kind {kind!r}")
@@ -315,34 +391,31 @@ def run_solver(kind, spec, prox_spec, cfg, admm_cfg=None, x0=None, v0=None,
     if kind != "stoc_admm":
         check_lambda(cfg, spec.B, rho_max=rho_max)
     plan = make_batch_plan(spec.n, cfg.p)
-    rng = np.random.default_rng(cfg.seed)
-    steps_per_epoch = 1 if kind == "pdfp" else plan.n_batches
-    t0 = time.perf_counter()
-
-    # the step functions are looked up here, once per run, so a module-level
-    # replacement of e.g. pdfp_step still takes effect
     if kind == "stoc_admm":
-        state = initial_admm_state(spec, x0=x0)
-        step = partial(stoc_admm_step, spec, prox_spec, admm_cfg, rng=rng, plan=plan,
-                       workspace=_AdmmWorkspace(spec, admm_cfg))
-    elif kind == "pdfp":
-        state = initial_state(spec, x0=x0, v0=v0)
-        step = partial(pdfp_step, spec, prox_spec, cfg)
+        s = initial_admm_state(spec, x0=x0)
+        step, params, make_state, iterates = _stoc_admm, admm_cfg, AdmmState, (s.x, s.y, s.multiplier)
     else:
-        state = initial_state(spec, x0=x0, v0=v0)
-        alg = spdfp_step_alg1 if kind == "spdfp1" else spdfp_step_alg2
-        step = partial(alg, spec, prox_spec, cfg, rng=rng, plan=plan)
+        s = initial_state(spec, x0=x0, v0=v0)
+        step, params, make_state, iterates = _STEPS[kind], cfg, IterState, (s.x, s.v)
+    rng = np.random.default_rng(cfg.seed)
+    t0 = time.perf_counter()
+    ctx = _RunContext(spec, prox_spec, () if kind == "pdfp" else plan.ranges,
+                      admm_cfg if kind == "stoc_admm" else None)
 
-    records = [_record(kind, name, spec, cfg, state, cfg.seed, 0, t0, reference)]
+    k = 1
+    records = [_record(kind, name, ctx, cfg, iterates, k, 0, t0, reference)]
     for epoch in range(1, cfg.max_epochs + 1):
-        for _ in range(steps_per_epoch):
-            state = step(state)
+        if kind == "pdfp":
+            batches = (ctx.full,)
+        else:
+            batches = [ctx.batches[i] for i in _draw_batch_indices(plan, rng, plan.n_batches)]
+        for batch in batches:
+            iterates = step(ctx, params, k, batch, *iterates)
+            k += 1
             if on_step is not None:
-                on_step(state)
-        records.append(_record(kind, name, spec, cfg, state, cfg.seed, epoch, t0, reference))
+                on_step(make_state(*iterates, k))
+        records.append(_record(kind, name, ctx, cfg, iterates, k, epoch, t0, reference))
         if kind == "pdfp" and cfg.stop_tolerance > 0:
-            res = fixed_point_residual(spec, prox_spec, cfg.schedule.c, cfg.lam,
-                                       state.x, state.v)
-            if res <= cfg.stop_tolerance:
+            if _fixed_point_residual(ctx, cfg.schedule.c, cfg.lam, *iterates) <= cfg.stop_tolerance:
                 break
     return records

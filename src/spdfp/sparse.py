@@ -141,6 +141,12 @@ class SparseMatrix:
         rows = np.repeat(np.arange(self.n_rows, dtype=np.int64), counts)
         return rows, self.indices.copy(), self.data.copy()
 
+    def row_view(self, row_start, row_stop):
+        """Rows [row_start, row_stop) as a RowView for repeated products."""
+        if not 0 <= row_start <= row_stop <= self.n_rows:
+            raise ValueError("row range out of bounds")
+        return RowView(self, row_start, row_stop)
+
     def row_block(self, row_start, row_stop):
         """The submatrix of rows [row_start, row_stop) as a SparseMatrix."""
         lo, hi = self.indptr[row_start], self.indptr[row_stop]
@@ -150,6 +156,34 @@ class SparseMatrix:
 
     def __repr__(self):
         return f"SparseMatrix({self.n_rows}x{self.n_cols}, nnz={self.nnz})"
+
+
+class RowView:
+    """Rows [row_start, row_stop) of a SparseMatrix with their row map built
+    once, for loops that apply the same rows many times.
+
+    The products are the NumPy lane's operations in the same order, so they
+    give the same bits, but they convert and check nothing: x must be a
+    float64 vector of length n_cols, y one of length n_rows.
+    """
+
+    __slots__ = ("indices", "data", "rows", "n_rows", "n_cols")
+
+    def __init__(self, M, row_start, row_stop):
+        lo, hi = M.indptr[row_start], M.indptr[row_stop]
+        counts = M.indptr[row_start + 1:row_stop + 1] - M.indptr[row_start:row_stop]
+        self.indices = M.indices[lo:hi]
+        self.data = M.data[lo:hi]
+        self.rows = np.arange(row_stop - row_start).repeat(counts)
+        self.n_rows = row_stop - row_start
+        self.n_cols = M.n_cols
+
+    def matvec(self, x):
+        return np.bincount(self.rows, weights=self.data * x[self.indices], minlength=self.n_rows)
+
+    def rmatvec(self, y):
+        return np.bincount(self.indices, weights=self.data * y[self.rows],
+                           minlength=self.n_cols)
 
 
 def identity(d):
@@ -192,7 +226,6 @@ class SpectralEstimate:
 
     rho_max: float
     iterations_used: int
-    tolerance: float
     converged: bool
 
 
@@ -214,13 +247,12 @@ def estimate_spectrum(B, tol=1e-10, max_iter=10000):
         s = B.matvec(B.rmatvec(u))
         ns = np.linalg.norm(s)
         if ns <= 1e-300:
-            return SpectralEstimate(rho_max=0.0, iterations_used=it, tolerance=tol,
-                                    converged=True)
+            return SpectralEstimate(rho_max=0.0, iterations_used=it, converged=True)
         rho_new = float(u @ s)
         u = s / ns
         if abs(rho_new - rho) <= tol * max(abs(rho_new), 1e-300):
             return SpectralEstimate(rho_max=max(rho_new, 0.0), iterations_used=it,
-                                    tolerance=tol, converged=True)
+                                    converged=True)
         rho = rho_new
     return SpectralEstimate(rho_max=max(rho, 0.0), iterations_used=max_iter,
-                            tolerance=tol, converged=False)
+                            converged=False)

@@ -113,8 +113,14 @@ def test_singleton_batch_hand_value():
 def test_stochastic_gradient_index_errors():
     spec = make_spec(np.eye(2), [1.0, 2.0])
     plan = make_batch_plan(2, 1)
-    with pytest.raises(IndexError):
-        stochastic_gradient(spec, plan, 2, np.zeros(2))
+    for i in (2, -1):
+        with pytest.raises(IndexError):
+            stochastic_gradient(spec, plan, i, np.zeros(2))
+    for x in (np.zeros(3), np.zeros((2, 1))):
+        with pytest.raises(ValueError):
+            stochastic_gradient(spec, plan, 0, x)
+        with pytest.raises(ValueError):
+            full_gradient(spec, x)
 
 
 def test_unbiasedness_all_losses_and_batch_sizes():

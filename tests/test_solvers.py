@@ -3,10 +3,11 @@ import pytest
 
 import oracles
 from spdfp.gradients import full_gradient, make_batch_plan, stochastic_gradient
-from spdfp.problem import Dataset, ProblemSpec
+from spdfp.problem import LOSSES, Dataset, ProblemSpec, objective_value
 from spdfp.prox import ProxSpec
-from spdfp.sparse import SparseMatrix, build_difference_matrix, identity
+from spdfp.sparse import SparseMatrix, build_difference_matrix, estimate_spectrum, identity
 from spdfp.solvers import (
+    SOLVER_KINDS,
     AdmmConfig,
     ConstantSchedule,
     Reference,
@@ -387,3 +388,122 @@ def test_one_step_joint_error_estimate():
     rhs = (dx @ dx + gam_k**2 / lam * (1 - lam * rho_min) * (dv @ dv)
            - 2 * gam_k * (gx - gstar) @ dx + gam_k**2 * quad)
     assert lhs <= rhs + 1e-6
+
+
+# ---------------------------------------------------------------------------
+# run_solver against a loop over the public step functions
+
+def bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+def parity_spec(loss):
+    # n = 23 with p = 5 leaves a short last batch; sample 3 has no entries
+    # and row 1 of B is empty
+    rng = np.random.default_rng(30)
+    n, d = 23, 6
+    A = rng.standard_normal((n, d))
+    A[rng.random((n, d)) < 0.3] = 0.0
+    A[3] = 0.0
+    b = rng.standard_normal(n) if loss == "square" else rng.choice([-1.0, 1.0], n)
+    B = SparseMatrix.from_coo(4, d, [0, 0, 2, 2, 3, 3], [0, 1, 2, 3, 4, 5],
+                              [1.0, -1.0, 1.0, -1.0, 2.0, -0.5])
+    ds = Dataset(samples=SparseMatrix.from_dense(A), labels=b)
+    return ProblemSpec(loss=loss, dataset=ds, l2_weight=0.1, composite_weight=0.2, B=B)
+
+
+@pytest.mark.parametrize("kind", SOLVER_KINDS)
+@pytest.mark.parametrize("loss", LOSSES)
+@pytest.mark.parametrize("prox_spec", [ProxSpec("l1", 0.2), ZERO], ids=["l1", "zero"])
+def test_run_solver_matches_public_steps_bitwise(kind, loss, prox_spec):
+    spec = parity_spec(loss)
+    lam = 0.8 / estimate_spectrum(spec.B).rho_max
+    sched = ConstantSchedule(0.3) if kind == "pdfp" else StepSchedule(c=0.5, alpha=0.7)
+    cfg = SolverConfig(schedule=sched, lam=lam, p=5, seed=11, max_epochs=3)
+    admm = AdmmConfig(beta_tilde=2.0, zeta_schedule=StepSchedule(c=0.5, alpha=0.5))
+    rng = np.random.default_rng(31)
+    ref = Reference(x_star=rng.standard_normal(6), v_star=rng.standard_normal(4),
+                    objective_star=0.7)
+
+    got, snapshots = [], []
+
+    def grab(s):
+        got.append(s)
+        snapshots.append([a.copy() for a in vars(s).values() if isinstance(a, np.ndarray)])
+
+    recs = run_solver(kind, spec, prox_spec, cfg, admm_cfg=admm, reference=ref, on_step=grab)
+
+    plan = make_batch_plan(spec.n, cfg.p)
+    rng = np.random.default_rng(cfg.seed)
+    if kind == "stoc_admm":
+        state = initial_admm_state(spec)
+        step = lambda s: stoc_admm_step(spec, prox_spec, admm, s, rng, plan)  # noqa: E731
+    elif kind == "pdfp":
+        state = initial_state(spec)
+        step = lambda s: pdfp_step(spec, prox_spec, cfg, s)  # noqa: E731
+    else:
+        state = initial_state(spec)
+        alg = spdfp_step_alg1 if kind == "spdfp1" else spdfp_step_alg2
+        step = lambda s: alg(spec, prox_spec, cfg, s, rng, plan)  # noqa: E731
+    steps_per_epoch = 1 if kind == "pdfp" else plan.n_batches
+
+    def check_record(rec, s, epoch):
+        diff = s.x - ref.x_star
+        f = objective_value(spec, s.x)
+        want = [f, (f - 0.7) / 0.7, diff @ diff]
+        have = [rec.objective, rec.rel_obj_error, rec.iterate_sq_error]
+        if kind == "stoc_admm":
+            assert rec.a_k is None
+        else:
+            if kind == "spdfp1" or s.k == 1:
+                v1 = s.v
+            else:
+                gamma_prev = cfg.schedule.c if kind == "pdfp" else cfg.schedule.gamma(s.k - 1)
+                v1 = (lam / gamma_prev) * s.v
+            dv = v1 - ref.v_star
+            want.append(diff @ diff + cfg.schedule.gamma(s.k) ** 2 / lam * (dv @ dv))
+            have.append(rec.a_k)
+        assert rec.epoch == epoch
+        np.testing.assert_array_equal(bits(have), bits(want))
+
+    check_record(recs[0], state, 0)
+    n_steps = 0
+    for epoch in range(1, cfg.max_epochs + 1):
+        for _ in range(steps_per_epoch):
+            state = step(state)
+            mine = got[n_steps]
+            assert type(mine) is type(state) and mine.k == state.k
+            for name, want in vars(state).items():
+                if isinstance(want, np.ndarray):
+                    np.testing.assert_array_equal(bits(getattr(mine, name)), bits(want))
+            n_steps += 1
+        check_record(recs[epoch], state, epoch)
+    assert len(got) == n_steps and len(recs) == cfg.max_epochs + 1
+
+    # no state handed to on_step changed after later steps
+    for s, snap in zip(got, snapshots):
+        arrays = [a for a in vars(s).values() if isinstance(a, np.ndarray)]
+        for a, b in zip(arrays, snap):
+            np.testing.assert_array_equal(bits(a), bits(b))
+
+
+@pytest.mark.parametrize("kind,bad", [
+    *[(kind, "x0") for kind in SOLVER_KINDS],
+    *[(kind, "p") for kind in SOLVER_KINDS],
+    *[(kind, "v0") for kind in ("pdfp", "spdfp1", "spdfp2")],
+    *[(kind, "lambda") for kind in ("pdfp", "spdfp1", "spdfp2")],
+])
+def test_run_solver_rejects_bad_input_before_any_step(kind, bad):
+    spec = parity_spec("square")
+    rho_max = estimate_spectrum(spec.B).rho_max
+    lam = 1.0 / rho_max if bad == "lambda" else 0.5 / rho_max
+    p = spec.n + 1 if bad == "p" else 5
+    cfg = SolverConfig(schedule=StepSchedule(c=0.5, alpha=0.7), lam=lam, p=p, max_epochs=2)
+    admm = AdmmConfig(beta_tilde=2.0, zeta_schedule=StepSchedule(c=0.5, alpha=0.5))
+    x0 = np.zeros(spec.dim + (bad == "x0"))
+    v0 = np.zeros(spec.B.n_rows - (bad == "v0"))
+    steps = []
+    with pytest.raises(ValueError):
+        run_solver(kind, spec, L1, cfg, admm_cfg=admm, x0=x0, v0=v0,
+                   on_step=steps.append)
+    assert steps == []
