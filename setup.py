@@ -1,23 +1,10 @@
-import numpy as np
 from setuptools import Extension, setup
 
-# The compiled kernels are optional: without Cython (or a C compiler) the
-# package falls back to the pure-NumPy lane selected in spdfp._kernels.
-try:
-    from Cython.Build import cythonize
-
-    extensions = cythonize(
-        [
-            Extension(
-                "spdfp._kernels._core",
-                ["src/spdfp/_kernels/_core.pyx"],
-                include_dirs=[np.get_include()],
-                extra_compile_args=["-O3", "-ffp-contract=off"],
-            )
-        ],
-        compiler_directives={"language_level": "3"},
-    )
-except ImportError:
-    extensions = []
-
-setup(ext_modules=extensions)
+# The C lane is a plain shared library (no Python C-API) that spdfp._kernels
+# loads with ctypes. It is optional: where it cannot be compiled, the build
+# goes on without it and the NumPy lane runs. -ffp-contract=off keeps FMA
+# out, so that both lanes give the same bits.
+setup(ext_modules=[
+    Extension("spdfp._kernels._lane", ["src/spdfp/_kernels/lane.c"], optional=True,
+              extra_compile_args=["-O2", "-ffp-contract=off"]),
+])

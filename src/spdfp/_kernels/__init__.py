@@ -1,25 +1,174 @@
-"""Kernel backend selection.
+"""Kernel lanes.
 
-The compiled Cython core is used when it was built; otherwise the pure-NumPy
-implementation takes over.
+The C lane (lane.c, built into the shared library ``_lane`` by
+``python setup.py build_ext --inplace``) is loaded with ctypes when it was
+built; otherwise the pure-NumPy lane in _numpy runs. Both lanes give the same
+bits. ``csr_matvec_range``, ``csr_rmatvec_range`` and ``soft_threshold`` are
+the kernels of the lane in use, and ``LANE`` is the loaded CLane or None.
 """
 
-try:
-    from spdfp._kernels._core import (  # noqa: F401
-        csr_matvec_range,
-        csr_rmatvec_range,
-        soft_threshold,
-    )
-    BACKEND = "cython"
-except ImportError:
+import ctypes
+import importlib.machinery
+import os
+
+import numpy as np
+
+_KINDS = {"pdfp": 0, "spdfp1": 1, "spdfp2": 2}
+_LOSSES = {"square": 0, "hinge": 1}
+
+
+class _Csr(ctypes.Structure):
+    _fields_ = [("n_rows", ctypes.c_int64), ("n_cols", ctypes.c_int64),
+                ("indptr", ctypes.c_void_p), ("indices", ctypes.c_void_p),
+                ("data", ctypes.c_void_p)]
+
+
+class _Run(ctypes.Structure):
+    """lane.c's ``run``: one run's problem, parameters, ranges and iterates."""
+
+    _fields_ = [("kind", ctypes.c_int64), ("loss", ctypes.c_int64),
+                ("prox_l1", ctypes.c_int64),
+                ("c", ctypes.c_double), ("alpha", ctypes.c_double),
+                ("lam", ctypes.c_double), ("nu", ctypes.c_double),
+                ("prox_weight", ctypes.c_double),
+                ("A", _Csr), ("B", _Csr), ("labels", ctypes.c_void_p),
+                ("ranges", ctypes.c_void_p), ("n_ranges", ctypes.c_int64),
+                ("x", ctypes.c_void_p), ("v", ctypes.c_void_p), ("work", ctypes.c_void_p)]
+
+
+def _address(arr, dtype, size=None):
+    """The data address of arr, after checking its dtype, layout and size."""
+    if not (isinstance(arr, np.ndarray) and arr.dtype == dtype and arr.ndim == 1
+            and arr.flags.c_contiguous):
+        raise TypeError(f"expected a contiguous 1-d {np.dtype(dtype)} array")
+    if size is not None and arr.shape[0] != size:
+        raise ValueError(f"expected length {size}, got {arr.shape[0]}")
+    return arr.ctypes.data
+
+
+def _csr(M):
+    return _Csr(M.n_rows, M.n_cols, _address(M.indptr, np.int64, M.n_rows + 1),
+                _address(M.indices, np.int64), _address(M.data, np.float64))
+
+
+class CLane:
+    """The C lane, loaded from the shared library at path.
+
+    The kernels take the NumPy lane's arguments. The CSR arrays must be a
+    valid matrix, as a SparseMatrix guarantees: indptr nondecreasing and
+    within data, column indices within x (matvec) or out (rmatvec).
+    """
+
+    def __init__(self, path):
+        lib = ctypes.CDLL(path)
+        p, i64 = ctypes.c_void_p, ctypes.c_int64
+        lib.spdfp_csr_matvec_range.argtypes = (p, p, p, p, p, i64, i64)
+        lib.spdfp_csr_rmatvec_range.argtypes = (p, p, p, p, p, i64, i64, i64)
+        lib.spdfp_soft_threshold.argtypes = (p, ctypes.c_double, p, i64)
+        lib.spdfp_run_steps.argtypes = (ctypes.POINTER(_Run), p, i64, i64)
+        lib.spdfp_run_steps.restype = ctypes.c_int
+        lib.spdfp_run_size.argtypes = ()
+        lib.spdfp_run_size.restype = i64
+        if lib.spdfp_run_size() != ctypes.sizeof(_Run):
+            raise ImportError(f"{path} was built from another lane.c; rebuild it with "
+                              "'python setup.py build_ext --inplace'")
+        for fn in (lib.spdfp_csr_matvec_range, lib.spdfp_csr_rmatvec_range,
+                   lib.spdfp_soft_threshold):
+            fn.restype = None
+        self._lib = lib
+        self._last = (None, None, None, None)
+
+    def _matrix(self, indptr, indices, data, row_start, row_stop):
+        """The addresses of the CSR arrays, checked once per matrix in a row:
+        power iteration applies the same matrix a thousand times, and one
+        address costs about as much as a small product. Holds on to the
+        arrays of the last matrix, so that their identity decides."""
+        last = self._last
+        if not (last[0] is indptr and last[1] is indices and last[2] is data):
+            last = (indptr, indices, data, (_address(indptr, np.int64),
+                                            _address(indices, np.int64),
+                                            _address(data, np.float64)))
+            self._last = last
+        if not 0 <= row_start <= row_stop < indptr.shape[0]:
+            raise ValueError("row range out of bounds")
+        return last[3]
+
+    def csr_matvec_range(self, indptr, indices, data, x, out, row_start, row_stop):
+        self._lib.spdfp_csr_matvec_range(
+            *self._matrix(indptr, indices, data, row_start, row_stop), _address(x, np.float64),
+            _address(out, np.float64, row_stop - row_start), row_start, row_stop)
+
+    def csr_rmatvec_range(self, indptr, indices, data, y, out, row_start, row_stop):
+        self._lib.spdfp_csr_rmatvec_range(
+            *self._matrix(indptr, indices, data, row_start, row_stop),
+            _address(y, np.float64, row_stop - row_start), _address(out, np.float64),
+            out.shape[0], row_start, row_stop)
+
+    def soft_threshold(self, y, t, out):
+        self._lib.spdfp_soft_threshold(_address(y, np.float64), t,
+                                       _address(out, np.float64, len(y)), len(y))
+
+    def steps(self, kind, spec, prox_spec, cfg, ranges, x, v):
+        """The steps of one run of kind over x and v, as a Steps."""
+        return Steps(self._lib, kind, spec, prox_spec, cfg, ranges, x, v)
+
+
+class Steps:
+    """Runs of 'pdfp', 'spdfp1' or 'spdfp2' steps for a square or hinge
+    loss, in one C call each, updating x and v in place. A step uses one of
+    the row ranges [lo, hi) of A given here; alpha is read only for spdfp.
+    Keeps every array its pointers refer to alive."""
+
+    def __init__(self, lib, kind, spec, prox_spec, cfg, ranges, x, v):
+        A, B, labels = spec.dataset.samples, spec.B, spec.dataset.labels
+        ranges = np.array(ranges, dtype=np.int64).reshape(-1, 2)
+        work = np.empty(A.n_rows + 3 * A.n_cols + 2 * B.n_rows)
+        self._keep = (A, B, labels, ranges, x, v, work)
+        self._run = _Run(_KINDS[kind], _LOSSES[spec.loss], prox_spec.kind == "l1",
+                         cfg.schedule.c, 0.0 if kind == "pdfp" else cfg.schedule.alpha,
+                         cfg.lam, spec.l2_weight, prox_spec.weight, _csr(A), _csr(B),
+                         _address(labels, np.float64, A.n_rows),
+                         ranges.ctypes.data, len(ranges),
+                         _address(x, np.float64, A.n_cols), _address(v, np.float64, B.n_rows),
+                         work.ctypes.data)
+        self._picks = np.empty(0, dtype=np.int64)
+        self._fn = lib.spdfp_run_steps
+
+    def __call__(self, picks, k):
+        """One step per entry of picks, an index into the ranges; k counts
+        steps from 1 before the first of them."""
+        n = len(picks)
+        if n > len(self._picks):
+            self._picks = np.empty(n, dtype=np.int64)
+        self._picks[:n] = picks
+        if self._fn(self._run, self._picks.ctypes.data, n, k) != 0:
+            raise ValueError("batch index or row range out of bounds")
+
+
+def _built_library():
+    here = os.path.dirname(os.path.abspath(__file__))
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(here, "_lane" + suffix)
+        if os.path.isfile(path):
+            return path
+    return None
+
+
+_path = _built_library()
+LANE = CLane(_path) if _path is not None else None
+
+if LANE is None:
     from spdfp._kernels._numpy import (  # noqa: F401
         csr_matvec_range,
         csr_rmatvec_range,
         soft_threshold,
     )
-    BACKEND = "numpy"
+else:
+    csr_matvec_range = LANE.csr_matvec_range
+    csr_rmatvec_range = LANE.csr_rmatvec_range
+    soft_threshold = LANE.soft_threshold
 
 
 def backend():
-    """Name of the kernel lane in use: 'cython' or 'numpy'."""
-    return BACKEND
+    """Name of the kernel lane in use: 'c' or 'numpy'."""
+    return "numpy" if LANE is None else "c"

@@ -1,4 +1,4 @@
-"""Pure-NumPy kernels, the fallback lane when the compiled core is absent."""
+"""Pure-NumPy kernels, the lane used when the C lane is not built."""
 
 import numpy as np
 

@@ -1,0 +1,177 @@
+/* The C lane of spdfp: CSR range products, soft-thresholding, and whole
+ * runs of PDFP / SPDFP steps. Plain C99 over raw int64/double arrays, no
+ * Python C-API; spdfp._kernels loads the built library with ctypes and
+ * checks every array before it passes a pointer.
+ *
+ * Each function mirrors the NumPy reference (spdfp._kernels._numpy,
+ * sparse.RowView, solvers._pdfp/_spdfp1/_spdfp2) op for op, so that both
+ * lanes give the same bits:
+ *   - a product sums each output entry from 0.0 in CSR order, as
+ *     np.bincount does, and multiplies data by the vector in that order;
+ *   - every NumPy expression is the same C expression in the same order,
+ *     built without FMA contraction (-ffp-contract=off) and without
+ *     fast-math;
+ *   - c / k**alpha and ((k-1)/k)**alpha go through libm pow, as in Python.
+ */
+#include <math.h>
+#include <stdint.h>
+
+enum { PDFP = 0, SPDFP1 = 1, SPDFP2 = 2 };
+enum { SQUARE = 0, HINGE = 1 };
+
+typedef struct {
+    int64_t n_rows, n_cols;
+    const int64_t *indptr, *indices;
+    const double *data;
+} csr;
+
+/* One run: problem, step parameters, the row ranges of A a step may use,
+ * and the iterates x (length A.n_cols) and v (length B.n_rows) the steps
+ * update in place. work holds A.n_rows + 3 A.n_cols + 2 B.n_rows doubles.
+ * Mirrored by _kernels._Run. */
+typedef struct {
+    int64_t kind, loss, prox_l1;
+    double c, alpha, lam, nu, prox_weight;
+    csr A, B;
+    const double *labels;
+    const int64_t *ranges;
+    int64_t n_ranges;
+    double *x, *v, *work;
+} run;
+
+/* sizeof(run), which the loader compares with its mirror of the struct. */
+int64_t spdfp_run_size(void)
+{
+    return (int64_t)sizeof(run);
+}
+
+/* out[i - lo] = (row i of M) . x for lo <= i < hi. */
+void spdfp_csr_matvec_range(const int64_t *indptr, const int64_t *indices,
+                            const double *data, const double *x, double *out,
+                            int64_t lo, int64_t hi)
+{
+    for (int64_t i = lo; i < hi; i++) {
+        double acc = 0.0;
+        for (int64_t j = indptr[i]; j < indptr[i + 1]; j++)
+            acc = acc + data[j] * x[indices[j]];
+        out[i - lo] = acc;
+    }
+}
+
+/* out[0:n_out] = (rows lo..hi-1 of M)^T y. */
+void spdfp_csr_rmatvec_range(const int64_t *indptr, const int64_t *indices,
+                             const double *data, const double *y, double *out,
+                             int64_t n_out, int64_t lo, int64_t hi)
+{
+    for (int64_t c = 0; c < n_out; c++)
+        out[c] = 0.0;
+    for (int64_t i = lo; i < hi; i++)
+        for (int64_t j = indptr[i]; j < indptr[i + 1]; j++)
+            out[indices[j]] = out[indices[j]] + data[j] * y[i - lo];
+}
+
+/* np.sign(y) * np.maximum(np.abs(y) - t, 0.0) for one entry: np.sign maps
+ * both zeros to +0.0 and keeps NaN, np.maximum keeps a NaN first operand,
+ * so y = -0.3, t = 1 gives -0.0. */
+static double soft(double y, double t)
+{
+    double a = fabs(y) - t;
+    double m = (a > 0.0 || isnan(a)) ? a : 0.0;
+    double s = y > 0.0 ? 1.0 : y < 0.0 ? -1.0 : y == 0.0 ? 0.0 : y;
+    return s * m;
+}
+
+void spdfp_soft_threshold(const double *y, double t, double *out, int64_t n)
+{
+    for (int64_t i = 0; i < n; i++)
+        out[i] = soft(y[i], t);
+}
+
+static void matvec(const csr *M, const double *x, double *out, int64_t lo, int64_t hi)
+{
+    spdfp_csr_matvec_range(M->indptr, M->indices, M->data, x, out, lo, hi);
+}
+
+static void rmatvec(const csr *M, const double *y, double *out, int64_t lo, int64_t hi)
+{
+    spdfp_csr_rmatvec_range(M->indptr, M->indices, M->data, y, out, M->n_cols, lo, hi);
+}
+
+/* gradients._rows_gradient over rows lo..hi-1 of A: w holds the margins,
+ * then the loss weights; g gets the gradient. */
+static void gradient(const run *r, int64_t lo, int64_t hi, const double *x,
+                     double *w, double *g)
+{
+    int64_t nb = hi - lo, d = r->A.n_cols;
+    matvec(&r->A, x, w, lo, hi);
+    for (int64_t i = 0; i < nb; i++) {
+        double b = r->labels[lo + i];
+        if (r->loss == SQUARE)
+            w[i] = w[i] - b;
+        else
+            w[i] = b * w[i] < 1.0 ? -b : 0.0;
+    }
+    rmatvec(&r->A, w, g, lo, hi);
+    for (int64_t j = 0; j < d; j++)
+        g[j] = g[j] / (double)nb;
+    if (r->nu != 0.0)
+        for (int64_t j = 0; j < d; j++)
+            g[j] = g[j] + r->nu * x[j];
+}
+
+/* Apply n_steps steps of r->kind to r->x and r->v. Step s uses rows
+ * ranges[2p]..ranges[2p+1]-1 of A, p = picks[s]; k is the 1-based step
+ * counter before the first step. Returns -1, having changed nothing, if a
+ * pick or its range is out of bounds, else 0. */
+int spdfp_run_steps(const run *r, const int64_t *picks, int64_t n_steps, int64_t k)
+{
+    int64_t d = r->A.n_cols, m = r->B.n_rows;
+    double lam = r->lam, *x = r->x, *v = r->v;
+    double *w = r->work, *g = w + r->A.n_rows, *xh = g + d, *bt = xh + d;
+    double *arg = bt + d, *bb = arg + m;
+
+    for (int64_t s = 0; s < n_steps; s++) {
+        if (picks[s] < 0 || picks[s] >= r->n_ranges)
+            return -1;
+        const int64_t *rows = r->ranges + 2 * picks[s];
+        if (rows[0] < 0 || rows[0] >= rows[1] || rows[1] > r->A.n_rows)
+            return -1;
+    }
+    for (int64_t s = 0; s < n_steps; s++, k++) {
+        double gamma = r->kind == PDFP ? r->c : r->c / pow((double)k, r->alpha);
+        double tau = gamma / lam, thr = tau * r->prox_weight;
+        double factor = 0.0, v_scale = 0.0, x_scale = lam;
+        if (r->kind == SPDFP1) {
+            factor = gamma / lam;
+            v_scale = lam / gamma;
+            x_scale = gamma;
+        } else if (r->kind == SPDFP2) {
+            factor = k == 1 ? gamma / lam : pow((double)(k - 1) / (double)k, r->alpha);
+        }
+
+        /* x_half = x - gamma * grad */
+        const int64_t *rows = r->ranges + 2 * picks[s];
+        gradient(r, rows[0], rows[1], x, w, g);
+        for (int64_t j = 0; j < d; j++)
+            xh[j] = x[j] - gamma * g[j];
+
+        /* arg = B x_half + [factor *] (v - lam * B B^T v) */
+        matvec(&r->B, xh, arg, 0, m);
+        rmatvec(&r->B, v, bt, 0, m);
+        matvec(&r->B, bt, bb, 0, m);
+        for (int64_t i = 0; i < m; i++) {
+            double dr = v[i] - lam * bb[i];
+            arg[i] = arg[i] + (r->kind == PDFP ? dr : factor * dr);
+        }
+
+        /* v = [v_scale *] (arg - prox(arg)); x = x_half - x_scale * B^T v */
+        for (int64_t i = 0; i < m; i++) {
+            double res = arg[i] - (r->prox_l1 ? soft(arg[i], thr) : arg[i]);
+            v[i] = r->kind == SPDFP1 ? v_scale * res : res;
+        }
+        rmatvec(&r->B, v, bt, 0, m);
+        for (int64_t j = 0; j < d; j++)
+            x[j] = xh[j] - x_scale * bt[j];
+    }
+    return 0;
+}

@@ -15,6 +15,7 @@ File formats
 """
 
 import csv
+import math
 import os
 import re
 import warnings
@@ -30,6 +31,7 @@ from spdfp.solvers import (
     Reference,
     SolverConfig,
     StepSchedule,
+    _c_steps,
     _fixed_point_residual,
     _pdfp,
     _RunContext,
@@ -89,6 +91,8 @@ def load_libsvm(path, n_features=None):
                 label = float(parts[0])
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: bad label {parts[0]!r}") from None
+            if not math.isfinite(label):
+                raise ValueError(f"{path}:{lineno}: label {parts[0]!r} is not finite")
             i = len(labels)
             labels.append(label)
             for tok in parts[1:]:
@@ -102,6 +106,8 @@ def load_libsvm(path, n_features=None):
                     v = float(m.group(2))
                 except ValueError:
                     raise ValueError(f"{path}:{lineno}: bad value in {tok!r}") from None
+                if not math.isfinite(v):
+                    raise ValueError(f"{path}:{lineno}: value in {tok!r} is not finite")
                 rows.append(i)
                 cols.append(j - 1)
                 vals.append(v)
@@ -149,12 +155,19 @@ def load_matrix(path, n_rows=None, n_cols=None):
                     n_rows = n_rows if n_rows is not None else int(m.group(1))
                     n_cols = n_cols if n_cols is not None else int(m.group(2))
                 continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 'row col value'")
-            rows.append(int(parts[0]))
-            cols.append(int(parts[1]))
-            vals.append(float(parts[2]))
+            try:
+                r, c, v = line.split()
+                r, c, v = int(r), int(c), float(v)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: expected 'row col value', got {line!r}") from None
+            if r < 0 or c < 0 or (n_rows is not None and r >= n_rows) or (
+                    n_cols is not None and c >= n_cols):
+                raise ValueError(f"{path}:{lineno}: index out of range in {line!r}")
+            if not math.isfinite(v):
+                raise ValueError(f"{path}:{lineno}: value in {line!r} is not finite")
+            rows.append(r)
+            cols.append(c)
+            vals.append(v)
     if n_rows is None:
         n_rows = max(rows) + 1 if rows else 0
     if n_cols is None:
@@ -217,13 +230,27 @@ def load_problem(path):
     dataset = load_libsvm(os.path.join(here, kv["data"]))
     B = load_matrix(os.path.join(here, kv["b_matrix"]))
     return ProblemSpec(loss=kv["loss"], dataset=dataset,
-                       l2_weight=float(kv.get("l2_weight", 0.0)),
-                       composite_weight=float(kv.get("composite_weight", 0.0)),
+                       l2_weight=_kv_number(path, kv, "l2_weight", float, 0.0),
+                       composite_weight=_kv_number(path, kv, "composite_weight", float, 0.0),
                        B=B)
 
 
+def _kv_number(path, kv, key, kind, default=None):
+    """kv[key] (or default when absent) as a finite int or float. A key
+    occurs once per file, so naming it names its line."""
+    if key not in kv:
+        return default
+    try:
+        value = kind(kv[key])
+        if math.isfinite(value):
+            return value
+    except ValueError:
+        pass
+    raise ValueError(f"{path}: {key} = {kv[key]!r} is not a finite {kind.__name__}")
+
+
 def _read_kv(path):
-    out = {}
+    out, seen = {}, {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -232,7 +259,11 @@ def _read_kv(path):
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
             key, _, value = line.partition("=")
-            out[key.strip()] = value.strip()
+            key = key.strip()
+            if key in seen:
+                raise ValueError(f"{path}:{lineno}: key {key!r} repeats line {seen[key]}")
+            seen[key] = lineno
+            out[key] = value.strip()
     return out
 
 
@@ -298,8 +329,12 @@ def compute_ground_truth(spec, prox_spec=None, cfg=None, iters=DEFAULT_TRUTH_ITE
     ctx = _RunContext(spec, prox_spec)
     state = initial_state(spec)
     x, v = state.x, state.v
-    for k in range(1, iters + 1):
-        x, v = _pdfp(ctx, cfg, k, ctx.full, x, v)
+    c_steps = _c_steps("pdfp", spec, prox_spec, cfg, ((0, spec.n),), (x, v))
+    if c_steps is not None:
+        c_steps([0] * iters, 1)
+    else:
+        for k in range(1, iters + 1):
+            x, v = _pdfp(ctx, cfg, k, ctx.full, x, v)
     gamma, lam = cfg.schedule.c, cfg.lam
     res = _fixed_point_residual(ctx, gamma, lam, x, v)
     return GroundTruth(x_star=x, v_star=(lam / gamma) * v, v_star_pdfp=v,
@@ -394,10 +429,10 @@ def parse_experiment_config(path):
         output = os.path.join(base, output)
     return ExperimentConfig(problem=problem,
                             solvers=parse_solver_list(kv["solvers"]),
-                            repetitions=int(kv["repetitions"]),
-                            epochs=int(kv["epochs"]),
+                            repetitions=_kv_number(path, kv, "repetitions", int),
+                            epochs=_kv_number(path, kv, "epochs", int),
                             output=output,
-                            master_seed=int(kv["master_seed"]))
+                            master_seed=_kv_number(path, kv, "master_seed", int))
 
 
 _SYNTH_KEYS = ("n", "d", "perturb_frac", "noise_sd", "seed", "mu", "nu")

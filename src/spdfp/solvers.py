@@ -15,6 +15,9 @@ Four solvers share the state layout (primal x, dual v, counter k):
 It checks its inputs once and builds a _RunContext (raw CSR arrays, row maps
 and scalars); the loop then calls the private reference step of each kind on
 it. Each public step function builds a context and calls the same step.
+Where the C lane is built, ``run_solver`` and the ground truth run whole
+epochs of 'pdfp', 'spdfp1' and 'spdfp2' steps in one C call instead
+(_c_steps), with the same bits.
 """
 
 import time
@@ -23,6 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
+from spdfp import _kernels
 from spdfp.gradients import _draw_batch_indices, _rows_gradient, draw_batch_index, make_batch_plan
 from spdfp.problem import _objective
 from spdfp.sparse import estimate_spectrum
@@ -368,6 +372,20 @@ def _record(kind, name, ctx, cfg, iterates, k, epoch, t0, reference):
 _STEPS = {"pdfp": _pdfp, "spdfp1": _spdfp1, "spdfp2": _spdfp2}
 
 
+def _c_steps(kind, spec, prox_spec, cfg, ranges, iterates):
+    """The run's steps in the C lane, as a _kernels.Steps over the batch
+    row ranges that updates the iterates (x, v) in place, where the lane is
+    built and covers the run: 'pdfp', or 'spdfp1'/'spdfp2' with a
+    StepSchedule, on the square or hinge loss. None otherwise, and the
+    reference steps run. The logistic loss stays in NumPy, whose SIMD exp
+    differs from libm's in the last bit."""
+    lane = _kernels.LANE
+    if (lane is None or kind not in _STEPS or spec.loss == "logistic"
+            or (kind != "pdfp" and not isinstance(cfg.schedule, StepSchedule))):
+        return None
+    return lane.steps(kind, spec, prox_spec, cfg, ranges, *iterates)
+
+
 def run_solver(kind, spec, prox_spec, cfg, admm_cfg=None, x0=None, v0=None,
                reference=None, rho_max=None, on_step=None, name=None):
     """Run a solver for cfg.max_epochs epochs and return per-epoch records.
@@ -381,7 +399,8 @@ def run_solver(kind, spec, prox_spec, cfg, admm_cfg=None, x0=None, v0=None,
     checked once, before the first step; the steps then run unchecked on
     raw arrays. on_step, when given, is called with the state after every
     step: an IterState, or an AdmmState for 'stoc_admm'. Its arrays are
-    fresh each step, so a caller may keep them.
+    fresh each step, so a caller may keep them. Without on_step, each
+    epoch runs in one C call where _c_steps allows it.
     """
     if kind not in SOLVER_KINDS:
         raise ValueError(f"unknown solver kind {kind!r}")
@@ -399,21 +418,24 @@ def run_solver(kind, spec, prox_spec, cfg, admm_cfg=None, x0=None, v0=None,
         step, params, make_state, iterates = _STEPS[kind], cfg, IterState, (s.x, s.v)
     rng = np.random.default_rng(cfg.seed)
     t0 = time.perf_counter()
-    ctx = _RunContext(spec, prox_spec, () if kind == "pdfp" else plan.ranges,
-                      admm_cfg if kind == "stoc_admm" else None)
+    ranges = ((0, spec.n),) if kind == "pdfp" else plan.ranges
+    ctx = _RunContext(spec, prox_spec, ranges, admm_cfg if kind == "stoc_admm" else None)
+    c_steps = None if on_step is not None else _c_steps(kind, spec, prox_spec, cfg,
+                                                         ranges, iterates)
 
     k = 1
     records = [_record(kind, name, ctx, cfg, iterates, k, 0, t0, reference)]
     for epoch in range(1, cfg.max_epochs + 1):
-        if kind == "pdfp":
-            batches = (ctx.full,)
+        picks = [0] if kind == "pdfp" else _draw_batch_indices(plan, rng, plan.n_batches)
+        if c_steps is not None:
+            c_steps(picks, k)
+            k += len(picks)
         else:
-            batches = [ctx.batches[i] for i in _draw_batch_indices(plan, rng, plan.n_batches)]
-        for batch in batches:
-            iterates = step(ctx, params, k, batch, *iterates)
-            k += 1
-            if on_step is not None:
-                on_step(make_state(*iterates, k))
+            for i in picks:
+                iterates = step(ctx, params, k, ctx.batches[i], *iterates)
+                k += 1
+                if on_step is not None:
+                    on_step(make_state(*iterates, k))
         records.append(_record(kind, name, ctx, cfg, iterates, k, epoch, t0, reference))
         if kind == "pdfp" and cfg.stop_tolerance > 0:
             if _fixed_point_residual(ctx, cfg.schedule.c, cfg.lam, *iterates) <= cfg.stop_tolerance:

@@ -37,6 +37,8 @@ class SparseMatrix:
         data = np.ascontiguousarray(data, dtype=np.float64)
         if indptr.shape != (n_rows + 1,) or indptr[0] != 0 or indptr[-1] != len(data):
             raise ValueError("malformed indptr")
+        if not np.all(indptr[1:] >= indptr[:-1]):
+            raise ValueError("indptr must be nondecreasing")
         if len(indices) != len(data):
             raise ValueError("indices/data length mismatch")
         if len(indices) and (indices.min() < 0 or indices.max() >= n_cols):

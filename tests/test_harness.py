@@ -124,6 +124,15 @@ def test_libsvm_errors(tmp_path):
         load_libsvm(p)
 
 
+def test_libsvm_rejects_non_finite_numbers(tmp_path):
+    p = tmp_path / "bad.libsvm"
+    for text, line in (("1 1:0.5\n-1 2:nan\n", 2), ("1 1:inf\n", 1), ("nan 1:1\n", 1),
+                       ("1 1:1\n1 1:1\n-inf 1:1\n", 3)):
+        p.write_text(text)
+        with pytest.raises(ValueError, match=f"bad.libsvm:{line}: .*not finite"):
+            load_libsvm(p)
+
+
 # ---------------------------------------------------------------------------
 # matrix files and graph construction
 
@@ -135,6 +144,49 @@ def test_matrix_round_trip(tmp_path):
     back = load_matrix(p)
     assert back.shape == (4, 6)  # shape survives despite empty row 1
     np.testing.assert_array_equal(back.to_dense(), M.to_dense())
+
+
+def test_matrix_errors_say_where(tmp_path):
+    p = tmp_path / "m.txt"
+    for text, line in (("0 0 1.0\n1 x 2.0\n", 2),        # bad index
+                       ("0 0 1.0\n\n1 1 two\n", 3),     # bad value
+                       ("0 0\n", 1),                     # too few fields
+                       ("0 0 1.0 4\n", 1),               # too many fields
+                       ("0 -1 1.0\n", 1),                # negative index
+                       ("# shape 2 2\n0 0 1\n2 0 1\n", 3),  # outside the shape
+                       ("0 0 1.0\n1 1 nan\n", 2),        # not finite
+                       ("0 0 -inf\n", 1)):
+        p.write_text(text)
+        with pytest.raises(ValueError, match=f"m.txt:{line}: "):
+            load_matrix(p)
+
+
+def test_repeated_key_names_both_lines(tmp_path):
+    p = tmp_path / "x.problem"
+    p.write_text("loss = square\ndata = d.libsvm\n# note\nloss = hinge\n")
+    with pytest.raises(ValueError, match=r"x.problem:4: key 'loss' repeats line 1"):
+        load_problem(p)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("problem = synth:n=20\nsolvers = pdfp()\nrepetitions = 1\nepochs = 1\n"
+                   "output = out/run\nmaster_seed = 1\nepochs = 2\n")
+    with pytest.raises(ValueError, match=r"run.cfg:7: key 'epochs' repeats line 4"):
+        parse_experiment_config(cfg)
+
+
+def test_numbers_in_key_files_say_where(tmp_path):
+    spec = synth_fused_lasso(20, 5, 0.1, 0.01, seed=1)
+    base = save_problem(spec, tmp_path / "p")
+    text = open(base).read()
+    for bad in ("abc", "nan", "inf"):
+        with open(base, "w") as fh:
+            fh.write(text.replace("l2_weight = 0.0", f"l2_weight = {bad}"))
+        with pytest.raises(ValueError, match=rf"p.problem: l2_weight = '{bad}' is not a finite"):
+            load_problem(base)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("problem = synth:n=20\nsolvers = pdfp()\nrepetitions = two\nepochs = 1\n"
+                   "output = out/run\nmaster_seed = 1\n")
+    with pytest.raises(ValueError, match=r"run.cfg: repetitions = 'two' is not a finite int"):
+        parse_experiment_config(cfg)
 
 
 def test_graph_matrix_perfect_pair():

@@ -1,17 +1,31 @@
+"""The kernel lanes.
+
+The NumPy lane is checked against dense products. The C lane (lane.c) is
+built here, into a temporary directory with the system compiler, and checked
+bit for bit against the NumPy lane: the three kernels, and whole runs of
+run_solver and compute_ground_truth on the fused path against the Python
+reference path. Bits are compared through .view(np.int64), so that -0.0
+against +0.0 shows.
+"""
+
+import os
+import shutil
+import subprocess
+import sysconfig
+
 import numpy as np
 import pytest
 
 import spdfp._kernels as kernels
 import spdfp._kernels._numpy as lane_numpy
-from spdfp.sparse import SparseMatrix
+from spdfp import solvers
+from spdfp.harness import compute_ground_truth, synth_fused_lasso
+from spdfp.problem import Dataset, ProblemSpec
+from spdfp.prox import ProxSpec
+from spdfp.solvers import ConstantSchedule, Reference, SolverConfig, StepSchedule, run_solver
+from spdfp.sparse import SparseMatrix, estimate_spectrum, stack_identity
 
-try:
-    import spdfp._kernels._core as lane_cython
-except ImportError:
-    lane_cython = None
-
-needs_compiled = pytest.mark.skipif(lane_cython is None,
-                                    reason="compiled kernel lane not built")
+LANE_SOURCE = os.path.join(os.path.dirname(kernels.__file__), "lane.c")
 
 
 def random_csr(rng):
@@ -24,8 +38,36 @@ def random_csr(rng):
                                  rng.standard_normal(nnz))
 
 
+def bits(a):
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+def assert_same_bits(a, b):
+    np.testing.assert_array_equal(bits(a), bits(b))
+
+
+def find_compiler():
+    candidates = (sysconfig.get_config_var("CC") or "").split()[:1] + ["cc", "gcc", "clang"]
+    for name in candidates:
+        path = shutil.which(name)
+        if path:
+            return path
+    return None
+
+
+@pytest.fixture(scope="module")
+def c_lane(tmp_path_factory):
+    cc = find_compiler()
+    if cc is None:
+        pytest.skip("no C compiler found ($CC, cc, gcc or clang), so the C lane cannot be built")
+    lib = tmp_path_factory.mktemp("lane") / "lane.so"
+    subprocess.run([cc, "-O2", "-ffp-contract=off", "-shared", "-fPIC", "-o", str(lib),
+                    LANE_SOURCE, "-lm"], check=True, capture_output=True)
+    return kernels.CLane(str(lib))
+
+
 def test_backend_reports_a_lane():
-    assert kernels.backend() in ("cython", "numpy")
+    assert kernels.backend() == ("numpy" if kernels.LANE is None else "c")
 
 
 def test_numpy_lane_against_dense():
@@ -45,36 +87,233 @@ def test_numpy_lane_against_dense():
         np.testing.assert_allclose(outc, D[r0:r1].T @ y, atol=1e-13)
 
 
-@needs_compiled
-def test_lane_parity_bitwise():
-    rng = np.random.default_rng(1)
-    for _ in range(200):
-        M = random_csr(rng)
-        x = rng.standard_normal(M.n_cols)
-        r0 = int(rng.integers(0, M.n_rows + 1))
-        r1 = int(rng.integers(r0, M.n_rows + 1))
-        a = np.empty(r1 - r0)
-        b = np.empty(r1 - r0)
-        lane_cython.csr_matvec_range(M.indptr, M.indices, M.data, x, a, r0, r1)
-        lane_numpy.csr_matvec_range(M.indptr, M.indices, M.data, x, b, r0, r1)
-        np.testing.assert_array_equal(a, b)
-        y = rng.standard_normal(r1 - r0)
-        u = np.empty(M.n_cols)
-        v = np.empty(M.n_cols)
-        lane_cython.csr_rmatvec_range(M.indptr, M.indices, M.data, y, u, r0, r1)
-        lane_numpy.csr_rmatvec_range(M.indptr, M.indices, M.data, y, v, r0, r1)
-        np.testing.assert_array_equal(u, v)
-        t = float(rng.uniform(0, 2))
-        s1 = np.empty(M.n_cols)
-        s2 = np.empty(M.n_cols)
-        lane_cython.soft_threshold(x, t, s1)
-        lane_numpy.soft_threshold(x, t, s2)
-        np.testing.assert_array_equal(s1, s2)
-
-
 def test_soft_threshold_values():
     y = np.array([2.0, -0.3, 0.5, -0.5, 0.0])
     out = np.empty(5)
     kernels.soft_threshold(y, 0.5, out)
     np.testing.assert_array_equal(out, [1.5, 0.0, 0.0, 0.0, 0.0])
 
+
+def test_lane_parity_bitwise(c_lane):
+    rng = np.random.default_rng(1)
+    empty_rows = empty_ranges = 0
+    for _ in range(200):
+        M = random_csr(rng)
+        x = rng.standard_normal(M.n_cols)
+        r0 = int(rng.integers(0, M.n_rows + 1))
+        r1 = int(rng.integers(r0, M.n_rows + 1))
+        empty_rows += int(np.any(np.diff(M.indptr[r0:r1 + 1]) == 0))
+        empty_ranges += r0 == r1
+        a = np.empty(r1 - r0)
+        b = np.empty(r1 - r0)
+        c_lane.csr_matvec_range(M.indptr, M.indices, M.data, x, a, r0, r1)
+        lane_numpy.csr_matvec_range(M.indptr, M.indices, M.data, x, b, r0, r1)
+        assert_same_bits(a, b)
+        y = rng.standard_normal(r1 - r0)
+        u = np.full(M.n_cols, np.nan)
+        v = np.empty(M.n_cols)
+        c_lane.csr_rmatvec_range(M.indptr, M.indices, M.data, y, u, r0, r1)
+        lane_numpy.csr_rmatvec_range(M.indptr, M.indices, M.data, y, v, r0, r1)
+        assert_same_bits(u, v)
+        t = float(rng.uniform(0, 2))
+        s1 = np.empty(M.n_cols)
+        s2 = np.empty(M.n_cols)
+        c_lane.soft_threshold(x, t, s1)
+        lane_numpy.soft_threshold(x, t, s2)
+        assert_same_bits(s1, s2)
+    assert empty_rows and empty_ranges
+    # two matrices that share indptr and indices, applied in turn
+    M = random_csr(rng)
+    M2 = SparseMatrix(M.n_rows, M.n_cols, M.indptr, M.indices, 2.0 * M.data)
+    assert M2.indptr is M.indptr
+    x = rng.standard_normal(M.n_cols)
+    for N in (M, M2, M):
+        a, b = np.empty(N.n_rows), np.empty(N.n_rows)
+        c_lane.csr_matvec_range(N.indptr, N.indices, N.data, x, a, 0, N.n_rows)
+        lane_numpy.csr_matvec_range(N.indptr, N.indices, N.data, x, b, 0, N.n_rows)
+        assert_same_bits(a, b)
+
+
+def test_soft_threshold_signed_zeros_and_nan(c_lane):
+    y = np.array([-0.3, 0.3, -0.0, 0.0, 2.0, -2.0, 1.0, -1.0, np.inf, -np.inf, np.nan, -np.nan])
+    for t in (1.0, 0.0, np.inf, np.nan):
+        a = np.empty_like(y)
+        b = np.empty_like(y)
+        c_lane.soft_threshold(y, t, a)
+        with np.errstate(invalid="ignore"):
+            lane_numpy.soft_threshold(y, t, b)
+        # which sign an operation on two NaNs keeps is left open by IEEE 754
+        # and differs between NumPy's loops, so NaNs are compared by position
+        nan = np.isnan(b)
+        np.testing.assert_array_equal(np.isnan(a), nan)
+        assert_same_bits(a[~nan], b[~nan])
+    out = np.empty(1)
+    c_lane.soft_threshold(np.array([-0.3]), 1.0, out)
+    assert np.signbit(out[0]) and out[0] == 0.0
+
+
+def test_c_kernels_check_their_arrays(c_lane):
+    M = SparseMatrix.from_dense([[1.0, 2.0], [0.0, 3.0]])
+    x = np.ones(2)
+    with pytest.raises(TypeError):
+        c_lane.csr_matvec_range(M.indptr, M.indices, M.data, x.astype(np.float32),
+                                np.empty(2), 0, 2)
+    with pytest.raises(TypeError):
+        c_lane.csr_matvec_range(M.indptr, M.indices, M.data, np.ones(4)[::2],
+                                np.empty(2), 0, 2)
+    with pytest.raises(ValueError):
+        c_lane.csr_matvec_range(M.indptr, M.indices, M.data, x, np.empty(1), 0, 2)
+    with pytest.raises(ValueError):
+        c_lane.csr_matvec_range(M.indptr, M.indices, M.data, x, np.empty(3), 0, 3)
+    with pytest.raises(ValueError):
+        c_lane.csr_rmatvec_range(M.indptr, M.indices, M.data, np.ones(1), x, 0, 2)
+    with pytest.raises(ValueError):
+        c_lane.soft_threshold(x, 0.5, np.empty(3))
+
+
+# ---------------------------------------------------------------------------
+# whole runs: fused C path against the Python reference path
+
+def fused_spec(loss, l2_weight):
+    # n = 23 with p = 5 leaves a short last batch; sample 3 has no entries
+    # and row 1 of B is empty
+    rng = np.random.default_rng(40)
+    n, d = 23, 6
+    A = rng.standard_normal((n, d))
+    A[rng.random((n, d)) < 0.3] = 0.0
+    A[3] = 0.0
+    b = rng.standard_normal(n) if loss == "square" else rng.choice([-1.0, 1.0], n)
+    B = SparseMatrix.from_coo(4, d, [0, 0, 2, 2, 3, 3], [0, 1, 2, 3, 4, 5],
+                              [1.0, -1.0, 1.0, -1.0, 2.0, -0.5])
+    ds = Dataset(samples=SparseMatrix.from_dense(A), labels=b)
+    return ProblemSpec(loss=loss, dataset=ds, l2_weight=l2_weight, composite_weight=0.2, B=B)
+
+
+def run_on_lane(monkeypatch, lane, *args, **kwargs):
+    """run_solver with kernels.LANE set to lane; returns the records and
+    copies of the iterates at every epoch."""
+    states = []
+    record = solvers._record
+
+    def grab(kind, name, ctx, cfg, iterates, *rest):
+        states.append([a.copy() for a in iterates])
+        return record(kind, name, ctx, cfg, iterates, *rest)
+
+    with monkeypatch.context() as m:
+        m.setattr(kernels, "LANE", lane)
+        m.setattr(solvers, "_record", grab)
+        recs = run_solver(*args, **kwargs)
+    return recs, states
+
+
+def assert_same_run(got, want):
+    (recs_a, states_a), (recs_b, states_b) = got, want
+    assert len(recs_a) == len(recs_b) == len(states_a) == len(states_b)
+    for ra, rb in zip(recs_a, recs_b):
+        assert (ra.solver, ra.seed, ra.epoch) == (rb.solver, rb.seed, rb.epoch)
+        fields = ("objective", "rel_obj_error", "iterate_sq_error", "a_k")
+        assert [getattr(ra, f) is None for f in fields] == [getattr(rb, f) is None for f in fields]
+        assert_same_bits([getattr(ra, f) or 0.0 for f in fields],
+                         [getattr(rb, f) or 0.0 for f in fields])
+    for sa, sb in zip(states_a, states_b):
+        for a, b in zip(sa, sb):
+            assert_same_bits(a, b)
+
+
+@pytest.mark.parametrize("kind", ["pdfp", "spdfp1", "spdfp2"])
+@pytest.mark.parametrize("loss,l2_weight", [("square", 0.0), ("hinge", 0.1)])
+@pytest.mark.parametrize("prox_spec", [ProxSpec("l1", 0.2), ProxSpec("zero", 0.0)],
+                         ids=["l1", "zero"])
+def test_fused_run_matches_python_path_bitwise(monkeypatch, c_lane, kind, loss, l2_weight,
+                                               prox_spec):
+    spec = fused_spec(loss, l2_weight)
+    rho = estimate_spectrum(spec.B).rho_max
+    sched = ConstantSchedule(0.3) if kind == "pdfp" else StepSchedule(c=0.5, alpha=0.7)
+    cfg = SolverConfig(schedule=sched, lam=0.8 / rho, p=5, seed=11, max_epochs=6)
+    rng = np.random.default_rng(41)
+    ref = Reference(x_star=rng.standard_normal(6), v_star=rng.standard_normal(4),
+                    objective_star=0.7)
+    calls = []
+    steps = c_lane.steps
+    monkeypatch.setattr(c_lane, "steps", lambda *a: calls.append(a) or steps(*a))
+
+    fused = run_on_lane(monkeypatch, c_lane, kind, spec, prox_spec, cfg, reference=ref)
+    assert len(calls) == 1
+    python = run_on_lane(monkeypatch, None, kind, spec, prox_spec, cfg, reference=ref)
+    assert_same_run(fused, python)
+
+    # with on_step the run keeps the Python path, and its last state is the same
+    seen = []
+    run_on_lane(monkeypatch, c_lane, kind, spec, prox_spec, cfg, reference=ref,
+                on_step=seen.append)
+    assert len(calls) == 1
+    assert_same_bits(seen[-1].x, fused[1][-1][0])
+    assert_same_bits(seen[-1].v, fused[1][-1][1])
+
+
+def test_fused_pdfp_stops_at_the_same_epoch(monkeypatch, c_lane):
+    spec = fused_spec("square", 0.0)
+    rho = estimate_spectrum(spec.B).rho_max
+    cfg = SolverConfig(schedule=ConstantSchedule(0.3), lam=0.8 / rho, p=23, max_epochs=500,
+                       stop_tolerance=1e-6)
+    fused = run_on_lane(monkeypatch, c_lane, "pdfp", spec, ProxSpec("l1", 0.2), cfg)
+    python = run_on_lane(monkeypatch, None, "pdfp", spec, ProxSpec("l1", 0.2), cfg)
+    assert 1 < len(fused[0]) < 501
+    assert_same_run(fused, python)
+
+
+def test_logistic_and_admm_runs_keep_the_python_path(monkeypatch, c_lane):
+    calls = []
+    monkeypatch.setattr(c_lane, "steps", lambda *a: calls.append(a))
+    monkeypatch.setattr(kernels, "LANE", c_lane)
+    spec = fused_spec("hinge", 0.0)
+    logistic = ProblemSpec(loss="logistic", dataset=spec.dataset, l2_weight=0.0,
+                           composite_weight=0.2, B=spec.B)
+    rho = estimate_spectrum(spec.B).rho_max
+    cfg = SolverConfig(schedule=StepSchedule(c=0.5, alpha=0.7), lam=0.8 / rho, p=5,
+                       max_epochs=2)
+    run_solver("spdfp2", logistic, ProxSpec("l1", 0.2), cfg)
+    admm = solvers.AdmmConfig(beta_tilde=2.0, zeta_schedule=StepSchedule(c=0.5, alpha=0.5))
+    run_solver("stoc_admm", spec, ProxSpec("l1", 0.2), cfg, admm_cfg=admm)
+    assert calls == []
+
+
+def test_fused_steps_reject_out_of_range_picks(c_lane):
+    spec = fused_spec("square", 0.0)
+    cfg = SolverConfig(schedule=StepSchedule(c=0.5, alpha=0.7), lam=0.1, p=5)
+    x, v = np.ones(6), np.ones(4)
+    steps = c_lane.steps("spdfp1", spec, ProxSpec("l1", 0.2), cfg, ((0, 5), (5, 10)), x, v)
+    for picks in ([0, 2], [-1], [1, 0, 7]):
+        with pytest.raises(ValueError):
+            steps(picks, 1)
+    assert_same_bits(x, np.ones(6))
+    assert_same_bits(v, np.ones(4))
+    bad = c_lane.steps("spdfp1", spec, ProxSpec("l1", 0.2), cfg, ((20, 24),), x, v)
+    with pytest.raises(ValueError):
+        bad([0], 1)
+
+
+def rate_spec():
+    # the n = 64, d = 8 graph instance of the rate experiment (criterion 7)
+    rng = np.random.default_rng(11)
+    n, d = 64, 8
+    A = rng.standard_normal((n, d))
+    b = A @ rng.standard_normal(d) + 0.05 * rng.standard_normal(n)
+    G = SparseMatrix.from_coo(3, d, [0, 0, 1, 1, 2, 2], [0, 1, 2, 3, 4, 7],
+                              [1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
+    return ProblemSpec(loss="square", dataset=Dataset(SparseMatrix.from_dense(A), b),
+                       l2_weight=1.0, composite_weight=0.1, B=stack_identity(G))
+
+
+@pytest.mark.parametrize("instance", ["desk", "rate"])
+def test_ground_truth_same_bits_on_both_paths(monkeypatch, c_lane, instance):
+    spec = (synth_fused_lasso(1000, 50, 0.05, 0.01, 7, mu=0.1) if instance == "desk"
+            else rate_spec())
+    truths = []
+    for lane in (c_lane, None):
+        monkeypatch.setattr(kernels, "LANE", lane)
+        truths.append(compute_ground_truth(spec))
+    a, b = truths
+    for name in ("x_star", "v_star", "v_star_pdfp", "objective_star", "residual"):
+        assert_same_bits(getattr(a, name), getattr(b, name))
+    assert a.residual < 1e-12

@@ -8,7 +8,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def test_no_ignored_file_is_tracked():
-    """Generated files (the Cython C output, egg-info, logs) stay untracked."""
+    """Generated files (built libraries, egg-info, logs) stay untracked."""
     if shutil.which("git") is None:
         pytest.skip("git is not installed")
     inside = subprocess.run(["git", "rev-parse", "--is-inside-work-tree"], cwd=ROOT,
@@ -18,3 +18,17 @@ def test_no_ignored_file_is_tracked():
     out = subprocess.run(["git", "ls-files", "-ci", "--exclude-standard"], cwd=ROOT,
                          capture_output=True, text=True, check=True)
     assert out.stdout == ""
+
+
+def test_no_cython_or_python_c_api():
+    """The one compiled lane is hand-written C that ctypes loads: no Cython
+    sources and no C file that includes the Python C-API."""
+    sources = []
+    for here, _, files in os.walk(os.path.join(ROOT, "src")):
+        sources += [os.path.join(here, f) for f in files]
+    assert not [f for f in sources if f.endswith((".pyx", ".pxd"))]
+    c_files = [f for f in sources if f.endswith(".c")]
+    assert [os.path.basename(f) for f in c_files] == ["lane.c"]
+    for path in c_files:
+        with open(path, encoding="utf-8") as fh:
+            assert "Python.h" not in fh.read()

@@ -35,6 +35,17 @@ def test_from_coo_rejects_bad_indices():
         SparseMatrix.from_coo(2, 2, [0], [-1], [1.0])
 
 
+def test_constructor_rejects_malformed_indptr():
+    with pytest.raises(ValueError, match="nondecreasing"):
+        SparseMatrix(2, 3, [0, 10, 3], [0, 1, 2], [1.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match="nondecreasing"):
+        SparseMatrix(3, 3, [0, 2, 1, 3], [0, 1, 2], [1.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match="malformed"):
+        SparseMatrix(2, 3, [0, 1, 2], [0, 1, 2], [1.0, 1.0, 1.0])
+    M = SparseMatrix(3, 3, [0, 2, 2, 3], [0, 1, 2], [1.0, 1.0, 1.0])  # empty row 1
+    np.testing.assert_array_equal(M.matvec(np.ones(3)), [2.0, 0.0, 1.0])
+
+
 def test_transpose_involution():
     rng = np.random.default_rng(0)
     for _ in range(20):
