@@ -14,7 +14,11 @@ import os
 import numpy as np
 
 _KINDS = {"pdfp": 0, "spdfp1": 1, "spdfp2": 2}
-_LOSSES = {"square": 0, "hinge": 1}
+_LOSSES = {"square": 0, "hinge": 1, "logistic": 2}
+_WEIGHTS_FAILED = -2
+
+# lane.c's weights callback: int (*)(int64_t lo, int64_t hi)
+_Weights = ctypes.CFUNCTYPE(ctypes.c_int, ctypes.c_int64, ctypes.c_int64)
 
 
 class _Csr(ctypes.Structure):
@@ -33,7 +37,8 @@ class _Run(ctypes.Structure):
                 ("prox_weight", ctypes.c_double),
                 ("A", _Csr), ("B", _Csr), ("labels", ctypes.c_void_p),
                 ("ranges", ctypes.c_void_p), ("n_ranges", ctypes.c_int64),
-                ("x", ctypes.c_void_p), ("v", ctypes.c_void_p), ("work", ctypes.c_void_p)]
+                ("x", ctypes.c_void_p), ("v", ctypes.c_void_p), ("work", ctypes.c_void_p),
+                ("weights", _Weights)]
 
 
 def _address(arr, dtype, size=None):
@@ -114,23 +119,33 @@ class CLane:
 
 
 class Steps:
-    """Runs of 'pdfp', 'spdfp1' or 'spdfp2' steps for a square or hinge
-    loss, in one C call each, updating x and v in place. A step uses one of
-    the row ranges [lo, hi) of A given here; alpha is read only for spdfp.
-    Keeps every array its pointers refer to alive."""
+    """Runs of 'pdfp', 'spdfp1' or 'spdfp2' steps, in one C call each,
+    updating x and v in place. A step uses one of the row ranges [lo, hi)
+    of A given here; alpha is read only for spdfp.
+
+    For the logistic loss the C loop calls back into Python once per step
+    for the loss weights: spdfp.problem.loss_weights, the function the
+    reference step calls, on the margins the loop has just computed. The
+    weights come from the same NumPy exp on the same margins, so the steps
+    give the reference step's bits. An exception raised in the callback
+    stops the loop at that step and is raised again by the call.
+    Keeps every array and callback its pointers refer to alive."""
 
     def __init__(self, lib, kind, spec, prox_spec, cfg, ranges, x, v):
         A, B, labels = spec.dataset.samples, spec.B, spec.dataset.labels
         ranges = np.array(ranges, dtype=np.int64).reshape(-1, 2)
         work = np.empty(A.n_rows + 3 * A.n_cols + 2 * B.n_rows)
-        self._keep = (A, B, labels, ranges, x, v, work)
+        self._errors = []
+        weights = (_weights(spec.loss, work, labels, self._errors) if spec.loss == "logistic"
+                   else _Weights())
+        self._keep = (A, B, labels, ranges, x, v, work, weights)
         self._run = _Run(_KINDS[kind], _LOSSES[spec.loss], prox_spec.kind == "l1",
                          cfg.schedule.c, 0.0 if kind == "pdfp" else cfg.schedule.alpha,
                          cfg.lam, spec.l2_weight, prox_spec.weight, _csr(A), _csr(B),
                          _address(labels, np.float64, A.n_rows),
                          ranges.ctypes.data, len(ranges),
                          _address(x, np.float64, A.n_cols), _address(v, np.float64, B.n_rows),
-                         work.ctypes.data)
+                         work.ctypes.data, weights)
         self._picks = np.empty(0, dtype=np.int64)
         self._fn = lib.spdfp_run_steps
 
@@ -141,8 +156,29 @@ class Steps:
         if n > len(self._picks):
             self._picks = np.empty(n, dtype=np.int64)
         self._picks[:n] = picks
-        if self._fn(self._run, self._picks.ctypes.data, n, k) != 0:
+        status = self._fn(self._run, self._picks.ctypes.data, n, k)
+        if status == _WEIGHTS_FAILED:
+            raise self._errors.pop()
+        if status != 0:
             raise ValueError("batch index or row range out of bounds")
+
+
+def _weights(loss, work, labels, errors):
+    """The weights callback of a Steps: overwrites the margins of rows
+    lo..hi-1 in work[:hi-lo] with their loss weights. It catches every
+    exception, which ctypes would otherwise print and ignore, keeps it in
+    errors and returns 1; Steps raises it."""
+    from spdfp.problem import loss_weights  # spdfp.problem imports this package
+
+    def weights(lo, hi):
+        try:
+            work[:hi - lo] = loss_weights(loss, work[:hi - lo], labels[lo:hi])
+        except BaseException as exc:  # raised again by Steps.__call__
+            errors.append(exc)
+            return 1
+        return 0
+
+    return _Weights(weights)
 
 
 def _built_library():

@@ -11,13 +11,19 @@
  *   - every NumPy expression is the same C expression in the same order,
  *     built without FMA contraction (-ffp-contract=off) and without
  *     fast-math;
- *   - c / k**alpha and ((k-1)/k)**alpha go through libm pow, as in Python.
+ *   - c / k**alpha and ((k-1)/k)**alpha go through libm pow, as in Python;
+ *   - the logistic loss weights are not computed here: the run calls back
+ *     into spdfp.problem.loss_weights (NumPy) on the margins it has just
+ *     computed, because NumPy's SIMD exp and libm's exp differ in the last
+ *     bit. Every other operation of a logistic step stays in C.
  */
 #include <math.h>
+#include <stddef.h>
 #include <stdint.h>
 
 enum { PDFP = 0, SPDFP1 = 1, SPDFP2 = 2 };
-enum { SQUARE = 0, HINGE = 1 };
+enum { SQUARE = 0, HINGE = 1, LOGISTIC = 2 };
+enum { OK = 0, BAD_INPUT = -1, WEIGHTS_FAILED = -2 };
 
 typedef struct {
     int64_t n_rows, n_cols;
@@ -28,7 +34,9 @@ typedef struct {
 /* One run: problem, step parameters, the row ranges of A a step may use,
  * and the iterates x (length A.n_cols) and v (length B.n_rows) the steps
  * update in place. work holds A.n_rows + 3 A.n_cols + 2 B.n_rows doubles.
- * Mirrored by _kernels._Run. */
+ * For the logistic loss, weights(lo, hi) replaces the margins of rows
+ * lo..hi-1 in work[0 : hi-lo] with their loss weights and returns nonzero
+ * on failure; it is NULL for the other losses. Mirrored by _kernels._Run. */
 typedef struct {
     int64_t kind, loss, prox_l1;
     double c, alpha, lam, nu, prox_weight;
@@ -37,6 +45,7 @@ typedef struct {
     const int64_t *ranges;
     int64_t n_ranges;
     double *x, *v, *work;
+    int (*weights)(int64_t lo, int64_t hi);
 } run;
 
 /* sizeof(run), which the loader compares with its mirror of the struct. */
@@ -98,18 +107,24 @@ static void rmatvec(const csr *M, const double *y, double *out, int64_t lo, int6
 }
 
 /* gradients._rows_gradient over rows lo..hi-1 of A: w holds the margins,
- * then the loss weights; g gets the gradient. */
-static void gradient(const run *r, int64_t lo, int64_t hi, const double *x,
-                     double *w, double *g)
+ * then the loss weights; g gets the gradient. Returns WEIGHTS_FAILED, with
+ * g unset, if the weights callback fails, else OK. */
+static int gradient(const run *r, int64_t lo, int64_t hi, const double *x,
+                    double *w, double *g)
 {
     int64_t nb = hi - lo, d = r->A.n_cols;
     matvec(&r->A, x, w, lo, hi);
-    for (int64_t i = 0; i < nb; i++) {
-        double b = r->labels[lo + i];
-        if (r->loss == SQUARE)
-            w[i] = w[i] - b;
-        else
-            w[i] = b * w[i] < 1.0 ? -b : 0.0;
+    if (r->loss == LOGISTIC) {
+        if (r->weights(lo, hi) != 0)
+            return WEIGHTS_FAILED;
+    } else {
+        for (int64_t i = 0; i < nb; i++) {
+            double b = r->labels[lo + i];
+            if (r->loss == SQUARE)
+                w[i] = w[i] - b;
+            else
+                w[i] = b * w[i] < 1.0 ? -b : 0.0;
+        }
     }
     rmatvec(&r->A, w, g, lo, hi);
     for (int64_t j = 0; j < d; j++)
@@ -117,12 +132,15 @@ static void gradient(const run *r, int64_t lo, int64_t hi, const double *x,
     if (r->nu != 0.0)
         for (int64_t j = 0; j < d; j++)
             g[j] = g[j] + r->nu * x[j];
+    return OK;
 }
 
 /* Apply n_steps steps of r->kind to r->x and r->v. Step s uses rows
  * ranges[2p]..ranges[2p+1]-1 of A, p = picks[s]; k is the 1-based step
- * counter before the first step. Returns -1, having changed nothing, if a
- * pick or its range is out of bounds, else 0. */
+ * counter before the first step. Returns BAD_INPUT, having changed nothing,
+ * if a pick or its range is out of bounds or a logistic run has no weights
+ * callback; WEIGHTS_FAILED if the callback fails, leaving x and v as the
+ * steps before that one left them; else OK. */
 int spdfp_run_steps(const run *r, const int64_t *picks, int64_t n_steps, int64_t k)
 {
     int64_t d = r->A.n_cols, m = r->B.n_rows;
@@ -130,12 +148,14 @@ int spdfp_run_steps(const run *r, const int64_t *picks, int64_t n_steps, int64_t
     double *w = r->work, *g = w + r->A.n_rows, *xh = g + d, *bt = xh + d;
     double *arg = bt + d, *bb = arg + m;
 
+    if (r->loss == LOGISTIC && r->weights == NULL)
+        return BAD_INPUT;
     for (int64_t s = 0; s < n_steps; s++) {
         if (picks[s] < 0 || picks[s] >= r->n_ranges)
-            return -1;
+            return BAD_INPUT;
         const int64_t *rows = r->ranges + 2 * picks[s];
         if (rows[0] < 0 || rows[0] >= rows[1] || rows[1] > r->A.n_rows)
-            return -1;
+            return BAD_INPUT;
     }
     for (int64_t s = 0; s < n_steps; s++, k++) {
         double gamma = r->kind == PDFP ? r->c : r->c / pow((double)k, r->alpha);
@@ -151,7 +171,8 @@ int spdfp_run_steps(const run *r, const int64_t *picks, int64_t n_steps, int64_t
 
         /* x_half = x - gamma * grad */
         const int64_t *rows = r->ranges + 2 * picks[s];
-        gradient(r, rows[0], rows[1], x, w, g);
+        if (gradient(r, rows[0], rows[1], x, w, g) != OK)
+            return WEIGHTS_FAILED;
         for (int64_t j = 0; j < d; j++)
             xh[j] = x[j] - gamma * g[j];
 
@@ -173,5 +194,5 @@ int spdfp_run_steps(const run *r, const int64_t *picks, int64_t n_steps, int64_t
         for (int64_t j = 0; j < d; j++)
             x[j] = xh[j] - x_scale * bt[j];
     }
-    return 0;
+    return OK;
 }

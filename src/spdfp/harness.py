@@ -312,6 +312,13 @@ def prox_for(spec):
     return ProxSpec(kind="zero", weight=0.0)
 
 
+def _truth_config(spec, gamma, rho_max):
+    """The ground truth's default PDFP config: step gamma (default_gamma)
+    and the default lambda for rho_max(B B^T)."""
+    return SolverConfig(schedule=ConstantSchedule(gamma),
+                        lam=default_lambda(spec, rho_max=rho_max), p=spec.n)
+
+
 def compute_ground_truth(spec, prox_spec=None, cfg=None, iters=DEFAULT_TRUTH_ITERS,
                          rho_max=None):
     """Run PDFP for a fixed iteration budget and certify the result.
@@ -323,8 +330,7 @@ def compute_ground_truth(spec, prox_spec=None, cfg=None, iters=DEFAULT_TRUTH_ITE
     if rho_max is None:
         rho_max = estimate_spectrum(spec.B).rho_max
     if cfg is None:
-        cfg = SolverConfig(schedule=ConstantSchedule(default_gamma(spec)),
-                           lam=default_lambda(spec, rho_max=rho_max), p=spec.n)
+        cfg = _truth_config(spec, default_gamma(spec), rho_max)
     check_lambda(cfg, spec.B, rho_max=rho_max)
     ctx = _RunContext(spec, prox_spec)
     state = initial_state(spec)
@@ -517,8 +523,13 @@ def run_experiment(cfg, ground_truth=None):
                        if not cfg.problem.startswith("synth:") else None)
         if truth_cache and os.path.exists(truth_cache):
             ground_truth = load_ground_truth(truth_cache)
-        else:
-            ground_truth = compute_ground_truth(spec, rho_max=rho_max)
+    # the truth and every pdfp(gamma=auto) clause step by default_gamma, an
+    # estimate of rho_max(A A^T): take it once, and only if one needs it
+    auto = [e.kind == "pdfp" and e.params.get("gamma", "auto") == "auto" for e in cfg.solvers]
+    gamma = default_gamma(spec) if ground_truth is None or any(auto) else None
+    if ground_truth is None:
+        ground_truth = compute_ground_truth(spec, cfg=_truth_config(spec, gamma, rho_max),
+                                            rho_max=rho_max)
     reference = ground_truth.reference()
 
     rep_seeds = [int(s) for s in np.random.SeedSequence(cfg.master_seed).generate_state(
@@ -530,8 +541,11 @@ def run_experiment(cfg, ground_truth=None):
                     f"residual={ground_truth.residual!r} "
                     f"objective={ground_truth.objective_star!r}"]
     all_records = []
-    for entry in cfg.solvers:
-        run_cfg, admm_cfg = build_solver_configs(entry, spec, rho_max, rep_seeds[0], cfg.epochs)
+    for entry, auto_gamma in zip(cfg.solvers, auto):
+        given = entry
+        if auto_gamma:  # the estimate above; repr round-trips a float
+            given = replace(entry, params={**entry.params, "gamma": repr(gamma)})
+        run_cfg, admm_cfg = build_solver_configs(given, spec, rho_max, rep_seeds[0], cfg.epochs)
         raw = " ".join(f"{k}={v}" for k, v in sorted(entry.params.items())
                        if k not in ("lambda", "p"))
         header_lines.append(

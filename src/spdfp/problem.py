@@ -11,6 +11,7 @@ with per-sample losses
     hinge:     max(0, 1 - b_i a_i'x)
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,8 +63,8 @@ class ProblemSpec:
     def __post_init__(self):
         if self.loss not in LOSSES:
             raise ValueError(f"unknown loss {self.loss!r}; expected one of {LOSSES}")
-        if self.l2_weight < 0 or self.composite_weight < 0:
-            raise ValueError("regularization weights must be nonnegative")
+        if not (0 <= self.l2_weight < math.inf and 0 <= self.composite_weight < math.inf):
+            raise ValueError("regularization weights must be nonnegative and finite")
         if self.B.n_cols != self.dataset.dim:
             raise ValueError("B column count must equal the feature dimension")
         if self.loss in ("logistic", "hinge"):

@@ -5,6 +5,7 @@ closed-form, firmly nonexpansive, and satisfy prox(y) + residual(y) = y
 exactly.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +25,8 @@ class ProxSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown prox kind {self.kind!r}; expected one of {KINDS}")
-        if self.weight < 0:
-            raise ValueError("prox weight must be nonnegative")
+        if not 0 <= self.weight < math.inf:
+            raise ValueError("prox weight must be nonnegative and finite")
 
 
 def prox(spec, tau, y):
@@ -33,7 +34,7 @@ def prox(spec, tau, y):
 
     Ties |y_i| == tau*weight map to exactly 0.
     """
-    if tau < 0:
+    if not tau >= 0:
         raise ValueError("prox step tau must be nonnegative")
     y = np.ascontiguousarray(y, dtype=np.float64)
     if spec.kind == "zero":
@@ -52,7 +53,7 @@ def prox_residual(spec, tau, y):
 def prox_scaled(spec, r, y):
     """prox of h(x) = r * f1(x / r) at y, via the identity
     prox_h(y) = r * prox_{f1 / r}(y / r)."""
-    if r <= 0:
+    if not r > 0:
         raise ValueError("scale r must be positive")
     y = np.asarray(y, dtype=np.float64)
     return r * prox(spec, 1.0 / r, y / r)

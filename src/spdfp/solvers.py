@@ -20,6 +20,7 @@ epochs of 'pdfp', 'spdfp1' and 'spdfp2' steps in one C call instead
 (_c_steps), with the same bits.
 """
 
+import math
 import time
 from dataclasses import dataclass
 from functools import cached_property
@@ -42,8 +43,8 @@ class StepSchedule:
     alpha: float = 1.0
 
     def __post_init__(self):
-        if self.c <= 0:
-            raise ValueError("schedule constant c must be positive")
+        if not 0 < self.c < math.inf:
+            raise ValueError("schedule constant c must be positive and finite")
         if not 0 < self.alpha <= 1:
             raise ValueError("schedule exponent alpha must lie in (0, 1]")
 
@@ -59,8 +60,8 @@ class ConstantSchedule:
     c: float
 
     def __post_init__(self):
-        if self.c <= 0:
-            raise ValueError("step size must be positive")
+        if not 0 < self.c < math.inf:
+            raise ValueError("step size must be positive and finite")
 
     def gamma(self, k):
         return self.c
@@ -99,8 +100,8 @@ class SolverConfig:
     stop_tolerance: float = 0.0
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError("lambda must be positive")
+        if not 0 < self.lam < math.inf:
+            raise ValueError("lambda must be positive and finite")
         if self.p < 1:
             raise ValueError("batch size must be at least 1")
         if self.max_epochs < 0:
@@ -116,8 +117,8 @@ class AdmmConfig:
     zeta_schedule: StepSchedule
 
     def __post_init__(self):
-        if self.beta_tilde <= 0:
-            raise ValueError("beta_tilde must be positive")
+        if not 0 < self.beta_tilde < math.inf:
+            raise ValueError("beta_tilde must be positive and finite")
 
 
 def _iterate(arr, size, name):
@@ -299,19 +300,20 @@ def fixed_point_residual(spec, prox_spec, gamma, lam, x, v):
     With T0 = (I - Prox_{(gamma/lam) f1})(B(x - gamma grad f2(x)) + (I - lam B B^T)v),
     returns ||v - T0|| + ||gamma grad f2(x) + lam B^T T0||.
     """
-    if gamma <= 0 or lam <= 0:
-        raise ValueError("gamma and lambda must be positive")
+    if not (0 < gamma < math.inf and 0 < lam < math.inf):
+        raise ValueError("gamma and lambda must be positive and finite")
     return _fixed_point_residual(_RunContext(spec, prox_spec), gamma, lam,
                                  _iterate(x, spec.dim, "x"), _iterate(v, spec.B.n_rows, "v"))
 
 
 def check_lambda(cfg, B, rho_max=None):
-    """Reject lambda outside (0, 1/rho_max(B B^T)). Returns rho_max."""
+    """Reject lambda outside (0, 1/rho_max(B B^T)), and a NaN lambda or
+    rho_max. Returns rho_max."""
     if rho_max is None:
         rho_max = estimate_spectrum(B).rho_max
-    if rho_max > 0 and cfg.lam >= 1.0 / rho_max:
-        raise ValueError(
-            f"lambda={cfg.lam} violates lambda < 1/rho_max(BB^T) = {1.0 / rho_max}")
+    limit = math.inf if rho_max == 0 else 1.0 / rho_max
+    if not 0 < cfg.lam < limit:
+        raise ValueError(f"lambda={cfg.lam} violates 0 < lambda < 1/rho_max(BB^T) = {limit}")
     return rho_max
 
 
@@ -376,11 +378,13 @@ def _c_steps(kind, spec, prox_spec, cfg, ranges, iterates):
     """The run's steps in the C lane, as a _kernels.Steps over the batch
     row ranges that updates the iterates (x, v) in place, where the lane is
     built and covers the run: 'pdfp', or 'spdfp1'/'spdfp2' with a
-    StepSchedule, on the square or hinge loss. None otherwise, and the
-    reference steps run. The logistic loss stays in NumPy, whose SIMD exp
-    differs from libm's in the last bit."""
+    StepSchedule, on any loss. None otherwise, and the reference steps run.
+    For the logistic loss the C loop calls back into NumPy for the loss
+    weights (problem.loss_weights on the margins it computed), so it uses
+    NumPy's exp, which differs from libm's in the last bit, and keeps the
+    reference step's bits."""
     lane = _kernels.LANE
-    if (lane is None or kind not in _STEPS or spec.loss == "logistic"
+    if (lane is None or kind not in _STEPS
             or (kind != "pdfp" and not isinstance(cfg.schedule, StepSchedule))):
         return None
     return lane.steps(kind, spec, prox_spec, cfg, ranges, *iterates)

@@ -435,14 +435,16 @@ def test_each_operator_estimated_once_per_run(tmp_path, monkeypatch):
         assert count(40) == data_estimates, solvers  # A is 40 x 6
         assert count(5) == 1, solvers                # B is 5 x 6
 
-    # no ground truth given: the truth reuses the run's estimate of B
-    calls.clear()
-    cfg = ExperimentConfig(problem="synth:n=40,d=6,seed=2,perturb_frac=0.1",
-                           solvers=parse_solver_list("spdfp2(p=10)"),
-                           repetitions=2, epochs=1, output=str(tmp_path / "run"),
-                           master_seed=1)
-    run_experiment(cfg)
-    assert count(5) == 1 and count(40) == 1
+    # no ground truth given: the truth reuses the run's estimate of B, and
+    # pdfp(gamma=auto) clauses the truth's step, so A is estimated once too
+    for solvers in ("spdfp2(p=10)", "pdfp(); spdfp2(p=10); pdfp(label=again)"):
+        calls.clear()
+        cfg = ExperimentConfig(problem="synth:n=40,d=6,seed=2,perturb_frac=0.1",
+                               solvers=parse_solver_list(solvers),
+                               repetitions=2, epochs=1, output=str(tmp_path / "run"),
+                               master_seed=1)
+        run_experiment(cfg)
+        assert count(5) == 1 and count(40) == 1, solvers
 
     calls.clear()
     compute_ground_truth(spec, iters=1)

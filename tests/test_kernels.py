@@ -11,6 +11,7 @@ against +0.0 shows.
 import os
 import shutil
 import subprocess
+import sys
 import sysconfig
 
 import numpy as np
@@ -18,7 +19,7 @@ import pytest
 
 import spdfp._kernels as kernels
 import spdfp._kernels._numpy as lane_numpy
-from spdfp import solvers
+from spdfp import problem, solvers
 from spdfp.harness import compute_ground_truth, synth_fused_lasso
 from spdfp.problem import Dataset, ProblemSpec
 from spdfp.prox import ProxSpec
@@ -61,8 +62,10 @@ def c_lane(tmp_path_factory):
     if cc is None:
         pytest.skip("no C compiler found ($CC, cc, gcc or clang), so the C lane cannot be built")
     lib = tmp_path_factory.mktemp("lane") / "lane.so"
-    subprocess.run([cc, "-O2", "-ffp-contract=off", "-shared", "-fPIC", "-o", str(lib),
-                    LANE_SOURCE, "-lm"], check=True, capture_output=True)
+    # a warning in the C lane fails the build, and with it these tests
+    subprocess.run([cc, "-O2", "-ffp-contract=off", "-std=c99", "-Wall", "-Wextra", "-Werror",
+                    "-shared", "-fPIC", "-o", str(lib), LANE_SOURCE, "-lm"],
+                   check=True, capture_output=True)
     return kernels.CLane(str(lib))
 
 
@@ -221,7 +224,8 @@ def assert_same_run(got, want):
 
 
 @pytest.mark.parametrize("kind", ["pdfp", "spdfp1", "spdfp2"])
-@pytest.mark.parametrize("loss,l2_weight", [("square", 0.0), ("hinge", 0.1)])
+@pytest.mark.parametrize("loss,l2_weight", [("square", 0.0), ("hinge", 0.1),
+                                             ("logistic", 0.0), ("logistic", 0.1)])
 @pytest.mark.parametrize("prox_spec", [ProxSpec("l1", 0.2), ProxSpec("zero", 0.0)],
                          ids=["l1", "zero"])
 def test_fused_run_matches_python_path_bitwise(monkeypatch, c_lane, kind, loss, l2_weight,
@@ -262,20 +266,77 @@ def test_fused_pdfp_stops_at_the_same_epoch(monkeypatch, c_lane):
     assert_same_run(fused, python)
 
 
-def test_logistic_and_admm_runs_keep_the_python_path(monkeypatch, c_lane):
+def test_admm_and_on_step_runs_keep_the_python_path(monkeypatch, c_lane):
     calls = []
     monkeypatch.setattr(c_lane, "steps", lambda *a: calls.append(a))
     monkeypatch.setattr(kernels, "LANE", c_lane)
-    spec = fused_spec("hinge", 0.0)
-    logistic = ProblemSpec(loss="logistic", dataset=spec.dataset, l2_weight=0.0,
-                           composite_weight=0.2, B=spec.B)
+    spec = fused_spec("logistic", 0.0)
     rho = estimate_spectrum(spec.B).rho_max
     cfg = SolverConfig(schedule=StepSchedule(c=0.5, alpha=0.7), lam=0.8 / rho, p=5,
                        max_epochs=2)
-    run_solver("spdfp2", logistic, ProxSpec("l1", 0.2), cfg)
+    seen = []
+    run_solver("spdfp2", spec, ProxSpec("l1", 0.2), cfg, on_step=seen.append)
+    assert len(seen) == 2 * 5
     admm = solvers.AdmmConfig(beta_tilde=2.0, zeta_schedule=StepSchedule(c=0.5, alpha=0.5))
     run_solver("stoc_admm", spec, ProxSpec("l1", 0.2), cfg, admm_cfg=admm)
     assert calls == []
+
+
+class WeightsFailed(Exception):
+    pass
+
+
+LOSS_WEIGHTS = problem.loss_weights
+
+
+def fail_on_third_call(monkeypatch):
+    """Make problem.loss_weights raise WeightsFailed on its third call;
+    returns the list of calls made."""
+    calls = []
+
+    def weights(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise WeightsFailed("third call")
+        return LOSS_WEIGHTS(*args)
+
+    monkeypatch.setattr(problem, "loss_weights", weights)
+    return calls
+
+
+def test_weights_callback_error_stops_the_run_and_propagates(monkeypatch, capfd, c_lane):
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    monkeypatch.setattr(kernels, "LANE", c_lane)
+    spec = fused_spec("logistic", 0.1)
+    rho = estimate_spectrum(spec.B).rho_max
+    cfg = SolverConfig(schedule=StepSchedule(c=0.5, alpha=0.7), lam=0.8 / rho, p=5,
+                       max_epochs=3)
+
+    # the steps before the failing one are applied, and no step after it
+    want_x, want_v = np.zeros(6), np.zeros(4)
+    c_lane.steps("spdfp2", spec, ProxSpec("l1", 0.2), cfg, ((0, 5), (5, 10)),
+                 want_x, want_v)([0, 1], 1)
+    calls = fail_on_third_call(monkeypatch)
+    x, v = np.zeros(6), np.zeros(4)
+    steps = c_lane.steps("spdfp2", spec, ProxSpec("l1", 0.2), cfg, ((0, 5), (5, 10)), x, v)
+    with pytest.raises(WeightsFailed, match="third call"):
+        steps([0, 1, 0, 1, 1], 1)
+    assert len(calls) == 3
+    assert_same_bits(x, want_x)
+    assert_same_bits(v, want_v)
+
+    calls = fail_on_third_call(monkeypatch)
+    with pytest.raises(WeightsFailed):
+        run_solver("spdfp2", spec, ProxSpec("l1", 0.2), cfg)
+    assert len(calls) == 3
+
+    calls = fail_on_third_call(monkeypatch)
+    with pytest.raises(WeightsFailed):
+        compute_ground_truth(spec)
+    assert len(calls) == 3
+    assert unraisable == []
+    assert capfd.readouterr().err == ""
 
 
 def test_fused_steps_reject_out_of_range_picks(c_lane):
@@ -305,10 +366,24 @@ def rate_spec():
                        l2_weight=1.0, composite_weight=0.1, B=stack_identity(G))
 
 
-@pytest.mark.parametrize("instance", ["desk", "rate"])
+def logistic_spec():
+    # a logistic graph lasso: correlated feature pairs, half the entries
+    # zeroed, +-1 labels from a logistic model
+    rng = np.random.default_rng(12)
+    n, d = 300, 12
+    A = np.repeat(rng.standard_normal((n, d // 2)), 2, axis=1) + 0.5 * rng.standard_normal((n, d))
+    A *= rng.random((n, d)) < 0.5
+    b = np.where(rng.random(n) < 1.0 / (1.0 + np.exp(-A @ rng.standard_normal(d))), 1.0, -1.0)
+    G = SparseMatrix.from_coo(d // 2, d, np.repeat(np.arange(d // 2), 2), np.arange(d),
+                              np.tile([1.0, -1.0], d // 2))
+    return ProblemSpec(loss="logistic", dataset=Dataset(SparseMatrix.from_dense(A), b),
+                       l2_weight=0.01, composite_weight=0.05, B=stack_identity(G))
+
+
+@pytest.mark.parametrize("instance", ["desk", "rate", "logistic"])
 def test_ground_truth_same_bits_on_both_paths(monkeypatch, c_lane, instance):
-    spec = (synth_fused_lasso(1000, 50, 0.05, 0.01, 7, mu=0.1) if instance == "desk"
-            else rate_spec())
+    spec = {"desk": lambda: synth_fused_lasso(1000, 50, 0.05, 0.01, 7, mu=0.1),
+            "rate": rate_spec, "logistic": logistic_spec}[instance]()
     truths = []
     for lane in (c_lane, None):
         monkeypatch.setattr(kernels, "LANE", lane)

@@ -76,3 +76,12 @@ def test_spec_validation():
         make_spec(A, [0.0, 0.0], B=build_difference_matrix(3))
     with pytest.raises(ValueError):
         Dataset(samples=SparseMatrix.from_dense(A), labels=np.zeros(3))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_spec_rejects_non_finite_weights(bad):
+    # a NaN fails every comparison, so 'weight < 0' alone let it through
+    with pytest.raises(ValueError, match="finite"):
+        make_spec(np.eye(2), [0.0, 0.0], nu=bad)
+    with pytest.raises(ValueError, match="finite"):
+        make_spec(np.eye(2), [0.0, 0.0], mu=bad)

@@ -120,3 +120,13 @@ def test_proxspec_validation():
         ProxSpec(kind="l2", weight=1.0)
     with pytest.raises(ValueError):
         ProxSpec(kind="l1", weight=-0.5)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_proxspec_rejects_non_finite_weight(bad):
+    with pytest.raises(ValueError, match="finite"):
+        ProxSpec(kind="l1", weight=bad)
+    with pytest.raises(ValueError):
+        prox(L1, np.nan, np.ones(2))
+    with pytest.raises(ValueError):
+        prox_scaled(L1, np.nan, np.ones(2))

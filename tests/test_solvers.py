@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,33 @@ def test_lambda_guard():
         run_solver("pdfp", spec, L1, bad)
     ok = SolverConfig(schedule=ConstantSchedule(0.1), lam=0.9 / rho, p=20)
     check_lambda(ok, spec.B)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_parameters_reject_nan_and_inf(bad):
+    # a NaN fails every comparison, so 'lam <= 0' alone let it through
+    with pytest.raises(ValueError, match="lambda"):
+        SolverConfig(schedule=ConstantSchedule(0.1), lam=bad, p=1)
+    with pytest.raises(ValueError):
+        StepSchedule(c=bad, alpha=0.5)
+    with pytest.raises(ValueError):
+        ConstantSchedule(bad)
+    with pytest.raises(ValueError):
+        AdmmConfig(beta_tilde=bad, zeta_schedule=ConstantSchedule(0.1))
+    spec, _, _ = fused_spec(20, 6, seed=0)
+    with pytest.raises(ValueError):
+        fixed_point_residual(spec, L1, bad, 0.1, np.zeros(6), np.zeros(5))
+
+
+def test_lambda_guard_rejects_nan():
+    spec, _, _ = fused_spec(20, 6, seed=0)
+    # check_lambda reads only cfg.lam, so a namespace stands in for a config
+    # that did not pass through SolverConfig's own check
+    with pytest.raises(ValueError, match="lambda"):
+        check_lambda(SimpleNamespace(lam=np.nan), spec.B)
+    with pytest.raises(ValueError, match="lambda"):
+        check_lambda(SimpleNamespace(lam=0.01), spec.B, rho_max=np.nan)
+    check_lambda(SimpleNamespace(lam=0.01), spec.B)
 
 
 # ---------------------------------------------------------------------------
