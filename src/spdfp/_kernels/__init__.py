@@ -123,6 +123,12 @@ class Steps:
     updating x and v in place. A step uses one of the row ranges [lo, hi)
     of A given here; alpha is read only for spdfp.
 
+    ``use(picks)`` takes an int64 array of indices into the ranges and its
+    address, once; each call then runs count of them from an offset. So a
+    run draws its picks in chunks of whole epochs and pays no copy or
+    address lookup per epoch. ``products()`` gives A x and B x of the
+    current x, also through addresses taken once, for the epoch records.
+
     For the logistic loss the C loop calls back into Python once per step
     for the loss weights: spdfp.problem.loss_weights, the function the
     reference step calls, on the margins the loop has just computed. The
@@ -135,32 +141,48 @@ class Steps:
         A, B, labels = spec.dataset.samples, spec.B, spec.dataset.labels
         ranges = np.array(ranges, dtype=np.int64).reshape(-1, 2)
         work = np.empty(A.n_rows + 3 * A.n_cols + 2 * B.n_rows)
+        Ax, Bx = np.empty(A.n_rows), np.empty(B.n_rows)
         self._errors = []
         weights = (_weights(spec.loss, work, labels, self._errors) if spec.loss == "logistic"
                    else _Weights())
         self._keep = (A, B, labels, ranges, x, v, work, weights)
-        self._run = _Run(_KINDS[kind], _LOSSES[spec.loss], prox_spec.kind == "l1",
-                         cfg.schedule.c, 0.0 if kind == "pdfp" else cfg.schedule.alpha,
-                         cfg.lam, spec.l2_weight, prox_spec.weight, _csr(A), _csr(B),
-                         _address(labels, np.float64, A.n_rows),
-                         ranges.ctypes.data, len(ranges),
-                         _address(x, np.float64, A.n_cols), _address(v, np.float64, B.n_rows),
-                         work.ctypes.data, weights)
-        self._picks = np.empty(0, dtype=np.int64)
+        self._run = run = _Run(_KINDS[kind], _LOSSES[spec.loss], prox_spec.kind == "l1",
+                               cfg.schedule.c, 0.0 if kind == "pdfp" else cfg.schedule.alpha,
+                               cfg.lam, spec.l2_weight, prox_spec.weight, _csr(A), _csr(B),
+                               _address(labels, np.float64, A.n_rows),
+                               ranges.ctypes.data, len(ranges),
+                               _address(x, np.float64, A.n_cols),
+                               _address(v, np.float64, B.n_rows), work.ctypes.data, weights)
         self._fn = lib.spdfp_run_steps
+        self._matvec = lib.spdfp_csr_matvec_range
+        self._products = (Ax, Bx, [(M.indptr, M.indices, M.data, run.x, out.ctypes.data,
+                                    0, M.n_rows) for M, out in ((run.A, Ax), (run.B, Bx))])
+        self.use(())
 
-    def __call__(self, picks, k):
-        """One step per entry of picks, an index into the ranges; k counts
-        steps from 1 before the first of them."""
-        n = len(picks)
-        if n > len(self._picks):
-            self._picks = np.empty(n, dtype=np.int64)
-        self._picks[:n] = picks
-        status = self._fn(self._run, self._picks.ctypes.data, n, k)
+    def use(self, picks):
+        """Take picks, indices into the ranges, for the calls that follow."""
+        picks = np.ascontiguousarray(picks, dtype=np.int64)
+        self._picks = picks, _address(picks, np.int64)
+
+    def __call__(self, start, count, k):
+        """One step for each of picks[start:start + count]; k counts steps
+        from 1 before the first of them."""
+        picks, address = self._picks
+        if not 0 <= start <= start + count <= len(picks):
+            raise ValueError(f"steps {start}..{start + count} out of {len(picks)} picks")
+        status = self._fn(self._run, address + start * picks.itemsize, count, k)
         if status == _WEIGHTS_FAILED:
             raise self._errors.pop()
         if status != 0:
             raise ValueError("batch index or row range out of bounds")
+
+    def products(self):
+        """A x and B x of the x the steps update, in arrays this Steps owns
+        and overwrites on the next call."""
+        Ax, Bx, calls = self._products
+        for args in calls:
+            self._matvec(*args)
+        return Ax, Bx
 
 
 def _weights(loss, work, labels, errors):

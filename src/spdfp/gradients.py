@@ -43,13 +43,14 @@ def make_batch_plan(n, p):
 
 def draw_batch_index(plan, rng):
     """Draw batch i with probability (batch size)/n using one uniform draw."""
-    return _draw_batch_indices(plan, rng, None)
+    return int(_draw_batch_indices(plan, rng, None))
 
 
 def _draw_batch_indices(plan, rng, size):
-    # one array draw gives the same stream as `size` scalar draws
+    """size batch indices as an int64 array. One draw of size K gives the
+    same stream as K scalar draws, so draws may be split or joined freely."""
     u = rng.integers(0, plan.n, size=size)
-    return np.minimum(u // plan.p, plan.n_batches - 1).tolist()
+    return np.minimum(u // plan.p, plan.n_batches - 1)
 
 
 def _rows_gradient(loss, l2_weight, rows, labels, x):

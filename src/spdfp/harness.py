@@ -10,7 +10,8 @@ File formats
 * Problem descriptor: flat ``key = value`` text naming the loss, weights and
   the data/operator files.
 * Run output: RFC-4180-style CSV, one row per (solver, repetition, epoch),
-  plus a second CSV of per-epoch means across repetitions. Leading ``#``
+  plus a second CSV of per-epoch means across repetitions (over the epochs
+  every repetition reached, since a diverging run stops). Leading ``#``
   lines record the experiment and solver parameters.
 """
 
@@ -337,7 +338,8 @@ def compute_ground_truth(spec, prox_spec=None, cfg=None, iters=DEFAULT_TRUTH_ITE
     x, v = state.x, state.v
     c_steps = _c_steps("pdfp", spec, prox_spec, cfg, ((0, spec.n),), (x, v))
     if c_steps is not None:
-        c_steps([0] * iters, 1)
+        c_steps.use(np.zeros(iters, dtype=np.int64))
+        c_steps(0, iters, 1)
     else:
         for k in range(1, iters + 1):
             x, v = _pdfp(ctx, cfg, k, ctx.full, x, v)
@@ -582,7 +584,8 @@ def run_experiment(cfg, ground_truth=None):
         for entry in cfg.solvers:
             label = entry.label
             groups = [recs for lab, _, recs in all_records if lab == label]
-            for e in range(len(groups[0])):
+            # a diverged repetition stops early: average the epochs all reached
+            for e in range(min(len(g) for g in groups)):
                 rows = [g[e] for g in groups]
                 def mean(attr):
                     vals = [getattr(r, attr) for r in rows]

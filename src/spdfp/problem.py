@@ -118,15 +118,18 @@ def objective_value(spec, x):
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (spec.dim,):
         raise ValueError(f"x must have dimension {spec.dim}")
-    return _objective(spec, x, spec.dataset.samples, spec.B)
+    return _objective(spec, x, spec.dataset.samples.matvec(x), spec.B.matvec(x))
 
 
-def _objective(spec, x, A, B):
-    """objective_value with the products taken from A and B, each a
-    SparseMatrix or a RowView of all its rows. Unchecked."""
-    val = float(np.mean(loss_values(spec.loss, A.matvec(x), spec.dataset.labels)))
+def _objective(spec, x, Ax, Bx):
+    """objective_value given the products Ax = A x and Bx = B x. Unchecked.
+
+    np.add.reduce is the reduction np.mean and np.sum make, without their
+    wrappers, so the bits are the same."""
+    losses = loss_values(spec.loss, Ax, spec.dataset.labels)
+    val = float(np.add.reduce(losses)) / len(losses)
     if spec.l2_weight:
         val += 0.5 * spec.l2_weight * float(x @ x)
     if spec.composite_weight:
-        val += spec.composite_weight * float(np.sum(np.abs(B.matvec(x))))
+        val += spec.composite_weight * float(np.add.reduce(np.abs(Bx)))
     return val

@@ -51,8 +51,9 @@ class RecursionParams:
     def __post_init__(self):
         if not 0 < self.alpha <= 1:
             raise ValueError("alpha must lie in (0, 1]")
-        if self.c <= 0 or self.tau < 0 or self.s_init < 0:
-            raise ValueError("need c > 0, tau >= 0, s_init >= 0")
+        if not (0 < self.c < math.inf and 0 <= self.tau < math.inf
+                and 0 <= self.s_init < math.inf):
+            raise ValueError("need finite c > 0, tau >= 0, s_init >= 0")
         k0 = smallest_step_index(self.c, self.alpha)
         if self.k0 is None:
             object.__setattr__(self, "k0", k0)

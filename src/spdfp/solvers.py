@@ -15,13 +15,18 @@ Four solvers share the state layout (primal x, dual v, counter k):
 It checks its inputs once and builds a _RunContext (raw CSR arrays, row maps
 and scalars); the loop then calls the private reference step of each kind on
 it. Each public step function builds a context and calls the same step.
+A run draws its batch indices as int64 arrays of whole epochs, at most
+_DRAW_CHUNK of them at a time, which gives the stream of one draw per epoch.
 Where the C lane is built, ``run_solver`` and the ground truth run whole
 epochs of 'pdfp', 'spdfp1' and 'spdfp2' steps in one C call instead
-(_c_steps), with the same bits.
+(_c_steps), and the records take their products from the lane, with the
+same bits. A run whose objective turns NaN or infinite stops with a
+RuntimeWarning after recording that epoch.
 """
 
 import math
 import time
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -202,7 +207,7 @@ class _RunContext:
         return v - lam * self.B.matvec(self.B.rmatvec(v))
 
     def objective(self, x):
-        return _objective(self.spec, x, self.full[0], self.B)
+        return _objective(self.spec, x, self.full[0].matvec(x), self.B.matvec(x))
 
 
 # Reference steps: (ctx, params, k, batch, *iterates) -> new iterates, always
@@ -353,9 +358,9 @@ def _dual_on_subgradient_scale(kind, cfg, v, k):
     return (cfg.lam / gamma_prev) * v
 
 
-def _record(kind, name, ctx, cfg, iterates, k, epoch, t0, reference):
+def _record(kind, name, objective, cfg, iterates, k, epoch, t0, reference):
     x = iterates[0]
-    obj = ctx.objective(x)
+    obj = objective(x)
     rec = RunRecord(solver=name, seed=cfg.seed, epoch=epoch,
                     wall_time=time.perf_counter() - t0, objective=obj)
     if reference is not None:
@@ -372,6 +377,21 @@ def _record(kind, name, ctx, cfg, iterates, k, epoch, t0, reference):
 
 
 _STEPS = {"pdfp": _pdfp, "spdfp1": _spdfp1, "spdfp2": _spdfp2}
+
+# Batch indices drawn at once: a chunk holds at most this many, in whole
+# epochs, but always at least one epoch.
+_DRAW_CHUNK = 1 << 16
+
+
+def _pick_chunks(kind, plan, rng, epochs, per_epoch):
+    """The batch indices of a run's epochs, as int64 arrays of whole epochs
+    of per_epoch steps each. 'pdfp' steps over its one range and draws
+    nothing."""
+    per_chunk = max(1, _DRAW_CHUNK // per_epoch)
+    for first in range(0, epochs, per_chunk):
+        size = min(per_chunk, epochs - first) * per_epoch
+        yield (np.zeros(size, dtype=np.int64) if kind == "pdfp"
+               else _draw_batch_indices(plan, rng, size))
 
 
 def _c_steps(kind, spec, prox_spec, cfg, ranges, iterates):
@@ -405,6 +425,9 @@ def run_solver(kind, spec, prox_spec, cfg, admm_cfg=None, x0=None, v0=None,
     step: an IterState, or an AdmmState for 'stoc_admm'. Its arrays are
     fresh each step, so a caller may keep them. Without on_step, each
     epoch runs in one C call where _c_steps allows it.
+
+    A run whose objective is NaN or infinite after an epoch keeps that
+    epoch's record, warns (RuntimeWarning) and stops.
     """
     if kind not in SOLVER_KINDS:
         raise ValueError(f"unknown solver kind {kind!r}")
@@ -426,22 +449,37 @@ def run_solver(kind, spec, prox_spec, cfg, admm_cfg=None, x0=None, v0=None,
     ctx = _RunContext(spec, prox_spec, ranges, admm_cfg if kind == "stoc_admm" else None)
     c_steps = None if on_step is not None else _c_steps(kind, spec, prox_spec, cfg,
                                                          ranges, iterates)
+    objective = ctx.objective
+    if c_steps is not None:
+        def objective(x):  # x is the iterate c_steps updates in place
+            return _objective(spec, x, *c_steps.products())
 
-    k = 1
-    records = [_record(kind, name, ctx, cfg, iterates, k, 0, t0, reference)]
-    for epoch in range(1, cfg.max_epochs + 1):
-        picks = [0] if kind == "pdfp" else _draw_batch_indices(plan, rng, plan.n_batches)
+    per_epoch = len(ranges)
+    k, epoch = 1, 0
+    records = [_record(kind, name, objective, cfg, iterates, k, epoch, t0, reference)]
+    for picks in _pick_chunks(kind, plan, rng, cfg.max_epochs, per_epoch):
         if c_steps is not None:
-            c_steps(picks, k)
-            k += len(picks)
-        else:
-            for i in picks:
-                iterates = step(ctx, params, k, ctx.batches[i], *iterates)
-                k += 1
-                if on_step is not None:
-                    on_step(make_state(*iterates, k))
-        records.append(_record(kind, name, ctx, cfg, iterates, k, epoch, t0, reference))
-        if kind == "pdfp" and cfg.stop_tolerance > 0:
-            if _fixed_point_residual(ctx, cfg.schedule.c, cfg.lam, *iterates) <= cfg.stop_tolerance:
-                break
+            c_steps.use(picks)
+        for start in range(0, len(picks), per_epoch):
+            epoch += 1
+            if c_steps is not None:
+                c_steps(start, per_epoch, k)
+                k += per_epoch
+            else:
+                for i in picks[start:start + per_epoch].tolist():
+                    iterates = step(ctx, params, k, ctx.batches[i], *iterates)
+                    k += 1
+                    if on_step is not None:
+                        on_step(make_state(*iterates, k))
+            rec = _record(kind, name, objective, cfg, iterates, k, epoch, t0, reference)
+            records.append(rec)
+            if not math.isfinite(rec.objective):
+                warnings.warn(f"solver {name} (seed {cfg.seed}) diverged: objective "
+                              f"{rec.objective} at epoch {epoch}; run stopped",
+                              RuntimeWarning, stacklevel=2)
+                return records
+            if kind == "pdfp" and cfg.stop_tolerance > 0:
+                if _fixed_point_residual(ctx, cfg.schedule.c, cfg.lam,
+                                         *iterates) <= cfg.stop_tolerance:
+                    return records
     return records

@@ -1,4 +1,5 @@
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -375,6 +376,26 @@ def test_experiment_aggregate_means_and_rel_error_floor(tmp_path):
     # relative objective error never dips below the -1e-10 slack
     for r in rows:
         assert float(r[5]) >= -1e-10
+
+
+def test_experiment_means_cover_the_epochs_every_diverged_repetition_reached(tmp_path):
+    # with c = 40 and p = 1 a repetition overflows, or not, at an epoch that
+    # depends on its seed
+    cfg = parse_experiment_config(write_config(
+        tmp_path, "synth:n=40,d=6,perturb_frac=0.1,noise_sd=0.01,seed=2",
+        "spdfp1(c=40,alpha=0.7,p=1)", reps=4, epochs=30))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rows_path, mean_path = run_experiment(cfg)
+    rows = read_csv_rows(rows_path)[1:]
+    lengths = [sum(r[1] == seed for r in rows) for seed in dict.fromkeys(r[1] for r in rows)]
+    assert len(lengths) == 4 and min(lengths) < max(lengths) <= 31
+    assert sum("diverged" in str(w.message) for w in caught) == sum(n < 31 for n in lengths)
+    means = read_csv_rows(mean_path, wall_col=2)[1:]
+    assert [int(m[1]) for m in means] == list(range(min(lengths)))
+    for m in means:
+        vals = [float(r[4]) for r in rows if r[2] == m[1]]
+        assert float(m[3]) == pytest.approx(np.mean(vals), rel=1e-12)
 
 
 def test_experiment_four_alpha_sweep_groups(tmp_path):

@@ -13,6 +13,8 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -198,9 +200,9 @@ def run_on_lane(monkeypatch, lane, *args, **kwargs):
     states = []
     record = solvers._record
 
-    def grab(kind, name, ctx, cfg, iterates, *rest):
+    def grab(kind, name, objective, cfg, iterates, *rest):
         states.append([a.copy() for a in iterates])
-        return record(kind, name, ctx, cfg, iterates, *rest)
+        return record(kind, name, objective, cfg, iterates, *rest)
 
     with monkeypatch.context() as m:
         m.setattr(kernels, "LANE", lane)
@@ -246,11 +248,25 @@ def test_fused_run_matches_python_path_bitwise(monkeypatch, c_lane, kind, loss, 
     python = run_on_lane(monkeypatch, None, kind, spec, prox_spec, cfg, reference=ref)
     assert_same_run(fused, python)
 
+    # no epochs: the initial record alone, its products from the lane
+    none = replace(cfg, max_epochs=0)
+    assert_same_run(run_on_lane(monkeypatch, c_lane, kind, spec, prox_spec, none, reference=ref),
+                    run_on_lane(monkeypatch, None, kind, spec, prox_spec, none, reference=ref))
+    # picks drawn in several chunks: two epochs of five steps per chunk, and
+    # a cap below one epoch (one epoch per chunk); pdfp has one step per epoch
+    for cap in (10, 4):
+        with monkeypatch.context() as m:
+            m.setattr(solvers, "_DRAW_CHUNK", cap)
+            for lane in (c_lane, None):
+                assert_same_run(run_on_lane(monkeypatch, lane, kind, spec, prox_spec, cfg,
+                                            reference=ref), python)
+    assert len(calls) == 4
+
     # with on_step the run keeps the Python path, and its last state is the same
     seen = []
     run_on_lane(monkeypatch, c_lane, kind, spec, prox_spec, cfg, reference=ref,
                 on_step=seen.append)
-    assert len(calls) == 1
+    assert len(calls) == 4
     assert_same_bits(seen[-1].x, fused[1][-1][0])
     assert_same_bits(seen[-1].v, fused[1][-1][1])
 
@@ -264,6 +280,25 @@ def test_fused_pdfp_stops_at_the_same_epoch(monkeypatch, c_lane):
     python = run_on_lane(monkeypatch, None, "pdfp", spec, ProxSpec("l1", 0.2), cfg)
     assert 1 < len(fused[0]) < 501
     assert_same_run(fused, python)
+
+
+@pytest.mark.parametrize("kind", ["pdfp", "spdfp1", "spdfp2"])
+def test_fused_run_stops_where_the_python_path_diverges(monkeypatch, c_lane, kind):
+    spec = synth_fused_lasso(40, 6, 0.1, 0.01, 2)
+    rho = estimate_spectrum(spec.B).rho_max
+    sched = ConstantSchedule(1e3) if kind == "pdfp" else StepSchedule(c=1e3, alpha=0.7)
+    cfg = SolverConfig(schedule=sched, lam=0.9 / rho, p=8, seed=4, max_epochs=60)
+    runs, messages = [], []
+    for lane in (c_lane, None):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            runs.append(run_on_lane(monkeypatch, lane, kind, spec, ProxSpec("l1", 0.1), cfg))
+        messages.append([str(w.message) for w in caught if "diverged" in str(w.message)])
+    (fused, fused_states), (python, python_states) = runs
+    assert 1 < len(fused) == len(python) < 61
+    assert messages[0] == messages[1] and len(messages[0]) == 1
+    assert not np.isfinite(fused[-1].objective) and not np.isfinite(python[-1].objective)
+    assert_same_run((fused[:-1], fused_states[:-1]), (python[:-1], python_states[:-1]))
 
 
 def test_admm_and_on_step_runs_keep_the_python_path(monkeypatch, c_lane):
@@ -315,13 +350,16 @@ def test_weights_callback_error_stops_the_run_and_propagates(monkeypatch, capfd,
 
     # the steps before the failing one are applied, and no step after it
     want_x, want_v = np.zeros(6), np.zeros(4)
-    c_lane.steps("spdfp2", spec, ProxSpec("l1", 0.2), cfg, ((0, 5), (5, 10)),
-                 want_x, want_v)([0, 1], 1)
+    steps = c_lane.steps("spdfp2", spec, ProxSpec("l1", 0.2), cfg, ((0, 5), (5, 10)),
+                         want_x, want_v)
+    steps.use([0, 1])
+    steps(0, 2, 1)
     calls = fail_on_third_call(monkeypatch)
     x, v = np.zeros(6), np.zeros(4)
     steps = c_lane.steps("spdfp2", spec, ProxSpec("l1", 0.2), cfg, ((0, 5), (5, 10)), x, v)
+    steps.use([0, 1, 0, 1, 1])
     with pytest.raises(WeightsFailed, match="third call"):
-        steps([0, 1, 0, 1, 1], 1)
+        steps(0, 5, 1)
     assert len(calls) == 3
     assert_same_bits(x, want_x)
     assert_same_bits(v, want_v)
@@ -345,13 +383,22 @@ def test_fused_steps_reject_out_of_range_picks(c_lane):
     x, v = np.ones(6), np.ones(4)
     steps = c_lane.steps("spdfp1", spec, ProxSpec("l1", 0.2), cfg, ((0, 5), (5, 10)), x, v)
     for picks in ([0, 2], [-1], [1, 0, 7]):
+        steps.use(picks)
         with pytest.raises(ValueError):
-            steps(picks, 1)
+            steps(0, len(picks), 1)
+    # a call must stay within the picks it was given
+    steps.use([0, 1, 1])
+    for start, count in ((0, 4), (2, 2), (3, 1), (-1, 1), (1, -1)):
+        with pytest.raises(ValueError, match="out of 3 picks"):
+            steps(start, count, 1)
+    with pytest.raises(TypeError):
+        steps.use([[0, 1]])
     assert_same_bits(x, np.ones(6))
     assert_same_bits(v, np.ones(4))
     bad = c_lane.steps("spdfp1", spec, ProxSpec("l1", 0.2), cfg, ((20, 24),), x, v)
+    bad.use([0])
     with pytest.raises(ValueError):
-        bad([0], 1)
+        bad(0, 1, 1)
 
 
 def rate_spec():

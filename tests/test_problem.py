@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from spdfp.problem import Dataset, ProblemSpec, objective_value
+from spdfp.problem import LOSSES, Dataset, ProblemSpec, _objective, loss_values, objective_value
 from spdfp.sparse import SparseMatrix, build_difference_matrix, identity
 
 
@@ -85,3 +85,21 @@ def test_spec_rejects_non_finite_weights(bad):
         make_spec(np.eye(2), [0.0, 0.0], nu=bad)
     with pytest.raises(ValueError, match="finite"):
         make_spec(np.eye(2), [0.0, 0.0], mu=bad)
+
+
+@pytest.mark.parametrize("loss", LOSSES)
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 127, 128, 129, 1000])
+def test_objective_keeps_the_bits_of_mean_and_sum(loss, n):
+    # np.add.reduce in place of np.mean / np.sum; the lengths sit on the
+    # edges of the pairwise summation blocks (8 and 128 entries)
+    rng = np.random.default_rng(n)
+    A, G = rng.standard_normal((n, 5)), rng.standard_normal((n, 5))
+    b = rng.standard_normal(n) if loss == "square" else rng.choice([-1.0, 1.0], n)
+    spec = make_spec(A, b, loss, nu=0.3, mu=0.7, B=SparseMatrix.from_dense(G))
+    x = 3.0 * rng.standard_normal(5)
+    Ax, Bx = spec.dataset.samples.matvec(x), spec.B.matvec(x)
+    want = float(np.mean(loss_values(loss, Ax, spec.dataset.labels)))
+    want += 0.5 * 0.3 * float(x @ x)
+    want += 0.7 * float(np.sum(np.abs(Bx)))
+    bits = np.array([want, _objective(spec, x, Ax, Bx), objective_value(spec, x)]).view(np.int64)
+    assert bits[0] == bits[1] == bits[2]

@@ -271,3 +271,11 @@ def test_joint_error_dimension_checks():
     with pytest.raises(ValueError):
         joint_error([np.zeros((3, 2))], [np.zeros((4, 2))],
                     np.zeros(2), np.zeros(2), sched, 0.1)
+
+
+@pytest.mark.parametrize("field", ["c", "tau", "s_init"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_recursion_params_reject_nan_and_inf(field, bad):
+    good = dict(alpha=0.5, c=1.0, tau=0.1, s_init=0.0)
+    with pytest.raises(ValueError, match="finite"):
+        RecursionParams(**{**good, field: bad})

@@ -1,10 +1,14 @@
+import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import oracles
-from spdfp.gradients import full_gradient, make_batch_plan, stochastic_gradient
+from spdfp import solvers
+from spdfp.gradients import _draw_batch_indices, full_gradient, make_batch_plan, stochastic_gradient
+from spdfp.harness import synth_fused_lasso
 from spdfp.problem import LOSSES, Dataset, ProblemSpec, objective_value
 from spdfp.prox import ProxSpec
 from spdfp.sparse import SparseMatrix, build_difference_matrix, estimate_spectrum, identity
@@ -341,6 +345,65 @@ def test_run_solver_deterministic_replay():
     for a, b in zip(r1, r2):
         assert (a.objective, a.rel_obj_error, a.iterate_sq_error, a.a_k) == \
                (b.objective, b.rel_obj_error, b.iterate_sq_error, b.a_k)
+
+
+@pytest.mark.parametrize("n,p", [(64, 8), (23, 5), (7, 3), (1000, 10), (2000, 20)])
+@pytest.mark.parametrize("cap", [1, 3, 50, None])
+def test_chunked_draws_equal_per_epoch_draws(monkeypatch, n, p, cap):
+    # n = 23 and 7 leave a short last batch and are not powers of two, so
+    # their draws take the rejection path; caps below one epoch still give
+    # whole epochs
+    if cap is not None:
+        monkeypatch.setattr(solvers, "_DRAW_CHUNK", cap)
+    plan = make_batch_plan(n, p)
+    nb, epochs = plan.n_batches, 37
+    chunked = np.random.default_rng(5)
+    chunks = list(solvers._pick_chunks("spdfp1", plan, chunked, epochs, nb))
+    rng = np.random.default_rng(5)
+    per_epoch = [_draw_batch_indices(plan, rng, nb) for _ in range(epochs)]
+    assert all(c.dtype == np.int64 and len(c) % nb == 0 for c in chunks)
+    assert max(len(c) for c in chunks) <= max(solvers._DRAW_CHUNK, nb)
+    if cap == 1:
+        assert len(chunks) == epochs
+    np.testing.assert_array_equal(np.concatenate(chunks), np.concatenate(per_epoch))
+    assert np.concatenate(chunks).tolist() == replay_draws(5, n, p, epochs * nb)
+    # and the stream goes on from the same place
+    assert chunked.integers(0, 2**40) == rng.integers(0, 2**40)
+
+
+def test_pdfp_picks_draw_nothing():
+    plan = make_batch_plan(10, 10)
+    rng = np.random.default_rng(6)
+    chunks = list(solvers._pick_chunks("pdfp", plan, rng, 5, 1))
+    assert np.concatenate(chunks).tolist() == [0] * 5
+    assert rng.integers(0, 100) == np.random.default_rng(6).integers(0, 100)
+
+
+def run_diverging(*args, **kwargs):
+    """run_solver's records and the messages of its divergence warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        recs = run_solver(*args, **kwargs)
+    return recs, [str(w.message) for w in caught
+                  if w.category is RuntimeWarning and "diverged" in str(w.message)]
+
+
+@pytest.mark.parametrize("kind", SOLVER_KINDS)
+def test_diverging_run_stops_at_the_first_non_finite_record(kind):
+    # steps far too large: every kind overflows within 60 epochs
+    spec = synth_fused_lasso(40, 6, 0.1, 0.01, 2)
+    rho = estimate_spectrum(spec.B).rho_max
+    sched = ConstantSchedule(1e3) if kind == "pdfp" else StepSchedule(c=1e3, alpha=0.7)
+    cfg = SolverConfig(schedule=sched, lam=0.9 / rho, p=40 if kind == "pdfp" else 8, seed=4,
+                       max_epochs=60)
+    admm = AdmmConfig(beta_tilde=1.0, zeta_schedule=StepSchedule(c=1e6, alpha=0.5))
+    recs, messages = run_diverging(kind, spec, ProxSpec("l1", 0.1), cfg, admm_cfg=admm,
+                                   name="label-" + kind)
+    assert 1 < len(recs) < cfg.max_epochs + 1
+    assert all(math.isfinite(r.objective) for r in recs[:-1])
+    assert not math.isfinite(recs[-1].objective)
+    assert messages == [f"solver label-{kind} (seed 4) diverged: objective "
+                        f"{recs[-1].objective} at epoch {recs[-1].epoch}; run stopped"]
 
 
 def test_run_solver_unknown_kind_and_missing_admm_cfg():
