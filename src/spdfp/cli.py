@@ -85,7 +85,10 @@ def main(argv=None):
 
     p = sub.add_parser("truth", help="compute and cache the reference optimum")
     p.add_argument("--problem", required=True, help="path to a .problem file")
-    p.add_argument("--iters", type=int, default=harness.DEFAULT_TRUTH_ITERS)
+    p.add_argument("--iters", type=int, default=harness.DEFAULT_TRUTH_ITERS,
+                   help="cap on the PDFP iterations; the run stops earlier once its "
+                        f"fixed-point residual is at most {harness.TRUTH_TARGET:g}, "
+                        "and warns if the cap comes first (default %(default)s)")
     p.add_argument("--out", default=None, help="cache path (default <problem>.truth.npz)")
     p.set_defaults(func=_cmd_truth)
 

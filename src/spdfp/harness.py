@@ -42,8 +42,10 @@ from spdfp.solvers import (
 )
 from spdfp.sparse import SparseMatrix, build_difference_matrix, estimate_spectrum
 
-DEFAULT_TRUTH_ITERS = 3000
+DEFAULT_TRUTH_ITERS = 20000
 DEFAULT_LAMBDA_FRACTION = 0.9
+TRUTH_TARGET = 1e-13  # the ground truth's stop: the fixed-point residual it certifies
+_TRUTH_CHUNK = 25     # PDFP steps between two checks of that residual
 
 
 # ---------------------------------------------------------------------------
@@ -97,14 +99,16 @@ def load_libsvm(path, n_features=None):
             i = len(labels)
             labels.append(label)
             for tok in parts[1:]:
-                m = re.fullmatch(r"(\d+):([^\s:]+)", tok)
-                if not m:
+                # accepts what fullmatch(r"(\d+):([^\s:]+)") does: split()
+                # leaves no whitespace, and isdecimal() is \d
+                idx, _, val = tok.partition(":")
+                if not (idx.isdecimal() and val) or ":" in val:
                     raise ValueError(f"{path}:{lineno}: bad feature token {tok!r}")
-                j = int(m.group(1))
+                j = int(idx)
                 if j < 1:
                     raise ValueError(f"{path}:{lineno}: indices are 1-based, got {j}")
                 try:
-                    v = float(m.group(2))
+                    v = float(val)
                 except ValueError:
                     raise ValueError(f"{path}:{lineno}: bad value in {tok!r}") from None
                 if not math.isfinite(v):
@@ -273,16 +277,15 @@ def _read_kv(path):
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """Reference optimum from a long batch run.
+    """Reference optimum from a batch PDFP run to a certified residual.
 
-    v_star is on the subgradient dual scale (divide the final PDFP dual by
-    gamma/lambda); v_star_pdfp keeps the raw PDFP dual. The fixed-point
-    residual of the final pair is the quality certificate.
+    v_star is on the subgradient dual scale (the final PDFP dual times
+    lambda/gamma). The fixed-point residual of the final pair is the quality
+    certificate, and iterations the PDFP steps taken.
     """
 
     x_star: np.ndarray
     v_star: np.ndarray
-    v_star_pdfp: np.ndarray
     objective_star: float
     residual: float
     gamma: float
@@ -295,10 +298,14 @@ class GroundTruth:
 
 
 def default_gamma(spec, rho_max_data=None):
-    """1 / (rho_max(A A^T)/n + nu): a safe batch step for the smooth part."""
+    """1 / L with L = c rho_max(A A^T)/n + nu, the Lipschitz constant of the
+    smooth part's gradient: c = 1/4 for the logistic loss (its second
+    derivative is at most 1/4) and 1 otherwise. PDFP converges for any
+    step below 2 / L."""
     if rho_max_data is None:
         rho_max_data = estimate_spectrum(spec.dataset.samples).rho_max
-    return 1.0 / (rho_max_data / spec.n + spec.l2_weight)
+    c = 0.25 if spec.loss == "logistic" else 1.0
+    return 1.0 / (c * rho_max_data / spec.n + spec.l2_weight)
 
 
 def default_lambda(spec, fraction=DEFAULT_LAMBDA_FRACTION, rho_max=None):
@@ -320,12 +327,27 @@ def _truth_config(spec, gamma, rho_max):
                         lam=default_lambda(spec, rho_max=rho_max), p=spec.n)
 
 
+def _step_length(x_prev, v_prev, x, v):
+    """||v_prev - v|| + ||x_prev - x|| for one PDFP step (x_prev, v_prev) ->
+    (x, v). The step sets v = T0 and x = x_prev - gamma grad f2(x_prev) -
+    lam B^T T0, so this is the fixed-point residual of (x_prev, v_prev) up
+    to rounding, for the price of two norms."""
+    return float(np.linalg.norm(v_prev - v) + np.linalg.norm(x_prev - x))
+
+
 def compute_ground_truth(spec, prox_spec=None, cfg=None, iters=DEFAULT_TRUTH_ITERS,
                          rho_max=None):
-    """Run PDFP for a fixed iteration budget and certify the result.
+    """Run PDFP until its fixed-point residual is at most TRUTH_TARGET, for
+    at most iters steps, and certify the result.
 
-    rho_max, when given, is rho_max(B B^T) and saves estimating it again.
+    The residual is checked every _TRUTH_CHUNK steps, through the length of
+    the chunk's last step (_step_length). The stored residual is that of
+    the final pair and iterations the steps taken. A run that reaches the
+    cap first warns (RuntimeWarning) and returns what it has. rho_max, when
+    given, is rho_max(B B^T) and saves estimating it again.
     """
+    if iters < 1:
+        raise ValueError("iters must be at least 1")
     if prox_spec is None:
         prox_spec = prox_for(spec)
     if rho_max is None:
@@ -339,27 +361,42 @@ def compute_ground_truth(spec, prox_spec=None, cfg=None, iters=DEFAULT_TRUTH_ITE
     c_steps = _c_steps("pdfp", spec, prox_spec, cfg, ((0, spec.n),), (x, v))
     if c_steps is not None:
         c_steps.use(np.zeros(iters, dtype=np.int64))
-        c_steps(0, iters, 1)
-    else:
-        for k in range(1, iters + 1):
-            x, v = _pdfp(ctx, cfg, k, ctx.full, x, v)
+    used, reached = 0, False
+    while used < iters and not reached:
+        n = min(_TRUTH_CHUNK, iters - used)
+        if c_steps is not None:  # updates x and v in place
+            c_steps(used, n - 1, used + 1)
+            x_prev, v_prev = x.copy(), v.copy()
+            c_steps(used + n - 1, 1, used + n)
+        else:
+            for k in range(used + 1, used + n):
+                x, v = _pdfp(ctx, cfg, k, ctx.full, x, v)
+            x_prev, v_prev = x, v
+            x, v = _pdfp(ctx, cfg, used + n, ctx.full, x, v)
+        used += n
+        reached = _step_length(x_prev, v_prev, x, v) <= TRUTH_TARGET
     gamma, lam = cfg.schedule.c, cfg.lam
     res = _fixed_point_residual(ctx, gamma, lam, x, v)
-    return GroundTruth(x_star=x, v_star=(lam / gamma) * v, v_star_pdfp=v,
+    if not reached:
+        warnings.warn(f"ground truth stopped at its cap of {iters} iterations with "
+                      f"fixed-point residual {res:.3e} above the target {TRUTH_TARGET:g}",
+                      RuntimeWarning, stacklevel=2)
+    return GroundTruth(x_star=x, v_star=(lam / gamma) * v,
                        objective_star=objective_value(spec, x),
-                       residual=res, gamma=gamma, lam=lam, iterations=iters)
+                       residual=res, gamma=gamma, lam=lam, iterations=used)
 
 
 def save_ground_truth(gt, path):
-    np.savez(path, x_star=gt.x_star, v_star=gt.v_star, v_star_pdfp=gt.v_star_pdfp,
+    np.savez(path, x_star=gt.x_star, v_star=gt.v_star,
              objective_star=gt.objective_star, residual=gt.residual,
              gamma=gt.gamma, lam=gt.lam, iterations=gt.iterations)
 
 
 def load_ground_truth(path):
+    """A GroundTruth saved by save_ground_truth; files that also hold the
+    raw PDFP dual (v_star_pdfp) load too."""
     z = np.load(path)
     return GroundTruth(x_star=z["x_star"], v_star=z["v_star"],
-                       v_star_pdfp=z["v_star_pdfp"],
                        objective_star=float(z["objective_star"]),
                        residual=float(z["residual"]), gamma=float(z["gamma"]),
                        lam=float(z["lam"]), iterations=int(z["iterations"]))

@@ -17,11 +17,11 @@ and scalars); the loop then calls the private reference step of each kind on
 it. Each public step function builds a context and calls the same step.
 A run draws its batch indices as int64 arrays of whole epochs, at most
 _DRAW_CHUNK of them at a time, which gives the stream of one draw per epoch.
-Where the C lane is built, ``run_solver`` and the ground truth run whole
-epochs of 'pdfp', 'spdfp1' and 'spdfp2' steps in one C call instead
-(_c_steps), and the records take their products from the lane, with the
-same bits. A run whose objective turns NaN or infinite stops with a
-RuntimeWarning after recording that epoch.
+Where the C lane is built, ``run_solver`` runs each epoch of 'pdfp',
+'spdfp1' and 'spdfp2' steps in one C call instead (_c_steps), the ground
+truth its chunks of PDFP steps, and the records take their products from
+the lane, with the same bits. A run whose objective turns NaN or infinite
+stops with a RuntimeWarning after recording that epoch.
 """
 
 import math

@@ -3,11 +3,12 @@ import os
 import numpy as np
 import pytest
 
+from spdfp import harness
 from spdfp.cli import main
 from spdfp.harness import load_ground_truth, load_problem
 
 
-def test_synth_truth_run_pipeline(tmp_path, capsys):
+def test_synth_truth_run_pipeline(tmp_path, capsys, monkeypatch):
     base = tmp_path / "prob"
     assert main(["synth", "--out", str(base), "--n", "60", "--d", "10",
                  "--seed", "3", "--mu", "0.1"]) == 0
@@ -26,15 +27,20 @@ def test_synth_truth_run_pipeline(tmp_path, capsys):
                    "epochs = 3\n"
                    "output = out/run\n"
                    "master_seed = 5\n")
+
+    def no_fresh_truth(*args, **kwargs):
+        raise AssertionError("run computed a truth instead of loading the cached one")
+
+    monkeypatch.setattr(harness, "compute_ground_truth", no_fresh_truth)
     assert main(["run", "--config", str(cfg)]) == 0
     out = capsys.readouterr().out
     rows_path = tmp_path / "out" / "run.csv"
     mean_path = tmp_path / "out" / "run_mean.csv"
     assert rows_path.exists() and mean_path.exists()
     assert str(rows_path) in out
-    # cached truth was used: header records the 1500-iteration certificate
+    # cached truth was used: header records its own certificate
     header = rows_path.read_text().splitlines()[1]
-    assert "iterations=1500" in header
+    assert f"iterations={gt.iterations} residual={gt.residual!r} " in header
 
 
 def test_bound_check_passing_grid(capsys):

@@ -5,10 +5,13 @@ import numpy as np
 import pytest
 
 from spdfp.harness import (
+    DEFAULT_TRUTH_ITERS,
+    TRUTH_TARGET,
     ExperimentConfig,
     build_graph_matrix,
     compute_ground_truth,
     default_gamma,
+    load_ground_truth,
     load_libsvm,
     load_matrix,
     load_problem,
@@ -17,6 +20,7 @@ from spdfp.harness import (
     prox_for,
     resolve_problem,
     run_experiment,
+    save_ground_truth,
     save_libsvm,
     save_matrix,
     save_problem,
@@ -123,6 +127,27 @@ def test_libsvm_errors(tmp_path):
     p.write_text("\n\n")
     with pytest.raises(ValueError, match="no samples"):
         load_libsvm(p)
+    for tok in ("1:2:3", "a:1", ":1", "1:", "-1:2", "5", ":"):
+        p.write_text(f"1 1:1\n-1 {tok} 2:1\n")
+        with pytest.raises(ValueError, match=f"bad.libsvm:2: bad feature token '{tok}'"):
+            load_libsvm(p)
+    p.write_text("1 0:1\n")
+    with pytest.raises(ValueError, match="bad.libsvm:1: indices are 1-based, got 0"):
+        load_libsvm(p)
+    p.write_text("1 1:nan\n")
+    with pytest.raises(ValueError, match="bad.libsvm:1: value in '1:nan' is not finite"):
+        load_libsvm(p)
+    p.write_text("1 1:x\n")
+    with pytest.raises(ValueError, match="bad.libsvm:1: bad value in '1:x'"):
+        load_libsvm(p)
+
+
+def test_libsvm_accepts_what_the_token_pattern_does(tmp_path):
+    # leading zeros, any decimal digits, values float() reads
+    p = tmp_path / "ok.libsvm"
+    p.write_text("1 003:0.5 1:-2e-3 \u0662:+7\n")
+    dense = load_libsvm(p).samples.to_dense()
+    np.testing.assert_array_equal(dense, [[-2e-3, 7.0, 0.5]])
 
 
 def test_libsvm_rejects_non_finite_numbers(tmp_path):
@@ -252,6 +277,63 @@ def test_ground_truth_trivial_problem():
     gt = compute_ground_truth(spec, iters=3)
     np.testing.assert_array_equal(gt.x_star, np.zeros(4))
     assert gt.residual == 0.0
+
+
+def test_ground_truth_stops_at_its_target_and_warns_at_its_cap():
+    spec = synth_fused_lasso(200, 20, 0.05, 0.01, seed=6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gt = compute_ground_truth(spec)
+    assert gt.residual <= 1e-12
+    assert gt.iterations % 25 == 0 and gt.iterations < DEFAULT_TRUTH_ITERS
+    for cap in (40, 1):
+        with pytest.warns(RuntimeWarning) as caught:
+            capped = compute_ground_truth(spec, iters=cap)
+        assert len(caught) == 1
+        assert f"cap of {cap} iterations" in str(caught[0].message)
+        assert f"{capped.residual:.3e}" in str(caught[0].message)
+        assert capped.iterations == cap and capped.residual > TRUTH_TARGET
+    with pytest.raises(ValueError, match="iters"):
+        compute_ground_truth(spec, iters=0)
+
+
+def test_ground_truth_reaches_its_target_where_3000_iterations_did_not():
+    # 3000 iterations left this desk-type instance at residual 3.0e-8
+    spec = synth_fused_lasso(1000, 50, 0.05, 0.01, 12, mu=0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gt = compute_ground_truth(spec)
+    assert gt.residual <= TRUTH_TARGET
+    assert 3000 < gt.iterations < DEFAULT_TRUTH_ITERS
+
+
+def test_old_truth_files_with_the_raw_dual_still_load(tmp_path):
+    spec = synth_fused_lasso(40, 6, 0.1, 0.01, seed=2)
+    gt = compute_ground_truth(spec)
+    path = tmp_path / "old.truth.npz"
+    np.savez(path, x_star=gt.x_star, v_star=gt.v_star,
+             v_star_pdfp=(gt.gamma / gt.lam) * gt.v_star, objective_star=gt.objective_star,
+             residual=gt.residual, gamma=gt.gamma, lam=gt.lam, iterations=3000)
+    old = load_ground_truth(path)
+    np.testing.assert_array_equal(old.x_star, gt.x_star)
+    np.testing.assert_array_equal(old.v_star, gt.v_star)
+    assert (old.objective_star, old.residual, old.gamma, old.lam, old.iterations) == (
+        gt.objective_star, gt.residual, gt.gamma, gt.lam, 3000)
+    save_ground_truth(gt, tmp_path / "new.truth.npz")
+    assert sorted(np.load(tmp_path / "new.truth.npz").files) == sorted(
+        ("x_star", "v_star", "objective_star", "residual", "gamma", "lam", "iterations"))
+
+
+def test_default_gamma_follows_the_loss_curvature():
+    rng = np.random.default_rng(13)
+    A = rng.standard_normal((30, 6))
+    ds = Dataset(samples=SparseMatrix.from_dense(A), labels=rng.choice([-1.0, 1.0], 30))
+    rho = float(np.linalg.eigvalsh(A @ A.T)[-1])
+    for loss, c in (("logistic", 0.25), ("square", 1.0), ("hinge", 1.0)):
+        spec = ProblemSpec(loss=loss, dataset=ds, l2_weight=0.1, composite_weight=0.1,
+                           B=identity(6))
+        assert default_gamma(spec, rho) == 1.0 / (c * rho / 30 + 0.1)
+        assert default_gamma(spec) == pytest.approx(1.0 / (c * rho / 30 + 0.1), rel=1e-6)
 
 
 def test_ground_truth_certificate_and_minimality():

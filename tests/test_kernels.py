@@ -21,11 +21,18 @@ import pytest
 
 import spdfp._kernels as kernels
 import spdfp._kernels._numpy as lane_numpy
-from spdfp import problem, solvers
-from spdfp.harness import compute_ground_truth, synth_fused_lasso
+from spdfp import harness, problem, solvers
+from spdfp.harness import compute_ground_truth, prox_for, synth_fused_lasso
 from spdfp.problem import Dataset, ProblemSpec
 from spdfp.prox import ProxSpec
-from spdfp.solvers import ConstantSchedule, Reference, SolverConfig, StepSchedule, run_solver
+from spdfp.solvers import (
+    ConstantSchedule,
+    Reference,
+    SolverConfig,
+    StepSchedule,
+    fixed_point_residual,
+    run_solver,
+)
 from spdfp.sparse import SparseMatrix, estimate_spectrum, stack_identity
 
 LANE_SOURCE = os.path.join(os.path.dirname(kernels.__file__), "lane.c")
@@ -436,6 +443,48 @@ def test_ground_truth_same_bits_on_both_paths(monkeypatch, c_lane, instance):
         monkeypatch.setattr(kernels, "LANE", lane)
         truths.append(compute_ground_truth(spec))
     a, b = truths
-    for name in ("x_star", "v_star", "v_star_pdfp", "objective_star", "residual"):
+    for name in ("x_star", "v_star", "objective_star", "residual"):
         assert_same_bits(getattr(a, name), getattr(b, name))
+    assert a.iterations == b.iterations < harness.DEFAULT_TRUTH_ITERS
     assert a.residual < 1e-12
+
+
+@pytest.mark.parametrize("instance", ["rate", "logistic"])
+def test_truth_stop_is_the_residual_of_the_pair_before_the_last_step(monkeypatch, c_lane,
+                                                                    instance):
+    # the truth stops on the length of a chunk's last step, which is the
+    # fixed-point residual of the pair before it up to rounding in x and v
+    spec = {"rate": rate_spec, "logistic": logistic_spec}[instance]()
+    step_length = harness._step_length
+    for lane in (c_lane, None):
+        monkeypatch.setattr(kernels, "LANE", lane)
+        seen = []
+
+        def spy(x_prev, v_prev, x, v):
+            seen.append((x_prev.copy(), v_prev.copy(), step_length(x_prev, v_prev, x, v)))
+            return seen[-1][2]
+
+        monkeypatch.setattr(harness, "_step_length", spy)
+        gt = compute_ground_truth(spec)
+        assert len(seen) == gt.iterations // harness._TRUTH_CHUNK
+        assert seen[-1][2] <= harness.TRUTH_TARGET < seen[-2][2]
+        for x_prev, v_prev, length in seen:
+            residual = fixed_point_residual(spec, prox_for(spec), gt.gamma, gt.lam,
+                                            x_prev, v_prev)
+            scale = np.linalg.norm(x_prev) + np.linalg.norm(v_prev)
+            assert abs(length - residual) <= 1e-15 * scale
+
+
+def test_capped_truth_same_bits_on_both_paths(monkeypatch, c_lane):
+    # caps that end in a partial chunk, down to a single step
+    spec = rate_spec()
+    for cap in (26, 1):
+        truths = []
+        for lane in (c_lane, None):
+            monkeypatch.setattr(kernels, "LANE", lane)
+            with pytest.warns(RuntimeWarning, match=f"cap of {cap} iterations"):
+                truths.append(compute_ground_truth(spec, iters=cap))
+        a, b = truths
+        assert a.iterations == b.iterations == cap
+        for name in ("x_star", "v_star", "objective_star", "residual"):
+            assert_same_bits(getattr(a, name), getattr(b, name))
