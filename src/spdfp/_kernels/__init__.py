@@ -1,10 +1,12 @@
-"""Kernel lanes.
+"""The fused C lane.
 
-The C lane (lane.c, built into the shared library ``_lane`` by
-``python setup.py build_ext --inplace``) is loaded with ctypes when it was
-built; otherwise the pure-NumPy lane in _numpy runs. Both lanes give the same
-bits. ``csr_matvec_range``, ``csr_rmatvec_range`` and ``soft_threshold`` are
-the kernels of the lane in use, and ``LANE`` is the loaded CLane or None.
+lane.c, built into the shared library ``_lane`` by
+``python setup.py build_ext --inplace``, runs whole runs of PDFP / SPDFP
+steps and is loaded with ctypes when it was built. ``LANE`` is the loaded
+CLane, or None, and then every step runs on the NumPy reference path of
+spdfp.solvers. Both paths give the same bits. Products and the prox outside
+the fused steps are NumPy on either path (sparse.RowView,
+prox.soft_threshold).
 """
 
 import ctypes
@@ -12,6 +14,8 @@ import importlib.machinery
 import os
 
 import numpy as np
+
+from spdfp import problem
 
 _KINDS = {"pdfp": 0, "spdfp1": 1, "spdfp2": 2}
 _LOSSES = {"square": 0, "hinge": 1, "logistic": 2}
@@ -57,61 +61,21 @@ def _csr(M):
 
 
 class CLane:
-    """The C lane, loaded from the shared library at path.
-
-    The kernels take the NumPy lane's arguments. The CSR arrays must be a
-    valid matrix, as a SparseMatrix guarantees: indptr nondecreasing and
-    within data, column indices within x (matvec) or out (rmatvec).
-    """
+    """The C lane, loaded from the shared library at path."""
 
     def __init__(self, path):
         lib = ctypes.CDLL(path)
         p, i64 = ctypes.c_void_p, ctypes.c_int64
-        lib.spdfp_csr_matvec_range.argtypes = (p, p, p, p, p, i64, i64)
-        lib.spdfp_csr_rmatvec_range.argtypes = (p, p, p, p, p, i64, i64, i64)
-        lib.spdfp_soft_threshold.argtypes = (p, ctypes.c_double, p, i64)
         lib.spdfp_run_steps.argtypes = (ctypes.POINTER(_Run), p, i64, i64)
         lib.spdfp_run_steps.restype = ctypes.c_int
+        lib.spdfp_products.argtypes = (ctypes.POINTER(_Run), p, p)
+        lib.spdfp_products.restype = None
         lib.spdfp_run_size.argtypes = ()
         lib.spdfp_run_size.restype = i64
         if lib.spdfp_run_size() != ctypes.sizeof(_Run):
             raise ImportError(f"{path} was built from another lane.c; rebuild it with "
                               "'python setup.py build_ext --inplace'")
-        for fn in (lib.spdfp_csr_matvec_range, lib.spdfp_csr_rmatvec_range,
-                   lib.spdfp_soft_threshold):
-            fn.restype = None
         self._lib = lib
-        self._last = (None, None, None, None)
-
-    def _matrix(self, indptr, indices, data, row_start, row_stop):
-        """The addresses of the CSR arrays, checked once per matrix in a row:
-        power iteration applies the same matrix a thousand times, and one
-        address costs about as much as a small product. Holds on to the
-        arrays of the last matrix, so that their identity decides."""
-        last = self._last
-        if not (last[0] is indptr and last[1] is indices and last[2] is data):
-            last = (indptr, indices, data, (_address(indptr, np.int64),
-                                            _address(indices, np.int64),
-                                            _address(data, np.float64)))
-            self._last = last
-        if not 0 <= row_start <= row_stop < indptr.shape[0]:
-            raise ValueError("row range out of bounds")
-        return last[3]
-
-    def csr_matvec_range(self, indptr, indices, data, x, out, row_start, row_stop):
-        self._lib.spdfp_csr_matvec_range(
-            *self._matrix(indptr, indices, data, row_start, row_stop), _address(x, np.float64),
-            _address(out, np.float64, row_stop - row_start), row_start, row_stop)
-
-    def csr_rmatvec_range(self, indptr, indices, data, y, out, row_start, row_stop):
-        self._lib.spdfp_csr_rmatvec_range(
-            *self._matrix(indptr, indices, data, row_start, row_stop),
-            _address(y, np.float64, row_stop - row_start), _address(out, np.float64),
-            out.shape[0], row_start, row_stop)
-
-    def soft_threshold(self, y, t, out):
-        self._lib.spdfp_soft_threshold(_address(y, np.float64), t,
-                                       _address(out, np.float64, len(y)), len(y))
 
     def steps(self, kind, spec, prox_spec, cfg, ranges, x, v):
         """The steps of one run of kind over x and v, as a Steps."""
@@ -154,9 +118,8 @@ class Steps:
                                _address(x, np.float64, A.n_cols),
                                _address(v, np.float64, B.n_rows), work.ctypes.data, weights)
         self._fn = lib.spdfp_run_steps
-        self._matvec = lib.spdfp_csr_matvec_range
-        self._products = (Ax, Bx, [(M.indptr, M.indices, M.data, run.x, out.ctypes.data,
-                                    0, M.n_rows) for M, out in ((run.A, Ax), (run.B, Bx))])
+        self._products_fn = lib.spdfp_products
+        self._products = Ax, Bx, Ax.ctypes.data, Bx.ctypes.data
         self.use(())
 
     def use(self, picks):
@@ -179,9 +142,8 @@ class Steps:
     def products(self):
         """A x and B x of the x the steps update, in arrays this Steps owns
         and overwrites on the next call."""
-        Ax, Bx, calls = self._products
-        for args in calls:
-            self._matvec(*args)
+        Ax, Bx, Ax_address, Bx_address = self._products
+        self._products_fn(self._run, Ax_address, Bx_address)
         return Ax, Bx
 
 
@@ -190,11 +152,9 @@ def _weights(loss, work, labels, errors):
     lo..hi-1 in work[:hi-lo] with their loss weights. It catches every
     exception, which ctypes would otherwise print and ignore, keeps it in
     errors and returns 1; Steps raises it."""
-    from spdfp.problem import loss_weights  # spdfp.problem imports this package
-
     def weights(lo, hi):
         try:
-            work[:hi - lo] = loss_weights(loss, work[:hi - lo], labels[lo:hi])
+            work[:hi - lo] = problem.loss_weights(loss, work[:hi - lo], labels[lo:hi])
         except BaseException as exc:  # raised again by Steps.__call__
             errors.append(exc)
             return 1
@@ -215,18 +175,8 @@ def _built_library():
 _path = _built_library()
 LANE = CLane(_path) if _path is not None else None
 
-if LANE is None:
-    from spdfp._kernels._numpy import (  # noqa: F401
-        csr_matvec_range,
-        csr_rmatvec_range,
-        soft_threshold,
-    )
-else:
-    csr_matvec_range = LANE.csr_matvec_range
-    csr_rmatvec_range = LANE.csr_rmatvec_range
-    soft_threshold = LANE.soft_threshold
-
 
 def backend():
-    """Name of the kernel lane in use: 'c' or 'numpy'."""
+    """Which path runs the steps: 'c' when the fused C lane is built, else
+    'numpy' (the reference steps)."""
     return "numpy" if LANE is None else "c"

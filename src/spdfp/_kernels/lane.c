@@ -1,11 +1,12 @@
-/* The C lane of spdfp: CSR range products, soft-thresholding, and whole
- * runs of PDFP / SPDFP steps. Plain C99 over raw int64/double arrays, no
- * Python C-API; spdfp._kernels loads the built library with ctypes and
- * checks every array before it passes a pointer.
+/* The C lane of spdfp: whole runs of PDFP / SPDFP steps, and the A x and
+ * B x products of a run's records. Plain C99 over raw int64/double arrays,
+ * no Python C-API; spdfp._kernels loads the built library with ctypes and
+ * checks every array before it passes a pointer. It exports spdfp_run_size,
+ * spdfp_run_steps and spdfp_products; everything else is static.
  *
- * Each function mirrors the NumPy reference (spdfp._kernels._numpy,
- * sparse.RowView, solvers._pdfp/_spdfp1/_spdfp2) op for op, so that both
- * lanes give the same bits:
+ * Each function mirrors the NumPy reference (sparse.RowView,
+ * prox.soft_threshold, solvers._pdfp/_spdfp1/_spdfp2) op for op, so that
+ * both lanes give the same bits:
  *   - a product sums each output entry from 0.0 in CSR order, as
  *     np.bincount does, and multiplies data by the vector in that order;
  *   - every NumPy expression is the same C expression in the same order,
@@ -55,28 +56,24 @@ int64_t spdfp_run_size(void)
 }
 
 /* out[i - lo] = (row i of M) . x for lo <= i < hi. */
-void spdfp_csr_matvec_range(const int64_t *indptr, const int64_t *indices,
-                            const double *data, const double *x, double *out,
-                            int64_t lo, int64_t hi)
+static void matvec(const csr *M, const double *x, double *out, int64_t lo, int64_t hi)
 {
     for (int64_t i = lo; i < hi; i++) {
         double acc = 0.0;
-        for (int64_t j = indptr[i]; j < indptr[i + 1]; j++)
-            acc = acc + data[j] * x[indices[j]];
+        for (int64_t j = M->indptr[i]; j < M->indptr[i + 1]; j++)
+            acc = acc + M->data[j] * x[M->indices[j]];
         out[i - lo] = acc;
     }
 }
 
-/* out[0:n_out] = (rows lo..hi-1 of M)^T y. */
-void spdfp_csr_rmatvec_range(const int64_t *indptr, const int64_t *indices,
-                             const double *data, const double *y, double *out,
-                             int64_t n_out, int64_t lo, int64_t hi)
+/* out[0:n_cols] = (rows lo..hi-1 of M)^T y. */
+static void rmatvec(const csr *M, const double *y, double *out, int64_t lo, int64_t hi)
 {
-    for (int64_t c = 0; c < n_out; c++)
+    for (int64_t c = 0; c < M->n_cols; c++)
         out[c] = 0.0;
     for (int64_t i = lo; i < hi; i++)
-        for (int64_t j = indptr[i]; j < indptr[i + 1]; j++)
-            out[indices[j]] = out[indices[j]] + data[j] * y[i - lo];
+        for (int64_t j = M->indptr[i]; j < M->indptr[i + 1]; j++)
+            out[M->indices[j]] = out[M->indices[j]] + M->data[j] * y[i - lo];
 }
 
 /* np.sign(y) * np.maximum(np.abs(y) - t, 0.0) for one entry: np.sign maps
@@ -90,20 +87,11 @@ static double soft(double y, double t)
     return s * m;
 }
 
-void spdfp_soft_threshold(const double *y, double t, double *out, int64_t n)
+/* Ax = A x and Bx = B x of the run's current x, for its records. */
+void spdfp_products(const run *r, double *Ax, double *Bx)
 {
-    for (int64_t i = 0; i < n; i++)
-        out[i] = soft(y[i], t);
-}
-
-static void matvec(const csr *M, const double *x, double *out, int64_t lo, int64_t hi)
-{
-    spdfp_csr_matvec_range(M->indptr, M->indices, M->data, x, out, lo, hi);
-}
-
-static void rmatvec(const csr *M, const double *y, double *out, int64_t lo, int64_t hi)
-{
-    spdfp_csr_rmatvec_range(M->indptr, M->indices, M->data, y, out, M->n_cols, lo, hi);
+    matvec(&r->A, r->x, Ax, 0, r->A.n_rows);
+    matvec(&r->B, r->x, Bx, 0, r->B.n_rows);
 }
 
 /* gradients._rows_gradient over rows lo..hi-1 of A: w holds the margins,

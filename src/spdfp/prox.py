@@ -10,8 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from spdfp import _kernels
-
 KINDS = ("l1", "zero")
 
 
@@ -39,9 +37,14 @@ def prox(spec, tau, y):
     y = np.ascontiguousarray(y, dtype=np.float64)
     if spec.kind == "zero":
         return y.copy()
-    out = np.empty_like(y)
-    _kernels.soft_threshold(y, tau * spec.weight, out)
-    return out
+    return soft_threshold(y, tau * spec.weight)
+
+
+def soft_threshold(y, t):
+    """sign(y) * max(|y| - t, 0) componentwise: the one soft-threshold, which
+    the fused C lane (lane.c's soft) mirrors op for op. A negative y with
+    |y| <= t gives -0.0, both zeros give +0.0, and NaN stays NaN."""
+    return np.sign(y) * np.maximum(np.abs(y) - t, 0.0)
 
 
 def prox_residual(spec, tau, y):

@@ -35,6 +35,7 @@ import numpy as np
 from spdfp import _kernels
 from spdfp.gradients import _draw_batch_indices, _rows_gradient, draw_batch_index, make_batch_plan
 from spdfp.problem import _objective
+from spdfp.prox import soft_threshold
 from spdfp.sparse import estimate_spectrum
 
 SOLVER_KINDS = ("pdfp", "spdfp1", "spdfp2", "stoc_admm")
@@ -194,9 +195,8 @@ class _RunContext:
         return _rows_gradient(self.spec.loss, self.spec.l2_weight, rows, labels, x)
 
     def prox(self, tau, y):
-        # the NumPy lane's soft_threshold, op for op
         if self.prox_l1:
-            return np.sign(y) * np.maximum(np.abs(y) - tau * self.prox_weight, 0.0)
+            return soft_threshold(y, tau * self.prox_weight)
         return y.copy()
 
     def prox_residual(self, tau, y):

@@ -4,14 +4,15 @@ The solvers only ever need y = Mx, y = M^T x (optionally restricted to a row
 range) and the largest eigenvalue of M M^T, so that is the whole surface of
 this module. Storage is canonical CSR: sorted column indices within each row,
 duplicates summed and exact zeros dropped at construction, which fixes the
-reduction order and keeps runs bit-reproducible.
+reduction order and keeps runs bit-reproducible. Every product outside the
+fused C lane is RowView's NumPy one, and the eigenvalue comes from Lanczos
+on those products.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from spdfp import _kernels
 
 
 class SparseMatrix:
@@ -104,12 +105,7 @@ class SparseMatrix:
         x = np.ascontiguousarray(x, dtype=np.float64)
         if x.shape != (self.n_cols,):
             raise ValueError(f"matvec expects a vector of length {self.n_cols}")
-        if not 0 <= row_start <= row_stop <= self.n_rows:
-            raise ValueError("row range out of bounds")
-        out = np.empty(row_stop - row_start)
-        _kernels.csr_matvec_range(self.indptr, self.indices, self.data,
-                                  x, out, row_start, row_stop)
-        return out
+        return self.row_view(row_start, row_stop).matvec(x)
 
     def rmatvec(self, y):
         """Return M^T y."""
@@ -120,12 +116,7 @@ class SparseMatrix:
         y = np.ascontiguousarray(y, dtype=np.float64)
         if y.shape != (row_stop - row_start,):
             raise ValueError("rmatvec length mismatch with row range")
-        if not 0 <= row_start <= row_stop <= self.n_rows:
-            raise ValueError("row range out of bounds")
-        out = np.empty(self.n_cols)
-        _kernels.csr_rmatvec_range(self.indptr, self.indices, self.data,
-                                   y, out, row_start, row_stop)
-        return out
+        return self.row_view(row_start, row_stop).rmatvec(y)
 
     def transpose(self):
         rows, cols, vals = self.entries()
@@ -164,9 +155,10 @@ class RowView:
     """Rows [row_start, row_stop) of a SparseMatrix with their row map built
     once, for loops that apply the same rows many times.
 
-    The products are the NumPy lane's operations in the same order, so they
-    give the same bits, but they convert and check nothing: x must be a
-    float64 vector of length n_cols, y one of length n_rows.
+    These are the package's one pair of products: each output entry is a
+    sum from 0.0 in CSR order (np.bincount), which the fused C lane mirrors.
+    They convert and check nothing: x must be a float64 vector of length
+    n_cols, y one of length n_rows.
     """
 
     __slots__ = ("indices", "data", "rows", "n_rows", "n_cols")
@@ -180,12 +172,14 @@ class RowView:
         self.n_rows = row_stop - row_start
         self.n_cols = M.n_cols
 
+    # np.bincount gives int64 zeros when there are no entries, hence astype
     def matvec(self, x):
-        return np.bincount(self.rows, weights=self.data * x[self.indices], minlength=self.n_rows)
+        return np.bincount(self.rows, weights=self.data * x[self.indices],
+                           minlength=self.n_rows).astype(np.float64, copy=False)
 
     def rmatvec(self, y):
         return np.bincount(self.indices, weights=self.data * y[self.rows],
-                           minlength=self.n_cols)
+                           minlength=self.n_cols).astype(np.float64, copy=False)
 
 
 def identity(d):
@@ -219,11 +213,12 @@ def stack_identity(G):
 
 @dataclass(frozen=True)
 class SpectralEstimate:
-    """rho_max(B B^T) from power iteration.
+    """rho_max(B B^T) from the Lanczos method.
 
-    iterations_used and converged describe that one power iteration: the
-    number of B(B^T u) products taken and whether successive Rayleigh
-    quotients agreed to the relative tolerance within max_iter.
+    iterations_used is the number of Lanczos steps taken, one Gram product
+    each. converged says whether the residual bound of the estimate fell to
+    the relative tolerance within max_iter steps, or the steps spanned the
+    whole space.
     """
 
     rho_max: float
@@ -232,29 +227,50 @@ class SpectralEstimate:
 
 
 def estimate_spectrum(B, tol=1e-10, max_iter=10000):
-    """Estimate rho_max(B B^T) by power iteration on u -> B(B^T u).
+    """Estimate rho_max(B B^T) by the Lanczos method with full
+    reorthogonalisation (Golub & Van Loan, Matrix Computations, ch. 10).
 
-    The start vector is the first draw of default_rng(0), so the estimate is
-    reproducible. A failure to converge within max_iter is reported through
+    It runs on the smaller Gram matrix G, B^T B when B has no more columns
+    than rows and B B^T otherwise; the two share their largest eigenvalue.
+    The start vector is the first draw of default_rng(0), a random start as
+    in Kuczynski & Wozniakowski (SIAM J. Matrix Anal. Appl. 13, 1992), so
+    the estimate is reproducible. After step k the largest eigenvalue theta
+    of the tridiagonal T_k, with eigenvector s, has residual
+    ||G Q_k s - theta Q_k s|| = beta_k |s_k|. The iteration stops once that
+    is at most tol * theta, or after max_iter steps, or after as many steps
+    as G has rows. A failure to converge within max_iter is reported through
     the ``converged`` flag, not an exception.
     """
     if B.n_rows == 0 or B.n_cols == 0:
         raise ValueError("cannot estimate spectrum of an empty matrix")
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    u = np.random.default_rng(0).standard_normal(B.n_rows)
-    u /= np.linalg.norm(u)
-    rho = 0.0
-    for it in range(1, max_iter + 1):
-        s = B.matvec(B.rmatvec(u))
-        ns = np.linalg.norm(s)
-        if ns <= 1e-300:
-            return SpectralEstimate(rho_max=0.0, iterations_used=it, converged=True)
-        rho_new = float(u @ s)
-        u = s / ns
-        if abs(rho_new - rho) <= tol * max(abs(rho_new), 1e-300):
-            return SpectralEstimate(rho_max=max(rho_new, 0.0), iterations_used=it,
-                                    converged=True)
-        rho = rho_new
-    return SpectralEstimate(rho_max=max(rho, 0.0), iterations_used=max_iter,
-                            converged=False)
+    if max_iter < 1:
+        raise ValueError("max_iter must be at least 1")
+    rows = B.row_view(0, B.n_rows)
+    if B.n_cols <= B.n_rows:
+        n, gram = B.n_cols, lambda u: rows.rmatvec(rows.matvec(u))
+    else:
+        n, gram = B.n_rows, lambda u: rows.matvec(rows.rmatvec(u))
+    q = np.random.default_rng(0).standard_normal(n)
+    q /= np.linalg.norm(q)
+    basis, alphas, betas = [], [], []
+    for k in range(1, min(max_iter, n) + 1):
+        basis.append(q)
+        w = gram(q)
+        alphas.append(float(q @ w))
+        # full reorthogonalisation, twice, one dot product at a time so that
+        # the bits do not depend on the number of BLAS threads
+        for _ in range(2):
+            for b in basis:
+                w -= (b @ w) * b
+        beta = float(np.linalg.norm(w))
+        T = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
+        thetas, vectors = np.linalg.eigh(T)
+        theta = float(thetas[-1])
+        if beta * abs(vectors[-1, -1]) <= tol * theta or k == n:
+            return SpectralEstimate(rho_max=max(theta, 0.0), iterations_used=k,
+                                    converged=math.isfinite(theta))
+        betas.append(beta)
+        q = w / beta
+    return SpectralEstimate(rho_max=max(theta, 0.0), iterations_used=k, converged=False)

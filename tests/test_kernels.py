@@ -1,13 +1,14 @@
-"""The kernel lanes.
+"""The NumPy products and the fused C lane.
 
-The NumPy lane is checked against dense products. The C lane (lane.c) is
-built here, into a temporary directory with the system compiler, and checked
-bit for bit against the NumPy lane: the three kernels, and whole runs of
-run_solver and compute_ground_truth on the fused path against the Python
-reference path. Bits are compared through .view(np.int64), so that -0.0
-against +0.0 shows.
+The SparseMatrix products are checked against dense ones. The C lane
+(lane.c) is built here, into a temporary directory with the system
+compiler, and checked bit for bit against the Python reference path: single
+steps whose prox argument hits the soft-threshold's edge cases, and whole
+runs of run_solver and compute_ground_truth. Bits are compared through
+.view(np.int64), so that -0.0 against +0.0 shows.
 """
 
+import itertools
 import os
 import shutil
 import subprocess
@@ -20,11 +21,10 @@ import numpy as np
 import pytest
 
 import spdfp._kernels as kernels
-import spdfp._kernels._numpy as lane_numpy
 from spdfp import harness, problem, solvers
 from spdfp.harness import compute_ground_truth, prox_for, synth_fused_lasso
 from spdfp.problem import Dataset, ProblemSpec
-from spdfp.prox import ProxSpec
+from spdfp.prox import ProxSpec, soft_threshold
 from spdfp.solvers import (
     ConstantSchedule,
     Reference,
@@ -33,7 +33,7 @@ from spdfp.solvers import (
     fixed_point_residual,
     run_solver,
 )
-from spdfp.sparse import SparseMatrix, estimate_spectrum, stack_identity
+from spdfp.sparse import SparseMatrix, estimate_spectrum, identity, stack_identity
 
 LANE_SOURCE = os.path.join(os.path.dirname(kernels.__file__), "lane.c")
 
@@ -84,103 +84,69 @@ def test_backend_reports_a_lane():
 
 def test_numpy_lane_against_dense():
     rng = np.random.default_rng(0)
+    empty_rows = empty_ranges = 0
     for _ in range(50):
         M = random_csr(rng)
         D = M.to_dense()
         x = rng.standard_normal(M.n_cols)
         r0 = int(rng.integers(0, M.n_rows + 1))
         r1 = int(rng.integers(r0, M.n_rows + 1))
-        out = np.empty(r1 - r0)
-        lane_numpy.csr_matvec_range(M.indptr, M.indices, M.data, x, out, r0, r1)
+        empty_rows += int(np.any(np.diff(M.indptr[r0:r1 + 1]) == 0))
+        empty_ranges += r0 == r1
+        out = M.matvec_range(x, r0, r1)
+        assert out.dtype == np.float64
         np.testing.assert_allclose(out, D[r0:r1] @ x, atol=1e-13)
         y = rng.standard_normal(r1 - r0)
-        outc = np.empty(M.n_cols)
-        lane_numpy.csr_rmatvec_range(M.indptr, M.indices, M.data, y, outc, r0, r1)
+        outc = M.rmatvec_range(y, r0, r1)
+        assert outc.dtype == np.float64
         np.testing.assert_allclose(outc, D[r0:r1].T @ y, atol=1e-13)
+    assert empty_rows and empty_ranges
 
 
 def test_soft_threshold_values():
-    y = np.array([2.0, -0.3, 0.5, -0.5, 0.0])
-    out = np.empty(5)
-    kernels.soft_threshold(y, 0.5, out)
-    np.testing.assert_array_equal(out, [1.5, 0.0, 0.0, 0.0, 0.0])
-
-
-def test_lane_parity_bitwise(c_lane):
-    rng = np.random.default_rng(1)
-    empty_rows = empty_ranges = 0
-    for _ in range(200):
-        M = random_csr(rng)
-        x = rng.standard_normal(M.n_cols)
-        r0 = int(rng.integers(0, M.n_rows + 1))
-        r1 = int(rng.integers(r0, M.n_rows + 1))
-        empty_rows += int(np.any(np.diff(M.indptr[r0:r1 + 1]) == 0))
-        empty_ranges += r0 == r1
-        a = np.empty(r1 - r0)
-        b = np.empty(r1 - r0)
-        c_lane.csr_matvec_range(M.indptr, M.indices, M.data, x, a, r0, r1)
-        lane_numpy.csr_matvec_range(M.indptr, M.indices, M.data, x, b, r0, r1)
-        assert_same_bits(a, b)
-        y = rng.standard_normal(r1 - r0)
-        u = np.full(M.n_cols, np.nan)
-        v = np.empty(M.n_cols)
-        c_lane.csr_rmatvec_range(M.indptr, M.indices, M.data, y, u, r0, r1)
-        lane_numpy.csr_rmatvec_range(M.indptr, M.indices, M.data, y, v, r0, r1)
-        assert_same_bits(u, v)
-        t = float(rng.uniform(0, 2))
-        s1 = np.empty(M.n_cols)
-        s2 = np.empty(M.n_cols)
-        c_lane.soft_threshold(x, t, s1)
-        lane_numpy.soft_threshold(x, t, s2)
-        assert_same_bits(s1, s2)
-    assert empty_rows and empty_ranges
-    # two matrices that share indptr and indices, applied in turn
-    M = random_csr(rng)
-    M2 = SparseMatrix(M.n_rows, M.n_cols, M.indptr, M.indices, 2.0 * M.data)
-    assert M2.indptr is M.indptr
-    x = rng.standard_normal(M.n_cols)
-    for N in (M, M2, M):
-        a, b = np.empty(N.n_rows), np.empty(N.n_rows)
-        c_lane.csr_matvec_range(N.indptr, N.indices, N.data, x, a, 0, N.n_rows)
-        lane_numpy.csr_matvec_range(N.indptr, N.indices, N.data, x, b, 0, N.n_rows)
-        assert_same_bits(a, b)
+    y = np.array([2.0, -0.3, 0.5, -0.5, 0.0, -0.0])
+    assert_same_bits(soft_threshold(y, 0.5), [1.5, -0.0, 0.0, -0.0, 0.0, 0.0])
 
 
 def test_soft_threshold_signed_zeros_and_nan(c_lane):
+    # A has no entries and B = I, so with v = 0 the first step's prox
+    # argument is x itself (-0.0 becomes +0.0 in B x) and its threshold is
+    # (gamma / lam) * weight = 2 * weight: ties |arg| = t, zeros, +-inf and
+    # NaN all reach the C lane's soft()
     y = np.array([-0.3, 0.3, -0.0, 0.0, 2.0, -2.0, 1.0, -1.0, np.inf, -np.inf, np.nan, -np.nan])
-    for t in (1.0, 0.0, np.inf, np.nan):
-        a = np.empty_like(y)
-        b = np.empty_like(y)
-        c_lane.soft_threshold(y, t, a)
+    d = len(y)
+    for kind, weight in itertools.product(("pdfp", "spdfp1", "spdfp2"), (0.5, 0.0)):
+        spec = ProblemSpec(loss="square",
+                           dataset=Dataset(SparseMatrix.from_coo(4, d, [], [], []), np.ones(4)),
+                           l2_weight=0.0, composite_weight=weight, B=identity(d))
+        sched = ConstantSchedule(1.0) if kind == "pdfp" else StepSchedule(c=1.0, alpha=0.7)
+        cfg = SolverConfig(schedule=sched, lam=0.5, p=4)
+        prox_spec = ProxSpec("l1", weight)
+        x, v = y.copy(), np.zeros(d)
+        steps = c_lane.steps(kind, spec, prox_spec, cfg, ((0, 4),), x, v)
+        steps.use([0])
         with np.errstate(invalid="ignore"):
-            lane_numpy.soft_threshold(y, t, b)
+            steps(0, 1, 1)
+            ctx = solvers._RunContext(spec, prox_spec, ((0, 4),))
+            want = solvers._STEPS[kind](ctx, cfg, 1, ctx.batches[0], y.copy(), np.zeros(d))
         # which sign an operation on two NaNs keeps is left open by IEEE 754
         # and differs between NumPy's loops, so NaNs are compared by position
-        nan = np.isnan(b)
-        np.testing.assert_array_equal(np.isnan(a), nan)
-        assert_same_bits(a[~nan], b[~nan])
-    out = np.empty(1)
-    c_lane.soft_threshold(np.array([-0.3]), 1.0, out)
-    assert np.signbit(out[0]) and out[0] == 0.0
+        for got, ref in zip((x, v), want):
+            nan = np.isnan(ref)
+            np.testing.assert_array_equal(np.isnan(got), nan)
+            assert_same_bits(got[~nan], ref[~nan])
 
 
 def test_c_kernels_check_their_arrays(c_lane):
-    M = SparseMatrix.from_dense([[1.0, 2.0], [0.0, 3.0]])
-    x = np.ones(2)
-    with pytest.raises(TypeError):
-        c_lane.csr_matvec_range(M.indptr, M.indices, M.data, x.astype(np.float32),
-                                np.empty(2), 0, 2)
-    with pytest.raises(TypeError):
-        c_lane.csr_matvec_range(M.indptr, M.indices, M.data, np.ones(4)[::2],
-                                np.empty(2), 0, 2)
-    with pytest.raises(ValueError):
-        c_lane.csr_matvec_range(M.indptr, M.indices, M.data, x, np.empty(1), 0, 2)
-    with pytest.raises(ValueError):
-        c_lane.csr_matvec_range(M.indptr, M.indices, M.data, x, np.empty(3), 0, 3)
-    with pytest.raises(ValueError):
-        c_lane.csr_rmatvec_range(M.indptr, M.indices, M.data, np.ones(1), x, 0, 2)
-    with pytest.raises(ValueError):
-        c_lane.soft_threshold(x, 0.5, np.empty(3))
+    spec = fused_spec("square", 0.0)
+    cfg = SolverConfig(schedule=StepSchedule(c=0.5, alpha=0.7), lam=0.1, p=5)
+    x, v = np.ones(6), np.ones(4)
+    for bad_x, bad_v, error in ((x.astype(np.float32), v, TypeError),
+                                (np.ones(12)[::2], v, TypeError),
+                                (np.ones(5), v, ValueError),
+                                (x, np.ones(5), ValueError)):
+        with pytest.raises(error):
+            c_lane.steps("spdfp1", spec, ProxSpec("l1", 0.2), cfg, ((0, 5),), bad_x, bad_v)
 
 
 # ---------------------------------------------------------------------------

@@ -161,18 +161,33 @@ def test_spectrum_diagonal():
 
 
 def test_spectrum_difference_matrix_against_dense():
+    # B B^T of the difference operator is tridiag(-1, 2, -1) of order d - 1,
+    # whose largest eigenvalue is 4 sin^2(pi (d - 1) / (2 d))
+    for d in (2, 3, 10, 40, 100):
+        B = build_difference_matrix(d)
+        est = estimate_spectrum(B)
+        exact = 4.0 * np.sin(np.pi * (d - 1) / (2 * d)) ** 2
+        assert est.converged
+        assert est.rho_max == pytest.approx(exact, rel=1e-14, abs=0)
+        assert est.iterations_used <= d - 1
     B = build_difference_matrix(10)
-    est = estimate_spectrum(B, tol=1e-12, max_iter=200000)
     dense = np.linalg.eigvalsh(B.to_dense() @ B.to_dense().T)
-    assert est.rho_max == pytest.approx(dense.max(), rel=1e-6)
-    assert est.rho_max < 4.0
+    assert estimate_spectrum(B).rho_max == pytest.approx(dense.max(), rel=1e-14, abs=0)
 
 
 def test_spectrum_rayleigh_lower_bound():
     rng = np.random.default_rng(5)
-    for _ in range(10):
-        B = random_sparse(rng, int(rng.integers(2, 10)), int(rng.integers(2, 10)))
+    shapes = [(int(rng.integers(2, 10)), int(rng.integers(2, 10))) for _ in range(10)]
+    # tall and wide: the estimate runs on B^T B and on B B^T
+    shapes += [(120, 30), (30, 120), (200, 200)]
+    for n_rows, n_cols in shapes:
+        B = random_sparse(rng, n_rows, n_cols)
         est = estimate_spectrum(B, tol=1e-12, max_iter=100000)
+        assert est.converged
+        assert est.iterations_used <= min(n_rows, n_cols)
+        D = B.to_dense()
+        dense = np.linalg.eigvalsh(D.T @ D if n_cols <= n_rows else D @ D.T).max()
+        assert est.rho_max == pytest.approx(dense, rel=1e-13, abs=0)
         for _ in range(5):
             u = rng.standard_normal(B.n_cols)
             rayleigh = np.sum(B.matvec(u) ** 2) / (u @ u)
@@ -183,7 +198,7 @@ def test_spectrum_nonconvergence_flag():
     B = build_difference_matrix(40)
     est = estimate_spectrum(B, tol=1e-15, max_iter=3)
     assert not est.converged
-    assert est.iterations_used >= 3
+    assert est.iterations_used == 3
 
 
 def test_spectrum_rejects_empty_and_bad_tol():
@@ -191,6 +206,8 @@ def test_spectrum_rejects_empty_and_bad_tol():
         estimate_spectrum(SparseMatrix.from_coo(0, 3, [], [], []))
     with pytest.raises(ValueError):
         estimate_spectrum(identity(2), tol=0.0)
+    with pytest.raises(ValueError, match="max_iter"):
+        estimate_spectrum(identity(2), max_iter=0)
 
 
 def test_immutability():
