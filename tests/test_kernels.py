@@ -38,9 +38,9 @@ from spdfp.sparse import SparseMatrix, estimate_spectrum, identity, stack_identi
 LANE_SOURCE = os.path.join(os.path.dirname(kernels.__file__), "lane.c")
 
 
-def random_csr(rng):
+def random_csr(rng, n_cols=None):
     n_rows = int(rng.integers(1, 30))
-    n_cols = int(rng.integers(1, 30))
+    n_cols = int(rng.integers(1, 30)) if n_cols is None else n_cols
     nnz = int(rng.integers(0, n_rows * n_cols + 1))
     return SparseMatrix.from_coo(n_rows, n_cols,
                                  rng.integers(0, n_rows, nnz),
@@ -106,6 +106,55 @@ def test_numpy_lane_against_dense():
 def test_soft_threshold_values():
     y = np.array([2.0, -0.3, 0.5, -0.5, 0.0, -0.0])
     assert_same_bits(soft_threshold(y, 0.5), [1.5, -0.0, 0.0, -0.0, 0.0, 0.0])
+
+
+def test_lane_parity_bitwise(c_lane):
+    # the C lane's products run inside its fused steps and for the records:
+    # one step of each kind over a random row range of a random A, and A x
+    # and B x after it, against the reference step and SparseMatrix
+    rng = np.random.default_rng(1)
+    empty_rows = 0
+    for trial in range(200):
+        A = random_csr(rng)
+        B = random_csr(rng, A.n_cols)
+        r0 = int(rng.integers(0, A.n_rows))
+        r1 = int(rng.integers(r0 + 1, A.n_rows + 1))
+        empty_rows += int(np.any(np.diff(A.indptr[r0:r1 + 1]) == 0))
+        weight = float(rng.uniform(0, 2))
+        spec = ProblemSpec(loss="square", dataset=Dataset(A, rng.standard_normal(A.n_rows)),
+                           l2_weight=float(rng.choice([0.0, 0.1])),
+                           composite_weight=weight, B=B)
+        kind = ("pdfp", "spdfp1", "spdfp2")[trial % 3]
+        sched = ConstantSchedule(0.1) if kind == "pdfp" else StepSchedule(c=0.1, alpha=0.7)
+        cfg = SolverConfig(schedule=sched, lam=0.5, p=1)
+        prox_spec = ProxSpec("l1", weight)
+        x0, v0 = rng.standard_normal(A.n_cols), rng.standard_normal(B.n_rows)
+        x, v = x0.copy(), v0.copy()
+        steps = c_lane.steps(kind, spec, prox_spec, cfg, ((r0, r1),), x, v)
+        steps.use([0])
+        steps(0, 1, 1)
+        ctx = solvers._RunContext(spec, prox_spec, ((r0, r1),))
+        want_x, want_v = solvers._STEPS[kind](ctx, cfg, 1, ctx.batches[0], x0, v0)
+        assert_same_bits(x, want_x)
+        assert_same_bits(v, want_v)
+        Ax, Bx = steps.products()
+        assert_same_bits(Ax, A.matvec_range(x, 0, A.n_rows))
+        assert_same_bits(Bx, B.matvec_range(x, 0, B.n_rows))
+    assert empty_rows
+    # two matrices that share indptr and indices, applied in turn
+    M = random_csr(rng)
+    M2 = SparseMatrix(M.n_rows, M.n_cols, M.indptr, M.indices, 2.0 * M.data)
+    assert M2.indptr is M.indptr
+    x = rng.standard_normal(M.n_cols)
+    for N in (M, M2, M):
+        spec = ProblemSpec(loss="square", dataset=Dataset(N, np.ones(N.n_rows)),
+                           l2_weight=0.0, composite_weight=0.0, B=N)
+        steps = c_lane.steps("pdfp", spec, ProxSpec("l1", 0.0),
+                             SolverConfig(schedule=ConstantSchedule(0.1), lam=0.5, p=1),
+                             ((0, N.n_rows),), x.copy(), np.zeros(N.n_rows))
+        Ax, Bx = steps.products()
+        assert_same_bits(Ax, N.matvec_range(x, 0, N.n_rows))
+        assert_same_bits(Bx, Ax)
 
 
 def test_soft_threshold_signed_zeros_and_nan(c_lane):
