@@ -15,14 +15,8 @@ import os
 
 import numpy as np
 
-from spdfp import problem
-
 _KINDS = {"pdfp": 0, "spdfp1": 1, "spdfp2": 2}
 _LOSSES = {"square": 0, "hinge": 1, "logistic": 2}
-_WEIGHTS_FAILED = -2
-
-# lane.c's weights callback: int (*)(int64_t lo, int64_t hi)
-_Weights = ctypes.CFUNCTYPE(ctypes.c_int, ctypes.c_int64, ctypes.c_int64)
 
 
 class _Csr(ctypes.Structure):
@@ -41,8 +35,7 @@ class _Run(ctypes.Structure):
                 ("prox_weight", ctypes.c_double),
                 ("A", _Csr), ("B", _Csr), ("labels", ctypes.c_void_p),
                 ("ranges", ctypes.c_void_p), ("n_ranges", ctypes.c_int64),
-                ("x", ctypes.c_void_p), ("v", ctypes.c_void_p), ("work", ctypes.c_void_p),
-                ("weights", _Weights)]
+                ("x", ctypes.c_void_p), ("v", ctypes.c_void_p), ("work", ctypes.c_void_p)]
 
 
 def _address(arr, dtype, size=None):
@@ -93,30 +86,24 @@ class Steps:
     address lookup per epoch. ``products()`` gives A x and B x of the
     current x, also through addresses taken once, for the epoch records.
 
-    For the logistic loss the C loop calls back into Python once per step
-    for the loss weights: spdfp.problem.loss_weights, the function the
-    reference step calls, on the margins the loop has just computed. The
-    weights come from the same NumPy exp on the same margins, so the steps
-    give the reference step's bits. An exception raised in the callback
-    stops the loop at that step and is raised again by the call.
-    Keeps every array and callback its pointers refer to alive."""
+    Every step runs wholly in C, the logistic one too: its loss weights take
+    libm exp, as spdfp.problem.loss_weights does through math.exp, so the
+    steps give the reference step's bits. Keeps every array its pointers
+    refer to alive."""
 
     def __init__(self, lib, kind, spec, prox_spec, cfg, ranges, x, v):
         A, B, labels = spec.dataset.samples, spec.B, spec.dataset.labels
         ranges = np.array(ranges, dtype=np.int64).reshape(-1, 2)
         work = np.empty(A.n_rows + 3 * A.n_cols + 2 * B.n_rows)
         Ax, Bx = np.empty(A.n_rows), np.empty(B.n_rows)
-        self._errors = []
-        weights = (_weights(spec.loss, work, labels, self._errors) if spec.loss == "logistic"
-                   else _Weights())
-        self._keep = (A, B, labels, ranges, x, v, work, weights)
+        self._keep = (A, B, labels, ranges, x, v, work)
         self._run = run = _Run(_KINDS[kind], _LOSSES[spec.loss], prox_spec.kind == "l1",
                                cfg.schedule.c, 0.0 if kind == "pdfp" else cfg.schedule.alpha,
                                cfg.lam, spec.l2_weight, prox_spec.weight, _csr(A), _csr(B),
                                _address(labels, np.float64, A.n_rows),
                                ranges.ctypes.data, len(ranges),
                                _address(x, np.float64, A.n_cols),
-                               _address(v, np.float64, B.n_rows), work.ctypes.data, weights)
+                               _address(v, np.float64, B.n_rows), work.ctypes.data)
         self._fn = lib.spdfp_run_steps
         self._products_fn = lib.spdfp_products
         self._products = Ax, Bx, Ax.ctypes.data, Bx.ctypes.data
@@ -133,10 +120,7 @@ class Steps:
         picks, address = self._picks
         if not 0 <= start <= start + count <= len(picks):
             raise ValueError(f"steps {start}..{start + count} out of {len(picks)} picks")
-        status = self._fn(self._run, address + start * picks.itemsize, count, k)
-        if status == _WEIGHTS_FAILED:
-            raise self._errors.pop()
-        if status != 0:
+        if self._fn(self._run, address + start * picks.itemsize, count, k) != 0:
             raise ValueError("batch index or row range out of bounds")
 
     def products(self):
@@ -145,22 +129,6 @@ class Steps:
         Ax, Bx, Ax_address, Bx_address = self._products
         self._products_fn(self._run, Ax_address, Bx_address)
         return Ax, Bx
-
-
-def _weights(loss, work, labels, errors):
-    """The weights callback of a Steps: overwrites the margins of rows
-    lo..hi-1 in work[:hi-lo] with their loss weights. It catches every
-    exception, which ctypes would otherwise print and ignore, keeps it in
-    errors and returns 1; Steps raises it."""
-    def weights(lo, hi):
-        try:
-            work[:hi - lo] = problem.loss_weights(loss, work[:hi - lo], labels[lo:hi])
-        except BaseException as exc:  # raised again by Steps.__call__
-            errors.append(exc)
-            return 1
-        return 0
-
-    return _Weights(weights)
 
 
 def _built_library():

@@ -13,10 +13,9 @@
  *     built without FMA contraction (-ffp-contract=off) and without
  *     fast-math;
  *   - c / k**alpha and ((k-1)/k)**alpha go through libm pow, as in Python;
- *   - the logistic loss weights are not computed here: the run calls back
- *     into spdfp.problem.loss_weights (NumPy) on the margins it has just
- *     computed, because NumPy's SIMD exp and libm's exp differ in the last
- *     bit. Every other operation of a logistic step stays in C.
+ *   - the logistic loss weights take libm exp, which the reference reaches
+ *     through math.exp (problem._sigmoid), not NumPy's SIMD exp, which can
+ *     differ in the last bit.
  */
 #include <math.h>
 #include <stddef.h>
@@ -24,7 +23,7 @@
 
 enum { PDFP = 0, SPDFP1 = 1, SPDFP2 = 2 };
 enum { SQUARE = 0, HINGE = 1, LOGISTIC = 2 };
-enum { OK = 0, BAD_INPUT = -1, WEIGHTS_FAILED = -2 };
+enum { OK = 0, BAD_INPUT = -1 };
 
 typedef struct {
     int64_t n_rows, n_cols;
@@ -35,9 +34,7 @@ typedef struct {
 /* One run: problem, step parameters, the row ranges of A a step may use,
  * and the iterates x (length A.n_cols) and v (length B.n_rows) the steps
  * update in place. work holds A.n_rows + 3 A.n_cols + 2 B.n_rows doubles.
- * For the logistic loss, weights(lo, hi) replaces the margins of rows
- * lo..hi-1 in work[0 : hi-lo] with their loss weights and returns nonzero
- * on failure; it is NULL for the other losses. Mirrored by _kernels._Run. */
+ * Mirrored by _kernels._Run. */
 typedef struct {
     int64_t kind, loss, prox_l1;
     double c, alpha, lam, nu, prox_weight;
@@ -46,7 +43,6 @@ typedef struct {
     const int64_t *ranges;
     int64_t n_ranges;
     double *x, *v, *work;
-    int (*weights)(int64_t lo, int64_t hi);
 } run;
 
 /* sizeof(run), which the loader compares with its mirror of the struct. */
@@ -95,23 +91,21 @@ void spdfp_products(const run *r, double *Ax, double *Bx)
 }
 
 /* gradients._rows_gradient over rows lo..hi-1 of A: w holds the margins,
- * then the loss weights; g gets the gradient. Returns WEIGHTS_FAILED, with
- * g unset, if the weights callback fails, else OK. */
-static int gradient(const run *r, int64_t lo, int64_t hi, const double *x,
+ * then the loss weights (problem.loss_weights); g gets the gradient. */
+static void gradient(const run *r, int64_t lo, int64_t hi, const double *x,
                     double *w, double *g)
 {
     int64_t nb = hi - lo, d = r->A.n_cols;
     matvec(&r->A, x, w, lo, hi);
-    if (r->loss == LOGISTIC) {
-        if (r->weights(lo, hi) != 0)
-            return WEIGHTS_FAILED;
-    } else {
-        for (int64_t i = 0; i < nb; i++) {
-            double b = r->labels[lo + i];
-            if (r->loss == SQUARE)
-                w[i] = w[i] - b;
-            else
-                w[i] = b * w[i] < 1.0 ? -b : 0.0;
+    for (int64_t i = 0; i < nb; i++) {
+        double b = r->labels[lo + i];
+        if (r->loss == SQUARE) {
+            w[i] = w[i] - b;
+        } else if (r->loss == HINGE) {
+            w[i] = b * w[i] < 1.0 ? -b : 0.0;
+        } else {
+            double t = -b * w[i], e = exp(-fabs(t));
+            w[i] = -b * (t >= 0.0 ? 1.0 / (1.0 + e) : e / (1.0 + e));
         }
     }
     rmatvec(&r->A, w, g, lo, hi);
@@ -120,15 +114,12 @@ static int gradient(const run *r, int64_t lo, int64_t hi, const double *x,
     if (r->nu != 0.0)
         for (int64_t j = 0; j < d; j++)
             g[j] = g[j] + r->nu * x[j];
-    return OK;
 }
 
 /* Apply n_steps steps of r->kind to r->x and r->v. Step s uses rows
  * ranges[2p]..ranges[2p+1]-1 of A, p = picks[s]; k is the 1-based step
  * counter before the first step. Returns BAD_INPUT, having changed nothing,
- * if a pick or its range is out of bounds or a logistic run has no weights
- * callback; WEIGHTS_FAILED if the callback fails, leaving x and v as the
- * steps before that one left them; else OK. */
+ * if a pick or its range is out of bounds, else OK. */
 int spdfp_run_steps(const run *r, const int64_t *picks, int64_t n_steps, int64_t k)
 {
     int64_t d = r->A.n_cols, m = r->B.n_rows;
@@ -136,8 +127,6 @@ int spdfp_run_steps(const run *r, const int64_t *picks, int64_t n_steps, int64_t
     double *w = r->work, *g = w + r->A.n_rows, *xh = g + d, *bt = xh + d;
     double *arg = bt + d, *bb = arg + m;
 
-    if (r->loss == LOGISTIC && r->weights == NULL)
-        return BAD_INPUT;
     for (int64_t s = 0; s < n_steps; s++) {
         if (picks[s] < 0 || picks[s] >= r->n_ranges)
             return BAD_INPUT;
@@ -159,8 +148,7 @@ int spdfp_run_steps(const run *r, const int64_t *picks, int64_t n_steps, int64_t
 
         /* x_half = x - gamma * grad */
         const int64_t *rows = r->ranges + 2 * picks[s];
-        if (gradient(r, rows[0], rows[1], x, w, g) != OK)
-            return WEIGHTS_FAILED;
+        gradient(r, rows[0], rows[1], x, w, g);
         for (int64_t j = 0; j < d; j++)
             xh[j] = x[j] - gamma * g[j];
 

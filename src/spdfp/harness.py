@@ -507,12 +507,16 @@ def resolve_problem(source):
 
 
 def build_solver_configs(entry, spec, rho_max, seed, epochs):
-    """Translate a SolverEntry into (SolverConfig, AdmmConfig-or-None)."""
+    """Translate a SolverEntry into (SolverConfig, AdmmConfig-or-None).
+
+    A key the clause's kind does not read is an error: stop_tol is pdfp's
+    alone, pdfp steps on every sample and so takes no p, and stoc_admm
+    takes no lambda."""
     params = dict(entry.params)
-    lam = params.pop("lambda", "auto")
+    lam = "auto" if entry.kind == "stoc_admm" else params.pop("lambda", "auto")
     lam = DEFAULT_LAMBDA_FRACTION / rho_max if lam == "auto" else float(lam)
-    p = int(params.pop("p", spec.n))
-    stop_tol = float(params.pop("stop_tol", 0.0))
+    p = spec.n if entry.kind == "pdfp" else int(params.pop("p", spec.n))
+    stop_tol = float(params.pop("stop_tol", 0.0)) if entry.kind == "pdfp" else 0.0
     admm_cfg = None
     if entry.kind == "pdfp":
         gamma = params.pop("gamma", "auto")
@@ -533,7 +537,8 @@ def build_solver_configs(entry, spec, rho_max, seed, epochs):
     else:
         raise ValueError(f"unknown solver kind {entry.kind!r}")
     if params:
-        raise ValueError(f"solver {entry.label}: unknown parameter(s) {sorted(params)}")
+        raise ValueError(f"solver {entry.label}: unknown parameter(s) {sorted(params)} "
+                         f"for {entry.kind}")
     cfg = SolverConfig(schedule=schedule, lam=lam, p=p, seed=seed,
                        max_epochs=epochs, stop_tolerance=stop_tol)
     return cfg, admm_cfg

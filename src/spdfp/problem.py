@@ -79,13 +79,13 @@ class ProblemSpec:
         return self.dataset.n
 
 
-def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+def _sigmoid(t):
+    """1 / (1 + exp(-t)) from one exp per entry, e = exp(-|t|): 1/(1+e) where
+    t >= 0, else e/(1+e). exp is libm's (math.exp), the exp lane.c calls, so
+    both lanes give the same bits; NumPy's SIMD exp can differ in the last
+    bit. Its argument is <= 0, so it never overflows; NaN stays NaN."""
+    e = np.fromiter(map(math.exp, (-np.abs(t)).tolist()), np.float64, len(t))
+    return np.where(t >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def loss_values(loss, margins, labels):

@@ -95,7 +95,8 @@ class SolverConfig:
     """Run parameters shared by PDFP and SPDFP.
 
     lambda must satisfy 0 < lam < 1/rho_max(B B^T); run_solver enforces this
-    against a power-iteration estimate before iterating.
+    against a Lanczos estimate before iterating. A pdfp run stops once its
+    fixed-point residual is at most stop_tolerance; 0 turns that off.
     """
 
     schedule: StepSchedule
@@ -112,6 +113,8 @@ class SolverConfig:
             raise ValueError("batch size must be at least 1")
         if self.max_epochs < 0:
             raise ValueError("max_epochs must be nonnegative")
+        if not 0 <= self.stop_tolerance < math.inf:
+            raise ValueError("stop_tolerance must be nonnegative and finite")
 
 
 @dataclass(frozen=True)
@@ -399,10 +402,8 @@ def _c_steps(kind, spec, prox_spec, cfg, ranges, iterates):
     row ranges that updates the iterates (x, v) in place, where the lane is
     built and covers the run: 'pdfp', or 'spdfp1'/'spdfp2' with a
     StepSchedule, on any loss. None otherwise, and the reference steps run.
-    For the logistic loss the C loop calls back into NumPy for the loss
-    weights (problem.loss_weights on the margins it computed), so it uses
-    NumPy's exp, which differs from libm's in the last bit, and keeps the
-    reference step's bits."""
+    The logistic loss weights take libm exp on both paths, so the steps keep
+    the reference step's bits."""
     lane = _kernels.LANE
     if (lane is None or kind not in _STEPS
             or (kind != "pdfp" and not isinstance(cfg.schedule, StepSchedule))):

@@ -381,6 +381,20 @@ def test_solver_defaults_follow_loss(tmp_path):
     assert (cfg.schedule.c, cfg.schedule.alpha) == (3.0, 0.9)
 
 
+def test_solver_clauses_reject_keys_their_kind_ignores():
+    from spdfp.harness import SolverEntry, build_solver_configs
+
+    spec = synth_fused_lasso(30, 6, 0.1, 0.01, seed=1)
+    for kind, key in (("spdfp1", "stop_tol"), ("spdfp2", "stop_tol"), ("pdfp", "p"),
+                      ("stoc_admm", "stop_tol"), ("stoc_admm", "lambda")):
+        entry = SolverEntry(kind=kind, label="mine", params={key: "1e-3"})
+        with pytest.raises(ValueError, match=f"solver mine: .*'{key}'"):
+            build_solver_configs(entry, spec, rho_max=1.0, seed=0, epochs=1)
+    entry = SolverEntry(kind="pdfp", label="mine", params={"stop_tol": "1e-3", "lambda": "0.5"})
+    cfg, _ = build_solver_configs(entry, spec, rho_max=1.0, seed=0, epochs=1)
+    assert (cfg.stop_tolerance, cfg.lam, cfg.p) == (1e-3, 0.5, spec.n)
+
+
 def test_parse_solver_list():
     entries = parse_solver_list(
         "spdfp2(alpha=0.7,c=1.0,p=10); stoc_admm(beta=30,zeta_c=0.5,p=10,label=admm)")

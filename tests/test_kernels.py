@@ -3,8 +3,9 @@
 The SparseMatrix products are checked against dense ones. The C lane
 (lane.c) is built here, into a temporary directory with the system
 compiler, and checked bit for bit against the Python reference path: single
-steps whose prox argument hits the soft-threshold's edge cases, and whole
-runs of run_solver and compute_ground_truth. Bits are compared through
+steps whose prox argument hits the soft-threshold's edge cases or whose
+margins hit the logistic weights' ones, and whole runs of run_solver and
+compute_ground_truth. Bits are compared through
 .view(np.int64), so that -0.0 against +0.0 shows.
 """
 
@@ -12,7 +13,6 @@ import itertools
 import os
 import shutil
 import subprocess
-import sys
 import sysconfig
 import warnings
 from dataclasses import replace
@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 import spdfp._kernels as kernels
-from spdfp import harness, problem, solvers
+from spdfp import harness, solvers
 from spdfp.harness import compute_ground_truth, prox_for, synth_fused_lasso
 from spdfp.problem import Dataset, ProblemSpec
 from spdfp.prox import ProxSpec, soft_threshold
@@ -186,6 +186,43 @@ def test_soft_threshold_signed_zeros_and_nan(c_lane):
             assert_same_bits(got[~nan], ref[~nan])
 
 
+def test_logistic_weights_at_extreme_margins(c_lane):
+    # column 0 holds the margins m (x_0 = 1) and row i has n = 32 in column
+    # 1 + i (x = 0 there), so with B's one row empty a step with gamma = 1
+    # sets x_{1+i} = -(n w_i) / n = -w_i from the loss weight of row i
+    # alone, subnormal weights too; each margin comes with both labels, so
+    # t = -b m takes both signs
+    margins = [0.0, -0.0, 1e-300, -1e-300, 1.0, -40.0, 745.0, -745.0, 746.0, -746.0,
+               1e308, -1e308, np.inf, -np.inf, np.nan, 40.0]
+    n = 2 * len(margins)
+    rows = np.repeat(np.arange(n), 2)
+    cols = np.column_stack([np.zeros(n, dtype=np.int64), 1 + np.arange(n)]).ravel()
+    data = np.column_stack([np.repeat(margins, 2), np.full(n, float(n))]).ravel()
+    A = SparseMatrix.from_coo(n, n + 1, rows, cols, data)
+    spec = ProblemSpec(loss="logistic", dataset=Dataset(A, np.tile([1.0, -1.0], len(margins))),
+                       l2_weight=0.0, composite_weight=0.1,
+                       B=SparseMatrix.from_coo(1, n + 1, [], [], []))
+    x0 = np.zeros(n + 1)
+    x0[0] = 1.0
+    for kind in ("pdfp", "spdfp1", "spdfp2"):
+        sched = ConstantSchedule(1.0) if kind == "pdfp" else StepSchedule(c=1.0, alpha=0.7)
+        cfg = SolverConfig(schedule=sched, lam=0.5, p=n)
+        x, v = x0.copy(), np.zeros(1)
+        steps = c_lane.steps(kind, spec, ProxSpec("l1", 0.1), cfg, ((0, n),), x, v)
+        steps.use([0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            steps(0, 1, 1)
+            ctx = solvers._RunContext(spec, ProxSpec("l1", 0.1), ((0, n),))
+            want = solvers._STEPS[kind](ctx, cfg, 1, ctx.batches[0], x0.copy(), np.zeros(1))
+        # the two rows of the NaN margin, and the exp(-745) weights
+        assert np.isnan(x[1:]).sum() == 2
+        assert np.sum((0.0 < np.abs(x)) & (np.abs(x) < 1e-323)) == 2
+        for got, ref in zip((x, v), want):
+            nan = np.isnan(ref)
+            np.testing.assert_array_equal(np.isnan(got), nan)
+            assert_same_bits(got[~nan], ref[~nan])
+
+
 def test_c_kernels_check_their_arrays(c_lane):
     spec = fused_spec("square", 0.0)
     cfg = SolverConfig(schedule=StepSchedule(c=0.5, alpha=0.7), lam=0.1, p=5)
@@ -337,66 +374,6 @@ def test_admm_and_on_step_runs_keep_the_python_path(monkeypatch, c_lane):
     admm = solvers.AdmmConfig(beta_tilde=2.0, zeta_schedule=StepSchedule(c=0.5, alpha=0.5))
     run_solver("stoc_admm", spec, ProxSpec("l1", 0.2), cfg, admm_cfg=admm)
     assert calls == []
-
-
-class WeightsFailed(Exception):
-    pass
-
-
-LOSS_WEIGHTS = problem.loss_weights
-
-
-def fail_on_third_call(monkeypatch):
-    """Make problem.loss_weights raise WeightsFailed on its third call;
-    returns the list of calls made."""
-    calls = []
-
-    def weights(*args):
-        calls.append(args)
-        if len(calls) == 3:
-            raise WeightsFailed("third call")
-        return LOSS_WEIGHTS(*args)
-
-    monkeypatch.setattr(problem, "loss_weights", weights)
-    return calls
-
-
-def test_weights_callback_error_stops_the_run_and_propagates(monkeypatch, capfd, c_lane):
-    unraisable = []
-    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
-    monkeypatch.setattr(kernels, "LANE", c_lane)
-    spec = fused_spec("logistic", 0.1)
-    rho = estimate_spectrum(spec.B).rho_max
-    cfg = SolverConfig(schedule=StepSchedule(c=0.5, alpha=0.7), lam=0.8 / rho, p=5,
-                       max_epochs=3)
-
-    # the steps before the failing one are applied, and no step after it
-    want_x, want_v = np.zeros(6), np.zeros(4)
-    steps = c_lane.steps("spdfp2", spec, ProxSpec("l1", 0.2), cfg, ((0, 5), (5, 10)),
-                         want_x, want_v)
-    steps.use([0, 1])
-    steps(0, 2, 1)
-    calls = fail_on_third_call(monkeypatch)
-    x, v = np.zeros(6), np.zeros(4)
-    steps = c_lane.steps("spdfp2", spec, ProxSpec("l1", 0.2), cfg, ((0, 5), (5, 10)), x, v)
-    steps.use([0, 1, 0, 1, 1])
-    with pytest.raises(WeightsFailed, match="third call"):
-        steps(0, 5, 1)
-    assert len(calls) == 3
-    assert_same_bits(x, want_x)
-    assert_same_bits(v, want_v)
-
-    calls = fail_on_third_call(monkeypatch)
-    with pytest.raises(WeightsFailed):
-        run_solver("spdfp2", spec, ProxSpec("l1", 0.2), cfg)
-    assert len(calls) == 3
-
-    calls = fail_on_third_call(monkeypatch)
-    with pytest.raises(WeightsFailed):
-        compute_ground_truth(spec)
-    assert len(calls) == 3
-    assert unraisable == []
-    assert capfd.readouterr().err == ""
 
 
 def test_fused_steps_reject_out_of_range_picks(c_lane):

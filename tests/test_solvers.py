@@ -98,6 +98,14 @@ def test_parameters_reject_nan_and_inf(bad):
         fixed_point_residual(spec, L1, bad, 0.1, np.zeros(6), np.zeros(5))
 
 
+@pytest.mark.parametrize("bad", [np.nan, -1.0, np.inf])
+def test_stop_tolerance_must_be_nonnegative_and_finite(bad):
+    # a NaN or negative tolerance would turn the pdfp stop off without a word
+    with pytest.raises(ValueError, match="stop_tolerance"):
+        SolverConfig(schedule=ConstantSchedule(0.1), lam=0.1, p=1, stop_tolerance=bad)
+    SolverConfig(schedule=ConstantSchedule(0.1), lam=0.1, p=1, stop_tolerance=0.0)
+
+
 def test_lambda_guard_rejects_nan():
     spec, _, _ = fused_spec(20, 6, seed=0)
     # check_lambda reads only cfg.lam, so a namespace stands in for a config
