@@ -2,10 +2,11 @@
 
 lane.c, built into the shared library ``_lane`` by
 ``python setup.py build_ext --inplace``, runs whole runs of PDFP / SPDFP
-steps and is loaded with ctypes when it was built. ``LANE`` is the loaded
-CLane, or None, and then every step runs on the NumPy reference path of
-spdfp.solvers. Both paths give the same bits. Products and the prox outside
-the fused steps are NumPy on either path (sparse.RowView,
+steps, and the A x and B x products of a run's record blocks, and is
+loaded with ctypes when it was built. ``LANE`` is the loaded CLane, or
+None, and then every step runs on the NumPy reference path of
+spdfp.solvers. Both paths give the same bits. Every other product, and the
+prox outside the fused steps, is NumPy on either path (sparse.RowView,
 prox.soft_threshold).
 """
 
@@ -16,6 +17,7 @@ import os
 import numpy as np
 
 _KINDS = {"pdfp": 0, "spdfp1": 1, "spdfp2": 2}
+_LANE_VERSION = 2   # spdfp_lane_version() of the lane.c this module calls
 _LOSSES = {"square": 0, "hinge": 1, "logistic": 2}
 
 
@@ -61,11 +63,15 @@ class CLane:
         p, i64 = ctypes.c_void_p, ctypes.c_int64
         lib.spdfp_run_steps.argtypes = (ctypes.POINTER(_Run), p, i64, i64)
         lib.spdfp_run_steps.restype = ctypes.c_int
-        lib.spdfp_products.argtypes = (ctypes.POINTER(_Run), p, p)
+        lib.spdfp_products.argtypes = (ctypes.POINTER(_Run), p, i64, p, p)
         lib.spdfp_products.restype = None
         lib.spdfp_run_size.argtypes = ()
         lib.spdfp_run_size.restype = i64
-        if lib.spdfp_run_size() != ctypes.sizeof(_Run):
+        version = getattr(lib, "spdfp_lane_version", None)  # None in a revision-1 library
+        if version is not None:
+            version.argtypes, version.restype = (), i64
+        if (version is None or version() != _LANE_VERSION
+                or lib.spdfp_run_size() != ctypes.sizeof(_Run)):
             raise ImportError(f"{path} was built from another lane.c; rebuild it with "
                               "'python setup.py build_ext --inplace'")
         self._lib = lib
@@ -83,8 +89,8 @@ class Steps:
     ``use(picks)`` takes an int64 array of indices into the ranges and its
     address, once; each call then runs count of them from an offset. So a
     run draws its picks in chunks of whole epochs and pays no copy or
-    address lookup per epoch. ``products()`` gives A x and B x of the
-    current x, also through addresses taken once, for the epoch records.
+    address lookup per epoch. ``products(X)`` gives A x and B x of each
+    snapshot x in the rows of X, for a block of epoch records, in one call.
 
     Every step runs wholly in C, the logistic one too: its loss weights take
     libm exp, as spdfp.problem.loss_weights does through math.exp, so the
@@ -95,7 +101,6 @@ class Steps:
         A, B, labels = spec.dataset.samples, spec.B, spec.dataset.labels
         ranges = np.array(ranges, dtype=np.int64).reshape(-1, 2)
         work = np.empty(A.n_rows + 3 * A.n_cols + 2 * B.n_rows)
-        Ax, Bx = np.empty(A.n_rows), np.empty(B.n_rows)
         self._keep = (A, B, labels, ranges, x, v, work)
         self._run = run = _Run(_KINDS[kind], _LOSSES[spec.loss], prox_spec.kind == "l1",
                                cfg.schedule.c, 0.0 if kind == "pdfp" else cfg.schedule.alpha,
@@ -106,7 +111,7 @@ class Steps:
                                _address(v, np.float64, B.n_rows), work.ctypes.data)
         self._fn = lib.spdfp_run_steps
         self._products_fn = lib.spdfp_products
-        self._products = Ax, Bx, Ax.ctypes.data, Bx.ctypes.data
+        self._shape = A.n_rows, A.n_cols, B.n_rows
         self.use(())
 
     def use(self, picks):
@@ -123,12 +128,16 @@ class Steps:
         if self._fn(self._run, address + start * picks.itemsize, count, k) != 0:
             raise ValueError("batch index or row range out of bounds")
 
-    def products(self):
-        """A x and B x of the x the steps update, in arrays this Steps owns
-        and overwrites on the next call."""
-        Ax, Bx, Ax_address, Bx_address = self._products
-        self._products_fn(self._run, Ax_address, Bx_address)
-        return Ax, Bx
+    def products(self, X):
+        """(A X^T)^T and (B X^T)^T: A x and B x of each row x of X, a
+        C-contiguous float64 array of snapshots of x, one per row."""
+        n, d, m = self._shape
+        if not (isinstance(X, np.ndarray) and X.dtype == np.float64 and X.ndim == 2
+                and X.shape[1] == d and X.flags.c_contiguous):
+            raise TypeError(f"expected a contiguous float64 array of {d} columns")
+        AX, BX = np.empty((len(X), n)), np.empty((len(X), m))
+        self._products_fn(self._run, X.ctypes.data, len(X), AX.ctypes.data, BX.ctypes.data)
+        return AX, BX
 
 
 def _built_library():

@@ -1,8 +1,9 @@
 /* The C lane of spdfp: whole runs of PDFP / SPDFP steps, and the A x and
- * B x products of a run's records. Plain C99 over raw int64/double arrays,
- * no Python C-API; spdfp._kernels loads the built library with ctypes and
- * checks every array before it passes a pointer. It exports spdfp_run_size,
- * spdfp_run_steps and spdfp_products; everything else is static.
+ * B x products of a run's records, a block of snapshots per call. Plain
+ * C99 over raw int64/double arrays, no Python C-API; spdfp._kernels loads
+ * the built library with ctypes and checks every array before it passes a
+ * pointer. It exports spdfp_run_size, spdfp_lane_version, spdfp_run_steps
+ * and spdfp_products; everything else is static.
  *
  * Each function mirrors the NumPy reference (sparse.RowView,
  * prox.soft_threshold, solvers._pdfp/_spdfp1/_spdfp2) op for op, so that
@@ -51,6 +52,15 @@ int64_t spdfp_run_size(void)
     return (int64_t)sizeof(run);
 }
 
+/* The revision of the exported functions' signatures, which the loader
+ * compares with its own, so that it refuses a library built from an older
+ * lane.c instead of calling it with the wrong arguments. Revision 2:
+ * spdfp_products takes a block of snapshots. */
+int64_t spdfp_lane_version(void)
+{
+    return 2;
+}
+
 /* out[i - lo] = (row i of M) . x for lo <= i < hi. */
 static void matvec(const csr *M, const double *x, double *out, int64_t lo, int64_t hi)
 {
@@ -83,11 +93,16 @@ static double soft(double y, double t)
     return s * m;
 }
 
-/* Ax = A x and Bx = B x of the run's current x, for its records. */
-void spdfp_products(const run *r, double *Ax, double *Bx)
+/* AX[i] = A X[i] and BX[i] = B X[i] for each of the count rows of X, a
+ * run's snapshots of x (A.n_cols doubles each), for its records. AX and BX
+ * are row-major, A.n_rows and B.n_rows doubles per row. */
+void spdfp_products(const run *r, const double *X, int64_t count, double *AX, double *BX)
 {
-    matvec(&r->A, r->x, Ax, 0, r->A.n_rows);
-    matvec(&r->B, r->x, Bx, 0, r->B.n_rows);
+    int64_t d = r->A.n_cols, n = r->A.n_rows, m = r->B.n_rows;
+    for (int64_t i = 0; i < count; i++) {
+        matvec(&r->A, X + i * d, AX + i * n, 0, n);
+        matvec(&r->B, X + i * d, BX + i * m, 0, m);
+    }
 }
 
 /* gradients._rows_gradient over rows lo..hi-1 of A: w holds the margins,

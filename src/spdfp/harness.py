@@ -300,8 +300,13 @@ class GroundTruth:
 def default_gamma(spec, rho_max_data=None):
     """1 / L with L = c rho_max(A A^T)/n + nu, the Lipschitz constant of the
     smooth part's gradient: c = 1/4 for the logistic loss (its second
-    derivative is at most 1/4) and 1 otherwise. PDFP converges for any
-    step below 2 / L."""
+    derivative is at most 1/4) and 1 for the square loss. PDFP converges
+    for any step below 2 / L. The hinge loss has no Lipschitz gradient, so
+    it has no such step: that raises a ValueError."""
+    if spec.loss == "hinge":
+        raise ValueError("the hinge loss has no Lipschitz gradient, so PDFP has no default "
+                         "step 1/L for it; give the step explicitly (pdfp gamma=..., or a "
+                         "SolverConfig as the ground truth's cfg)")
     if rho_max_data is None:
         rho_max_data = estimate_spectrum(spec.dataset.samples).rho_max
     c = 0.25 if spec.loss == "logistic" else 1.0
@@ -338,7 +343,8 @@ def _step_length(x_prev, v_prev, x, v):
 def compute_ground_truth(spec, prox_spec=None, cfg=None, iters=DEFAULT_TRUTH_ITERS,
                          rho_max=None):
     """Run PDFP until its fixed-point residual is at most TRUTH_TARGET, for
-    at most iters steps, and certify the result.
+    at most iters steps, and certify the result. Without cfg it steps by
+    default_gamma, which raises a ValueError for the hinge loss.
 
     The residual is checked every _TRUTH_CHUNK steps, through the length of
     the chunk's last step (_step_length). The stored residual is that of
@@ -590,12 +596,13 @@ def run_experiment(cfg, ground_truth=None):
         if auto_gamma:  # the estimate above; repr round-trips a float
             given = replace(entry, params={**entry.params, "gamma": repr(gamma)})
         run_cfg, admm_cfg = build_solver_configs(given, spec, rho_max, rep_seeds[0], cfg.epochs)
-        raw = " ".join(f"{k}={v}" for k, v in sorted(entry.params.items())
-                       if k not in ("lambda", "p"))
-        header_lines.append(
-            f"# solver {entry.label}: kind={entry.kind}"
-            + (f" {raw}" if raw else "")
-            + f" lambda={run_cfg.lam!r} p={run_cfg.p}")
+        shown = [f"kind={entry.kind}"] + [f"{k}={v}" for k, v in sorted(entry.params.items())
+                                          if k not in ("lambda", "p")]
+        if entry.kind != "stoc_admm":  # which never reads lambda
+            shown.append(f"lambda={run_cfg.lam!r}")
+        if entry.kind != "pdfp":  # which steps on every sample
+            shown.append(f"p={run_cfg.p}")
+        header_lines.append(f"# solver {entry.label}: " + " ".join(shown))
         for rep, seed in enumerate(rep_seeds):
             recs = run_solver(entry.kind, spec, prox_spec, replace(run_cfg, seed=seed),
                               admm_cfg=admm_cfg, reference=reference,

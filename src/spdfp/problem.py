@@ -118,18 +118,22 @@ def objective_value(spec, x):
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (spec.dim,):
         raise ValueError(f"x must have dimension {spec.dim}")
-    return _objective(spec, x, spec.dataset.samples.matvec(x), spec.B.matvec(x))
+    return float(_objective(spec, x, spec.dataset.samples.matvec(x), spec.B.matvec(x)))
 
 
 def _objective(spec, x, Ax, Bx):
-    """objective_value given the products Ax = A x and Bx = B x. Unchecked.
+    """objective_value given the products Ax = A x and Bx = B x, of one x
+    or of a stack of them, one per row; a stack gives one value per row.
+    Unchecked.
 
-    np.add.reduce is the reduction np.mean and np.sum make, without their
-    wrappers, so the bits are the same."""
+    np.add.reduce and np.vecdot along the last axis are the reductions
+    np.mean, np.sum and x @ x make of one vector, without their wrappers,
+    and make them row by row of a stack, so every row keeps the bits of
+    its vector."""
     losses = loss_values(spec.loss, Ax, spec.dataset.labels)
-    val = float(np.add.reduce(losses)) / len(losses)
+    val = np.add.reduce(losses, axis=-1) / losses.shape[-1]
     if spec.l2_weight:
-        val += 0.5 * spec.l2_weight * float(x @ x)
+        val = val + 0.5 * spec.l2_weight * np.vecdot(x, x)
     if spec.composite_weight:
-        val += spec.composite_weight * float(np.add.reduce(np.abs(Bx)))
+        val = val + spec.composite_weight * np.add.reduce(np.abs(Bx), axis=-1)
     return val

@@ -18,10 +18,15 @@ it. Each public step function builds a context and calls the same step.
 A run draws its batch indices as int64 arrays of whole epochs, at most
 _DRAW_CHUNK of them at a time, which gives the stream of one draw per epoch.
 Where the C lane is built, ``run_solver`` runs each epoch of 'pdfp',
-'spdfp1' and 'spdfp2' steps in one C call instead (_c_steps), the ground
-truth its chunks of PDFP steps, and the records take their products from
-the lane, with the same bits. A run whose objective turns NaN or infinite
-stops with a RuntimeWarning after recording that epoch.
+'spdfp1' and 'spdfp2' steps in one C call instead (_c_steps), and the
+ground truth its chunks of PDFP steps, with the same bits.
+
+The records are built a block of epochs at a time: after each epoch the
+loop stamps the time and copies x and v into a _Block, and _block_records
+turns a full block, or the last one, into records with one product call
+and one NumPy operation per column over the stacked rows. A run whose
+objective turns NaN or infinite keeps the records up to that epoch's and
+stops with a RuntimeWarning.
 """
 
 import math
@@ -209,8 +214,10 @@ class _RunContext:
         # (I - lam B B^T) v without materializing B B^T
         return v - lam * self.B.matvec(self.B.rmatvec(v))
 
-    def objective(self, x):
-        return _objective(self.spec, x, self.full[0].matvec(x), self.B.matvec(x))
+    def products(self, X):
+        """A x and B x of each row x of X, stacked as rows."""
+        A = self.full[0]
+        return np.array([A.matvec(x) for x in X]), np.array([self.B.matvec(x) for x in X])
 
 
 # Reference steps: (ctx, params, k, batch, *iterates) -> new iterates, always
@@ -339,7 +346,8 @@ class Reference:
 
 @dataclass
 class RunRecord:
-    """Per-epoch trace row."""
+    """Per-epoch trace row. wall_time is the time from the start of the run
+    to the end of the epoch's steps; building records is not part of it."""
 
     solver: str
     seed: int
@@ -351,32 +359,75 @@ class RunRecord:
     a_k: float = None
 
 
-def _dual_on_subgradient_scale(kind, cfg, v, k):
-    # alg2 / pdfp duals carry a factor gamma/lam relative to the alg1 scale
+def _dual_scale(kind, cfg, k):
+    """The factor that puts the dual after step k - 1 on the subgradient
+    scale: alg2 / pdfp duals carry a factor gamma/lam relative to alg1."""
     if kind == "spdfp1" or k == 1:
-        return v
+        return 1.0
     if kind == "pdfp":
-        return (cfg.lam / cfg.schedule.c) * v
-    gamma_prev = cfg.schedule.gamma(k - 1)
-    return (cfg.lam / gamma_prev) * v
+        return cfg.lam / cfg.schedule.c
+    return cfg.lam / cfg.schedule.gamma(k - 1)
 
 
-def _record(kind, name, objective, cfg, iterates, k, epoch, t0, reference):
-    x = iterates[0]
-    obj = objective(x)
-    rec = RunRecord(solver=name, seed=cfg.seed, epoch=epoch,
-                    wall_time=time.perf_counter() - t0, objective=obj)
+class _Block:
+    """Snapshots of a run's iterates at the end of up to `rows` epochs, for
+    _block_records to turn into records together.
+
+    Row i of X, and of V when the kind has a dual (duals is its length,
+    else None), holds the iterates x_k and v_k, k = ks[i], at the end of
+    epoch first + i, whose steps ended wall[i] seconds after t0."""
+
+    def __init__(self, rows, dim, duals, t0):
+        self.X = np.empty((rows, dim))
+        self.V = None if duals is None else np.empty((rows, duals))
+        self.t0 = t0
+        self.first, self.ks, self.wall = 0, [], []
+
+    def add(self, iterates, k):
+        """Stamp the time and copy the iterates after step k - 1; True once
+        the block is full."""
+        self.wall.append(time.perf_counter() - self.t0)
+        i = len(self.ks)
+        self.X[i] = iterates[0]
+        if self.V is not None:
+            self.V[i] = iterates[1]
+        self.ks.append(k)
+        return i + 1 == len(self.X)
+
+    def take(self):
+        """(first, X, V, ks, wall) of the rows added so far, which the block
+        then gives up for the epochs after them."""
+        count = len(self.ks)
+        V = None if self.V is None else self.V[:count]
+        out = self.first, self.X[:count], V, self.ks, self.wall
+        self.first, self.ks, self.wall = self.first + count, [], []
+        return out
+
+
+def _block_records(kind, name, spec, cfg, reference, products, block):
+    """The RunRecords of the rows of block, which it takes.
+
+    products(X) gives A x and B x of every row x of X in one call; each
+    column of the records is then one NumPy operation over the stacked
+    rows, with the bits it has for each row alone (_objective)."""
+    first, X, V, ks, wall = block.take()
+    objective = _objective(spec, X, *products(X))
+    rel = sq = a_k = [None] * len(ks)
     if reference is not None:
-        diff = x - reference.x_star
-        rec.iterate_sq_error = float(diff @ diff)
+        diff = X - reference.x_star
+        sq_error = np.vecdot(diff, diff)
+        sq = sq_error.tolist()
         if reference.objective_star is not None:
             f_star = reference.objective_star
-            rec.rel_obj_error = (obj - f_star) / max(abs(f_star), 1e-12)
-        if reference.v_star is not None and kind != "stoc_admm":
-            dv = _dual_on_subgradient_scale(kind, cfg, iterates[1], k) - reference.v_star
-            gk = cfg.schedule.gamma(k)  # the iterate after step k-1 is x_k
-            rec.a_k = float(diff @ diff + gk**2 / cfg.lam * (dv @ dv))
-    return rec
+            rel = ((objective - f_star) / max(abs(f_star), 1e-12)).tolist()
+        if reference.v_star is not None and V is not None:
+            scale = np.array([_dual_scale(kind, cfg, k) for k in ks])
+            dv = V * scale[:, None] - reference.v_star
+            # the iterate after step k - 1 is x_k
+            weight = np.array([cfg.schedule.gamma(k) ** 2 / cfg.lam for k in ks])
+            a_k = (sq_error + weight * np.vecdot(dv, dv)).tolist()
+    return [RunRecord(name, cfg.seed, first + i, *row)
+            for i, row in enumerate(zip(wall, objective.tolist(), rel, sq, a_k))]
 
 
 _STEPS = {"pdfp": _pdfp, "spdfp1": _spdfp1, "spdfp2": _spdfp2}
@@ -384,6 +435,9 @@ _STEPS = {"pdfp": _pdfp, "spdfp1": _spdfp1, "spdfp2": _spdfp2}
 # Batch indices drawn at once: a chunk holds at most this many, in whole
 # epochs, but always at least one epoch.
 _DRAW_CHUNK = 1 << 16
+# Doubles a record block holds at most for its snapshots of x and v and
+# their products A x and B x: whole epochs, but always at least one.
+_RECORD_BLOCK = 1 << 16
 
 
 def _pick_chunks(kind, plan, rng, epochs, per_epoch):
@@ -427,8 +481,12 @@ def run_solver(kind, spec, prox_spec, cfg, admm_cfg=None, x0=None, v0=None,
     fresh each step, so a caller may keep them. Without on_step, each
     epoch runs in one C call where _c_steps allows it.
 
-    A run whose objective is NaN or infinite after an epoch keeps that
-    epoch's record, warns (RuntimeWarning) and stops.
+    After each epoch the run copies x and v into a block of snapshots
+    (_Block), at most _RECORD_BLOCK doubles with their products, and
+    builds the block's records once it is full or the run ends
+    (_block_records). A run whose objective is NaN or infinite after an
+    epoch keeps that epoch's record, drops the rest of its block, warns
+    (RuntimeWarning) and stops.
     """
     if kind not in SOLVER_KINDS:
         raise ValueError(f"unknown solver kind {kind!r}")
@@ -450,19 +508,31 @@ def run_solver(kind, spec, prox_spec, cfg, admm_cfg=None, x0=None, v0=None,
     ctx = _RunContext(spec, prox_spec, ranges, admm_cfg if kind == "stoc_admm" else None)
     c_steps = None if on_step is not None else _c_steps(kind, spec, prox_spec, cfg,
                                                          ranges, iterates)
-    objective = ctx.objective
-    if c_steps is not None:
-        def objective(x):  # x is the iterate c_steps updates in place
-            return _objective(spec, x, *c_steps.products())
+    products = ctx.products if c_steps is None else c_steps.products
+    rows = max(1, _RECORD_BLOCK // (spec.dim + spec.n + 2 * spec.B.n_rows))
+    block = _Block(rows, spec.dim, None if kind == "stoc_admm" else spec.B.n_rows, t0)
+    check_stop = kind == "pdfp" and cfg.stop_tolerance > 0
+    records = []
+
+    def flush():
+        """Record the block; True if the run diverged in it."""
+        for rec in _block_records(kind, name, spec, cfg, reference, products, block):
+            records.append(rec)
+            if rec.epoch and not math.isfinite(rec.objective):  # epoch 0 ran no step
+                warnings.warn(f"solver {name} (seed {cfg.seed}) diverged: objective "
+                              f"{rec.objective} at epoch {rec.epoch}; run stopped",
+                              RuntimeWarning, stacklevel=3)
+                return True
+        return False
 
     per_epoch = len(ranges)
-    k, epoch = 1, 0
-    records = [_record(kind, name, objective, cfg, iterates, k, epoch, t0, reference)]
+    k = 1
+    if block.add(iterates, k):
+        flush()
     for picks in _pick_chunks(kind, plan, rng, cfg.max_epochs, per_epoch):
         if c_steps is not None:
             c_steps.use(picks)
         for start in range(0, len(picks), per_epoch):
-            epoch += 1
             if c_steps is not None:
                 c_steps(start, per_epoch, k)
                 k += per_epoch
@@ -472,15 +542,11 @@ def run_solver(kind, spec, prox_spec, cfg, admm_cfg=None, x0=None, v0=None,
                     k += 1
                     if on_step is not None:
                         on_step(make_state(*iterates, k))
-            rec = _record(kind, name, objective, cfg, iterates, k, epoch, t0, reference)
-            records.append(rec)
-            if not math.isfinite(rec.objective):
-                warnings.warn(f"solver {name} (seed {cfg.seed}) diverged: objective "
-                              f"{rec.objective} at epoch {epoch}; run stopped",
-                              RuntimeWarning, stacklevel=2)
+            full = block.add(iterates, k)
+            stop = check_stop and _fixed_point_residual(
+                ctx, cfg.schedule.c, cfg.lam, *iterates) <= cfg.stop_tolerance
+            if (full or stop) and (flush() or stop):
                 return records
-            if kind == "pdfp" and cfg.stop_tolerance > 0:
-                if _fixed_point_residual(ctx, cfg.schedule.c, cfg.lam,
-                                         *iterates) <= cfg.stop_tolerance:
-                    return records
+    if block.ks:
+        flush()
     return records

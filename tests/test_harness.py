@@ -27,7 +27,7 @@ from spdfp.harness import (
     synth_fused_lasso,
 )
 from spdfp.problem import Dataset, ProblemSpec, objective_value
-from spdfp.sparse import SparseMatrix, identity, stack_identity
+from spdfp.sparse import SparseMatrix, estimate_spectrum, identity, stack_identity
 from spdfp.solvers import ConstantSchedule, SolverConfig
 
 
@@ -329,11 +329,39 @@ def test_default_gamma_follows_the_loss_curvature():
     A = rng.standard_normal((30, 6))
     ds = Dataset(samples=SparseMatrix.from_dense(A), labels=rng.choice([-1.0, 1.0], 30))
     rho = float(np.linalg.eigvalsh(A @ A.T)[-1])
-    for loss, c in (("logistic", 0.25), ("square", 1.0), ("hinge", 1.0)):
+    for loss, c in (("logistic", 0.25), ("square", 1.0)):
         spec = ProblemSpec(loss=loss, dataset=ds, l2_weight=0.1, composite_weight=0.1,
                            B=identity(6))
         assert default_gamma(spec, rho) == 1.0 / (c * rho / 30 + 0.1)
         assert default_gamma(spec) == pytest.approx(1.0 / (c * rho / 30 + 0.1), rel=1e-6)
+    hinge = ProblemSpec(loss="hinge", dataset=ds, l2_weight=0.1, composite_weight=0.1,
+                        B=identity(6))
+    for given in ((rho,), ()):
+        with pytest.raises(ValueError, match="hinge loss has no Lipschitz gradient"):
+            default_gamma(hinge, *given)
+
+
+def test_hinge_needs_an_explicit_step():
+    # the hinge loss has no Lipschitz gradient, so neither the truth nor a
+    # pdfp clause may fall back on default_gamma; an explicit step is fine
+    from spdfp.harness import SolverEntry, build_solver_configs
+
+    rng = np.random.default_rng(14)
+    ds = Dataset(samples=SparseMatrix.from_dense(rng.standard_normal((20, 4))),
+                 labels=rng.choice([-1.0, 1.0], 20))
+    spec = ProblemSpec(loss="hinge", dataset=ds, l2_weight=0.1, composite_weight=0.1,
+                       B=identity(4))
+    with pytest.raises(ValueError, match="hinge loss has no Lipschitz gradient"):
+        compute_ground_truth(spec)
+    cfg = SolverConfig(schedule=ConstantSchedule(0.5), lam=0.5, p=20)
+    with pytest.warns(RuntimeWarning, match="cap of 50 iterations"):
+        assert compute_ground_truth(spec, cfg=cfg, iters=50).iterations == 50
+    auto = SolverEntry(kind="pdfp", label="pdfp", params={})
+    with pytest.raises(ValueError, match="hinge loss has no Lipschitz gradient"):
+        build_solver_configs(auto, spec, rho_max=1.0, seed=0, epochs=1)
+    given = SolverEntry(kind="pdfp", label="pdfp", params={"gamma": "0.25"})
+    run_cfg, _ = build_solver_configs(given, spec, rho_max=1.0, seed=0, epochs=1)
+    assert run_cfg.schedule.c == 0.25
 
 
 def test_ground_truth_certificate_and_minimality():
@@ -455,6 +483,24 @@ def test_experiment_deterministic_rerun(tmp_path):
     r2, m2 = run_experiment(cfg1)
     assert read_csv_rows(r2) == first_rows
     assert read_csv_rows(m2, wall_col=2) == first_means
+
+
+def test_experiment_solver_lines_name_what_each_kind_reads(tmp_path):
+    # stoc_admm never reads lambda and pdfp steps on every sample, so
+    # their lines leave out lambda= and p= respectively
+    solvers = ("spdfp1(c=1.0,p=10); spdfp2(alpha=0.7,p=20,lambda=0.1); "
+               "pdfp(stop_tol=1e-9,label=batch); stoc_admm(beta=10,zeta_c=0.5,p=10)")
+    cfg = parse_experiment_config(write_config(tmp_path, "synth:n=60,d=10,seed=4", solvers,
+                                               reps=1, epochs=1))
+    rows_path, mean_path = run_experiment(cfg)
+    lam = repr(0.9 / estimate_spectrum(resolve_problem(cfg.problem).B).rho_max)
+    for path in (rows_path, mean_path):
+        with open(path) as fh:
+            lines = [ln.rstrip("\n") for ln in fh if ln.startswith("# solver ")]
+        assert lines == [f"# solver spdfp1: kind=spdfp1 c=1.0 lambda={lam} p=10",
+                         "# solver spdfp2: kind=spdfp2 alpha=0.7 lambda=0.1 p=20",
+                         f"# solver batch: kind=pdfp stop_tol=1e-9 lambda={lam}",
+                         "# solver stoc_admm: kind=stoc_admm beta=10 zeta_c=0.5 p=10"]
 
 
 def test_experiment_aggregate_means_and_rel_error_floor(tmp_path):

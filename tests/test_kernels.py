@@ -9,6 +9,7 @@ compute_ground_truth. Bits are compared through
 .view(np.int64), so that -0.0 against +0.0 shows.
 """
 
+import ctypes
 import itertools
 import os
 import shutil
@@ -78,6 +79,28 @@ def c_lane(tmp_path_factory):
     return kernels.CLane(str(lib))
 
 
+@pytest.mark.parametrize("version", [None, 1])
+def test_loader_refuses_a_library_built_from_another_lane_c(tmp_path, version):
+    # a library with the run struct of this lane.c but no version stamp, as
+    # built from the lane.c whose spdfp_products took no snapshots, or with
+    # another stamp: calling it could write through the wrong pointers
+    cc = find_compiler()
+    if cc is None:
+        pytest.skip("no C compiler found ($CC, cc, gcc or clang)")
+    source = ["#include <stdint.h>",
+              f"int64_t spdfp_run_size(void) {{ return {ctypes.sizeof(kernels._Run)}; }}",
+              "int spdfp_run_steps(void) { return 0; }",
+              "void spdfp_products(void) { }"]
+    if version is not None:
+        source.append(f"int64_t spdfp_lane_version(void) {{ return {version}; }}")
+    (tmp_path / "old.c").write_text("\n".join(source) + "\n")
+    lib = tmp_path / "old.so"
+    subprocess.run([cc, "-shared", "-fPIC", "-o", str(lib), str(tmp_path / "old.c")],
+                   check=True, capture_output=True)
+    with pytest.raises(ImportError, match="built from another lane.c; rebuild it"):
+        kernels.CLane(str(lib))
+
+
 def test_backend_reports_a_lane():
     assert kernels.backend() == ("numpy" if kernels.LANE is None else "c")
 
@@ -111,7 +134,8 @@ def test_soft_threshold_values():
 def test_lane_parity_bitwise(c_lane):
     # the C lane's products run inside its fused steps and for the records:
     # one step of each kind over a random row range of a random A, and A x
-    # and B x after it, against the reference step and SparseMatrix
+    # and B x of a block of snapshots (x before and after the step, and a
+    # random x), against the reference step and SparseMatrix
     rng = np.random.default_rng(1)
     empty_rows = 0
     for trial in range(200):
@@ -137,9 +161,12 @@ def test_lane_parity_bitwise(c_lane):
         want_x, want_v = solvers._STEPS[kind](ctx, cfg, 1, ctx.batches[0], x0, v0)
         assert_same_bits(x, want_x)
         assert_same_bits(v, want_v)
-        Ax, Bx = steps.products()
-        assert_same_bits(Ax, A.matvec_range(x, 0, A.n_rows))
-        assert_same_bits(Bx, B.matvec_range(x, 0, B.n_rows))
+        X = np.array([x0, x, rng.standard_normal(A.n_cols)])
+        AX, BX = steps.products(X)
+        assert AX.shape == (3, A.n_rows) and BX.shape == (3, B.n_rows)
+        for row, Ax, Bx in zip(X, AX, BX):
+            assert_same_bits(Ax, A.matvec_range(row, 0, A.n_rows))
+            assert_same_bits(Bx, B.matvec_range(row, 0, B.n_rows))
     assert empty_rows
     # two matrices that share indptr and indices, applied in turn
     M = random_csr(rng)
@@ -152,7 +179,7 @@ def test_lane_parity_bitwise(c_lane):
         steps = c_lane.steps("pdfp", spec, ProxSpec("l1", 0.0),
                              SolverConfig(schedule=ConstantSchedule(0.1), lam=0.5, p=1),
                              ((0, N.n_rows),), x.copy(), np.zeros(N.n_rows))
-        Ax, Bx = steps.products()
+        (Ax,), (Bx,) = steps.products(x[None])
         assert_same_bits(Ax, N.matvec_range(x, 0, N.n_rows))
         assert_same_bits(Bx, Ax)
 
@@ -255,19 +282,22 @@ def fused_spec(loss, l2_weight):
 
 def run_on_lane(monkeypatch, lane, *args, **kwargs):
     """run_solver with kernels.LANE set to lane; returns the records and
-    copies of the iterates at every epoch."""
+    copies of the iterates at every recorded epoch, from the snapshot rows
+    of the record blocks."""
     states = []
-    record = solvers._record
+    block_records = solvers._block_records
 
-    def grab(kind, name, objective, cfg, iterates, *rest):
-        states.append([a.copy() for a in iterates])
-        return record(kind, name, objective, cfg, iterates, *rest)
+    def grab(kind, name, spec, cfg, reference, products, block):
+        count = len(block.ks)
+        states.extend([x.copy(), v.copy()] for x, v in zip(block.X[:count], block.V[:count]))
+        return block_records(kind, name, spec, cfg, reference, products, block)
 
     with monkeypatch.context() as m:
         m.setattr(kernels, "LANE", lane)
-        m.setattr(solvers, "_record", grab)
+        m.setattr(solvers, "_block_records", grab)
         recs = run_solver(*args, **kwargs)
-    return recs, states
+    # a diverged run drops the rows of its block after the first bad one
+    return recs, states[:len(recs)]
 
 
 def assert_same_run(got, want):
@@ -319,13 +349,27 @@ def test_fused_run_matches_python_path_bitwise(monkeypatch, c_lane, kind, loss, 
             for lane in (c_lane, None):
                 assert_same_run(run_on_lane(monkeypatch, lane, kind, spec, prox_spec, cfg,
                                             reference=ref), python)
-    assert len(calls) == 4
+    # records built one epoch per block, and three epochs per block (a row
+    # holds x, v, A x and B x: 6 + 4 + 23 + 4 doubles), so that the seven
+    # records of the run come in blocks of 3, 3 and 1
+    for budget, rows in ((1, [1] * 7), (3 * 37, [3, 3, 1])):
+        with monkeypatch.context() as m:
+            m.setattr(solvers, "_RECORD_BLOCK", budget)
+            block_records = solvers._block_records
+            for lane in (c_lane, None):
+                sizes = []
+                m.setattr(solvers, "_block_records",
+                          lambda *a: sizes.append(len(a[-1].ks)) or block_records(*a))
+                assert_same_run(run_on_lane(monkeypatch, lane, kind, spec, prox_spec, cfg,
+                                            reference=ref), python)
+                assert sizes == rows
+    assert len(calls) == 6
 
     # with on_step the run keeps the Python path, and its last state is the same
     seen = []
     run_on_lane(monkeypatch, c_lane, kind, spec, prox_spec, cfg, reference=ref,
                 on_step=seen.append)
-    assert len(calls) == 4
+    assert len(calls) == 6
     assert_same_bits(seen[-1].x, fused[1][-1][0])
     assert_same_bits(seen[-1].v, fused[1][-1][1])
 

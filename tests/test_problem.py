@@ -127,3 +127,31 @@ def test_logistic_weights_within_2_ulp_of_mpmath():
                 ulp = float(np.spacing(abs(float(exact))))
                 worst = max(worst, float(abs(mpmath.mpf(wi) - exact)) / ulp)
     assert worst <= 2.0
+
+
+@pytest.mark.parametrize("loss", LOSSES)
+@pytest.mark.parametrize("nu,mu", [(0.0, 0.0), (0.3, 0.0), (0.0, 0.7), (0.3, 0.7)])
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 127, 128, 129, 1000])
+def test_stacked_objective_keeps_the_bits_of_each_row(loss, nu, mu, n):
+    # a stack of x, A x and B x, one per row, as the run records take it:
+    # each row's value has the bits of that row's vector objective, and of
+    # the np.mean / np.sum / x @ x form. _objective reads no product itself,
+    # so A and B are empty and every length (samples, features, rows of B)
+    # is n, on the edges of the pairwise summation and dot product blocks
+    rng = np.random.default_rng(n)
+    b = rng.standard_normal(n) if loss == "square" else rng.choice([-1.0, 1.0], n)
+    spec = make_spec(np.zeros((n, n)), b, loss, nu=nu, mu=mu,
+                     B=SparseMatrix.from_coo(n, n, [], [], []))
+    for rows in (1, 2, 17):
+        X, AX, BX = 3.0 * rng.standard_normal((3, rows, n))
+        stacked = _objective(spec, X, AX, BX)
+        assert stacked.shape == (rows,)
+        for x, Ax, Bx, got in zip(X, AX, BX, stacked):
+            x, Ax, Bx = x.copy(), Ax.copy(), Bx.copy()
+            want = float(np.mean(loss_values(loss, Ax, spec.dataset.labels)))
+            if nu:
+                want += 0.5 * nu * float(x @ x)
+            if mu:
+                want += mu * float(np.sum(np.abs(Bx)))
+            bits = np.array([want, _objective(spec, x, Ax, Bx), got]).view(np.int64)
+            assert bits[0] == bits[1] == bits[2]

@@ -414,6 +414,35 @@ def test_diverging_run_stops_at_the_first_non_finite_record(kind):
                         f"{recs[-1].objective} at epoch {recs[-1].epoch}; run stopped"]
 
 
+@pytest.mark.parametrize("kind", SOLVER_KINDS)
+def test_divergence_inside_a_record_block_stops_at_the_same_record(monkeypatch, kind):
+    # the records are built a block of epochs at a time, so a run steps on
+    # past its first non-finite objective to the end of the block; it must
+    # still keep exactly the records, and give the warning, of a run that
+    # builds each record as its epoch ends (a block of one epoch)
+    spec = synth_fused_lasso(40, 6, 0.1, 0.01, 2)
+    rho = estimate_spectrum(spec.B).rho_max
+    sched = ConstantSchedule(1e3) if kind == "pdfp" else StepSchedule(c=1e3, alpha=0.7)
+    cfg = SolverConfig(schedule=sched, lam=0.9 / rho, p=40 if kind == "pdfp" else 8, seed=4,
+                       max_epochs=60)
+    admm = AdmmConfig(beta_tilde=1.0, zeta_schedule=StepSchedule(c=1e6, alpha=0.5))
+    ref = Reference(x_star=np.ones(6), v_star=np.ones(5), objective_star=0.5)
+    per_epoch = spec.dim + spec.n + 2 * spec.B.n_rows  # doubles of one block row
+    runs = {}
+    for rows in (1, 3, None):
+        with monkeypatch.context() as m:
+            if rows is not None:
+                m.setattr(solvers, "_RECORD_BLOCK", rows * per_epoch)
+            recs, messages = run_diverging(kind, spec, ProxSpec("l1", 0.1), cfg,
+                                           admm_cfg=admm, reference=ref)
+        runs[rows] = [repr({**vars(r), "wall_time": None}) for r in recs], messages
+        # the default block holds the whole run, so the run diverged inside it
+        assert rows is not None or len(recs) < solvers._RECORD_BLOCK // per_epoch
+    assert runs[1] == runs[3] == runs[None]
+    recs, messages = runs[None]
+    assert 1 < len(recs) < cfg.max_epochs + 1 and len(messages) == 1
+
+
 def test_run_solver_unknown_kind_and_missing_admm_cfg():
     spec, _, _ = fused_spec(6, 3, seed=18)
     cfg = SolverConfig(schedule=StepSchedule(c=0.5, alpha=0.7), lam=0.2, p=2)

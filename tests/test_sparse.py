@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spdfp.sparse import (
     SparseMatrix,
@@ -214,3 +216,57 @@ def test_immutability():
     B = build_difference_matrix(4)
     with pytest.raises(ValueError):
         B.data[0] = 5.0
+
+
+# ---------------------------------------------------------------------------
+# properties, over small random matrices whose entries are small integers,
+# so that sums are exact, duplicates can cancel and every product can be
+# compared with the dense one for equality
+
+PROPERTY_SETTINGS = settings(max_examples=150, deadline=None, database=None,
+                             derandomize=True)
+
+
+@st.composite
+def coo_triples(draw, max_side=6):
+    n_rows = draw(st.integers(0, max_side))
+    n_cols = draw(st.integers(0, max_side))
+    count = draw(st.integers(0, 3 * n_rows * n_cols)) if n_rows and n_cols else 0
+    rows = draw(st.lists(st.integers(0, max(n_rows - 1, 0)), min_size=count, max_size=count))
+    cols = draw(st.lists(st.integers(0, max(n_cols - 1, 0)), min_size=count, max_size=count))
+    vals = draw(st.lists(st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0, 3.0]),
+                         min_size=count, max_size=count))
+    return n_rows, n_cols, rows, cols, vals
+
+
+@PROPERTY_SETTINGS
+@given(coo_triples())
+def test_from_coo_is_canonical_csr_of_the_summed_entries(triples):
+    n_rows, n_cols, rows, cols, vals = triples
+    M = SparseMatrix.from_coo(n_rows, n_cols, rows, cols, vals)
+    dense = np.zeros((n_rows, n_cols))
+    np.add.at(dense, (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64)), vals)
+    np.testing.assert_array_equal(M.to_dense(), dense)
+    assert M.indptr[0] == 0 and np.all(np.diff(M.indptr) >= 0) and M.indptr[-1] == M.nnz
+    for i in range(n_rows):
+        # sorted, each column once (duplicates summed), no zero kept
+        assert np.all(np.diff(M.indices[M.indptr[i]:M.indptr[i + 1]]) > 0)
+    assert np.all(M.data != 0.0)
+    assert M.nnz == np.count_nonzero(dense)
+
+
+@PROPERTY_SETTINGS
+@given(coo_triples(), st.data())
+def test_row_view_products_equal_dense_ones(triples, data):
+    n_rows, n_cols, rows, cols, vals = triples
+    M = SparseMatrix.from_coo(n_rows, n_cols, rows, cols, vals)
+    lo = data.draw(st.integers(0, n_rows))
+    hi = data.draw(st.integers(lo, n_rows))
+    small = st.integers(-3, 3).map(float)
+    x = np.array(data.draw(st.lists(small, min_size=n_cols, max_size=n_cols)), dtype=np.float64)
+    y = np.array(data.draw(st.lists(small, min_size=hi - lo, max_size=hi - lo)),
+                 dtype=np.float64)
+    view, dense = M.row_view(lo, hi), M.to_dense()[lo:hi]
+    for got, want in ((view.matvec(x), dense @ x), (view.rmatvec(y), dense.T @ y)):
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, want)
