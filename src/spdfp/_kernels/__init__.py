@@ -84,7 +84,7 @@ class CLane:
 class Steps:
     """Runs of 'pdfp', 'spdfp1' or 'spdfp2' steps, in one C call each,
     updating x and v in place. A step uses one of the row ranges [lo, hi)
-    of A given here; alpha is read only for spdfp.
+    of A given here; gamma_k = c / k**alpha, alpha = 0 for a constant step.
 
     ``use(picks)`` takes an int64 array of indices into the ranges and its
     address, once; each call then runs count of them from an offset. So a
@@ -103,7 +103,7 @@ class Steps:
         work = np.empty(A.n_rows + 3 * A.n_cols + 2 * B.n_rows)
         self._keep = (A, B, labels, ranges, x, v, work)
         self._run = run = _Run(_KINDS[kind], _LOSSES[spec.loss], prox_spec.kind == "l1",
-                               cfg.schedule.c, 0.0 if kind == "pdfp" else cfg.schedule.alpha,
+                               cfg.schedule.c, cfg.schedule.alpha,
                                cfg.lam, spec.l2_weight, prox_spec.weight, _csr(A), _csr(B),
                                _address(labels, np.float64, A.n_rows),
                                ranges.ctypes.data, len(ranges),

@@ -13,7 +13,8 @@
  *   - every NumPy expression is the same C expression in the same order,
  *     built without FMA contraction (-ffp-contract=off) and without
  *     fast-math;
- *   - c / k**alpha and ((k-1)/k)**alpha go through libm pow, as in Python;
+ *   - c / k**alpha and ((k-1)/k)**alpha go through libm pow, as in Python
+ *     (alpha = 0 for a constant step, and pow(x, 0) is exactly 1);
  *   - the logistic loss weights take libm exp, which the reference reaches
  *     through math.exp (problem._sigmoid), not NumPy's SIMD exp, which can
  *     differ in the last bit.
@@ -150,9 +151,9 @@ int spdfp_run_steps(const run *r, const int64_t *picks, int64_t n_steps, int64_t
             return BAD_INPUT;
     }
     for (int64_t s = 0; s < n_steps; s++, k++) {
-        double gamma = r->kind == PDFP ? r->c : r->c / pow((double)k, r->alpha);
+        double gamma = r->c / pow((double)k, r->alpha);
         double tau = gamma / lam, thr = tau * r->prox_weight;
-        double factor = 0.0, v_scale = 0.0, x_scale = lam;
+        double factor = 1.0, v_scale = 1.0, x_scale = lam;
         if (r->kind == SPDFP1) {
             factor = gamma / lam;
             v_scale = lam / gamma;
@@ -167,19 +168,19 @@ int spdfp_run_steps(const run *r, const int64_t *picks, int64_t n_steps, int64_t
         for (int64_t j = 0; j < d; j++)
             xh[j] = x[j] - gamma * g[j];
 
-        /* arg = B x_half + [factor *] (v - lam * B B^T v) */
+        /* arg = B x_half + factor * (v - lam * B B^T v) */
         matvec(&r->B, xh, arg, 0, m);
         rmatvec(&r->B, v, bt, 0, m);
         matvec(&r->B, bt, bb, 0, m);
         for (int64_t i = 0; i < m; i++) {
             double dr = v[i] - lam * bb[i];
-            arg[i] = arg[i] + (r->kind == PDFP ? dr : factor * dr);
+            arg[i] = arg[i] + factor * dr;
         }
 
-        /* v = [v_scale *] (arg - prox(arg)); x = x_half - x_scale * B^T v */
+        /* v = v_scale * (arg - prox(arg)); x = x_half - x_scale * B^T v */
         for (int64_t i = 0; i < m; i++) {
             double res = arg[i] - (r->prox_l1 ? soft(arg[i], thr) : arg[i]);
-            v[i] = r->kind == SPDFP1 ? v_scale * res : res;
+            v[i] = v_scale * res;
         }
         rmatvec(&r->B, v, bt, 0, m);
         for (int64_t j = 0; j < d; j++)

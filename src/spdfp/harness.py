@@ -40,7 +40,7 @@ from spdfp.solvers import (
     initial_state,
     run_solver,
 )
-from spdfp.sparse import SparseMatrix, build_difference_matrix, estimate_spectrum
+from spdfp.sparse import SparseMatrix, build_difference_matrix
 
 DEFAULT_TRUTH_ITERS = 20000
 DEFAULT_LAMBDA_FRACTION = 0.9
@@ -297,7 +297,7 @@ class GroundTruth:
                          objective_star=self.objective_star)
 
 
-def default_gamma(spec, rho_max_data=None):
+def default_gamma(spec):
     """1 / L with L = c rho_max(A A^T)/n + nu, the Lipschitz constant of the
     smooth part's gradient: c = 1/4 for the logistic loss (its second
     derivative is at most 1/4) and 1 for the square loss. PDFP converges
@@ -307,29 +307,18 @@ def default_gamma(spec, rho_max_data=None):
         raise ValueError("the hinge loss has no Lipschitz gradient, so PDFP has no default "
                          "step 1/L for it; give the step explicitly (pdfp gamma=..., or a "
                          "SolverConfig as the ground truth's cfg)")
-    if rho_max_data is None:
-        rho_max_data = estimate_spectrum(spec.dataset.samples).rho_max
     c = 0.25 if spec.loss == "logistic" else 1.0
-    return 1.0 / (c * rho_max_data / spec.n + spec.l2_weight)
+    return 1.0 / (c * spec.dataset.samples.spectrum.rho_max / spec.n + spec.l2_weight)
 
 
-def default_lambda(spec, fraction=DEFAULT_LAMBDA_FRACTION, rho_max=None):
-    if rho_max is None:
-        rho_max = estimate_spectrum(spec.B).rho_max
-    return fraction / rho_max
+def default_lambda(spec, fraction=DEFAULT_LAMBDA_FRACTION):
+    return fraction / spec.B.spectrum.rho_max
 
 
 def prox_for(spec):
     if spec.composite_weight > 0:
         return ProxSpec(kind="l1", weight=spec.composite_weight)
     return ProxSpec(kind="zero", weight=0.0)
-
-
-def _truth_config(spec, gamma, rho_max):
-    """The ground truth's default PDFP config: step gamma (default_gamma)
-    and the default lambda for rho_max(B B^T)."""
-    return SolverConfig(schedule=ConstantSchedule(gamma),
-                        lam=default_lambda(spec, rho_max=rho_max), p=spec.n)
 
 
 def _step_length(x_prev, v_prev, x, v):
@@ -340,27 +329,27 @@ def _step_length(x_prev, v_prev, x, v):
     return float(np.linalg.norm(v_prev - v) + np.linalg.norm(x_prev - x))
 
 
-def compute_ground_truth(spec, prox_spec=None, cfg=None, iters=DEFAULT_TRUTH_ITERS,
-                         rho_max=None):
+def compute_ground_truth(spec, prox_spec=None, cfg=None, iters=DEFAULT_TRUTH_ITERS):
     """Run PDFP until its fixed-point residual is at most TRUTH_TARGET, for
-    at most iters steps, and certify the result. Without cfg it steps by
-    default_gamma, which raises a ValueError for the hinge loss.
+    at most iters steps, and certify the result. A cfg needs a constant
+    step; without one, it steps by default_gamma (a ValueError for the hinge
+    loss) with default_lambda, which read A.spectrum and B.spectrum.
 
     The residual is checked every _TRUTH_CHUNK steps, through the length of
     the chunk's last step (_step_length). The stored residual is that of
     the final pair and iterations the steps taken. A run that reaches the
-    cap first warns (RuntimeWarning) and returns what it has. rho_max, when
-    given, is rho_max(B B^T) and saves estimating it again.
+    cap first warns (RuntimeWarning) and returns what it has.
     """
     if iters < 1:
         raise ValueError("iters must be at least 1")
     if prox_spec is None:
         prox_spec = prox_for(spec)
-    if rho_max is None:
-        rho_max = estimate_spectrum(spec.B).rho_max
     if cfg is None:
-        cfg = _truth_config(spec, default_gamma(spec), rho_max)
-    check_lambda(cfg, spec.B, rho_max=rho_max)
+        cfg = SolverConfig(schedule=ConstantSchedule(default_gamma(spec)),
+                           lam=default_lambda(spec), p=spec.n)
+    if cfg.schedule.alpha != 0:
+        raise ValueError(f"pdfp needs a constant step, got alpha={cfg.schedule.alpha}")
+    check_lambda(cfg, spec.B)
     ctx = _RunContext(spec, prox_spec)
     state = initial_state(spec)
     x, v = state.x, state.v
@@ -512,7 +501,7 @@ def resolve_problem(source):
     return load_problem(source)
 
 
-def build_solver_configs(entry, spec, rho_max, seed, epochs):
+def build_solver_configs(entry, spec, seed, epochs):
     """Translate a SolverEntry into (SolverConfig, AdmmConfig-or-None).
 
     A key the clause's kind does not read is an error: stop_tol is pdfp's
@@ -520,7 +509,7 @@ def build_solver_configs(entry, spec, rho_max, seed, epochs):
     takes no lambda."""
     params = dict(entry.params)
     lam = "auto" if entry.kind == "stoc_admm" else params.pop("lambda", "auto")
-    lam = DEFAULT_LAMBDA_FRACTION / rho_max if lam == "auto" else float(lam)
+    lam = default_lambda(spec) if lam == "auto" else float(lam)
     p = spec.n if entry.kind == "pdfp" else int(params.pop("p", spec.n))
     stop_tol = float(params.pop("stop_tol", 0.0)) if entry.kind == "pdfp" else 0.0
     admm_cfg = None
@@ -566,20 +555,14 @@ def run_experiment(cfg, ground_truth=None):
     """
     spec = resolve_problem(cfg.problem)
     prox_spec = prox_for(spec)
-    rho_max = estimate_spectrum(spec.B).rho_max
 
     if ground_truth is None:
         truth_cache = (cfg.problem + ".truth.npz"
                        if not cfg.problem.startswith("synth:") else None)
         if truth_cache and os.path.exists(truth_cache):
             ground_truth = load_ground_truth(truth_cache)
-    # the truth and every pdfp(gamma=auto) clause step by default_gamma, an
-    # estimate of rho_max(A A^T): take it once, and only if one needs it
-    auto = [e.kind == "pdfp" and e.params.get("gamma", "auto") == "auto" for e in cfg.solvers]
-    gamma = default_gamma(spec) if ground_truth is None or any(auto) else None
     if ground_truth is None:
-        ground_truth = compute_ground_truth(spec, cfg=_truth_config(spec, gamma, rho_max),
-                                            rho_max=rho_max)
+        ground_truth = compute_ground_truth(spec)
     reference = ground_truth.reference()
 
     rep_seeds = [int(s) for s in np.random.SeedSequence(cfg.master_seed).generate_state(
@@ -591,11 +574,8 @@ def run_experiment(cfg, ground_truth=None):
                     f"residual={ground_truth.residual!r} "
                     f"objective={ground_truth.objective_star!r}"]
     all_records = []
-    for entry, auto_gamma in zip(cfg.solvers, auto):
-        given = entry
-        if auto_gamma:  # the estimate above; repr round-trips a float
-            given = replace(entry, params={**entry.params, "gamma": repr(gamma)})
-        run_cfg, admm_cfg = build_solver_configs(given, spec, rho_max, rep_seeds[0], cfg.epochs)
+    for entry in cfg.solvers:
+        run_cfg, admm_cfg = build_solver_configs(entry, spec, rep_seeds[0], cfg.epochs)
         shown = [f"kind={entry.kind}"] + [f"{k}={v}" for k, v in sorted(entry.params.items())
                                           if k not in ("lambda", "p")]
         if entry.kind != "stoc_admm":  # which never reads lambda
@@ -605,8 +585,7 @@ def run_experiment(cfg, ground_truth=None):
         header_lines.append(f"# solver {entry.label}: " + " ".join(shown))
         for rep, seed in enumerate(rep_seeds):
             recs = run_solver(entry.kind, spec, prox_spec, replace(run_cfg, seed=seed),
-                              admm_cfg=admm_cfg, reference=reference,
-                              rho_max=rho_max, name=entry.label)
+                              admm_cfg=admm_cfg, reference=reference, name=entry.label)
             all_records.append((entry.label, rep, recs))
 
     rows_path = cfg.output + ".csv"

@@ -19,7 +19,8 @@ A run draws its batch indices as int64 arrays of whole epochs, at most
 _DRAW_CHUNK of them at a time, which gives the stream of one draw per epoch.
 Where the C lane is built, ``run_solver`` runs each epoch of 'pdfp',
 'spdfp1' and 'spdfp2' steps in one C call instead (_c_steps), and the
-ground truth its chunks of PDFP steps, with the same bits.
+ground truth its chunks of PDFP steps, with the same bits, on either
+schedule ('pdfp' needs a constant one).
 
 The records are built a block of epochs at a time: after each epoch the
 loop stamps the time and copies x and v into a _Block, and _block_records
@@ -34,6 +35,7 @@ import time
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
@@ -41,7 +43,6 @@ from spdfp import _kernels
 from spdfp.gradients import _draw_batch_indices, _rows_gradient, draw_batch_index, make_batch_plan
 from spdfp.problem import _objective
 from spdfp.prox import soft_threshold
-from spdfp.sparse import estimate_spectrum
 
 SOLVER_KINDS = ("pdfp", "spdfp1", "spdfp2", "stoc_admm")
 
@@ -65,10 +66,11 @@ class StepSchedule:
 
 @dataclass(frozen=True)
 class ConstantSchedule:
-    """Constant step size; stands in for a StepSchedule where allowed
-    (PDFP's gamma, STOC-ADMM's zeta)."""
+    """Constant step size gamma(k) = c, which is c / k**0 bit for bit; it
+    stands in for a StepSchedule anywhere, and PDFP's gamma must be one."""
 
     c: float
+    alpha: ClassVar[float] = 0.0
 
     def __post_init__(self):
         if not 0 < self.c < math.inf:
@@ -100,7 +102,7 @@ class SolverConfig:
     """Run parameters shared by PDFP and SPDFP.
 
     lambda must satisfy 0 < lam < 1/rho_max(B B^T); run_solver enforces this
-    against a Lanczos estimate before iterating. A pdfp run stops once its
+    before iterating (check_lambda). A pdfp run stops once its
     fixed-point residual is at most stop_tolerance; 0 turns that off.
     """
 
@@ -154,46 +156,32 @@ def initial_admm_state(spec, x0=None):
     return AdmmState(x=x, y=np.zeros(m), multiplier=np.zeros(m), k=1)
 
 
-class _AdmmWorkspace:
-    """Per-run cache for the d x d system of the x-update."""
-
-    def __init__(self, spec, admm_cfg):
-        Bd = spec.B.to_dense()
-        self.BtB = Bd.T @ Bd
-        self.eye = np.eye(spec.dim)
-        self.constant_zeta = isinstance(admm_cfg.zeta_schedule, ConstantSchedule)
-        self._cached = None
-
-    def system(self, admm_cfg, zeta):
-        if self.constant_zeta and self._cached is not None:
-            return self._cached
-        M = self.eye / zeta + admm_cfg.beta_tilde * self.BtB
-        if self.constant_zeta:
-            self._cached = M
-        return M
-
-
 class _RunContext:
     """What the reference steps read, built once per run from checked inputs.
 
     ``full`` is (RowView of all of A, labels), built on first use;
     ``batches`` holds one such pair per row range given, in order, and ``B``
-    is a RowView of all of B. The steps convert and check nothing: iterates
-    must be float64 vectors of the right lengths.
+    is a RowView of all of B; ``BtB``, B^T B dense for the ADMM x-update, is
+    built on first use. The steps convert and check nothing: iterates must
+    be float64 vectors of the right lengths.
     """
 
-    def __init__(self, spec, prox_spec, ranges=(), admm_cfg=None):
+    def __init__(self, spec, prox_spec, ranges=()):
         self.spec = spec
         self.prox_l1 = prox_spec.kind == "l1"
         self.prox_weight = prox_spec.weight
         self.batches = [self.full if (lo, hi) == (0, spec.n) else self._rows(lo, hi)
                         for lo, hi in ranges]
         self.B = spec.B.row_view(0, spec.B.n_rows)
-        self.workspace = None if admm_cfg is None else _AdmmWorkspace(spec, admm_cfg)
 
     @cached_property
     def full(self):
         return self._rows(0, self.spec.n)
+
+    @cached_property
+    def BtB(self):
+        Bd = self.spec.B.to_dense()
+        return Bd.T @ Bd
 
     def _rows(self, lo, hi):
         return self.spec.dataset.samples.row_view(lo, hi), self.spec.dataset.labels[lo:hi]
@@ -253,7 +241,7 @@ def _stoc_admm(ctx, admm_cfg, k, batch, x, y, multiplier):
     zeta = admm_cfg.zeta_schedule.gamma(k)
     g = ctx.gradient(batch, x)
     rhs = ctx.B.rmatvec(beta * y + multiplier) + x / zeta - g
-    x_new = np.linalg.solve(ctx.workspace.system(admm_cfg, zeta), rhs)
+    x_new = np.linalg.solve(np.eye(len(x)) / zeta + beta * ctx.BtB, rhs)
     Bx = ctx.B.matvec(x_new)
     y_new = ctx.prox(1.0 / beta, Bx - multiplier / beta)
     return x_new, y_new, multiplier - beta * (Bx - y_new)
@@ -293,7 +281,7 @@ def _stochastic_step(step, spec, prox_spec, cfg, state, rng, plan):
 
 def stoc_admm_step(spec, prox_spec, admm_cfg, state, rng, plan):
     """One stochastic ADMM step (x linear solve, y prox, multiplier update)."""
-    ctx = _RunContext(spec, prox_spec, (plan.ranges[draw_batch_index(plan, rng)],), admm_cfg)
+    ctx = _RunContext(spec, prox_spec, (plan.ranges[draw_batch_index(plan, rng)],))
     m = spec.B.n_rows
     x, y, mult = _stoc_admm(ctx, admm_cfg, state.k, ctx.batches[0],
                             _iterate(state.x, spec.dim, "state.x"),
@@ -322,14 +310,27 @@ def fixed_point_residual(spec, prox_spec, gamma, lam, x, v):
 
 
 def check_lambda(cfg, B, rho_max=None):
-    """Reject lambda outside (0, 1/rho_max(B B^T)), and a NaN lambda or
-    rho_max. Returns rho_max."""
-    if rho_max is None:
-        rho_max = estimate_spectrum(B).rho_max
-    limit = math.inf if rho_max == 0 else 1.0 / rho_max
-    if not 0 < cfg.lam < limit:
-        raise ValueError(f"lambda={cfg.lam} violates 0 < lambda < 1/rho_max(BB^T) = {limit}")
-    return rho_max
+    """Reject a lambda not shown to lie in (0, 1/rho_max(B B^T)), and a NaN
+    lambda or rho_max. A given rho_max is taken as exact. Otherwise lambda
+    passes below 1/(theta + r), for B.spectrum theta with residual bound r,
+    if that converged, or else below 1/(||B||_1 ||B||_inf) <= 1/rho_max."""
+    def limit(bound):
+        return math.inf if bound == 0 else 1.0 / bound
+    if rho_max is not None:
+        trusted = [limit(rho_max)]
+        limits = f"1/rho_max(BB^T) = {trusted[0]}"
+    else:
+        est, a = B.spectrum, np.abs(B.data)
+        rows = np.repeat(np.arange(B.n_rows), np.diff(B.indptr))
+        norms = limit(float(np.bincount(B.indices, weights=a, minlength=B.n_cols).max()
+                            * np.bincount(rows, weights=a, minlength=B.n_rows).max()))
+        lanczos = limit(est.rho_max + est.residual)
+        trusted = [lanczos, norms] if est.converged else [norms]
+        limits = (f"1/(theta + r) = {lanczos} (Lanczos, converged={est.converged}), "
+                  f"1/(||B||_1 ||B||_inf) = {norms}")
+    if not any(0 < cfg.lam < v for v in trusted):
+        raise ValueError(f"lambda={cfg.lam} is not shown to satisfy "
+                         f"0 < lambda < 1/rho_max(BB^T): {limits}")
 
 
 @dataclass(frozen=True)
@@ -364,8 +365,6 @@ def _dual_scale(kind, cfg, k):
     scale: alg2 / pdfp duals carry a factor gamma/lam relative to alg1."""
     if kind == "spdfp1" or k == 1:
         return 1.0
-    if kind == "pdfp":
-        return cfg.lam / cfg.schedule.c
     return cfg.lam / cfg.schedule.gamma(k - 1)
 
 
@@ -454,13 +453,12 @@ def _pick_chunks(kind, plan, rng, epochs, per_epoch):
 def _c_steps(kind, spec, prox_spec, cfg, ranges, iterates):
     """The run's steps in the C lane, as a _kernels.Steps over the batch
     row ranges that updates the iterates (x, v) in place, where the lane is
-    built and covers the run: 'pdfp', or 'spdfp1'/'spdfp2' with a
-    StepSchedule, on any loss. None otherwise, and the reference steps run.
-    The logistic loss weights take libm exp on both paths, so the steps keep
-    the reference step's bits."""
+    built and covers the run: 'pdfp', 'spdfp1' or 'spdfp2', on any loss and
+    schedule. None otherwise, and the reference steps run. The logistic loss
+    weights take libm exp on both paths, so the steps keep the reference
+    step's bits."""
     lane = _kernels.LANE
-    if (lane is None or kind not in _STEPS
-            or (kind != "pdfp" and not isinstance(cfg.schedule, StepSchedule))):
+    if lane is None or kind not in _STEPS:
         return None
     return lane.steps(kind, spec, prox_spec, cfg, ranges, *iterates)
 
@@ -470,13 +468,16 @@ def run_solver(kind, spec, prox_spec, cfg, admm_cfg=None, x0=None, v0=None,
     """Run a solver for cfg.max_epochs epochs and return per-epoch records.
 
     One epoch is one batch step for 'pdfp' and one full pass (n_batches
-    stochastic steps) otherwise. PDFP additionally stops once the
-    fixed-point residual drops below cfg.stop_tolerance. Records include
-    error columns when a Reference is supplied.
+    stochastic steps) otherwise. PDFP needs a constant step and
+    additionally stops once the fixed-point residual drops below
+    cfg.stop_tolerance. Records include error columns when a Reference is
+    supplied.
 
-    Every input (kind, the lambda guard, the batch plan, x0 and v0) is
-    checked once, before the first step; the steps then run unchecked on
-    raw arrays. on_step, when given, is called with the state after every
+    Every input (kind, the schedule, the lambda guard, the batch plan, x0
+    and v0) is checked once, before the first step; the steps then run
+    unchecked on raw arrays. The lambda guard reads spec.B.spectrum unless
+    rho_max, taken as exact, is given. on_step, when given, is called with
+    the state after every
     step: an IterState, or an AdmmState for 'stoc_admm'. Its arrays are
     fresh each step, so a caller may keep them. Without on_step, each
     epoch runs in one C call where _c_steps allows it.
@@ -493,6 +494,8 @@ def run_solver(kind, spec, prox_spec, cfg, admm_cfg=None, x0=None, v0=None,
     if kind == "stoc_admm" and admm_cfg is None:
         raise ValueError("stoc_admm requires an AdmmConfig")
     name = name or kind
+    if kind == "pdfp" and cfg.schedule.alpha != 0:
+        raise ValueError(f"pdfp needs a constant step, got alpha={cfg.schedule.alpha}")
     if kind != "stoc_admm":
         check_lambda(cfg, spec.B, rho_max=rho_max)
     plan = make_batch_plan(spec.n, cfg.p)
@@ -505,7 +508,7 @@ def run_solver(kind, spec, prox_spec, cfg, admm_cfg=None, x0=None, v0=None,
     rng = np.random.default_rng(cfg.seed)
     t0 = time.perf_counter()
     ranges = ((0, spec.n),) if kind == "pdfp" else plan.ranges
-    ctx = _RunContext(spec, prox_spec, ranges, admm_cfg if kind == "stoc_admm" else None)
+    ctx = _RunContext(spec, prox_spec, ranges)
     c_steps = None if on_step is not None else _c_steps(kind, spec, prox_spec, cfg,
                                                          ranges, iterates)
     products = ctx.products if c_steps is None else c_steps.products

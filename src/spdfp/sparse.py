@@ -6,7 +6,8 @@ this module. Storage is canonical CSR: sorted column indices within each row,
 duplicates summed and exact zeros dropped at construction, which fixes the
 reduction order and keeps runs bit-reproducible. Every product outside the
 fused C lane is RowView's NumPy one, and the eigenvalue comes from Lanczos
-on those products.
+on those products. A matrix is immutable, so it estimates its eigenvalue
+once, on first use of SparseMatrix.spectrum, and keeps it.
 """
 
 import math
@@ -28,7 +29,7 @@ class SparseMatrix:
         input.
     """
 
-    __slots__ = ("n_rows", "n_cols", "indptr", "indices", "data")
+    __slots__ = ("n_rows", "n_cols", "indptr", "indices", "data", "_spectrum")
 
     def __init__(self, n_rows, n_cols, indptr, indices, data):
         if n_rows < 0 or n_cols < 0:
@@ -51,6 +52,7 @@ class SparseMatrix:
         self.indptr = indptr
         self.indices = indices
         self.data = data
+        self._spectrum = None
 
     @classmethod
     def from_coo(cls, n_rows, n_cols, rows, cols, vals):
@@ -95,6 +97,14 @@ class SparseMatrix:
     @property
     def nnz(self):
         return len(self.data)
+
+    @property
+    def spectrum(self):
+        """estimate_spectrum(self), computed on first access and kept: the
+        CSR arrays are write-protected, so it cannot go stale."""
+        if self._spectrum is None:
+            self._spectrum = estimate_spectrum(self)
+        return self._spectrum
 
     def matvec(self, x):
         """Return M x."""
@@ -216,14 +226,16 @@ class SpectralEstimate:
     """rho_max(B B^T) from the Lanczos method.
 
     iterations_used is the number of Lanczos steps taken, one Gram product
-    each. converged says whether the residual bound of the estimate fell to
-    the relative tolerance within max_iter steps, or the steps spanned the
-    whole space.
+    each. residual is the final residual bound beta_k |s_k|: some eigenvalue
+    lies within it of the estimate. converged says whether that bound fell
+    to the relative tolerance within max_iter steps, or the steps spanned
+    the whole space.
     """
 
     rho_max: float
     iterations_used: int
     converged: bool
+    residual: float
 
 
 def estimate_spectrum(B, tol=1e-10, max_iter=10000):
@@ -254,7 +266,7 @@ def estimate_spectrum(B, tol=1e-10, max_iter=10000):
         n, gram = B.n_rows, lambda u: rows.matvec(rows.rmatvec(u))
     q = np.random.default_rng(0).standard_normal(n)
     q /= np.linalg.norm(q)
-    basis, alphas, betas = [], [], []
+    basis, alphas, betas, converged = [], [], [], False
     for k in range(1, min(max_iter, n) + 1):
         basis.append(q)
         w = gram(q)
@@ -268,9 +280,11 @@ def estimate_spectrum(B, tol=1e-10, max_iter=10000):
         T = np.diag(alphas) + np.diag(betas, 1) + np.diag(betas, -1)
         thetas, vectors = np.linalg.eigh(T)
         theta = float(thetas[-1])
-        if beta * abs(vectors[-1, -1]) <= tol * theta or k == n:
-            return SpectralEstimate(rho_max=max(theta, 0.0), iterations_used=k,
-                                    converged=math.isfinite(theta))
+        residual = beta * abs(float(vectors[-1, -1]))
+        if residual <= tol * theta or k == n:
+            converged = math.isfinite(theta)
+            break
         betas.append(beta)
         q = w / beta
-    return SpectralEstimate(rho_max=max(theta, 0.0), iterations_used=k, converged=False)
+    return SpectralEstimate(rho_max=max(theta, 0.0), iterations_used=k, converged=converged,
+                            residual=residual)

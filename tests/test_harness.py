@@ -1,8 +1,12 @@
 import os
+import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from spdfp.harness import (
     DEFAULT_TRUTH_ITERS,
@@ -11,6 +15,7 @@ from spdfp.harness import (
     build_graph_matrix,
     compute_ground_truth,
     default_gamma,
+    default_lambda,
     load_ground_truth,
     load_libsvm,
     load_matrix,
@@ -28,7 +33,7 @@ from spdfp.harness import (
 )
 from spdfp.problem import Dataset, ProblemSpec, objective_value
 from spdfp.sparse import SparseMatrix, estimate_spectrum, identity, stack_identity
-from spdfp.solvers import ConstantSchedule, SolverConfig
+from spdfp.solvers import ConstantSchedule, SolverConfig, StepSchedule, run_solver
 
 
 def read_csv_rows(path, wall_col=3):
@@ -157,6 +162,106 @@ def test_libsvm_rejects_non_finite_numbers(tmp_path):
         p.write_text(text)
         with pytest.raises(ValueError, match=f"bad.libsvm:{line}: .*not finite"):
             load_libsvm(p)
+
+
+# ---------------------------------------------------------------------------
+# properties of the text formats: random CSR matrices with any finite
+# values (empty rows, trailing empty rows and columns included) survive a
+# round trip bit for bit, and a corrupted line is named by its path:line
+
+PROPERTY_SETTINGS = settings(max_examples=100, deadline=None, database=None,
+                             derandomize=True,
+                             suppress_health_check=[HealthCheck.function_scoped_fixture])
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def csr_matrices(draw, min_rows=0, max_side=6):
+    n_rows = draw(st.integers(min_rows, max_side))
+    n_cols = draw(st.integers(0, max_side))
+    count = draw(st.integers(0, 2 * n_rows * n_cols)) if n_rows and n_cols else 0
+    rows = draw(st.lists(st.integers(0, max(n_rows - 1, 0)), min_size=count, max_size=count))
+    cols = draw(st.lists(st.integers(0, max(n_cols - 1, 0)), min_size=count, max_size=count))
+    vals = draw(st.lists(FINITE, min_size=count, max_size=count))
+    # from_coo sums duplicates, which can overflow: keep the first of each
+    first = {}
+    for r, c, v in zip(rows, cols, vals):
+        first.setdefault((r, c), v)
+    entries = list(zip(*[(r, c, v) for (r, c), v in first.items()])) or ([], [], [])
+    return SparseMatrix.from_coo(n_rows, n_cols, *entries)
+
+
+def assert_same_csr(got, want):
+    assert got.shape == want.shape
+    for a, b in ((got.indptr, want.indptr), (got.indices, want.indices),
+                 (got.data, want.data)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(csr_matrices(min_rows=1), st.data())
+def test_libsvm_round_trip_keeps_the_bits(tmp_path, M, data):
+    labels = np.array(data.draw(st.lists(FINITE, min_size=M.n_rows, max_size=M.n_rows)))
+    p = tmp_path / "rt.libsvm"
+    save_libsvm(Dataset(samples=M, labels=labels), p)
+    back = load_libsvm(p, n_features=M.n_cols)
+    assert back.labels.tobytes() == labels.tobytes()
+    assert_same_csr(back.samples, M)
+
+
+@PROPERTY_SETTINGS
+@given(csr_matrices())
+def test_matrix_round_trip_keeps_the_bits(tmp_path, M):
+    p = tmp_path / "rt.txt"
+    save_matrix(M, p)
+    assert_same_csr(load_matrix(p), M)
+
+
+CORRUPTIONS = {
+    "label": st.sampled_from(["x", "1..0", "--1", "1e", "0x1p3", "1:2"]),
+    "zero index": st.sampled_from(["0:1", "0:-2.5", "00:3"]),
+    "non-finite": st.sampled_from(["nan", "inf", "-inf", "1e999"]),
+    "stray colon": st.sampled_from([":", ":1", "2:", "1:2:3", "1::2", "2:1:"]),
+}
+
+
+@PROPERTY_SETTINGS
+@given(csr_matrices(min_rows=1), st.sampled_from(sorted(CORRUPTIONS)), st.data())
+def test_corrupted_libsvm_line_is_named(tmp_path, M, kind, data):
+    p = tmp_path / "bad.libsvm"
+    save_libsvm(Dataset(samples=M, labels=np.ones(M.n_rows)), p)
+    lines = p.read_text().splitlines()
+    i = data.draw(st.integers(0, len(lines) - 1))
+    tokens = lines[i].split()
+    bad = data.draw(CORRUPTIONS[kind])
+    if kind == "label":
+        tokens[0] = bad
+    elif kind == "non-finite" and data.draw(st.booleans()):
+        tokens[0] = bad  # the label
+    else:
+        if kind == "non-finite":
+            bad = f"{data.draw(st.integers(1, 9))}:{bad}"
+        tokens.insert(data.draw(st.integers(1, len(tokens))), bad)
+    lines[i] = " ".join(tokens)
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"{p}:{i + 1}: ")):
+        load_libsvm(p)
+
+
+@PROPERTY_SETTINGS
+@given(csr_matrices(min_rows=1).filter(lambda M: M.nnz > 0),
+       st.sampled_from(["nan", "inf", "-1e999", "1:2", ":", "1 2"]), st.data())
+def test_corrupted_matrix_line_is_named(tmp_path, M, bad, data):
+    p = tmp_path / "bad.txt"
+    save_matrix(M, p)
+    lines = p.read_text().splitlines()
+    i = data.draw(st.integers(1, len(lines) - 1))  # line 0 is the shape
+    fields = lines[i].split()
+    fields[data.draw(st.integers(0, 2)) if ":" in bad or " " in bad else 2] = bad
+    lines[i] = " ".join(fields)
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=re.escape(f"{p}:{i + 1}: ")):
+        load_matrix(p)
 
 
 # ---------------------------------------------------------------------------
@@ -332,13 +437,14 @@ def test_default_gamma_follows_the_loss_curvature():
     for loss, c in (("logistic", 0.25), ("square", 1.0)):
         spec = ProblemSpec(loss=loss, dataset=ds, l2_weight=0.1, composite_weight=0.1,
                            B=identity(6))
-        assert default_gamma(spec, rho) == 1.0 / (c * rho / 30 + 0.1)
+        theta = spec.dataset.samples.spectrum.rho_max
+        assert default_gamma(spec) == 1.0 / (c * theta / 30 + 0.1)
         assert default_gamma(spec) == pytest.approx(1.0 / (c * rho / 30 + 0.1), rel=1e-6)
+        assert default_lambda(spec) == 0.9 / spec.B.spectrum.rho_max
     hinge = ProblemSpec(loss="hinge", dataset=ds, l2_weight=0.1, composite_weight=0.1,
                         B=identity(6))
-    for given in ((rho,), ()):
-        with pytest.raises(ValueError, match="hinge loss has no Lipschitz gradient"):
-            default_gamma(hinge, *given)
+    with pytest.raises(ValueError, match="hinge loss has no Lipschitz gradient"):
+        default_gamma(hinge)
 
 
 def test_hinge_needs_an_explicit_step():
@@ -358,10 +464,19 @@ def test_hinge_needs_an_explicit_step():
         assert compute_ground_truth(spec, cfg=cfg, iters=50).iterations == 50
     auto = SolverEntry(kind="pdfp", label="pdfp", params={})
     with pytest.raises(ValueError, match="hinge loss has no Lipschitz gradient"):
-        build_solver_configs(auto, spec, rho_max=1.0, seed=0, epochs=1)
+        build_solver_configs(auto, spec, seed=0, epochs=1)
     given = SolverEntry(kind="pdfp", label="pdfp", params={"gamma": "0.25"})
-    run_cfg, _ = build_solver_configs(given, spec, rho_max=1.0, seed=0, epochs=1)
+    run_cfg, _ = build_solver_configs(given, spec, seed=0, epochs=1)
     assert run_cfg.schedule.c == 0.25
+
+
+def test_ground_truth_needs_a_constant_step():
+    # PDFP steps by schedule.c alone: a decaying schedule is refused, not
+    # run as a constant one
+    spec = synth_fused_lasso(20, 4, 0.1, 0.01, seed=3)
+    cfg = SolverConfig(schedule=StepSchedule(0.1, 0.7), lam=0.1, p=20)
+    with pytest.raises(ValueError, match="pdfp needs a constant step"):
+        compute_ground_truth(spec, cfg=cfg)
 
 
 def test_ground_truth_certificate_and_minimality():
@@ -399,14 +514,21 @@ def test_solver_defaults_follow_loss(tmp_path):
     logistic = ProblemSpec(loss="logistic", dataset=ds, l2_weight=0.1,
                            composite_weight=0.1, B=identity(6))
     entry = SolverEntry(kind="spdfp2", label="s", params={})
-    cfg, _ = build_solver_configs(entry, logistic, rho_max=1.0, seed=0, epochs=1)
+    cfg, _ = build_solver_configs(entry, logistic, seed=0, epochs=1)
     assert (cfg.schedule.c, cfg.schedule.alpha) == (2.0, 0.55)
+    assert cfg.lam == 0.9 / logistic.B.spectrum.rho_max
     square = synth_fused_lasso(30, 6, 0.1, 0.01, seed=1)
-    cfg, _ = build_solver_configs(entry, square, rho_max=1.0, seed=0, epochs=1)
+    cfg, _ = build_solver_configs(entry, square, seed=0, epochs=1)
     assert (cfg.schedule.c, cfg.schedule.alpha) == (1.0, 0.7)
+    assert cfg.lam == 0.9 / square.B.spectrum.rho_max
     entry2 = SolverEntry(kind="spdfp2", label="s", params={"c": "3", "alpha": "0.9"})
-    cfg, _ = build_solver_configs(entry2, logistic, rho_max=1.0, seed=0, epochs=1)
+    cfg, _ = build_solver_configs(entry2, logistic, seed=0, epochs=1)
     assert (cfg.schedule.c, cfg.schedule.alpha) == (3.0, 0.9)
+    # pdfp(gamma=auto) steps by default_gamma: 1/L on the kept estimate of A
+    cfg, _ = build_solver_configs(SolverEntry(kind="pdfp", label="b", params={}), square,
+                                  seed=0, epochs=1)
+    assert cfg.schedule.c == 1.0 / (square.dataset.samples.spectrum.rho_max / 30
+                                    + square.l2_weight)
 
 
 def test_solver_clauses_reject_keys_their_kind_ignores():
@@ -417,9 +539,9 @@ def test_solver_clauses_reject_keys_their_kind_ignores():
                       ("stoc_admm", "stop_tol"), ("stoc_admm", "lambda")):
         entry = SolverEntry(kind=kind, label="mine", params={key: "1e-3"})
         with pytest.raises(ValueError, match=f"solver mine: .*'{key}'"):
-            build_solver_configs(entry, spec, rho_max=1.0, seed=0, epochs=1)
+            build_solver_configs(entry, spec, seed=0, epochs=1)
     entry = SolverEntry(kind="pdfp", label="mine", params={"stop_tol": "1e-3", "lambda": "0.5"})
-    cfg, _ = build_solver_configs(entry, spec, rho_max=1.0, seed=0, epochs=1)
+    cfg, _ = build_solver_configs(entry, spec, seed=0, epochs=1)
     assert (cfg.stop_tolerance, cfg.lam, cfg.p) == (1e-3, 0.5, spec.n)
 
 
@@ -570,36 +692,52 @@ def test_experiment_problem_file_and_truth_cache(tmp_path):
 
 
 def test_each_operator_estimated_once_per_run(tmp_path, monkeypatch):
-    import spdfp.harness
-    import spdfp.solvers
+    # every estimate goes through SparseMatrix.spectrum, which calls
+    # spdfp.sparse.estimate_spectrum once per matrix object; each spec is
+    # built after the patch, so none holds an estimate from before it
+    import spdfp.sparse
 
-    spec = synth_fused_lasso(40, 6, 0.1, 0.01, seed=2)
-    truth = compute_ground_truth(spec, iters=50)
     calls = []
-    real = spdfp.harness.estimate_spectrum
+    real = spdfp.sparse.estimate_spectrum
 
     def counting(M, *args, **kwargs):
         calls.append(M)
         return real(M, *args, **kwargs)
 
-    monkeypatch.setattr(spdfp.harness, "estimate_spectrum", counting)
-    monkeypatch.setattr(spdfp.solvers, "estimate_spectrum", counting)
+    monkeypatch.setattr(spdfp.sparse, "estimate_spectrum", counting)
 
     def count(rows):
         return sum(M.n_rows == rows for M in calls)
 
-    for solvers, data_estimates in (("pdfp()", 1), ("pdfp(gamma=0.5)", 0)):
-        calls.clear()
-        cfg = ExperimentConfig(problem="synth:n=40,d=6,seed=2,perturb_frac=0.1",
-                               solvers=parse_solver_list(solvers),
-                               repetitions=3, epochs=1, output=str(tmp_path / "run"),
-                               master_seed=1)
-        run_experiment(cfg, ground_truth=truth)
-        assert count(40) == data_estimates, solvers  # A is 40 x 6
-        assert count(5) == 1, solvers                # B is 5 x 6
+    # the truth estimates A (its step) and B (its lambda and the guard); the
+    # runs, default_lambda and a second truth on the same spec reuse them
+    spec = synth_fused_lasso(40, 6, 0.1, 0.01, seed=2)
+    truth = compute_ground_truth(spec, iters=50)
+    assert count(40) == 1 and count(5) == 1  # A is 40 x 6, B is 5 x 6
+    cfg = SolverConfig(schedule=StepSchedule(1.0, 0.7), lam=default_lambda(spec), p=10)
+    for kind in ("pdfp", "spdfp1", "spdfp2"):
+        run_cfg = replace(cfg, schedule=ConstantSchedule(truth.gamma)) if kind == "pdfp" else cfg
+        run_solver(kind, spec, prox_for(spec), run_cfg, reference=truth.reference())
+    compute_ground_truth(spec, iters=1)
+    assert count(40) == 1 and count(5) == 1
 
-    # no ground truth given: the truth reuses the run's estimate of B, and
-    # pdfp(gamma=auto) clauses the truth's step, so A is estimated once too
+    # a truth given, or cached next to the problem file: the run's own spec
+    # estimates B once, and A once if some pdfp clause steps by default_gamma
+    problem = save_problem(synth_fused_lasso(40, 6, 0.1, 0.01, seed=2), tmp_path / "p")
+    save_ground_truth(truth, problem + ".truth.npz")
+    for source, given in (("synth:n=40,d=6,seed=2,perturb_frac=0.1", truth), (problem, None)):
+        for solvers, data_estimates in (("pdfp()", 1), ("pdfp(gamma=0.5)", 0),
+                                        ("pdfp(); spdfp2(p=10); pdfp(label=again)", 1)):
+            calls.clear()
+            cfg = ExperimentConfig(problem=source, solvers=parse_solver_list(solvers),
+                                   repetitions=3, epochs=1, output=str(tmp_path / "run"),
+                                   master_seed=1)
+            run_experiment(cfg, ground_truth=given)
+            assert count(40) == data_estimates, (source, solvers)
+            assert count(5) == 1, (source, solvers)
+
+    # no truth at all: the truth and every pdfp(gamma=auto) clause share one
+    # estimate of A, and the truth, the clauses and the guard one of B
     for solvers in ("spdfp2(p=10)", "pdfp(); spdfp2(p=10); pdfp(label=again)"):
         calls.clear()
         cfg = ExperimentConfig(problem="synth:n=40,d=6,seed=2,perturb_frac=0.1",
@@ -608,7 +746,3 @@ def test_each_operator_estimated_once_per_run(tmp_path, monkeypatch):
                                master_seed=1)
         run_experiment(cfg)
         assert count(5) == 1 and count(40) == 1, solvers
-
-    calls.clear()
-    compute_ground_truth(spec, iters=1)
-    assert count(5) == 1 and count(40) == 1

@@ -374,6 +374,27 @@ def test_fused_run_matches_python_path_bitwise(monkeypatch, c_lane, kind, loss, 
     assert_same_bits(seen[-1].v, fused[1][-1][1])
 
 
+@pytest.mark.parametrize("kind", ["spdfp1", "spdfp2"])
+@pytest.mark.parametrize("loss,l2_weight", [("square", 0.0), ("logistic", 0.1)])
+def test_constant_step_spdfp_runs_fused_with_the_python_bits(monkeypatch, c_lane, kind, loss,
+                                                              l2_weight):
+    # gamma_k = c / k**0 and ((k-1)/k)**0 = 1 through libm pow, as in Python
+    spec = fused_spec(loss, l2_weight)
+    cfg = SolverConfig(schedule=ConstantSchedule(0.3), lam=0.8 / spec.B.spectrum.rho_max, p=5,
+                       seed=11, max_epochs=30)
+    rng = np.random.default_rng(42)
+    ref = Reference(x_star=rng.standard_normal(6), v_star=rng.standard_normal(4),
+                    objective_star=0.7)
+    calls = []
+    steps = c_lane.steps
+    monkeypatch.setattr(c_lane, "steps", lambda *a: calls.append(a) or steps(*a))
+    fused = run_on_lane(monkeypatch, c_lane, kind, spec, ProxSpec("l1", 0.2), cfg, reference=ref)
+    assert len(calls) == 1
+    python = run_on_lane(monkeypatch, None, kind, spec, ProxSpec("l1", 0.2), cfg, reference=ref)
+    assert len(fused[0]) == 31
+    assert_same_run(fused, python)
+
+
 def test_fused_pdfp_stops_at_the_same_epoch(monkeypatch, c_lane):
     spec = fused_spec("square", 0.0)
     rho = estimate_spectrum(spec.B).rho_max

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -69,6 +70,31 @@ def test_schedule_validation_and_gamma():
     assert ConstantSchedule(0.3).gamma(100) == 0.3
 
 
+def test_every_schedule_carries_its_exponent():
+    # a constant step is c / k**0, bit for bit
+    s = ConstantSchedule(0.05)
+    assert s.alpha == ConstantSchedule.alpha == 0.0
+    for k in (1, 2, 3, 7, 1000, 2**40):
+        assert s.gamma(k) == s.c / k**s.alpha == 0.05
+        assert ((k - 1) / k) ** s.alpha == 1.0
+
+
+def test_constant_step_spdfp_runs_and_pdfp_refuses_a_decaying_one():
+    spec, _, _ = fused_spec(20, 6, seed=8, mu=0.2)
+    prox_spec = ProxSpec("l1", 0.2)
+    cfg = SolverConfig(schedule=ConstantSchedule(0.05), lam=0.18, p=5, seed=77, max_epochs=3)
+    xs1, xs2 = [], []
+    recs1 = run_solver("spdfp1", spec, prox_spec, cfg, on_step=lambda s: xs1.append(s.x))
+    recs2 = run_solver("spdfp2", spec, prox_spec, cfg, on_step=lambda s: xs2.append(s.x))
+    assert len(recs1) == len(recs2) == 4 and len(xs1) == len(xs2) == 3 * 4
+    for a, b in zip(xs1, xs2):
+        assert np.linalg.norm(a - b) <= 1e-10 * max(np.linalg.norm(b), 1e-30)
+    # pdfp steps by schedule.c alone, so it must not be given a decaying step
+    decaying = replace(cfg, schedule=StepSchedule(0.1, 0.7))
+    with pytest.raises(ValueError, match="pdfp needs a constant step"):
+        run_solver("pdfp", spec, prox_spec, decaying)
+
+
 def test_lambda_guard():
     spec, _, _ = fused_spec(20, 6, seed=0)
     from spdfp.sparse import estimate_spectrum
@@ -115,6 +141,38 @@ def test_lambda_guard_rejects_nan():
     with pytest.raises(ValueError, match="lambda"):
         check_lambda(SimpleNamespace(lam=0.01), spec.B, rho_max=np.nan)
     check_lambda(SimpleNamespace(lam=0.01), spec.B)
+
+
+def test_lambda_guard_trusts_only_a_converged_estimate():
+    rng = np.random.default_rng(3)
+    D = rng.standard_normal((12, 8))
+    rho = float(np.linalg.eigvalsh(D.T @ D)[-1])
+    norms = np.abs(D).sum(axis=0).max() * np.abs(D).sum(axis=1).max()
+    B = SparseMatrix.from_dense(D)
+    est = B.spectrum
+    assert est.converged and est.residual <= 1e-10 * est.rho_max
+    assert est.rho_max == pytest.approx(rho, rel=1e-13)
+    lanczos, norm_limit = 1.0 / (est.rho_max + est.residual), 1.0 / norms
+    assert norm_limit < lanczos
+    between = SimpleNamespace(lam=0.5 * (norm_limit + lanczos))
+    below = SimpleNamespace(lam=0.99 * norm_limit)
+    # converged: lambda (theta + r) < 1 admits what the norm bound does not
+    check_lambda(between, B)
+    with pytest.raises(ValueError, match="lambda"):
+        check_lambda(SimpleNamespace(lam=lanczos), B)
+    # three Lanczos steps do not converge, so only the norm bound counts
+    B = SparseMatrix.from_dense(D)
+    B._spectrum = estimate_spectrum(B, max_iter=3)
+    assert not B.spectrum.converged and B.spectrum.rho_max < rho
+    short = 1.0 / (B.spectrum.rho_max + B.spectrum.residual)
+    assert norm_limit < between.lam < short
+    with pytest.raises(ValueError, match=r"converged=False\), 1/\(\|\|B\|\|_1 "):
+        check_lambda(between, B)
+    check_lambda(below, B)
+    # a given rho_max is taken as exact
+    check_lambda(between, B, rho_max=rho)
+    with pytest.raises(ValueError, match="lambda"):
+        check_lambda(below, B, rho_max=1.0 / below.lam)
 
 
 # ---------------------------------------------------------------------------

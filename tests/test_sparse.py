@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -201,6 +203,20 @@ def test_spectrum_nonconvergence_flag():
     est = estimate_spectrum(B, tol=1e-15, max_iter=3)
     assert not est.converged
     assert est.iterations_used == 3
+
+
+def test_matrix_keeps_its_spectrum():
+    rng = np.random.default_rng(6)
+    for M in (random_sparse(rng, 30, 7), random_sparse(rng, 7, 30), build_difference_matrix(9)):
+        est = M.spectrum
+        assert M.spectrum is est
+        fresh = estimate_spectrum(M)
+        assert fresh is not est
+        assert dataclasses.astuple(est) == dataclasses.astuple(fresh)
+        assert est.converged and 0 <= est.residual <= 1e-10 * est.rho_max
+    # a row block or a transpose is another matrix, with its own estimate
+    assert M.row_block(0, 4).spectrum is not M.spectrum
+    assert M.transpose().spectrum.rho_max == pytest.approx(M.spectrum.rho_max, rel=1e-13)
 
 
 def test_spectrum_rejects_empty_and_bad_tol():
