@@ -5,9 +5,9 @@ lane.c, built into the shared library ``_lane`` by
 steps, and the A x and B x products of a run's record blocks, and is
 loaded with ctypes when it was built. ``LANE`` is the loaded CLane, or
 None, and then every step runs on the NumPy reference path of
-spdfp.solvers. Both paths give the same bits. Every other product, and the
-prox outside the fused steps, is NumPy on either path (sparse.RowView,
-prox.soft_threshold).
+spdfp.solvers; spdfp.solvers._steps alone reads it to pick the lane. Both
+paths give the same bits. Every other product, and the prox outside the
+fused steps, is NumPy on either path (sparse.RowView, prox.soft_threshold).
 """
 
 import ctypes
@@ -88,9 +88,11 @@ class Steps:
 
     ``use(picks)`` takes an int64 array of indices into the ranges and its
     address, once; each call then runs count of them from an offset. So a
-    run draws its picks in chunks of whole epochs and pays no copy or
-    address lookup per epoch. ``products(X)`` gives A x and B x of each
-    snapshot x in the rows of X, for a block of epoch records, in one call.
+    run draws the picks of a block of epochs at once and pays no copy or
+    address lookup per epoch. ``iterates`` is (x, v), the arrays the steps
+    update. ``products(X)`` gives A x and B x of each snapshot x in the rows
+    of X, for a block of epoch records, in one call. solvers._ReferenceSteps
+    takes the same calls on the reference path.
 
     Every step runs wholly in C, the logistic one too: its loss weights take
     libm exp, as spdfp.problem.loss_weights does through math.exp, so the
@@ -102,6 +104,7 @@ class Steps:
         ranges = np.array(ranges, dtype=np.int64).reshape(-1, 2)
         work = np.empty(A.n_rows + 3 * A.n_cols + 2 * B.n_rows)
         self._keep = (A, B, labels, ranges, x, v, work)
+        self.iterates = x, v
         self._run = run = _Run(_KINDS[kind], _LOSSES[spec.loss], prox_spec.kind == "l1",
                                cfg.schedule.c, cfg.schedule.alpha,
                                cfg.lam, spec.l2_weight, prox_spec.weight, _csr(A), _csr(B),

@@ -20,6 +20,7 @@ import math
 import os
 import re
 import warnings
+from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -32,10 +33,9 @@ from spdfp.solvers import (
     Reference,
     SolverConfig,
     StepSchedule,
-    _c_steps,
     _fixed_point_residual,
-    _pdfp,
     _RunContext,
+    _steps,
     check_lambda,
     initial_state,
     run_solver,
@@ -192,21 +192,15 @@ def build_graph_matrix(dataset, threshold):
     if not np.all(ok):
         warnings.warn(f"excluding {int(np.sum(~ok))} zero-variance feature(s) "
                       "from the correlation graph")
-    d = X.shape[1]
-    rows, cols, vals = [], [], []
-    r = 0
     live = np.flatnonzero(ok)
-    if len(live) >= 2:
-        Xc = (X[:, live] - X[:, live].mean(axis=0)) / std[live]
-        corr = (Xc.T @ Xc) / X.shape[0]
-        for a in range(len(live)):
-            for b in range(a + 1, len(live)):
-                if abs(corr[a, b]) > threshold:
-                    rows += [r, r]
-                    cols += [int(live[a]), int(live[b])]
-                    vals += [1.0, -1.0]
-                    r += 1
-    return SparseMatrix.from_coo(r, d, rows, cols, vals)
+    Xc = (X[:, live] - X[:, live].mean(axis=0)) / std[live]
+    corr = (Xc.T @ Xc) / X.shape[0]
+    # the pairs a < b of live features, in row-major order
+    a, b = np.nonzero(np.triu(np.abs(corr) > threshold, 1))
+    r = len(a)
+    return SparseMatrix.from_coo(r, X.shape[1], np.repeat(np.arange(r), 2),
+                                 np.column_stack([live[a], live[b]]).ravel(),
+                                 np.tile([1.0, -1.0], r))
 
 
 # ---------------------------------------------------------------------------
@@ -350,26 +344,19 @@ def compute_ground_truth(spec, prox_spec=None, cfg=None, iters=DEFAULT_TRUTH_ITE
     if cfg.schedule.alpha != 0:
         raise ValueError(f"pdfp needs a constant step, got alpha={cfg.schedule.alpha}")
     check_lambda(cfg, spec.B)
-    ctx = _RunContext(spec, prox_spec)
+    ctx = _RunContext(spec, prox_spec, ((0, spec.n),))
     state = initial_state(spec)
-    x, v = state.x, state.v
-    c_steps = _c_steps("pdfp", spec, prox_spec, cfg, ((0, spec.n),), (x, v))
-    if c_steps is not None:
-        c_steps.use(np.zeros(iters, dtype=np.int64))
+    steps = _steps("pdfp", spec, prox_spec, cfg, ctx, (state.x, state.v))
+    steps.use(np.zeros(iters, dtype=np.int64))
     used, reached = 0, False
     while used < iters and not reached:
         n = min(_TRUTH_CHUNK, iters - used)
-        if c_steps is not None:  # updates x and v in place
-            c_steps(used, n - 1, used + 1)
-            x_prev, v_prev = x.copy(), v.copy()
-            c_steps(used + n - 1, 1, used + n)
-        else:
-            for k in range(used + 1, used + n):
-                x, v = _pdfp(ctx, cfg, k, ctx.full, x, v)
-            x_prev, v_prev = x, v
-            x, v = _pdfp(ctx, cfg, used + n, ctx.full, x, v)
+        steps(used, n - 1, used + 1)
+        x_prev, v_prev = (a.copy() for a in steps.iterates)  # the C lane steps in place
+        steps(used + n - 1, 1, used + n)
         used += n
-        reached = _step_length(x_prev, v_prev, x, v) <= TRUTH_TARGET
+        reached = _step_length(x_prev, v_prev, *steps.iterates) <= TRUTH_TARGET
+    x, v = steps.iterates
     gamma, lam = cfg.schedule.c, cfg.lam
     res = _fixed_point_residual(ctx, gamma, lam, x, v)
     if not reached:
@@ -423,13 +410,19 @@ class ExperimentConfig:
             raise ValueError("repetitions must be at least 1")
         if self.epochs < 0:
             raise ValueError("epochs must be nonnegative")
+        # the rows and means of a run are keyed by label
+        repeated = sorted(k for k, n in Counter(e.label for e in self.solvers).items() if n > 1)
+        if repeated:
+            raise ValueError(f"solvers: label(s) {repeated} name more than one clause; "
+                             "give each clause its own label=...")
 
 
-_SOLVER_RE = re.compile(r"(\w+)\s*\(([^)]*)\)")
+_SOLVER_RE = re.compile(r"(\w+)\s*\(([^()]*)\)")
 
 
 def parse_solver_list(text):
-    """Parse 'kind(key=val,...)' clauses separated by whitespace, ';' or ','."""
+    """Parse 'kind(key=val,...)' clauses separated by whitespace, ';' or ','.
+    A key given twice in one clause is an error."""
     leftover = re.sub(r"[\s;,]+", " ", _SOLVER_RE.sub(" ", text)).strip()
     if leftover:
         raise ValueError(f"solvers: unexpected text {leftover!r} outside solver clauses")
@@ -442,8 +435,10 @@ def parse_solver_list(text):
             for item in body.split(","):
                 if "=" not in item:
                     raise ValueError(f"solvers: expected key=value, got {item!r}")
-                k, _, v = item.partition("=")
-                params[k.strip()] = v.strip()
+                k, _, v = (part.strip() for part in item.partition("="))
+                if k in params:
+                    raise ValueError(f"solvers: clause {m.group(0)!r} gives key {k!r} twice")
+                params[k] = v
         label = params.pop("label", kind)
         entries.append(SolverEntry(kind=kind, label=label, params=params))
     if not entries:

@@ -13,21 +13,21 @@ Four solvers share the state layout (primal x, dual v, counter k):
 
 ``run_solver`` wraps any of them into an epoch loop with per-epoch records.
 It checks its inputs once and builds a _RunContext (raw CSR arrays, row maps
-and scalars); the loop then calls the private reference step of each kind on
-it. Each public step function builds a context and calls the same step.
-A run draws its batch indices as int64 arrays of whole epochs, at most
-_DRAW_CHUNK of them at a time, which gives the stream of one draw per epoch.
-Where the C lane is built, ``run_solver`` runs each epoch of 'pdfp',
-'spdfp1' and 'spdfp2' steps in one C call instead (_c_steps), and the
-ground truth its chunks of PDFP steps, with the same bits, on either
-schedule ('pdfp' needs a constant one).
+and scalars), on which the private reference step of each kind runs. Each
+public step function builds a context and calls the same step.
 
-The records are built a block of epochs at a time: after each epoch the
-loop stamps the time and copies x and v into a _Block, and _block_records
-turns a full block, or the last one, into records with one product call
-and one NumPy operation per column over the stacked rows. A run whose
-objective turns NaN or infinite keeps the records up to that epoch's and
-stops with a RuntimeWarning.
+_steps alone picks the lane: the C lane's steps (_kernels.Steps) for a
+'pdfp', 'spdfp1' or 'spdfp2' run without on_step where the lane is built,
+else the reference steps behind the same calls (_ReferenceSteps), with the
+same bits. ``run_solver`` and the ground truth each drive them in one loop.
+
+``run_solver`` goes through its epochs in blocks. A block draws the batch
+indices of its epochs as one int64 array when it starts, which gives the
+stream of one draw per step, copies x and v into a _Block after each epoch,
+and then turns them into records (_block_records) with one product call and
+one NumPy operation per column over the stacked rows. A run whose objective
+turns NaN or infinite keeps the records up to that epoch's and stops with a
+RuntimeWarning.
 """
 
 import math
@@ -160,16 +160,17 @@ class _RunContext:
     """What the reference steps read, built once per run from checked inputs.
 
     ``full`` is (RowView of all of A, labels), built on first use;
-    ``batches`` holds one such pair per row range given, in order, and ``B``
-    is a RowView of all of B; ``BtB``, B^T B dense for the ADMM x-update, is
-    built on first use. The steps convert and check nothing: iterates must
-    be float64 vectors of the right lengths.
+    ``batches`` holds one such pair per row range in ``ranges``, in order,
+    and ``B`` is a RowView of all of B; ``BtB``, B^T B dense for the ADMM
+    x-update, is built on first use. The steps convert and check nothing:
+    iterates must be float64 vectors of the right lengths.
     """
 
     def __init__(self, spec, prox_spec, ranges=()):
         self.spec = spec
         self.prox_l1 = prox_spec.kind == "l1"
         self.prox_weight = prox_spec.weight
+        self.ranges = ranges
         self.batches = [self.full if (lo, hi) == (0, spec.n) else self._rows(lo, hi)
                         for lo, hi in ranges]
         self.B = spec.B.row_view(0, spec.B.n_rows)
@@ -383,15 +384,13 @@ class _Block:
         self.first, self.ks, self.wall = 0, [], []
 
     def add(self, iterates, k):
-        """Stamp the time and copy the iterates after step k - 1; True once
-        the block is full."""
+        """Stamp the time and copy the iterates after step k - 1."""
         self.wall.append(time.perf_counter() - self.t0)
         i = len(self.ks)
         self.X[i] = iterates[0]
         if self.V is not None:
             self.V[i] = iterates[1]
         self.ks.append(k)
-        return i + 1 == len(self.X)
 
     def take(self):
         """(first, X, V, ks, wall) of the rows added so far, which the block
@@ -429,38 +428,52 @@ def _block_records(kind, name, spec, cfg, reference, products, block):
             for i, row in enumerate(zip(wall, objective.tolist(), rel, sq, a_k))]
 
 
-_STEPS = {"pdfp": _pdfp, "spdfp1": _spdfp1, "spdfp2": _spdfp2}
+_STEPS = {"pdfp": _pdfp, "spdfp1": _spdfp1, "spdfp2": _spdfp2, "stoc_admm": _stoc_admm}
 
-# Batch indices drawn at once: a chunk holds at most this many, in whole
-# epochs, but always at least one epoch.
-_DRAW_CHUNK = 1 << 16
 # Doubles a record block holds at most for its snapshots of x and v and
 # their products A x and B x: whole epochs, but always at least one.
 _RECORD_BLOCK = 1 << 16
 
 
-def _pick_chunks(kind, plan, rng, epochs, per_epoch):
-    """The batch indices of a run's epochs, as int64 arrays of whole epochs
-    of per_epoch steps each. 'pdfp' steps over its one range and draws
-    nothing."""
-    per_chunk = max(1, _DRAW_CHUNK // per_epoch)
-    for first in range(0, epochs, per_chunk):
-        size = min(per_chunk, epochs - first) * per_epoch
-        yield (np.zeros(size, dtype=np.int64) if kind == "pdfp"
-               else _draw_batch_indices(plan, rng, size))
+class _ReferenceSteps:
+    """The reference steps of a run of kind, behind the calls of a
+    _kernels.Steps, picks indexing ctx.batches. on_step, when given, gets
+    the state after each step; ``iterates`` holds the latest iterates, fresh
+    arrays after every step."""
+
+    def __init__(self, kind, params, ctx, iterates, on_step):
+        self._step, self._params, self._ctx, self._on_step = _STEPS[kind], params, ctx, on_step
+        self._state = AdmmState if kind == "stoc_admm" else IterState
+        self.iterates, self.products, self._picks = iterates, ctx.products, []
+
+    def use(self, picks):
+        self._picks = picks.tolist()
+
+    def __call__(self, start, count, k):
+        """The steps of picks[start:start + count]; k counts steps from 1
+        before the first of them."""
+        step, params, ctx, on_step = self._step, self._params, self._ctx, self._on_step
+        iterates = self.iterates
+        for i in self._picks[start:start + count]:
+            iterates = step(ctx, params, k, ctx.batches[i], *iterates)
+            k += 1
+            if on_step is not None:
+                on_step(self._state(*iterates, k))
+        self.iterates = iterates
 
 
-def _c_steps(kind, spec, prox_spec, cfg, ranges, iterates):
-    """The run's steps in the C lane, as a _kernels.Steps over the batch
-    row ranges that updates the iterates (x, v) in place, where the lane is
-    built and covers the run: 'pdfp', 'spdfp1' or 'spdfp2', on any loss and
-    schedule. None otherwise, and the reference steps run. The logistic loss
-    weights take libm exp on both paths, so the steps keep the reference
-    step's bits."""
+def _steps(kind, spec, prox_spec, params, ctx, iterates, on_step=None):
+    """The steps of a run of kind from iterates, over the batch row ranges
+    of ctx, with params (a SolverConfig, or an AdmmConfig for 'stoc_admm').
+
+    Where the C lane is built, a 'pdfp', 'spdfp1' or 'spdfp2' run without
+    on_step gets the lane's _kernels.Steps, which updates the iterates
+    (x, v) in place; any other run gets _ReferenceSteps. Both take the same
+    calls and give the same bits."""
     lane = _kernels.LANE
-    if lane is None or kind not in _STEPS:
-        return None
-    return lane.steps(kind, spec, prox_spec, cfg, ranges, *iterates)
+    if lane is not None and kind != "stoc_admm" and on_step is None:
+        return lane.steps(kind, spec, prox_spec, params, ctx.ranges, *iterates)
+    return _ReferenceSteps(kind, params, ctx, iterates, on_step)
 
 
 def run_solver(kind, spec, prox_spec, cfg, admm_cfg=None, x0=None, v0=None,
@@ -475,19 +488,18 @@ def run_solver(kind, spec, prox_spec, cfg, admm_cfg=None, x0=None, v0=None,
 
     Every input (kind, the schedule, the lambda guard, the batch plan, x0
     and v0) is checked once, before the first step; the steps then run
-    unchecked on raw arrays. The lambda guard reads spec.B.spectrum unless
-    rho_max, taken as exact, is given. on_step, when given, is called with
-    the state after every
-    step: an IterState, or an AdmmState for 'stoc_admm'. Its arrays are
-    fresh each step, so a caller may keep them. Without on_step, each
-    epoch runs in one C call where _c_steps allows it.
+    unchecked on raw arrays, in the lane _steps picks. The lambda guard
+    reads spec.B.spectrum unless rho_max, taken as exact, is given.
+    on_step, when given, is called with the state after every step: an
+    IterState, or an AdmmState for 'stoc_admm'. Its arrays are fresh each
+    step, so a caller may keep them.
 
-    After each epoch the run copies x and v into a block of snapshots
-    (_Block), at most _RECORD_BLOCK doubles with their products, and
-    builds the block's records once it is full or the run ends
-    (_block_records). A run whose objective is NaN or infinite after an
-    epoch keeps that epoch's record, drops the rest of its block, warns
-    (RuntimeWarning) and stops.
+    The epochs come in blocks of at most _RECORD_BLOCK doubles of snapshots
+    and their products. A block draws the batch indices of its epochs when
+    it starts ('pdfp' draws none), copies x and v into a _Block after each
+    epoch, and then builds its records (_block_records). A run whose
+    objective is NaN or infinite after an epoch keeps that epoch's record,
+    drops the rest of its block, warns (RuntimeWarning) and stops.
     """
     if kind not in SOLVER_KINDS:
         raise ValueError(f"unknown solver kind {kind!r}")
@@ -501,55 +513,43 @@ def run_solver(kind, spec, prox_spec, cfg, admm_cfg=None, x0=None, v0=None,
     plan = make_batch_plan(spec.n, cfg.p)
     if kind == "stoc_admm":
         s = initial_admm_state(spec, x0=x0)
-        step, params, make_state, iterates = _stoc_admm, admm_cfg, AdmmState, (s.x, s.y, s.multiplier)
+        params, iterates = admm_cfg, (s.x, s.y, s.multiplier)
     else:
         s = initial_state(spec, x0=x0, v0=v0)
-        step, params, make_state, iterates = _STEPS[kind], cfg, IterState, (s.x, s.v)
+        params, iterates = cfg, (s.x, s.v)
     rng = np.random.default_rng(cfg.seed)
     t0 = time.perf_counter()
     ranges = ((0, spec.n),) if kind == "pdfp" else plan.ranges
     ctx = _RunContext(spec, prox_spec, ranges)
-    c_steps = None if on_step is not None else _c_steps(kind, spec, prox_spec, cfg,
-                                                         ranges, iterates)
-    products = ctx.products if c_steps is None else c_steps.products
+    steps = _steps(kind, spec, prox_spec, params, ctx, iterates, on_step)
+    per_epoch = len(ranges)
     rows = max(1, _RECORD_BLOCK // (spec.dim + spec.n + 2 * spec.B.n_rows))
     block = _Block(rows, spec.dim, None if kind == "stoc_admm" else spec.B.n_rows, t0)
     check_stop = kind == "pdfp" and cfg.stop_tolerance > 0
-    records = []
-
-    def flush():
-        """Record the block; True if the run diverged in it."""
-        for rec in _block_records(kind, name, spec, cfg, reference, products, block):
+    records, k = [], 1
+    for first in range(0, cfg.max_epochs + 1, rows):
+        epochs = range(first, min(first + rows, cfg.max_epochs + 1))
+        size = (len(epochs) - (first == 0)) * per_epoch  # epoch 0 runs no step
+        if size:
+            steps.use(np.zeros(size, dtype=np.int64) if kind == "pdfp"
+                      else _draw_batch_indices(plan, rng, size))
+        start = 0
+        for epoch in epochs:
+            if epoch:
+                steps(start, per_epoch, k)
+                start, k = start + per_epoch, k + per_epoch
+            block.add(steps.iterates, k)
+            stop = check_stop and epoch > 0 and _fixed_point_residual(
+                ctx, cfg.schedule.c, cfg.lam, *steps.iterates) <= cfg.stop_tolerance
+            if stop:
+                break
+        for rec in _block_records(kind, name, spec, cfg, reference, steps.products, block):
             records.append(rec)
             if rec.epoch and not math.isfinite(rec.objective):  # epoch 0 ran no step
                 warnings.warn(f"solver {name} (seed {cfg.seed}) diverged: objective "
                               f"{rec.objective} at epoch {rec.epoch}; run stopped",
-                              RuntimeWarning, stacklevel=3)
-                return True
-        return False
-
-    per_epoch = len(ranges)
-    k = 1
-    if block.add(iterates, k):
-        flush()
-    for picks in _pick_chunks(kind, plan, rng, cfg.max_epochs, per_epoch):
-        if c_steps is not None:
-            c_steps.use(picks)
-        for start in range(0, len(picks), per_epoch):
-            if c_steps is not None:
-                c_steps(start, per_epoch, k)
-                k += per_epoch
-            else:
-                for i in picks[start:start + per_epoch].tolist():
-                    iterates = step(ctx, params, k, ctx.batches[i], *iterates)
-                    k += 1
-                    if on_step is not None:
-                        on_step(make_state(*iterates, k))
-            full = block.add(iterates, k)
-            stop = check_stop and _fixed_point_residual(
-                ctx, cfg.schedule.c, cfg.lam, *iterates) <= cfg.stop_tolerance
-            if (full or stop) and (flush() or stop):
+                              RuntimeWarning, stacklevel=2)
                 return records
-    if block.ks:
-        flush()
+        if stop:
+            break
     return records

@@ -12,6 +12,7 @@ from spdfp.harness import (
     DEFAULT_TRUTH_ITERS,
     TRUTH_TARGET,
     ExperimentConfig,
+    SolverEntry,
     build_graph_matrix,
     compute_ground_truth,
     default_gamma,
@@ -350,6 +351,39 @@ def test_graph_matrix_zero_variance_warning():
     assert G.n_rows == 1
 
 
+def graph_pairs_by_loop(X, threshold):
+    """The (i, j) feature pairs of the graph by a loop over every pair of
+    non-constant columns, with corr computed as build_graph_matrix does."""
+    std = X.std(axis=0)
+    live = np.flatnonzero(std > 0)
+    Xc = (X[:, live] - X[:, live].mean(axis=0)) / std[live]
+    corr = (Xc.T @ Xc) / X.shape[0]
+    return [(int(live[a]), int(live[b])) for a in range(len(live))
+            for b in range(a + 1, len(live)) if abs(corr[a, b]) > threshold]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_graph_matrix_matches_a_loop_over_pairs(seed):
+    # constant and duplicated columns, and thresholds from 0 up
+    rng = np.random.default_rng(seed)
+    n, d = int(rng.integers(2, 30)), int(rng.integers(1, 12))
+    X = rng.standard_normal((n, d)) + rng.standard_normal((n, 1))
+    X[:, rng.random(d) < 0.2] = 1.5
+    if d > 2:
+        X[:, -1] = -X[:, 0]
+    threshold = float(rng.choice([0.0, 0.1, 0.5, 0.9]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        G = build_graph_matrix(Dataset(samples=SparseMatrix.from_dense(X), labels=np.zeros(n)),
+                               threshold)
+    pairs = graph_pairs_by_loop(X, threshold)
+    want = np.zeros((len(pairs), d))
+    for r, (i, j) in enumerate(pairs):
+        want[r, i], want[r, j] = 1.0, -1.0
+    assert G.shape == (len(pairs), d)
+    np.testing.assert_array_equal(G.to_dense(), want)
+
+
 def test_graph_matrix_invalid_threshold():
     ds = Dataset(samples=identity(3), labels=np.zeros(3))
     with pytest.raises(ValueError):
@@ -557,8 +591,112 @@ def test_parse_solver_list():
         parse_solver_list("spdfp2(c=1.0) stoc_admm(beta=30")
     with pytest.raises(ValueError, match="garbage"):
         parse_solver_list("spdfp2(c=1.0) garbage pdfp()")
+    # an unclosed clause does not take the next one into its last value
+    with pytest.raises(ValueError, match=r"unexpected text 'pdfp\(gamma=0.1'"):
+        parse_solver_list("pdfp(gamma=0.1 spdfp2(p=10)")
     assert [e.kind for e in parse_solver_list("spdfp2(c=1.0),pdfp() ;\n pdfp()")] == \
         ["spdfp2", "pdfp", "pdfp"]
+
+
+def test_solver_clause_rejects_a_repeated_key():
+    for text, key in (("spdfp2(p=10,p=20)", "p"), ("pdfp(); spdfp1(c=1, c = 2, p=4)", "c"),
+                      ("stoc_admm(label=a,beta=2,label=b)", "label")):
+        with pytest.raises(ValueError, match=rf"solvers: clause .* gives key '{key}' twice"):
+            parse_solver_list(text)
+
+
+def test_experiment_rejects_two_clauses_with_one_label(tmp_path):
+    # the mean CSV averages the runs of a label: two clauses under one
+    # label would be averaged together and written twice
+    for text, label in (("pdfp(); pdfp(gamma=0.01)", "pdfp"),
+                        ("spdfp2(label=a); pdfp(label=a); spdfp1()", "a")):
+        with pytest.raises(ValueError, match=rf"solvers: label\(s\) \['{label}'\]"):
+            ExperimentConfig(problem="synth:n=20,d=5", solvers=parse_solver_list(text),
+                             repetitions=1, epochs=1, output=str(tmp_path / "o"),
+                             master_seed=1)
+        with pytest.raises(ValueError, match=rf"'{label}'"):
+            parse_experiment_config(write_config(tmp_path, "synth:n=20,d=5", text))
+    ExperimentConfig(problem="synth:n=20,d=5",
+                     solvers=parse_solver_list("pdfp(); pdfp(gamma=0.01,label=small)"),
+                     repetitions=1, epochs=1, output=str(tmp_path / "o"), master_seed=1)
+
+
+# the solver-list parser on generated text: clauses of any kind, keys,
+# values, labels, padding and separators parse to their SolverEntry tuple,
+# and a corrupted list is refused with a ValueError that starts "solvers:"
+NAMES = st.builds(str.__add__, st.sampled_from("abkpxyzAZ_"),
+                  st.text(alphabet="abkpxyzAZ_019", max_size=5))
+VALUES = st.text(alphabet="abeAZ019.+-", max_size=6)
+PADS = st.sampled_from(["", " ", "  ", "\t"])
+SEPARATORS = st.text(alphabet=" \t\n;,", min_size=1, max_size=3)
+
+
+@st.composite
+def solver_clauses(draw):
+    """(text, entry) of one clause."""
+    kind = draw(st.sampled_from(["pdfp", "spdfp1", "spdfp2", "stoc_admm"]) | NAMES)
+    params = draw(st.dictionaries(NAMES.filter(lambda k: k != "label"), VALUES, max_size=4))
+    items = list(params.items())
+    label = draw(st.none() | NAMES)
+    if label is not None:
+        items.insert(draw(st.integers(0, len(items))), ("label", label))
+    body = ",".join(draw(PADS) + k + draw(PADS) + "=" + draw(PADS) + v + draw(PADS)
+                    for k, v in items) or draw(PADS)
+    text = kind + draw(PADS) + "(" + body + ")"
+    return text, SolverEntry(kind=kind, label=kind if label is None else label, params=params)
+
+
+@st.composite
+def solver_lists(draw):
+    clauses = draw(st.lists(solver_clauses(), min_size=1, max_size=4))
+    text = draw(PADS)
+    for i, (clause, _) in enumerate(clauses):
+        text += (draw(SEPARATORS) if i else "") + clause
+    return text + draw(PADS), tuple(entry for _, entry in clauses)
+
+
+@PROPERTY_SETTINGS
+@given(solver_lists())
+def test_generated_solver_lists_parse_to_their_entries(listing):
+    text, entries = listing
+    assert parse_solver_list(text) == entries
+
+
+def corrupt_solver_list(draw, text, entries):
+    """text with one defect the parser must refuse."""
+    kinds = ["stray text", "unclosed clause", "item without '='", "repeated key",
+             "separators only"]
+    with_items = [e for e in entries if e.params or e.label != e.kind]
+    if not with_items:
+        kinds.remove("item without '='")
+        kinds.remove("repeated key")
+    kind = draw(st.sampled_from(kinds))
+    if kind == "stray text":
+        cut = draw(st.sampled_from([m.end() for m in re.finditer(r"\)", text)] + [0]))
+        return text[:cut] + " " + draw(NAMES | st.sampled_from(["=", "x=1", "(", ")"])) + \
+            " " + text[cut:]
+    if kind == "unclosed clause":
+        cut = draw(st.sampled_from([m.start() for m in re.finditer(r"\)", text)]))
+        return text[:cut] + text[cut + 1:]
+    if kind == "separators only":
+        return draw(st.text(alphabet=" \t\n;,", max_size=4))
+    entry = draw(st.sampled_from(with_items))
+    i = entries.index(entry)
+    clause = list(re.finditer(r"\w+\s*\(([^)]*)\)", text))[i]
+    key = draw(st.sampled_from(sorted(entry.params) + ["label"] * (entry.label != entry.kind)))
+    if kind == "repeated key":
+        extra = f"{key}=1,"
+    else:  # an item with its '=' dropped, put first in the clause
+        extra = f"{key}1,"
+    return text[:clause.start(1)] + extra + text[clause.start(1):]
+
+
+@PROPERTY_SETTINGS
+@given(solver_lists(), st.data())
+def test_corrupted_solver_lists_are_refused(listing, data):
+    text = corrupt_solver_list(data.draw, *listing)
+    with pytest.raises(ValueError, match=r"^solvers: "):
+        parse_solver_list(text)
 
 
 def test_synth_source_rejects_unknown_keys():

@@ -341,17 +341,10 @@ def test_fused_run_matches_python_path_bitwise(monkeypatch, c_lane, kind, loss, 
     none = replace(cfg, max_epochs=0)
     assert_same_run(run_on_lane(monkeypatch, c_lane, kind, spec, prox_spec, none, reference=ref),
                     run_on_lane(monkeypatch, None, kind, spec, prox_spec, none, reference=ref))
-    # picks drawn in several chunks: two epochs of five steps per chunk, and
-    # a cap below one epoch (one epoch per chunk); pdfp has one step per epoch
-    for cap in (10, 4):
-        with monkeypatch.context() as m:
-            m.setattr(solvers, "_DRAW_CHUNK", cap)
-            for lane in (c_lane, None):
-                assert_same_run(run_on_lane(monkeypatch, lane, kind, spec, prox_spec, cfg,
-                                            reference=ref), python)
     # records built one epoch per block, and three epochs per block (a row
     # holds x, v, A x and B x: 6 + 4 + 23 + 4 doubles), so that the seven
-    # records of the run come in blocks of 3, 3 and 1
+    # records of the run come in blocks of 3, 3 and 1; each block draws the
+    # picks of its own epochs
     for budget, rows in ((1, [1] * 7), (3 * 37, [3, 3, 1])):
         with monkeypatch.context() as m:
             m.setattr(solvers, "_RECORD_BLOCK", budget)
@@ -363,13 +356,13 @@ def test_fused_run_matches_python_path_bitwise(monkeypatch, c_lane, kind, loss, 
                 assert_same_run(run_on_lane(monkeypatch, lane, kind, spec, prox_spec, cfg,
                                             reference=ref), python)
                 assert sizes == rows
-    assert len(calls) == 6
+    assert len(calls) == 4
 
     # with on_step the run keeps the Python path, and its last state is the same
     seen = []
     run_on_lane(monkeypatch, c_lane, kind, spec, prox_spec, cfg, reference=ref,
                 on_step=seen.append)
-    assert len(calls) == 6
+    assert len(calls) == 4
     assert_same_bits(seen[-1].x, fused[1][-1][0])
     assert_same_bits(seen[-1].v, fused[1][-1][1])
 

@@ -1,3 +1,4 @@
+import ast
 import os
 import re
 import shutil
@@ -48,3 +49,20 @@ def test_c_lane_exports_only_its_step_entry_points():
                         "spdfp_run_steps"]
     static = {name for head, name, _ in definitions if head.startswith("static")}
     assert {"matvec", "rmatvec", "soft", "gradient"} <= static
+
+
+def test_build_requires_only_what_setup_py_imports():
+    """The build needs what setup.py imports, and nothing else: the C lane
+    is compiled without NumPy headers."""
+    tomllib = pytest.importorskip("tomllib")
+    with open(os.path.join(ROOT, "pyproject.toml"), "rb") as fh:
+        requires = tomllib.load(fh)["build-system"]["requires"]
+    with open(os.path.join(ROOT, "setup.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module.split(".")[0])
+    assert {re.match(r"[A-Za-z0-9_.\-]+", r).group(0) for r in requires} == imported

@@ -414,35 +414,36 @@ def test_run_solver_deterministic_replay():
 
 
 @pytest.mark.parametrize("n,p", [(64, 8), (23, 5), (7, 3), (1000, 10), (2000, 20)])
-@pytest.mark.parametrize("cap", [1, 3, 50, None])
-def test_chunked_draws_equal_per_epoch_draws(monkeypatch, n, p, cap):
-    # n = 23 and 7 leave a short last batch and are not powers of two, so
-    # their draws take the rejection path; caps below one epoch still give
-    # whole epochs
-    if cap is not None:
-        monkeypatch.setattr(solvers, "_DRAW_CHUNK", cap)
+@pytest.mark.parametrize("block", [1, 3, 50, None])
+def test_chunked_draws_equal_per_epoch_draws(n, p, block):
+    # a run draws the picks of each block of epochs at once (None: one block
+    # of all 37); n = 23 and 7 leave a short last batch and are not powers
+    # of two, so their draws take the rejection path, and blocks of 3 end in
+    # a short one
     plan = make_batch_plan(n, p)
     nb, epochs = plan.n_batches, 37
-    chunked = np.random.default_rng(5)
-    chunks = list(solvers._pick_chunks("spdfp1", plan, chunked, epochs, nb))
+    block = block or epochs
+    blocked = np.random.default_rng(5)
+    draws = [_draw_batch_indices(plan, blocked, min(block, epochs - first) * nb)
+             for first in range(0, epochs, block)]
     rng = np.random.default_rng(5)
     per_epoch = [_draw_batch_indices(plan, rng, nb) for _ in range(epochs)]
-    assert all(c.dtype == np.int64 and len(c) % nb == 0 for c in chunks)
-    assert max(len(c) for c in chunks) <= max(solvers._DRAW_CHUNK, nb)
-    if cap == 1:
-        assert len(chunks) == epochs
-    np.testing.assert_array_equal(np.concatenate(chunks), np.concatenate(per_epoch))
-    assert np.concatenate(chunks).tolist() == replay_draws(5, n, p, epochs * nb)
+    assert all(c.dtype == np.int64 for c in draws)
+    np.testing.assert_array_equal(np.concatenate(draws), np.concatenate(per_epoch))
+    assert np.concatenate(draws).tolist() == replay_draws(5, n, p, epochs * nb)
     # and the stream goes on from the same place
-    assert chunked.integers(0, 2**40) == rng.integers(0, 2**40)
+    assert blocked.integers(0, 2**40) == rng.integers(0, 2**40)
 
 
-def test_pdfp_picks_draw_nothing():
-    plan = make_batch_plan(10, 10)
-    rng = np.random.default_rng(6)
-    chunks = list(solvers._pick_chunks("pdfp", plan, rng, 5, 1))
-    assert np.concatenate(chunks).tolist() == [0] * 5
-    assert rng.integers(0, 100) == np.random.default_rng(6).integers(0, 100)
+def test_pdfp_picks_draw_nothing(monkeypatch):
+    def draw(*args):
+        raise AssertionError("pdfp drew batch indices")
+
+    monkeypatch.setattr(solvers, "_draw_batch_indices", draw)
+    spec, _, _ = fused_spec(10, 4, seed=19)
+    cfg = SolverConfig(schedule=ConstantSchedule(0.05), lam=0.2, p=10, max_epochs=5)
+    assert len(run_solver("pdfp", spec, L1, cfg)) == 6
+    assert len(run_solver("pdfp", spec, L1, cfg, on_step=lambda s: None)) == 6
 
 
 def run_diverging(*args, **kwargs):
