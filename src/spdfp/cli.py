@@ -13,10 +13,7 @@ from spdfp.rates import RecursionParams, lemma_bound, simulate_recursion
 
 
 def _cmd_synth(args):
-    spec = harness.synth_fused_lasso(n=args.n, d=args.d,
-                                     perturb_frac=args.perturb_frac,
-                                     noise_sd=args.noise_sd, seed=args.seed,
-                                     mu=args.mu, nu=args.nu)
+    spec = harness.synth_fused_lasso(**{k: getattr(args, k) for k in harness.SYNTH_DEFAULTS})
     path = harness.save_problem(spec, args.out)
     print(f"wrote {path} (A: {spec.n}x{spec.dim}, B: {spec.B.n_rows}x{spec.B.n_cols})")
     return 0
@@ -74,13 +71,10 @@ def main(argv=None):
 
     p = sub.add_parser("synth", help="generate a synthetic fused-lasso problem")
     p.add_argument("--out", required=True, help="base path for the emitted files")
-    p.add_argument("--n", type=int, default=1000)
-    p.add_argument("--d", type=int, default=50)
-    p.add_argument("--perturb-frac", type=float, default=0.05)
-    p.add_argument("--noise-sd", type=float, default=0.01)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--mu", type=float, default=0.1, help="weight on ||Bx||_1")
-    p.add_argument("--nu", type=float, default=0.0, help="weight on the l2 term")
+    helps = {"mu": "weight on ||Bx||_1", "nu": "weight on the l2 term"}
+    for key, default in harness.SYNTH_DEFAULTS.items():
+        p.add_argument("--" + key.replace("_", "-"), type=type(default), default=default,
+                       help=helps.get(key))
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("truth", help="compute and cache the reference optimum")

@@ -99,7 +99,7 @@ class VarianceConstants:
     C2: float
 
 
-def variance_constants(spec, plan, tol=1e-12, max_iter=50000):
+def variance_constants(spec, plan):
     """Evaluate the square-loss variance constants for a batch plan."""
     if spec.loss != "square":
         raise ValueError("variance constants are defined for the square loss only")
@@ -109,7 +109,7 @@ def variance_constants(spec, plan, tol=1e-12, max_iter=50000):
         block = A.row_block(start, stop)
         if block.nnz == 0:
             continue
-        est = estimate_spectrum(block, tol=tol, max_iter=max_iter)
+        est = estimate_spectrum(block, tol=1e-12, max_iter=50000)
         L_p = max(L_p, est.rho_max)
     n, p = plan.n, plan.p
     b = spec.dataset.labels

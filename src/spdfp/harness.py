@@ -44,6 +44,10 @@ from spdfp.sparse import SparseMatrix, build_difference_matrix
 
 DEFAULT_TRUTH_ITERS = 20000
 DEFAULT_LAMBDA_FRACTION = 0.9
+# the desk-scale fused lasso: synth_fused_lasso's arguments for a 'synth:'
+# source and for `spdfp synth`, where a key is not given
+SYNTH_DEFAULTS = {"n": 1000, "d": 50, "perturb_frac": 0.05, "noise_sd": 0.01, "seed": 0,
+                  "mu": 0.1, "nu": 0.0}
 TRUTH_TARGET = 1e-13  # the ground truth's stop: the fixed-point residual it certifies
 _TRUTH_CHUNK = 25     # PDFP steps between two checks of that residual
 
@@ -63,6 +67,8 @@ def synth_fused_lasso(n, d, perturb_frac, noise_sd, seed, mu=0.1, nu=0.0):
         raise ValueError("need n >= 2 and d >= 2")
     if not 0 <= perturb_frac <= 1:
         raise ValueError("perturb_frac must lie in [0, 1]")
+    if not math.isfinite(noise_sd):
+        raise ValueError("noise_sd must be finite")
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((n, d))
     x0 = np.ones(d)
@@ -147,8 +153,10 @@ def save_matrix(M, path):
             fh.write(f"{r} {c} {float(v)!r}\n")
 
 
-def load_matrix(path, n_rows=None, n_cols=None):
-    rows, cols, vals = [], [], []
+def load_matrix(path):
+    """The matrix of a coordinate-list file; without a '# shape' line its
+    shape is the smallest that holds the entries."""
+    rows, cols, vals, n_rows, n_cols = [], [], [], None, None
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -157,8 +165,7 @@ def load_matrix(path, n_rows=None, n_cols=None):
             if line.startswith("#"):
                 m = re.match(r"#\s*shape\s+(\d+)\s+(\d+)", line)
                 if m:
-                    n_rows = n_rows if n_rows is not None else int(m.group(1))
-                    n_cols = n_cols if n_cols is not None else int(m.group(2))
+                    n_rows, n_cols = int(m.group(1)), int(m.group(2))
                 continue
             try:
                 r, c, v = line.split()
@@ -226,26 +233,31 @@ def load_problem(path):
         if key not in kv:
             raise ValueError(f"{path}: missing problem key {key!r}")
     here = os.path.dirname(os.path.abspath(path))
-    dataset = load_libsvm(os.path.join(here, kv["data"]))
+    # LIBSVM cannot record an empty last feature column; B's shape line can
     B = load_matrix(os.path.join(here, kv["b_matrix"]))
+    dataset = load_libsvm(os.path.join(here, kv["data"]), n_features=B.n_cols)
     return ProblemSpec(loss=kv["loss"], dataset=dataset,
                        l2_weight=_kv_number(path, kv, "l2_weight", float, 0.0),
                        composite_weight=_kv_number(path, kv, "composite_weight", float, 0.0),
                        B=B)
 
 
-def _kv_number(path, kv, key, kind, default=None):
-    """kv[key] (or default when absent) as a finite int or float. A key
-    occurs once per file, so naming it names its line."""
-    if key not in kv:
-        return default
+def _number(where, key, text, kind):
+    """text as a finite int or float, else a ValueError naming where the
+    text stands (a file, a solver clause or a synth source) and its key."""
     try:
-        value = kind(kv[key])
+        value = kind(text)
         if math.isfinite(value):
             return value
     except ValueError:
         pass
-    raise ValueError(f"{path}: {key} = {kv[key]!r} is not a finite {kind.__name__}")
+    raise ValueError(f"{where}: {key} = {text!r} is not a finite {kind.__name__}")
+
+
+def _kv_number(where, kv, key, kind, default=None):
+    """kv.pop(key), or default when absent, as a finite int or float. A
+    key occurs once per file or clause, so naming it names its place."""
+    return default if key not in kv else _number(where, key, kv.pop(key), kind)
 
 
 def _read_kv(path):
@@ -305,8 +317,8 @@ def default_gamma(spec):
     return 1.0 / (c * spec.dataset.samples.spectrum.rho_max / spec.n + spec.l2_weight)
 
 
-def default_lambda(spec, fraction=DEFAULT_LAMBDA_FRACTION):
-    return fraction / spec.B.spectrum.rho_max
+def default_lambda(spec):
+    return DEFAULT_LAMBDA_FRACTION / spec.B.spectrum.rho_max
 
 
 def prox_for(spec):
@@ -323,11 +335,12 @@ def _step_length(x_prev, v_prev, x, v):
     return float(np.linalg.norm(v_prev - v) + np.linalg.norm(x_prev - x))
 
 
-def compute_ground_truth(spec, prox_spec=None, cfg=None, iters=DEFAULT_TRUTH_ITERS):
-    """Run PDFP until its fixed-point residual is at most TRUTH_TARGET, for
-    at most iters steps, and certify the result. A cfg needs a constant
-    step; without one, it steps by default_gamma (a ValueError for the hinge
-    loss) with default_lambda, which read A.spectrum and B.spectrum.
+def compute_ground_truth(spec, cfg=None, iters=DEFAULT_TRUTH_ITERS):
+    """Run PDFP on spec's own prox (prox_for) until its fixed-point residual
+    is at most TRUTH_TARGET, for at most iters steps, and certify the
+    result. A cfg needs a constant step; without one, it steps by
+    default_gamma (a ValueError for the hinge loss) with default_lambda,
+    which read A.spectrum and B.spectrum.
 
     The residual is checked every _TRUTH_CHUNK steps, through the length of
     the chunk's last step (_step_length). The stored residual is that of
@@ -336,8 +349,7 @@ def compute_ground_truth(spec, prox_spec=None, cfg=None, iters=DEFAULT_TRUTH_ITE
     """
     if iters < 1:
         raise ValueError("iters must be at least 1")
-    if prox_spec is None:
-        prox_spec = prox_for(spec)
+    prox_spec = prox_for(spec)
     if cfg is None:
         cfg = SolverConfig(schedule=ConstantSchedule(default_gamma(spec)),
                            lam=default_lambda(spec), p=spec.n)
@@ -429,21 +441,28 @@ def parse_solver_list(text):
     entries = []
     for m in _SOLVER_RE.finditer(text):
         kind = m.group(1)
-        params = {}
         body = m.group(2).strip()
-        if body:
-            for item in body.split(","):
-                if "=" not in item:
-                    raise ValueError(f"solvers: expected key=value, got {item!r}")
-                k, _, v = (part.strip() for part in item.partition("="))
-                if k in params:
-                    raise ValueError(f"solvers: clause {m.group(0)!r} gives key {k!r} twice")
-                params[k] = v
+        params = _key_values(body, f"solvers: clause {m.group(0)!r}") if body else {}
         label = params.pop("label", kind)
         entries.append(SolverEntry(kind=kind, label=label, params=params))
     if not entries:
         raise ValueError("solvers: no solver clauses found")
     return tuple(entries)
+
+
+def _key_values(text, where):
+    """The comma-separated 'key=value' items of text as a dict, keys and
+    values stripped; an item without '=' or a key given twice is an error
+    that names where."""
+    out = {}
+    for item in text.split(","):
+        if "=" not in item:
+            raise ValueError(f"{where}: expected key=value, got {item.strip()!r}")
+        k, _, v = (part.strip() for part in item.partition("="))
+        if k in out:
+            raise ValueError(f"{where} gives key {k!r} twice")
+        out[k] = v
+    return out
 
 
 def parse_experiment_config(path):
@@ -470,29 +489,18 @@ def parse_experiment_config(path):
                             master_seed=_kv_number(path, kv, "master_seed", int))
 
 
-_SYNTH_KEYS = ("n", "d", "perturb_frac", "noise_sd", "seed", "mu", "nu")
-
-
 def resolve_problem(source):
-    """A problem source is 'synth:key=val,...' with keys from _SYNTH_KEYS
-    (omitted ones take the desk-scale defaults) or a path to a .problem file."""
+    """A problem source is 'synth:key=val,...' with keys from SYNTH_DEFAULTS
+    (omitted ones take its desk-scale defaults) or a path to a .problem file."""
     if isinstance(source, ProblemSpec):
         return source
     if source.startswith("synth:"):
-        params = {}
-        for item in source[len("synth:"):].split(","):
-            if "=" not in item:
-                raise ValueError(f"{source}: expected key=value, got {item.strip()!r}")
-            k, _, v = item.partition("=")
-            if k.strip() not in _SYNTH_KEYS:
-                raise ValueError(f"{source}: unknown synth key {k.strip()!r}")
-            params[k.strip()] = v.strip()
-        return synth_fused_lasso(
-            n=int(params.get("n", 1000)), d=int(params.get("d", 50)),
-            perturb_frac=float(params.get("perturb_frac", 0.05)),
-            noise_sd=float(params.get("noise_sd", 0.01)),
-            seed=int(params.get("seed", 0)),
-            mu=float(params.get("mu", 0.1)), nu=float(params.get("nu", 0.0)))
+        params = _key_values(source[len("synth:"):], source)
+        unknown = sorted(set(params) - set(SYNTH_DEFAULTS))
+        if unknown:
+            raise ValueError(f"{source}: unknown synth key(s) {unknown}")
+        return synth_fused_lasso(**{k: _kv_number(source, params, k, type(v), v)
+                                    for k, v in SYNTH_DEFAULTS.items()})
     return load_problem(source)
 
 
@@ -501,26 +509,33 @@ def build_solver_configs(entry, spec, seed, epochs):
 
     A key the clause's kind does not read is an error: stop_tol is pdfp's
     alone, pdfp steps on every sample and so takes no p, and stoc_admm
-    takes no lambda."""
-    params = dict(entry.params)
-    lam = "auto" if entry.kind == "stoc_admm" else params.pop("lambda", "auto")
-    lam = default_lambda(spec) if lam == "auto" else float(lam)
-    p = spec.n if entry.kind == "pdfp" else int(params.pop("p", spec.n))
-    stop_tol = float(params.pop("stop_tol", 0.0)) if entry.kind == "pdfp" else 0.0
+    takes no lambda. So is a value that is not a finite number of the
+    key's type (p is an int), other than 'auto' for lambda and gamma."""
+    params, where = dict(entry.params), f"solver {entry.label}"
+
+    def number(key, kind, default):
+        return _kv_number(where, params, key, kind, default)
+
+    def auto(key, default):  # a float, or default(spec) where absent or 'auto'
+        text = params.pop(key, "auto")
+        return default(spec) if text == "auto" else _number(where, key, text, float)
+
+    lam = default_lambda(spec) if entry.kind == "stoc_admm" else auto("lambda", default_lambda)
+    p = spec.n if entry.kind == "pdfp" else number("p", int, spec.n)
+    stop_tol = number("stop_tol", float, 0.0) if entry.kind == "pdfp" else 0.0
     admm_cfg = None
     if entry.kind == "pdfp":
-        gamma = params.pop("gamma", "auto")
-        schedule = ConstantSchedule(default_gamma(spec) if gamma == "auto" else float(gamma))
+        schedule = ConstantSchedule(auto("gamma", default_gamma))
     elif entry.kind in ("spdfp1", "spdfp2"):
         # logistic runs default to the 2/k^0.55 schedule; square-loss runs
         # to 1/k^0.7 (both pilot-tuned, both overridable per clause)
         c_default, a_default = (2.0, 0.55) if spec.loss == "logistic" else (1.0, 0.7)
-        schedule = StepSchedule(c=float(params.pop("c", c_default)),
-                                alpha=float(params.pop("alpha", a_default)))
+        schedule = StepSchedule(c=number("c", float, c_default),
+                                alpha=number("alpha", float, a_default))
     elif entry.kind == "stoc_admm":
-        beta = float(params.pop("beta", 1.0))
-        zc = float(params.pop("zeta_c", 1.0))
-        za = float(params.pop("zeta_alpha", 0.5))
+        beta = number("beta", float, 1.0)
+        zc = number("zeta_c", float, 1.0)
+        za = number("zeta_alpha", float, 0.5)
         zeta = ConstantSchedule(zc) if za == 0 else StepSchedule(c=zc, alpha=za)
         admm_cfg = AdmmConfig(beta_tilde=beta, zeta_schedule=zeta)
         schedule = StepSchedule(c=1.0, alpha=1.0)  # unused by the ADMM steps

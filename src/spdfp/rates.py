@@ -12,7 +12,7 @@ exponent.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -39,14 +39,14 @@ def smallest_step_index(c, alpha):
 
 @dataclass(frozen=True)
 class RecursionParams:
-    """Parameters (alpha, c, tau, s_init) of the scalar recursion; k0 is the
-    first index with eta_k <= 1 and is derived unless supplied."""
+    """Parameters (alpha, c, tau, s_init) of the scalar recursion; k0, the
+    first index with eta_k <= 1, is derived from them."""
 
     alpha: float
     c: float
     tau: float
     s_init: float
-    k0: int = None
+    k0: int = field(init=False)
 
     def __post_init__(self):
         if not 0 < self.alpha <= 1:
@@ -54,11 +54,7 @@ class RecursionParams:
         if not (0 < self.c < math.inf and 0 <= self.tau < math.inf
                 and 0 <= self.s_init < math.inf):
             raise ValueError("need finite c > 0, tau >= 0, s_init >= 0")
-        k0 = smallest_step_index(self.c, self.alpha)
-        if self.k0 is None:
-            object.__setattr__(self, "k0", k0)
-        elif self.k0 != k0:
-            raise ValueError(f"inconsistent k0: given {self.k0}, derived {k0}")
+        object.__setattr__(self, "k0", smallest_step_index(self.c, self.alpha))
 
     def eta(self, k):
         return self.c / k**self.alpha

@@ -23,11 +23,11 @@ same bits. ``run_solver`` and the ground truth each drive them in one loop.
 
 ``run_solver`` goes through its epochs in blocks. A block draws the batch
 indices of its epochs as one int64 array when it starts, which gives the
-stream of one draw per step, copies x and v into a _Block after each epoch,
-and then turns them into records (_block_records) with one product call and
-one NumPy operation per column over the stacked rows. A run whose objective
-turns NaN or infinite keeps the records up to that epoch's and stops with a
-RuntimeWarning.
+stream of one draw per step, copies x and v into the block's own arrays
+after each epoch, and then turns those rows into records (_block_records)
+with one product call and one NumPy operation per column over them. A run
+whose objective turns NaN or infinite keeps the records up to that epoch's
+and stops with a RuntimeWarning.
 """
 
 import math
@@ -369,46 +369,15 @@ def _dual_scale(kind, cfg, k):
     return cfg.lam / cfg.schedule.gamma(k - 1)
 
 
-class _Block:
-    """Snapshots of a run's iterates at the end of up to `rows` epochs, for
-    _block_records to turn into records together.
-
-    Row i of X, and of V when the kind has a dual (duals is its length,
-    else None), holds the iterates x_k and v_k, k = ks[i], at the end of
-    epoch first + i, whose steps ended wall[i] seconds after t0."""
-
-    def __init__(self, rows, dim, duals, t0):
-        self.X = np.empty((rows, dim))
-        self.V = None if duals is None else np.empty((rows, duals))
-        self.t0 = t0
-        self.first, self.ks, self.wall = 0, [], []
-
-    def add(self, iterates, k):
-        """Stamp the time and copy the iterates after step k - 1."""
-        self.wall.append(time.perf_counter() - self.t0)
-        i = len(self.ks)
-        self.X[i] = iterates[0]
-        if self.V is not None:
-            self.V[i] = iterates[1]
-        self.ks.append(k)
-
-    def take(self):
-        """(first, X, V, ks, wall) of the rows added so far, which the block
-        then gives up for the epochs after them."""
-        count = len(self.ks)
-        V = None if self.V is None else self.V[:count]
-        out = self.first, self.X[:count], V, self.ks, self.wall
-        self.first, self.ks, self.wall = self.first + count, [], []
-        return out
-
-
-def _block_records(kind, name, spec, cfg, reference, products, block):
-    """The RunRecords of the rows of block, which it takes.
+def _block_records(kind, name, spec, cfg, reference, products, first, X, V, ks, wall):
+    """The RunRecords of epochs first, first + 1, ...: row i of X, and of V
+    unless it is None ('stoc_admm'), holds the iterates x_k and v_k,
+    k = ks[i], at the end of epoch first + i, whose steps ended wall[i]
+    seconds after the run started.
 
     products(X) gives A x and B x of every row x of X in one call; each
     column of the records is then one NumPy operation over the stacked
     rows, with the bits it has for each row alone (_objective)."""
-    first, X, V, ks, wall = block.take()
     objective = _objective(spec, X, *products(X))
     rel = sq = a_k = [None] * len(ks)
     if reference is not None:
@@ -496,8 +465,8 @@ def run_solver(kind, spec, prox_spec, cfg, admm_cfg=None, x0=None, v0=None,
 
     The epochs come in blocks of at most _RECORD_BLOCK doubles of snapshots
     and their products. A block draws the batch indices of its epochs when
-    it starts ('pdfp' draws none), copies x and v into a _Block after each
-    epoch, and then builds its records (_block_records). A run whose
+    it starts ('pdfp' draws none), copies x and v into its own arrays after
+    each epoch, and then builds its records (_block_records). A run whose
     objective is NaN or infinite after an epoch keeps that epoch's record,
     drops the rest of its block, warns (RuntimeWarning) and stops.
     """
@@ -524,7 +493,6 @@ def run_solver(kind, spec, prox_spec, cfg, admm_cfg=None, x0=None, v0=None,
     steps = _steps(kind, spec, prox_spec, params, ctx, iterates, on_step)
     per_epoch = len(ranges)
     rows = max(1, _RECORD_BLOCK // (spec.dim + spec.n + 2 * spec.B.n_rows))
-    block = _Block(rows, spec.dim, None if kind == "stoc_admm" else spec.B.n_rows, t0)
     check_stop = kind == "pdfp" and cfg.stop_tolerance > 0
     records, k = [], 1
     for first in range(0, cfg.max_epochs + 1, rows):
@@ -533,17 +501,25 @@ def run_solver(kind, spec, prox_spec, cfg, admm_cfg=None, x0=None, v0=None,
         if size:
             steps.use(np.zeros(size, dtype=np.int64) if kind == "pdfp"
                       else _draw_batch_indices(plan, rng, size))
-        start = 0
-        for epoch in epochs:
+        X = np.empty((len(epochs), spec.dim))
+        V = None if kind == "stoc_admm" else np.empty((len(epochs), spec.B.n_rows))
+        ks, wall, start = [], [], 0
+        for i, epoch in enumerate(epochs):
             if epoch:
                 steps(start, per_epoch, k)
                 start, k = start + per_epoch, k + per_epoch
-            block.add(steps.iterates, k)
+            wall.append(time.perf_counter() - t0)
+            X[i] = steps.iterates[0]
+            if V is not None:
+                V[i] = steps.iterates[1]
+            ks.append(k)
             stop = check_stop and epoch > 0 and _fixed_point_residual(
                 ctx, cfg.schedule.c, cfg.lam, *steps.iterates) <= cfg.stop_tolerance
             if stop:
                 break
-        for rec in _block_records(kind, name, spec, cfg, reference, steps.products, block):
+        n = len(ks)  # a pdfp run may stop before the end of the block
+        for rec in _block_records(kind, name, spec, cfg, reference, steps.products,
+                                  first, X[:n], None if V is None else V[:n], ks, wall):
             records.append(rec)
             if rec.epoch and not math.isfinite(rec.objective):  # epoch 0 ran no step
                 warnings.warn(f"solver {name} (seed {cfg.seed}) diverged: objective "

@@ -1,13 +1,14 @@
 """Row-compressed sparse matrices and spectral estimation.
 
-The solvers only ever need y = Mx, y = M^T x (optionally restricted to a row
-range) and the largest eigenvalue of M M^T, so that is the whole surface of
-this module. Storage is canonical CSR: sorted column indices within each row,
-duplicates summed and exact zeros dropped at construction, which fixes the
-reduction order and keeps runs bit-reproducible. Every product outside the
-fused C lane is RowView's NumPy one, and the eigenvalue comes from Lanczos
-on those products. A matrix is immutable, so it estimates its eigenvalue
-once, on first use of SparseMatrix.spectrum, and keeps it.
+The solvers only ever need y = Mx, y = M^T x (of all rows, or of a row
+range through a RowView) and the largest eigenvalue of M M^T, so that is
+the whole surface of this module. Storage is canonical CSR: sorted column
+indices within each row, duplicates summed and exact zeros dropped at
+construction, which fixes the reduction order and keeps runs
+bit-reproducible. Every product outside the fused C lane is RowView's
+NumPy one, and the eigenvalue comes from Lanczos on those products. A
+matrix is immutable, so it estimates its eigenvalue once, on first use of
+SparseMatrix.spectrum, and keeps it.
 """
 
 import math
@@ -108,25 +109,17 @@ class SparseMatrix:
 
     def matvec(self, x):
         """Return M x."""
-        return self.matvec_range(x, 0, self.n_rows)
-
-    def matvec_range(self, x, row_start, row_stop):
-        """Return rows [row_start, row_stop) of M applied to x."""
         x = np.ascontiguousarray(x, dtype=np.float64)
         if x.shape != (self.n_cols,):
             raise ValueError(f"matvec expects a vector of length {self.n_cols}")
-        return self.row_view(row_start, row_stop).matvec(x)
+        return RowView(self, 0, self.n_rows).matvec(x)
 
     def rmatvec(self, y):
         """Return M^T y."""
-        return self.rmatvec_range(y, 0, self.n_rows)
-
-    def rmatvec_range(self, y, row_start, row_stop):
-        """Return (rows [row_start, row_stop) of M)^T applied to y."""
         y = np.ascontiguousarray(y, dtype=np.float64)
-        if y.shape != (row_stop - row_start,):
-            raise ValueError("rmatvec length mismatch with row range")
-        return self.row_view(row_start, row_stop).rmatvec(y)
+        if y.shape != (self.n_rows,):
+            raise ValueError(f"rmatvec expects a vector of length {self.n_rows}")
+        return RowView(self, 0, self.n_rows).rmatvec(y)
 
     def transpose(self):
         rows, cols, vals = self.entries()

@@ -66,3 +66,18 @@ def test_run_rejects_bad_config(tmp_path):
                    "epochs = 0\noutput = o\nmaster_seed = 1\nextra = 2\n")
     with pytest.raises(ValueError, match="extra"):
         main(["run", "--config", str(cfg)])
+
+
+def test_synth_command_and_synth_sources_share_their_defaults(tmp_path, monkeypatch):
+    # both read harness.SYNTH_DEFAULTS, so one edit there changes both
+    monkeypatch.setattr(harness, "SYNTH_DEFAULTS",
+                        {**harness.SYNTH_DEFAULTS, "n": 12, "d": 4, "seed": 5})
+    assert main(["synth", "--out", str(tmp_path / "p")]) == 0
+    written = load_problem(str(tmp_path / "p.problem"))
+    source = harness.resolve_problem("synth:mu=0.1")
+    assert written.dataset.samples.shape == (12, 4)
+    np.testing.assert_array_equal(written.dataset.samples.to_dense(),
+                                  source.dataset.samples.to_dense())
+    np.testing.assert_array_equal(written.dataset.labels, source.dataset.labels)
+    assert (written.l2_weight, written.composite_weight) == (source.l2_weight,
+                                                             source.composite_weight)

@@ -33,7 +33,13 @@ from spdfp.harness import (
     synth_fused_lasso,
 )
 from spdfp.problem import Dataset, ProblemSpec, objective_value
-from spdfp.sparse import SparseMatrix, estimate_spectrum, identity, stack_identity
+from spdfp.sparse import (
+    SparseMatrix,
+    build_difference_matrix,
+    estimate_spectrum,
+    identity,
+    stack_identity,
+)
 from spdfp.solvers import ConstantSchedule, SolverConfig, StepSchedule, run_solver
 
 
@@ -405,6 +411,20 @@ def test_problem_round_trip(tmp_path):
     np.testing.assert_array_equal(back.B.to_dense(), spec.B.to_dense())
 
 
+def test_problem_with_an_empty_last_feature_column_round_trips(tmp_path):
+    # LIBSVM text cannot show that column; the B file's shape line does
+    rng = np.random.default_rng(8)
+    A = rng.standard_normal((20, 5))
+    A[:, -1] = 0.0
+    spec = ProblemSpec(loss="square",
+                       dataset=Dataset(SparseMatrix.from_dense(A), rng.standard_normal(20)),
+                       l2_weight=0.0, composite_weight=0.1, B=build_difference_matrix(5))
+    back = load_problem(save_problem(spec, tmp_path / "prob"))
+    assert_same_csr(back.dataset.samples, spec.dataset.samples)
+    assert back.dataset.labels.tobytes() == spec.dataset.labels.tobytes()
+    assert_same_csr(back.B, spec.B)
+
+
 # ---------------------------------------------------------------------------
 # ground truth
 
@@ -579,6 +599,27 @@ def test_solver_clauses_reject_keys_their_kind_ignores():
     assert (cfg.stop_tolerance, cfg.lam, cfg.p) == (1e-3, 0.5, spec.n)
 
 
+def test_solver_clause_numbers_name_their_clause_and_key():
+    from spdfp.harness import build_solver_configs
+
+    spec = synth_fused_lasso(30, 6, 0.1, 0.01, seed=1)
+    keys = {"pdfp": ("lambda", "gamma", "stop_tol"), "spdfp1": ("lambda", "p", "c", "alpha"),
+            "spdfp2": ("p",), "stoc_admm": ("p", "beta", "zeta_c", "zeta_alpha")}
+    for kind, names in keys.items():
+        for key in names:
+            kind_name = "int" if key == "p" else "float"
+            for text in ("abc", "", "nan", "inf", "-inf") + ("1.5",) * (kind_name == "int"):
+                entry = SolverEntry(kind=kind, label="mine", params={key: text})
+                want = f"solver mine: {key} = {text!r} is not a finite {kind_name}"
+                with pytest.raises(ValueError, match=f"^{re.escape(want)}$"):
+                    build_solver_configs(entry, spec, seed=0, epochs=1)
+    # 'auto' and good numbers still go through, as parsed from a clause
+    (entry,) = parse_solver_list("pdfp(lambda=auto, gamma=0.25, stop_tol=1e-3)")
+    cfg, _ = build_solver_configs(entry, spec, seed=0, epochs=1)
+    assert (cfg.lam, cfg.schedule.c, cfg.stop_tolerance) == (0.9 / spec.B.spectrum.rho_max,
+                                                              0.25, 1e-3)
+
+
 def test_parse_solver_list():
     entries = parse_solver_list(
         "spdfp2(alpha=0.7,c=1.0,p=10); stoc_admm(beta=30,zeta_c=0.5,p=10,label=admm)")
@@ -708,6 +749,21 @@ def test_synth_source_rejects_unknown_keys():
         resolve_problem("synth:n=20,sed=3")
     with pytest.raises(ValueError, match="d5"):
         resolve_problem("synth:n=20,d5")
+
+
+def test_synth_source_refuses_bad_numbers_and_repeated_keys():
+    for source, message in (("synth:n=abc", ": n = 'abc' is not a finite int"),
+                            ("synth:n=20,d=5.5", ": d = '5.5' is not a finite int"),
+                            ("synth:n=20,seed=", ": seed = '' is not a finite int"),
+                            ("synth:noise_sd=nan", ": noise_sd = 'nan' is not a finite float"),
+                            ("synth:noise_sd=inf", ": noise_sd = 'inf' is not a finite float"),
+                            ("synth:n=10,n=20", " gives key 'n' twice")):
+        with pytest.raises(ValueError, match=f"^{re.escape(source + message)}$"):
+            resolve_problem(source)
+    # non-finite noise makes non-finite labels, through any caller
+    for noise_sd in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="noise_sd must be finite"):
+            synth_fused_lasso(20, 5, 0.1, noise_sd, seed=0)
 
 
 def test_config_validation_names_offending_field(tmp_path):

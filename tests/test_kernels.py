@@ -9,6 +9,7 @@ compute_ground_truth. Bits are compared through
 .view(np.int64), so that -0.0 against +0.0 shows.
 """
 
+import ast
 import ctypes
 import itertools
 import os
@@ -37,6 +38,18 @@ from spdfp.solvers import (
 from spdfp.sparse import SparseMatrix, estimate_spectrum, identity, stack_identity
 
 LANE_SOURCE = os.path.join(os.path.dirname(kernels.__file__), "lane.c")
+SETUP_PY = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "setup.py")
+
+
+def shipped_compile_args():
+    """The extra_compile_args of the C lane's Extension in setup.py, so that
+    the lane built here is built as the package builds it."""
+    with open(SETUP_PY, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.keyword) and node.arg == "extra_compile_args":
+            return ast.literal_eval(node.value)
+    raise AssertionError("setup.py gives the C lane no extra_compile_args")
 
 
 def random_csr(rng, n_cols=None):
@@ -72,9 +85,12 @@ def c_lane(tmp_path_factory):
     if cc is None:
         pytest.skip("no C compiler found ($CC, cc, gcc or clang), so the C lane cannot be built")
     lib = tmp_path_factory.mktemp("lane") / "lane.so"
-    # a warning in the C lane fails the build, and with it these tests
-    subprocess.run([cc, "-O2", "-ffp-contract=off", "-std=c99", "-Wall", "-Wextra", "-Werror",
-                    "-shared", "-fPIC", "-o", str(lib), LANE_SOURCE, "-lm"],
+    # the flags setup.py builds with, -ffp-contract=off among them, which the
+    # bit parity rests on; a warning in the C lane fails the build, and with
+    # it these tests
+    flags = shipped_compile_args() + ["-std=c99", "-Wall", "-Wextra", "-Werror"]
+    assert "-ffp-contract=off" in flags  # where FMA is not in the base ISA, parity alone misses it
+    subprocess.run([cc, *flags, "-shared", "-fPIC", "-o", str(lib), LANE_SOURCE, "-lm"],
                    check=True, capture_output=True)
     return kernels.CLane(str(lib))
 
@@ -116,11 +132,11 @@ def test_numpy_lane_against_dense():
         r1 = int(rng.integers(r0, M.n_rows + 1))
         empty_rows += int(np.any(np.diff(M.indptr[r0:r1 + 1]) == 0))
         empty_ranges += r0 == r1
-        out = M.matvec_range(x, r0, r1)
+        out = M.row_view(r0, r1).matvec(x)
         assert out.dtype == np.float64
         np.testing.assert_allclose(out, D[r0:r1] @ x, atol=1e-13)
         y = rng.standard_normal(r1 - r0)
-        outc = M.rmatvec_range(y, r0, r1)
+        outc = M.row_view(r0, r1).rmatvec(y)
         assert outc.dtype == np.float64
         np.testing.assert_allclose(outc, D[r0:r1].T @ y, atol=1e-13)
     assert empty_rows and empty_ranges
@@ -165,8 +181,8 @@ def test_lane_parity_bitwise(c_lane):
         AX, BX = steps.products(X)
         assert AX.shape == (3, A.n_rows) and BX.shape == (3, B.n_rows)
         for row, Ax, Bx in zip(X, AX, BX):
-            assert_same_bits(Ax, A.matvec_range(row, 0, A.n_rows))
-            assert_same_bits(Bx, B.matvec_range(row, 0, B.n_rows))
+            assert_same_bits(Ax, A.matvec(row))
+            assert_same_bits(Bx, B.matvec(row))
     assert empty_rows
     # two matrices that share indptr and indices, applied in turn
     M = random_csr(rng)
@@ -180,7 +196,7 @@ def test_lane_parity_bitwise(c_lane):
                              SolverConfig(schedule=ConstantSchedule(0.1), lam=0.5, p=1),
                              ((0, N.n_rows),), x.copy(), np.zeros(N.n_rows))
         (Ax,), (Bx,) = steps.products(x[None])
-        assert_same_bits(Ax, N.matvec_range(x, 0, N.n_rows))
+        assert_same_bits(Ax, N.matvec(x))
         assert_same_bits(Bx, Ax)
 
 
@@ -287,10 +303,10 @@ def run_on_lane(monkeypatch, lane, *args, **kwargs):
     states = []
     block_records = solvers._block_records
 
-    def grab(kind, name, spec, cfg, reference, products, block):
-        count = len(block.ks)
-        states.extend([x.copy(), v.copy()] for x, v in zip(block.X[:count], block.V[:count]))
-        return block_records(kind, name, spec, cfg, reference, products, block)
+    def grab(kind, name, spec, cfg, reference, products, first, X, V, ks, wall):
+        assert len(X) == len(V) == len(ks) == len(wall)
+        states.extend([x.copy(), v.copy()] for x, v in zip(X, V))
+        return block_records(kind, name, spec, cfg, reference, products, first, X, V, ks, wall)
 
     with monkeypatch.context() as m:
         m.setattr(kernels, "LANE", lane)
@@ -352,7 +368,7 @@ def test_fused_run_matches_python_path_bitwise(monkeypatch, c_lane, kind, loss, 
             for lane in (c_lane, None):
                 sizes = []
                 m.setattr(solvers, "_block_records",
-                          lambda *a: sizes.append(len(a[-1].ks)) or block_records(*a))
+                          lambda *a: sizes.append(len(a[-2])) or block_records(*a))
                 assert_same_run(run_on_lane(monkeypatch, lane, kind, spec, prox_spec, cfg,
                                             reference=ref), python)
                 assert sizes == rows

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import prox_1d, scaled_prox_1d
 from spdfp.prox import ProxSpec, prox, prox_residual, prox_scaled
@@ -130,3 +132,45 @@ def test_proxspec_rejects_non_finite_weight(bad):
         prox(L1, np.nan, np.ones(2))
     with pytest.raises(ValueError):
         prox_scaled(L1, np.nan, np.ones(2))
+
+
+# ---------------------------------------------------------------------------
+# properties, over generated vectors, steps and weights
+
+PROPERTY_SETTINGS = settings(max_examples=300, deadline=None, database=None, derandomize=True)
+VALUES = st.floats(-1e6, 1e6, allow_subnormal=False)
+VECTORS = st.lists(VALUES, min_size=1, max_size=8).map(np.array)
+STEPS = st.floats(0, 1e3, allow_subnormal=False)
+SPECS = st.builds(ProxSpec, st.just("l1"), STEPS) | st.just(ZERO)
+
+
+@PROPERTY_SETTINGS
+@given(SPECS, STEPS, VECTORS)
+def test_moreau_decomposition_and_the_clipped_residual(spec, tau, y):
+    p, r = prox(spec, tau, y), prox_residual(spec, tau, y)
+    np.testing.assert_array_equal(p + r, y)
+    # the l1 residual is the projection onto the box [-tau w, tau w], up to
+    # the rounding of y - prox(y), which is at most one ulp of y
+    t = tau * spec.weight
+    want = np.clip(y, -t, t) if spec.kind == "l1" else np.zeros_like(y)
+    assert np.all(np.abs(r - want) <= np.spacing(np.abs(y)))
+
+
+@PROPERTY_SETTINGS
+@given(SPECS, st.floats(1e-3, 1e3), VECTORS)
+def test_prox_scaled_is_the_prox_of_the_rescaled_function(spec, r, y):
+    # h(x) = r f1(x / r) is f1 itself for the 1-homogeneous l1 norm and the
+    # zero function, so prox_h(y) = r prox_{f1/r}(y / r) = prox_{f1}(y)
+    got, want = prox_scaled(spec, r, y), prox(spec, 1.0, y)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-14 * (np.max(np.abs(y)) + spec.weight))
+
+
+@PROPERTY_SETTINGS
+@given(SPECS, STEPS, VECTORS, st.data())
+def test_prox_and_residual_are_firmly_nonexpansive(spec, tau, y1, data):
+    # ||T y1 - T y2||^2 <= <T y1 - T y2, y1 - y2>, up to rounding
+    y2 = data.draw(st.lists(VALUES, min_size=len(y1), max_size=len(y1)).map(np.array))
+    slack = 1e-12 * (1.0 + y1 @ y1 + y2 @ y2)
+    for op in (prox, prox_residual):
+        d = op(spec, tau, y1) - op(spec, tau, y2)
+        assert d @ d <= d @ (y1 - y2) + slack

@@ -60,9 +60,6 @@ def test_smallest_step_index():
 def test_recursion_params_k0_consistency():
     p = RecursionParams(alpha=0.5, c=2.0, tau=0.1, s_init=1.0)
     assert p.k0 == 4
-    RecursionParams(alpha=0.5, c=2.0, tau=0.1, s_init=1.0, k0=4)
-    with pytest.raises(ValueError):
-        RecursionParams(alpha=0.5, c=2.0, tau=0.1, s_init=1.0, k0=3)
 
 
 def test_simulate_noiseless_product_form():
