@@ -1,9 +1,10 @@
 """The fused C lane.
 
 lane.c, built into the shared library ``_lane`` by
-``python setup.py build_ext --inplace``, runs whole runs of PDFP / SPDFP
-steps, and the A x and B x products of a run's record blocks, and is
-loaded with ctypes when it was built. ``LANE`` is the loaded CLane, or
+``python setup.py build_ext --inplace``, runs the PDFP / SPDFP steps of a
+run's record blocks, with each epoch's snapshot and time stamp, and the
+A x and B x products of those snapshots, and is loaded with ctypes when it
+was built. ``LANE`` is the loaded CLane, or
 None, and then every step runs on the NumPy reference path of
 spdfp.solvers; spdfp.solvers._steps alone reads it to pick the lane. Both
 paths give the same bits. Every other product, and the prox outside the
@@ -17,7 +18,7 @@ import os
 import numpy as np
 
 _KINDS = {"pdfp": 0, "spdfp1": 1, "spdfp2": 2}
-_LANE_VERSION = 2   # spdfp_lane_version() of the lane.c this module calls
+_LANE_VERSION = 3   # spdfp_lane_version() of the lane.c this module calls
 _LOSSES = {"square": 0, "hinge": 1, "logistic": 2}
 
 
@@ -40,19 +41,20 @@ class _Run(ctypes.Structure):
                 ("x", ctypes.c_void_p), ("v", ctypes.c_void_p), ("work", ctypes.c_void_p)]
 
 
-def _address(arr, dtype, size=None):
-    """The data address of arr, after checking its dtype, layout and size."""
-    if not (isinstance(arr, np.ndarray) and arr.dtype == dtype and arr.ndim == 1
-            and arr.flags.c_contiguous):
-        raise TypeError(f"expected a contiguous 1-d {np.dtype(dtype)} array")
-    if size is not None and arr.shape[0] != size:
-        raise ValueError(f"expected length {size}, got {arr.shape[0]}")
+def _address(arr, dtype, *shape):
+    """The data address of arr, after checking its dtype, C layout and
+    shape, whose lengths are given or None for any."""
+    if not (isinstance(arr, np.ndarray) and arr.dtype == dtype
+            and arr.ndim == len(shape) and arr.flags.c_contiguous):
+        raise TypeError(f"expected a contiguous {len(shape)}-d {np.dtype(dtype)} array")
+    if any(n is not None and n != got for n, got in zip(shape, arr.shape)):
+        raise ValueError(f"expected shape {shape}, got {arr.shape}")
     return arr.ctypes.data
 
 
 def _csr(M):
     return _Csr(M.n_rows, M.n_cols, _address(M.indptr, np.int64, M.n_rows + 1),
-                _address(M.indices, np.int64), _address(M.data, np.float64))
+                _address(M.indices, np.int64, None), _address(M.data, np.float64, None))
 
 
 class CLane:
@@ -61,7 +63,7 @@ class CLane:
     def __init__(self, path):
         lib = ctypes.CDLL(path)
         p, i64 = ctypes.c_void_p, ctypes.c_int64
-        lib.spdfp_run_steps.argtypes = (ctypes.POINTER(_Run), p, i64, i64)
+        lib.spdfp_run_steps.argtypes = (ctypes.POINTER(_Run), p, i64, i64, i64, p, p, p)
         lib.spdfp_run_steps.restype = ctypes.c_int
         lib.spdfp_products.argtypes = (ctypes.POINTER(_Run), p, i64, p, p)
         lib.spdfp_products.restype = None
@@ -82,17 +84,20 @@ class CLane:
 
 
 class Steps:
-    """Runs of 'pdfp', 'spdfp1' or 'spdfp2' steps, in one C call each,
-    updating x and v in place. A step uses one of the row ranges [lo, hi)
-    of A given here; gamma_k = c / k**alpha, alpha = 0 for a constant step.
+    """The steps of a 'pdfp', 'spdfp1' or 'spdfp2' run, updating x and v in
+    place, a whole record block per C call. A step uses one of the row
+    ranges [lo, hi) of A given here; gamma_k = c / k**alpha, alpha = 0 for a
+    constant step.
 
     ``use(picks)`` takes an int64 array of indices into the ranges and its
-    address, once; each call then runs count of them from an offset. So a
-    run draws the picks of a block of epochs at once and pays no copy or
-    address lookup per epoch. ``iterates`` is (x, v), the arrays the steps
-    update. ``products(X)`` gives A x and B x of each snapshot x in the rows
-    of X, for a block of epoch records, in one call. solvers._ReferenceSteps
-    takes the same calls on the reference path.
+    address, once; each call then runs some epochs of per_epoch of them from
+    an offset, and after each epoch copies x and v into the next rows of the
+    given snapshot arrays and stamps the time, in C. So a run draws the picks
+    of a block of epochs at once and steps and snapshots the whole block in
+    one call. ``iterates`` is (x, v), the arrays the steps update.
+    ``products(X)`` gives A x and B x of each snapshot x in the rows of X, for
+    a block of epoch records, in one call. solvers._ReferenceSteps takes the
+    same calls on the reference path.
 
     Every step runs wholly in C, the logistic one too: its loss weights take
     libm exp, as spdfp.problem.loss_weights does through math.exp, so the
@@ -120,26 +125,33 @@ class Steps:
     def use(self, picks):
         """Take picks, indices into the ranges, for the calls that follow."""
         picks = np.ascontiguousarray(picks, dtype=np.int64)
-        self._picks = picks, _address(picks, np.int64)
+        self._picks = picks, _address(picks, np.int64, None)
 
-    def __call__(self, start, count, k):
-        """One step for each of picks[start:start + count]; k counts steps
-        from 1 before the first of them."""
+    def __call__(self, start, epochs, per_epoch, k, X=None, V=None, stamps=None):
+        """epochs epochs of per_epoch steps, one for each of
+        picks[start:start + epochs * per_epoch]; k counts steps from 1
+        before the first of them. After epoch e, x goes to X[e], v to V[e]
+        and the seconds since the call began to stamps[e], where given: C-
+        contiguous float64 arrays of epochs rows. Every pick is checked
+        before the first step."""
         picks, address = self._picks
-        if not 0 <= start <= start + count <= len(picks):
+        count = epochs * per_epoch
+        if not (epochs >= 0 and per_epoch >= 0 and 0 <= start <= start + count <= len(picks)):
             raise ValueError(f"steps {start}..{start + count} out of {len(picks)} picks")
-        if self._fn(self._run, address + start * picks.itemsize, count, k) != 0:
+        _, d, m = self._shape
+        out = [None if a is None else _address(a, np.float64, epochs, *row)
+               for a, row in ((X, (d,)), (V, (m,)), (stamps, ()))]
+        if self._fn(self._run, address + start * picks.itemsize, epochs, per_epoch, k,
+                    *out) != 0:
             raise ValueError("batch index or row range out of bounds")
 
     def products(self, X):
         """(A X^T)^T and (B X^T)^T: A x and B x of each row x of X, a
         C-contiguous float64 array of snapshots of x, one per row."""
         n, d, m = self._shape
-        if not (isinstance(X, np.ndarray) and X.dtype == np.float64 and X.ndim == 2
-                and X.shape[1] == d and X.flags.c_contiguous):
-            raise TypeError(f"expected a contiguous float64 array of {d} columns")
+        address = _address(X, np.float64, None, d)
         AX, BX = np.empty((len(X), n)), np.empty((len(X), m))
-        self._products_fn(self._run, X.ctypes.data, len(X), AX.ctypes.data, BX.ctypes.data)
+        self._products_fn(self._run, address, len(X), AX.ctypes.data, BX.ctypes.data)
         return AX, BX
 
 

@@ -1,9 +1,10 @@
-/* The C lane of spdfp: whole runs of PDFP / SPDFP steps, and the A x and
- * B x products of a run's records, a block of snapshots per call. Plain
- * C99 over raw int64/double arrays, no Python C-API; spdfp._kernels loads
- * the built library with ctypes and checks every array before it passes a
- * pointer. It exports spdfp_run_size, spdfp_lane_version, spdfp_run_steps
- * and spdfp_products; everything else is static.
+/* The C lane of spdfp: whole record blocks of PDFP / SPDFP steps, with the
+ * snapshot of x and v and the time stamp that end each epoch, and the A x
+ * and B x products of a block's snapshots, one call each. Plain C99 over
+ * raw int64/double arrays, no Python C-API; spdfp._kernels loads the built
+ * library with ctypes and checks every array before it passes a pointer. It
+ * exports spdfp_run_size, spdfp_lane_version, spdfp_run_steps and
+ * spdfp_products; everything else is static.
  *
  * Each function mirrors the NumPy reference (sparse.RowView,
  * prox.soft_threshold, solvers._pdfp/_spdfp1/_spdfp2) op for op, so that
@@ -19,9 +20,12 @@
  *     through math.exp (problem._sigmoid), not NumPy's SIMD exp, which can
  *     differ in the last bit.
  */
+#define _POSIX_C_SOURCE 199309L  /* clock_gettime under -std=c99 */
 #include <math.h>
 #include <stddef.h>
 #include <stdint.h>
+#include <string.h>
+#include <time.h>
 
 enum { PDFP = 0, SPDFP1 = 1, SPDFP2 = 2 };
 enum { SQUARE = 0, HINGE = 1, LOGISTIC = 2 };
@@ -56,10 +60,11 @@ int64_t spdfp_run_size(void)
 /* The revision of the exported functions' signatures, which the loader
  * compares with its own, so that it refuses a library built from an older
  * lane.c instead of calling it with the wrong arguments. Revision 2:
- * spdfp_products takes a block of snapshots. */
+ * spdfp_products takes a block of snapshots. Revision 3: spdfp_run_steps
+ * runs a block of epochs and takes their snapshots and time stamps. */
 int64_t spdfp_lane_version(void)
 {
-    return 2;
+    return 3;
 }
 
 /* out[i - lo] = (row i of M) . x for lo <= i < hi. */
@@ -132,17 +137,71 @@ static void gradient(const run *r, int64_t lo, int64_t hi, const double *x,
             g[j] = g[j] + r->nu * x[j];
 }
 
-/* Apply n_steps steps of r->kind to r->x and r->v. Step s uses rows
- * ranges[2p]..ranges[2p+1]-1 of A, p = picks[s]; k is the 1-based step
- * counter before the first step. Returns BAD_INPUT, having changed nothing,
- * if a pick or its range is out of bounds, else OK. */
-int spdfp_run_steps(const run *r, const int64_t *picks, int64_t n_steps, int64_t k)
+/* Seconds from t0 to now on the monotonic clock. */
+static double since(const struct timespec *t0)
+{
+    struct timespec t;
+    clock_gettime(CLOCK_MONOTONIC, &t);
+    return (double)(t.tv_sec - t0->tv_sec) + 1e-9 * (double)(t.tv_nsec - t0->tv_nsec);
+}
+
+/* One step of r->kind on r->x and r->v, with rows lo..hi-1 of A; k is the
+ * 1-based step counter before the step. */
+static void step(const run *r, int64_t lo, int64_t hi, int64_t k)
 {
     int64_t d = r->A.n_cols, m = r->B.n_rows;
     double lam = r->lam, *x = r->x, *v = r->v;
     double *w = r->work, *g = w + r->A.n_rows, *xh = g + d, *bt = xh + d;
     double *arg = bt + d, *bb = arg + m;
+    double gamma = r->c / pow((double)k, r->alpha);
+    double tau = gamma / lam, thr = tau * r->prox_weight;
+    double factor = 1.0, v_scale = 1.0, x_scale = lam;
+    if (r->kind == SPDFP1) {
+        factor = gamma / lam;
+        v_scale = lam / gamma;
+        x_scale = gamma;
+    } else if (r->kind == SPDFP2) {
+        factor = k == 1 ? gamma / lam : pow((double)(k - 1) / (double)k, r->alpha);
+    }
 
+    /* x_half = x - gamma * grad */
+    gradient(r, lo, hi, x, w, g);
+    for (int64_t j = 0; j < d; j++)
+        xh[j] = x[j] - gamma * g[j];
+
+    /* arg = B x_half + factor * (v - lam * B B^T v) */
+    matvec(&r->B, xh, arg, 0, m);
+    rmatvec(&r->B, v, bt, 0, m);
+    matvec(&r->B, bt, bb, 0, m);
+    for (int64_t i = 0; i < m; i++) {
+        double dr = v[i] - lam * bb[i];
+        arg[i] = arg[i] + factor * dr;
+    }
+
+    /* v = v_scale * (arg - prox(arg)); x = x_half - x_scale * B^T v */
+    for (int64_t i = 0; i < m; i++) {
+        double res = arg[i] - (r->prox_l1 ? soft(arg[i], thr) : arg[i]);
+        v[i] = v_scale * res;
+    }
+    rmatvec(&r->B, v, bt, 0, m);
+    for (int64_t j = 0; j < d; j++)
+        x[j] = xh[j] - x_scale * bt[j];
+}
+
+/* Run n_epochs epochs of per_epoch steps each on r->x and r->v. Step s uses
+ * rows ranges[2p]..ranges[2p+1]-1 of A, p = picks[s]; k is the 1-based step
+ * counter before the first step. After epoch e, x goes to row e of X
+ * (A.n_cols doubles a row), v to row e of V (B.n_rows doubles a row) and
+ * the seconds since the call began to stamps[e]; a NULL X, V or stamps
+ * takes nothing. Returns BAD_INPUT, having changed nothing, if a pick or
+ * its range is out of bounds, else OK. */
+int spdfp_run_steps(const run *r, const int64_t *picks, int64_t n_epochs, int64_t per_epoch,
+                    int64_t k, double *X, double *V, double *stamps)
+{
+    struct timespec t0;
+    int64_t d = r->A.n_cols, m = r->B.n_rows, n_steps = n_epochs * per_epoch;
+
+    clock_gettime(CLOCK_MONOTONIC, &t0);
     for (int64_t s = 0; s < n_steps; s++) {
         if (picks[s] < 0 || picks[s] >= r->n_ranges)
             return BAD_INPUT;
@@ -150,41 +209,17 @@ int spdfp_run_steps(const run *r, const int64_t *picks, int64_t n_steps, int64_t
         if (rows[0] < 0 || rows[0] >= rows[1] || rows[1] > r->A.n_rows)
             return BAD_INPUT;
     }
-    for (int64_t s = 0; s < n_steps; s++, k++) {
-        double gamma = r->c / pow((double)k, r->alpha);
-        double tau = gamma / lam, thr = tau * r->prox_weight;
-        double factor = 1.0, v_scale = 1.0, x_scale = lam;
-        if (r->kind == SPDFP1) {
-            factor = gamma / lam;
-            v_scale = lam / gamma;
-            x_scale = gamma;
-        } else if (r->kind == SPDFP2) {
-            factor = k == 1 ? gamma / lam : pow((double)(k - 1) / (double)k, r->alpha);
+    for (int64_t e = 0, s = 0; e < n_epochs; e++) {
+        for (int64_t end = s + per_epoch; s < end; s++, k++) {
+            const int64_t *rows = r->ranges + 2 * picks[s];
+            step(r, rows[0], rows[1], k);
         }
-
-        /* x_half = x - gamma * grad */
-        const int64_t *rows = r->ranges + 2 * picks[s];
-        gradient(r, rows[0], rows[1], x, w, g);
-        for (int64_t j = 0; j < d; j++)
-            xh[j] = x[j] - gamma * g[j];
-
-        /* arg = B x_half + factor * (v - lam * B B^T v) */
-        matvec(&r->B, xh, arg, 0, m);
-        rmatvec(&r->B, v, bt, 0, m);
-        matvec(&r->B, bt, bb, 0, m);
-        for (int64_t i = 0; i < m; i++) {
-            double dr = v[i] - lam * bb[i];
-            arg[i] = arg[i] + factor * dr;
-        }
-
-        /* v = v_scale * (arg - prox(arg)); x = x_half - x_scale * B^T v */
-        for (int64_t i = 0; i < m; i++) {
-            double res = arg[i] - (r->prox_l1 ? soft(arg[i], thr) : arg[i]);
-            v[i] = v_scale * res;
-        }
-        rmatvec(&r->B, v, bt, 0, m);
-        for (int64_t j = 0; j < d; j++)
-            x[j] = xh[j] - x_scale * bt[j];
+        if (X)
+            memcpy(X + e * d, r->x, (size_t)d * sizeof(double));
+        if (V)
+            memcpy(V + e * m, r->v, (size_t)m * sizeof(double));
+        if (stamps)
+            stamps[e] = since(&t0);
     }
     return OK;
 }

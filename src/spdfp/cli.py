@@ -23,7 +23,7 @@ def _cmd_truth(args):
     spec = harness.resolve_problem(args.problem)
     gt = harness.compute_ground_truth(spec, iters=args.iters)
     out = args.out or (args.problem + ".truth.npz")
-    harness.save_ground_truth(gt, out)
+    harness.save_ground_truth(gt, out, spec)
     print(f"wrote {out}: objective={gt.objective_star!r} residual={gt.residual:.3e} "
           f"(gamma={gt.gamma:.4g}, lambda={gt.lam:.4g}, {gt.iterations} iterations)")
     return 0
@@ -38,10 +38,10 @@ def _cmd_run(args):
 
 
 def _cmd_bound_check(args):
-    alphas = [float(x) for x in args.alphas.split(",")]
-    cs = [float(x) for x in args.cs.split(",")]
-    taus = [float(x) for x in args.taus.split(",")]
-    s_inits = [float(x) for x in args.s_inits.split(",")]
+    alphas, cs, taus, s_inits = (
+        [harness._number("bound-check", flag, x, float) for x in text.split(",")]
+        for flag, text in (("--alphas", args.alphas), ("--cs", args.cs),
+                           ("--taus", args.taus), ("--s-inits", args.s_inits)))
     failures = 0
     for alpha in alphas:
         for c in cs:

@@ -360,14 +360,14 @@ def compute_ground_truth(spec, cfg=None, iters=DEFAULT_TRUTH_ITERS):
     state = initial_state(spec)
     steps = _steps("pdfp", spec, prox_spec, cfg, ctx, (state.x, state.v))
     steps.use(np.zeros(iters, dtype=np.int64))
+    x_prev, v_prev = np.empty((1, spec.dim)), np.empty((1, spec.B.n_rows))
     used, reached = 0, False
     while used < iters and not reached:
         n = min(_TRUTH_CHUNK, iters - used)
-        steps(used, n - 1, used + 1)
-        x_prev, v_prev = (a.copy() for a in steps.iterates)  # the C lane steps in place
-        steps(used + n - 1, 1, used + n)
+        steps(used, 1, n - 1, used + 1, x_prev, v_prev)  # one epoch, then its snapshot
+        steps(used + n - 1, 1, 1, used + n)
         used += n
-        reached = _step_length(x_prev, v_prev, *steps.iterates) <= TRUTH_TARGET
+        reached = _step_length(x_prev[0], v_prev[0], *steps.iterates) <= TRUTH_TARGET
     x, v = steps.iterates
     gamma, lam = cfg.schedule.c, cfg.lam
     res = _fixed_point_residual(ctx, gamma, lam, x, v)
@@ -380,20 +380,49 @@ def compute_ground_truth(spec, cfg=None, iters=DEFAULT_TRUTH_ITERS):
                        residual=res, gamma=gamma, lam=lam, iterations=used)
 
 
-def save_ground_truth(gt, path):
+def problem_fingerprint(spec):
+    """The sha256 hex digest of what a ground truth of spec depends on: the
+    loss, both weights, the labels, and the shape and CSR arrays of A and B."""
+    import hashlib  # here: loading it costs about 3 ms, at every start-up if at the top
+
+    h = hashlib.sha256(" ".join([spec.loss, float(spec.l2_weight).hex(),
+                                 float(spec.composite_weight).hex()]).encode())
+    for M in (spec.dataset.samples, spec.B):
+        h.update(np.array([M.n_rows, M.n_cols], dtype=np.int64).tobytes())
+        for arr in (M.indptr, M.indices, M.data):
+            h.update(arr.tobytes())
+    h.update(np.ascontiguousarray(spec.dataset.labels, dtype=np.float64).tobytes())
+    return h.hexdigest()
+
+
+def save_ground_truth(gt, path, spec):
+    """Write gt, the ground truth of spec, to an .npz file, with spec's
+    problem_fingerprint, which load_ground_truth checks."""
     np.savez(path, x_star=gt.x_star, v_star=gt.v_star,
              objective_star=gt.objective_star, residual=gt.residual,
-             gamma=gt.gamma, lam=gt.lam, iterations=gt.iterations)
+             gamma=gt.gamma, lam=gt.lam, iterations=gt.iterations,
+             fingerprint=problem_fingerprint(spec))
 
 
-def load_ground_truth(path):
-    """A GroundTruth saved by save_ground_truth; files that also hold the
-    raw PDFP dual (v_star_pdfp) load too."""
+def load_ground_truth(path, spec):
+    """The GroundTruth of spec saved by save_ground_truth. A file that holds
+    a fingerprint must hold spec's; one without, written before
+    fingerprints, must have spec's shapes; else a ValueError names the
+    file. Files that also hold the raw PDFP dual (v_star_pdfp) load too."""
     z = np.load(path)
-    return GroundTruth(x_star=z["x_star"], v_star=z["v_star"],
-                       objective_star=float(z["objective_star"]),
-                       residual=float(z["residual"]), gamma=float(z["gamma"]),
-                       lam=float(z["lam"]), iterations=int(z["iterations"]))
+    gt = GroundTruth(x_star=z["x_star"], v_star=z["v_star"],
+                     objective_star=float(z["objective_star"]),
+                     residual=float(z["residual"]), gamma=float(z["gamma"]),
+                     lam=float(z["lam"]), iterations=int(z["iterations"]))
+    if "fingerprint" in z.files:
+        if str(z["fingerprint"]) != problem_fingerprint(spec):
+            raise ValueError(f"{path}: this ground truth was computed for another problem "
+                             "(its fingerprint differs); rerun `spdfp truth`")
+    elif gt.x_star.shape != (spec.dim,) or gt.v_star.shape != (spec.B.n_rows,):
+        raise ValueError(f"{path}: this ground truth has x* of shape {gt.x_star.shape} and "
+                         f"v* of shape {gt.v_star.shape}, but the problem has {spec.dim} "
+                         f"features and {spec.B.n_rows} rows of B; rerun `spdfp truth`")
+    return gt
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +599,7 @@ def run_experiment(cfg, ground_truth=None):
         truth_cache = (cfg.problem + ".truth.npz"
                        if not cfg.problem.startswith("synth:") else None)
         if truth_cache and os.path.exists(truth_cache):
-            ground_truth = load_ground_truth(truth_cache)
+            ground_truth = load_ground_truth(truth_cache, spec)
     if ground_truth is None:
         ground_truth = compute_ground_truth(spec)
     reference = ground_truth.reference()

@@ -23,9 +23,10 @@ same bits. ``run_solver`` and the ground truth each drive them in one loop.
 
 ``run_solver`` goes through its epochs in blocks. A block draws the batch
 indices of its epochs as one int64 array when it starts, which gives the
-stream of one draw per step, copies x and v into the block's own arrays
-after each epoch, and then turns those rows into records (_block_records)
-with one product call and one NumPy operation per column over them. A run
+stream of one draw per step, runs all its epochs in one steps call, which
+copies x and v into the block's own arrays and stamps the time after each
+epoch, and then turns those rows into records (_block_records) with one
+product call and one NumPy operation per column over them. A run
 whose objective turns NaN or infinite keeps the records up to that epoch's
 and stops with a RuntimeWarning.
 """
@@ -406,9 +407,9 @@ _RECORD_BLOCK = 1 << 16
 
 class _ReferenceSteps:
     """The reference steps of a run of kind, behind the calls of a
-    _kernels.Steps, picks indexing ctx.batches. on_step, when given, gets
-    the state after each step; ``iterates`` holds the latest iterates, fresh
-    arrays after every step."""
+    _kernels.Steps, picks indexing ctx.batches; the time stamps come from
+    time.perf_counter. on_step, when given, gets the state after each step;
+    ``iterates`` holds the latest iterates, fresh arrays after every step."""
 
     def __init__(self, kind, params, ctx, iterates, on_step):
         self._step, self._params, self._ctx, self._on_step = _STEPS[kind], params, ctx, on_step
@@ -418,16 +419,26 @@ class _ReferenceSteps:
     def use(self, picks):
         self._picks = picks.tolist()
 
-    def __call__(self, start, count, k):
-        """The steps of picks[start:start + count]; k counts steps from 1
-        before the first of them."""
+    def __call__(self, start, epochs, per_epoch, k, X=None, V=None, stamps=None):
+        """epochs epochs of per_epoch steps, those of
+        picks[start:start + epochs * per_epoch]; k counts steps from 1
+        before the first of them. After epoch e, x goes to X[e], v to V[e]
+        and the seconds since the call began to stamps[e], where given."""
+        t0 = time.perf_counter()
         step, params, ctx, on_step = self._step, self._params, self._ctx, self._on_step
         iterates = self.iterates
-        for i in self._picks[start:start + count]:
-            iterates = step(ctx, params, k, ctx.batches[i], *iterates)
-            k += 1
-            if on_step is not None:
-                on_step(self._state(*iterates, k))
+        for e in range(epochs):
+            for i in self._picks[start + e * per_epoch:start + (e + 1) * per_epoch]:
+                iterates = step(ctx, params, k, ctx.batches[i], *iterates)
+                k += 1
+                if on_step is not None:
+                    on_step(self._state(*iterates, k))
+            if X is not None:
+                X[e] = iterates[0]
+            if V is not None:
+                V[e] = iterates[1]
+            if stamps is not None:
+                stamps[e] = time.perf_counter() - t0
         self.iterates = iterates
 
 
@@ -465,8 +476,11 @@ def run_solver(kind, spec, prox_spec, cfg, admm_cfg=None, x0=None, v0=None,
 
     The epochs come in blocks of at most _RECORD_BLOCK doubles of snapshots
     and their products. A block draws the batch indices of its epochs when
-    it starts ('pdfp' draws none), copies x and v into its own arrays after
-    each epoch, and then builds its records (_block_records). A run whose
+    it starts ('pdfp' draws none) and steps them in one call, which copies x
+    and v into the block's own arrays and stamps the time after each epoch;
+    a 'pdfp' run that checks its residual makes one call per epoch. The
+    block then builds its records (_block_records); wall_time is the stamp
+    plus the time of the call since the run started. A run whose
     objective is NaN or infinite after an epoch keeps that epoch's record,
     drops the rest of its block, warns (RuntimeWarning) and stops.
     """
@@ -493,33 +507,39 @@ def run_solver(kind, spec, prox_spec, cfg, admm_cfg=None, x0=None, v0=None,
     steps = _steps(kind, spec, prox_spec, params, ctx, iterates, on_step)
     per_epoch = len(ranges)
     rows = max(1, _RECORD_BLOCK // (spec.dim + spec.n + 2 * spec.B.n_rows))
+    # a pdfp run that stops on its residual checks it after every epoch
     check_stop = kind == "pdfp" and cfg.stop_tolerance > 0
-    records, k = [], 1
+    span = 1 if check_stop else rows
+    records, stop = [], False
     for first in range(0, cfg.max_epochs + 1, rows):
-        epochs = range(first, min(first + rows, cfg.max_epochs + 1))
-        size = (len(epochs) - (first == 0)) * per_epoch  # epoch 0 runs no step
-        if size:
+        n = min(rows, cfg.max_epochs + 1 - first)
+        X = np.empty((n, spec.dim))
+        V = None if kind == "stoc_admm" else np.empty((n, spec.B.n_rows))
+        wall = np.empty(n)
+        skipped = filled = int(first == 0)  # epoch 0 runs no step
+        if skipped:
+            X[0] = steps.iterates[0]
+            if V is not None:
+                V[0] = steps.iterates[1]
+            wall[0] = time.perf_counter() - t0
+        if n > filled:
+            size = (n - filled) * per_epoch
             steps.use(np.zeros(size, dtype=np.int64) if kind == "pdfp"
                       else _draw_batch_indices(plan, rng, size))
-        X = np.empty((len(epochs), spec.dim))
-        V = None if kind == "stoc_admm" else np.empty((len(epochs), spec.B.n_rows))
-        ks, wall, start = [], [], 0
-        for i, epoch in enumerate(epochs):
-            if epoch:
-                steps(start, per_epoch, k)
-                start, k = start + per_epoch, k + per_epoch
-            wall.append(time.perf_counter() - t0)
-            X[i] = steps.iterates[0]
-            if V is not None:
-                V[i] = steps.iterates[1]
-            ks.append(k)
-            stop = check_stop and epoch > 0 and _fixed_point_residual(
+        while filled < n and not stop:
+            part = slice(filled, min(n, filled + span))
+            at = time.perf_counter() - t0
+            steps((filled - skipped) * per_epoch, part.stop - filled, per_epoch,
+                  1 + (first + filled - 1) * per_epoch,
+                  X[part], None if V is None else V[part], wall[part])
+            wall[part] += at
+            filled = part.stop
+            stop = check_stop and _fixed_point_residual(
                 ctx, cfg.schedule.c, cfg.lam, *steps.iterates) <= cfg.stop_tolerance
-            if stop:
-                break
-        n = len(ks)  # a pdfp run may stop before the end of the block
-        for rec in _block_records(kind, name, spec, cfg, reference, steps.products,
-                                  first, X[:n], None if V is None else V[:n], ks, wall):
+        ks = [1 + (first + i) * per_epoch for i in range(filled)]
+        for rec in _block_records(kind, name, spec, cfg, reference, steps.products, first,
+                                  X[:filled], None if V is None else V[:filled], ks,
+                                  wall[:filled].tolist()):
             records.append(rec)
             if rec.epoch and not math.isfinite(rec.objective):  # epoch 0 ran no step
                 warnings.warn(f"solver {name} (seed {cfg.seed}) diverged: objective "

@@ -17,7 +17,7 @@ def test_synth_truth_run_pipeline(tmp_path, capsys, monkeypatch):
 
     assert main(["truth", "--problem", str(base) + ".problem",
                  "--iters", "1500"]) == 0
-    gt = load_ground_truth(str(base) + ".problem.truth.npz")
+    gt = load_ground_truth(str(base) + ".problem.truth.npz", spec)
     assert gt.residual < 1e-8
 
     cfg = tmp_path / "exp.cfg"
@@ -81,3 +81,47 @@ def test_synth_command_and_synth_sources_share_their_defaults(tmp_path, monkeypa
     np.testing.assert_array_equal(written.dataset.labels, source.dataset.labels)
     assert (written.l2_weight, written.composite_weight) == (source.l2_weight,
                                                              source.composite_weight)
+
+
+def test_bound_check_names_the_flag_of_a_bad_value():
+    for flag in ("--alphas", "--cs", "--taus", "--s-inits"):
+        with pytest.raises(ValueError, match=f"bound-check: {flag} = 'abc' is not a finite float"):
+            main(["bound-check", flag, "0.5,abc", "--k-max", "10"])
+
+
+def desk_run_config(tmp_path):
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("problem = prob.problem\nsolvers = spdfp2(p=10)\nrepetitions = 1\n"
+                   "epochs = 2\noutput = out/run\nmaster_seed = 5\n")
+    return str(cfg)
+
+
+def test_run_refuses_the_truth_of_another_problem(tmp_path):
+    # the truth of the seed-7 problem stays next to the seed-9 one written
+    # over it; its fingerprint no longer matches
+    base = str(tmp_path / "prob")
+    assert main(["synth", "--out", base, "--n", "60", "--d", "10", "--seed", "7"]) == 0
+    assert main(["truth", "--problem", base + ".problem", "--iters", "1500"]) == 0
+    assert main(["synth", "--out", base, "--n", "60", "--d", "10", "--seed", "9"]) == 0
+    with pytest.raises(ValueError, match=r"prob\.problem\.truth\.npz: .*another problem.*"
+                                         r"rerun `spdfp truth`"):
+        main(["run", "--config", desk_run_config(tmp_path)])
+    # a fresh truth of the problem now there is taken
+    assert main(["truth", "--problem", base + ".problem", "--iters", "1500"]) == 0
+    assert main(["run", "--config", desk_run_config(tmp_path)]) == 0
+
+
+def test_run_checks_the_shapes_of_a_truth_without_fingerprint(tmp_path):
+    # a truth file written before fingerprints, of a problem with d = 10,
+    # next to a problem with d = 12
+    base = str(tmp_path / "prob")
+    assert main(["synth", "--out", base, "--n", "60", "--d", "10", "--seed", "7"]) == 0
+    gt = harness.compute_ground_truth(load_problem(base + ".problem"), iters=1500)
+    np.savez(base + ".problem.truth.npz", x_star=gt.x_star, v_star=gt.v_star,
+             objective_star=gt.objective_star, residual=gt.residual, gamma=gt.gamma,
+             lam=gt.lam, iterations=gt.iterations)
+    assert main(["run", "--config", desk_run_config(tmp_path)]) == 0  # same shapes: loads
+    assert main(["synth", "--out", base, "--n", "60", "--d", "12", "--seed", "7"]) == 0
+    with pytest.raises(ValueError, match=r"prob\.problem\.truth\.npz: .*shape \(10,\).*"
+                                         r"12 features.*rerun `spdfp truth`"):
+        main(["run", "--config", desk_run_config(tmp_path)])

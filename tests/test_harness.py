@@ -23,6 +23,7 @@ from spdfp.harness import (
     load_problem,
     parse_experiment_config,
     parse_solver_list,
+    problem_fingerprint,
     prox_for,
     resolve_problem,
     run_experiment,
@@ -473,14 +474,37 @@ def test_old_truth_files_with_the_raw_dual_still_load(tmp_path):
     np.savez(path, x_star=gt.x_star, v_star=gt.v_star,
              v_star_pdfp=(gt.gamma / gt.lam) * gt.v_star, objective_star=gt.objective_star,
              residual=gt.residual, gamma=gt.gamma, lam=gt.lam, iterations=3000)
-    old = load_ground_truth(path)
+    old = load_ground_truth(path, spec)
     np.testing.assert_array_equal(old.x_star, gt.x_star)
     np.testing.assert_array_equal(old.v_star, gt.v_star)
     assert (old.objective_star, old.residual, old.gamma, old.lam, old.iterations) == (
         gt.objective_star, gt.residual, gt.gamma, gt.lam, 3000)
-    save_ground_truth(gt, tmp_path / "new.truth.npz")
+    save_ground_truth(gt, tmp_path / "new.truth.npz", spec)
     assert sorted(np.load(tmp_path / "new.truth.npz").files) == sorted(
-        ("x_star", "v_star", "objective_star", "residual", "gamma", "lam", "iterations"))
+        ("x_star", "v_star", "objective_star", "residual", "gamma", "lam", "iterations",
+         "fingerprint"))
+
+
+def test_truth_fingerprint_follows_every_input_of_the_truth(tmp_path):
+    spec = synth_fused_lasso(40, 6, 0.1, 0.01, seed=2)
+    own = problem_fingerprint(spec)
+    # a saved and reloaded problem keeps its fingerprint
+    assert problem_fingerprint(load_problem(save_problem(spec, tmp_path / "p"))) == own
+    A = spec.dataset.samples
+    other_A = SparseMatrix(A.n_rows, A.n_cols, A.indptr, A.indices, A.data * (1 + 1e-15))
+    changed = [replace(spec, loss="logistic", dataset=Dataset(A, np.sign(spec.dataset.labels))),
+               replace(spec, l2_weight=1e-3), replace(spec, composite_weight=0.2),
+               replace(spec, dataset=Dataset(A, spec.dataset.labels + 1.0)),
+               replace(spec, dataset=Dataset(other_A, spec.dataset.labels)),
+               replace(spec, B=identity(6))]
+    assert len({own, *map(problem_fingerprint, changed)}) == 1 + len(changed)
+    with pytest.warns(RuntimeWarning, match="cap of 50"):
+        gt = compute_ground_truth(spec, iters=50)
+    save_ground_truth(gt, tmp_path / "t.npz", spec)
+    assert load_ground_truth(tmp_path / "t.npz", spec).iterations == gt.iterations
+    for other in changed[1:]:
+        with pytest.raises(ValueError, match="t.npz: .*another problem"):
+            load_ground_truth(tmp_path / "t.npz", other)
 
 
 def test_default_gamma_follows_the_loss_curvature():
@@ -918,7 +942,7 @@ def test_each_operator_estimated_once_per_run(tmp_path, monkeypatch):
     # a truth given, or cached next to the problem file: the run's own spec
     # estimates B once, and A once if some pdfp clause steps by default_gamma
     problem = save_problem(synth_fused_lasso(40, 6, 0.1, 0.01, seed=2), tmp_path / "p")
-    save_ground_truth(truth, problem + ".truth.npz")
+    save_ground_truth(truth, problem + ".truth.npz", spec)
     for source, given in (("synth:n=40,d=6,seed=2,perturb_frac=0.1", truth), (problem, None)):
         for solvers, data_estimates in (("pdfp()", 1), ("pdfp(gamma=0.5)", 0),
                                         ("pdfp(); spdfp2(p=10); pdfp(label=again)", 1)):

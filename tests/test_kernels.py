@@ -13,9 +13,11 @@ import ast
 import ctypes
 import itertools
 import os
+import re
 import shutil
 import subprocess
 import sysconfig
+import time
 import warnings
 from dataclasses import replace
 
@@ -95,11 +97,12 @@ def c_lane(tmp_path_factory):
     return kernels.CLane(str(lib))
 
 
-@pytest.mark.parametrize("version", [None, 1])
+@pytest.mark.parametrize("version", [None, 1, 2])
 def test_loader_refuses_a_library_built_from_another_lane_c(tmp_path, version):
     # a library with the run struct of this lane.c but no version stamp, as
     # built from the lane.c whose spdfp_products took no snapshots, or with
-    # another stamp: calling it could write through the wrong pointers
+    # another stamp, as from the lane.c whose spdfp_run_steps ran one span of
+    # steps: calling it could write through the wrong pointers
     cc = find_compiler()
     if cc is None:
         pytest.skip("no C compiler found ($CC, cc, gcc or clang)")
@@ -115,6 +118,17 @@ def test_loader_refuses_a_library_built_from_another_lane_c(tmp_path, version):
                    check=True, capture_output=True)
     with pytest.raises(ImportError, match="built from another lane.c; rebuild it"):
         kernels.CLane(str(lib))
+
+
+def test_lane_version_matches_the_loader():
+    # the loader refuses a library whose spdfp_lane_version differs from its
+    # own, so lane.c and _kernels must be bumped together
+    with open(LANE_SOURCE, encoding="utf-8") as fh:
+        source = fh.read()
+    found = re.search(r"^int64_t spdfp_lane_version\(void\)\s*\{\s*return (\d+);\s*\}",
+                      source, re.M)
+    assert found is not None
+    assert int(found.group(1)) == kernels._LANE_VERSION
 
 
 def test_backend_reports_a_lane():
@@ -172,7 +186,7 @@ def test_lane_parity_bitwise(c_lane):
         x, v = x0.copy(), v0.copy()
         steps = c_lane.steps(kind, spec, prox_spec, cfg, ((r0, r1),), x, v)
         steps.use([0])
-        steps(0, 1, 1)
+        steps(0, 1, 1, 1)
         ctx = solvers._RunContext(spec, prox_spec, ((r0, r1),))
         want_x, want_v = solvers._STEPS[kind](ctx, cfg, 1, ctx.batches[0], x0, v0)
         assert_same_bits(x, want_x)
@@ -218,7 +232,7 @@ def test_soft_threshold_signed_zeros_and_nan(c_lane):
         steps = c_lane.steps(kind, spec, prox_spec, cfg, ((0, 4),), x, v)
         steps.use([0])
         with np.errstate(invalid="ignore"):
-            steps(0, 1, 1)
+            steps(0, 1, 1, 1)
             ctx = solvers._RunContext(spec, prox_spec, ((0, 4),))
             want = solvers._STEPS[kind](ctx, cfg, 1, ctx.batches[0], y.copy(), np.zeros(d))
         # which sign an operation on two NaNs keeps is left open by IEEE 754
@@ -254,7 +268,7 @@ def test_logistic_weights_at_extreme_margins(c_lane):
         steps = c_lane.steps(kind, spec, ProxSpec("l1", 0.1), cfg, ((0, n),), x, v)
         steps.use([0])
         with np.errstate(over="ignore", invalid="ignore"):
-            steps(0, 1, 1)
+            steps(0, 1, 1, 1)
             ctx = solvers._RunContext(spec, ProxSpec("l1", 0.1), ((0, n),))
             want = solvers._STEPS[kind](ctx, cfg, 1, ctx.batches[0], x0.copy(), np.zeros(1))
         # the two rows of the NaN margin, and the exp(-745) weights
@@ -360,18 +374,24 @@ def test_fused_run_matches_python_path_bitwise(monkeypatch, c_lane, kind, loss, 
     # records built one epoch per block, and three epochs per block (a row
     # holds x, v, A x and B x: 6 + 4 + 23 + 4 doubles), so that the seven
     # records of the run come in blocks of 3, 3 and 1; each block draws the
-    # picks of its own epochs
-    for budget, rows in ((1, [1] * 7), (3 * 37, [3, 3, 1])):
+    # picks of its own epochs and steps them in one call (epoch 0 runs none)
+    for budget, rows, epochs in ((1, [1] * 7, [1] * 6), (3 * 37, [3, 3, 1], [2, 3, 1])):
         with monkeypatch.context() as m:
             m.setattr(solvers, "_RECORD_BLOCK", budget)
             block_records = solvers._block_records
+            sizes, stepped = [], []
+            m.setattr(solvers, "_block_records",
+                      lambda *a: sizes.append(len(a[-2])) or block_records(*a))
+            for cls in (kernels.Steps, solvers._ReferenceSteps):
+                m.setattr(cls, "__call__", lambda self, start, n, *a, call=cls.__call__:
+                          stepped.append(n) or call(self, start, n, *a))
             for lane in (c_lane, None):
-                sizes = []
-                m.setattr(solvers, "_block_records",
-                          lambda *a: sizes.append(len(a[-2])) or block_records(*a))
+                sizes.clear()
+                stepped.clear()
                 assert_same_run(run_on_lane(monkeypatch, lane, kind, spec, prox_spec, cfg,
                                             reference=ref), python)
                 assert sizes == rows
+                assert stepped == epochs
     assert len(calls) == 4
 
     # with on_step the run keeps the Python path, and its last state is the same
@@ -458,12 +478,29 @@ def test_fused_steps_reject_out_of_range_picks(c_lane):
     for picks in ([0, 2], [-1], [1, 0, 7]):
         steps.use(picks)
         with pytest.raises(ValueError):
-            steps(0, len(picks), 1)
+            steps(0, 1, len(picks), 1)
+    # a bad pick in the last epoch of a block stops the call before its
+    # first step: x, v and every snapshot row and stamp keep their values
+    steps.use([0, 1, 1, 0, 1, 7])
+    X, V, stamps = np.full((3, 6), 7.0), np.full((3, 4), 7.0), np.full(3, 7.0)
+    with pytest.raises(ValueError, match="out of bounds"):
+        steps(0, 3, 2, 1, X, V, stamps)
+    for a in (X, V, stamps):
+        assert_same_bits(a, np.full(a.shape, 7.0))
     # a call must stay within the picks it was given
     steps.use([0, 1, 1])
-    for start, count in ((0, 4), (2, 2), (3, 1), (-1, 1), (1, -1)):
+    for start, epochs, per_epoch in ((0, 1, 4), (2, 1, 2), (3, 1, 1), (-1, 1, 1), (1, 1, -1),
+                                     (0, 2, 2), (0, -1, -1)):
         with pytest.raises(ValueError, match="out of 3 picks"):
-            steps(start, count, 1)
+            steps(start, epochs, per_epoch, 1)
+    # and its snapshot arrays must hold one row of x or v, or one stamp, per epoch
+    for bad_x, bad_v, bad_t, error in ((np.ones((2, 6)), None, None, ValueError),
+                                       (None, np.ones((3, 5)), None, ValueError),
+                                       (None, None, np.ones((3, 1)), TypeError),
+                                       (np.ones((3, 6), dtype=np.float32), None, None, TypeError),
+                                       (np.ones((3, 12))[:, ::2], None, None, TypeError)):
+        with pytest.raises(error):
+            steps(0, 3, 1, 1, bad_x, bad_v, bad_t)
     with pytest.raises(TypeError):
         steps.use([[0, 1]])
     assert_same_bits(x, np.ones(6))
@@ -471,7 +508,67 @@ def test_fused_steps_reject_out_of_range_picks(c_lane):
     bad = c_lane.steps("spdfp1", spec, ProxSpec("l1", 0.2), cfg, ((20, 24),), x, v)
     bad.use([0])
     with pytest.raises(ValueError):
-        bad(0, 1, 1)
+        bad(0, 1, 1, 1)
+
+
+def test_block_call_snapshots_each_epoch_on_both_lanes(c_lane):
+    # three epochs of two steps in one call: row e of X and V is the state
+    # after epoch e, the same bits as the reference steps give, and the
+    # stamps count up from the start of the call
+    spec = fused_spec("logistic", 0.1)
+    cfg = SolverConfig(schedule=StepSchedule(c=0.5, alpha=0.7), lam=0.1, p=5)
+    ranges = ((0, 5), (5, 10), (20, 23))
+    picks = np.array([0, 2, 1, 1, 2, 0])
+    ctx = solvers._RunContext(spec, ProxSpec("l1", 0.2), ranges)
+    got = []
+    for steps in (c_lane.steps("spdfp2", spec, ProxSpec("l1", 0.2), cfg, ranges,
+                               np.ones(6), np.zeros(4)),
+                  solvers._ReferenceSteps("spdfp2", cfg, ctx, (np.ones(6), np.zeros(4)), None)):
+        steps.use(picks)
+        X, V, stamps = np.empty((3, 6)), np.empty((3, 4)), np.empty(3)
+        t = time.perf_counter()
+        steps(0, 3, 2, 1, X, V, stamps)
+        elapsed = time.perf_counter() - t
+        assert 0 <= stamps[0] <= stamps[1] <= stamps[2] <= elapsed
+        assert_same_bits(X[-1], steps.iterates[0])
+        assert_same_bits(V[-1], steps.iterates[1])
+        got.append((X, V))
+    (Xc, Vc), (Xr, Vr) = got
+    assert_same_bits(Xc, Xr)
+    assert_same_bits(Vc, Vr)
+    x, v = np.ones(6), np.zeros(4)
+    for e in range(3):
+        for i, k in zip(picks[2 * e:2 * e + 2], (2 * e + 1, 2 * e + 2)):
+            x, v = solvers._spdfp2(ctx, cfg, k, ctx.batches[i], x, v)
+        assert_same_bits(Xr[e], x)
+        assert_same_bits(Vr[e], v)
+
+
+@pytest.mark.parametrize("lane", ["c", "numpy"])
+def test_wall_time_counts_up_within_the_run(monkeypatch, c_lane, lane):
+    # the stamps come from inside the steps call; each record's wall_time is
+    # that stamp plus the call's start, on one clock, so it never runs back
+    # and ends before the run returns: in one block, over blocks of three
+    # epochs, and in a pdfp run that steps one epoch per call
+    monkeypatch.setattr(kernels, "LANE", c_lane if lane == "c" else None)
+    spec = fused_spec("square", 0.0)
+    lam = 0.8 / spec.B.spectrum.rho_max
+    runs = [("spdfp1", SolverConfig(schedule=StepSchedule(c=0.5, alpha=0.7), lam=lam, p=5,
+                                    max_epochs=40), solvers._RECORD_BLOCK),
+            ("spdfp2", SolverConfig(schedule=StepSchedule(c=0.5, alpha=0.7), lam=lam, p=5,
+                                    max_epochs=40), 3 * 37),
+            ("pdfp", SolverConfig(schedule=ConstantSchedule(0.3), lam=lam, p=23,
+                                  max_epochs=500, stop_tolerance=1e-6), solvers._RECORD_BLOCK)]
+    for kind, cfg, budget in runs:
+        monkeypatch.setattr(solvers, "_RECORD_BLOCK", budget)
+        t = time.perf_counter()
+        recs = run_solver(kind, spec, ProxSpec("l1", 0.2), cfg)
+        elapsed = time.perf_counter() - t
+        wall = [r.wall_time for r in recs]
+        assert len(wall) > 2
+        assert 0 <= wall[0]
+        assert all(a <= b for a, b in zip(wall, wall[1:]))
+        assert wall[-1] <= elapsed
 
 
 def rate_spec():
