@@ -135,10 +135,9 @@ def load_libsvm(path, n_features=None):
 def save_libsvm(dataset, path):
     with open(path, "w", encoding="utf-8") as fh:
         A = dataset.samples
-        for i in range(A.n_rows):
-            lo, hi = A.indptr[i], A.indptr[i + 1]
-            toks = [repr(float(dataset.labels[i]))]
-            toks += [f"{j + 1}:{float(v)!r}" for j, v in zip(A.indices[lo:hi], A.data[lo:hi])]
+        indptr, indices, data = A.indptr.tolist(), A.indices.tolist(), A.data.tolist()
+        for label, lo, hi in zip(dataset.labels.tolist(), indptr, indptr[1:]):
+            toks = [repr(label)] + [f"{j + 1}:{v!r}" for j, v in zip(indices[lo:hi], data[lo:hi])]
             fh.write(" ".join(toks) + "\n")
 
 

@@ -21,14 +21,10 @@ _steps alone picks the lane: the C lane's steps (_kernels.Steps) for a
 else the reference steps behind the same calls (_ReferenceSteps), with the
 same bits. ``run_solver`` and the ground truth each drive them in one loop.
 
-``run_solver`` goes through its epochs in blocks. A block draws the batch
-indices of its epochs as one int64 array when it starts, which gives the
-stream of one draw per step, runs all its epochs in one steps call, which
-copies x and v into the block's own arrays and stamps the time after each
-epoch, and then turns those rows into records (_block_records) with one
-product call and one NumPy operation per column over them. A run
-whose objective turns NaN or infinite keeps the records up to that epoch's
-and stops with a RuntimeWarning.
+``run_solver`` goes through its epochs in blocks: one draw of batch
+indices, one steps call and one _block_records call each, whose columns and
+scalar factors (step sizes, dual scales, a_k weights) are one operation or
+one list over the block each, not one call per epoch.
 """
 
 import math
@@ -36,6 +32,7 @@ import time
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 from typing import ClassVar
 
 import numpy as np
@@ -160,10 +157,10 @@ def initial_admm_state(spec, x0=None):
 class _RunContext:
     """What the reference steps read, built once per run from checked inputs.
 
-    ``full`` is (RowView of all of A, labels), built on first use;
-    ``batches`` holds one such pair per row range in ``ranges``, in order,
-    and ``B`` is a RowView of all of B; ``BtB``, B^T B dense for the ADMM
-    x-update, is built on first use. The steps convert and check nothing:
+    ``full`` is (RowView of all of A, labels), ``batches`` holds one such
+    pair per row range in ``ranges``, in order, ``B`` is a RowView of all of
+    B and ``BtB`` is B^T B dense, for the ADMM x-update; all but ``B`` are
+    built on first use. The steps convert and check nothing:
     iterates must be float64 vectors of the right lengths.
     """
 
@@ -172,9 +169,12 @@ class _RunContext:
         self.prox_l1 = prox_spec.kind == "l1"
         self.prox_weight = prox_spec.weight
         self.ranges = ranges
-        self.batches = [self.full if (lo, hi) == (0, spec.n) else self._rows(lo, hi)
-                        for lo, hi in ranges]
         self.B = spec.B.row_view(0, spec.B.n_rows)
+
+    @cached_property
+    def batches(self):
+        return [self.full if (lo, hi) == (0, self.spec.n) else self._rows(lo, hi)
+                for lo, hi in self.ranges]
 
     @cached_property
     def full(self):
@@ -362,25 +362,23 @@ class RunRecord:
     a_k: float = None
 
 
-def _dual_scale(kind, cfg, k):
-    """The factor that puts the dual after step k - 1 on the subgradient
-    scale: alg2 / pdfp duals carry a factor gamma/lam relative to alg1."""
-    if kind == "spdfp1" or k == 1:
-        return 1.0
-    return cfg.lam / cfg.schedule.gamma(k - 1)
-
-
 def _block_records(kind, name, spec, cfg, reference, products, first, X, V, ks, wall):
-    """The RunRecords of epochs first, first + 1, ...: row i of X, and of V
-    unless it is None ('stoc_admm'), holds the iterates x_k and v_k,
-    k = ks[i], at the end of epoch first + i, whose steps ended wall[i]
-    seconds after the run started.
+    """The RunRecords of epochs first, first + 1, ..., up to the first after
+    epoch 0 whose objective is NaN or infinite: row i of X, and of V unless
+    it is None ('stoc_admm'), holds the iterates x_k and v_k, k = ks[i], at
+    the end of epoch first + i, whose steps ended wall[i] seconds after the
+    run started.
 
     products(X) gives A x and B x of every row x of X in one call; each
     column of the records is then one NumPy operation over the stacked
-    rows, with the bits it has for each row alone (_objective)."""
+    rows, with the bits it has for each row alone (_objective), and each
+    scalar factor one list of Python floats: gamma(k) = c / k**alpha with
+    libm's pow, as in StepSchedule.gamma, not NumPy's power."""
     objective = _objective(spec, X, *products(X))
-    rel = sq = a_k = [None] * len(ks)
+    finite = np.isfinite(objective)
+    finite[0] |= first == 0  # epoch 0 runs no step
+    n = len(ks) if finite.all() else int(finite.argmin()) + 1
+    rel = sq = a_k = repeat(None)
     if reference is not None:
         diff = X - reference.x_star
         sq_error = np.vecdot(diff, diff)
@@ -389,13 +387,16 @@ def _block_records(kind, name, spec, cfg, reference, products, first, X, V, ks, 
             f_star = reference.objective_star
             rel = ((objective - f_star) / max(abs(f_star), 1e-12)).tolist()
         if reference.v_star is not None and V is not None:
-            scale = np.array([_dual_scale(kind, cfg, k) for k in ks])
-            dv = V * scale[:, None] - reference.v_star
-            # the iterate after step k - 1 is x_k
-            weight = np.array([cfg.schedule.gamma(k) ** 2 / cfg.lam for k in ks])
+            c, alpha, lam = cfg.schedule.c, cfg.schedule.alpha, cfg.lam
+            # lam / gamma(k - 1) puts an alg2 or pdfp dual after step k - 1
+            # on alg1's subgradient scale; v_1 follows no step
+            dv = (V if kind == "spdfp1" else V * np.array(
+                [lam / (c / (k - 1)**alpha) if k > 1 else 1.0 for k in ks])[:, None])
+            dv = dv - reference.v_star
+            weight = np.array([(c / k**alpha) ** 2 / lam for k in ks])
             a_k = (sq_error + weight * np.vecdot(dv, dv)).tolist()
-    return [RunRecord(name, cfg.seed, first + i, *row)
-            for i, row in enumerate(zip(wall, objective.tolist(), rel, sq, a_k))]
+    return list(map(RunRecord, repeat(name), repeat(cfg.seed), range(first, first + n), wall,
+                    objective.tolist(), rel, sq, a_k))
 
 
 _STEPS = {"pdfp": _pdfp, "spdfp1": _spdfp1, "spdfp2": _spdfp2, "stoc_admm": _stoc_admm}
@@ -536,16 +537,16 @@ def run_solver(kind, spec, prox_spec, cfg, admm_cfg=None, x0=None, v0=None,
             filled = part.stop
             stop = check_stop and _fixed_point_residual(
                 ctx, cfg.schedule.c, cfg.lam, *steps.iterates) <= cfg.stop_tolerance
-        ks = [1 + (first + i) * per_epoch for i in range(filled)]
-        for rec in _block_records(kind, name, spec, cfg, reference, steps.products, first,
-                                  X[:filled], None if V is None else V[:filled], ks,
-                                  wall[:filled].tolist()):
-            records.append(rec)
-            if rec.epoch and not math.isfinite(rec.objective):  # epoch 0 ran no step
-                warnings.warn(f"solver {name} (seed {cfg.seed}) diverged: objective "
-                              f"{rec.objective} at epoch {rec.epoch}; run stopped",
-                              RuntimeWarning, stacklevel=2)
-                return records
+        ks = range(1 + first * per_epoch, 1 + (first + filled) * per_epoch, per_epoch)
+        records.extend(_block_records(kind, name, spec, cfg, reference, steps.products, first,
+                                      X[:filled], None if V is None else V[:filled], ks,
+                                      wall[:filled].tolist()))
+        last = records[-1]
+        if last.epoch and not math.isfinite(last.objective):  # epoch 0 runs no step
+            warnings.warn(f"solver {name} (seed {cfg.seed}) diverged: objective "
+                          f"{last.objective} at epoch {last.epoch}; run stopped",
+                          RuntimeWarning, stacklevel=2)
+            return records
         if stop:
             break
     return records

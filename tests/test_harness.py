@@ -126,6 +126,19 @@ def test_libsvm_round_trip(tmp_path):
     np.testing.assert_array_equal(back.samples.to_dense(), M.to_dense())
 
 
+def test_save_libsvm_writes_the_shortest_round_trip_text(tmp_path):
+    # every value as repr of its float, 17 digits where it takes them;
+    # 1-based columns; a row without entries is its label alone
+    M = SparseMatrix.from_coo(3, 10, [0, 0, 2, 2], [0, 2, 1, 9],
+                              [0.1 + 0.2, -1.2345678901234568e-05, 5e-324, 123456789.12345679])
+    ds = Dataset(samples=M, labels=[-1, 2.5, 1 / 3])
+    p = tmp_path / "pin.libsvm"
+    save_libsvm(ds, p)
+    assert p.read_bytes() == (b"-1.0 1:0.30000000000000004 3:-1.2345678901234568e-05\n"
+                              b"2.5\n"
+                              b"0.3333333333333333 2:5e-324 10:123456789.12345679\n")
+
+
 def test_libsvm_errors(tmp_path):
     p = tmp_path / "bad.libsvm"
     p.write_text("1 2:0.5\nx 1:1\n")

@@ -38,6 +38,7 @@ from spdfp.solvers import (
     run_solver,
 )
 from spdfp.sparse import SparseMatrix, estimate_spectrum, identity, stack_identity
+from test_solvers import check_record_bits
 
 LANE_SOURCE = os.path.join(os.path.dirname(kernels.__file__), "lane.c")
 SETUP_PY = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "setup.py")
@@ -569,6 +570,37 @@ def test_wall_time_counts_up_within_the_run(monkeypatch, c_lane, lane):
         assert 0 <= wall[0]
         assert all(a <= b for a, b in zip(wall, wall[1:]))
         assert wall[-1] <= elapsed
+
+
+@pytest.mark.parametrize("lane", ["c", "numpy"])
+@pytest.mark.parametrize("kind,sched", [("spdfp1", StepSchedule(c=0.5, alpha=0.7)),
+                                        ("spdfp2", StepSchedule(c=0.5, alpha=0.7)),
+                                        ("pdfp", ConstantSchedule(0.3))],
+                         ids=["spdfp1", "spdfp2", "pdfp"])
+def test_records_over_many_blocks_match_the_one_epoch_transcription(monkeypatch, c_lane, lane,
+                                                                    kind, sched):
+    # a block takes the step sizes of all its epochs as one list, and its
+    # dual scales and a_k weights from it; every record, in each of four
+    # blocks, keeps the bits of the error columns worked out for its epoch
+    # alone, with gamma(k - 1) and gamma(k) ** 2 / lam
+    spec = fused_spec("square", 0.1)
+    cfg = SolverConfig(schedule=sched, lam=0.8 / spec.B.spectrum.rho_max, p=5, seed=12,
+                       max_epochs=13)
+    rng = np.random.default_rng(42)
+    ref = Reference(x_star=rng.standard_normal(6), v_star=rng.standard_normal(4),
+                    objective_star=0.7)
+    sizes = []
+    block_records = solvers._block_records
+    monkeypatch.setattr(solvers, "_block_records",
+                        lambda *a: sizes.append(len(a[-2])) or block_records(*a))
+    monkeypatch.setattr(solvers, "_RECORD_BLOCK", 4 * 37)  # four rows of x, v, A x and B x
+    recs, states = run_on_lane(monkeypatch, c_lane if lane == "c" else None, kind, spec,
+                               ProxSpec("l1", 0.2), cfg, reference=ref)
+    assert sizes == [4, 4, 4, 2]
+    per_epoch = 1 if kind == "pdfp" else 5
+    assert [r.epoch for r in recs] == list(range(cfg.max_epochs + 1))
+    for epoch, (rec, (x, v)) in enumerate(zip(recs, states)):
+        check_record_bits(rec, kind, spec, cfg, ref, x, v, 1 + epoch * per_epoch)
 
 
 def rate_spec():

@@ -473,6 +473,30 @@ def test_diverging_run_stops_at_the_first_non_finite_record(kind):
                         f"{recs[-1].objective} at epoch {recs[-1].epoch}; run stopped"]
 
 
+@pytest.mark.parametrize("kind", ["pdfp", "spdfp1", "spdfp2"])
+def test_a_non_finite_start_does_not_stop_the_run(kind):
+    # epoch 0 runs no step, so a non-finite objective there is no
+    # divergence. x0 holds 1e200 in a coordinate that no sample and no row
+    # of B touches, so 0.5 * nu * x @ x overflows; the first step, with
+    # gamma_1 * nu = 1, takes that coordinate to 0 exactly, and the run
+    # goes on to its last epoch without a warning
+    rng = np.random.default_rng(44)
+    A = rng.standard_normal((12, 4))
+    A[:, 3] = 0.0
+    ds = Dataset(samples=SparseMatrix.from_dense(A), labels=rng.standard_normal(12))
+    B = SparseMatrix.from_coo(2, 4, [0, 0, 1, 1], [0, 1, 1, 2], [1.0, -1.0, 1.0, -1.0])
+    spec = ProblemSpec(loss="square", dataset=ds, l2_weight=2.0, composite_weight=0.1, B=B)
+    sched = ConstantSchedule(0.5) if kind == "pdfp" else StepSchedule(c=0.5, alpha=0.7)
+    cfg = SolverConfig(schedule=sched, lam=0.5 / estimate_spectrum(B).rho_max, p=4, seed=3,
+                       max_epochs=8)
+    recs, messages = run_diverging(kind, spec, ProxSpec("l1", 0.1), cfg,
+                                   x0=[0.1, -0.2, 0.3, 1e200])
+    assert messages == []
+    assert [r.epoch for r in recs] == list(range(cfg.max_epochs + 1))
+    assert recs[0].objective == math.inf
+    assert all(math.isfinite(r.objective) for r in recs[1:])
+
+
 @pytest.mark.parametrize("kind", SOLVER_KINDS)
 def test_divergence_inside_a_record_block_stops_at_the_same_record(monkeypatch, kind):
     # the records are built a block of epochs at a time, so a run steps on
@@ -585,6 +609,28 @@ def bits(a):
     return np.asarray(a, dtype=np.float64).view(np.int64)
 
 
+def check_record_bits(rec, kind, spec, cfg, ref, x, v, k):
+    """Check the error columns of rec, bit for bit, against a transcription
+    of them for the iterates x = x_k and v = v_k (unused for 'stoc_admm')
+    alone, with the schedule's gamma of one k at a time."""
+    diff = x - ref.x_star
+    f = objective_value(spec, x)
+    want = [f, (f - ref.objective_star) / abs(ref.objective_star), diff @ diff]
+    have = [rec.objective, rec.rel_obj_error, rec.iterate_sq_error]
+    if kind == "stoc_admm":
+        assert rec.a_k is None
+    else:
+        if kind == "spdfp1" or k == 1:
+            v1 = v
+        else:
+            gamma_prev = cfg.schedule.c if kind == "pdfp" else cfg.schedule.gamma(k - 1)
+            v1 = (cfg.lam / gamma_prev) * v
+        dv = v1 - ref.v_star
+        want.append(diff @ diff + cfg.schedule.gamma(k) ** 2 / cfg.lam * (dv @ dv))
+        have.append(rec.a_k)
+    np.testing.assert_array_equal(bits(have), bits(want))
+
+
 def parity_spec(loss):
     # n = 23 with p = 5 leaves a short last batch; sample 3 has no entries
     # and row 1 of B is empty
@@ -636,23 +682,8 @@ def test_run_solver_matches_public_steps_bitwise(kind, loss, prox_spec):
     steps_per_epoch = 1 if kind == "pdfp" else plan.n_batches
 
     def check_record(rec, s, epoch):
-        diff = s.x - ref.x_star
-        f = objective_value(spec, s.x)
-        want = [f, (f - 0.7) / 0.7, diff @ diff]
-        have = [rec.objective, rec.rel_obj_error, rec.iterate_sq_error]
-        if kind == "stoc_admm":
-            assert rec.a_k is None
-        else:
-            if kind == "spdfp1" or s.k == 1:
-                v1 = s.v
-            else:
-                gamma_prev = cfg.schedule.c if kind == "pdfp" else cfg.schedule.gamma(s.k - 1)
-                v1 = (lam / gamma_prev) * s.v
-            dv = v1 - ref.v_star
-            want.append(diff @ diff + cfg.schedule.gamma(s.k) ** 2 / lam * (dv @ dv))
-            have.append(rec.a_k)
         assert rec.epoch == epoch
-        np.testing.assert_array_equal(bits(have), bits(want))
+        check_record_bits(rec, kind, spec, cfg, ref, s.x, getattr(s, "v", None), s.k)
 
     check_record(recs[0], state, 0)
     n_steps = 0
