@@ -11,7 +11,8 @@ first, the machine line, the kernel lane, whether the checks passed, the
 round digests and, per metric, the parent and change medians. With more than
 one pair, ``summary`` gives per (workload, trace, metric) the median and
 quartiles of each side over the pairs and in how many pairs the change was
-better.
+better, which way is better being the metric's ``better`` in the repository's
+BENCHMARK.json.
 """
 
 import argparse
@@ -21,8 +22,16 @@ import os
 import re
 import statistics
 
-# end-to-end metrics where a higher value is better; for the rest, lower is
-HIGHER_IS_BETTER = {"steps_per_s"}
+BENCHMARK = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "BENCHMARK.json")
+
+
+def directions():
+    """Metric name -> 'higher' or 'lower', the better way, for every
+    end-to-end and per-layer metric that BENCHMARK.json declares."""
+    with open(BENCHMARK, encoding="utf-8") as fh:
+        declared = json.load(fh)
+    return {m["name"]: m["better"] for m in declared["end_to_end"] + declared["per_layer"]}
 
 
 def load(root, seed):
@@ -51,7 +60,7 @@ def quartiles(values):
 
 
 def summary(entries):
-    groups = {}
+    better, groups = directions(), {}
     for e in entries:
         for name, m in e["metrics"].items():
             groups.setdefault((e["workload"], e["trace"], name), []).append(m)
@@ -61,7 +70,10 @@ def summary(entries):
                  if m["parent"] is not None and m["change"] is not None]
         if not pairs:
             continue
-        sign = 1 if name in HIGHER_IS_BETTER else -1
+        if name not in better:
+            raise ValueError(f"metric {name!r} is not declared in {BENCHMARK}, so which "
+                             "way is better is unknown")
+        sign = 1 if better[name] == "higher" else -1
         out.append({"workload": workload, "trace": trace, "metric": name,
                     "unit": ms[0]["unit"], "pairs": len(pairs),
                     "change_better": sum(sign * (c - p) > 0 for p, c in pairs),

@@ -87,17 +87,16 @@ class Steps:
     """The steps of a 'pdfp', 'spdfp1' or 'spdfp2' run, updating x and v in
     place, a whole record block per C call. A step uses one of the row
     ranges [lo, hi) of A given here; gamma_k = c / k**alpha, alpha = 0 for a
-    constant step.
+    constant step, and k counts the steps of all calls from 1.
 
-    ``use(picks)`` takes an int64 array of indices into the ranges and its
-    address, once; each call then runs some epochs of per_epoch of them from
-    an offset, and after each epoch copies x and v into the next rows of the
-    given snapshot arrays and stamps the time, in C. So a run draws the picks
-    of a block of epochs at once and steps and snapshots the whole block in
-    one call. ``iterates`` is (x, v), the arrays the steps update.
-    ``products(X)`` gives A x and B x of each snapshot x in the rows of X, for
-    a block of epoch records, in one call. solvers._ReferenceSteps takes the
-    same calls on the reference path.
+    A call takes the picks of some epochs, indices into the ranges, as an
+    int64 array of one row per epoch; after each epoch it copies x and v
+    into the next rows of the given snapshot arrays and stamps the time, in
+    C. So a run draws the picks of a block of epochs at once and steps and
+    snapshots the whole block in one call. ``iterates`` is (x, v), the
+    arrays the steps update. ``products(X)`` gives A x and B x of each
+    snapshot x in the rows of X, for a block of epoch records, in one call.
+    solvers._ReferenceSteps takes the same calls on the reference path.
 
     Every step runs wholly in C, the logistic one too: its loss weights take
     libm exp, as spdfp.problem.loss_weights does through math.exp, so the
@@ -120,30 +119,22 @@ class Steps:
         self._fn = lib.spdfp_run_steps
         self._products_fn = lib.spdfp_products
         self._shape = A.n_rows, A.n_cols, B.n_rows
-        self.use(())
+        self._k = 1
 
-    def use(self, picks):
-        """Take picks, indices into the ranges, for the calls that follow."""
-        picks = np.ascontiguousarray(picks, dtype=np.int64)
-        self._picks = picks, _address(picks, np.int64, None)
-
-    def __call__(self, start, epochs, per_epoch, k, X=None, V=None, stamps=None):
-        """epochs epochs of per_epoch steps, one for each of
-        picks[start:start + epochs * per_epoch]; k counts steps from 1
-        before the first of them. After epoch e, x goes to X[e], v to V[e]
-        and the seconds since the call began to stamps[e], where given: C-
-        contiguous float64 arrays of epochs rows. Every pick is checked
-        before the first step."""
-        picks, address = self._picks
-        count = epochs * per_epoch
-        if not (epochs >= 0 and per_epoch >= 0 and 0 <= start <= start + count <= len(picks)):
-            raise ValueError(f"steps {start}..{start + count} out of {len(picks)} picks")
+    def __call__(self, picks, X=None, V=None, stamps=None):
+        """The steps of picks, a C-contiguous int64 array of one row of
+        picks per epoch. After epoch e, x goes to X[e], v to V[e] and the
+        seconds since the call began to stamps[e], where given: C-contiguous
+        float64 arrays of one row per epoch. Every pick is checked before
+        the first step."""
+        address = _address(picks, np.int64, None, None)
+        epochs, per_epoch = picks.shape
         _, d, m = self._shape
         out = [None if a is None else _address(a, np.float64, epochs, *row)
                for a, row in ((X, (d,)), (V, (m,)), (stamps, ()))]
-        if self._fn(self._run, address + start * picks.itemsize, epochs, per_epoch, k,
-                    *out) != 0:
+        if self._fn(self._run, address, epochs, per_epoch, self._k, *out) != 0:
             raise ValueError("batch index or row range out of bounds")
+        self._k += picks.size
 
     def products(self, X):
         """(A X^T)^T and (B X^T)^T: A x and B x of each row x of X, a

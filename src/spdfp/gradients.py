@@ -47,8 +47,10 @@ def draw_batch_index(plan, rng):
 
 
 def _draw_batch_indices(plan, rng, size):
-    """size batch indices as an int64 array. One draw of size K gives the
-    same stream as K scalar draws, so draws may be split or joined freely."""
+    """Batch indices as an int64 array of shape size, an int or a tuple (a
+    scalar for None). One draw of K indices in any shape gives the same
+    stream, in C order, as K scalar draws, so draws may be split, joined or
+    shaped freely."""
     u = rng.integers(0, plan.n, size=size)
     return np.minimum(u // plan.p, plan.n_batches - 1)
 

@@ -358,13 +358,13 @@ def compute_ground_truth(spec, cfg=None, iters=DEFAULT_TRUTH_ITERS):
     ctx = _RunContext(spec, prox_spec, ((0, spec.n),))
     state = initial_state(spec)
     steps = _steps("pdfp", spec, prox_spec, cfg, ctx, (state.x, state.v))
-    steps.use(np.zeros(iters, dtype=np.int64))
+    picks = np.zeros((1, _TRUTH_CHUNK), dtype=np.int64)
     x_prev, v_prev = np.empty((1, spec.dim)), np.empty((1, spec.B.n_rows))
     used, reached = 0, False
     while used < iters and not reached:
         n = min(_TRUTH_CHUNK, iters - used)
-        steps(used, 1, n - 1, used + 1, x_prev, v_prev)  # one epoch, then its snapshot
-        steps(used + n - 1, 1, 1, used + n)
+        steps(picks[:, :n - 1], x_prev, v_prev)  # the chunk but its last step, then a snapshot
+        steps(picks[:, :1])
         used += n
         reached = _step_length(x_prev[0], v_prev[0], *steps.iterates) <= TRUTH_TARGET
     x, v = steps.iterates
@@ -469,8 +469,7 @@ def parse_solver_list(text):
     entries = []
     for m in _SOLVER_RE.finditer(text):
         kind = m.group(1)
-        body = m.group(2).strip()
-        params = _key_values(body, f"solvers: clause {m.group(0)!r}") if body else {}
+        params = _key_values(m.group(2), f"solvers: clause {m.group(0)!r}")
         label = params.pop("label", kind)
         entries.append(SolverEntry(kind=kind, label=label, params=params))
     if not entries:
@@ -480,10 +479,10 @@ def parse_solver_list(text):
 
 def _key_values(text, where):
     """The comma-separated 'key=value' items of text as a dict, keys and
-    values stripped; an item without '=' or a key given twice is an error
-    that names where."""
+    values stripped, none for a blank text; an item without '=' or a key
+    given twice is an error that names where."""
     out = {}
-    for item in text.split(","):
+    for item in text.split(",") if text.strip() else ():
         if "=" not in item:
             raise ValueError(f"{where}: expected key=value, got {item.strip()!r}")
         k, _, v = (part.strip() for part in item.partition("="))
@@ -520,8 +519,6 @@ def parse_experiment_config(path):
 def resolve_problem(source):
     """A problem source is 'synth:key=val,...' with keys from SYNTH_DEFAULTS
     (omitted ones take its desk-scale defaults) or a path to a .problem file."""
-    if isinstance(source, ProblemSpec):
-        return source
     if source.startswith("synth:"):
         params = _key_values(source[len("synth:"):], source)
         unknown = sorted(set(params) - set(SYNTH_DEFAULTS))

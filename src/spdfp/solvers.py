@@ -410,37 +410,39 @@ class _ReferenceSteps:
     """The reference steps of a run of kind, behind the calls of a
     _kernels.Steps, picks indexing ctx.batches; the time stamps come from
     time.perf_counter. on_step, when given, gets the state after each step;
-    ``iterates`` holds the latest iterates, fresh arrays after every step."""
+    ``iterates`` holds the latest iterates, fresh arrays after every step.
+    A run without on_step steps with NumPy's overflow and invalid-value
+    warnings off, as on the C lane, so a diverging run warns alike on both
+    lanes; with on_step, the callback's own warnings show."""
 
     def __init__(self, kind, params, ctx, iterates, on_step):
         self._step, self._params, self._ctx, self._on_step = _STEPS[kind], params, ctx, on_step
         self._state = AdmmState if kind == "stoc_admm" else IterState
-        self.iterates, self.products, self._picks = iterates, ctx.products, []
+        self._quiet = {} if on_step is not None else {"over": "ignore", "invalid": "ignore"}
+        self.iterates, self.products, self._k = iterates, ctx.products, 1
 
-    def use(self, picks):
-        self._picks = picks.tolist()
-
-    def __call__(self, start, epochs, per_epoch, k, X=None, V=None, stamps=None):
-        """epochs epochs of per_epoch steps, those of
-        picks[start:start + epochs * per_epoch]; k counts steps from 1
-        before the first of them. After epoch e, x goes to X[e], v to V[e]
-        and the seconds since the call began to stamps[e], where given."""
+    def __call__(self, picks, X=None, V=None, stamps=None):
+        """The steps of picks, an int64 array of one row of picks per
+        epoch; k counts the steps of all calls from 1. After epoch e, x goes
+        to X[e], v to V[e] and the seconds since the call began to
+        stamps[e], where given."""
         t0 = time.perf_counter()
         step, params, ctx, on_step = self._step, self._params, self._ctx, self._on_step
-        iterates = self.iterates
-        for e in range(epochs):
-            for i in self._picks[start + e * per_epoch:start + (e + 1) * per_epoch]:
-                iterates = step(ctx, params, k, ctx.batches[i], *iterates)
-                k += 1
-                if on_step is not None:
-                    on_step(self._state(*iterates, k))
-            if X is not None:
-                X[e] = iterates[0]
-            if V is not None:
-                V[e] = iterates[1]
-            if stamps is not None:
-                stamps[e] = time.perf_counter() - t0
-        self.iterates = iterates
+        iterates, k = self.iterates, self._k
+        with np.errstate(**self._quiet):
+            for e, row in enumerate(picks.tolist()):
+                for i in row:
+                    iterates = step(ctx, params, k, ctx.batches[i], *iterates)
+                    k += 1
+                    if on_step is not None:
+                        on_step(self._state(*iterates, k))
+                if X is not None:
+                    X[e] = iterates[0]
+                if V is not None:
+                    V[e] = iterates[1]
+                if stamps is not None:
+                    stamps[e] = time.perf_counter() - t0
+        self.iterates, self._k = iterates, k
 
 
 def _steps(kind, spec, prox_spec, params, ctx, iterates, on_step=None):
@@ -523,20 +525,19 @@ def run_solver(kind, spec, prox_spec, cfg, admm_cfg=None, x0=None, v0=None,
             if V is not None:
                 V[0] = steps.iterates[1]
             wall[0] = time.perf_counter() - t0
-        if n > filled:
-            size = (n - filled) * per_epoch
-            steps.use(np.zeros(size, dtype=np.int64) if kind == "pdfp"
-                      else _draw_batch_indices(plan, rng, size))
-        while filled < n and not stop:
-            part = slice(filled, min(n, filled + span))
+        shape = (n - skipped, per_epoch)
+        picks = (np.zeros(shape, dtype=np.int64) if kind == "pdfp"
+                 else _draw_batch_indices(plan, rng, shape))
+        for lo in range(0, len(picks), span):
+            part = slice(skipped + lo, min(n, skipped + lo + span))
             at = time.perf_counter() - t0
-            steps((filled - skipped) * per_epoch, part.stop - filled, per_epoch,
-                  1 + (first + filled - 1) * per_epoch,
-                  X[part], None if V is None else V[part], wall[part])
+            steps(picks[lo:lo + span], X[part], None if V is None else V[part], wall[part])
             wall[part] += at
             filled = part.stop
             stop = check_stop and _fixed_point_residual(
                 ctx, cfg.schedule.c, cfg.lam, *steps.iterates) <= cfg.stop_tolerance
+            if stop:
+                break
         ks = range(1 + first * per_epoch, 1 + (first + filled) * per_epoch, per_epoch)
         records.extend(_block_records(kind, name, spec, cfg, reference, steps.products, first,
                                       X[:filled], None if V is None else V[:filled], ks,

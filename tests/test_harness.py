@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from spdfp.harness import (
     DEFAULT_TRUTH_ITERS,
+    SYNTH_DEFAULTS,
     TRUTH_TARGET,
     ExperimentConfig,
     SolverEntry,
@@ -786,6 +787,20 @@ def test_synth_source_rejects_unknown_keys():
         resolve_problem("synth:n=20,sed=3")
     with pytest.raises(ValueError, match="d5"):
         resolve_problem("synth:n=20,d5")
+
+
+def test_synth_source_without_keys_takes_the_defaults():
+    spec, want = resolve_problem("synth:"), synth_fused_lasso(**SYNTH_DEFAULTS)
+    for got, ref in ((spec.dataset.samples, want.dataset.samples), (spec.B, want.B)):
+        assert (got.n_rows, got.n_cols) == (ref.n_rows, ref.n_cols)
+        for name in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(got, name).view(np.int64),
+                                          getattr(ref, name).view(np.int64))
+    np.testing.assert_array_equal(spec.dataset.labels.view(np.int64),
+                                  want.dataset.labels.view(np.int64))
+    # an empty item among keys is still an error
+    with pytest.raises(ValueError, match="expected key=value, got ''"):
+        resolve_problem("synth:seed=3,")
 
 
 def test_synth_source_refuses_bad_numbers_and_repeated_keys():

@@ -65,6 +65,10 @@ def random_csr(rng, n_cols=None):
                                  rng.standard_normal(nnz))
 
 
+# one epoch of one step, on row range 0
+ONE_STEP = np.zeros((1, 1), dtype=np.int64)
+
+
 def bits(a):
     return np.asarray(a, dtype=np.float64).view(np.int64)
 
@@ -186,8 +190,7 @@ def test_lane_parity_bitwise(c_lane):
         x0, v0 = rng.standard_normal(A.n_cols), rng.standard_normal(B.n_rows)
         x, v = x0.copy(), v0.copy()
         steps = c_lane.steps(kind, spec, prox_spec, cfg, ((r0, r1),), x, v)
-        steps.use([0])
-        steps(0, 1, 1, 1)
+        steps(ONE_STEP)
         ctx = solvers._RunContext(spec, prox_spec, ((r0, r1),))
         want_x, want_v = solvers._STEPS[kind](ctx, cfg, 1, ctx.batches[0], x0, v0)
         assert_same_bits(x, want_x)
@@ -231,9 +234,8 @@ def test_soft_threshold_signed_zeros_and_nan(c_lane):
         prox_spec = ProxSpec("l1", weight)
         x, v = y.copy(), np.zeros(d)
         steps = c_lane.steps(kind, spec, prox_spec, cfg, ((0, 4),), x, v)
-        steps.use([0])
         with np.errstate(invalid="ignore"):
-            steps(0, 1, 1, 1)
+            steps(ONE_STEP)
             ctx = solvers._RunContext(spec, prox_spec, ((0, 4),))
             want = solvers._STEPS[kind](ctx, cfg, 1, ctx.batches[0], y.copy(), np.zeros(d))
         # which sign an operation on two NaNs keeps is left open by IEEE 754
@@ -267,9 +269,8 @@ def test_logistic_weights_at_extreme_margins(c_lane):
         cfg = SolverConfig(schedule=sched, lam=0.5, p=n)
         x, v = x0.copy(), np.zeros(1)
         steps = c_lane.steps(kind, spec, ProxSpec("l1", 0.1), cfg, ((0, n),), x, v)
-        steps.use([0])
         with np.errstate(over="ignore", invalid="ignore"):
-            steps(0, 1, 1, 1)
+            steps(ONE_STEP)
             ctx = solvers._RunContext(spec, ProxSpec("l1", 0.1), ((0, n),))
             want = solvers._STEPS[kind](ctx, cfg, 1, ctx.batches[0], x0.copy(), np.zeros(1))
         # the two rows of the NaN margin, and the exp(-745) weights
@@ -384,8 +385,8 @@ def test_fused_run_matches_python_path_bitwise(monkeypatch, c_lane, kind, loss, 
             m.setattr(solvers, "_block_records",
                       lambda *a: sizes.append(len(a[-2])) or block_records(*a))
             for cls in (kernels.Steps, solvers._ReferenceSteps):
-                m.setattr(cls, "__call__", lambda self, start, n, *a, call=cls.__call__:
-                          stepped.append(n) or call(self, start, n, *a))
+                m.setattr(cls, "__call__", lambda self, picks, *a, call=cls.__call__:
+                          stepped.append(len(picks)) or call(self, picks, *a))
             for lane in (c_lane, None):
                 sizes.clear()
                 stepped.clear()
@@ -455,6 +456,26 @@ def test_fused_run_stops_where_the_python_path_diverges(monkeypatch, c_lane, kin
     assert_same_run((fused[:-1], fused_states[:-1]), (python[:-1], python_states[:-1]))
 
 
+@pytest.mark.parametrize("kind", ["spdfp1", "spdfp2"])
+def test_diverging_run_warns_alike_on_both_lanes(monkeypatch, c_lane, kind):
+    # the reference steps of a run without on_step keep NumPy's overflow and
+    # invalid-value warnings off, as the C lane gives none, so both lanes
+    # show the objective's overflow and then run_solver's diverged warning
+    spec = synth_fused_lasso(60, 7, 0.1, 0.01, 3)
+    cfg = SolverConfig(schedule=StepSchedule(1e3, 0.7), lam=0.9 / spec.B.spectrum.rho_max,
+                       p=10, max_epochs=30)
+    runs, messages = [], []
+    for lane in (c_lane, None):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            runs.append(run_on_lane(monkeypatch, lane, kind, spec, ProxSpec("l1", 0.1), cfg))
+        messages.append([str(w.message) for w in caught])
+    assert messages[0] == messages[1]
+    assert len(messages[0]) == 2 and "overflow" in messages[0][0]
+    assert "diverged" in messages[0][1]
+    assert_same_run(*runs)
+
+
 def test_admm_and_on_step_runs_keep_the_python_path(monkeypatch, c_lane):
     calls = []
     monkeypatch.setattr(c_lane, "steps", lambda *a: calls.append(a))
@@ -477,39 +498,81 @@ def test_fused_steps_reject_out_of_range_picks(c_lane):
     x, v = np.ones(6), np.ones(4)
     steps = c_lane.steps("spdfp1", spec, ProxSpec("l1", 0.2), cfg, ((0, 5), (5, 10)), x, v)
     for picks in ([0, 2], [-1], [1, 0, 7]):
-        steps.use(picks)
         with pytest.raises(ValueError):
-            steps(0, 1, len(picks), 1)
+            steps(np.array([picks], dtype=np.int64))
     # a bad pick in the last epoch of a block stops the call before its
     # first step: x, v and every snapshot row and stamp keep their values
-    steps.use([0, 1, 1, 0, 1, 7])
     X, V, stamps = np.full((3, 6), 7.0), np.full((3, 4), 7.0), np.full(3, 7.0)
     with pytest.raises(ValueError, match="out of bounds"):
-        steps(0, 3, 2, 1, X, V, stamps)
+        steps(np.array([[0, 1], [1, 0], [1, 7]], dtype=np.int64), X, V, stamps)
     for a in (X, V, stamps):
         assert_same_bits(a, np.full(a.shape, 7.0))
-    # a call must stay within the picks it was given
-    steps.use([0, 1, 1])
-    for start, epochs, per_epoch in ((0, 1, 4), (2, 1, 2), (3, 1, 1), (-1, 1, 1), (1, 1, -1),
-                                     (0, 2, 2), (0, -1, -1)):
-        with pytest.raises(ValueError, match="out of 3 picks"):
-            steps(start, epochs, per_epoch, 1)
-    # and its snapshot arrays must hold one row of x or v, or one stamp, per epoch
+    # its snapshot arrays must hold one row of x or v, or one stamp, per epoch
+    picks = np.array([[0], [1], [1]], dtype=np.int64)
     for bad_x, bad_v, bad_t, error in ((np.ones((2, 6)), None, None, ValueError),
                                        (None, np.ones((3, 5)), None, ValueError),
                                        (None, None, np.ones((3, 1)), TypeError),
                                        (np.ones((3, 6), dtype=np.float32), None, None, TypeError),
                                        (np.ones((3, 12))[:, ::2], None, None, TypeError)):
         with pytest.raises(error):
-            steps(0, 3, 1, 1, bad_x, bad_v, bad_t)
-    with pytest.raises(TypeError):
-        steps.use([[0, 1]])
+            steps(picks, bad_x, bad_v, bad_t)
     assert_same_bits(x, np.ones(6))
     assert_same_bits(v, np.ones(4))
+    # a refused call takes no step from the count: the next step is the first
+    steps(ONE_STEP)
+    fresh = c_lane.steps("spdfp1", spec, ProxSpec("l1", 0.2), cfg, ((0, 5),),
+                         np.ones(6), np.ones(4))
+    fresh(ONE_STEP)
+    for a, b in zip(steps.iterates, fresh.iterates):
+        assert_same_bits(a, b)
     bad = c_lane.steps("spdfp1", spec, ProxSpec("l1", 0.2), cfg, ((20, 24),), x, v)
-    bad.use([0])
     with pytest.raises(ValueError):
-        bad(0, 1, 1, 1)
+        bad(ONE_STEP)
+
+
+def test_fused_steps_take_picks_as_a_contiguous_int64_table(c_lane):
+    # one row of picks per epoch: a 1-D, float64, int32 or non-contiguous
+    # array, or a list, is refused before any step
+    spec = fused_spec("square", 0.0)
+    cfg = SolverConfig(schedule=StepSchedule(c=0.5, alpha=0.7), lam=0.1, p=5)
+    x, v = np.ones(6), np.ones(4)
+    steps = c_lane.steps("spdfp1", spec, ProxSpec("l1", 0.2), cfg, ((0, 5), (5, 10)), x, v)
+    X = np.full((2, 6), 7.0)
+    for picks in (np.array([0, 1], dtype=np.int64), np.array([[0.0, 1.0], [1.0, 0.0]]),
+                  np.array([[0, 1], [1, 0]], dtype=np.int32),
+                  np.zeros((2, 4), dtype=np.int64)[:, ::2], [[0, 1], [1, 0]]):
+        with pytest.raises(TypeError):
+            steps(picks, X)
+    assert_same_bits(X, np.full((2, 6), 7.0))
+    assert_same_bits(x, np.ones(6))
+    assert_same_bits(v, np.ones(4))
+
+
+def test_steps_carry_their_step_counter_across_calls(c_lane):
+    # k goes on from one call to the next: three calls of one epoch give
+    # the bits of one call of three epochs, on both lanes; spdfp2's step
+    # size and dual factor both read k
+    spec = fused_spec("logistic", 0.1)
+    cfg = SolverConfig(schedule=StepSchedule(c=0.5, alpha=0.7), lam=0.1, p=5)
+    ranges = ((0, 5), (5, 10), (20, 23))
+    picks = np.array([[0, 2], [1, 1], [2, 0]], dtype=np.int64)
+    ctx = solvers._RunContext(spec, ProxSpec("l1", 0.2), ranges)
+
+    def lanes():
+        return (c_lane.steps("spdfp2", spec, ProxSpec("l1", 0.2), cfg, ranges,
+                             np.ones(6), np.zeros(4)),
+                solvers._ReferenceSteps("spdfp2", cfg, ctx, (np.ones(6), np.zeros(4)), None))
+
+    for whole, split in zip(lanes(), lanes()):
+        X, V = np.empty((3, 6)), np.empty((3, 4))
+        whole(picks, X, V)
+        Xs, Vs = np.empty((3, 6)), np.empty((3, 4))
+        for e in range(3):
+            split(picks[e:e + 1], Xs[e:e + 1], Vs[e:e + 1])
+        assert_same_bits(Xs, X)
+        assert_same_bits(Vs, V)
+        for a, b in zip(split.iterates, whole.iterates):
+            assert_same_bits(a, b)
 
 
 def test_block_call_snapshots_each_epoch_on_both_lanes(c_lane):
@@ -519,16 +582,15 @@ def test_block_call_snapshots_each_epoch_on_both_lanes(c_lane):
     spec = fused_spec("logistic", 0.1)
     cfg = SolverConfig(schedule=StepSchedule(c=0.5, alpha=0.7), lam=0.1, p=5)
     ranges = ((0, 5), (5, 10), (20, 23))
-    picks = np.array([0, 2, 1, 1, 2, 0])
+    picks = np.array([[0, 2], [1, 1], [2, 0]], dtype=np.int64)
     ctx = solvers._RunContext(spec, ProxSpec("l1", 0.2), ranges)
     got = []
     for steps in (c_lane.steps("spdfp2", spec, ProxSpec("l1", 0.2), cfg, ranges,
                                np.ones(6), np.zeros(4)),
                   solvers._ReferenceSteps("spdfp2", cfg, ctx, (np.ones(6), np.zeros(4)), None)):
-        steps.use(picks)
         X, V, stamps = np.empty((3, 6)), np.empty((3, 4)), np.empty(3)
         t = time.perf_counter()
-        steps(0, 3, 2, 1, X, V, stamps)
+        steps(picks, X, V, stamps)
         elapsed = time.perf_counter() - t
         assert 0 <= stamps[0] <= stamps[1] <= stamps[2] <= elapsed
         assert_same_bits(X[-1], steps.iterates[0])
@@ -539,7 +601,7 @@ def test_block_call_snapshots_each_epoch_on_both_lanes(c_lane):
     assert_same_bits(Vc, Vr)
     x, v = np.ones(6), np.zeros(4)
     for e in range(3):
-        for i, k in zip(picks[2 * e:2 * e + 2], (2 * e + 1, 2 * e + 2)):
+        for i, k in zip(picks[e], (2 * e + 1, 2 * e + 2)):
             x, v = solvers._spdfp2(ctx, cfg, k, ctx.batches[i], x, v)
         assert_same_bits(Xr[e], x)
         assert_same_bits(Vr[e], v)

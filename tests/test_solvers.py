@@ -416,21 +416,21 @@ def test_run_solver_deterministic_replay():
 @pytest.mark.parametrize("n,p", [(64, 8), (23, 5), (7, 3), (1000, 10), (2000, 20)])
 @pytest.mark.parametrize("block", [1, 3, 50, None])
 def test_chunked_draws_equal_per_epoch_draws(n, p, block):
-    # a run draws the picks of each block of epochs at once (None: one block
-    # of all 37); n = 23 and 7 leave a short last batch and are not powers
-    # of two, so their draws take the rejection path, and blocks of 3 end in
-    # a short one
+    # a run draws the picks of each block of epochs at once, one row per
+    # epoch (None: one block of all 37); n = 23 and 7 leave a short last
+    # batch and are not powers of two, so their draws take the rejection
+    # path, and blocks of 3 end in a short one
     plan = make_batch_plan(n, p)
     nb, epochs = plan.n_batches, 37
     block = block or epochs
     blocked = np.random.default_rng(5)
-    draws = [_draw_batch_indices(plan, blocked, min(block, epochs - first) * nb)
+    draws = [_draw_batch_indices(plan, blocked, (min(block, epochs - first), nb))
              for first in range(0, epochs, block)]
     rng = np.random.default_rng(5)
     per_epoch = [_draw_batch_indices(plan, rng, nb) for _ in range(epochs)]
-    assert all(c.dtype == np.int64 for c in draws)
-    np.testing.assert_array_equal(np.concatenate(draws), np.concatenate(per_epoch))
-    assert np.concatenate(draws).tolist() == replay_draws(5, n, p, epochs * nb)
+    assert all(c.dtype == np.int64 and c.flags.c_contiguous for c in draws)
+    np.testing.assert_array_equal(np.concatenate(draws), np.array(per_epoch))
+    assert np.concatenate(draws).ravel().tolist() == replay_draws(5, n, p, epochs * nb)
     # and the stream goes on from the same place
     assert blocked.integers(0, 2**40) == rng.integers(0, 2**40)
 
