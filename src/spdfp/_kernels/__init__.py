@@ -100,8 +100,10 @@ class Steps:
 
     Every step runs wholly in C, the logistic one too: its loss weights take
     libm exp, as spdfp.problem.loss_weights does through math.exp, so the
-    steps give the reference step's bits. Keeps every array its pointers
-    refer to alive."""
+    steps give the reference step's bits. A step starts from the B^T v the
+    step before it left; each call works B^T v out afresh from v before its
+    first step, so a write into ``iterates[1]`` between calls counts. Keeps
+    every array its pointers refer to alive."""
 
     def __init__(self, lib, kind, spec, prox_spec, cfg, ranges, x, v):
         A, B, labels = spec.dataset.samples, spec.B, spec.dataset.labels
@@ -138,7 +140,10 @@ class Steps:
 
     def products(self, X):
         """(A X^T)^T and (B X^T)^T: A x and B x of each row x of X, a
-        C-contiguous float64 array of snapshots of x, one per row."""
+        C-contiguous float64 array of snapshots of x, one per row. The C
+        code takes four rows per pass over A or B, each entry summed in
+        CSR order as SparseMatrix.matvec sums it, so each row gets the bits
+        it gets alone."""
         n, d, m = self._shape
         address = _address(X, np.float64, None, d)
         AX, BX = np.empty((len(X), n)), np.empty((len(X), m))

@@ -1,16 +1,21 @@
 /* The C lane of spdfp: whole record blocks of PDFP / SPDFP steps, with the
  * snapshot of x and v and the time stamp that end each epoch, and the A x
- * and B x products of a block's snapshots, one call each. Plain C99 over
- * raw int64/double arrays, no Python C-API; spdfp._kernels loads the built
- * library with ctypes and checks every array before it passes a pointer. It
- * exports spdfp_run_size, spdfp_lane_version, spdfp_run_steps and
- * spdfp_products; everything else is static.
+ * and B x products of a block's snapshots, one call each. The products take
+ * four snapshots per pass over a matrix's rows, and a step starts from the
+ * B^T v the step before it left, so it makes three B products, not four.
+ * Plain C99 over raw int64/double arrays, no Python C-API; spdfp._kernels
+ * loads the built library with ctypes and checks every array before it
+ * passes a pointer. It exports spdfp_run_size, spdfp_lane_version,
+ * spdfp_run_steps and spdfp_products; everything else is static.
  *
  * Each function mirrors the NumPy reference (sparse.RowView,
  * prox.soft_threshold, solvers._pdfp/_spdfp1/_spdfp2) op for op, so that
  * both lanes give the same bits:
  *   - a product sums each output entry from 0.0 in CSR order, as
- *     np.bincount does, and multiplies data by the vector in that order;
+ *     np.bincount does, and multiplies data by the vector in that order,
+ *     also when it takes four snapshots at once, one accumulator each;
+ *   - B^T v is the same rmatvec of the same v whether a step computes it
+ *     or takes it from the step before;
  *   - every NumPy expression is the same C expression in the same order,
  *     built without FMA contraction (-ffp-contract=off) and without
  *     fast-math;
@@ -99,16 +104,43 @@ static double soft(double y, double t)
     return s * m;
 }
 
+/* out[s] = M X[s] for the count rows of X (M.n_cols doubles each), out
+ * row-major with M.n_rows doubles per row. Each group of four rows takes
+ * one pass over M with four accumulators, each summed from 0.0 in CSR order
+ * as matvec sums it; the count % 4 rows left over go through matvec. */
+static void matvecs(const csr *M, const double *X, int64_t count, double *out)
+{
+    int64_t d = M->n_cols, n = M->n_rows, s = 0;
+    for (; s + 4 <= count; s += 4) {
+        const double *x0 = X + s * d, *x1 = x0 + d, *x2 = x1 + d, *x3 = x2 + d;
+        double *o = out + s * n;
+        for (int64_t i = 0; i < n; i++) {
+            double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
+            for (int64_t j = M->indptr[i]; j < M->indptr[i + 1]; j++) {
+                double a = M->data[j];
+                int64_t c = M->indices[j];
+                a0 = a0 + a * x0[c];
+                a1 = a1 + a * x1[c];
+                a2 = a2 + a * x2[c];
+                a3 = a3 + a * x3[c];
+            }
+            o[i] = a0;
+            o[n + i] = a1;
+            o[2 * n + i] = a2;
+            o[3 * n + i] = a3;
+        }
+    }
+    for (; s < count; s++)
+        matvec(M, X + s * d, out + s * n, 0, n);
+}
+
 /* AX[i] = A X[i] and BX[i] = B X[i] for each of the count rows of X, a
  * run's snapshots of x (A.n_cols doubles each), for its records. AX and BX
  * are row-major, A.n_rows and B.n_rows doubles per row. */
 void spdfp_products(const run *r, const double *X, int64_t count, double *AX, double *BX)
 {
-    int64_t d = r->A.n_cols, n = r->A.n_rows, m = r->B.n_rows;
-    for (int64_t i = 0; i < count; i++) {
-        matvec(&r->A, X + i * d, AX + i * n, 0, n);
-        matvec(&r->B, X + i * d, BX + i * m, 0, m);
-    }
+    matvecs(&r->A, X, count, AX);
+    matvecs(&r->B, X, count, BX);
 }
 
 /* gradients._rows_gradient over rows lo..hi-1 of A: w holds the margins,
@@ -146,7 +178,9 @@ static double since(const struct timespec *t0)
 }
 
 /* One step of r->kind on r->x and r->v, with rows lo..hi-1 of A; k is the
- * 1-based step counter before the step. */
+ * 1-based step counter before the step. bt must hold B^T v on entry: the
+ * step before left it there, or spdfp_run_steps computed it before the
+ * first step of its call; the step leaves B^T v of its new v there. */
 static void step(const run *r, int64_t lo, int64_t hi, int64_t k)
 {
     int64_t d = r->A.n_cols, m = r->B.n_rows;
@@ -171,7 +205,6 @@ static void step(const run *r, int64_t lo, int64_t hi, int64_t k)
 
     /* arg = B x_half + factor * (v - lam * B B^T v) */
     matvec(&r->B, xh, arg, 0, m);
-    rmatvec(&r->B, v, bt, 0, m);
     matvec(&r->B, bt, bb, 0, m);
     for (int64_t i = 0; i < m; i++) {
         double dr = v[i] - lam * bb[i];
@@ -194,7 +227,9 @@ static void step(const run *r, int64_t lo, int64_t hi, int64_t k)
  * (A.n_cols doubles a row), v to row e of V (B.n_rows doubles a row) and
  * the seconds since the call began to stamps[e]; a NULL X, V or stamps
  * takes nothing. Returns BAD_INPUT, having changed nothing, if a pick or
- * its range is out of bounds, else OK. */
+ * its range is out of bounds, else OK. Each call computes B^T v into the
+ * work array step() reads it from, after the checks, so a caller may write
+ * into v between calls. */
 int spdfp_run_steps(const run *r, const int64_t *picks, int64_t n_epochs, int64_t per_epoch,
                     int64_t k, double *X, double *V, double *stamps)
 {
@@ -209,6 +244,7 @@ int spdfp_run_steps(const run *r, const int64_t *picks, int64_t n_epochs, int64_
         if (rows[0] < 0 || rows[0] >= rows[1] || rows[1] > r->A.n_rows)
             return BAD_INPUT;
     }
+    rmatvec(&r->B, r->v, r->work + r->A.n_rows + 2 * d, 0, m);  /* step()'s bt */
     for (int64_t e = 0, s = 0; e < n_epochs; e++) {
         for (int64_t end = s + per_epoch; s < end; s++, k++) {
             const int64_t *rows = r->ranges + 2 * picks[s];

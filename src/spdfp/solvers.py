@@ -425,9 +425,13 @@ class _ReferenceSteps:
         """The steps of picks, an int64 array of one row of picks per
         epoch; k counts the steps of all calls from 1. After epoch e, x goes
         to X[e], v to V[e] and the seconds since the call began to
-        stamps[e], where given."""
+        stamps[e], where given. Every pick is checked before the first
+        step, as on the C lane: one outside [0, len(ctx.ranges)) raises
+        ValueError and changes nothing."""
         t0 = time.perf_counter()
         step, params, ctx, on_step = self._step, self._params, self._ctx, self._on_step
+        if picks.size and not (0 <= picks.min() and picks.max() < len(ctx.ranges)):
+            raise ValueError("batch index or row range out of bounds")
         iterates, k = self.iterates, self._k
         with np.errstate(**self._quiet):
             for e, row in enumerate(picks.tolist()):

@@ -218,6 +218,39 @@ def test_lane_parity_bitwise(c_lane):
         assert_same_bits(Bx, Ax)
 
 
+def test_products_take_blocks_of_snapshots_four_at_a_time(c_lane):
+    # blocks of 1 to 9 snapshots reach both the four-wide pass and the
+    # leftover one-at-a-time rows; snapshots hold +-0.0, +-inf and NaN,
+    # so each output entry must sum the same products in the same order as
+    # SparseMatrix.matvec, row by row
+    rng = np.random.default_rng(5)
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
+    empty_rows = 0
+    for trial in range(60):
+        A = random_csr(rng)
+        B = random_csr(rng, A.n_cols)
+        empty_rows += int(np.any(np.diff(A.indptr) == 0)) + int(np.any(np.diff(B.indptr) == 0))
+        spec = ProblemSpec(loss="square", dataset=Dataset(A, np.ones(A.n_rows)),
+                           l2_weight=0.0, composite_weight=0.0, B=B)
+        steps = c_lane.steps("spdfp1", spec, ProxSpec("l1", 0.0),
+                             SolverConfig(schedule=StepSchedule(c=0.1, alpha=0.7), lam=0.5, p=1),
+                             ((0, A.n_rows),), np.zeros(A.n_cols), np.zeros(B.n_rows))
+        count = 1 + trial % 9
+        X = rng.standard_normal((count, A.n_cols))
+        mask = rng.random(X.shape) < 0.3
+        X[mask] = rng.choice(special, int(mask.sum()))
+        X[0, :len(special)] = special[:A.n_cols]
+        AX, BX = steps.products(X)
+        assert AX.shape == (count, A.n_rows) and BX.shape == (count, B.n_rows)
+        with np.errstate(invalid="ignore"):
+            want = [(A.matvec(x), B.matvec(x)) for x in X]
+        for got, ref in zip(itertools.chain(AX, BX), itertools.chain(*zip(*want))):
+            nan = np.isnan(ref)
+            np.testing.assert_array_equal(np.isnan(got), nan)
+            assert_same_bits(got[~nan], ref[~nan])
+    assert empty_rows
+
+
 def test_soft_threshold_signed_zeros_and_nan(c_lane):
     # A has no entries and B = I, so with v = 0 the first step's prox
     # argument is x itself (-0.0 becomes +0.0 in B x) and its threshold is
@@ -530,6 +563,47 @@ def test_fused_steps_reject_out_of_range_picks(c_lane):
         bad(ONE_STEP)
 
 
+@pytest.mark.parametrize("lane", ["c", "numpy"])
+def test_steps_refuse_out_of_range_picks_before_any_step_on_both_lanes(c_lane, lane):
+    # a pick outside [0, n_ranges), -1 or one in a later epoch, is refused
+    # with the same ValueError on both lanes before the first step: the
+    # reference steps would take ctx.batches[-1], or raise IndexError after
+    # writing X[0]; the iterates, the snapshot arrays and the step counter
+    # keep their values
+    spec = synth_fused_lasso(20, 5, 0.1, 0.01, 1)
+    prox_spec = prox_for(spec)
+    cfg = SolverConfig(schedule=StepSchedule(c=0.5, alpha=0.7),
+                       lam=0.5 / spec.B.spectrum.rho_max, p=10)
+    ranges = ((0, 10), (10, 20))
+    d, m = spec.dim, spec.B.n_rows
+
+    def fresh():
+        x, v = np.ones(d), np.full(m, 0.5)
+        if lane == "c":
+            return c_lane.steps("spdfp2", spec, prox_spec, cfg, ranges, x, v)
+        ctx = solvers._RunContext(spec, prox_spec, ranges)
+        return solvers._ReferenceSteps("spdfp2", cfg, ctx, (x, v), None)
+
+    steps = fresh()
+    for picks in ([[-1]], [[0], [len(ranges)]]):
+        picks = np.array(picks, dtype=np.int64)
+        X, V, stamps = (np.full((len(picks), d), 7.0), np.full((len(picks), m), 7.0),
+                        np.full(len(picks), 7.0))
+        with pytest.raises(ValueError, match="batch index or row range out of bounds"):
+            steps(picks, X, V, stamps)
+        for a in (X, V, stamps):
+            assert_same_bits(a, np.full(a.shape, 7.0))
+        assert_same_bits(steps.iterates[0], np.ones(d))
+        assert_same_bits(steps.iterates[1], np.full(m, 0.5))
+    # the refused calls took no step from the count
+    picks = np.array([[1, 0], [0, 1]], dtype=np.int64)
+    want = fresh()
+    steps(picks)
+    want(picks)
+    for a, b in zip(steps.iterates, want.iterates):
+        assert_same_bits(a, b)
+
+
 def test_fused_steps_take_picks_as_a_contiguous_int64_table(c_lane):
     # one row of picks per epoch: a 1-D, float64, int32 or non-contiguous
     # array, or a list, is refused before any step
@@ -605,6 +679,65 @@ def test_block_call_snapshots_each_epoch_on_both_lanes(c_lane):
             x, v = solvers._spdfp2(ctx, cfg, k, ctx.batches[i], x, v)
         assert_same_bits(Xr[e], x)
         assert_same_bits(Vr[e], v)
+
+
+@pytest.mark.parametrize("kind", ["pdfp", "spdfp1", "spdfp2"])
+def test_multi_epoch_call_with_empty_rows_and_columns_of_b(c_lane, kind):
+    # B's rows 1 and 4 and its column 2 are empty, so B^T v is zero in
+    # column 2 and v's entries 1 and 4 reach no column; a call of five
+    # epochs, whose steps take B^T v from the step before, gives the
+    # reference steps' bits in every snapshot
+    spec = replace(fused_spec("logistic", 0.1),
+                   B=SparseMatrix.from_coo(5, 6, [0, 0, 2, 2, 3, 3], [0, 1, 3, 4, 5, 0],
+                                           [1.0, -1.0, 1.0, -1.0, 2.0, -0.5]))
+    prox_spec = ProxSpec("l1", 0.2)
+    sched = ConstantSchedule(0.3) if kind == "pdfp" else StepSchedule(c=0.5, alpha=0.7)
+    cfg = SolverConfig(schedule=sched, lam=0.8 / spec.B.spectrum.rho_max, p=5)
+    ranges = ((0, 5), (5, 10), (10, 15), (15, 20), (20, 23))
+    picks = np.random.default_rng(43).integers(0, len(ranges), (5, 4))
+    rng = np.random.default_rng(44)
+    x0, v0 = rng.standard_normal(6), rng.standard_normal(5)
+    ctx = solvers._RunContext(spec, prox_spec, ranges)
+    got = []
+    for steps in (c_lane.steps(kind, spec, prox_spec, cfg, ranges, x0.copy(), v0.copy()),
+                  solvers._ReferenceSteps(kind, cfg, ctx, (x0.copy(), v0.copy()), None)):
+        X, V = np.empty((5, 6)), np.empty((5, 5))
+        steps(picks, X, V)
+        got.append((X, V))
+    (Xc, Vc), (Xr, Vr) = got
+    assert_same_bits(Xc, Xr)
+    assert_same_bits(Vc, Vr)
+
+
+def test_a_write_into_v_between_calls_counts_on_the_c_lane(c_lane):
+    # each call works out B^T v afresh from v before its first step, so a
+    # caller that overwrites v between two calls gets the reference bits,
+    # not those of a step that reused the B^T v of the old v
+    spec = fused_spec("square", 0.1)
+    prox_spec = ProxSpec("l1", 0.2)
+    cfg = SolverConfig(schedule=StepSchedule(c=0.5, alpha=0.7),
+                       lam=0.8 / spec.B.spectrum.rho_max, p=5)
+    ranges = ((0, 5), (5, 10), (20, 23))
+    picks = np.array([[0, 2], [1, 1]], dtype=np.int64)
+    ctx = solvers._RunContext(spec, prox_spec, ranges)
+    new_v = np.random.default_rng(45).standard_normal(4)
+    got = []
+    for steps in (c_lane.steps("spdfp1", spec, prox_spec, cfg, ranges, np.ones(6), np.zeros(4)),
+                  solvers._ReferenceSteps("spdfp1", cfg, ctx, (np.ones(6), np.zeros(4)), None)):
+        steps(picks[:1])
+        steps.iterates[1][:] = new_v
+        steps(picks[1:])
+        got.append([a.copy() for a in steps.iterates])
+    for a, b in zip(*got):
+        assert_same_bits(a, b)
+    x, v = np.ones(6), np.zeros(4)
+    for k, i in enumerate((0, 2), start=1):
+        x, v = solvers._spdfp1(ctx, cfg, k, ctx.batches[i], x, v)
+    v = new_v.copy()
+    for k in (3, 4):
+        x, v = solvers._spdfp1(ctx, cfg, k, ctx.batches[1], x, v)
+    assert_same_bits(got[0][0], x)
+    assert_same_bits(got[0][1], v)
 
 
 @pytest.mark.parametrize("lane", ["c", "numpy"])
