@@ -33,6 +33,7 @@ from spdfp.solvers import (
     Reference,
     SolverConfig,
     StepSchedule,
+    _check_constant_step,
     _fixed_point_residual,
     _RunContext,
     _steps,
@@ -227,18 +228,26 @@ def save_problem(spec, base_path):
 
 
 def load_problem(path):
+    """The ProblemSpec of a .problem file; a missing or unknown key, and a
+    value ProblemSpec refuses, is a ValueError that names the file."""
     kv = _read_kv(path)
     for key in ("loss", "data", "b_matrix"):
         if key not in kv:
             raise ValueError(f"{path}: missing problem key {key!r}")
+    for key in kv:
+        if key not in ("loss", "data", "b_matrix", "l2_weight", "composite_weight"):
+            raise ValueError(f"{path}: unknown problem key {key!r}")
     here = os.path.dirname(os.path.abspath(path))
     # LIBSVM cannot record an empty last feature column; B's shape line can
     B = load_matrix(os.path.join(here, kv["b_matrix"]))
     dataset = load_libsvm(os.path.join(here, kv["data"]), n_features=B.n_cols)
-    return ProblemSpec(loss=kv["loss"], dataset=dataset,
-                       l2_weight=_kv_number(path, kv, "l2_weight", float, 0.0),
-                       composite_weight=_kv_number(path, kv, "composite_weight", float, 0.0),
-                       B=B)
+    l2_weight = _kv_number(path, kv, "l2_weight", float, 0.0)
+    composite_weight = _kv_number(path, kv, "composite_weight", float, 0.0)
+    try:
+        return ProblemSpec(loss=kv["loss"], dataset=dataset, l2_weight=l2_weight,
+                           composite_weight=composite_weight, B=B)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
 
 
 def _number(where, key, text, kind):
@@ -352,8 +361,7 @@ def compute_ground_truth(spec, cfg=None, iters=DEFAULT_TRUTH_ITERS):
     if cfg is None:
         cfg = SolverConfig(schedule=ConstantSchedule(default_gamma(spec)),
                            lam=default_lambda(spec), p=spec.n)
-    if cfg.schedule.alpha != 0:
-        raise ValueError(f"pdfp needs a constant step, got alpha={cfg.schedule.alpha}")
+    _check_constant_step(cfg)
     check_lambda(cfg, spec.B)
     ctx = _RunContext(spec, prox_spec, ((0, spec.n),))
     state = initial_state(spec)
@@ -508,12 +516,15 @@ def parse_experiment_config(path):
     output = kv["output"]
     if not os.path.isabs(output):
         output = os.path.join(base, output)
+    master_seed = _kv_number(path, kv, "master_seed", int)
+    if master_seed < 0:  # NumPy's SeedSequence would refuse it only when the run starts
+        raise ValueError(f"{path}: master_seed = {master_seed} is negative")
     return ExperimentConfig(problem=problem,
                             solvers=parse_solver_list(kv["solvers"]),
                             repetitions=_kv_number(path, kv, "repetitions", int),
                             epochs=_kv_number(path, kv, "epochs", int),
                             output=output,
-                            master_seed=_kv_number(path, kv, "master_seed", int))
+                            master_seed=master_seed)
 
 
 def resolve_problem(source):

@@ -13,8 +13,12 @@ Four solvers share the state layout (primal x, dual v, counter k):
 
 ``run_solver`` wraps any of them into an epoch loop with per-epoch records.
 It checks its inputs once and builds a _RunContext (raw CSR arrays, row maps
-and scalars), on which the private reference step of each kind runs. Each
-public step function builds a context and calls the same step.
+and scalars), on which the private reference step of each kind runs: one
+_pdfp_step for the three PDFP-family kinds, set up as lane.c's step is, and
+_stoc_admm. Each public step function builds a context over its rows (all of
+them for pdfp_step, the drawn batch otherwise) and calls the same step.
+PDFP needs a constant step: run_solver, pdfp_step and the ground truth all
+refuse any other through _check_constant_step.
 
 _steps alone picks the lane: the C lane's steps (_kernels.Steps) for a
 'pdfp', 'spdfp1' or 'spdfp2' run without on_step where the lane is built,
@@ -31,7 +35,7 @@ import math
 import time
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import repeat
 from typing import ClassVar
 
@@ -211,31 +215,22 @@ class _RunContext:
 
 
 # Reference steps: (ctx, params, k, batch, *iterates) -> new iterates, always
-# fresh arrays. k is the 1-based step counter before the step.
+# fresh arrays. k is the 1-based step counter before the step. The three
+# PDFP-family kinds differ in three scalars only, which _pdfp_step sets as
+# lane.c's step does before one body; a product with 1.0 is exact, so each
+# kind keeps the bits of its own formulas.
 
-def _pdfp(ctx, cfg, k, batch, x, v):
-    gamma, lam = cfg.schedule.c, cfg.lam
+def _pdfp_step(kind, ctx, cfg, k, batch, x, v):
+    gamma, lam = cfg.schedule.gamma(k), cfg.lam
+    factor, v_scale, x_scale = 1.0, 1.0, lam
+    if kind == "spdfp1":
+        factor, v_scale, x_scale = gamma / lam, lam / gamma, gamma
+    elif kind == "spdfp2":
+        factor = gamma / lam if k == 1 else ((k - 1) / k) ** cfg.schedule.alpha
     x_half = x - gamma * ctx.gradient(batch, x)
-    arg = ctx.B.matvec(x_half) + ctx.dual_reflect(lam, v)
-    v_new = ctx.prox_residual(gamma / lam, arg)
-    return x_half - lam * ctx.B.rmatvec(v_new), v_new
-
-
-def _spdfp1(ctx, cfg, k, batch, x, v):
-    gamma_k, lam = cfg.schedule.gamma(k), cfg.lam
-    x_half = x - gamma_k * ctx.gradient(batch, x)
-    arg = ctx.B.matvec(x_half) + (gamma_k / lam) * ctx.dual_reflect(lam, v)
-    v_new = (lam / gamma_k) * ctx.prox_residual(gamma_k / lam, arg)
-    return x_half - gamma_k * ctx.B.rmatvec(v_new), v_new
-
-
-def _spdfp2(ctx, cfg, k, batch, x, v):
-    gamma_k, lam = cfg.schedule.gamma(k), cfg.lam
-    x_half = x - gamma_k * ctx.gradient(batch, x)
-    factor = gamma_k / lam if k == 1 else ((k - 1) / k) ** cfg.schedule.alpha
     arg = ctx.B.matvec(x_half) + factor * ctx.dual_reflect(lam, v)
-    v_new = ctx.prox_residual(gamma_k / lam, arg)
-    return x_half - lam * ctx.B.rmatvec(v_new), v_new
+    v_new = v_scale * ctx.prox_residual(gamma / lam, arg)
+    return x_half - x_scale * ctx.B.rmatvec(v_new), v_new
 
 
 def _stoc_admm(ctx, admm_cfg, k, batch, x, y, multiplier):
@@ -249,21 +244,22 @@ def _stoc_admm(ctx, admm_cfg, k, batch, x, y, multiplier):
     return x_new, y_new, multiplier - beta * (Bx - y_new)
 
 
-def _checked_iterates(spec, state):
-    return (_iterate(state.x, spec.dim, "state.x"),
-            _iterate(state.v, spec.B.n_rows, "state.v"))
+def _check_constant_step(cfg):
+    if cfg.schedule.alpha != 0:
+        raise ValueError(f"pdfp needs a constant step, got alpha={cfg.schedule.alpha}")
 
 
 def pdfp_step(spec, prox_spec, cfg, state):
-    """One batch step with constant gamma = cfg.schedule.c."""
-    ctx = _RunContext(spec, prox_spec)
-    x, v = _pdfp(ctx, cfg, state.k, ctx.full, *_checked_iterates(spec, state))
-    return IterState(x=x, v=v, k=state.k + 1)
+    """One batch step with constant gamma = cfg.schedule.c; a schedule with
+    alpha > 0 raises ValueError, as in run_solver."""
+    _check_constant_step(cfg)
+    return _one_step("pdfp", spec, prox_spec, cfg, state, (0, spec.n))
 
 
 def spdfp_step_alg1(spec, prox_spec, cfg, state, rng, plan):
     """One stochastic step, dual on the subgradient scale."""
-    return _stochastic_step(_spdfp1, spec, prox_spec, cfg, state, rng, plan)
+    return _one_step("spdfp1", spec, prox_spec, cfg, state,
+                     plan.ranges[draw_batch_index(plan, rng)])
 
 
 def spdfp_step_alg2(spec, prox_spec, cfg, state, rng, plan):
@@ -272,12 +268,16 @@ def spdfp_step_alg2(spec, prox_spec, cfg, state, rng, plan):
     At k = 1 the dual memory term carries the factor gamma_1/lambda; for
     k >= 2 it carries ((k-1)/k)**alpha.
     """
-    return _stochastic_step(_spdfp2, spec, prox_spec, cfg, state, rng, plan)
+    return _one_step("spdfp2", spec, prox_spec, cfg, state,
+                     plan.ranges[draw_batch_index(plan, rng)])
 
 
-def _stochastic_step(step, spec, prox_spec, cfg, state, rng, plan):
-    ctx = _RunContext(spec, prox_spec, (plan.ranges[draw_batch_index(plan, rng)],))
-    x, v = step(ctx, cfg, state.k, ctx.batches[0], *_checked_iterates(spec, state))
+def _one_step(kind, spec, prox_spec, cfg, state, rows):
+    """One step of kind from state on the samples rows = (lo, hi)."""
+    ctx = _RunContext(spec, prox_spec, (rows,))
+    x, v = _pdfp_step(kind, ctx, cfg, state.k, ctx.batches[0],
+                      _iterate(state.x, spec.dim, "state.x"),
+                      _iterate(state.v, spec.B.n_rows, "state.v"))
     return IterState(x=x, v=v, k=state.k + 1)
 
 
@@ -362,6 +362,14 @@ class RunRecord:
     a_k: float = None
 
 
+def _square(g):
+    """g ** 2, or inf where that overflows."""
+    try:
+        return g ** 2
+    except OverflowError:
+        return math.inf
+
+
 def _block_records(kind, name, spec, cfg, reference, products, first, X, V, ks, wall):
     """The RunRecords of epochs first, first + 1, ..., up to the first after
     epoch 0 whose objective is NaN or infinite: row i of X, and of V unless
@@ -393,13 +401,17 @@ def _block_records(kind, name, spec, cfg, reference, products, first, X, V, ks, 
             dv = (V if kind == "spdfp1" else V * np.array(
                 [lam / (c / (k - 1)**alpha) if k > 1 else 1.0 for k in ks])[:, None])
             dv = dv - reference.v_star
-            weight = np.array([(c / k**alpha) ** 2 / lam for k in ks])
+            try:
+                weight = np.array([(c / k**alpha) ** 2 / lam for k in ks])
+            except OverflowError:  # Python's float ** raises where NumPy's gives inf
+                weight = np.array([_square(c / k**alpha) / lam for k in ks])
             a_k = (sq_error + weight * np.vecdot(dv, dv)).tolist()
     return list(map(RunRecord, repeat(name), repeat(cfg.seed), range(first, first + n), wall,
                     objective.tolist(), rel, sq, a_k))
 
 
-_STEPS = {"pdfp": _pdfp, "spdfp1": _spdfp1, "spdfp2": _spdfp2, "stoc_admm": _stoc_admm}
+_STEPS = {"pdfp": partial(_pdfp_step, "pdfp"), "spdfp1": partial(_pdfp_step, "spdfp1"),
+          "spdfp2": partial(_pdfp_step, "spdfp2"), "stoc_admm": _stoc_admm}
 
 # Doubles a record block holds at most for its snapshots of x and v and
 # their products A x and B x: whole epochs, but always at least one.
@@ -496,8 +508,8 @@ def run_solver(kind, spec, prox_spec, cfg, admm_cfg=None, x0=None, v0=None,
     if kind == "stoc_admm" and admm_cfg is None:
         raise ValueError("stoc_admm requires an AdmmConfig")
     name = name or kind
-    if kind == "pdfp" and cfg.schedule.alpha != 0:
-        raise ValueError(f"pdfp needs a constant step, got alpha={cfg.schedule.alpha}")
+    if kind == "pdfp":
+        _check_constant_step(cfg)
     if kind != "stoc_admm":
         check_lambda(cfg, spec.B, rho_max=rho_max)
     plan = make_batch_plan(spec.n, cfg.p)

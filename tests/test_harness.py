@@ -342,6 +342,23 @@ def test_numbers_in_key_files_say_where(tmp_path):
         parse_experiment_config(cfg)
 
 
+def test_problem_file_errors_name_the_file(tmp_path):
+    # a misspelt key is refused, not read as absent, and the loss and label
+    # checks of ProblemSpec say which file they refuse
+    spec = synth_fused_lasso(20, 5, 0.1, 0.01, seed=1)
+    base = save_problem(spec, tmp_path / "p")
+    text = open(base).read()
+    for old, new, message in (
+            ("l2_weight =", "l2_wieght =", r"p.problem: unknown problem key 'l2_wieght'"),
+            ("loss = square", "loss = squre", r"p.problem: unknown loss 'squre'; expected one of"),
+            ("loss = square", "loss = hinge",
+             r"p.problem: classification losses need labels in \{-1, \+1\}")):
+        with open(base, "w") as fh:
+            fh.write(text.replace(old, new))
+        with pytest.raises(ValueError, match=message):
+            load_problem(base)
+
+
 def test_graph_matrix_perfect_pair():
     rng = np.random.default_rng(2)
     base = rng.standard_normal(40)
@@ -827,6 +844,11 @@ def test_config_validation_names_offending_field(tmp_path):
     cfg.write_text("problem = synth:n=20,d=5\nsolvers = pdfp()\n"
                    "epochs = 1\noutput = o\nmaster_seed = 1\n")
     with pytest.raises(ValueError, match="repetitions"):
+        parse_experiment_config(cfg)
+    # numpy's SeedSequence refuses a negative seed only when the run starts
+    cfg.write_text("problem = synth:n=20,d=5\nsolvers = pdfp()\nrepetitions = 1\n"
+                   "epochs = 1\noutput = o\nmaster_seed = -5\n")
+    with pytest.raises(ValueError, match="exp.cfg: master_seed = -5 is negative"):
         parse_experiment_config(cfg)
 
 

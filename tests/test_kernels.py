@@ -12,6 +12,7 @@ compute_ground_truth. Bits are compared through
 import ast
 import ctypes
 import itertools
+import math
 import os
 import re
 import shutil
@@ -509,6 +510,32 @@ def test_diverging_run_warns_alike_on_both_lanes(monkeypatch, c_lane, kind):
     assert_same_run(*runs)
 
 
+@pytest.mark.parametrize("kind", ["pdfp", "spdfp1", "spdfp2"])
+def test_a_step_whose_square_overflows_is_recorded_and_flagged(monkeypatch, c_lane, kind):
+    # gamma(k) ** 2 in the a_k weight passes the largest double at c = 1e200,
+    # where Python's float ** raises; the weight is inf instead, so the run
+    # keeps its records up to its first non-finite objective and warns, on
+    # both lanes alike
+    spec = synth_fused_lasso(60, 6, 0.1, 0.01, 3)
+    sched = ConstantSchedule(1e200) if kind == "pdfp" else StepSchedule(c=1e200, alpha=0.7)
+    cfg = SolverConfig(schedule=sched, lam=0.5 / spec.B.spectrum.rho_max, p=10, max_epochs=5)
+    rng = np.random.default_rng(46)
+    ref = Reference(x_star=rng.standard_normal(6), v_star=rng.standard_normal(spec.B.n_rows),
+                    objective_star=0.7)
+    runs, messages = [], []
+    for lane in (c_lane, None):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            runs.append(run_on_lane(monkeypatch, lane, kind, spec, ProxSpec("l1", 0.1), cfg,
+                                    reference=ref))
+        messages.append([str(w.message) for w in caught if "diverged" in str(w.message)])
+    for recs, _ in runs:
+        assert len(recs) == 2 and recs[0].a_k == math.inf
+        assert not math.isfinite(recs[-1].objective)
+    assert messages[0] == messages[1] and len(messages[0]) == 1
+    assert_same_run(*runs)
+
+
 def test_admm_and_on_step_runs_keep_the_python_path(monkeypatch, c_lane):
     calls = []
     monkeypatch.setattr(c_lane, "steps", lambda *a: calls.append(a))
@@ -676,7 +703,7 @@ def test_block_call_snapshots_each_epoch_on_both_lanes(c_lane):
     x, v = np.ones(6), np.zeros(4)
     for e in range(3):
         for i, k in zip(picks[e], (2 * e + 1, 2 * e + 2)):
-            x, v = solvers._spdfp2(ctx, cfg, k, ctx.batches[i], x, v)
+            x, v = solvers._STEPS["spdfp2"](ctx, cfg, k, ctx.batches[i], x, v)
         assert_same_bits(Xr[e], x)
         assert_same_bits(Vr[e], v)
 
@@ -732,10 +759,10 @@ def test_a_write_into_v_between_calls_counts_on_the_c_lane(c_lane):
         assert_same_bits(a, b)
     x, v = np.ones(6), np.zeros(4)
     for k, i in enumerate((0, 2), start=1):
-        x, v = solvers._spdfp1(ctx, cfg, k, ctx.batches[i], x, v)
+        x, v = solvers._STEPS["spdfp1"](ctx, cfg, k, ctx.batches[i], x, v)
     v = new_v.copy()
     for k in (3, 4):
-        x, v = solvers._spdfp1(ctx, cfg, k, ctx.batches[1], x, v)
+        x, v = solvers._STEPS["spdfp1"](ctx, cfg, k, ctx.batches[1], x, v)
     assert_same_bits(got[0][0], x)
     assert_same_bits(got[0][1], v)
 

@@ -95,6 +95,15 @@ def test_constant_step_spdfp_runs_and_pdfp_refuses_a_decaying_one():
         run_solver("pdfp", spec, prox_spec, decaying)
 
 
+def test_pdfp_step_refuses_a_decaying_step_as_run_solver_does():
+    # pdfp_step steps by gamma(k) as the C lane does, so with alpha > 0 it
+    # would silently take a decaying step; it refuses that config instead
+    spec, _, _ = fused_spec(20, 6, seed=8, mu=0.2)
+    cfg = SolverConfig(schedule=StepSchedule(0.5, 0.7), lam=0.18, p=20)
+    with pytest.raises(ValueError, match="pdfp needs a constant step, got alpha=0.7"):
+        pdfp_step(spec, ProxSpec("l1", 0.2), cfg, initial_state(spec))
+
+
 def test_lambda_guard():
     spec, _, _ = fused_spec(20, 6, seed=0)
     from spdfp.sparse import estimate_spectrum
@@ -268,24 +277,29 @@ def test_spdfp1_zero_prox_is_sgd():
 @pytest.mark.parametrize("alg,oracle", [("alg1", oracles.spdfp_alg1_steps),
                                         ("alg2", oracles.spdfp_alg2_steps)])
 def test_spdfp_50_steps_match_transcription(alg, oracle):
+    # from zero, and from a nonzero pair, whose dual the k = 1 factor and
+    # scales act on
     spec, _, _ = fused_spec(8, 4, seed=7, mu=0.15)
     Ad, bd, Bd = dense_parts(spec)
     c, alpha, lam, p, seed = 0.5, 0.7, 0.15, 2, 123
     cfg = SolverConfig(schedule=StepSchedule(c=c, alpha=alpha), lam=lam, p=p, seed=seed)
     plan = make_batch_plan(8, p)
-    rng = np.random.default_rng(seed)
     step = spdfp_step_alg1 if alg == "alg1" else spdfp_step_alg2
-    state = initial_state(spec)
-    lib_x, lib_v = [state.x.copy()], [state.v.copy()]
-    for _ in range(50):
-        state = step(spec, L1 if spec.composite_weight == 1.0 else
-                     ProxSpec("l1", spec.composite_weight), cfg, state, rng, plan)
-        lib_x.append(state.x.copy())
-        lib_v.append(state.v.copy())
-    draws = replay_draws(seed, 8, p, 50)
-    xs, vs = oracle(Ad, bd, Bd, 0.0, spec.composite_weight, c, alpha, lam, p, draws)
-    np.testing.assert_allclose(lib_x, xs, atol=1e-12)
-    np.testing.assert_allclose(lib_v, vs, atol=1e-12)
+    start = np.random.default_rng(71)
+    for x0, v0 in ((None, None), (start.standard_normal(4), start.standard_normal(3))):
+        rng = np.random.default_rng(seed)
+        state = initial_state(spec, x0=x0, v0=v0)
+        lib_x, lib_v = [state.x.copy()], [state.v.copy()]
+        for _ in range(50):
+            state = step(spec, L1 if spec.composite_weight == 1.0 else
+                         ProxSpec("l1", spec.composite_weight), cfg, state, rng, plan)
+            lib_x.append(state.x.copy())
+            lib_v.append(state.v.copy())
+        draws = replay_draws(seed, 8, p, 50)
+        xs, vs = oracle(Ad, bd, Bd, 0.0, spec.composite_weight, c, alpha, lam, p, draws,
+                        x0=x0, v0=v0)
+        np.testing.assert_allclose(lib_x, xs, atol=1e-12)
+        np.testing.assert_allclose(lib_v, vs, atol=1e-12)
 
 
 def test_alg2_equivalence_to_alg1_x_iterates():
