@@ -9,7 +9,7 @@
  * spdfp_run_steps and spdfp_products; everything else is static.
  *
  * Each function mirrors the NumPy reference (sparse.RowView,
- * prox.soft_threshold, solvers._pdfp/_spdfp1/_spdfp2) op for op, so that
+ * prox.soft_threshold, solvers._pdfp_step) op for op, so that
  * both lanes give the same bits:
  *   - a product sums each output entry from 0.0 in CSR order, as
  *     np.bincount does, and multiplies data by the vector in that order,

@@ -22,7 +22,7 @@ def _cmd_synth(args):
 def _cmd_truth(args):
     spec = harness.resolve_problem(args.problem)
     gt = harness.compute_ground_truth(spec, iters=args.iters)
-    out = args.out or (args.problem + ".truth.npz")
+    out = args.out or harness._truth_path(args.problem)
     harness.save_ground_truth(gt, out, spec)
     print(f"wrote {out}: objective={gt.objective_star!r} residual={gt.residual:.3e} "
           f"(gamma={gt.gamma:.4g}, lambda={gt.lam:.4g}, {gt.iterations} iterations)")
@@ -83,7 +83,9 @@ def main(argv=None):
                    help="cap on the PDFP iterations; the run stops earlier once its "
                         f"fixed-point residual is at most {harness.TRUTH_TARGET:g}, "
                         "and warns if the cap comes first (default %(default)s)")
-    p.add_argument("--out", default=None, help="cache path (default <problem>.truth.npz)")
+    p.add_argument("--out", default=None,
+                   help="cache path (default <problem>.truth.npz, the only path "
+                        "`spdfp run` reads a truth from)")
     p.set_defaults(func=_cmd_truth)
 
     p = sub.add_parser("run", help="execute an experiment config")

@@ -21,7 +21,7 @@ import os
 import re
 import warnings
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from spdfp.solvers import (
     AdmmConfig,
     ConstantSchedule,
     Reference,
+    RunRecord,
     SolverConfig,
     StepSchedule,
     _check_constant_step,
@@ -230,13 +231,8 @@ def save_problem(spec, base_path):
 def load_problem(path):
     """The ProblemSpec of a .problem file; a missing or unknown key, and a
     value ProblemSpec refuses, is a ValueError that names the file."""
-    kv = _read_kv(path)
-    for key in ("loss", "data", "b_matrix"):
-        if key not in kv:
-            raise ValueError(f"{path}: missing problem key {key!r}")
-    for key in kv:
-        if key not in ("loss", "data", "b_matrix", "l2_weight", "composite_weight"):
-            raise ValueError(f"{path}: unknown problem key {key!r}")
+    kv = _read_kv(path, ("loss", "data", "b_matrix"), ("l2_weight", "composite_weight"),
+                  "problem")
     here = os.path.dirname(os.path.abspath(path))
     # LIBSVM cannot record an empty last feature column; B's shape line can
     B = load_matrix(os.path.join(here, kv["b_matrix"]))
@@ -268,7 +264,11 @@ def _kv_number(where, kv, key, kind, default=None):
     return default if key not in kv else _number(where, key, kv.pop(key), kind)
 
 
-def _read_kv(path):
+def _read_kv(path, required, optional, what):
+    """The 'key = value' lines of path as a dict, blank and '#' lines
+    skipped. Another line, a key given twice, a missing required key and a
+    key in neither tuple are ValueErrors that name the file; what names
+    the kind of file ("missing problem key 'loss'")."""
     out, seen = {}, {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -283,6 +283,12 @@ def _read_kv(path):
                 raise ValueError(f"{path}:{lineno}: key {key!r} repeats line {seen[key]}")
             seen[key] = lineno
             out[key] = value.strip()
+    for key in required:
+        if key not in out:
+            raise ValueError(f"{path}: missing {what} key {key!r}")
+    for key in out:
+        if key not in required + optional:
+            raise ValueError(f"{path}: unknown {what} key {key!r}")
     return out
 
 
@@ -458,6 +464,8 @@ class ExperimentConfig:
             raise ValueError("repetitions must be at least 1")
         if self.epochs < 0:
             raise ValueError("epochs must be nonnegative")
+        if self.master_seed < 0:  # NumPy's SeedSequence would refuse it only when the run starts
+            raise ValueError(f"master_seed = {self.master_seed} is negative")
         # the rows and means of a run are keyed by label
         repeated = sorted(k for k, n in Counter(e.label for e in self.solvers).items() if n > 1)
         if repeated:
@@ -501,30 +509,22 @@ def _key_values(text, where):
 
 
 def parse_experiment_config(path):
-    kv = _read_kv(path)
-    required = ("problem", "solvers", "repetitions", "epochs", "output", "master_seed")
-    for key in required:
-        if key not in kv:
-            raise ValueError(f"{path}: missing config key {key!r}")
-    for key in kv:
-        if key not in required:
-            raise ValueError(f"{path}: unknown config key {key!r}")
+    """The ExperimentConfig of a config file; a missing or unknown key, and
+    a value ExperimentConfig refuses, is a ValueError that names the file.
+    Relative problem and output paths are taken from the file's directory."""
+    kv = _read_kv(path, ("problem", "solvers", "repetitions", "epochs", "output",
+                         "master_seed"), (), "config")
     base = os.path.dirname(os.path.abspath(path))
     problem = kv["problem"]
-    if not problem.startswith("synth:"):
-        problem = os.path.join(base, problem)
-    output = kv["output"]
-    if not os.path.isabs(output):
-        output = os.path.join(base, output)
-    master_seed = _kv_number(path, kv, "master_seed", int)
-    if master_seed < 0:  # NumPy's SeedSequence would refuse it only when the run starts
-        raise ValueError(f"{path}: master_seed = {master_seed} is negative")
-    return ExperimentConfig(problem=problem,
-                            solvers=parse_solver_list(kv["solvers"]),
-                            repetitions=_kv_number(path, kv, "repetitions", int),
-                            epochs=_kv_number(path, kv, "epochs", int),
-                            output=output,
-                            master_seed=master_seed)
+    numbers = {key: _kv_number(path, kv, key, int)
+               for key in ("repetitions", "epochs", "master_seed")}
+    try:
+        return ExperimentConfig(
+            problem=problem if problem.startswith("synth:") else os.path.join(base, problem),
+            solvers=parse_solver_list(kv["solvers"]), output=os.path.join(base, kv["output"]),
+            **numbers)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
 
 
 def resolve_problem(source):
@@ -556,32 +556,39 @@ def build_solver_configs(entry, spec, seed, epochs):
         text = params.pop(key, "auto")
         return default(spec) if text == "auto" else _number(where, key, text, float)
 
+    def build(cls, **kwargs):  # cls(**kwargs), whose ValueError then names the clause
+        try:
+            return cls(**kwargs)
+        except ValueError as err:
+            raise ValueError(f"{where}: {err}") from None
+
     lam = default_lambda(spec) if entry.kind == "stoc_admm" else auto("lambda", default_lambda)
     p = spec.n if entry.kind == "pdfp" else number("p", int, spec.n)
+    if p > spec.n:
+        raise ValueError(f"{where}: p = {p} exceeds the {spec.n} samples of the problem")
     stop_tol = number("stop_tol", float, 0.0) if entry.kind == "pdfp" else 0.0
     admm_cfg = None
     if entry.kind == "pdfp":
-        schedule = ConstantSchedule(auto("gamma", default_gamma))
+        schedule = build(ConstantSchedule, c=auto("gamma", default_gamma))
     elif entry.kind in ("spdfp1", "spdfp2"):
         # logistic runs default to the 2/k^0.55 schedule; square-loss runs
         # to 1/k^0.7 (both pilot-tuned, both overridable per clause)
         c_default, a_default = (2.0, 0.55) if spec.loss == "logistic" else (1.0, 0.7)
-        schedule = StepSchedule(c=number("c", float, c_default),
-                                alpha=number("alpha", float, a_default))
+        schedule = build(StepSchedule, c=number("c", float, c_default),
+                         alpha=number("alpha", float, a_default))
     elif entry.kind == "stoc_admm":
         beta = number("beta", float, 1.0)
         zc = number("zeta_c", float, 1.0)
         za = number("zeta_alpha", float, 0.5)
-        zeta = ConstantSchedule(zc) if za == 0 else StepSchedule(c=zc, alpha=za)
-        admm_cfg = AdmmConfig(beta_tilde=beta, zeta_schedule=zeta)
+        zeta = build(ConstantSchedule, c=zc) if za == 0 else build(StepSchedule, c=zc, alpha=za)
+        admm_cfg = build(AdmmConfig, beta_tilde=beta, zeta_schedule=zeta)
         schedule = StepSchedule(c=1.0, alpha=1.0)  # unused by the ADMM steps
     else:
         raise ValueError(f"unknown solver kind {entry.kind!r}")
     if params:
-        raise ValueError(f"solver {entry.label}: unknown parameter(s) {sorted(params)} "
-                         f"for {entry.kind}")
-    cfg = SolverConfig(schedule=schedule, lam=lam, p=p, seed=seed,
-                       max_epochs=epochs, stop_tolerance=stop_tol)
+        raise ValueError(f"{where}: unknown parameter(s) {sorted(params)} for {entry.kind}")
+    cfg = build(SolverConfig, schedule=schedule, lam=lam, p=p, seed=seed,
+                max_epochs=epochs, stop_tolerance=stop_tol)
     return cfg, admm_cfg
 
 
@@ -593,78 +600,72 @@ def _fmt(value):
     return "" if value is None else repr(float(value)) if isinstance(value, float) else str(value)
 
 
+def _truth_path(problem):
+    """The ground truth file of a .problem file: `spdfp truth` writes it by
+    default, and run_experiment reads it, and no other."""
+    return problem + ".truth.npz"
+
+
+def _write_csv(path, preamble, header, rows):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.writelines(line + "\n" for line in preamble)
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _mean(values):
+    return None if None in values else float(np.mean(values))
+
+
 def run_experiment(cfg, ground_truth=None):
     """Execute every (solver, repetition) run and write the two CSV files.
 
+    Every clause goes through build_solver_configs before the ground truth
+    is loaded or computed and before any run, so a bad clause fails first.
     Returns (rows_path, mean_path). Data columns are deterministic given
     the master seed; the wall-time column is not.
     """
     spec = resolve_problem(cfg.problem)
-    prox_spec = prox_for(spec)
-
-    if ground_truth is None:
-        truth_cache = (cfg.problem + ".truth.npz"
-                       if not cfg.problem.startswith("synth:") else None)
-        if truth_cache and os.path.exists(truth_cache):
-            ground_truth = load_ground_truth(truth_cache, spec)
-    if ground_truth is None:
-        ground_truth = compute_ground_truth(spec)
-    reference = ground_truth.reference()
-
-    rep_seeds = [int(s) for s in np.random.SeedSequence(cfg.master_seed).generate_state(
+    seeds = [int(s) for s in np.random.SeedSequence(cfg.master_seed).generate_state(
         cfg.repetitions, dtype=np.uint64) >> 1]
-
-    header_lines = [f"# problem={cfg.problem} repetitions={cfg.repetitions} "
-                    f"epochs={cfg.epochs} master_seed={cfg.master_seed}",
-                    f"# truth: iterations={ground_truth.iterations} "
-                    f"residual={ground_truth.residual!r} "
-                    f"objective={ground_truth.objective_star!r}"]
-    all_records = []
+    solver_lines, clauses = [], []
     for entry in cfg.solvers:
-        run_cfg, admm_cfg = build_solver_configs(entry, spec, rep_seeds[0], cfg.epochs)
+        run_cfg, admm_cfg = build_solver_configs(entry, spec, seeds[0], cfg.epochs)
         shown = [f"kind={entry.kind}"] + [f"{k}={v}" for k, v in sorted(entry.params.items())
                                           if k not in ("lambda", "p")]
         if entry.kind != "stoc_admm":  # which never reads lambda
             shown.append(f"lambda={run_cfg.lam!r}")
         if entry.kind != "pdfp":  # which steps on every sample
             shown.append(f"p={run_cfg.p}")
-        header_lines.append(f"# solver {entry.label}: " + " ".join(shown))
-        for rep, seed in enumerate(rep_seeds):
-            recs = run_solver(entry.kind, spec, prox_spec, replace(run_cfg, seed=seed),
-                              admm_cfg=admm_cfg, reference=reference, name=entry.label)
-            all_records.append((entry.label, rep, recs))
+        solver_lines.append(f"# solver {entry.label}: " + " ".join(shown))
+        clauses.append((entry, run_cfg, admm_cfg))
 
-    rows_path = cfg.output + ".csv"
-    mean_path = cfg.output + "_mean.csv"
+    if ground_truth is None:
+        cache = None if cfg.problem.startswith("synth:") else _truth_path(cfg.problem)
+        ground_truth = (load_ground_truth(cache, spec) if cache and os.path.exists(cache)
+                        else compute_ground_truth(spec))
+    prox_spec, reference = prox_for(spec), ground_truth.reference()
+    runs = {entry.label: [run_solver(entry.kind, spec, prox_spec, replace(run_cfg, seed=seed),
+                                     admm_cfg=admm_cfg, reference=reference, name=entry.label)
+                          for seed in seeds]
+            for entry, run_cfg, admm_cfg in clauses}
+
+    preamble = [f"# problem={cfg.problem} repetitions={cfg.repetitions} "
+                f"epochs={cfg.epochs} master_seed={cfg.master_seed}",
+                f"# truth: iterations={ground_truth.iterations} "
+                f"residual={ground_truth.residual!r} "
+                f"objective={ground_truth.objective_star!r}", *solver_lines]
+    rows_path, mean_path = cfg.output + ".csv", cfg.output + "_mean.csv"
     os.makedirs(os.path.dirname(os.path.abspath(rows_path)), exist_ok=True)
-
-    with open(rows_path, "w", encoding="utf-8", newline="") as fh:
-        for line in header_lines:
-            fh.write(line + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(CSV_COLUMNS)
-        for label, rep, recs in all_records:
-            for r in recs:
-                writer.writerow([r.solver, r.seed, r.epoch, _fmt(r.wall_time),
-                                 _fmt(r.objective), _fmt(r.rel_obj_error),
-                                 _fmt(r.iterate_sq_error), _fmt(r.a_k)])
-
-    with open(mean_path, "w", encoding="utf-8", newline="") as fh:
-        for line in header_lines:
-            fh.write(line + "\n")
-        writer = csv.writer(fh)
-        writer.writerow(("solver", "epoch", "wall_time_s", "objective",
-                         "rel_obj_error", "iterate_sq_error", "a_k"))
-        for entry in cfg.solvers:
-            label = entry.label
-            groups = [recs for lab, _, recs in all_records if lab == label]
-            # a diverged repetition stops early: average the epochs all reached
-            for e in range(min(len(g) for g in groups)):
-                rows = [g[e] for g in groups]
-                def mean(attr):
-                    vals = [getattr(r, attr) for r in rows]
-                    return None if any(v is None for v in vals) else float(np.mean(vals))
-                writer.writerow([label, rows[0].epoch, _fmt(mean("wall_time")),
-                                 _fmt(mean("objective")), _fmt(mean("rel_obj_error")),
-                                 _fmt(mean("iterate_sq_error")), _fmt(mean("a_k"))])
+    names = [f.name for f in fields(RunRecord)]
+    _write_csv(rows_path, preamble, CSV_COLUMNS,
+               ([_fmt(getattr(r, f)) for f in names]
+                for reps in runs.values() for recs in reps for r in recs))
+    # zip stops at the epochs every repetition reached, as a diverged one
+    # stops early; names[3:] are the columns from wall_time on
+    _write_csv(mean_path, preamble, [c for c in CSV_COLUMNS if c != "seed"],
+               ([label, recs[0].epoch] + [_fmt(_mean([getattr(r, f) for r in recs]))
+                                          for f in names[3:]]
+                for label, reps in runs.items() for recs in zip(*reps)))
     return rows_path, mean_path

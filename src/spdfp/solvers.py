@@ -499,7 +499,8 @@ def run_solver(kind, spec, prox_spec, cfg, admm_cfg=None, x0=None, v0=None,
     and v into the block's own arrays and stamps the time after each epoch;
     a 'pdfp' run that checks its residual makes one call per epoch. The
     block then builds its records (_block_records); wall_time is the stamp
-    plus the time of the call since the run started. A run whose
+    plus the time of the call since the run started, less the time spent
+    building the records of earlier blocks. A run whose
     objective is NaN or infinite after an epoch keeps that epoch's record,
     drops the rest of its block, warns (RuntimeWarning) and stops.
     """
@@ -555,9 +556,11 @@ def run_solver(kind, spec, prox_spec, cfg, admm_cfg=None, x0=None, v0=None,
             if stop:
                 break
         ks = range(1 + first * per_epoch, 1 + (first + filled) * per_epoch, per_epoch)
+        t = time.perf_counter()
         records.extend(_block_records(kind, name, spec, cfg, reference, steps.products, first,
                                       X[:filled], None if V is None else V[:filled], ks,
                                       wall[:filled].tolist()))
+        t0 += time.perf_counter() - t  # building records is not run time
         last = records[-1]
         if last.epoch and not math.isfinite(last.objective):  # epoch 0 runs no step
             warnings.warn(f"solver {name} (seed {cfg.seed}) diverged: objective "

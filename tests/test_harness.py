@@ -1,7 +1,8 @@
+import csv
 import os
 import re
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from spdfp.harness import (
+    CSV_COLUMNS,
     DEFAULT_TRUTH_ITERS,
     SYNTH_DEFAULTS,
     TRUTH_TARGET,
@@ -42,7 +44,7 @@ from spdfp.sparse import (
     identity,
     stack_identity,
 )
-from spdfp.solvers import ConstantSchedule, SolverConfig, StepSchedule, run_solver
+from spdfp.solvers import ConstantSchedule, RunRecord, SolverConfig, StepSchedule, run_solver
 
 
 def read_csv_rows(path, wall_col=3):
@@ -675,6 +677,21 @@ def test_solver_clause_numbers_name_their_clause_and_key():
                                                               0.25, 1e-3)
 
 
+@pytest.mark.parametrize("clause", ["spdfp2(alpha=1.5)", "spdfp1(c=-1)", "spdfp2(p=0)",
+                                    "stoc_admm(zeta_alpha=2)", "stoc_admm(beta=-1)",
+                                    "pdfp(gamma=-1)", "pdfp(lambda=-2)", "pdfp(stop_tol=-1)",
+                                    "spdfp1(p=5000)", "stoc_admm(p=31,label=big)"])
+def test_clause_values_the_configs_refuse_name_their_clause(clause):
+    # the schedules and configs refuse these values, and a batch larger
+    # than the 30 samples is refused before any run makes a batch plan
+    from spdfp.harness import build_solver_configs
+
+    spec = synth_fused_lasso(30, 6, 0.1, 0.01, seed=1)
+    (entry,) = parse_solver_list(clause)
+    with pytest.raises(ValueError, match=f"^solver {entry.label}: "):
+        build_solver_configs(entry, spec, seed=0, epochs=1)
+
+
 def test_parse_solver_list():
     entries = parse_solver_list(
         "spdfp2(alpha=0.7,c=1.0,p=10); stoc_admm(beta=30,zeta_c=0.5,p=10,label=admm)")
@@ -850,6 +867,64 @@ def test_config_validation_names_offending_field(tmp_path):
                    "epochs = 1\noutput = o\nmaster_seed = -5\n")
     with pytest.raises(ValueError, match="exp.cfg: master_seed = -5 is negative"):
         parse_experiment_config(cfg)
+
+
+def test_experiment_config_refuses_a_negative_master_seed(tmp_path):
+    # built directly, not parsed: a run would fail only inside NumPy's
+    # SeedSequence, after the ground truth
+    with pytest.raises(ValueError, match="^master_seed = -5 is negative$"):
+        ExperimentConfig(problem="synth:n=20,d=5", solvers=parse_solver_list("pdfp()"),
+                         repetitions=1, epochs=1, output=str(tmp_path / "o"), master_seed=-5)
+
+
+def test_a_bad_last_clause_fails_before_the_truth_and_any_run(tmp_path, monkeypatch):
+    import spdfp.harness as harness
+
+    def never(*args, **kwargs):
+        raise AssertionError("a truth or a run before every clause was checked")
+
+    for name in ("compute_ground_truth", "load_ground_truth", "run_solver"):
+        monkeypatch.setattr(harness, name, never)
+    # a .problem file with a truth next to it, which the run would load
+    problem = save_problem(synth_fused_lasso(40, 6, 0.1, 0.01, seed=2), tmp_path / "p")
+    open(problem + ".truth.npz", "w").close()
+    for source in ("synth:n=40,d=6,seed=2", "p.problem"):
+        for solvers, label in (("spdfp2(p=10); pdfp(); spdfp1(p=5000)", "spdfp1"),
+                               ("spdfp2(p=10); pdfp(gamma=-1,label=last)", "last")):
+            cfg = parse_experiment_config(write_config(tmp_path, source, solvers))
+            with pytest.raises(ValueError, match=f"^solver {label}: "):
+                run_experiment(cfg)
+
+
+def test_csv_columns_are_the_run_record_fields():
+    assert ([c.replace("wall_time_s", "wall_time") for c in CSV_COLUMNS]
+            == [f.name for f in fields(RunRecord)])
+
+
+def test_mean_cells_are_the_means_of_the_run_cells_to_the_bit(tmp_path):
+    # with nine repetitions np.mean of each list of cells sums in another
+    # order than a mean along the first axis of their stack; stoc_admm has
+    # no a_k, so its mean cells are empty
+    cfg = parse_experiment_config(write_config(
+        tmp_path, "synth:n=60,d=10,seed=5",
+        "spdfp2(c=1.0,alpha=0.7,p=10); stoc_admm(beta=10,zeta_c=0.5,p=10)", reps=9, epochs=6))
+
+    def body(path):
+        with open(path, newline="") as fh:
+            return list(csv.reader(line for line in fh if not line.startswith("#")))
+
+    rows_path, mean_path = run_experiment(cfg)
+    rows, means = body(rows_path), body(mean_path)
+    assert means[0] == [c for c in CSV_COLUMNS if c != "seed"]
+    cells = {}
+    for r in rows[1:]:
+        cells.setdefault((r[0], r[2]), []).append(r[3:])
+    assert len(means) - 1 == len(cells) == 2 * 7
+    for m in means[1:]:
+        reps = cells[m[0], m[1]]
+        assert len(reps) == 9
+        assert m[2:] == ["" if "" in col else repr(float(np.mean([float(c) for c in col])))
+                         for col in zip(*reps)]
 
 
 def test_experiment_zero_epochs_single_row(tmp_path):

@@ -795,6 +795,25 @@ def test_wall_time_counts_up_within_the_run(monkeypatch, c_lane, lane):
 
 
 @pytest.mark.parametrize("lane", ["c", "numpy"])
+def test_wall_time_leaves_out_building_the_records(monkeypatch, c_lane, lane):
+    # five blocks of three epochs whose records each take 0.1 s to build:
+    # the steps of all 12 epochs take milliseconds, and so does the last
+    # record's wall_time, which would be 0.4 s more with the records in it
+    monkeypatch.setattr(kernels, "LANE", c_lane if lane == "c" else None)
+    block_records = solvers._block_records
+    monkeypatch.setattr(solvers, "_block_records",
+                        lambda *a: time.sleep(0.1) or block_records(*a))
+    monkeypatch.setattr(solvers, "_RECORD_BLOCK", 3 * 37)
+    spec = fused_spec("square", 0.0)
+    cfg = SolverConfig(schedule=StepSchedule(c=0.5, alpha=0.7),
+                       lam=0.8 / spec.B.spectrum.rho_max, p=5, max_epochs=12)
+    wall = [r.wall_time for r in run_solver("spdfp1", spec, ProxSpec("l1", 0.2), cfg)]
+    assert len(wall) == 13
+    assert all(a <= b for a, b in zip(wall, wall[1:]))
+    assert wall[-1] < 0.1
+
+
+@pytest.mark.parametrize("lane", ["c", "numpy"])
 @pytest.mark.parametrize("kind,sched", [("spdfp1", StepSchedule(c=0.5, alpha=0.7)),
                                         ("spdfp2", StepSchedule(c=0.5, alpha=0.7)),
                                         ("pdfp", ConstantSchedule(0.3))],
