@@ -2,13 +2,14 @@
 
 lane.c, built into the shared library ``_lane`` by
 ``python setup.py build_ext --inplace``, runs the PDFP / SPDFP steps of a
-run's record blocks, with each epoch's snapshot and time stamp, and the
-A x and B x products of those snapshots, and is loaded with ctypes when it
-was built. ``LANE`` is the loaded CLane, or
-None, and then every step runs on the NumPy reference path of
-spdfp.solvers; spdfp.solvers._steps alone reads it to pick the lane. Both
-paths give the same bits. Every other product, and the prox outside the
-fused steps, is NumPy on either path (sparse.RowView, prox.soft_threshold).
+run's record blocks, with each epoch's snapshot and time stamp, the A x and
+B x products of those snapshots, and the Gram products of the Lanczos
+method, and is loaded with ctypes when it was built. ``LANE`` is the loaded
+CLane, or None, and then every step runs on the NumPy reference path of
+spdfp.solvers and every Gram product on sparse.RowView; spdfp.solvers._steps
+and sparse.estimate_spectrum read it to pick the lane. Both paths give the
+same bits. Every other product, and the prox outside the fused steps, is
+NumPy on either path (sparse.RowView, prox.soft_threshold).
 """
 
 import ctypes
@@ -18,7 +19,7 @@ import os
 import numpy as np
 
 _KINDS = {"pdfp": 0, "spdfp1": 1, "spdfp2": 2}
-_LANE_VERSION = 3   # spdfp_lane_version() of the lane.c this module calls
+_LANE_VERSION = 4   # spdfp_lane_version() of the lane.c this module calls
 _LOSSES = {"square": 0, "hinge": 1, "logistic": 2}
 
 
@@ -63,10 +64,6 @@ class CLane:
     def __init__(self, path):
         lib = ctypes.CDLL(path)
         p, i64 = ctypes.c_void_p, ctypes.c_int64
-        lib.spdfp_run_steps.argtypes = (ctypes.POINTER(_Run), p, i64, i64, i64, p, p, p)
-        lib.spdfp_run_steps.restype = ctypes.c_int
-        lib.spdfp_products.argtypes = (ctypes.POINTER(_Run), p, i64, p, p)
-        lib.spdfp_products.restype = None
         lib.spdfp_run_size.argtypes = ()
         lib.spdfp_run_size.restype = i64
         version = getattr(lib, "spdfp_lane_version", None)  # None in a revision-1 library
@@ -76,7 +73,29 @@ class CLane:
                 or lib.spdfp_run_size() != ctypes.sizeof(_Run)):
             raise ImportError(f"{path} was built from another lane.c; rebuild it with "
                               "'python setup.py build_ext --inplace'")
+        lib.spdfp_run_steps.argtypes = (ctypes.POINTER(_Run), p, i64, i64, i64, p, p, p)
+        lib.spdfp_run_steps.restype = ctypes.c_int
+        lib.spdfp_products.argtypes = (ctypes.POINTER(_Run), p, i64, p, p)
+        lib.spdfp_products.restype = None
+        lib.spdfp_gram.argtypes = (ctypes.POINTER(_Csr), i64, p, p, p)
+        lib.spdfp_gram.restype = None
         self._lib = lib
+
+    def gram(self, M, outer):
+        """The Gram product u -> M^T (M u) of M, or M (M^T u) with outer set,
+        as a function that returns a fresh array; each of its two products
+        is summed as sparse.RowView sums it, so it gives RowView's bits."""
+        csr, fn = _csr(M), self._lib.spdfp_gram
+        n, inner = (M.n_rows, M.n_cols) if outer else (M.n_cols, M.n_rows)
+        work = np.empty(inner)
+
+        def product(u):
+            out = np.empty(n)
+            fn(csr, outer, _address(u, np.float64, n), work.ctypes.data, out.ctypes.data)
+            return out
+
+        product.matrix = M  # keeps alive the arrays csr points into
+        return product
 
     def steps(self, kind, spec, prox_spec, cfg, ranges, x, v):
         """The steps of one run of kind over x and v, as a Steps."""

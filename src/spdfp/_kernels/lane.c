@@ -1,12 +1,14 @@
 /* The C lane of spdfp: whole record blocks of PDFP / SPDFP steps, with the
- * snapshot of x and v and the time stamp that end each epoch, and the A x
- * and B x products of a block's snapshots, one call each. The products take
- * four snapshots per pass over a matrix's rows, and a step starts from the
- * B^T v the step before it left, so it makes three B products, not four.
+ * snapshot of x and v and the time stamp that end each epoch, the A x and
+ * B x products of a block's snapshots, one call each, and the Gram product
+ * of each Lanczos step of sparse.estimate_spectrum. The record products
+ * take four snapshots per pass over a matrix's rows, and a step starts from
+ * the B^T v the step before it left, so it makes three B products, not four.
  * Plain C99 over raw int64/double arrays, no Python C-API; spdfp._kernels
  * loads the built library with ctypes and checks every array before it
  * passes a pointer. It exports spdfp_run_size, spdfp_lane_version,
- * spdfp_run_steps and spdfp_products; everything else is static.
+ * spdfp_run_steps, spdfp_products and spdfp_gram; everything else is
+ * static.
  *
  * Each function mirrors the NumPy reference (sparse.RowView,
  * prox.soft_threshold, solvers._pdfp_step) op for op, so that
@@ -66,10 +68,11 @@ int64_t spdfp_run_size(void)
  * compares with its own, so that it refuses a library built from an older
  * lane.c instead of calling it with the wrong arguments. Revision 2:
  * spdfp_products takes a block of snapshots. Revision 3: spdfp_run_steps
- * runs a block of epochs and takes their snapshots and time stamps. */
+ * runs a block of epochs and takes their snapshots and time stamps.
+ * Revision 4: spdfp_gram. */
 int64_t spdfp_lane_version(void)
 {
-    return 3;
+    return 4;
 }
 
 /* out[i - lo] = (row i of M) . x for lo <= i < hi. */
@@ -141,6 +144,21 @@ void spdfp_products(const run *r, const double *X, int64_t count, double *AX, do
 {
     matvecs(&r->A, X, count, AX);
     matvecs(&r->B, X, count, BX);
+}
+
+/* The Gram product of a Lanczos step of sparse.estimate_spectrum: out =
+ * M^T (M u), M.n_cols doubles, through work = M u, M.n_rows doubles, or
+ * with outer set out = M (M^T u), M.n_rows doubles, through work = M^T u,
+ * M.n_cols doubles. Both products are RowView's, so out gets its bits. */
+void spdfp_gram(const csr *M, int64_t outer, const double *u, double *work, double *out)
+{
+    if (outer) {
+        rmatvec(M, u, work, 0, M->n_rows);
+        matvec(M, work, out, 0, M->n_rows);
+    } else {
+        matvec(M, u, work, 0, M->n_rows);
+        rmatvec(M, work, out, 0, M->n_rows);
+    }
 }
 
 /* gradients._rows_gradient over rows lo..hi-1 of A: w holds the margins,

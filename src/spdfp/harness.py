@@ -22,6 +22,7 @@ import re
 import warnings
 from collections import Counter
 from dataclasses import dataclass, fields, replace
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -88,7 +89,66 @@ def synth_fused_lasso(n, d, perturb_frac, noise_sd, seed, mu=0.1, nu=0.0):
 # LIBSVM text format
 
 def load_libsvm(path, n_features=None):
-    """Parse a LIBSVM text file into a Dataset (1-based feature indices)."""
+    """Parse a LIBSVM text file into a Dataset (1-based feature indices).
+
+    The reader converts the lines a chunk at a time (_libsvm_chunks); a file
+    with anything in it that a line-by-line read (_libsvm_lines) might
+    refuse is read again that way, which raises the error of its first bad
+    line. Both give each number the bits float() or int() gives it."""
+    read = _libsvm_chunks(path)
+    labels, rows, cols, vals, max_col = read if read is not None else _libsvm_lines(path)
+    if len(labels) == 0:
+        raise ValueError(f"{path}: no samples found")
+    dim = n_features if n_features is not None else max_col
+    if dim < max_col:
+        raise ValueError(f"{path}: feature index {max_col} exceeds n_features={dim}")
+    samples = SparseMatrix.from_coo(len(labels), dim, rows, cols, vals)
+    return Dataset(samples=samples, labels=np.array(labels))
+
+
+_LIBSVM_CHUNK = 1 << 16  # bytes of lines _libsvm_chunks converts at once
+
+
+def _libsvm_chunks(path):
+    """(labels, rows, cols, vals, max_col) of a LIBSVM file, or None if it
+    holds no sample or anything _libsvm_lines might refuse. Each chunk of
+    about _LIBSVM_CHUNK bytes of lines is checked and converted by one map
+    over its labels, indices or values each."""
+    labels, rows, cols, vals, n = [], [], [], [], 0
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            for lines in iter(lambda: fh.readlines(_LIBSVM_CHUNK), []):
+                parts = [p for p in map(str.split, lines) if p]
+                toks = list(chain.from_iterable([p[1:] for p in parts]))
+                # each token idx:val has one colon, so 2 pieces when neither is empty
+                pieces = " ".join(toks).replace(":", " ").split()
+                if (list(map(str.count, toks, repeat(":"))).count(1) != len(toks)
+                        or len(pieces) != 2 * len(toks)
+                        or not all(map(str.isdecimal, pieces[0::2]))):
+                    return None
+                label = np.array(list(map(float, [p[0] for p in parts])))
+                j = np.array(list(map(int, pieces[0::2])), dtype=np.int64)
+                v = np.array(list(map(float, pieces[1::2])))
+                if not (np.isfinite(label).all() and np.isfinite(v).all() and np.all(j >= 1)):
+                    return None
+                counts = np.fromiter(map(len, parts), dtype=np.int64, count=len(parts)) - 1
+                labels.append(label)
+                rows.append(np.repeat(np.arange(n, n + len(parts)), counts))
+                cols.append(j - 1)
+                vals.append(v)
+                n += len(parts)
+    except (ValueError, OverflowError):  # a bad label, index or value, or bad UTF-8
+        return None
+    if not n:
+        return None
+    cols = np.concatenate(cols)
+    return (np.concatenate(labels), np.concatenate(rows), cols, np.concatenate(vals),
+            int(cols.max()) + 1 if len(cols) else 0)
+
+
+def _libsvm_lines(path):
+    """(labels, rows, cols, vals, max_col) of a LIBSVM file, read line by
+    line, or the ValueError of its first bad line."""
     labels = []
     rows, cols, vals = [], [], []
     max_col = 0
@@ -125,13 +185,7 @@ def load_libsvm(path, n_features=None):
                 cols.append(j - 1)
                 vals.append(v)
                 max_col = max(max_col, j)
-    if not labels:
-        raise ValueError(f"{path}: no samples found")
-    dim = n_features if n_features is not None else max_col
-    if dim < max_col:
-        raise ValueError(f"{path}: feature index {max_col} exceeds n_features={dim}")
-    samples = SparseMatrix.from_coo(len(labels), dim, rows, cols, vals)
-    return Dataset(samples=samples, labels=np.array(labels))
+    return labels, rows, cols, vals, max_col
 
 
 def save_libsvm(dataset, path):
@@ -546,7 +600,8 @@ def build_solver_configs(entry, spec, seed, epochs):
     A key the clause's kind does not read is an error: stop_tol is pdfp's
     alone, pdfp steps on every sample and so takes no p, and stoc_admm
     takes no lambda. So is a value that is not a finite number of the
-    key's type (p is an int), other than 'auto' for lambda and gamma."""
+    key's type (p is an int), other than 'auto' for lambda and gamma, and
+    a lambda that fails the guard run_solver applies (check_lambda)."""
     params, where = dict(entry.params), f"solver {entry.label}"
 
     def number(key, kind, default):
@@ -556,9 +611,9 @@ def build_solver_configs(entry, spec, seed, epochs):
         text = params.pop(key, "auto")
         return default(spec) if text == "auto" else _number(where, key, text, float)
 
-    def build(cls, **kwargs):  # cls(**kwargs), whose ValueError then names the clause
+    def build(fn, *args, **kwargs):  # fn(...), whose ValueError then names the clause
         try:
-            return cls(**kwargs)
+            return fn(*args, **kwargs)
         except ValueError as err:
             raise ValueError(f"{where}: {err}") from None
 
@@ -589,6 +644,8 @@ def build_solver_configs(entry, spec, seed, epochs):
         raise ValueError(f"{where}: unknown parameter(s) {sorted(params)} for {entry.kind}")
     cfg = build(SolverConfig, schedule=schedule, lam=lam, p=p, seed=seed,
                 max_epochs=epochs, stop_tolerance=stop_tol)
+    if entry.kind != "stoc_admm":
+        build(check_lambda, cfg, spec.B)
     return cfg, admm_cfg
 
 

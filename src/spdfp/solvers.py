@@ -20,7 +20,7 @@ them for pdfp_step, the drawn batch otherwise) and calls the same step.
 PDFP needs a constant step: run_solver, pdfp_step and the ground truth all
 refuse any other through _check_constant_step.
 
-_steps alone picks the lane: the C lane's steps (_kernels.Steps) for a
+_steps alone picks the lane of the steps: the C lane's (_kernels.Steps) for a
 'pdfp', 'spdfp1' or 'spdfp2' run without on_step where the lane is built,
 else the reference steps behind the same calls (_ReferenceSteps), with the
 same bits. ``run_solver`` and the ground truth each drive them in one loop.

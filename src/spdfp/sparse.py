@@ -5,16 +5,20 @@ range through a RowView) and the largest eigenvalue of M M^T, so that is
 the whole surface of this module. Storage is canonical CSR: sorted column
 indices within each row, duplicates summed and exact zeros dropped at
 construction, which fixes the reduction order and keeps runs
-bit-reproducible. Every product outside the fused C lane is RowView's
-NumPy one, and the eigenvalue comes from Lanczos on those products. A
-matrix is immutable, so it estimates its eigenvalue once, on first use of
-SparseMatrix.spectrum, and keeps it.
+bit-reproducible. Entries that come strictly ordered by (row, column),
+as from_dense and stack_identity give them, skip the sort. Every product
+outside the C lane is RowView's NumPy one, and the eigenvalue comes from
+Lanczos on the Gram products of those products, which the C lane, where
+built, computes with the same bits. A matrix is immutable, so it estimates
+its eigenvalue once, on first use of SparseMatrix.spectrum, and keeps it.
 """
 
 import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from spdfp import _kernels
 
 
 class SparseMatrix:
@@ -57,7 +61,11 @@ class SparseMatrix:
 
     @classmethod
     def from_coo(cls, n_rows, n_cols, rows, cols, vals):
-        """Build from coordinate triples: duplicates summed, zeros dropped."""
+        """Build from coordinate triples: duplicates summed from 0.0 in
+        (row, column, input) order, zeros of either sign dropped. Entries
+        strictly increasing in (row, column) have nothing to sort or sum,
+        so each kept value is 0.0 + v at once, the sum the sorted path
+        would give it."""
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         vals = np.asarray(vals, dtype=np.float64)
@@ -66,22 +74,19 @@ class SparseMatrix:
         if len(rows) and (rows.min() < 0 or rows.max() >= n_rows
                           or cols.min() < 0 or cols.max() >= n_cols):
             raise ValueError("entry index out of range")
-        order = np.lexsort((cols, rows))
-        rows, cols, vals = rows[order], cols[order], vals[order]
-        if len(rows):
+        r0, r1, c0, c1 = rows[:-1], rows[1:], cols[:-1], cols[1:]
+        if not np.all((r1 > r0) | ((r1 == r0) & (c1 > c0))):
+            order = np.lexsort((cols, rows))
+            rows, cols, vals = rows[order], cols[order], vals[order]
             first = np.ones(len(rows), dtype=bool)
             first[1:] = (rows[1:] != rows[:-1]) | (cols[1:] != cols[:-1])
-            group = np.cumsum(first) - 1
-            summed = np.bincount(group, weights=vals)
+            vals = np.bincount(np.cumsum(first) - 1, weights=vals)
             rows, cols = rows[first], cols[first]
-            keep = summed != 0.0
-            rows, cols, summed = rows[keep], cols[keep], summed[keep]
-        else:
-            summed = vals
+        keep = vals != 0.0
+        rows, cols, vals = rows[keep], cols[keep], 0.0 + vals[keep]
         indptr = np.zeros(n_rows + 1, dtype=np.int64)
-        np.add.at(indptr, rows + 1, 1)
-        indptr = np.cumsum(indptr)
-        return cls(n_rows, n_cols, indptr, cols, summed)
+        np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
+        return cls(n_rows, n_cols, indptr, cols, vals)
 
     @classmethod
     def from_dense(cls, arr):
@@ -245,6 +250,10 @@ def estimate_spectrum(B, tol=1e-10, max_iter=10000):
     is at most tol * theta, or after max_iter steps, or after as many steps
     as G has rows. A failure to converge within max_iter is reported through
     the ``converged`` flag, not an exception.
+
+    The Gram products are the C lane's (_kernels.LANE.gram) where it is
+    built, else RowView's, with the same bits; the reorthogonalisation and
+    the eigenvalues of T_k are NumPy's on either lane.
     """
     if B.n_rows == 0 or B.n_cols == 0:
         raise ValueError("cannot estimate spectrum of an empty matrix")
@@ -252,11 +261,14 @@ def estimate_spectrum(B, tol=1e-10, max_iter=10000):
         raise ValueError("tolerance must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be at least 1")
-    rows = B.row_view(0, B.n_rows)
-    if B.n_cols <= B.n_rows:
-        n, gram = B.n_cols, lambda u: rows.rmatvec(rows.matvec(u))
+    outer = B.n_cols > B.n_rows  # G = B B^T, else B^T B
+    n = B.n_rows if outer else B.n_cols
+    if _kernels.LANE is not None:
+        gram = _kernels.LANE.gram(B, outer)
     else:
-        n, gram = B.n_rows, lambda u: rows.matvec(rows.rmatvec(u))
+        rows = B.row_view(0, B.n_rows)
+        gram = ((lambda u: rows.matvec(rows.rmatvec(u))) if outer
+                else (lambda u: rows.rmatvec(rows.matvec(u))))
     q = np.random.default_rng(0).standard_normal(n)
     q /= np.linalg.norm(q)
     basis, alphas, betas, converged = [], [], [], False

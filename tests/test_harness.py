@@ -9,6 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import spdfp.harness as harness
 from spdfp.harness import (
     CSV_COLUMNS,
     DEFAULT_TRUTH_ITERS,
@@ -188,6 +189,69 @@ def test_libsvm_rejects_non_finite_numbers(tmp_path):
             load_libsvm(p)
 
 
+# every refusal of the reader, word for word: a file with any of these in it
+# is read line by line, which names the first bad line
+LIBSVM_REFUSALS = [
+    (b"1 1:1\nx 1:2\n", None, "{p}:2: bad label 'x'"),
+    (b"1 1:1\ninf 1:2\n", None, "{p}:2: label 'inf' is not finite"),
+    # two tokens and two colons, but two in the first token
+    (b"1 2:3:4 5\n", None, "{p}:1: bad feature token '2:3:4'"),
+    (b"1 2:3 5\n", None, "{p}:1: bad feature token '5'"),
+    (b"1 2:\n", None, "{p}:1: bad feature token '2:'"),
+    (b"1 :3\n", None, "{p}:1: bad feature token ':3'"),
+    (b"1 1:1\n-1 1_0:2\n", None, "{p}:2: bad feature token '1_0:2'"),
+    (b"1 +1:2\n", None, "{p}:1: bad feature token '+1:2'"),
+    (b"1 00:2\n", None, "{p}:1: indices are 1-based, got 0"),
+    (b"1 1:abc\n", None, "{p}:1: bad value in '1:abc'"),
+    (b"1 1:1\n\n-1 3:nan\n", None, "{p}:3: value in '3:nan' is not finite"),
+    # \x0c splits tokens but not lines
+    (b"1 1:2\x0c2:3\n2 1:1:1\n", None, "{p}:2: bad feature token '1:1:1'"),
+    (b"\n \n", None, "{p}: no samples found"),
+    (b"1 60:1\n", 50, "{p}: feature index 60 exceeds n_features=50"),
+    # a Unicode digit is a decimal digit to the index as to isdecimal()
+    ("1 ٣:1\n".encode(), 2, "{p}: feature index 3 exceeds n_features=2"),
+    (b"1 99999999999999999999999:1\n", 50,
+     "{p}: feature index 99999999999999999999999 exceeds n_features=50"),
+    (b"\xef\xbb\xbf1 1:2\n", None, "{p}:1: bad label '\\ufeff1'"),
+    (b"1 1:2\n\xff 1:2\n", None,
+     "'utf-8' codec can't decode byte 0xff in position 6: invalid start byte"),
+]
+
+
+@pytest.mark.parametrize("chunk", [None, 8], ids=["chunks", "a line a chunk"])
+@pytest.mark.parametrize("text,n_features,message", LIBSVM_REFUSALS)
+def test_libsvm_refusals_are_word_for_word(tmp_path, monkeypatch, chunk, text, n_features,
+                                          message):
+    if chunk is not None:
+        monkeypatch.setattr(harness, "_LIBSVM_CHUNK", chunk)
+    p = tmp_path / "bad.libsvm"
+    p.write_bytes(text)
+    with pytest.raises(ValueError) as err:
+        load_libsvm(p, n_features=n_features)
+    assert str(err.value) == message.format(p=p)
+
+
+@pytest.mark.parametrize("chunk", [None, 8], ids=["chunks", "a line a chunk"])
+def test_libsvm_chunks_read_what_the_lines_read(tmp_path, monkeypatch, chunk):
+    # files the chunked reader takes whole, blank lines, a row of its label
+    # alone, Unicode digits, duplicates and unsorted columns among them: the
+    # same labels and entries, bit for bit, as a read line by line
+    if chunk is not None:
+        monkeypatch.setattr(harness, "_LIBSVM_CHUNK", chunk)
+    p = tmp_path / "ok.libsvm"
+    for text in ("1 003:0.5 1:-2e-3 ٢:+7\n", "\n1 2:1 2:3 1:5\r\n\n-0.0\n2 1:1e-320\n",
+                 "1 1:2\x0c2:3\n-1 3:-0.0 4:1_5.5\n",
+                 "\n".join(f"{i % 3 - 1} {i + 1}:{i / 7!r} 40:{-i}" for i in range(30))):
+        p.write_text(text, encoding="utf-8")
+        chunks, lines = harness._libsvm_chunks(p), harness._libsvm_lines(p)
+        assert chunks is not None
+        assert chunks[4] == lines[4]
+        for got, want, dtype in zip(chunks[:4], lines[:4], (np.float64, np.int64, np.int64,
+                                                             np.float64)):
+            assert got.dtype == dtype
+            assert got.tobytes() == np.array(want, dtype=dtype).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # properties of the text formats: random CSR matrices with any finite
 # values (empty rows, trailing empty rows and columns included) survive a
@@ -231,6 +295,10 @@ def test_libsvm_round_trip_keeps_the_bits(tmp_path, M, data):
     back = load_libsvm(p, n_features=M.n_cols)
     assert back.labels.tobytes() == labels.tobytes()
     assert_same_csr(back.samples, M)
+    # read in chunks, not line by line, and written back to the same bytes
+    assert harness._libsvm_chunks(p) is not None
+    save_libsvm(back, tmp_path / "again.libsvm")
+    assert (tmp_path / "again.libsvm").read_bytes() == p.read_bytes()
 
 
 @PROPERTY_SETTINGS
@@ -651,9 +719,10 @@ def test_solver_clauses_reject_keys_their_kind_ignores():
         entry = SolverEntry(kind=kind, label="mine", params={key: "1e-3"})
         with pytest.raises(ValueError, match=f"solver mine: .*'{key}'"):
             build_solver_configs(entry, spec, seed=0, epochs=1)
-    entry = SolverEntry(kind="pdfp", label="mine", params={"stop_tol": "1e-3", "lambda": "0.5"})
+    # a lambda below 1/rho_max(BB^T) = 0.268, which the clause's guard takes
+    entry = SolverEntry(kind="pdfp", label="mine", params={"stop_tol": "1e-3", "lambda": "0.2"})
     cfg, _ = build_solver_configs(entry, spec, seed=0, epochs=1)
-    assert (cfg.stop_tolerance, cfg.lam, cfg.p) == (1e-3, 0.5, spec.n)
+    assert (cfg.stop_tolerance, cfg.lam, cfg.p) == (1e-3, 0.2, spec.n)
 
 
 def test_solver_clause_numbers_name_their_clause_and_key():
@@ -894,6 +963,33 @@ def test_a_bad_last_clause_fails_before_the_truth_and_any_run(tmp_path, monkeypa
             cfg = parse_experiment_config(write_config(tmp_path, source, solvers))
             with pytest.raises(ValueError, match=f"^solver {label}: "):
                 run_experiment(cfg)
+
+
+def test_a_clause_whose_lambda_fails_the_guard_fails_before_the_truth_and_any_run(tmp_path,
+                                                                                monkeypatch):
+    # the lambda guard of every kind that reads lambda runs as the clause is
+    # built, on the spectrum of B the runs would read, and names the clause
+    from spdfp.harness import build_solver_configs
+
+    def never(*args, **kwargs):
+        raise AssertionError("a truth or a run before every clause was checked")
+
+    for name in ("compute_ground_truth", "load_ground_truth", "run_solver"):
+        monkeypatch.setattr(harness, name, never)
+    spec = synth_fused_lasso(60, 8, 0.1, 0.01, seed=7)
+    too_large = 1.5 / spec.B.spectrum.rho_max
+    for clause in ("spdfp1", "spdfp2", "pdfp"):
+        (entry,) = parse_solver_list(f"{clause}(lambda={too_large!r},label=last)")
+        want = f"solver last: lambda={too_large!r} is not shown to satisfy 0 < lambda < "
+        with pytest.raises(ValueError, match=f"^{re.escape(want)}"):
+            build_solver_configs(entry, spec, seed=0, epochs=1)
+    cfg = parse_experiment_config(write_config(
+        tmp_path, "synth:n=60,d=8,seed=7", "spdfp2(p=10); pdfp(); spdfp1(p=10,lambda=100)"))
+    with pytest.raises(ValueError, match=r"^solver spdfp1: lambda=100\.0 is not shown"):
+        run_experiment(cfg)
+    # stoc_admm reads no lambda, so it has no guard to fail
+    (entry,) = parse_solver_list("stoc_admm(p=10)")
+    assert build_solver_configs(entry, spec, seed=0, epochs=1)[1] is not None
 
 
 def test_csv_columns_are_the_run_record_fields():

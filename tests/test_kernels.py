@@ -103,12 +103,13 @@ def c_lane(tmp_path_factory):
     return kernels.CLane(str(lib))
 
 
-@pytest.mark.parametrize("version", [None, 1, 2])
+@pytest.mark.parametrize("version", [None, 1, 2, 3])
 def test_loader_refuses_a_library_built_from_another_lane_c(tmp_path, version):
     # a library with the run struct of this lane.c but no version stamp, as
     # built from the lane.c whose spdfp_products took no snapshots, or with
     # another stamp, as from the lane.c whose spdfp_run_steps ran one span of
-    # steps: calling it could write through the wrong pointers
+    # steps or the one without spdfp_gram: calling it could write through
+    # the wrong pointers, or fail on a missing symbol
     cc = find_compiler()
     if cc is None:
         pytest.skip("no C compiler found ($CC, cc, gcc or clang)")
@@ -217,6 +218,51 @@ def test_lane_parity_bitwise(c_lane):
         (Ax,), (Bx,) = steps.products(x[None])
         assert_same_bits(Ax, N.matvec(x))
         assert_same_bits(Bx, Ax)
+
+
+def spectrum_matrices():
+    """Matrices whose spectrum both lanes estimate: tall, wide and square,
+    with an empty row and an empty column, with explicit +0.0 and -0.0
+    entries (which from_coo would drop), 1 x 1, and the desk and rate
+    instances' A and B."""
+    rng = np.random.default_rng(5)
+
+    def dense(n_rows, n_cols):
+        return SparseMatrix.from_dense(rng.standard_normal((n_rows, n_cols))
+                                       * (rng.random((n_rows, n_cols)) < 0.5))
+
+    holes = rng.standard_normal((9, 7))
+    holes[3], holes[:, 5] = 0.0, 0.0
+    M = dense(8, 6)
+    zeros = M.data.copy()
+    zeros[::3], zeros[1::3] = 0.0, -0.0
+    desk, rate = synth_fused_lasso(1000, 50, 0.05, 0.01, 7, mu=0.1), rate_spec()
+    return {"tall": dense(40, 6), "wide": dense(6, 40), "square": dense(12, 12),
+            "empty row and column": SparseMatrix.from_dense(holes),
+            "empty row and column, wide": SparseMatrix.from_dense(holes.T),
+            "signed zeros": SparseMatrix(8, 6, M.indptr, M.indices, zeros),
+            "1x1": SparseMatrix.from_dense([[-2.5]]),
+            "desk A": desk.dataset.samples, "desk B": desk.B,
+            "rate A": rate.dataset.samples, "rate B": rate.B}
+
+
+def test_spectrum_same_bits_on_both_lanes(monkeypatch, c_lane):
+    # the C lane's Gram product gives every Lanczos step RowView's bits, so
+    # the whole estimate is the same: rho_max and residual to the bit
+    grams = []
+    gram = c_lane.gram
+    monkeypatch.setattr(c_lane, "gram", lambda *a: grams.append(a) or gram(*a))
+    matrices = spectrum_matrices()
+    for name, M in matrices.items():
+        estimates = []
+        for lane in (c_lane, None):
+            monkeypatch.setattr(kernels, "LANE", lane)
+            estimates.append(estimate_spectrum(M))
+        c, numpy = estimates
+        assert (c.iterations_used, c.converged) == (numpy.iterations_used, numpy.converged), name
+        assert_same_bits([c.rho_max, c.residual], [numpy.rho_max, numpy.residual])
+        assert grams[-1] == (M, M.n_cols > M.n_rows)
+    assert len(grams) == len(matrices)
 
 
 def test_products_take_blocks_of_snapshots_four_at_a_time(c_lane):

@@ -1,4 +1,5 @@
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -280,3 +281,67 @@ def test_row_view_products_equal_dense_ones(triples, data):
     for got, want in ((view.matvec(x), dense @ x), (view.rmatvec(y), dense.T @ y)):
         assert got.dtype == np.float64
         np.testing.assert_array_equal(got, want)
+
+
+# from_coo takes entries strictly increasing in (row, column) as they come,
+# and sorts and sums any others; both paths must give the same bits, NaN,
+# infinities and subnormals included, and drop zeros of either sign
+
+SPECIAL = st.sampled_from([0.0, -0.0, float("nan"), -float("nan"), float("inf"),
+                           -float("inf"), 5e-324, -5e-324, 1.0, -2.5])
+
+
+@st.composite
+def ordered_entries(draw, max_side=6):
+    n_rows = draw(st.integers(0, max_side))
+    n_cols = draw(st.integers(0, max_side))
+    cells = sorted(draw(st.sets(st.tuples(st.integers(0, max(n_rows - 1, 0)),
+                                          st.integers(0, max(n_cols - 1, 0))),
+                                max_size=n_rows * n_cols)))
+    vals = draw(st.lists(st.floats() | SPECIAL, min_size=len(cells), max_size=len(cells)))
+    return n_rows, n_cols, cells, vals
+
+
+def csr_bytes(M):
+    return M.indptr.tobytes(), M.indices.tobytes(), M.data.tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(ordered_entries(), st.data())
+def test_ordered_and_shuffled_entries_give_the_same_bits(entries, data):
+    n_rows, n_cols, cells, vals = entries
+    order = data.draw(st.permutations(range(len(cells))))
+    if len(cells) > 1 and order == sorted(order):
+        order = order[::-1]
+    built = []
+    for perm in (range(len(cells)), order):
+        rows = [cells[i][0] for i in perm]
+        cols = [cells[i][1] for i in perm]
+        with mock.patch("numpy.lexsort", wraps=np.lexsort) as lexsort:
+            built.append(SparseMatrix.from_coo(n_rows, n_cols, rows, cols,
+                                               [vals[i] for i in perm]))
+        assert lexsort.called == (perm is order and len(cells) > 1)
+    fast, sorted_ = built
+    assert csr_bytes(fast) == csr_bytes(sorted_)
+    kept = [(r, c, 0.0 + v) for (r, c), v in zip(cells, vals) if v != 0.0]
+    assert fast.indices.tolist() == [c for _, c, _ in kept]
+    assert fast.data.tobytes() == np.array([v for *_, v in kept], dtype=np.float64).tobytes()
+    assert fast.indptr.tolist() == [sum(r < i for r, _, _ in kept) for i in range(n_rows + 1)]
+
+
+@PROPERTY_SETTINGS
+@given(coo_triples(), st.data())
+def test_duplicates_sum_from_zero_in_input_order(triples, data):
+    # each (row, column) keeps 0.0 + v1 + v2 + ..., its values summed in
+    # the order they come, and is dropped where that sum is a zero
+    n_rows, n_cols, rows, cols, _ = triples
+    vals = data.draw(st.lists(st.floats() | SPECIAL, min_size=len(rows), max_size=len(rows)))
+    sums = {}
+    for r, c, v in zip(rows, cols, vals):
+        sums[r, c] = sums.get((r, c), 0.0) + v
+    kept = sorted((rc, s) for rc, s in sums.items() if s != 0.0)
+    M = SparseMatrix.from_coo(n_rows, n_cols, rows, cols, vals)
+    assert M.indices.tolist() == [c for (_, c), _ in kept]
+    assert M.data.tobytes() == np.array([s for _, s in kept], dtype=np.float64).tobytes()
+    assert np.diff(M.indptr).tolist() == [sum(r == i for (r, _), _ in kept)
+                                          for i in range(n_rows)]
