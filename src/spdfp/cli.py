@@ -3,6 +3,8 @@
 Subcommands: ``synth`` (emit a synthetic problem to files), ``truth``
 (compute and cache ground truth), ``run`` (execute an experiment config),
 ``bound-check`` (verify the recursion decay bound on a parameter grid).
+A refused input or a file that cannot be read is reported as one line,
+``spdfp: error: <message>``, on standard error, with exit status 2.
 """
 
 import argparse
@@ -85,7 +87,10 @@ def main(argv=None):
                         "and warns if the cap comes first (default %(default)s)")
     p.add_argument("--out", default=None,
                    help="cache path (default <problem>.truth.npz, the only path "
-                        "`spdfp run` reads a truth from)")
+                        "`spdfp run` reads a truth from). Besides the optimum, the file "
+                        "holds the problem's data arrays and spectral estimates, which "
+                        "`spdfp run` takes in place of parsing the data file and running "
+                        "Lanczos while the data file's bytes are unchanged")
     p.set_defaults(func=_cmd_truth)
 
     p = sub.add_parser("run", help="execute an experiment config")
@@ -101,7 +106,11 @@ def main(argv=None):
     p.set_defaults(func=_cmd_bound_check)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as err:  # a refused input, or a file that cannot be read
+        print(f"{parser.prog}: error: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -16,10 +16,12 @@ File formats
 """
 
 import csv
+import io
 import math
 import os
 import re
 import warnings
+import zipfile
 from collections import Counter
 from dataclasses import dataclass, fields, replace
 from itertools import chain, repeat
@@ -43,7 +45,7 @@ from spdfp.solvers import (
     initial_state,
     run_solver,
 )
-from spdfp.sparse import SparseMatrix, build_difference_matrix
+from spdfp.sparse import SparseMatrix, SpectralEstimate, build_difference_matrix
 
 DEFAULT_TRUTH_ITERS = 20000
 DEFAULT_LAMBDA_FRACTION = 0.9
@@ -91,32 +93,47 @@ def synth_fused_lasso(n, d, perturb_frac, noise_sd, seed, mu=0.1, nu=0.0):
 def load_libsvm(path, n_features=None):
     """Parse a LIBSVM text file into a Dataset (1-based feature indices).
 
-    The reader converts the lines a chunk at a time (_libsvm_chunks); a file
-    with anything in it that a line-by-line read (_libsvm_lines) might
-    refuse is read again that way, which raises the error of its first bad
-    line. Both give each number the bits float() or int() gives it."""
-    read = _libsvm_chunks(path)
-    labels, rows, cols, vals, max_col = read if read is not None else _libsvm_lines(path)
+    The file is read once, and the Dataset's data_sha256 is the digest of
+    the bytes parsed. The reader converts the lines a chunk at a time
+    (_libsvm_chunks); a file with anything in it that a line-by-line read
+    (_libsvm_lines) might refuse is read again that way, which raises the
+    error of its first bad line. Both give each number the bits float() or
+    int() gives it."""
+    import hashlib  # here: loading it costs about 3 ms, at every start-up if at the top
+
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    read = _libsvm_chunks(path, raw)
+    labels, rows, cols, vals, max_col = (read if read is not None
+                                         else _libsvm_lines(path, raw, n_features))
     if len(labels) == 0:
         raise ValueError(f"{path}: no samples found")
     dim = n_features if n_features is not None else max_col
     if dim < max_col:
         raise ValueError(f"{path}: feature index {max_col} exceeds n_features={dim}")
     samples = SparseMatrix.from_coo(len(labels), dim, rows, cols, vals)
-    return Dataset(samples=samples, labels=np.array(labels))
+    return Dataset.read_from(hashlib.sha256(raw).hexdigest(), samples, np.array(labels))
 
 
 _LIBSVM_CHUNK = 1 << 16  # bytes of lines _libsvm_chunks converts at once
+_INDEX_MAX = np.iinfo(np.int64).max  # the largest feature index, as a column count
 
 
-def _libsvm_chunks(path):
-    """(labels, rows, cols, vals, max_col) of a LIBSVM file, or None if it
-    holds no sample or anything _libsvm_lines might refuse. Each chunk of
+def _libsvm_text(raw):
+    """raw, a LIBSVM file's bytes, as the text open() reads from the file:
+    decoded as UTF-8, with universal newlines."""
+    return io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")
+
+
+def _libsvm_chunks(path, raw):
+    """(labels, rows, cols, vals, max_col) of raw, the bytes of the LIBSVM
+    file at path, or None if it holds no sample or anything _libsvm_lines
+    might refuse. Each chunk of
     about _LIBSVM_CHUNK bytes of lines is checked and converted by one map
     over its labels, indices or values each."""
     labels, rows, cols, vals, n = [], [], [], [], 0
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with _libsvm_text(raw) as fh:
             for lines in iter(lambda: fh.readlines(_LIBSVM_CHUNK), []):
                 parts = [p for p in map(str.split, lines) if p]
                 toks = list(chain.from_iterable([p[1:] for p in parts]))
@@ -146,13 +163,15 @@ def _libsvm_chunks(path):
             int(cols.max()) + 1 if len(cols) else 0)
 
 
-def _libsvm_lines(path):
-    """(labels, rows, cols, vals, max_col) of a LIBSVM file, read line by
-    line, or the ValueError of its first bad line."""
+def _libsvm_lines(path, raw, n_features=None):
+    """(labels, rows, cols, vals, max_col) of raw, the bytes of the LIBSVM
+    file at path, read line by line, or the ValueError of its first bad
+    line. An index beyond int64 is one when n_features is None; else
+    load_libsvm refuses it as beyond n_features."""
     labels = []
     rows, cols, vals = [], [], []
     max_col = 0
-    with open(path, "r", encoding="utf-8") as fh:
+    with _libsvm_text(raw) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -175,6 +194,8 @@ def _libsvm_lines(path):
                 j = int(idx)
                 if j < 1:
                     raise ValueError(f"{path}:{lineno}: indices are 1-based, got {j}")
+                if j > _INDEX_MAX and n_features is None:
+                    raise ValueError(f"{path}:{lineno}: feature index {j} is too large")
                 try:
                     v = float(val)
                 except ValueError:
@@ -284,20 +305,48 @@ def save_problem(spec, base_path):
 
 def load_problem(path):
     """The ProblemSpec of a .problem file; a missing or unknown key, and a
-    value ProblemSpec refuses, is a ValueError that names the file."""
+    value ProblemSpec refuses, is a ValueError that names the file.
+
+    The keys and B are read from text on every call. Where the truth file
+    of path (_truth_path) holds the sha256 of the data file's bytes and an
+    A with B's column count, the dataset is built from its arrays instead
+    of parsed; where its fingerprint is that of the spec, A and B take its
+    spectral estimates and run no Lanczos. Any other case, a missing or
+    older truth file among them, parses and estimates."""
     kv = _read_kv(path, ("loss", "data", "b_matrix"), ("l2_weight", "composite_weight"),
                   "problem")
     here = os.path.dirname(os.path.abspath(path))
     # LIBSVM cannot record an empty last feature column; B's shape line can
     B = load_matrix(os.path.join(here, kv["b_matrix"]))
-    dataset = load_libsvm(os.path.join(here, kv["data"]), n_features=B.n_cols)
+    data_path = os.path.join(here, kv["data"])
+    stored = _stored_problem(_truth_path(path))
+    if (stored is not None and stored["A_shape"][1] == B.n_cols
+            and str(stored["data_sha256"]) == _file_sha256(data_path)):
+        n_rows, n_cols = stored["A_shape"].tolist()
+        samples = SparseMatrix(n_rows, n_cols, stored["A_indptr"], stored["A_indices"],
+                               stored["A_data"])
+        dataset = Dataset.read_from(str(stored["data_sha256"]), samples, stored["labels"])
+    else:
+        dataset = load_libsvm(data_path, n_features=B.n_cols)
     l2_weight = _kv_number(path, kv, "l2_weight", float, 0.0)
     composite_weight = _kv_number(path, kv, "composite_weight", float, 0.0)
     try:
-        return ProblemSpec(loss=kv["loss"], dataset=dataset, l2_weight=l2_weight,
+        spec = ProblemSpec(loss=kv["loss"], dataset=dataset, l2_weight=l2_weight,
                            composite_weight=composite_weight, B=B)
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from None
+    if stored is not None and str(stored["fingerprint"]) == problem_fingerprint(spec):
+        for name, M in (("A", spec.dataset.samples), ("B", B)):
+            M.spectrum = SpectralEstimate(**{f.name: stored[f"{name}_{f.name}"].item()
+                                             for f in fields(SpectralEstimate)})
+    return spec
+
+
+def _file_sha256(path):
+    import hashlib  # here: loading it costs about 3 ms, at every start-up if at the top
+
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
 
 
 def _number(where, key, text, kind):
@@ -464,11 +513,47 @@ def problem_fingerprint(spec):
 
 def save_ground_truth(gt, path, spec):
     """Write gt, the ground truth of spec, to an .npz file, with spec's
-    problem_fingerprint, which load_ground_truth checks."""
+    problem_fingerprint, which load_ground_truth checks.
+
+    When spec's dataset was read from a LIBSVM file (its data_sha256 is
+    set), the file also holds what load_problem would otherwise work out
+    again: that digest, A's shape and CSR arrays, the labels, and the
+    SpectralEstimate fields of A and B, as A_rho_max, B_residual and so on.
+    Those estimates are the ones computed here, on this machine."""
+    cache = {}
+    if spec.dataset.data_sha256 is not None:
+        A = spec.dataset.samples
+        cache = {"data_sha256": spec.dataset.data_sha256, "A_shape": np.array(A.shape),
+                 "A_indptr": A.indptr, "A_indices": A.indices, "A_data": A.data,
+                 "labels": spec.dataset.labels}
+        for name, M in (("A", A), ("B", spec.B)):
+            cache.update({f"{name}_{f.name}": getattr(M.spectrum, f.name)
+                          for f in fields(SpectralEstimate)})
     np.savez(path, x_star=gt.x_star, v_star=gt.v_star,
              objective_star=gt.objective_star, residual=gt.residual,
              gamma=gt.gamma, lam=gt.lam, iterations=gt.iterations,
-             fingerprint=problem_fingerprint(spec))
+             fingerprint=problem_fingerprint(spec), **cache)
+
+
+_STORED_PROBLEM = ("data_sha256", "A_shape", "A_indptr", "A_indices", "A_data", "labels",
+                   "fingerprint",
+                   *(f"{name}_{f.name}" for name in "AB" for f in fields(SpectralEstimate)))
+
+
+def _stored_problem(path):
+    """The _STORED_PROBLEM arrays of the truth file at path, as a dict, or
+    None where there is no such file, it cannot be read, or it was written
+    without them (by an older version, or for a problem not read from a
+    file)."""
+    try:
+        z = np.load(path)
+        if not isinstance(z, np.lib.npyio.NpzFile):  # an .npy file
+            return None
+        with z:
+            return ({key: z[key] for key in _STORED_PROBLEM}
+                    if set(_STORED_PROBLEM) <= set(z.files) else None)
+    except (OSError, ValueError, EOFError, zipfile.BadZipFile):
+        return None
 
 
 def load_ground_truth(path, spec):

@@ -12,7 +12,7 @@ with per-sample losses
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,10 +23,25 @@ LOSSES = ("square", "logistic", "hinge")
 
 @dataclass(frozen=True)
 class Dataset:
-    """n samples as rows of a sparse matrix, with one real label per row."""
+    """n samples as rows of a sparse matrix, with one real label per row.
+
+    data_sha256 is the sha256 hex digest of the LIBSVM bytes the samples
+    and labels were read from (see read_from), or None.
+    """
 
     samples: SparseMatrix
     labels: np.ndarray
+    data_sha256: str | None = field(default=None, init=False, compare=False)
+
+    @classmethod
+    def read_from(cls, data_sha256, samples, labels):
+        """The Dataset of samples and labels as read from the LIBSVM bytes
+        whose sha256 hex digest is data_sha256. The digest is no argument of
+        the constructor, so dataclasses.replace, which may give a Dataset
+        other samples or labels, leaves it None."""
+        dataset = cls(samples=samples, labels=labels)
+        object.__setattr__(dataset, "data_sha256", data_sha256)
+        return dataset
 
     def __post_init__(self):
         labels = np.ascontiguousarray(self.labels, dtype=np.float64)

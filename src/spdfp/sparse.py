@@ -10,7 +10,8 @@ as from_dense and stack_identity give them, skip the sort. Every product
 outside the C lane is RowView's NumPy one, and the eigenvalue comes from
 Lanczos on the Gram products of those products, which the C lane, where
 built, computes with the same bits. A matrix is immutable, so it estimates
-its eigenvalue once, on first use of SparseMatrix.spectrum, and keeps it.
+its eigenvalue once, on first use of SparseMatrix.spectrum, and keeps it,
+unless it was handed the estimate of a stored ground truth first.
 """
 
 import math
@@ -111,6 +112,15 @@ class SparseMatrix:
         if self._spectrum is None:
             self._spectrum = estimate_spectrum(self)
         return self._spectrum
+
+    @spectrum.setter
+    def spectrum(self, estimate):
+        """Keep estimate, a SpectralEstimate that estimate_spectrum gave for
+        a matrix with the same shape and CSR arrays, as a ground truth file
+        stores it, so that the first access runs no Lanczos."""
+        if not isinstance(estimate, SpectralEstimate):
+            raise TypeError("expected a SpectralEstimate")
+        self._spectrum = estimate
 
     def matvec(self, x):
         """Return M x."""

@@ -1,11 +1,24 @@
 import os
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import spdfp._kernels as kernels
+import spdfp.sparse
 from spdfp import harness
 from spdfp.cli import main
-from spdfp.harness import load_ground_truth, load_problem
+from spdfp.harness import (
+    GroundTruth,
+    load_ground_truth,
+    load_problem,
+    save_ground_truth,
+    save_problem,
+    synth_fused_lasso,
+)
+from spdfp.sparse import SparseMatrix, estimate_spectrum
+from test_kernels import c_lane  # noqa: F401  (the fixture that builds the C lane)
 
 
 def test_synth_truth_run_pipeline(tmp_path, capsys, monkeypatch):
@@ -60,12 +73,34 @@ def test_bound_check_reports_known_violating_cell(capsys):
     assert "FAIL" in out
 
 
-def test_run_rejects_bad_config(tmp_path):
+def refused(capsys, argv, pattern):
+    """Check that main(argv) returns 2 and writes one line to stderr,
+    'spdfp: error: ' and a message that pattern matches somewhere in, as
+    pytest.raises(match=pattern) would match it."""
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("spdfp: error: ") and err.count("\n") == 1, err
+    assert re.search(pattern, err[len("spdfp: error: "):-1]), err
+
+
+def test_run_rejects_bad_config(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("problem = synth:n=20,d=5\nsolvers = pdfp()\nrepetitions = 1\n"
                    "epochs = 0\noutput = o\nmaster_seed = 1\nextra = 2\n")
-    with pytest.raises(ValueError, match="extra"):
-        main(["run", "--config", str(cfg)])
+    refused(capsys, ["run", "--config", str(cfg)], "extra")
+
+
+def test_refused_inputs_are_one_line_on_stderr_with_status_2(tmp_path, capsys):
+    # a clause whose lambda fails the guard, after two good ones, and a
+    # config file that is not there: no traceback, one line each
+    cfg = tmp_path / "lam.cfg"
+    cfg.write_text("problem = synth:n=120,d=8,seed=7\n"
+                   "solvers = spdfp2(p=100); pdfp(); spdfp1(p=100,lambda=100)\n"
+                   "repetitions = 1\nepochs = 1\noutput = o\nmaster_seed = 1\n")
+    refused(capsys, ["run", "--config", str(cfg)],
+            r"^solver spdfp1: lambda=100\.0 is not shown to satisfy ")
+    refused(capsys, ["run", "--config", str(tmp_path / "none.cfg")],
+            r"^\[Errno 2\] No such file or directory: .*none\.cfg")
 
 
 def test_synth_command_and_synth_sources_share_their_defaults(tmp_path, monkeypatch):
@@ -83,10 +118,10 @@ def test_synth_command_and_synth_sources_share_their_defaults(tmp_path, monkeypa
                                                              source.composite_weight)
 
 
-def test_bound_check_names_the_flag_of_a_bad_value():
+def test_bound_check_names_the_flag_of_a_bad_value(capsys):
     for flag in ("--alphas", "--cs", "--taus", "--s-inits"):
-        with pytest.raises(ValueError, match=f"bound-check: {flag} = 'abc' is not a finite float"):
-            main(["bound-check", flag, "0.5,abc", "--k-max", "10"])
+        refused(capsys, ["bound-check", flag, "0.5,abc", "--k-max", "10"],
+                f"bound-check: {flag} = 'abc' is not a finite float")
 
 
 def desk_run_config(tmp_path):
@@ -96,22 +131,21 @@ def desk_run_config(tmp_path):
     return str(cfg)
 
 
-def test_run_refuses_the_truth_of_another_problem(tmp_path):
+def test_run_refuses_the_truth_of_another_problem(tmp_path, capsys):
     # the truth of the seed-7 problem stays next to the seed-9 one written
     # over it; its fingerprint no longer matches
     base = str(tmp_path / "prob")
     assert main(["synth", "--out", base, "--n", "60", "--d", "10", "--seed", "7"]) == 0
     assert main(["truth", "--problem", base + ".problem", "--iters", "1500"]) == 0
     assert main(["synth", "--out", base, "--n", "60", "--d", "10", "--seed", "9"]) == 0
-    with pytest.raises(ValueError, match=r"prob\.problem\.truth\.npz: .*another problem.*"
-                                         r"rerun `spdfp truth`"):
-        main(["run", "--config", desk_run_config(tmp_path)])
+    refused(capsys, ["run", "--config", desk_run_config(tmp_path)],
+            r"prob\.problem\.truth\.npz: .*another problem.*rerun `spdfp truth`")
     # a fresh truth of the problem now there is taken
     assert main(["truth", "--problem", base + ".problem", "--iters", "1500"]) == 0
     assert main(["run", "--config", desk_run_config(tmp_path)]) == 0
 
 
-def test_run_checks_the_shapes_of_a_truth_without_fingerprint(tmp_path):
+def test_run_checks_the_shapes_of_a_truth_without_fingerprint(tmp_path, capsys):
     # a truth file written before fingerprints, of a problem with d = 10,
     # next to a problem with d = 12
     base = str(tmp_path / "prob")
@@ -122,6 +156,117 @@ def test_run_checks_the_shapes_of_a_truth_without_fingerprint(tmp_path):
              lam=gt.lam, iterations=gt.iterations)
     assert main(["run", "--config", desk_run_config(tmp_path)]) == 0  # same shapes: loads
     assert main(["synth", "--out", base, "--n", "60", "--d", "12", "--seed", "7"]) == 0
-    with pytest.raises(ValueError, match=r"prob\.problem\.truth\.npz: .*shape \(10,\).*"
-                                         r"12 features.*rerun `spdfp truth`"):
-        main(["run", "--config", desk_run_config(tmp_path)])
+    refused(capsys, ["run", "--config", desk_run_config(tmp_path)],
+            r"prob\.problem\.truth\.npz: .*shape \(10,\).*12 features.*rerun `spdfp truth`")
+
+
+# ---------------------------------------------------------------------------
+# the problem and its spectra, stored with the truth
+
+TRUTH_KEYS = ("x_star", "v_star", "objective_star", "residual", "gamma", "lam", "iterations",
+              "fingerprint")
+
+
+@pytest.fixture(params=["c", "numpy"])
+def lane(request, monkeypatch):
+    monkeypatch.setattr(kernels, "LANE",
+                        request.getfixturevalue("c_lane") if request.param == "c" else None)
+    return request.param
+
+
+def problem_with_truth(tmp_path):
+    """The base path of a synthetic problem in tmp_path with its truth
+    written by `spdfp truth`."""
+    base = str(tmp_path / "prob")
+    assert main(["synth", "--out", base, "--n", "60", "--d", "10", "--seed", "7"]) == 0
+    assert main(["truth", "--problem", base + ".problem"]) == 0
+    return base
+
+
+def run_config(tmp_path, output):
+    # pdfp() steps by default_gamma, so it reads the spectrum of A too
+    cfg = tmp_path / (output + ".cfg")
+    cfg.write_text("problem = prob.problem\n"
+                   "solvers = spdfp2(p=10); pdfp(); spdfp1(p=20,c=0.5)\n"
+                   f"repetitions = 2\nepochs = 3\noutput = out/{output}\nmaster_seed = 5\n")
+    return str(cfg)
+
+
+def csv_without_wall_time(path):
+    lines = open(path, encoding="utf-8").read().splitlines()
+    body = [line.split(",") for line in lines if not line.startswith("#")]
+    drop = body[0].index("wall_time_s")
+    return ([line for line in lines if line.startswith("#")],
+            [row[:drop] + row[drop + 1:] for row in body])
+
+
+def never(*args, **kwargs):
+    raise AssertionError("the data file was parsed or Lanczos run")
+
+
+def test_run_takes_the_problem_and_its_spectra_from_the_truth(tmp_path, monkeypatch, lane):
+    base = problem_with_truth(tmp_path)
+    with monkeypatch.context() as m:
+        m.setattr(harness, "load_libsvm", never)
+        m.setattr(spdfp.sparse, "estimate_spectrum", never)
+        assert main(["run", "--config", run_config(tmp_path, "stored")]) == 0
+    # the same run against the truth without the stored problem: parsed and estimated
+    with np.load(base + ".problem.truth.npz") as z:
+        assert set(TRUTH_KEYS) < set(z.files)
+        old = {key: z[key] for key in TRUTH_KEYS}
+    np.savez(base + ".problem.truth.npz", **old)
+    assert main(["run", "--config", run_config(tmp_path, "parsed")]) == 0
+    for suffix in (".csv", "_mean.csv"):
+        assert (csv_without_wall_time(tmp_path / "out" / ("stored" + suffix))
+                == csv_without_wall_time(tmp_path / "out" / ("parsed" + suffix)))
+
+
+def test_a_changed_data_byte_is_parsed_and_its_truth_refused(tmp_path, monkeypatch, capsys,
+                                                             lane):
+    base = problem_with_truth(tmp_path)
+    data = bytearray(open(base + ".libsvm", "rb").read())
+    at = data.index(b":") + 1  # the first value
+    at += data[at:at + 1] == b"-"  # its first digit
+    data[at] = ord("0") + (data[at] - ord("0") + 1) % 10
+    open(base + ".libsvm", "wb").write(bytes(data))
+    parsed = []
+    real = harness.load_libsvm
+    monkeypatch.setattr(harness, "load_libsvm", lambda *a, **k: parsed.append(a) or real(*a, **k))
+    refused(capsys, ["run", "--config", run_config(tmp_path, "changed")],
+            r"prob\.problem\.truth\.npz: .*another problem.*rerun `spdfp truth`")
+    assert len(parsed) == 1
+
+
+def assert_same_estimate(got, want):
+    # field by field, as Python values of one type, to the bit (repr keeps -0.0 and nan apart)
+    assert [(type(v), repr(v)) for v in vars(got).values()] == [
+        (type(v), repr(v)) for v in vars(want).values()]
+
+
+def test_stored_estimates_are_the_fresh_ones(tmp_path, monkeypatch, lane):
+    desk = synth_fused_lasso(1000, 50, 0.05, 0.01, 7, mu=0.1)
+    rng = np.random.default_rng(3)
+    wide = SparseMatrix.from_dense(rng.standard_normal((5, 50)) * (rng.random((5, 50)) < 0.5))
+    for name, B in (("desk", desk.B), ("wide", wide)):
+        spec = load_problem(save_problem(replace(desk, B=B), tmp_path / name))
+        gt = GroundTruth(x_star=np.zeros(50), v_star=np.zeros(B.n_rows), objective_star=0.0,
+                         residual=0.0, gamma=1.0, lam=0.1, iterations=0)
+        save_ground_truth(gt, str(tmp_path / name) + ".problem.truth.npz", spec)
+        stored = load_problem(str(tmp_path / name) + ".problem")
+        with monkeypatch.context() as m:  # handed over, so read without an estimate
+            m.setattr(spdfp.sparse, "estimate_spectrum", never)
+            got = [M.spectrum for M in (stored.dataset.samples, stored.B)]
+        for M, estimate in zip((stored.dataset.samples, stored.B), got):
+            assert_same_estimate(estimate, estimate_spectrum(M))
+        assert stored.B.n_cols > stored.B.n_rows  # both Bs are wide: Lanczos on B B^T
+
+
+def test_truth_files_keep_what_the_benchmark_reads(tmp_path, lane):
+    # perfbench/workload.py reads x_star, v_star, objective_star and lam
+    base = problem_with_truth(tmp_path)
+    gt = harness.compute_ground_truth(harness.resolve_problem("synth:n=60,d=10,seed=7"))
+    with np.load(base + ".problem.truth.npz") as z:
+        for key in ("x_star", "v_star", "objective_star", "lam"):
+            want = np.asarray(getattr(gt, key), dtype=np.float64)
+            assert z[key].dtype == np.float64 and z[key].shape == want.shape, key
+            assert z[key].tobytes() == want.tobytes(), key

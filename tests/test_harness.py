@@ -212,6 +212,9 @@ LIBSVM_REFUSALS = [
     ("1 ٣:1\n".encode(), 2, "{p}: feature index 3 exceeds n_features=2"),
     (b"1 99999999999999999999999:1\n", 50,
      "{p}: feature index 99999999999999999999999 exceeds n_features=50"),
+    # beyond int64, so no column count; with n_features, the refusal above
+    (b"1 1:1\n-1 99999999999999999999999:1\n", None,
+     "{p}:2: feature index 99999999999999999999999 is too large"),
     (b"\xef\xbb\xbf1 1:2\n", None, "{p}:1: bad label '\\ufeff1'"),
     (b"1 1:2\n\xff 1:2\n", None,
      "'utf-8' codec can't decode byte 0xff in position 6: invalid start byte"),
@@ -243,7 +246,8 @@ def test_libsvm_chunks_read_what_the_lines_read(tmp_path, monkeypatch, chunk):
                  "1 1:2\x0c2:3\n-1 3:-0.0 4:1_5.5\n",
                  "\n".join(f"{i % 3 - 1} {i + 1}:{i / 7!r} 40:{-i}" for i in range(30))):
         p.write_text(text, encoding="utf-8")
-        chunks, lines = harness._libsvm_chunks(p), harness._libsvm_lines(p)
+        raw = p.read_bytes()
+        chunks, lines = harness._libsvm_chunks(p, raw), harness._libsvm_lines(p, raw)
         assert chunks is not None
         assert chunks[4] == lines[4]
         for got, want, dtype in zip(chunks[:4], lines[:4], (np.float64, np.int64, np.int64,
@@ -296,7 +300,7 @@ def test_libsvm_round_trip_keeps_the_bits(tmp_path, M, data):
     assert back.labels.tobytes() == labels.tobytes()
     assert_same_csr(back.samples, M)
     # read in chunks, not line by line, and written back to the same bytes
-    assert harness._libsvm_chunks(p) is not None
+    assert harness._libsvm_chunks(p, p.read_bytes()) is not None
     save_libsvm(back, tmp_path / "again.libsvm")
     assert (tmp_path / "again.libsvm").read_bytes() == p.read_bytes()
 
