@@ -1,7 +1,8 @@
 """Command-line harness.
 
 Subcommands: ``synth`` (emit a synthetic problem to files), ``truth``
-(compute and cache ground truth), ``run`` (execute an experiment config),
+(compute the ground truth of a .problem file and cache it in
+<problem>.truth.npz), ``run`` (execute an experiment config),
 ``bound-check`` (verify the recursion decay bound on a parameter grid).
 A refused input or a file that cannot be read is reported as one line,
 ``spdfp: error: <message>``, on standard error, with exit status 2.
@@ -22,9 +23,12 @@ def _cmd_synth(args):
 
 
 def _cmd_truth(args):
-    spec = harness.resolve_problem(args.problem)
+    if args.problem.startswith("synth:"):
+        raise ValueError(f"truth: {args.problem} is no .problem file; `spdfp run` computes "
+                         "its truth")
+    spec = harness.load_problem(args.problem)
     gt = harness.compute_ground_truth(spec, iters=args.iters)
-    out = args.out or harness._truth_path(args.problem)
+    out = harness._truth_path(args.problem)
     harness.save_ground_truth(gt, out, spec)
     print(f"wrote {out}: objective={gt.objective_star!r} residual={gt.residual:.3e} "
           f"(gamma={gt.gamma:.4g}, lambda={gt.lam:.4g}, {gt.iterations} iterations)")
@@ -79,18 +83,14 @@ def main(argv=None):
                        help=helps.get(key))
     p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser("truth", help="compute and cache the reference optimum")
-    p.add_argument("--problem", required=True, help="path to a .problem file")
+    p = sub.add_parser("truth", help="compute the reference optimum of a .problem file and "
+                                     "cache it in <problem>.truth.npz, which `spdfp run` reads")
+    p.add_argument("--problem", required=True,
+                   help="path to a .problem file (not a synth: source)")
     p.add_argument("--iters", type=int, default=harness.DEFAULT_TRUTH_ITERS,
                    help="cap on the PDFP iterations; the run stops earlier once its "
                         f"fixed-point residual is at most {harness.TRUTH_TARGET:g}, "
                         "and warns if the cap comes first (default %(default)s)")
-    p.add_argument("--out", default=None,
-                   help="cache path (default <problem>.truth.npz, the only path "
-                        "`spdfp run` reads a truth from). Besides the optimum, the file "
-                        "holds the problem's data arrays and spectral estimates, which "
-                        "`spdfp run` takes in place of parsing the data file and running "
-                        "Lanczos while the data file's bytes are unchanged")
     p.set_defaults(func=_cmd_truth)
 
     p = sub.add_parser("run", help="execute an experiment config")

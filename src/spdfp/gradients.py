@@ -26,10 +26,6 @@ class BatchPlan:
     def n_batches(self):
         return len(self.ranges)
 
-    def probability(self, i):
-        start, stop = self.ranges[i]
-        return (stop - start) / self.n
-
 
 def make_batch_plan(n, p):
     """Split {0..n-1} into ceil(n/p) contiguous batches, the first n//p of

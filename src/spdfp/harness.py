@@ -22,6 +22,7 @@ import os
 import re
 import warnings
 import zipfile
+import zlib
 from collections import Counter
 from dataclasses import dataclass, fields, replace
 from itertools import chain, repeat
@@ -99,10 +100,7 @@ def load_libsvm(path, n_features=None):
     (_libsvm_lines) might refuse is read again that way, which raises the
     error of its first bad line. Both give each number the bits float() or
     int() gives it."""
-    import hashlib  # here: loading it costs about 3 ms, at every start-up if at the top
-
-    with open(path, "rb") as fh:
-        raw = fh.read()
+    raw, digest = _file_bytes(path)
     read = _libsvm_chunks(path, raw)
     labels, rows, cols, vals, max_col = (read if read is not None
                                          else _libsvm_lines(path, raw, n_features))
@@ -112,49 +110,70 @@ def load_libsvm(path, n_features=None):
     if dim < max_col:
         raise ValueError(f"{path}: feature index {max_col} exceeds n_features={dim}")
     samples = SparseMatrix.from_coo(len(labels), dim, rows, cols, vals)
-    return Dataset.read_from(hashlib.sha256(raw).hexdigest(), samples, np.array(labels))
+    return Dataset.read_from(digest, samples, np.array(labels))
 
 
-_LIBSVM_CHUNK = 1 << 16  # bytes of lines _libsvm_chunks converts at once
+_LIBSVM_CHUNK = 1 << 16  # characters of lines _libsvm_chunks converts at once
 _INDEX_MAX = np.iinfo(np.int64).max  # the largest feature index, as a column count
 
 
-def _libsvm_text(raw):
-    """raw, a LIBSVM file's bytes, as the text open() reads from the file:
-    decoded as UTF-8, with universal newlines."""
-    return io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8")
+def _text_lines(path, raw=None):
+    """(lineno, line) for each line of the text file at path that is not
+    blank, stripped; raw, where given, is the file's bytes. They are decoded
+    as open() decodes them, as UTF-8 with universal newlines, and a line
+    with a byte that is not UTF-8 is a ValueError that names the line."""
+    binary = open(path, "rb") if raw is None else io.BytesIO(raw)
+    with io.TextIOWrapper(binary, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            # surrogateescape decodes a byte that is not UTF-8 to U+DC80..U+DCFF
+            bad = None if line.isascii() else re.search("[\udc80-\udcff]", line)
+            if bad:
+                raise ValueError(f"{path}:{lineno}: byte 0x{ord(bad[0]) - 0xDC00:02x} "
+                                 "is not UTF-8")
+            if line:
+                yield lineno, line
 
 
 def _libsvm_chunks(path, raw):
     """(labels, rows, cols, vals, max_col) of raw, the bytes of the LIBSVM
     file at path, or None if it holds no sample or anything _libsvm_lines
-    might refuse. Each chunk of
-    about _LIBSVM_CHUNK bytes of lines is checked and converted by one map
-    over its labels, indices or values each."""
+    might refuse. Each chunk of about _LIBSVM_CHUNK characters of lines is
+    checked and converted by one map over its labels, indices or values
+    each."""
     labels, rows, cols, vals, n = [], [], [], [], 0
+    lines = _text_lines(path, raw)
+
+    def chunk():  # the split lines of the next chunk, none at the end
+        parts, size = [], 0
+        for _, line in lines:
+            parts.append(line.split())
+            size += len(line)
+            if size >= _LIBSVM_CHUNK:
+                break
+        return parts
+
     try:
-        with _libsvm_text(raw) as fh:
-            for lines in iter(lambda: fh.readlines(_LIBSVM_CHUNK), []):
-                parts = [p for p in map(str.split, lines) if p]
-                toks = list(chain.from_iterable([p[1:] for p in parts]))
-                # each token idx:val has one colon, so 2 pieces when neither is empty
-                pieces = " ".join(toks).replace(":", " ").split()
-                if (list(map(str.count, toks, repeat(":"))).count(1) != len(toks)
-                        or len(pieces) != 2 * len(toks)
-                        or not all(map(str.isdecimal, pieces[0::2]))):
-                    return None
-                label = np.array(list(map(float, [p[0] for p in parts])))
-                j = np.array(list(map(int, pieces[0::2])), dtype=np.int64)
-                v = np.array(list(map(float, pieces[1::2])))
-                if not (np.isfinite(label).all() and np.isfinite(v).all() and np.all(j >= 1)):
-                    return None
-                counts = np.fromiter(map(len, parts), dtype=np.int64, count=len(parts)) - 1
-                labels.append(label)
-                rows.append(np.repeat(np.arange(n, n + len(parts)), counts))
-                cols.append(j - 1)
-                vals.append(v)
-                n += len(parts)
-    except (ValueError, OverflowError):  # a bad label, index or value, or bad UTF-8
+        for parts in iter(chunk, []):
+            toks = list(chain.from_iterable([p[1:] for p in parts]))
+            # each token idx:val has one colon, so 2 pieces when neither is empty
+            pieces = " ".join(toks).replace(":", " ").split()
+            if (list(map(str.count, toks, repeat(":"))).count(1) != len(toks)
+                    or len(pieces) != 2 * len(toks)
+                    or not all(map(str.isdecimal, pieces[0::2]))):
+                return None
+            label = np.array(list(map(float, [p[0] for p in parts])))
+            j = np.array(list(map(int, pieces[0::2])), dtype=np.int64)
+            v = np.array(list(map(float, pieces[1::2])))
+            if not (np.isfinite(label).all() and np.isfinite(v).all() and np.all(j >= 1)):
+                return None
+            counts = np.fromiter(map(len, parts), dtype=np.int64, count=len(parts)) - 1
+            labels.append(label)
+            rows.append(np.repeat(np.arange(n, n + len(parts)), counts))
+            cols.append(j - 1)
+            vals.append(v)
+            n += len(parts)
+    except (ValueError, OverflowError):  # a bad label, index or value, or a byte not UTF-8
         return None
     if not n:
         return None
@@ -171,41 +190,37 @@ def _libsvm_lines(path, raw, n_features=None):
     labels = []
     rows, cols, vals = [], [], []
     max_col = 0
-    with _libsvm_text(raw) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split()
+    for lineno, line in _text_lines(path, raw):
+        parts = line.split()
+        try:
+            label = float(parts[0])
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: bad label {parts[0]!r}") from None
+        if not math.isfinite(label):
+            raise ValueError(f"{path}:{lineno}: label {parts[0]!r} is not finite")
+        i = len(labels)
+        labels.append(label)
+        for tok in parts[1:]:
+            # accepts what fullmatch(r"(\d+):([^\s:]+)") does: split()
+            # leaves no whitespace, and isdecimal() is \d
+            idx, _, val = tok.partition(":")
+            if not (idx.isdecimal() and val) or ":" in val:
+                raise ValueError(f"{path}:{lineno}: bad feature token {tok!r}")
+            j = int(idx)
+            if j < 1:
+                raise ValueError(f"{path}:{lineno}: indices are 1-based, got {j}")
+            if j > _INDEX_MAX and n_features is None:
+                raise ValueError(f"{path}:{lineno}: feature index {j} is too large")
             try:
-                label = float(parts[0])
+                v = float(val)
             except ValueError:
-                raise ValueError(f"{path}:{lineno}: bad label {parts[0]!r}") from None
-            if not math.isfinite(label):
-                raise ValueError(f"{path}:{lineno}: label {parts[0]!r} is not finite")
-            i = len(labels)
-            labels.append(label)
-            for tok in parts[1:]:
-                # accepts what fullmatch(r"(\d+):([^\s:]+)") does: split()
-                # leaves no whitespace, and isdecimal() is \d
-                idx, _, val = tok.partition(":")
-                if not (idx.isdecimal() and val) or ":" in val:
-                    raise ValueError(f"{path}:{lineno}: bad feature token {tok!r}")
-                j = int(idx)
-                if j < 1:
-                    raise ValueError(f"{path}:{lineno}: indices are 1-based, got {j}")
-                if j > _INDEX_MAX and n_features is None:
-                    raise ValueError(f"{path}:{lineno}: feature index {j} is too large")
-                try:
-                    v = float(val)
-                except ValueError:
-                    raise ValueError(f"{path}:{lineno}: bad value in {tok!r}") from None
-                if not math.isfinite(v):
-                    raise ValueError(f"{path}:{lineno}: value in {tok!r} is not finite")
-                rows.append(i)
-                cols.append(j - 1)
-                vals.append(v)
-                max_col = max(max_col, j)
+                raise ValueError(f"{path}:{lineno}: bad value in {tok!r}") from None
+            if not math.isfinite(v):
+                raise ValueError(f"{path}:{lineno}: value in {tok!r} is not finite")
+            rows.append(i)
+            cols.append(j - 1)
+            vals.append(v)
+            max_col = max(max_col, j)
     return labels, rows, cols, vals, max_col
 
 
@@ -233,29 +248,25 @@ def load_matrix(path):
     """The matrix of a coordinate-list file; without a '# shape' line its
     shape is the smallest that holds the entries."""
     rows, cols, vals, n_rows, n_cols = [], [], [], None, None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                m = re.match(r"#\s*shape\s+(\d+)\s+(\d+)", line)
-                if m:
-                    n_rows, n_cols = int(m.group(1)), int(m.group(2))
-                continue
-            try:
-                r, c, v = line.split()
-                r, c, v = int(r), int(c), float(v)
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: expected 'row col value', got {line!r}") from None
-            if r < 0 or c < 0 or (n_rows is not None and r >= n_rows) or (
-                    n_cols is not None and c >= n_cols):
-                raise ValueError(f"{path}:{lineno}: index out of range in {line!r}")
-            if not math.isfinite(v):
-                raise ValueError(f"{path}:{lineno}: value in {line!r} is not finite")
-            rows.append(r)
-            cols.append(c)
-            vals.append(v)
+    for lineno, line in _text_lines(path):
+        if line.startswith("#"):
+            m = re.match(r"#\s*shape\s+(\d+)\s+(\d+)", line)
+            if m:
+                n_rows, n_cols = int(m.group(1)), int(m.group(2))
+            continue
+        try:
+            r, c, v = line.split()
+            r, c, v = int(r), int(c), float(v)
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: expected 'row col value', got {line!r}") from None
+        if r < 0 or c < 0 or (n_rows is not None and r >= n_rows) or (
+                n_cols is not None and c >= n_cols):
+            raise ValueError(f"{path}:{lineno}: index out of range in {line!r}")
+        if not math.isfinite(v):
+            raise ValueError(f"{path}:{lineno}: value in {line!r} is not finite")
+        rows.append(r)
+        cols.append(c)
+        vals.append(v)
     if n_rows is None:
         n_rows = max(rows) + 1 if rows else 0
     if n_cols is None:
@@ -311,17 +322,21 @@ def load_problem(path):
     of path (_truth_path) holds the sha256 of the data file's bytes and an
     A with B's column count, the dataset is built from its arrays instead
     of parsed; where its fingerprint is that of the spec, A and B take its
-    spectral estimates and run no Lanczos. Any other case, a missing or
-    older truth file among them, parses and estimates."""
+    spectral estimates and run no Lanczos. Any other case, a missing,
+    older or damaged truth file among them, parses and estimates."""
     kv = _read_kv(path, ("loss", "data", "b_matrix"), ("l2_weight", "composite_weight"),
                   "problem")
     here = os.path.dirname(os.path.abspath(path))
     # LIBSVM cannot record an empty last feature column; B's shape line can
     B = load_matrix(os.path.join(here, kv["b_matrix"]))
     data_path = os.path.join(here, kv["data"])
-    stored = _stored_problem(_truth_path(path))
-    if (stored is not None and stored["A_shape"][1] == B.n_cols
-            and str(stored["data_sha256"]) == _file_sha256(data_path)):
+    try:
+        stored = _read_truth(_truth_path(path), _STORED_PROBLEM)
+    except (OSError, ValueError):  # no truth file, or one load_ground_truth refuses
+        stored = {}
+    complete = len(stored) == len(_STORED_PROBLEM)  # else an older truth, or none: parse
+    if (complete and stored["A_shape"][1] == B.n_cols
+            and str(stored["data_sha256"]) == _file_bytes(data_path)[1]):
         n_rows, n_cols = stored["A_shape"].tolist()
         samples = SparseMatrix(n_rows, n_cols, stored["A_indptr"], stored["A_indices"],
                                stored["A_data"])
@@ -335,18 +350,20 @@ def load_problem(path):
                            composite_weight=composite_weight, B=B)
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from None
-    if stored is not None and str(stored["fingerprint"]) == problem_fingerprint(spec):
+    if complete and str(stored["fingerprint"]) == problem_fingerprint(spec):
         for name, M in (("A", spec.dataset.samples), ("B", B)):
             M.spectrum = SpectralEstimate(**{f.name: stored[f"{name}_{f.name}"].item()
                                              for f in fields(SpectralEstimate)})
     return spec
 
 
-def _file_sha256(path):
+def _file_bytes(path):
+    """The bytes of the file at path and their sha256 hex digest."""
     import hashlib  # here: loading it costs about 3 ms, at every start-up if at the top
 
     with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+        raw = fh.read()
+    return raw, hashlib.sha256(raw).hexdigest()
 
 
 def _number(where, key, text, kind):
@@ -373,19 +390,17 @@ def _read_kv(path, required, optional, what):
     key in neither tuple are ValueErrors that name the file; what names
     the kind of file ("missing problem key 'loss'")."""
     out, seen = {}, {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key in seen:
-                raise ValueError(f"{path}:{lineno}: key {key!r} repeats line {seen[key]}")
-            seen[key] = lineno
-            out[key] = value.strip()
+    for lineno, line in _text_lines(path):
+        if line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected 'key = value'")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key in seen:
+            raise ValueError(f"{path}:{lineno}: key {key!r} repeats line {seen[key]}")
+        seen[key] = lineno
+        out[key] = value.strip()
     for key in required:
         if key not in out:
             raise ValueError(f"{path}: missing {what} key {key!r}")
@@ -540,33 +555,40 @@ _STORED_PROBLEM = ("data_sha256", "A_shape", "A_indptr", "A_indices", "A_data", 
                    *(f"{name}_{f.name}" for name in "AB" for f in fields(SpectralEstimate)))
 
 
-def _stored_problem(path):
-    """The _STORED_PROBLEM arrays of the truth file at path, as a dict, or
-    None where there is no such file, it cannot be read, or it was written
-    without them (by an older version, or for a problem not read from a
-    file)."""
-    try:
-        z = np.load(path)
-        if not isinstance(z, np.lib.npyio.NpzFile):  # an .npy file
-            return None
-        with z:
-            return ({key: z[key] for key in _STORED_PROBLEM}
-                    if set(_STORED_PROBLEM) <= set(z.files) else None)
-    except (OSError, ValueError, EOFError, zipfile.BadZipFile):
-        return None
+def _read_truth(path, keys):
+    """The arrays of the truth file at path that keys name and it holds, as
+    a dict. A file that is not an .npz of plain arrays, or that lacks a
+    field of GroundTruth, is a ValueError that names it; one that cannot be
+    opened is an OSError."""
+    with open(path, "rb") as fh:
+        try:
+            if fh.read(2) != b"PK":  # the start of a zip archive, as an .npz file is
+                raise ValueError("not an .npz file")
+            fh.seek(0)
+            with np.load(fh) as z:
+                missing = [f.name for f in fields(GroundTruth) if f.name not in z.files]
+                if missing:
+                    raise ValueError(f"no {missing[0]} in it")
+                return {key: z[key] for key in keys if key in z.files}
+        # what np.load, zipfile and its decompressors raise on a damaged file
+        except (OSError, ValueError, EOFError, RuntimeError, zipfile.BadZipFile,
+                zlib.error) as err:
+            raise ValueError(f"{path}: not a ground truth file: {err}; "
+                             "rerun `spdfp truth`") from None
 
 
 def load_ground_truth(path, spec):
     """The GroundTruth of spec saved by save_ground_truth. A file that holds
     a fingerprint must hold spec's; one without, written before
     fingerprints, must have spec's shapes; else a ValueError names the
-    file. Files that also hold the raw PDFP dual (v_star_pdfp) load too."""
-    z = np.load(path)
+    file, as it does for a file that _read_truth refuses. Files that also
+    hold the raw PDFP dual (v_star_pdfp) load too."""
+    z = _read_truth(path, [f.name for f in fields(GroundTruth)] + ["fingerprint"])
     gt = GroundTruth(x_star=z["x_star"], v_star=z["v_star"],
                      objective_star=float(z["objective_star"]),
                      residual=float(z["residual"]), gamma=float(z["gamma"]),
                      lam=float(z["lam"]), iterations=int(z["iterations"]))
-    if "fingerprint" in z.files:
+    if "fingerprint" in z:
         if str(z["fingerprint"]) != problem_fingerprint(spec):
             raise ValueError(f"{path}: this ground truth was computed for another problem "
                              "(its fingerprint differs); rerun `spdfp truth`")
@@ -743,8 +765,8 @@ def _fmt(value):
 
 
 def _truth_path(problem):
-    """The ground truth file of a .problem file: `spdfp truth` writes it by
-    default, and run_experiment reads it, and no other."""
+    """The one ground truth file of a .problem file: `spdfp truth` writes
+    it, and load_problem and run_experiment read it."""
     return problem + ".truth.npz"
 
 
@@ -760,13 +782,15 @@ def _mean(values):
     return None if None in values else float(np.mean(values))
 
 
-def run_experiment(cfg, ground_truth=None):
+def run_experiment(cfg):
     """Execute every (solver, repetition) run and write the two CSV files.
 
     Every clause goes through build_solver_configs before the ground truth
     is loaded or computed and before any run, so a bad clause fails first.
-    Returns (rows_path, mean_path). Data columns are deterministic given
-    the master seed; the wall-time column is not.
+    The truth is read from _truth_path(cfg.problem) where that file exists,
+    else computed, as for a synth: source. Returns (rows_path, mean_path).
+    Data columns are deterministic given the master seed; the wall-time
+    column is not.
     """
     spec = resolve_problem(cfg.problem)
     seeds = [int(s) for s in np.random.SeedSequence(cfg.master_seed).generate_state(
@@ -783,10 +807,9 @@ def run_experiment(cfg, ground_truth=None):
         solver_lines.append(f"# solver {entry.label}: " + " ".join(shown))
         clauses.append((entry, run_cfg, admm_cfg))
 
-    if ground_truth is None:
-        cache = None if cfg.problem.startswith("synth:") else _truth_path(cfg.problem)
-        ground_truth = (load_ground_truth(cache, spec) if cache and os.path.exists(cache)
-                        else compute_ground_truth(spec))
+    cache = None if cfg.problem.startswith("synth:") else _truth_path(cfg.problem)
+    ground_truth = (load_ground_truth(cache, spec) if cache and os.path.exists(cache)
+                    else compute_ground_truth(spec))
     prox_spec, reference = prox_for(spec), ground_truth.reference()
     runs = {entry.label: [run_solver(entry.kind, spec, prox_spec, replace(run_cfg, seed=seed),
                                      admm_cfg=admm_cfg, reference=reference, name=entry.label)

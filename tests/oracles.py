@@ -9,6 +9,13 @@ import mpmath
 import numpy as np
 
 
+def batch_probability(plan, i):
+    """The chance that a draw picks batch i of plan: the draw takes a
+    sample uniformly and its batch, so the batch's share of the samples."""
+    start, stop = plan.ranges[i]
+    return (stop - start) / plan.n
+
+
 def golden_section_min(f, lo, hi, iters=120):
     """Minimize a scalar unimodal function on [lo, hi].
 

@@ -148,7 +148,7 @@ def test_criterion_4_variance_constants():
             assert vc.C2 == pytest.approx(2 * vc.L_p / (n * p) * (b @ b), rel=1e-12)
             for _ in range(100):
                 x = rng.standard_normal(d) * rng.uniform(0, 5)
-                second = sum(plan.probability(i)
+                second = sum(oracles.batch_probability(plan, i)
                              * np.sum(stochastic_gradient(spec, plan, i, x) ** 2)
                              for i in range(plan.n_batches))
                 worst_slack = min(worst_slack, vc.C1 * (x @ x) + vc.C2 - second)

@@ -160,6 +160,39 @@ def test_run_checks_the_shapes_of_a_truth_without_fingerprint(tmp_path, capsys):
             r"prob\.problem\.truth\.npz: .*shape \(10,\).*12 features.*rerun `spdfp truth`")
 
 
+def test_a_damaged_truth_is_refused_with_its_path(tmp_path, capsys):
+    # each put where `spdfp run` reads the truth: the run refuses it in one
+    # line that names it, and load_problem next to it parses
+    base = str(tmp_path / "prob")
+    assert main(["synth", "--out", base, "--n", "60", "--d", "10", "--seed", "7"]) == 0
+    fresh = harness.problem_fingerprint(load_problem(base + ".problem"))
+    assert main(["truth", "--problem", base + ".problem", "--iters", "1500"]) == 0
+    truth = tmp_path / "prob.problem.truth.npz"
+    good = truth.read_bytes()
+    with np.load(truth) as z:
+        np.savez(tmp_path / "no_x.npz", **{k: z[k] for k in z.files if k != "x_star"})
+        np.save(tmp_path / "x.npy", z["x_star"])
+    for damaged in (good[:len(good) // 2], (tmp_path / "x.npy").read_bytes(),
+                    (tmp_path / "no_x.npz").read_bytes(), b"x_star = 0\n"):
+        truth.write_bytes(damaged)
+        assert harness.problem_fingerprint(load_problem(base + ".problem")) == fresh
+        refused(capsys, ["run", "--config", desk_run_config(tmp_path)],
+                rf"^{re.escape(str(truth))}: not a ground truth file: .*; rerun `spdfp truth`$")
+
+
+def test_truth_refuses_a_synth_source_and_takes_no_out(tmp_path, capsys, monkeypatch):
+    # a synth: source has no truth file: `spdfp run` computes its truth
+    monkeypatch.chdir(tmp_path)
+    refused(capsys, ["truth", "--problem", "synth:n=40,d=6,seed=2"],
+            r"^truth: synth:n=40,d=6,seed=2 is no \.problem file")
+    assert os.listdir(tmp_path) == []
+    with pytest.raises(SystemExit) as exit_:
+        main(["truth", "--problem", "p.problem", "--out", "x.npz"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --out x.npz" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
 # ---------------------------------------------------------------------------
 # the problem and its spectra, stored with the truth
 

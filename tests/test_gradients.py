@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from spdfp.gradients import (
     draw_batch_index,
     full_gradient,
@@ -82,8 +83,8 @@ def test_batch_plan_contiguous_ranges():
 def test_batch_plan_remainder_policy():
     plan = make_batch_plan(7, 3)
     assert plan.ranges == ((0, 3), (3, 6), (6, 7))
-    assert plan.probability(0) == pytest.approx(3 / 7)
-    assert plan.probability(2) == pytest.approx(1 / 7)
+    assert oracles.batch_probability(plan, 0) == pytest.approx(3 / 7)
+    assert oracles.batch_probability(plan, 2) == pytest.approx(1 / 7)
 
 
 def test_batch_plan_rejects_bad_p():
@@ -137,7 +138,8 @@ def test_unbiasedness_all_losses_and_batch_sizes():
                 full = full_gradient(spec, x)
                 mix = np.zeros(d)
                 for i in range(plan.n_batches):
-                    mix += plan.probability(i) * stochastic_gradient(spec, plan, i, x)
+                    mix += (oracles.batch_probability(plan, i)
+                            * stochastic_gradient(spec, plan, i, x))
                 np.testing.assert_allclose(mix, full, atol=1e-12)
 
 
@@ -200,7 +202,7 @@ def test_second_moment_bound_square_loss():
             vc = variance_constants(spec, plan)
             for _ in range(100):
                 x = rng.standard_normal(d) * rng.uniform(0, 5)
-                second = sum(plan.probability(i)
+                second = sum(oracles.batch_probability(plan, i)
                              * np.sum(stochastic_gradient(spec, plan, i, x) ** 2)
                              for i in range(plan.n_batches))
                 assert second <= vc.C1 * (x @ x) + vc.C2 + 1e-9

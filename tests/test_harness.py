@@ -16,6 +16,7 @@ from spdfp.harness import (
     SYNTH_DEFAULTS,
     TRUTH_TARGET,
     ExperimentConfig,
+    GroundTruth,
     SolverEntry,
     build_graph_matrix,
     compute_ground_truth,
@@ -216,8 +217,7 @@ LIBSVM_REFUSALS = [
     (b"1 1:1\n-1 99999999999999999999999:1\n", None,
      "{p}:2: feature index 99999999999999999999999 is too large"),
     (b"\xef\xbb\xbf1 1:2\n", None, "{p}:1: bad label '\\ufeff1'"),
-    (b"1 1:2\n\xff 1:2\n", None,
-     "'utf-8' codec can't decode byte 0xff in position 6: invalid start byte"),
+    (b"1 1:2\n\xff 1:2\n", None, "{p}:2: byte 0xff is not UTF-8"),
 ]
 
 
@@ -433,6 +433,26 @@ def test_problem_file_errors_name_the_file(tmp_path):
             load_problem(base)
 
 
+@pytest.mark.parametrize("suffix", [".libsvm", ".B.txt", ".problem", ".cfg"])
+@pytest.mark.parametrize("bad,byte", [(b"\xff", "0xff"), (b"\xe2(", "0xe2"),
+                                      (b"\xed\xa0\x80", "0xed")],  # the last a UTF-16 surrogate
+                         ids=["0xff", "cut short", "surrogate"])
+def test_bytes_that_are_not_utf8_are_refused_at_their_line(tmp_path, suffix, bad, byte):
+    # every text format is read by one reader, which names the file and the
+    # line, far past the first block the decoder reads too
+    spec = synth_fused_lasso(3000, 5, 0.1, 0.01, seed=1)
+    problem = save_problem(spec, tmp_path / "p")
+    cfg = write_config(tmp_path, "p.problem", "pdfp()")
+    path = cfg if suffix == ".cfg" else tmp_path / ("p" + suffix)
+    lines = path.read_bytes().splitlines(keepends=True)
+    at = min(2500, len(lines)) - 1
+    lines[at] = lines[at].rstrip(b"\n") + bad + b"\n"
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(ValueError) as err:
+        parse_experiment_config(cfg) if suffix == ".cfg" else load_problem(problem)
+    assert str(err.value) == f"{path}:{at + 1}: byte {byte} is not UTF-8"
+
+
 def test_graph_matrix_perfect_pair():
     rng = np.random.default_rng(2)
     base = rng.standard_normal(40)
@@ -588,6 +608,25 @@ def test_old_truth_files_with_the_raw_dual_still_load(tmp_path):
     assert sorted(np.load(tmp_path / "new.truth.npz").files) == sorted(
         ("x_star", "v_star", "objective_star", "residual", "gamma", "lam", "iterations",
          "fingerprint"))
+
+
+def test_every_truncated_truth_file_is_refused_with_its_path(tmp_path):
+    # each prefix of a truth file, the empty one among them: one ValueError
+    # that names the file, and a load_problem next to it that parses
+    spec = synth_fused_lasso(40, 6, 0.1, 0.01, seed=2)
+    problem = save_problem(spec, tmp_path / "p")
+    gt = GroundTruth(x_star=np.zeros(6), v_star=np.zeros(5), objective_star=0.0, residual=0.0,
+                     gamma=1.0, lam=0.1, iterations=0)
+    path = tmp_path / "p.problem.truth.npz"
+    save_ground_truth(gt, path, load_problem(problem))
+    raw = path.read_bytes()
+    for size in range(len(raw)):
+        path.write_bytes(raw[:size])
+        with pytest.raises(ValueError) as err:
+            load_ground_truth(path, spec)
+        assert re.fullmatch(rf"{re.escape(str(path))}: not a ground truth file: .*; "
+                            r"rerun `spdfp truth`", str(err.value)), (size, str(err.value))
+    assert problem_fingerprint(load_problem(problem)) == problem_fingerprint(spec)
 
 
 def test_truth_fingerprint_follows_every_input_of_the_truth(tmp_path):
@@ -1164,20 +1203,19 @@ def test_each_operator_estimated_once_per_run(tmp_path, monkeypatch):
     compute_ground_truth(spec, iters=1)
     assert count(40) == 1 and count(5) == 1
 
-    # a truth given, or cached next to the problem file: the run's own spec
-    # estimates B once, and A once if some pdfp clause steps by default_gamma
+    # a truth cached next to the problem file: the run's own spec estimates
+    # B once, and A once if some pdfp clause steps by default_gamma
     problem = save_problem(synth_fused_lasso(40, 6, 0.1, 0.01, seed=2), tmp_path / "p")
     save_ground_truth(truth, problem + ".truth.npz", spec)
-    for source, given in (("synth:n=40,d=6,seed=2,perturb_frac=0.1", truth), (problem, None)):
-        for solvers, data_estimates in (("pdfp()", 1), ("pdfp(gamma=0.5)", 0),
-                                        ("pdfp(); spdfp2(p=10); pdfp(label=again)", 1)):
-            calls.clear()
-            cfg = ExperimentConfig(problem=source, solvers=parse_solver_list(solvers),
-                                   repetitions=3, epochs=1, output=str(tmp_path / "run"),
-                                   master_seed=1)
-            run_experiment(cfg, ground_truth=given)
-            assert count(40) == data_estimates, (source, solvers)
-            assert count(5) == 1, (source, solvers)
+    for solvers, data_estimates in (("pdfp()", 1), ("pdfp(gamma=0.5)", 0),
+                                    ("pdfp(); spdfp2(p=10); pdfp(label=again)", 1)):
+        calls.clear()
+        cfg = ExperimentConfig(problem=problem, solvers=parse_solver_list(solvers),
+                               repetitions=3, epochs=1, output=str(tmp_path / "run"),
+                               master_seed=1)
+        run_experiment(cfg)
+        assert count(40) == data_estimates, solvers
+        assert count(5) == 1, solvers
 
     # no truth at all: the truth and every pdfp(gamma=auto) clause share one
     # estimate of A, and the truth, the clauses and the guard one of B

@@ -66,3 +66,61 @@ def test_build_requires_only_what_setup_py_imports():
         elif isinstance(node, ast.ImportFrom):
             imported.add(node.module.split(".")[0])
     assert {re.match(r"[A-Za-z0-9_.\-]+", r).group(0) for r in requires} == imported
+
+
+def functions_that_call(accept):
+    """The names, as module.function, of the functions of src/spdfp whose
+    own body (not that of a function within it) holds a call accept takes."""
+    found = set()
+
+    class Calls(ast.NodeVisitor):
+        def __init__(self, module):
+            self.where = [module]
+
+        def visit_FunctionDef(self, node):
+            self.where.append(node.name)
+            self.generic_visit(node)
+            self.where.pop()
+
+        def visit_Call(self, node):
+            if accept(node):
+                found.add(".".join(self.where))
+            self.generic_visit(node)
+
+    package = os.path.join(ROOT, "src", "spdfp")
+    for here, _, files in os.walk(package):
+        for name in sorted(f for f in files if f.endswith(".py")):
+            with open(os.path.join(here, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read())
+            Calls(os.path.relpath(os.path.join(here, name[:-3]), package)).visit(tree)
+    return found
+
+
+def called_name(call):
+    return getattr(call.func, "attr", getattr(call.func, "id", None))
+
+
+def test_truth_files_have_one_reader():
+    """np.load is called in one function, so no two readers of the truth
+    file can disagree on what they accept."""
+    def np_load(call):
+        f = call.func
+        return (isinstance(f, ast.Attribute) and f.attr == "load"
+                and isinstance(f.value, ast.Name) and f.value.id in ("np", "numpy"))
+
+    assert functions_that_call(np_load) == {"harness._read_truth"}
+
+
+def test_text_input_is_decoded_in_one_function():
+    """The .problem, .cfg, B.txt and LIBSVM files are decoded by one reader:
+    no text-mode open() for reading, TextIOWrapper or decode() elsewhere."""
+    def decodes(call):
+        if called_name(call) in ("TextIOWrapper", "decode", "StringIO", "read_text"):
+            return True
+        if called_name(call) != "open" or not isinstance(call.func, ast.Name):
+            return False
+        mode = call.args[1] if len(call.args) > 1 else next(
+            (k.value for k in call.keywords if k.arg == "mode"), ast.Constant("r"))
+        return not isinstance(mode, ast.Constant) or not set("bwax") & set(mode.value)
+
+    assert functions_that_call(decodes) == {"harness._text_lines"}

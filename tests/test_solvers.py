@@ -606,7 +606,7 @@ def test_one_step_joint_error_estimate():
     # right side with exhaustive batch expectation
     gx = full_gradient(spec, state.x)
     gstar = full_gradient(spec, x_star)
-    quad = sum(plan.probability(i)
+    quad = sum(oracles.batch_probability(plan, i)
                * np.sum((stochastic_gradient(spec, plan, i, state.x) - gstar) ** 2)
                for i in range(plan.n_batches))
     dx = state.x - x_star
