@@ -3,11 +3,13 @@
 lane.c, built into the shared library ``_lane`` by
 ``python setup.py build_ext --inplace``, runs the PDFP / SPDFP steps of a
 run's record blocks, with each epoch's snapshot and time stamp, the A x and
-B x products of those snapshots, and the Gram products of the Lanczos
-method, and is loaded with ctypes when it was built. ``LANE`` is the loaded
-CLane, or None, and then every step runs on the NumPy reference path of
-spdfp.solvers and every Gram product on sparse.RowView; spdfp.solvers._steps
-and sparse.estimate_spectrum read it to pick the lane. Both paths give the
+B x products of those snapshots, the step-size factors of their records,
+and the Gram products of the Lanczos method, and is loaded with ctypes when
+it was built. ``LANE`` is the loaded CLane, or None, and then every step
+runs on the NumPy reference path of spdfp.solvers, every record's factors
+come from Python float lists there and every Gram product from
+sparse.RowView; spdfp.solvers._steps, solvers._block_records and
+sparse.estimate_spectrum read it to pick the lane. Both paths give the
 same bits. Every other product, and the prox outside the fused steps, is
 NumPy on either path (sparse.RowView, prox.soft_threshold).
 """
@@ -19,7 +21,7 @@ import os
 import numpy as np
 
 _KINDS = {"pdfp": 0, "spdfp1": 1, "spdfp2": 2}
-_LANE_VERSION = 4   # spdfp_lane_version() of the lane.c this module calls
+_LANE_VERSION = 5   # spdfp_lane_version() of the lane.c this module calls
 _LOSSES = {"square": 0, "hinge": 1, "logistic": 2}
 
 
@@ -79,6 +81,9 @@ class CLane:
         lib.spdfp_products.restype = None
         lib.spdfp_gram.argtypes = (ctypes.POINTER(_Csr), i64, p, p, p)
         lib.spdfp_gram.restype = None
+        d = ctypes.c_double
+        lib.spdfp_scales.argtypes = (d, d, d, i64, i64, i64, p, p)
+        lib.spdfp_scales.restype = None
         self._lib = lib
 
     def gram(self, M, outer):
@@ -96,6 +101,18 @@ class CLane:
 
         product.matrix = M  # keeps alive the arrays csr points into
         return product
+
+    def scales(self, c, alpha, lam, ks, dual):
+        """The a_k weights gamma_k**2 / lam, inf where the square overflows,
+        of each k of the range ks, gamma_k = c / k**alpha with libm pow, as
+        an array; and with dual set the dual scales lam / gamma_{k-1}, 1 at
+        k = 1, as another, else None. They are the bits of the Python float
+        lists of solvers._scales."""
+        weight = np.empty(len(ks))
+        dscale = np.empty(len(ks)) if dual else None
+        self._lib.spdfp_scales(c, alpha, lam, ks.start, ks.step, len(ks), weight.ctypes.data,
+                               None if dscale is None else dscale.ctypes.data)
+        return weight, dscale
 
     def steps(self, kind, spec, prox_spec, cfg, ranges, x, v):
         """The steps of one run of kind over x and v, as a Steps."""

@@ -4,25 +4,27 @@
  * of each Lanczos step of sparse.estimate_spectrum. The record products
  * take four snapshots per pass over a matrix's rows, and a step starts from
  * the B^T v the step before it left, so it makes three B products, not four.
- * Plain C99 over raw int64/double arrays, no Python C-API; spdfp._kernels
- * loads the built library with ctypes and checks every array before it
- * passes a pointer. It exports spdfp_run_size, spdfp_lane_version,
- * spdfp_run_steps, spdfp_products and spdfp_gram; everything else is
- * static.
+ * The step-size factors of a block's records (spdfp_scales) come from
+ * here too. Plain C99 over raw int64/double arrays, no Python C-API;
+ * spdfp._kernels loads the built library with ctypes and checks every
+ * array before it passes a pointer. It exports spdfp_run_size,
+ * spdfp_lane_version, spdfp_run_steps, spdfp_products, spdfp_gram and
+ * spdfp_scales; everything else is static.
  *
  * Each function mirrors the NumPy reference (sparse.RowView,
- * prox.soft_threshold, solvers._pdfp_step) op for op, so that
- * both lanes give the same bits:
+ * prox.soft_threshold, solvers._pdfp_step, the scale lists of
+ * solvers._scales) op for op, so that both lanes give the same bits:
  *   - a product sums each output entry from 0.0 in CSR order, as
  *     np.bincount does, and multiplies data by the vector in that order,
  *     also when it takes four snapshots at once, one accumulator each;
- *   - B^T v is the same rmatvec of the same v whether a step computes it
- *     or takes it from the step before;
+ *   - both lanes compute B^T v once per call and then take it from the
+ *     step before, the same rmatvec of the same v;
  *   - every NumPy expression is the same C expression in the same order,
  *     built without FMA contraction (-ffp-contract=off) and without
  *     fast-math;
- *   - c / k**alpha and ((k-1)/k)**alpha go through libm pow, as in Python
- *     (alpha = 0 for a constant step, and pow(x, 0) is exactly 1);
+ *   - c / k**alpha, ((k-1)/k)**alpha and gamma**2 go through libm pow, as
+ *     Python's float ** does (alpha = 0 for a constant step, and pow(x, 0)
+ *     is exactly 1);
  *   - the logistic loss weights take libm exp, which the reference reaches
  *     through math.exp (problem._sigmoid), not NumPy's SIMD exp, which can
  *     differ in the last bit.
@@ -69,10 +71,10 @@ int64_t spdfp_run_size(void)
  * lane.c instead of calling it with the wrong arguments. Revision 2:
  * spdfp_products takes a block of snapshots. Revision 3: spdfp_run_steps
  * runs a block of epochs and takes their snapshots and time stamps.
- * Revision 4: spdfp_gram. */
+ * Revision 4: spdfp_gram. Revision 5: spdfp_scales. */
 int64_t spdfp_lane_version(void)
 {
-    return 4;
+    return 5;
 }
 
 /* out[i - lo] = (row i of M) . x for lo <= i < hi. */
@@ -158,6 +160,26 @@ void spdfp_gram(const csr *M, int64_t outer, const double *u, double *work, doub
     } else {
         matvec(M, u, work, 0, M->n_rows);
         rmatvec(M, work, out, 0, M->n_rows);
+    }
+}
+
+/* The exponent of gamma**2: volatile, so that the compiler calls pow and
+ * does not fold pow(g, 2.0) into g * g, which may differ in the last bit. */
+static volatile const double TWO = 2.0;
+
+/* The step-size factors of the records of n epochs that end before steps
+ * k = k0 + i * step, i < n (solvers._scales): weight[i] =
+ * gamma_k**2 / lam, inf where the square overflows, and, where dscale is
+ * not NULL, dscale[i] = lam / gamma_{k-1}, or 1 for k = 1, which puts a dual
+ * after step k - 1 on the subgradient scale. gamma_k = c / k**alpha. */
+void spdfp_scales(double c, double alpha, double lam, int64_t k0, int64_t step, int64_t n,
+                  double *weight, double *dscale)
+{
+    for (int64_t i = 0; i < n; i++) {
+        int64_t k = k0 + i * step;
+        weight[i] = pow(c / pow((double)k, alpha), TWO) / lam;
+        if (dscale)
+            dscale[i] = k > 1 ? lam / (c / pow((double)(k - 1), alpha)) : 1.0;
     }
 }
 

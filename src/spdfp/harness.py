@@ -32,10 +32,10 @@ import numpy as np
 from spdfp.problem import Dataset, ProblemSpec, objective_value
 from spdfp.prox import ProxSpec
 from spdfp.solvers import (
+    COLUMNS,
     AdmmConfig,
     ConstantSchedule,
     Reference,
-    RunRecord,
     SolverConfig,
     StepSchedule,
     _check_constant_step,
@@ -323,7 +323,8 @@ def load_problem(path):
     A with B's column count, the dataset is built from its arrays instead
     of parsed; where its fingerprint is that of the spec, A and B take its
     spectral estimates and run no Lanczos. Any other case, a missing,
-    older or damaged truth file among them, parses and estimates."""
+    older or damaged truth file among them (one _read_truth refuses, or
+    whose arrays SparseMatrix or Dataset refuses), parses and estimates."""
     kv = _read_kv(path, ("loss", "data", "b_matrix"), ("l2_weight", "composite_weight"),
                   "problem")
     here = os.path.dirname(os.path.abspath(path))
@@ -335,13 +336,16 @@ def load_problem(path):
     except (OSError, ValueError):  # no truth file, or one load_ground_truth refuses
         stored = {}
     complete = len(stored) == len(_STORED_PROBLEM)  # else an older truth, or none: parse
+    dataset = None
     if (complete and stored["A_shape"][1] == B.n_cols
             and str(stored["data_sha256"]) == _file_bytes(data_path)[1]):
-        n_rows, n_cols = stored["A_shape"].tolist()
-        samples = SparseMatrix(n_rows, n_cols, stored["A_indptr"], stored["A_indices"],
-                               stored["A_data"])
-        dataset = Dataset.read_from(str(stored["data_sha256"]), samples, stored["labels"])
-    else:
+        try:
+            samples = SparseMatrix(*stored["A_shape"].tolist(), stored["A_indptr"],
+                                   stored["A_indices"], stored["A_data"])
+            dataset = Dataset.read_from(str(stored["data_sha256"]), samples, stored["labels"])
+        except ValueError:  # arrays that SparseMatrix or Dataset refuses: parse
+            pass
+    if dataset is None:
         dataset = load_libsvm(data_path, n_features=B.n_cols)
     l2_weight = _kv_number(path, kv, "l2_weight", float, 0.0)
     composite_weight = _kv_number(path, kv, "composite_weight", float, 0.0)
@@ -550,16 +554,34 @@ def save_ground_truth(gt, path, spec):
              fingerprint=problem_fingerprint(spec), **cache)
 
 
-_STORED_PROBLEM = ("data_sha256", "A_shape", "A_indptr", "A_indices", "A_data", "labels",
-                   "fingerprint",
-                   *(f"{name}_{f.name}" for name in "AB" for f in fields(SpectralEstimate)))
+# what each field of a truth file holds, as save_ground_truth writes it: the
+# kind of its dtype and its shape, with None for a length of any size; the
+# fields of GroundTruth first
+_TRUTH_FIELDS = {
+    "x_star": ("f", (None,)), "v_star": ("f", (None,)), "objective_star": ("f", ()),
+    "residual": ("f", ()), "gamma": ("f", ()), "lam": ("f", ()), "iterations": ("i", ()),
+    "fingerprint": ("U", ()), "data_sha256": ("U", ()), "A_shape": ("i", (2,)),
+    "A_indptr": ("i", (None,)), "A_indices": ("i", (None,)), "A_data": ("f", (None,)),
+    "labels": ("f", (None,)),
+    **{f"{name}_{f.name}": (np.dtype(f.type).kind, ()) for name in "AB"
+       for f in fields(SpectralEstimate)},
+}
+# the fields that load_problem reads: the fingerprint and the stored problem
+_STORED_PROBLEM = tuple(_TRUTH_FIELDS)[len(fields(GroundTruth)):]
+
+
+def _holds(arr, kind, shape):
+    """Whether arr has the dtype kind and the shape (None for any length)."""
+    return (arr.dtype.kind == kind and arr.ndim == len(shape)
+            and all(n is None or n == m for n, m in zip(shape, arr.shape)))
 
 
 def _read_truth(path, keys):
     """The arrays of the truth file at path that keys name and it holds, as
-    a dict. A file that is not an .npz of plain arrays, or that lacks a
-    field of GroundTruth, is a ValueError that names it; one that cannot be
-    opened is an OSError."""
+    a dict. A file that is not an .npz of plain arrays, that lacks a field
+    of GroundTruth, or whose field that keys name has another dtype kind or
+    shape than _TRUTH_FIELDS gives, is a ValueError that names it; one that
+    cannot be opened is an OSError."""
     with open(path, "rb") as fh:
         try:
             if fh.read(2) != b"PK":  # the start of a zip archive, as an .npz file is
@@ -569,7 +591,11 @@ def _read_truth(path, keys):
                 missing = [f.name for f in fields(GroundTruth) if f.name not in z.files]
                 if missing:
                     raise ValueError(f"no {missing[0]} in it")
-                return {key: z[key] for key in keys if key in z.files}
+                found = {key: z[key] for key in keys if key in z.files}
+                for key, arr in found.items():
+                    if not _holds(arr, *_TRUTH_FIELDS[key]):
+                        raise ValueError(f"its {key} is a {arr.dtype} array of shape {arr.shape}")
+                return found
         # what np.load, zipfile and its decompressors raise on a damaged file
         except (OSError, ValueError, EOFError, RuntimeError, zipfile.BadZipFile,
                 zlib.error) as err:
@@ -778,8 +804,17 @@ def _write_csv(path, preamble, header, rows):
         writer.writerows(rows)
 
 
-def _mean(values):
-    return None if None in values else float(np.mean(values))
+def _mean_rows(reps):
+    """(epoch, mean of each column of COLUMNS) per epoch that every run of
+    reps, the RunRecords of the repetitions of one clause, reached; a mean
+    is None where the runs have no such column. Each mean is np.mean of one
+    row of an (epochs, repetitions) stack, which sums that row as np.mean of
+    the row alone does, so it has the bits of one np.mean per cell."""
+    n = min(map(len, reps))
+    means = [repeat(None, n) if any(c is None for c in columns)
+             else np.mean(np.stack([c[:n] for c in columns], axis=1), axis=1).tolist()
+             for columns in ([getattr(r, name) for r in reps] for name in COLUMNS)]
+    return zip(range(reps[0].first, reps[0].first + n), *means)
 
 
 def run_experiment(cfg):
@@ -823,14 +858,12 @@ def run_experiment(cfg):
                 f"objective={ground_truth.objective_star!r}", *solver_lines]
     rows_path, mean_path = cfg.output + ".csv", cfg.output + "_mean.csv"
     os.makedirs(os.path.dirname(os.path.abspath(rows_path)), exist_ok=True)
-    names = [f.name for f in fields(RunRecord)]
     _write_csv(rows_path, preamble, CSV_COLUMNS,
-               ([_fmt(getattr(r, f)) for f in names]
-                for reps in runs.values() for recs in reps for r in recs))
-    # zip stops at the epochs every repetition reached, as a diverged one
-    # stops early; names[3:] are the columns from wall_time on
+               (list(map(_fmt, row)) for reps in runs.values() for recs in reps
+                for row in zip(*recs.field_values())))
+    # the means stop at the epochs every repetition reached, as a diverged
+    # one stops early
     _write_csv(mean_path, preamble, [c for c in CSV_COLUMNS if c != "seed"],
-               ([label, recs[0].epoch] + [_fmt(_mean([getattr(r, f) for r in recs]))
-                                          for f in names[3:]]
-                for label, reps in runs.items() for recs in zip(*reps)))
+               ([label, epoch, *map(_fmt, means)] for label, reps in runs.items()
+                for epoch, *means in _mean_rows(reps)))
     return rows_path, mean_path

@@ -11,7 +11,9 @@ Four solvers share the state layout (primal x, dual v, counter k):
 * ``stoc_admm_step``   stochastic ADMM baseline with a d x d linear solve
                        per step
 
-``run_solver`` wraps any of them into an epoch loop with per-epoch records.
+``run_solver`` wraps any of them into an epoch loop with per-epoch records,
+returned as columns (RunRecords) whose RunRecord rows are built only when
+one is read.
 It checks its inputs once and builds a _RunContext (raw CSR arrays, row maps
 and scalars), on which the private reference step of each kind runs: one
 _pdfp_step for the three PDFP-family kinds, set up as lane.c's step is, and
@@ -26,15 +28,18 @@ else the reference steps behind the same calls (_ReferenceSteps), with the
 same bits. ``run_solver`` and the ground truth each drive them in one loop.
 
 ``run_solver`` goes through its epochs in blocks: one draw of batch
-indices, one steps call and one _block_records call each, whose columns and
-scalar factors (step sizes, dual scales, a_k weights) are one operation or
-one list over the block each, not one call per epoch.
+indices, one steps call and one _block_records call each, whose columns are
+one operation over the block each, not one call per epoch. The scalar
+factors of the a_k column (a_k weights and dual scales) come from the C lane
+(spdfp_scales) where it is built, else from lists of Python floats, with
+the same bits.
 """
 
 import math
 import time
 import warnings
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, fields
 from functools import cached_property, partial
 from itertools import repeat
 from typing import ClassVar
@@ -204,9 +209,9 @@ class _RunContext:
     def prox_residual(self, tau, y):
         return y - self.prox(tau, y)
 
-    def dual_reflect(self, lam, v):
-        # (I - lam B B^T) v without materializing B B^T
-        return v - lam * self.B.matvec(self.B.rmatvec(v))
+    def dual_reflect(self, lam, v, bt):
+        # (I - lam B B^T) v without materializing B B^T, from bt = B^T v
+        return v - lam * self.B.matvec(bt)
 
     def products(self, X):
         """A x and B x of each row x of X, stacked as rows."""
@@ -214,13 +219,16 @@ class _RunContext:
         return np.array([A.matvec(x) for x in X]), np.array([self.B.matvec(x) for x in X])
 
 
-# Reference steps: (ctx, params, k, batch, *iterates) -> new iterates, always
-# fresh arrays. k is the 1-based step counter before the step. The three
-# PDFP-family kinds differ in three scalars only, which _pdfp_step sets as
-# lane.c's step does before one body; a product with 1.0 is exact, so each
-# kind keeps the bits of its own formulas.
+# Reference steps: (ctx, params, k, batch, *carried) -> new carried values,
+# always fresh arrays. k is the 1-based step counter before the step. The
+# three PDFP-family kinds carry (x, v, B^T v) and differ in three scalars
+# only, which _pdfp_step sets as lane.c's step does before one body; a
+# product with 1.0 is exact, so each kind keeps the bits of its own formulas.
 
-def _pdfp_step(kind, ctx, cfg, k, batch, x, v):
+def _pdfp_step(kind, ctx, cfg, k, batch, x, v, bt):
+    """One step from x and v, with bt = B^T v, as the step before left it;
+    returns the new x and v and B^T v of the new v, for the step after. So
+    a step makes three B products, as lane.c's does."""
     gamma, lam = cfg.schedule.gamma(k), cfg.lam
     factor, v_scale, x_scale = 1.0, 1.0, lam
     if kind == "spdfp1":
@@ -228,9 +236,10 @@ def _pdfp_step(kind, ctx, cfg, k, batch, x, v):
     elif kind == "spdfp2":
         factor = gamma / lam if k == 1 else ((k - 1) / k) ** cfg.schedule.alpha
     x_half = x - gamma * ctx.gradient(batch, x)
-    arg = ctx.B.matvec(x_half) + factor * ctx.dual_reflect(lam, v)
+    arg = ctx.B.matvec(x_half) + factor * ctx.dual_reflect(lam, v, bt)
     v_new = v_scale * ctx.prox_residual(gamma / lam, arg)
-    return x_half - x_scale * ctx.B.rmatvec(v_new), v_new
+    bt_new = ctx.B.rmatvec(v_new)
+    return x_half - x_scale * bt_new, v_new, bt_new
 
 
 def _stoc_admm(ctx, admm_cfg, k, batch, x, y, multiplier):
@@ -275,9 +284,9 @@ def spdfp_step_alg2(spec, prox_spec, cfg, state, rng, plan):
 def _one_step(kind, spec, prox_spec, cfg, state, rows):
     """One step of kind from state on the samples rows = (lo, hi)."""
     ctx = _RunContext(spec, prox_spec, (rows,))
-    x, v = _pdfp_step(kind, ctx, cfg, state.k, ctx.batches[0],
-                      _iterate(state.x, spec.dim, "state.x"),
-                      _iterate(state.v, spec.B.n_rows, "state.v"))
+    v = _iterate(state.v, spec.B.n_rows, "state.v")
+    x, v, _ = _pdfp_step(kind, ctx, cfg, state.k, ctx.batches[0],
+                         _iterate(state.x, spec.dim, "state.x"), v, ctx.B.rmatvec(v))
     return IterState(x=x, v=v, k=state.k + 1)
 
 
@@ -294,7 +303,7 @@ def stoc_admm_step(spec, prox_spec, admm_cfg, state, rng, plan):
 
 def _fixed_point_residual(ctx, gamma, lam, x, v):
     g = ctx.gradient(ctx.full, x)
-    arg = ctx.B.matvec(x - gamma * g) + ctx.dual_reflect(lam, v)
+    arg = ctx.B.matvec(x - gamma * g) + ctx.dual_reflect(lam, v, ctx.B.rmatvec(v))
     t0 = ctx.prox_residual(gamma / lam, arg)
     return float(np.linalg.norm(v - t0) + np.linalg.norm(gamma * g + lam * ctx.B.rmatvec(t0)))
 
@@ -362,6 +371,48 @@ class RunRecord:
     a_k: float = None
 
 
+# the fields of RunRecord that a run records per epoch, as float64 columns
+COLUMNS = tuple(f.name for f in fields(RunRecord))[3:]
+
+
+class RunRecords(Sequence):
+    """The records of one run: its ``solver`` name, ``seed`` and ``first``
+    epoch, and one read-only float64 array per name in COLUMNS, or None
+    where the run records no such column (``columns`` lists them in that
+    order).
+
+    Its items are RunRecords, with a RunRecord's field types: an int epoch,
+    and a float or None for each column. They are built on the first read
+    of one, all at once, and kept; a slice is a list of them."""
+
+    def __init__(self, solver, seed, first, columns):
+        self.solver, self.seed, self.first, self.columns = solver, seed, first, tuple(columns)
+        for name, column in zip(COLUMNS, self.columns):
+            if column is not None:
+                column.flags.writeable = False
+            setattr(self, name, column)
+
+    def __len__(self):
+        return len(self.objective)
+
+    def __getitem__(self, i):
+        return self._rows[i]
+
+    def __iter__(self):
+        return iter(self._rows)
+
+    def field_values(self):
+        """One iterable per field of RunRecord, in field order, of its
+        values over the epochs, as a RunRecord holds them."""
+        n = len(self)
+        return [repeat(self.solver, n), repeat(self.seed, n), range(self.first, self.first + n),
+                *(repeat(None, n) if c is None else c.tolist() for c in self.columns)]
+
+    @cached_property
+    def _rows(self):
+        return list(map(RunRecord, *self.field_values()))
+
+
 def _square(g):
     """g ** 2, or inf where that overflows."""
     try:
@@ -370,44 +421,53 @@ def _square(g):
         return math.inf
 
 
-def _block_records(kind, name, spec, cfg, reference, products, first, X, V, ks, wall):
-    """The RunRecords of epochs first, first + 1, ..., up to the first after
-    epoch 0 whose objective is NaN or infinite: row i of X, and of V unless
-    it is None ('stoc_admm'), holds the iterates x_k and v_k, k = ks[i], at
-    the end of epoch first + i, whose steps ended wall[i] seconds after the
-    run started.
+def _scales(kind, cfg, ks):
+    """(weight, scale) of the records of the epochs that end before steps
+    ks, a range: the a_k weights gamma(k) ** 2 / lam, inf where the square
+    overflows, and for all kinds but 'spdfp1' the scales lam / gamma(k - 1),
+    1 at k = 1, that put a dual after step k - 1 on alg1's subgradient
+    scale, else None. The C lane works them out where it is built; else they
+    are lists of Python floats, gamma(k) = c / k**alpha with libm's pow, as
+    in StepSchedule.gamma, not NumPy's power. Both give the same bits."""
+    c, alpha, lam = cfg.schedule.c, cfg.schedule.alpha, cfg.lam
+    dual = kind != "spdfp1"
+    if _kernels.LANE is not None:
+        return _kernels.LANE.scales(c, alpha, lam, ks, dual)
+    scale = np.array([lam / (c / (k - 1)**alpha) if k > 1 else 1.0 for k in ks]) if dual else None
+    try:
+        weight = np.array([(c / k**alpha) ** 2 / lam for k in ks])
+    except OverflowError:  # Python's float ** raises where NumPy's gives inf
+        weight = np.array([_square(c / k**alpha) / lam for k in ks])
+    return weight, scale
+
+
+def _block_records(kind, spec, cfg, reference, products, first, X, V, ks, wall):
+    """The columns (COLUMNS) of the records of epochs first, first + 1, ...,
+    up to the first after epoch 0 whose objective is NaN or infinite: row i
+    of X, and of V unless it is None ('stoc_admm'), holds the iterates x_k
+    and v_k, k = ks[i], at the end of epoch first + i, whose steps ended
+    wall[i] seconds after the run started.
 
     products(X) gives A x and B x of every row x of X in one call; each
-    column of the records is then one NumPy operation over the stacked
-    rows, with the bits it has for each row alone (_objective), and each
-    scalar factor one list of Python floats: gamma(k) = c / k**alpha with
-    libm's pow, as in StepSchedule.gamma, not NumPy's power."""
+    column is then one NumPy operation over the stacked rows, with the bits
+    it has for each row alone (_objective), and the a_k weights and dual
+    scales one array each (_scales). No per-epoch Python object is built."""
     objective = _objective(spec, X, *products(X))
     finite = np.isfinite(objective)
     finite[0] |= first == 0  # epoch 0 runs no step
     n = len(ks) if finite.all() else int(finite.argmin()) + 1
-    rel = sq = a_k = repeat(None)
+    rel = sq = a_k = None
     if reference is not None:
         diff = X - reference.x_star
-        sq_error = np.vecdot(diff, diff)
-        sq = sq_error.tolist()
+        sq = np.vecdot(diff, diff)
         if reference.objective_star is not None:
             f_star = reference.objective_star
-            rel = ((objective - f_star) / max(abs(f_star), 1e-12)).tolist()
+            rel = (objective - f_star) / max(abs(f_star), 1e-12)
         if reference.v_star is not None and V is not None:
-            c, alpha, lam = cfg.schedule.c, cfg.schedule.alpha, cfg.lam
-            # lam / gamma(k - 1) puts an alg2 or pdfp dual after step k - 1
-            # on alg1's subgradient scale; v_1 follows no step
-            dv = (V if kind == "spdfp1" else V * np.array(
-                [lam / (c / (k - 1)**alpha) if k > 1 else 1.0 for k in ks])[:, None])
-            dv = dv - reference.v_star
-            try:
-                weight = np.array([(c / k**alpha) ** 2 / lam for k in ks])
-            except OverflowError:  # Python's float ** raises where NumPy's gives inf
-                weight = np.array([_square(c / k**alpha) / lam for k in ks])
-            a_k = (sq_error + weight * np.vecdot(dv, dv)).tolist()
-    return list(map(RunRecord, repeat(name), repeat(cfg.seed), range(first, first + n), wall,
-                    objective.tolist(), rel, sq, a_k))
+            weight, scale = _scales(kind, cfg, ks)
+            dv = (V if scale is None else V * scale[:, None]) - reference.v_star
+            a_k = sq + weight * np.vecdot(dv, dv)
+    return tuple(None if c is None else c[:n] for c in (wall, objective, rel, sq, a_k))
 
 
 _STEPS = {"pdfp": partial(_pdfp_step, "pdfp"), "spdfp1": partial(_pdfp_step, "spdfp1"),
@@ -423,6 +483,8 @@ class _ReferenceSteps:
     _kernels.Steps, picks indexing ctx.batches; the time stamps come from
     time.perf_counter. on_step, when given, gets the state after each step;
     ``iterates`` holds the latest iterates, fresh arrays after every step.
+    A PDFP-family call works B^T v out once, after checking its picks, and
+    each step hands on B^T v of its new v to the next, as on the C lane.
     A run without on_step steps with NumPy's overflow and invalid-value
     warnings off, as on the C lane, so a diverging run warns alike on both
     lanes; with on_step, the callback's own warnings show."""
@@ -430,6 +492,7 @@ class _ReferenceSteps:
     def __init__(self, kind, params, ctx, iterates, on_step):
         self._step, self._params, self._ctx, self._on_step = _STEPS[kind], params, ctx, on_step
         self._state = AdmmState if kind == "stoc_admm" else IterState
+        self._carry_bt = kind != "stoc_admm"
         self._quiet = {} if on_step is not None else {"over": "ignore", "invalid": "ignore"}
         self.iterates, self.products, self._k = iterates, ctx.products, 1
 
@@ -445,20 +508,23 @@ class _ReferenceSteps:
         if picks.size and not (0 <= picks.min() and picks.max() < len(ctx.ranges)):
             raise ValueError("batch index or row range out of bounds")
         iterates, k = self.iterates, self._k
+        n = len(iterates)
+        # B^T v, which each PDFP-family step hands on to the next
+        carried = (*iterates, ctx.B.rmatvec(iterates[1])) if self._carry_bt else iterates
         with np.errstate(**self._quiet):
             for e, row in enumerate(picks.tolist()):
                 for i in row:
-                    iterates = step(ctx, params, k, ctx.batches[i], *iterates)
+                    carried = step(ctx, params, k, ctx.batches[i], *carried)
                     k += 1
                     if on_step is not None:
-                        on_step(self._state(*iterates, k))
+                        on_step(self._state(*carried[:n], k))
                 if X is not None:
-                    X[e] = iterates[0]
+                    X[e] = carried[0]
                 if V is not None:
-                    V[e] = iterates[1]
+                    V[e] = carried[1]
                 if stamps is not None:
                     stamps[e] = time.perf_counter() - t0
-        self.iterates, self._k = iterates, k
+        self.iterates, self._k = carried[:n], k
 
 
 def _steps(kind, spec, prox_spec, params, ctx, iterates, on_step=None):
@@ -477,7 +543,9 @@ def _steps(kind, spec, prox_spec, params, ctx, iterates, on_step=None):
 
 def run_solver(kind, spec, prox_spec, cfg, admm_cfg=None, x0=None, v0=None,
                reference=None, rho_max=None, on_step=None, name=None):
-    """Run a solver for cfg.max_epochs epochs and return per-epoch records.
+    """Run a solver for cfg.max_epochs epochs and return its per-epoch
+    records as a RunRecords: columns, which a sequence of RunRecord rows
+    fronts, built on the first read of one.
 
     One epoch is one batch step for 'pdfp' and one full pass (n_batches
     stochastic steps) otherwise. PDFP needs a constant step and
@@ -498,11 +566,12 @@ def run_solver(kind, spec, prox_spec, cfg, admm_cfg=None, x0=None, v0=None,
     it starts ('pdfp' draws none) and steps them in one call, which copies x
     and v into the block's own arrays and stamps the time after each epoch;
     a 'pdfp' run that checks its residual makes one call per epoch. The
-    block then builds its records (_block_records); wall_time is the stamp
-    plus the time of the call since the run started, less the time spent
-    building the records of earlier blocks. A run whose
-    objective is NaN or infinite after an epoch keeps that epoch's record,
-    drops the rest of its block, warns (RuntimeWarning) and stops.
+    block then works out its columns (_block_records), which the run joins
+    block by block; wall_time is the stamp plus the time of the call since
+    the run started, less the time spent on the columns of earlier blocks.
+    A run whose objective is NaN or infinite after an epoch keeps that
+    epoch's record, drops the rest of its block, warns (RuntimeWarning) and
+    stops.
     """
     if kind not in SOLVER_KINDS:
         raise ValueError(f"unknown solver kind {kind!r}")
@@ -530,7 +599,7 @@ def run_solver(kind, spec, prox_spec, cfg, admm_cfg=None, x0=None, v0=None,
     # a pdfp run that stops on its residual checks it after every epoch
     check_stop = kind == "pdfp" and cfg.stop_tolerance > 0
     span = 1 if check_stop else rows
-    records, stop = [], False
+    blocks, stop = [], False
     for first in range(0, cfg.max_epochs + 1, rows):
         n = min(rows, cfg.max_epochs + 1 - first)
         X = np.empty((n, spec.dim))
@@ -557,16 +626,18 @@ def run_solver(kind, spec, prox_spec, cfg, admm_cfg=None, x0=None, v0=None,
                 break
         ks = range(1 + first * per_epoch, 1 + (first + filled) * per_epoch, per_epoch)
         t = time.perf_counter()
-        records.extend(_block_records(kind, name, spec, cfg, reference, steps.products, first,
-                                      X[:filled], None if V is None else V[:filled], ks,
-                                      wall[:filled].tolist()))
+        blocks.append(_block_records(kind, spec, cfg, reference, steps.products, first,
+                                     X[:filled], None if V is None else V[:filled], ks,
+                                     wall[:filled]))
         t0 += time.perf_counter() - t  # building records is not run time
-        last = records[-1]
-        if last.epoch and not math.isfinite(last.objective):  # epoch 0 runs no step
+        objective = blocks[-1][1]
+        epoch, last = first + len(objective) - 1, float(objective[-1])
+        if epoch and not math.isfinite(last):  # epoch 0 runs no step
             warnings.warn(f"solver {name} (seed {cfg.seed}) diverged: objective "
-                          f"{last.objective} at epoch {last.epoch}; run stopped",
+                          f"{last} at epoch {epoch}; run stopped",
                           RuntimeWarning, stacklevel=2)
-            return records
+            break
         if stop:
             break
-    return records
+    return RunRecords(name, cfg.seed, 0, [None if b[0] is None else np.concatenate(b)
+                                          for b in zip(*blocks)])

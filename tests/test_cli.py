@@ -180,6 +180,65 @@ def test_a_damaged_truth_is_refused_with_its_path(tmp_path, capsys):
                 rf"^{re.escape(str(truth))}: not a ground truth file: .*; rerun `spdfp truth`$")
 
 
+def desk_truth(tmp_path):
+    """The truth file of a 60 x 10 problem that `spdfp synth` and `spdfp
+    truth` wrote into tmp_path, and its arrays."""
+    base = str(tmp_path / "prob")
+    assert main(["synth", "--out", base, "--n", "60", "--d", "10", "--seed", "7"]) == 0
+    assert main(["truth", "--problem", base + ".problem", "--iters", "1500"]) == 0
+    truth = tmp_path / "prob.problem.truth.npz"
+    with np.load(truth) as z:
+        return truth, {k: z[k] for k in z.files}
+
+
+@pytest.mark.parametrize("key,damage", [
+    ("objective_star", lambda a: np.array("abc")),
+    ("iterations", lambda a: np.array(3.5)),
+    ("residual", lambda a: np.array([1e-14, 1e-14])),
+    ("x_star", lambda a: a[None]),
+    ("fingerprint", lambda a: np.array(1.0)),
+], ids=["objective_star-str", "iterations-float", "residual-1d", "x_star-2d", "fingerprint-float"])
+def test_a_truth_field_of_the_wrong_kind_or_shape_is_refused_with_its_path(tmp_path, capsys,
+                                                                          key, damage):
+    # each once converted with a bare float() or int(), or taken as it was:
+    # `spdfp run` refuses the file in one line that names it
+    truth, arrays = desk_truth(tmp_path)
+    np.savez(truth, **{**arrays, key: damage(arrays[key])})
+    refused(capsys, ["run", "--config", desk_run_config(tmp_path)],
+            rf"^{re.escape(str(truth))}: not a ground truth file: its {key} is a .*; "
+            r"rerun `spdfp truth`$")
+
+
+@pytest.mark.parametrize("key,damage", [
+    ("A_shape", lambda a: a[:1]),
+    ("A_shape", lambda a: np.array([-1, a[1]])),
+    ("A_shape", lambda a: a.astype(float)),
+    ("A_indptr", lambda a: a[:-1]),
+    ("A_indices", lambda a: a.astype(float)),
+    ("A_data", lambda a: a[:-1]),
+    ("labels", lambda a: a[:-1]),
+    ("labels", lambda a: a.astype(str)),
+    ("B_rho_max", lambda a: np.array([a, a])),
+], ids=["A_shape-one", "A_shape-negative", "A_shape-float", "A_indptr-short",
+        "A_indices-float", "A_data-short", "labels-short", "labels-str", "B_rho_max-1d"])
+def test_damaged_stored_problem_arrays_mean_no_stored_problem(tmp_path, monkeypatch, key,
+                                                             damage):
+    # load_problem parses the data file instead, as for a truth file
+    # without a stored problem, and `spdfp run` goes on with that truth
+    truth, arrays = desk_truth(tmp_path)
+    problem = str(tmp_path / "prob.problem")
+    parsed = []
+    load_libsvm = harness.load_libsvm
+    monkeypatch.setattr(harness, "load_libsvm",
+                        lambda *a, **kw: parsed.append(a) or load_libsvm(*a, **kw))
+    fresh = harness.problem_fingerprint(load_problem(problem))
+    assert parsed == []
+    np.savez(truth, **{**arrays, key: damage(arrays[key])})
+    assert harness.problem_fingerprint(load_problem(problem)) == fresh
+    assert len(parsed) == 1
+    assert main(["run", "--config", desk_run_config(tmp_path)]) == 0
+
+
 def test_truth_refuses_a_synth_source_and_takes_no_out(tmp_path, capsys, monkeypatch):
     # a synth: source has no truth file: `spdfp run` computes its truth
     monkeypatch.chdir(tmp_path)

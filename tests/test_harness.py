@@ -1,4 +1,5 @@
 import csv
+import io
 import os
 import re
 import warnings
@@ -1064,6 +1065,41 @@ def test_mean_cells_are_the_means_of_the_run_cells_to_the_bit(tmp_path):
         assert len(reps) == 9
         assert m[2:] == ["" if "" in col else repr(float(np.mean([float(c) for c in col])))
                          for col in zip(*reps)]
+
+
+@pytest.mark.parametrize("reps", [1, 2, 9])
+def test_mean_csv_bytes_are_one_np_mean_per_cell(tmp_path, reps):
+    # the whole _mean.csv, byte for byte, against one np.mean per epoch and
+    # column of the cells of run.csv (repr gives each float back exactly):
+    # the 'wild' runs diverge after 14 or 15 epochs, so the means stop at the
+    # epochs every repetition reached and hold inf and NaN, and stoc_admm's
+    # a_k cells are empty
+    cfg = parse_experiment_config(write_config(
+        tmp_path, "synth:n=60,d=10,seed=5",
+        "spdfp1(c=300,alpha=0.55,p=10,label=wild); pdfp(); "
+        "stoc_admm(beta=10,zeta_c=0.5,p=10)", reps=reps, epochs=20))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        rows_path, mean_path = run_experiment(cfg)
+    with open(rows_path, encoding="utf-8", newline="") as fh:
+        lines = fh.readlines()
+    preamble = [line for line in lines if line.startswith("#")]
+    runs = {}
+    for r in list(csv.reader(lines[len(preamble):]))[1:]:
+        runs.setdefault(r[0], {}).setdefault(r[1], []).append(r[3:])
+    want = io.StringIO(newline="")
+    want.writelines(preamble)
+    writer = csv.writer(want)
+    writer.writerow([c for c in CSV_COLUMNS if c != "seed"])
+    for label, by_seed in runs.items():
+        assert len(by_seed) == reps
+        for epoch, cells in enumerate(zip(*by_seed.values())):
+            writer.writerow([label, epoch] + [
+                "" if "" in col else repr(float(np.mean([float(c) for c in col])))
+                for col in zip(*cells)])
+    with open(mean_path, "rb") as fh:
+        assert fh.read() == want.getvalue().encode()
+    assert {len(cells) for cells in runs["wild"].values()} <= {15, 16}
 
 
 def test_experiment_zero_epochs_single_row(tmp_path):

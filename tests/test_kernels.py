@@ -66,6 +66,12 @@ def random_csr(rng, n_cols=None):
                                  rng.standard_normal(nnz))
 
 
+def reference_step(kind, ctx, cfg, k, batch, x, v):
+    """The new x and v of one reference step of a PDFP-family kind, which
+    works B^T v out itself, as the public step functions do."""
+    return solvers._STEPS[kind](ctx, cfg, k, batch, x, v, ctx.B.rmatvec(v))[:2]
+
+
 # one epoch of one step, on row range 0
 ONE_STEP = np.zeros((1, 1), dtype=np.int64)
 
@@ -103,13 +109,13 @@ def c_lane(tmp_path_factory):
     return kernels.CLane(str(lib))
 
 
-@pytest.mark.parametrize("version", [None, 1, 2, 3])
+@pytest.mark.parametrize("version", [None, 1, 2, 3, 4])
 def test_loader_refuses_a_library_built_from_another_lane_c(tmp_path, version):
     # a library with the run struct of this lane.c but no version stamp, as
     # built from the lane.c whose spdfp_products took no snapshots, or with
     # another stamp, as from the lane.c whose spdfp_run_steps ran one span of
-    # steps or the one without spdfp_gram: calling it could write through
-    # the wrong pointers, or fail on a missing symbol
+    # steps or the ones without spdfp_gram or spdfp_scales: calling it could
+    # write through the wrong pointers, or fail on a missing symbol
     cc = find_compiler()
     if cc is None:
         pytest.skip("no C compiler found ($CC, cc, gcc or clang)")
@@ -194,7 +200,7 @@ def test_lane_parity_bitwise(c_lane):
         steps = c_lane.steps(kind, spec, prox_spec, cfg, ((r0, r1),), x, v)
         steps(ONE_STEP)
         ctx = solvers._RunContext(spec, prox_spec, ((r0, r1),))
-        want_x, want_v = solvers._STEPS[kind](ctx, cfg, 1, ctx.batches[0], x0, v0)
+        want_x, want_v = reference_step(kind, ctx, cfg, 1, ctx.batches[0], x0, v0)
         assert_same_bits(x, want_x)
         assert_same_bits(v, want_v)
         X = np.array([x0, x, rng.standard_normal(A.n_cols)])
@@ -218,6 +224,42 @@ def test_lane_parity_bitwise(c_lane):
         (Ax,), (Bx,) = steps.products(x[None])
         assert_same_bits(Ax, N.matvec(x))
         assert_same_bits(Bx, Ax)
+
+
+@pytest.mark.parametrize("c,alpha,lam,ks", [
+    (0.5, 0.7, 0.3, range(1, 300)),
+    (0.5, 0.7, 0.3, range(9, 9000, 8)),
+    (0.3, 0.0, 0.2, range(1, 50)),
+    (2.0, 1.0, 0.05, range(1, 700, 7)),
+    (1e200, 0.7, 0.5, range(1, 30)),
+    (1.5e154, 0.55, 2.0, range(1, 3000, 3)),
+    (1e-160, 0.7, 0.5, range(1, 40)),
+], ids=["k1", "step8", "alpha0", "alpha1", "inf", "overflow-edge", "subnormal"])
+def test_scales_give_the_python_lists_bits(monkeypatch, c_lane, c, alpha, lam, ks):
+    # the a_k weights gamma(k) ** 2 / lam and dual scales lam / gamma(k - 1)
+    # of a block's records, from spdfp_scales, against the Python float
+    # lists of the NumPy lane: k = 1 (scale 1), alpha = 0 and 1, weights
+    # whose square passes the largest double (inf) or falls below the
+    # smallest normal one, and blocks that start past k = 1
+    sched = ConstantSchedule(c) if alpha == 0 else StepSchedule(c=c, alpha=alpha)
+    cfg = SolverConfig(schedule=sched, lam=lam, p=1)
+    for kind in ("pdfp", "spdfp1", "spdfp2"):
+        monkeypatch.setattr(kernels, "LANE", c_lane)
+        got = solvers._scales(kind, cfg, ks)
+        monkeypatch.setattr(kernels, "LANE", None)
+        want = solvers._scales(kind, cfg, ks)
+        assert_same_bits(got[0], want[0])
+        if kind == "spdfp1":
+            assert got[1] is want[1] is None
+        else:
+            assert_same_bits(got[1], want[1])
+            assert (want[1][0] == 1.0) == (ks[0] == 1)
+    if c == 1e200:
+        assert np.isinf(want[0]).all()
+    if c == 1.5e154:
+        assert np.isinf(want[0]).any() and np.isfinite(want[0]).any()
+    if c == 1e-160:
+        assert 0 < want[0].min() < np.finfo(float).tiny
 
 
 def spectrum_matrices():
@@ -317,7 +359,7 @@ def test_soft_threshold_signed_zeros_and_nan(c_lane):
         with np.errstate(invalid="ignore"):
             steps(ONE_STEP)
             ctx = solvers._RunContext(spec, prox_spec, ((0, 4),))
-            want = solvers._STEPS[kind](ctx, cfg, 1, ctx.batches[0], y.copy(), np.zeros(d))
+            want = reference_step(kind, ctx, cfg, 1, ctx.batches[0], y.copy(), np.zeros(d))
         # which sign an operation on two NaNs keeps is left open by IEEE 754
         # and differs between NumPy's loops, so NaNs are compared by position
         for got, ref in zip((x, v), want):
@@ -352,7 +394,7 @@ def test_logistic_weights_at_extreme_margins(c_lane):
         with np.errstate(over="ignore", invalid="ignore"):
             steps(ONE_STEP)
             ctx = solvers._RunContext(spec, ProxSpec("l1", 0.1), ((0, n),))
-            want = solvers._STEPS[kind](ctx, cfg, 1, ctx.batches[0], x0.copy(), np.zeros(1))
+            want = reference_step(kind, ctx, cfg, 1, ctx.batches[0], x0.copy(), np.zeros(1))
         # the two rows of the NaN margin, and the exp(-745) weights
         assert np.isnan(x[1:]).sum() == 2
         assert np.sum((0.0 < np.abs(x)) & (np.abs(x) < 1e-323)) == 2
@@ -399,10 +441,10 @@ def run_on_lane(monkeypatch, lane, *args, **kwargs):
     states = []
     block_records = solvers._block_records
 
-    def grab(kind, name, spec, cfg, reference, products, first, X, V, ks, wall):
+    def grab(kind, spec, cfg, reference, products, first, X, V, ks, wall):
         assert len(X) == len(V) == len(ks) == len(wall)
         states.extend([x.copy(), v.copy()] for x, v in zip(X, V))
-        return block_records(kind, name, spec, cfg, reference, products, first, X, V, ks, wall)
+        return block_records(kind, spec, cfg, reference, products, first, X, V, ks, wall)
 
     with monkeypatch.context() as m:
         m.setattr(kernels, "LANE", lane)
@@ -749,9 +791,38 @@ def test_block_call_snapshots_each_epoch_on_both_lanes(c_lane):
     x, v = np.ones(6), np.zeros(4)
     for e in range(3):
         for i, k in zip(picks[e], (2 * e + 1, 2 * e + 2)):
-            x, v = solvers._STEPS["spdfp2"](ctx, cfg, k, ctx.batches[i], x, v)
+            x, v = reference_step("spdfp2", ctx, cfg, k, ctx.batches[i], x, v)
         assert_same_bits(Xr[e], x)
         assert_same_bits(Vr[e], v)
+
+
+@pytest.mark.parametrize("kind", ["pdfp", "spdfp1", "spdfp2"])
+def test_reference_steps_make_three_b_products_a_step(kind):
+    # as on the C lane, a call works B^T v out once and each step hands on
+    # B^T v of its new v: B x_half, B (B^T v) and B^T v_new per step
+    spec = fused_spec("square", 0.1)
+    sched = ConstantSchedule(0.3) if kind == "pdfp" else StepSchedule(c=0.5, alpha=0.7)
+    cfg = SolverConfig(schedule=sched, lam=0.8 / spec.B.spectrum.rho_max, p=5)
+    ranges = ((0, 5), (5, 10), (20, 23))
+    ctx = solvers._RunContext(spec, ProxSpec("l1", 0.2), ranges)
+    calls = []
+
+    class Counted:
+        def matvec(self, x, B=ctx.B):
+            calls.append("matvec")
+            return B.matvec(x)
+
+        def rmatvec(self, y, B=ctx.B):
+            calls.append("rmatvec")
+            return B.rmatvec(y)
+
+    ctx.B = Counted()
+    steps = solvers._ReferenceSteps(kind, cfg, ctx, (np.ones(6), np.zeros(4)), None)
+    picks = np.array([[0, 2, 1], [1, 1, 0]], dtype=np.int64)
+    steps(picks[:1])
+    steps(picks[1:])
+    assert len(calls) == 3 * picks.size + 2
+    assert calls.count("rmatvec") == picks.size + 2
 
 
 @pytest.mark.parametrize("kind", ["pdfp", "spdfp1", "spdfp2"])
@@ -805,10 +876,10 @@ def test_a_write_into_v_between_calls_counts_on_the_c_lane(c_lane):
         assert_same_bits(a, b)
     x, v = np.ones(6), np.zeros(4)
     for k, i in enumerate((0, 2), start=1):
-        x, v = solvers._STEPS["spdfp1"](ctx, cfg, k, ctx.batches[i], x, v)
+        x, v = reference_step("spdfp1", ctx, cfg, k, ctx.batches[i], x, v)
     v = new_v.copy()
     for k in (3, 4):
-        x, v = solvers._STEPS["spdfp1"](ctx, cfg, k, ctx.batches[1], x, v)
+        x, v = reference_step("spdfp1", ctx, cfg, k, ctx.batches[1], x, v)
     assert_same_bits(got[0][0], x)
     assert_same_bits(got[0][1], v)
 

@@ -1,3 +1,4 @@
+import collections.abc
 import math
 import warnings
 from dataclasses import replace
@@ -538,6 +539,61 @@ def test_divergence_inside_a_record_block_stops_at_the_same_record(monkeypatch, 
     assert runs[1] == runs[3] == runs[None]
     recs, messages = runs[None]
     assert 1 < len(recs) < cfg.max_epochs + 1 and len(messages) == 1
+
+
+@pytest.mark.parametrize("case", ["blocks", "diverged", "no_reference"])
+@pytest.mark.parametrize("kind", SOLVER_KINDS)
+def test_run_records_read_as_the_list_of_their_run_records(monkeypatch, kind, case):
+    # run_solver returns columns; read as a sequence they are the RunRecords
+    # built row by row from them, with the field types a RunRecord always
+    # had: in a run of four record blocks, a run that diverges inside its
+    # block, and a run without a reference, whose error columns are None
+    spec = synth_fused_lasso(40, 6, 0.1, 0.01, 2)
+    big = 1e3 if case == "diverged" else 0.5
+    sched = ConstantSchedule(big) if kind == "pdfp" else StepSchedule(c=big, alpha=0.7)
+    cfg = SolverConfig(schedule=sched, lam=0.9 / spec.B.spectrum.rho_max,
+                       p=40 if kind == "pdfp" else 8, seed=4,
+                       max_epochs=60 if case == "diverged" else 10)
+    admm = AdmmConfig(beta_tilde=1.0, zeta_schedule=StepSchedule(c=1e6 if case == "diverged"
+                                                                 else 1.0, alpha=0.5))
+    ref = None if case == "no_reference" else Reference(x_star=np.ones(6), v_star=np.ones(5),
+                                                          objective_star=0.5)
+    if case == "blocks":
+        monkeypatch.setattr(solvers, "_RECORD_BLOCK", 3 * (spec.dim + spec.n + 2 * spec.B.n_rows))
+    recs, _ = run_diverging(kind, spec, ProxSpec("l1", 0.1), cfg, admm_cfg=admm, reference=ref)
+    n = len(recs)
+    assert n == cfg.max_epochs + 1 if case != "diverged" else 1 < n < cfg.max_epochs + 1
+    rows = [solvers.RunRecord(recs.solver, recs.seed, recs.first + i,
+                              *(None if c is None else float(c[i]) for c in recs.columns))
+            for i in range(n)]
+
+    def fields_of(r):
+        assert type(r) is solvers.RunRecord
+        return [(type(v), repr(v)) for v in vars(r).values()]
+
+    want = [fields_of(r) for r in rows]
+    assert isinstance(recs, collections.abc.Sequence)
+    assert [fields_of(r) for r in recs] == want
+    assert [fields_of(recs[i]) for i in range(-n, n)] == want + want
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            recs[i]
+    for part in (slice(1, None), slice(None, 3), slice(None, None, -2), slice(5, 2)):
+        assert type(recs[part]) is list
+        assert [fields_of(r) for r in recs[part]] == want[part]
+    assert recs[-1] is recs[n - 1] is list(recs)[-1]  # rows are built once and kept
+    for r in recs:
+        assert (type(r.solver), type(r.seed), type(r.epoch)) == (str, int, int)
+        assert all(type(v) is float for v in (r.wall_time, r.objective))
+        errors = (r.rel_obj_error, r.iterate_sq_error, r.a_k)
+        assert [type(v) for v in errors] == (
+            [type(None)] * 3 if ref is None else
+            [float, float, type(None) if kind == "stoc_admm" else float])
+    assert recs.objective.dtype == np.float64 and len(recs.wall_time) == n
+    with pytest.raises(ValueError, match="read-only"):
+        recs.objective[0] = 0.0
+    if case == "diverged":
+        assert not math.isfinite(recs[-1].objective)
 
 
 def test_run_solver_unknown_kind_and_missing_admm_cfg():
