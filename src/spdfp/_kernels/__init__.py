@@ -4,14 +4,16 @@ lane.c, built into the shared library ``_lane`` by
 ``python setup.py build_ext --inplace``, runs the PDFP / SPDFP steps of a
 run's record blocks, with each epoch's snapshot and time stamp, the A x and
 B x products of those snapshots, the step-size factors of their records,
-and the Gram products of the Lanczos method, and is loaded with ctypes when
-it was built. ``LANE`` is the loaded CLane, or None, and then every step
-runs on the NumPy reference path of spdfp.solvers, every record's factors
-come from Python float lists there and every Gram product from
-sparse.RowView; spdfp.solvers._steps, solvers._block_records and
-sparse.estimate_spectrum read it to pick the lane. Both paths give the
-same bits. Every other product, and the prox outside the fused steps, is
-NumPy on either path (sparse.RowView, prox.soft_threshold).
+the Gram products of the Lanczos method and the products of every
+sparse.RowView, and is loaded with ctypes when it was built. ``LANE`` is
+the loaded CLane, or None, and then every step runs on the NumPy reference
+path of spdfp.solvers, every record's factors come from Python float lists
+there, and every product, the Gram products among them, is RowView's
+NumPy one; spdfp.solvers._steps, solvers._scales, sparse.estimate_spectrum
+and sparse.RowView read it to pick the lane. Both paths give the same bits.
+So where the lane is built every sparse product is C; the prox outside the
+fused steps (prox.soft_threshold) and the ADMM x-update's linear solve are
+NumPy on either path.
 """
 
 import ctypes
@@ -21,7 +23,7 @@ import os
 import numpy as np
 
 _KINDS = {"pdfp": 0, "spdfp1": 1, "spdfp2": 2}
-_LANE_VERSION = 5   # spdfp_lane_version() of the lane.c this module calls
+_LANE_VERSION = 6   # spdfp_lane_version() of the lane.c this module calls
 _LOSSES = {"square": 0, "hinge": 1, "logistic": 2}
 
 
@@ -39,7 +41,7 @@ class _Run(ctypes.Structure):
                 ("c", ctypes.c_double), ("alpha", ctypes.c_double),
                 ("lam", ctypes.c_double), ("nu", ctypes.c_double),
                 ("prox_weight", ctypes.c_double),
-                ("A", _Csr), ("B", _Csr), ("labels", ctypes.c_void_p),
+                ("A", _Csr), ("B", _Csr), ("At", _Csr), ("labels", ctypes.c_void_p),
                 ("ranges", ctypes.c_void_p), ("n_ranges", ctypes.c_int64),
                 ("x", ctypes.c_void_p), ("v", ctypes.c_void_p), ("work", ctypes.c_void_p)]
 
@@ -84,6 +86,8 @@ class CLane:
         d = ctypes.c_double
         lib.spdfp_scales.argtypes = (d, d, d, i64, i64, i64, p, p)
         lib.spdfp_scales.restype = None
+        lib.spdfp_rows.argtypes = (ctypes.POINTER(_Csr), i64, i64, i64, p, p)
+        lib.spdfp_rows.restype = None
         self._lib = lib
 
     def gram(self, M, outer):
@@ -101,6 +105,28 @@ class CLane:
 
         product.matrix = M  # keeps alive the arrays csr points into
         return product
+
+    def rows(self, M, lo, hi):
+        """The products of rows lo..hi-1 of M, 0 <= lo <= hi <= M.n_rows:
+        x -> M[lo:hi] x and y -> M[lo:hi]^T y, as two functions that return
+        a fresh array and refuse a vector that is not a C-contiguous float64
+        one of the right length. They sum as sparse.RowView's NumPy products
+        do, so they give its bits."""
+        csr, fn = _csr(M), self._lib.spdfp_rows
+        n, d = hi - lo, M.n_cols
+
+        def matvec(x):
+            out = np.empty(n)
+            fn(csr, lo, hi, 0, _address(x, np.float64, d), out.ctypes.data)
+            return out
+
+        def rmatvec(y):
+            out = np.empty(d)
+            fn(csr, lo, hi, 1, _address(y, np.float64, n), out.ctypes.data)
+            return out
+
+        matvec.matrix = rmatvec.matrix = M  # keeps alive the arrays csr points into
+        return matvec, rmatvec
 
     def scales(self, c, alpha, lam, ks, dual):
         """The a_k weights gamma_k**2 / lam, inf where the square overflows,
@@ -138,18 +164,25 @@ class Steps:
     libm exp, as spdfp.problem.loss_weights does through math.exp, so the
     steps give the reference step's bits. A step starts from the B^T v the
     step before it left; each call works B^T v out afresh from v before its
-    first step, so a write into ``iterates[1]`` between calls counts. Keeps
+    first step, so a write into ``iterates[1]`` between calls counts. A run
+    whose one range is all of A builds A's transpose (SparseMatrix.transpose)
+    and gathers each step's A^T w through it, four of its rows per pass,
+    with the bits of the scatter over A that a mini-batch step makes. Keeps
     every array its pointers refer to alive."""
 
     def __init__(self, lib, kind, spec, prox_spec, cfg, ranges, x, v):
         A, B, labels = spec.dataset.samples, spec.B, spec.dataset.labels
         ranges = np.array(ranges, dtype=np.int64).reshape(-1, 2)
         work = np.empty(A.n_rows + 3 * A.n_cols + 2 * B.n_rows)
-        self._keep = (A, B, labels, ranges, x, v, work)
+        # a run over all rows of A gathers A^T w through A's transpose,
+        # which lives as long as the run
+        At = A.transpose() if ranges.tolist() == [[0, A.n_rows]] else None
+        self._keep = (A, B, At, labels, ranges, x, v, work)
         self.iterates = x, v
         self._run = run = _Run(_KINDS[kind], _LOSSES[spec.loss], prox_spec.kind == "l1",
                                cfg.schedule.c, cfg.schedule.alpha,
                                cfg.lam, spec.l2_weight, prox_spec.weight, _csr(A), _csr(B),
+                               _Csr() if At is None else _csr(At),
                                _address(labels, np.float64, A.n_rows),
                                ranges.ctypes.data, len(ranges),
                                _address(x, np.float64, A.n_cols),

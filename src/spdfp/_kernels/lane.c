@@ -1,22 +1,34 @@
 /* The C lane of spdfp: whole record blocks of PDFP / SPDFP steps, with the
  * snapshot of x and v and the time stamp that end each epoch, the A x and
- * B x products of a block's snapshots, one call each, and the Gram product
- * of each Lanczos step of sparse.estimate_spectrum. The record products
- * take four snapshots per pass over a matrix's rows, and a step starts from
- * the B^T v the step before it left, so it makes three B products, not four.
- * The step-size factors of a block's records (spdfp_scales) come from
- * here too. Plain C99 over raw int64/double arrays, no Python C-API;
- * spdfp._kernels loads the built library with ctypes and checks every
- * array before it passes a pointer. It exports spdfp_run_size,
- * spdfp_lane_version, spdfp_run_steps, spdfp_products, spdfp_gram and
- * spdfp_scales; everything else is static.
+ * B x products of a block's snapshots, one call each, the Gram product of
+ * each Lanczos step of sparse.estimate_spectrum, and the products of every
+ * sparse.RowView. The record products take four snapshots per pass over a
+ * matrix's rows, and a step starts from the B^T v the step before it left,
+ * so it makes three B products, not four. A step over all rows of A takes
+ * A x four rows per pass and A^T w as a gather over A's transpose, four of
+ * its rows per pass, with no scatter. The step-size factors of a block's
+ * records (spdfp_scales) come from here too. Plain C99 over raw
+ * int64/double arrays, no Python C-API; spdfp._kernels loads the built
+ * library with ctypes and checks every array before it passes a pointer.
+ * It exports spdfp_run_size, spdfp_lane_version, spdfp_run_steps,
+ * spdfp_products, spdfp_gram, spdfp_scales and spdfp_rows; everything else
+ * is static.
  *
  * Each function mirrors the NumPy reference (sparse.RowView,
  * prox.soft_threshold, solvers._pdfp_step, the scale lists of
  * solvers._scales) op for op, so that both lanes give the same bits:
  *   - a product sums each output entry from 0.0 in CSR order, as
  *     np.bincount does, and multiplies data by the vector in that order,
- *     also when it takes four snapshots at once, one accumulator each;
+ *     also when it takes four rows or four snapshots at once, one
+ *     accumulator each;
+ *   - the gather A^T w sums row c of A's transpose from 0.0 in A's row
+ *     order, which is the order in which rmatvec adds into out[c], since a
+ *     row of canonical CSR holds column c at most once: so each entry gets
+ *     rmatvec's bits, inf, signed zeros and subnormals included, and NaN
+ *     where rmatvec gives NaN (which of two NaNs a sum or product keeps is
+ *     left open by IEEE 754, and the compiler may order the operands of +
+ *     and * either way, so the sign of such a NaN may differ between the
+ *     lanes);
  *   - both lanes compute B^T v once per call and then take it from the
  *     step before, the same rmatvec of the same v;
  *   - every NumPy expression is the same C expression in the same order,
@@ -48,12 +60,14 @@ typedef struct {
 
 /* One run: problem, step parameters, the row ranges of A a step may use,
  * and the iterates x (length A.n_cols) and v (length B.n_rows) the steps
- * update in place. work holds A.n_rows + 3 A.n_cols + 2 B.n_rows doubles.
- * Mirrored by _kernels._Run. */
+ * update in place. At is A's transpose, each row's entries in A's row
+ * order, for a run whose one range is all of A, else its indptr is NULL.
+ * work holds A.n_rows + 3 A.n_cols + 2 B.n_rows doubles. Mirrored by
+ * _kernels._Run. */
 typedef struct {
     int64_t kind, loss, prox_l1;
     double c, alpha, lam, nu, prox_weight;
-    csr A, B;
+    csr A, B, At;
     const double *labels;
     const int64_t *ranges;
     int64_t n_ranges;
@@ -71,10 +85,11 @@ int64_t spdfp_run_size(void)
  * lane.c instead of calling it with the wrong arguments. Revision 2:
  * spdfp_products takes a block of snapshots. Revision 3: spdfp_run_steps
  * runs a block of epochs and takes their snapshots and time stamps.
- * Revision 4: spdfp_gram. Revision 5: spdfp_scales. */
+ * Revision 4: spdfp_gram. Revision 5: spdfp_scales. Revision 6: run
+ * holds At, and spdfp_rows. */
 int64_t spdfp_lane_version(void)
 {
-    return 5;
+    return 6;
 }
 
 /* out[i - lo] = (row i of M) . x for lo <= i < hi. */
@@ -96,6 +111,44 @@ static void rmatvec(const csr *M, const double *y, double *out, int64_t lo, int6
     for (int64_t i = lo; i < hi; i++)
         for (int64_t j = M->indptr[i]; j < M->indptr[i + 1]; j++)
             out[M->indices[j]] = out[M->indices[j]] + M->data[j] * y[i - lo];
+}
+
+/* out[i] = (row i of M) . x for every row of M, with matvec's bits: four
+ * rows per pass, one accumulator each, summed from 0.0 in CSR order over
+ * the entries the four rows all have, then each row's own remainder. Over
+ * A it gives A x; over A's transpose, A^T y as rmatvec sums it. */
+static void matvec4(const csr *M, const double *x, double *out)
+{
+    const int64_t *p = M->indptr, *col = M->indices;
+    const double *a = M->data;
+    int64_t n = M->n_rows, i = 0;
+    for (; i + 4 <= n; i += 4) {
+        int64_t s0 = p[i], s1 = p[i + 1], s2 = p[i + 2], s3 = p[i + 3], e3 = p[i + 4];
+        int64_t len = s1 - s0;
+        if (s2 - s1 < len) len = s2 - s1;
+        if (s3 - s2 < len) len = s3 - s2;
+        if (e3 - s3 < len) len = e3 - s3;
+        double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
+        for (int64_t j = 0; j < len; j++) {
+            a0 = a0 + a[s0 + j] * x[col[s0 + j]];
+            a1 = a1 + a[s1 + j] * x[col[s1 + j]];
+            a2 = a2 + a[s2 + j] * x[col[s2 + j]];
+            a3 = a3 + a[s3 + j] * x[col[s3 + j]];
+        }
+        for (int64_t j = s0 + len; j < s1; j++)
+            a0 = a0 + a[j] * x[col[j]];
+        for (int64_t j = s1 + len; j < s2; j++)
+            a1 = a1 + a[j] * x[col[j]];
+        for (int64_t j = s2 + len; j < s3; j++)
+            a2 = a2 + a[j] * x[col[j]];
+        for (int64_t j = s3 + len; j < e3; j++)
+            a3 = a3 + a[j] * x[col[j]];
+        out[i] = a0;
+        out[i + 1] = a1;
+        out[i + 2] = a2;
+        out[i + 3] = a3;
+    }
+    matvec(M, x, out + i, i, n);
 }
 
 /* np.sign(y) * np.maximum(np.abs(y) - t, 0.0) for one entry: np.sign maps
@@ -163,6 +216,19 @@ void spdfp_gram(const csr *M, int64_t outer, const double *u, double *work, doub
     }
 }
 
+/* The products of sparse.RowView over rows lo..hi-1 of M: out = M[lo:hi] x,
+ * hi - lo doubles from x of M.n_cols, or with transpose set out =
+ * M[lo:hi]^T x, M.n_cols doubles from x of hi - lo. The caller checks that
+ * 0 <= lo <= hi <= M.n_rows and the lengths. */
+void spdfp_rows(const csr *M, int64_t lo, int64_t hi, int64_t transpose, const double *x,
+                double *out)
+{
+    if (transpose)
+        rmatvec(M, x, out, lo, hi);
+    else
+        matvec(M, x, out, lo, hi);
+}
+
 /* The exponent of gamma**2: volatile, so that the compiler calls pow and
  * does not fold pow(g, 2.0) into g * g, which may differ in the last bit. */
 static volatile const double TWO = 2.0;
@@ -184,12 +250,18 @@ void spdfp_scales(double c, double alpha, double lam, int64_t k0, int64_t step, 
 }
 
 /* gradients._rows_gradient over rows lo..hi-1 of A: w holds the margins,
- * then the loss weights (problem.loss_weights); g gets the gradient. */
+ * then the loss weights (problem.loss_weights); g gets the gradient. Over
+ * all rows of A, with At set, A x and A^T w take four rows per pass, A^T w
+ * as a gather over At's rows; a mini-batch takes matvec and rmatvec. */
 static void gradient(const run *r, int64_t lo, int64_t hi, const double *x,
                     double *w, double *g)
 {
     int64_t nb = hi - lo, d = r->A.n_cols;
-    matvec(&r->A, x, w, lo, hi);
+    int full = lo == 0 && hi == r->A.n_rows && r->At.indptr != NULL;
+    if (full)
+        matvec4(&r->A, x, w);
+    else
+        matvec(&r->A, x, w, lo, hi);
     for (int64_t i = 0; i < nb; i++) {
         double b = r->labels[lo + i];
         if (r->loss == SQUARE) {
@@ -201,7 +273,10 @@ static void gradient(const run *r, int64_t lo, int64_t hi, const double *x,
             w[i] = -b * (t >= 0.0 ? 1.0 / (1.0 + e) : e / (1.0 + e));
         }
     }
-    rmatvec(&r->A, w, g, lo, hi);
+    if (full)
+        matvec4(&r->At, w, g);
+    else
+        rmatvec(&r->A, w, g, lo, hi);
     for (int64_t j = 0; j < d; j++)
         g[j] = g[j] / (double)nb;
     if (r->nu != 0.0)

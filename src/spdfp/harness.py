@@ -325,15 +325,31 @@ def load_problem(path):
     spectral estimates and run no Lanczos. Any other case, a missing,
     older or damaged truth file among them (one _read_truth refuses, or
     whose arrays SparseMatrix or Dataset refuses), parses and estimates."""
+    return _load_problem(path)[0]
+
+
+def _load_problem(path):
+    """load_problem's spec of path, and the ground truth of its truth file,
+    from one read of that file and at most one problem_fingerprint: the
+    GroundTruth that load_ground_truth would give, None where there is no
+    truth file, or the error load_ground_truth would raise, for
+    run_experiment to raise after its clause checks."""
     kv = _read_kv(path, ("loss", "data", "b_matrix"), ("l2_weight", "composite_weight"),
                   "problem")
     here = os.path.dirname(os.path.abspath(path))
     # LIBSVM cannot record an empty last feature column; B's shape line can
     B = load_matrix(os.path.join(here, kv["b_matrix"]))
     data_path = os.path.join(here, kv["data"])
+    truth_path = _truth_path(path)
     try:
-        stored = _read_truth(_truth_path(path), _STORED_PROBLEM)
-    except (OSError, ValueError):  # no truth file, or one load_ground_truth refuses
+        found = _read_truth(truth_path)
+    except FileNotFoundError:
+        found = None
+    except (OSError, ValueError) as err:  # one that load_ground_truth refuses
+        found = err
+    try:
+        stored = _truth_fields(found, _STORED_PROBLEM) if isinstance(found, dict) else {}
+    except ValueError:
         stored = {}
     complete = len(stored) == len(_STORED_PROBLEM)  # else an older truth, or none: parse
     dataset = None
@@ -354,11 +370,17 @@ def load_problem(path):
                            composite_weight=composite_weight, B=B)
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from None
-    if complete and str(stored["fingerprint"]) == problem_fingerprint(spec):
+    fingerprint = problem_fingerprint(spec) if complete else None
+    if complete and str(stored["fingerprint"]) == fingerprint:
         for name, M in (("A", spec.dataset.samples), ("B", B)):
             M.spectrum = SpectralEstimate(**{f.name: stored[f"{name}_{f.name}"].item()
                                              for f in fields(SpectralEstimate)})
-    return spec
+    if not isinstance(found, dict):
+        return spec, found
+    try:
+        return spec, _ground_truth(truth_path, found, spec, fingerprint)
+    except ValueError as err:
+        return spec, err
 
 
 def _file_bytes(path):
@@ -570,18 +592,27 @@ _TRUTH_FIELDS = {
 _STORED_PROBLEM = tuple(_TRUTH_FIELDS)[len(fields(GroundTruth)):]
 
 
+# what np.load, zipfile and its decompressors raise on a damaged file
+_DAMAGED = (OSError, ValueError, EOFError, RuntimeError, zipfile.BadZipFile, zlib.error)
+
+
 def _holds(arr, kind, shape):
     """Whether arr has the dtype kind and the shape (None for any length)."""
     return (arr.dtype.kind == kind and arr.ndim == len(shape)
             and all(n is None or n == m for n, m in zip(shape, arr.shape)))
 
 
-def _read_truth(path, keys):
-    """The arrays of the truth file at path that keys name and it holds, as
-    a dict. A file that is not an .npz of plain arrays, that lacks a field
-    of GroundTruth, or whose field that keys name has another dtype kind or
-    shape than _TRUTH_FIELDS gives, is a ValueError that names it; one that
-    cannot be opened is an OSError."""
+def _read_truth(path):
+    """The fields of the truth file at path that _TRUTH_FIELDS names and it
+    holds, as a dict, from one read. A file that is not an .npz of plain
+    arrays, or that lacks a field of GroundTruth, is a ValueError that
+    names it; one that cannot be opened is an OSError. A field that cannot
+    be read, or whose dtype kind or shape is not the one _TRUTH_FIELDS
+    gives, maps to such a ValueError in place of its array, which
+    _truth_fields raises to a reader of that field."""
+    def refused(err):
+        return ValueError(f"{path}: not a ground truth file: {err}; rerun `spdfp truth`")
+
     with open(path, "rb") as fh:
         try:
             if fh.read(2) != b"PK":  # the start of a zip archive, as an .npz file is
@@ -591,31 +622,49 @@ def _read_truth(path, keys):
                 missing = [f.name for f in fields(GroundTruth) if f.name not in z.files]
                 if missing:
                     raise ValueError(f"no {missing[0]} in it")
-                found = {key: z[key] for key in keys if key in z.files}
-                for key, arr in found.items():
-                    if not _holds(arr, *_TRUTH_FIELDS[key]):
-                        raise ValueError(f"its {key} is a {arr.dtype} array of shape {arr.shape}")
+                found = {}
+                for key in _TRUTH_FIELDS:
+                    if key in z.files:
+                        try:
+                            arr = found[key] = z[key]
+                            if not _holds(arr, *_TRUTH_FIELDS[key]):
+                                raise ValueError(f"its {key} is a {arr.dtype} array of "
+                                                 f"shape {arr.shape}")
+                        except _DAMAGED as err:
+                            found[key] = refused(err)
                 return found
-        # what np.load, zipfile and its decompressors raise on a damaged file
-        except (OSError, ValueError, EOFError, RuntimeError, zipfile.BadZipFile,
-                zlib.error) as err:
-            raise ValueError(f"{path}: not a ground truth file: {err}; "
-                             "rerun `spdfp truth`") from None
+        except _DAMAGED as err:
+            raise refused(err) from None
+
+
+def _truth_fields(found, keys):
+    """The arrays of found, a dict from _read_truth, that keys name, or the
+    ValueError of the first of them that _read_truth refused."""
+    for key in keys:
+        if isinstance(found.get(key), ValueError):
+            raise found[key]
+    return {key: found[key] for key in keys if key in found}
 
 
 def load_ground_truth(path, spec):
     """The GroundTruth of spec saved by save_ground_truth. A file that holds
     a fingerprint must hold spec's; one without, written before
     fingerprints, must have spec's shapes; else a ValueError names the
-    file, as it does for a file that _read_truth refuses. Files that also
-    hold the raw PDFP dual (v_star_pdfp) load too."""
-    z = _read_truth(path, [f.name for f in fields(GroundTruth)] + ["fingerprint"])
+    file, as it does for a file or field that _read_truth refuses. Files
+    that also hold the raw PDFP dual (v_star_pdfp) load too."""
+    return _ground_truth(path, _read_truth(path), spec)
+
+
+def _ground_truth(path, found, spec, fingerprint=None):
+    """load_ground_truth from found, what _read_truth read from path;
+    fingerprint is spec's problem_fingerprint, or None to work it out."""
+    z = _truth_fields(found, [f.name for f in fields(GroundTruth)] + ["fingerprint"])
     gt = GroundTruth(x_star=z["x_star"], v_star=z["v_star"],
                      objective_star=float(z["objective_star"]),
                      residual=float(z["residual"]), gamma=float(z["gamma"]),
                      lam=float(z["lam"]), iterations=int(z["iterations"]))
     if "fingerprint" in z:
-        if str(z["fingerprint"]) != problem_fingerprint(spec):
+        if str(z["fingerprint"]) != (fingerprint or problem_fingerprint(spec)):
             raise ValueError(f"{path}: this ground truth was computed for another problem "
                              "(its fingerprint differs); rerun `spdfp truth`")
     elif gt.x_star.shape != (spec.dim,) or gt.v_star.shape != (spec.B.n_rows,):
@@ -827,7 +876,9 @@ def run_experiment(cfg):
     Data columns are deterministic given the master seed; the wall-time
     column is not.
     """
-    spec = resolve_problem(cfg.problem)
+    # a .problem file's truth file is read once, with the problem
+    spec, truth = ((resolve_problem(cfg.problem), None) if cfg.problem.startswith("synth:")
+                   else _load_problem(cfg.problem))
     seeds = [int(s) for s in np.random.SeedSequence(cfg.master_seed).generate_state(
         cfg.repetitions, dtype=np.uint64) >> 1]
     solver_lines, clauses = [], []
@@ -842,9 +893,9 @@ def run_experiment(cfg):
         solver_lines.append(f"# solver {entry.label}: " + " ".join(shown))
         clauses.append((entry, run_cfg, admm_cfg))
 
-    cache = None if cfg.problem.startswith("synth:") else _truth_path(cfg.problem)
-    ground_truth = (load_ground_truth(cache, spec) if cache and os.path.exists(cache)
-                    else compute_ground_truth(spec))
+    if isinstance(truth, Exception):  # a truth file that load_ground_truth refuses
+        raise truth
+    ground_truth = compute_ground_truth(spec) if truth is None else truth
     prox_spec, reference = prox_for(spec), ground_truth.reference()
     runs = {entry.label: [run_solver(entry.kind, spec, prox_spec, replace(run_cfg, seed=seed),
                                      admm_cfg=admm_cfg, reference=reference, name=entry.label)

@@ -168,9 +168,10 @@ class _RunContext:
 
     ``full`` is (RowView of all of A, labels), ``batches`` holds one such
     pair per row range in ``ranges``, in order, ``B`` is a RowView of all of
-    B and ``BtB`` is B^T B dense, for the ADMM x-update; all but ``B`` are
-    built on first use. The steps convert and check nothing:
-    iterates must be float64 vectors of the right lengths.
+    B and ``BtB`` is B^T B dense, for the ADMM x-update; each is built on
+    first use, so a run on the C lane's fused steps builds none. The steps
+    convert and check nothing: iterates must be float64 vectors of the
+    right lengths.
     """
 
     def __init__(self, spec, prox_spec, ranges=()):
@@ -178,7 +179,10 @@ class _RunContext:
         self.prox_l1 = prox_spec.kind == "l1"
         self.prox_weight = prox_spec.weight
         self.ranges = ranges
-        self.B = spec.B.row_view(0, spec.B.n_rows)
+
+    @cached_property
+    def B(self):
+        return self.spec.B.row_view(0, self.spec.B.n_rows)
 
     @cached_property
     def batches(self):

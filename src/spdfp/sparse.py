@@ -7,11 +7,12 @@ indices within each row, duplicates summed and exact zeros dropped at
 construction, which fixes the reduction order and keeps runs
 bit-reproducible. Entries that come strictly ordered by (row, column),
 as from_dense and stack_identity give them, skip the sort. Every product
-outside the C lane is RowView's NumPy one, and the eigenvalue comes from
-Lanczos on the Gram products of those products, which the C lane, where
-built, computes with the same bits. A matrix is immutable, so it estimates
-its eigenvalue once, on first use of SparseMatrix.spectrum, and keeps it,
-unless it was handed the estimate of a stored ground truth first.
+outside the fused steps is RowView's, which the C lane computes where it is
+built and NumPy otherwise, with the same bits, and the eigenvalue comes
+from Lanczos on the Gram products of those products. A matrix is
+immutable, so it estimates its eigenvalue once, on first use of
+SparseMatrix.spectrum, and keeps it, unless it was handed the estimate of a
+stored ground truth first.
 """
 
 import math
@@ -137,8 +138,14 @@ class SparseMatrix:
         return RowView(self, 0, self.n_rows).rmatvec(y)
 
     def transpose(self):
-        rows, cols, vals = self.entries()
-        return SparseMatrix.from_coo(self.n_cols, self.n_rows, cols, rows, vals)
+        """M^T, by a stable counting sort of the entries by column: row c of
+        M^T holds column c of M in M's row order. Of a canonical matrix it
+        is the canonical transpose, the arrays from_coo gives."""
+        order = np.argsort(self.indices, kind="stable")
+        rows = np.arange(self.n_rows, dtype=np.int64).repeat(np.diff(self.indptr))
+        indptr = np.zeros(self.n_cols + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.indices, minlength=self.n_cols), out=indptr[1:])
+        return SparseMatrix(self.n_cols, self.n_rows, indptr, rows[order], self.data[order])
 
     def to_dense(self):
         out = np.zeros((self.n_rows, self.n_cols))
@@ -154,8 +161,6 @@ class SparseMatrix:
 
     def row_view(self, row_start, row_stop):
         """Rows [row_start, row_stop) as a RowView for repeated products."""
-        if not 0 <= row_start <= row_stop <= self.n_rows:
-            raise ValueError("row range out of bounds")
         return RowView(self, row_start, row_stop)
 
     def row_block(self, row_start, row_stop):
@@ -170,32 +175,45 @@ class SparseMatrix:
 
 
 class RowView:
-    """Rows [row_start, row_stop) of a SparseMatrix with their row map built
-    once, for loops that apply the same rows many times.
+    """Rows [row_start, row_stop) of a SparseMatrix, set up once for loops
+    that apply the same rows many times.
 
     These are the package's one pair of products: each output entry is a
-    sum from 0.0 in CSR order (np.bincount), which the fused C lane mirrors.
-    They convert and check nothing: x must be a float64 vector of length
+    sum from 0.0 in CSR order. Where the C lane is built (_kernels.LANE),
+    lane.c's spdfp_rows computes them, on the matrix this view holds on to,
+    and refuses a vector that is not a C-contiguous float64 one of the
+    right length; otherwise np.bincount does, converting and checking
+    nothing. Both give the same bits. x must be a float64 vector of length
     n_cols, y one of length n_rows.
     """
 
-    __slots__ = ("indices", "data", "rows", "n_rows", "n_cols")
+    __slots__ = ("indices", "data", "rows", "n_rows", "n_cols", "_lane")
 
     def __init__(self, M, row_start, row_stop):
-        lo, hi = M.indptr[row_start], M.indptr[row_stop]
-        counts = M.indptr[row_start + 1:row_stop + 1] - M.indptr[row_start:row_stop]
-        self.indices = M.indices[lo:hi]
-        self.data = M.data[lo:hi]
-        self.rows = np.arange(row_stop - row_start).repeat(counts)
+        if not 0 <= row_start <= row_stop <= M.n_rows:
+            raise ValueError("row range out of bounds")
         self.n_rows = row_stop - row_start
         self.n_cols = M.n_cols
+        if _kernels.LANE is not None:
+            self._lane = _kernels.LANE.rows(M, row_start, row_stop)
+        else:
+            self._lane = None
+            lo, hi = M.indptr[row_start], M.indptr[row_stop]
+            counts = M.indptr[row_start + 1:row_stop + 1] - M.indptr[row_start:row_stop]
+            self.indices = M.indices[lo:hi]
+            self.data = M.data[lo:hi]
+            self.rows = np.arange(self.n_rows).repeat(counts)
 
     # np.bincount gives int64 zeros when there are no entries, hence astype
     def matvec(self, x):
+        if self._lane is not None:
+            return self._lane[0](x)
         return np.bincount(self.rows, weights=self.data * x[self.indices],
                            minlength=self.n_rows).astype(np.float64, copy=False)
 
     def rmatvec(self, y):
+        if self._lane is not None:
+            return self._lane[1](y)
         return np.bincount(self.indices, weights=self.data * y[self.rows],
                            minlength=self.n_cols).astype(np.float64, copy=False)
 

@@ -313,6 +313,25 @@ def test_run_takes_the_problem_and_its_spectra_from_the_truth(tmp_path, monkeypa
                 == csv_without_wall_time(tmp_path / "out" / ("parsed" + suffix)))
 
 
+def test_a_run_reads_its_truth_file_once_and_fingerprints_once(tmp_path, monkeypatch):
+    # load_problem hands what it read of the truth file on to run_experiment
+    base = problem_with_truth(tmp_path)
+    calls = []
+    for name in ("_read_truth", "problem_fingerprint"):
+        real = getattr(harness, name)
+        monkeypatch.setattr(harness, name, lambda *a, _real=real, _name=name, **k:
+                            calls.append(_name) or _real(*a, **k))
+    assert main(["run", "--config", run_config(tmp_path, "once")]) == 0
+    assert sorted(calls) == ["_read_truth", "problem_fingerprint"]
+    # a truth file from before the stored problem: one read, one fingerprint
+    with np.load(base + ".problem.truth.npz") as z:
+        old = {key: z[key] for key in TRUTH_KEYS}
+    np.savez(base + ".problem.truth.npz", **old)
+    calls.clear()
+    assert main(["run", "--config", run_config(tmp_path, "older")]) == 0
+    assert sorted(calls) == ["_read_truth", "problem_fingerprint"]
+
+
 def test_a_changed_data_byte_is_parsed_and_its_truth_refused(tmp_path, monkeypatch, capsys,
                                                              lane):
     base = problem_with_truth(tmp_path)

@@ -26,7 +26,7 @@ import numpy as np
 import pytest
 
 import spdfp._kernels as kernels
-from spdfp import harness, solvers
+from spdfp import gradients, harness, solvers, sparse
 from spdfp.harness import compute_ground_truth, prox_for, synth_fused_lasso
 from spdfp.problem import Dataset, ProblemSpec
 from spdfp.prox import ProxSpec, soft_threshold
@@ -93,6 +93,14 @@ def find_compiler():
     return None
 
 
+@pytest.fixture(autouse=True)
+def numpy_reference(monkeypatch):
+    """The reference side of every comparison here is the NumPy lane, also
+    where the C lane is built in-tree, since RowView's products read
+    kernels.LANE; a test that runs on the C lane sets it."""
+    monkeypatch.setattr(kernels, "LANE", None)
+
+
 @pytest.fixture(scope="module")
 def c_lane(tmp_path_factory):
     cc = find_compiler()
@@ -109,13 +117,14 @@ def c_lane(tmp_path_factory):
     return kernels.CLane(str(lib))
 
 
-@pytest.mark.parametrize("version", [None, 1, 2, 3, 4])
+@pytest.mark.parametrize("version", [None, 1, 2, 3, 4, 5])
 def test_loader_refuses_a_library_built_from_another_lane_c(tmp_path, version):
     # a library with the run struct of this lane.c but no version stamp, as
     # built from the lane.c whose spdfp_products took no snapshots, or with
     # another stamp, as from the lane.c whose spdfp_run_steps ran one span of
-    # steps or the ones without spdfp_gram or spdfp_scales: calling it could
-    # write through the wrong pointers, or fail on a missing symbol
+    # steps or the ones without spdfp_gram, spdfp_scales or spdfp_rows and
+    # At: calling it could write through the wrong pointers, or fail on a
+    # missing symbol
     cc = find_compiler()
     if cc is None:
         pytest.skip("no C compiler found ($CC, cc, gcc or clang)")
@@ -338,6 +347,91 @@ def test_products_take_blocks_of_snapshots_four_at_a_time(c_lane):
             np.testing.assert_array_equal(np.isnan(got), nan)
             assert_same_bits(got[~nan], ref[~nan])
     assert empty_rows
+
+
+SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2e-308, -1e-310])
+
+
+def with_specials(rng, a, share):
+    """a with about share of its entries replaced by SPECIAL values."""
+    a = a.copy()
+    mask = rng.random(a.shape) < share
+    a[mask] = rng.choice(SPECIAL, int(mask.sum()))
+    return a
+
+
+def assert_same_bits_but_nan_signs(a, b):
+    """NaN where the other has NaN, and the same bits everywhere else. Which
+    NaN a sum or product of two NaNs keeps is left open by IEEE 754; x86
+    keeps its first operand's, and a compiler may swap the operands of + and
+    *, so where inf - inf (-NaN) meets a NaN, the lanes may differ in its
+    sign."""
+    a, b = np.asarray(a), np.asarray(b)
+    nan = np.isnan(b)
+    np.testing.assert_array_equal(np.isnan(a), nan)
+    assert_same_bits(a[~nan], b[~nan])
+
+
+def test_row_view_products_give_the_numpy_bits_on_the_c_lane(monkeypatch, c_lane):
+    # spdfp_rows against RowView's np.bincount lines, bit for bit: matrices
+    # whose data and vectors hold signed zeros, NaN, inf and subnormals,
+    # with empty rows and columns, over row ranges that may be empty, with n
+    # and d mostly not multiples of 4
+    rng = np.random.default_rng(9)
+    seen = {"empty row": 0, "empty column": 0, "empty range": 0, "ragged": 0}
+    for _ in range(300):
+        M = random_csr(rng)
+        M = SparseMatrix(M.n_rows, M.n_cols, M.indptr, M.indices,
+                         with_specials(rng, M.data, 0.15))
+        lo = int(rng.integers(0, M.n_rows + 1))
+        hi = int(rng.integers(lo, M.n_rows + 1))
+        x = with_specials(rng, rng.standard_normal(M.n_cols), 0.15)
+        y = with_specials(rng, rng.standard_normal(hi - lo), 0.15)
+        seen["empty row"] += int(np.any(np.diff(M.indptr[lo:hi + 1]) == 0))
+        seen["empty column"] += int(len(set(M.indices)) < M.n_cols)
+        seen["empty range"] += lo == hi
+        seen["ragged"] += M.n_rows % 4 != 0 and M.n_cols % 4 != 0
+        got = []
+        for lane in (c_lane, None):
+            monkeypatch.setattr(kernels, "LANE", lane)
+            view = M.row_view(lo, hi)
+            with np.errstate(invalid="ignore", over="ignore"):
+                got.append((view.matvec(x), view.rmatvec(y)))
+        (c_ax, c_aty), (np_ax, np_aty) = got
+        assert c_ax.shape == (hi - lo,) and c_aty.shape == (M.n_cols,)
+        assert_same_bits_but_nan_signs(c_ax, np_ax)
+        assert_same_bits_but_nan_signs(c_aty, np_aty)
+    assert all(seen.values()), seen
+
+
+def test_row_view_refuses_a_short_or_strided_vector_before_c_reads_it(monkeypatch, c_lane):
+    calls = []
+    lib = c_lane._lib
+
+    class Spy:  # the library, with a record of the calls of its functions
+        def __getattr__(self, name):
+            fn = getattr(lib, name)
+            return lambda *a: calls.append(name) or fn(*a)
+
+    monkeypatch.setattr(c_lane, "_lib", Spy())
+    monkeypatch.setattr(kernels, "LANE", c_lane)
+    M = SparseMatrix.from_dense(np.arange(30.0).reshape(6, 5))
+    view = M.row_view(1, 4)
+    for product, bad, error in ((view.matvec, np.ones(4), ValueError),
+                                (view.matvec, np.ones(10)[::2], TypeError),
+                                (view.matvec, np.ones(5, dtype=np.float32), TypeError),
+                                (view.matvec, np.ones((5, 1)), TypeError),
+                                (view.rmatvec, np.ones(2), ValueError),
+                                (view.rmatvec, np.ones(6)[::2], TypeError),
+                                (view.rmatvec, [1.0, 2.0, 3.0], TypeError)):
+        with pytest.raises(error):
+            product(bad)
+    assert calls == []
+    assert_same_bits(view.matvec(np.ones(5)), [35.0, 60.0, 85.0])
+    assert_same_bits(view.rmatvec(np.ones(3)), [30.0, 33.0, 36.0, 39.0, 42.0])
+    assert calls == ["spdfp_rows", "spdfp_rows"]
+    with pytest.raises(ValueError, match="row range out of bounds"):
+        sparse.RowView(M, 4, 7)
 
 
 def test_soft_threshold_signed_zeros_and_nan(c_lane):
@@ -638,6 +732,46 @@ def test_admm_and_on_step_runs_keep_the_python_path(monkeypatch, c_lane):
     admm = solvers.AdmmConfig(beta_tilde=2.0, zeta_schedule=StepSchedule(c=0.5, alpha=0.5))
     run_solver("stoc_admm", spec, ProxSpec("l1", 0.2), cfg, admm_cfg=admm)
     assert calls == []
+
+
+@pytest.mark.parametrize("loss", ["square", "hinge", "logistic"])
+def test_runs_on_row_view_products_give_the_same_bits_on_both_lanes(monkeypatch, c_lane, loss):
+    # stoc_admm, a run with on_step, the fixed-point residual, the
+    # objective and the gradients take their products from RowView, which
+    # calls spdfp_rows where the C lane is built and np.bincount otherwise
+    spec = fused_spec(loss, 0.1)
+    prox_spec = ProxSpec("l1", 0.2)
+    rho = estimate_spectrum(spec.B).rho_max
+    cfg = SolverConfig(schedule=StepSchedule(c=0.5, alpha=0.7), lam=0.8 / rho, p=5,
+                       max_epochs=6, seed=3)
+    admm = solvers.AdmmConfig(beta_tilde=2.0, zeta_schedule=StepSchedule(c=0.5, alpha=0.5))
+    ref = Reference(x_star=np.linspace(-1.0, 1.0, spec.dim), objective_star=0.3)
+    x = np.linspace(0.5, -0.7, spec.dim)
+    v = np.linspace(-0.2, 0.4, spec.B.n_rows)
+    plan = gradients.make_batch_plan(spec.n, 5)
+    outputs = []
+    for lane in (c_lane, None):
+        monkeypatch.setattr(kernels, "LANE", lane)
+        seen = []
+        recs = [run_solver("stoc_admm", spec, prox_spec, cfg, admm_cfg=admm, reference=ref),
+                run_solver("spdfp1", spec, prox_spec, cfg, reference=ref,
+                           on_step=lambda s: seen.append(s.x.copy()))]
+        values = [fixed_point_residual(spec, prox_spec, 0.3, cfg.lam, x, v),
+                  harness.objective_value(spec, x),
+                  *gradients.full_gradient(spec, x),
+                  *gradients.stochastic_gradient(spec, plan, 4, x)]
+        outputs.append((recs, seen, values))
+    (c_recs, c_seen, c_values), (np_recs, np_seen, np_values) = outputs
+    for a, b in zip(c_recs, np_recs):
+        assert len(a) == len(b) == cfg.max_epochs + 1
+        for name in set(solvers.COLUMNS) - {"wall_time"}:
+            col_a, col_b = getattr(a, name), getattr(b, name)
+            assert (col_a is None) == (col_b is None)
+            if col_a is not None:
+                assert_same_bits(col_a, col_b)
+    assert len(c_seen) == len(np_seen) == cfg.max_epochs * plan.n_batches
+    assert_same_bits(c_seen, np_seen)
+    assert_same_bits(c_values, np_values)
 
 
 def test_fused_steps_reject_out_of_range_picks(c_lane):
@@ -1041,3 +1175,88 @@ def test_capped_truth_same_bits_on_both_paths(monkeypatch, c_lane):
         assert a.iterations == b.iterations == cap
         for name in ("x_star", "v_star", "objective_star", "residual"):
             assert_same_bits(getattr(a, name), getattr(b, name))
+
+
+def ragged_spec(loss):
+    # n = 23 and d = 7, not multiples of 4, so the four-row passes over A
+    # and over its transpose both end in leftover rows; rows of unequal
+    # length, so each pass finishes rows past the shortest one; an empty
+    # row and two empty columns, which are empty rows of the transpose
+    rng = np.random.default_rng(31)
+    n, d = 23, 7
+    A = rng.standard_normal((n, d))
+    A[rng.random((n, d)) < rng.uniform(0.0, 0.8, (n, 1))] = 0.0
+    A[:, [2, 5]] = 0.0
+    A[9] = 0.0
+    b = rng.standard_normal(n) if loss == "square" else rng.choice([-1.0, 1.0], n)
+    G = SparseMatrix.from_coo(3, d, [0, 0, 1, 1, 2, 2], [0, 1, 3, 4, 5, 6],
+                              [1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
+    return ProblemSpec(loss=loss, dataset=Dataset(SparseMatrix.from_dense(A), b),
+                       l2_weight=0.1, composite_weight=0.1, B=stack_identity(G))
+
+
+@pytest.mark.parametrize("loss", ["square", "logistic"])
+def test_full_range_steps_gather_through_the_transpose_with_the_python_bits(monkeypatch, c_lane,
+                                                                           loss):
+    spec = ragged_spec(loss)
+    A = spec.dataset.samples
+    lengths = np.diff(A.indptr)
+    assert len(set(lengths)) > 3 and 0 in lengths and 0 in np.bincount(A.indices, minlength=7)
+    made = []
+    steps = c_lane.steps
+    monkeypatch.setattr(c_lane, "steps", lambda *a: made.append(steps(*a)) or made[-1])
+    truths = []
+    for lane in (c_lane, None):
+        monkeypatch.setattr(kernels, "LANE", lane)
+        truths.append(compute_ground_truth(spec))
+    a, b = truths
+    assert a.iterations == b.iterations < harness.DEFAULT_TRUTH_ITERS
+    for name in ("x_star", "v_star", "objective_star", "residual"):
+        assert_same_bits(getattr(a, name), getattr(b, name))
+    ref, prox_spec = a.reference(), prox_for(spec)
+    pdfp = SolverConfig(schedule=ConstantSchedule(a.gamma), lam=a.lam, p=spec.n, max_epochs=30)
+    whole = SolverConfig(schedule=StepSchedule(c=0.5, alpha=0.7), lam=a.lam, p=spec.n,
+                         max_epochs=30, seed=4)
+    batches = replace(whole, p=5)
+    for kind, cfg in (("pdfp", pdfp), ("spdfp1", whole), ("spdfp2", batches)):
+        assert_same_run(*[run_on_lane(monkeypatch, lane, kind, spec, prox_spec, cfg, reference=ref)
+                          for lane in (c_lane, None)])
+    # the truth and the runs over all rows of A carry its transpose, the
+    # mini-batch run does not
+    assert [bool(st._run.At.indptr) for st in made] == [True, True, True, False]
+    At, T = made[0]._keep[2], A.transpose()
+    assert [a.tobytes() for a in (At.indptr, At.indices, At.data)] == [
+        a.tobytes() for a in (T.indptr, T.indices, T.data)]
+
+
+def test_a_full_range_step_keeps_the_bits_of_special_values(monkeypatch, c_lane):
+    # one pdfp step over all rows of A, which gathers A^T w through A's
+    # transpose, against the reference step's bincount scatter; A and x hold
+    # signed zeros and subnormals, and in every other trial inf and NaN too
+    rng = np.random.default_rng(13)
+    finite = SPECIAL[np.isfinite(SPECIAL)]
+    for trial in range(120):
+        specials = SPECIAL if trial % 2 else finite
+        A = random_csr(rng)
+        data = A.data.copy()
+        mask = rng.random(len(data)) < 0.1
+        data[mask] = rng.choice(specials, int(mask.sum()))
+        A = SparseMatrix(A.n_rows, A.n_cols, A.indptr, A.indices, data)
+        B = random_csr(rng, A.n_cols)
+        spec = ProblemSpec(loss="square", dataset=Dataset(A, rng.standard_normal(A.n_rows)),
+                           l2_weight=0.0, composite_weight=0.5, B=B)
+        cfg = SolverConfig(schedule=ConstantSchedule(0.1), lam=0.5, p=1)
+        prox_spec = ProxSpec("l1", 0.5)
+        x0 = rng.standard_normal(A.n_cols)
+        x0[rng.random(A.n_cols) < 0.1] = rng.choice(specials)
+        v0 = rng.standard_normal(B.n_rows)
+        x, v = x0.copy(), v0.copy()
+        steps = c_lane.steps("pdfp", spec, prox_spec, cfg, ((0, A.n_rows),), x, v)
+        assert steps._run.At.indptr
+        monkeypatch.setattr(kernels, "LANE", None)
+        ctx = solvers._RunContext(spec, prox_spec, ((0, A.n_rows),))
+        with np.errstate(all="ignore"):
+            steps(ONE_STEP)
+            want = reference_step("pdfp", ctx, cfg, 1, ctx.batches[0], x0, v0)
+        for got, ref in zip((x, v), want):
+            assert_same_bits_but_nan_signs(got, ref)

@@ -60,6 +60,30 @@ def test_transpose_involution():
         np.testing.assert_array_equal(T.to_dense(), M.to_dense())
 
 
+def test_transpose_gives_the_arrays_of_from_coo():
+    # the stable counting sort by column against from_coo's sort of the
+    # swapped entries, over random matrices, empty rows and columns, and
+    # matrices with no rows or no columns
+    rng = np.random.default_rng(3)
+    matrices = [SparseMatrix.from_coo(0, 4, [], [], []), SparseMatrix.from_coo(5, 0, [], [], []),
+                SparseMatrix.from_coo(0, 0, [], [], []), SparseMatrix.from_coo(3, 4, [], [], [])]
+    for _ in range(40):
+        M = random_sparse(rng, int(rng.integers(1, 12)), int(rng.integers(1, 12)),
+                          density=float(rng.uniform(0.05, 0.9)))
+        matrices.append(M)
+    empty = 0
+    for M in matrices:
+        empty += int(np.any(np.diff(M.indptr) == 0)) + int(M.n_cols > len(set(M.indices)))
+        rows, cols, vals = M.entries()
+        want = SparseMatrix.from_coo(M.n_cols, M.n_rows, cols, rows, vals)
+        got = M.transpose()
+        assert got.shape == want.shape
+        for a, b in zip((got.indptr, got.indices, got.data), (want.indptr, want.indices,
+                                                              want.data)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    assert empty > 10
+
+
 def test_matvec_adjoint_consistency():
     # <Bu, v> == <u, B^T v> to 1e-12 relative
     rng = np.random.default_rng(1)
