@@ -329,11 +329,11 @@ def load_problem(path):
 
 
 def _load_problem(path):
-    """load_problem's spec of path, and the ground truth of its truth file,
-    from one read of that file and at most one problem_fingerprint: the
-    GroundTruth that load_ground_truth would give, None where there is no
-    truth file, or the error load_ground_truth would raise, for
-    run_experiment to raise after its clause checks."""
+    """(spec, found, fingerprint): load_problem's spec of path, what
+    _read_truth gave for its truth file (a dict, None where there is no
+    such file, or the error it raised), and the spec's problem_fingerprint
+    where the file holds a stored problem, else None. _ground_truth takes
+    the truth from them, so a run reads the file once."""
     kv = _read_kv(path, ("loss", "data", "b_matrix"), ("l2_weight", "composite_weight"),
                   "problem")
     here = os.path.dirname(os.path.abspath(path))
@@ -375,12 +375,7 @@ def _load_problem(path):
         for name, M in (("A", spec.dataset.samples), ("B", B)):
             M.spectrum = SpectralEstimate(**{f.name: stored[f"{name}_{f.name}"].item()
                                              for f in fields(SpectralEstimate)})
-    if not isinstance(found, dict):
-        return spec, found
-    try:
-        return spec, _ground_truth(truth_path, found, spec, fingerprint)
-    except ValueError as err:
-        return spec, err
+    return spec, found, fingerprint
 
 
 def _file_bytes(path):
@@ -638,8 +633,10 @@ def _read_truth(path):
 
 
 def _truth_fields(found, keys):
-    """The arrays of found, a dict from _read_truth, that keys name, or the
-    ValueError of the first of them that _read_truth refused."""
+    """The arrays of found, what _read_truth gave, that keys name. Where it
+    gave an error, or refused one of those fields, that error is raised."""
+    if isinstance(found, Exception):
+        raise found
     for key in keys:
         if isinstance(found.get(key), ValueError):
             raise found[key]
@@ -656,8 +653,9 @@ def load_ground_truth(path, spec):
 
 
 def _ground_truth(path, found, spec, fingerprint=None):
-    """load_ground_truth from found, what _read_truth read from path;
-    fingerprint is spec's problem_fingerprint, or None to work it out."""
+    """load_ground_truth from found, what _read_truth gave for path (a dict,
+    or the error it raised); fingerprint is spec's problem_fingerprint, or
+    None to work it out."""
     z = _truth_fields(found, [f.name for f in fields(GroundTruth)] + ["fingerprint"])
     gt = GroundTruth(x_star=z["x_star"], v_star=z["v_star"],
                      objective_star=float(z["objective_star"]),
@@ -766,14 +764,21 @@ def parse_experiment_config(path):
 def resolve_problem(source):
     """A problem source is 'synth:key=val,...' with keys from SYNTH_DEFAULTS
     (omitted ones take its desk-scale defaults) or a path to a .problem file."""
+    return _resolve_problem(source)[0]
+
+
+def _resolve_problem(source):
+    """(spec, found, fingerprint) of a problem source: _load_problem's for a
+    .problem file; a synth: source has no truth file, so its found and
+    fingerprint are None."""
     if source.startswith("synth:"):
         params = _key_values(source[len("synth:"):], source)
         unknown = sorted(set(params) - set(SYNTH_DEFAULTS))
         if unknown:
             raise ValueError(f"{source}: unknown synth key(s) {unknown}")
         return synth_fused_lasso(**{k: _kv_number(source, params, k, type(v), v)
-                                    for k, v in SYNTH_DEFAULTS.items()})
-    return load_problem(source)
+                                    for k, v in SYNTH_DEFAULTS.items()}), None, None
+    return _load_problem(source)
 
 
 def build_solver_configs(entry, spec, seed, epochs):
@@ -876,9 +881,7 @@ def run_experiment(cfg):
     Data columns are deterministic given the master seed; the wall-time
     column is not.
     """
-    # a .problem file's truth file is read once, with the problem
-    spec, truth = ((resolve_problem(cfg.problem), None) if cfg.problem.startswith("synth:")
-                   else _load_problem(cfg.problem))
+    spec, found, fingerprint = _resolve_problem(cfg.problem)
     seeds = [int(s) for s in np.random.SeedSequence(cfg.master_seed).generate_state(
         cfg.repetitions, dtype=np.uint64) >> 1]
     solver_lines, clauses = [], []
@@ -893,9 +896,8 @@ def run_experiment(cfg):
         solver_lines.append(f"# solver {entry.label}: " + " ".join(shown))
         clauses.append((entry, run_cfg, admm_cfg))
 
-    if isinstance(truth, Exception):  # a truth file that load_ground_truth refuses
-        raise truth
-    ground_truth = compute_ground_truth(spec) if truth is None else truth
+    ground_truth = (compute_ground_truth(spec) if found is None
+                    else _ground_truth(_truth_path(cfg.problem), found, spec, fingerprint))
     prox_spec, reference = prox_for(spec), ground_truth.reference()
     runs = {entry.label: [run_solver(entry.kind, spec, prox_spec, replace(run_cfg, seed=seed),
                                      admm_cfg=admm_cfg, reference=reference, name=entry.label)

@@ -314,7 +314,7 @@ def test_run_takes_the_problem_and_its_spectra_from_the_truth(tmp_path, monkeypa
 
 
 def test_a_run_reads_its_truth_file_once_and_fingerprints_once(tmp_path, monkeypatch):
-    # load_problem hands what it read of the truth file on to run_experiment
+    # run_experiment takes the truth from the read that loads its problem
     base = problem_with_truth(tmp_path)
     calls = []
     for name in ("_read_truth", "problem_fingerprint"):

@@ -93,6 +93,10 @@ def find_compiler():
     return None
 
 
+# the lane this process loaded: the fixture below hides it from each test
+BUILT = kernels.LANE
+
+
 @pytest.fixture(autouse=True)
 def numpy_reference(monkeypatch):
     """The reference side of every comparison here is the NumPy lane, also
@@ -153,8 +157,16 @@ def test_lane_version_matches_the_loader():
     assert int(found.group(1)) == kernels._LANE_VERSION
 
 
-def test_backend_reports_a_lane():
-    assert kernels.backend() == ("numpy" if kernels.LANE is None else "c")
+def test_backend_reports_a_lane(monkeypatch):
+    monkeypatch.setattr(kernels, "LANE", BUILT)
+    assert kernels.backend() == ("numpy" if BUILT is None else "c")
+    monkeypatch.setattr(kernels, "LANE", None)
+    assert kernels.backend() == "numpy"
+
+
+def test_backend_reports_c_for_a_built_lane(c_lane, monkeypatch):
+    monkeypatch.setattr(kernels, "LANE", c_lane)
+    assert kernels.backend() == "c"
 
 
 def test_numpy_lane_against_dense():
