@@ -3,17 +3,16 @@
 lane.c, built into the shared library ``_lane`` by
 ``python setup.py build_ext --inplace``, runs the PDFP / SPDFP steps of a
 run's record blocks, with each epoch's snapshot and time stamp, the A x and
-B x products of those snapshots, the step-size factors of their records,
-the Gram products of the Lanczos method and the products of every
-sparse.RowView, and is loaded with ctypes when it was built. ``LANE`` is
-the loaded CLane, or None, and then every step runs on the NumPy reference
-path of spdfp.solvers, every record's factors come from Python float lists
-there, and every product, the Gram products among them, is RowView's
-NumPy one; spdfp.solvers._steps, solvers._scales, sparse.estimate_spectrum
-and sparse.RowView read it to pick the lane. Both paths give the same bits.
-So where the lane is built every sparse product is C; the prox outside the
-fused steps (prox.soft_threshold) and the ADMM x-update's linear solve are
-NumPy on either path.
+B x products of those snapshots, the step-size factors of their records
+and the products of every sparse.RowView, the Lanczos method's among them,
+and is loaded with ctypes when it was built. ``LANE`` is the loaded CLane,
+or None, and then every step runs on the NumPy reference path of
+spdfp.solvers, every record's factors come from Python float lists there,
+and every product is RowView's NumPy one; spdfp.solvers._steps,
+solvers._scales and sparse.RowView read it to pick the lane. Both paths
+give the same bits. So where the lane is built every sparse product is C;
+the prox outside the fused steps (prox.soft_threshold) and the ADMM
+x-update's linear solve are NumPy on either path.
 """
 
 import ctypes
@@ -23,7 +22,7 @@ import os
 import numpy as np
 
 _KINDS = {"pdfp": 0, "spdfp1": 1, "spdfp2": 2}
-_LANE_VERSION = 6   # spdfp_lane_version() of the lane.c this module calls
+_LANE_VERSION = 7   # spdfp_lane_version() of the lane.c this module calls
 _LOSSES = {"square": 0, "hinge": 1, "logistic": 2}
 
 
@@ -81,30 +80,12 @@ class CLane:
         lib.spdfp_run_steps.restype = ctypes.c_int
         lib.spdfp_products.argtypes = (ctypes.POINTER(_Run), p, i64, p, p)
         lib.spdfp_products.restype = None
-        lib.spdfp_gram.argtypes = (ctypes.POINTER(_Csr), i64, p, p, p)
-        lib.spdfp_gram.restype = None
         d = ctypes.c_double
         lib.spdfp_scales.argtypes = (d, d, d, i64, i64, i64, p, p)
         lib.spdfp_scales.restype = None
         lib.spdfp_rows.argtypes = (ctypes.POINTER(_Csr), i64, i64, i64, p, p)
         lib.spdfp_rows.restype = None
         self._lib = lib
-
-    def gram(self, M, outer):
-        """The Gram product u -> M^T (M u) of M, or M (M^T u) with outer set,
-        as a function that returns a fresh array; each of its two products
-        is summed as sparse.RowView sums it, so it gives RowView's bits."""
-        csr, fn = _csr(M), self._lib.spdfp_gram
-        n, inner = (M.n_rows, M.n_cols) if outer else (M.n_cols, M.n_rows)
-        work = np.empty(inner)
-
-        def product(u):
-            out = np.empty(n)
-            fn(csr, outer, _address(u, np.float64, n), work.ctypes.data, out.ctypes.data)
-            return out
-
-        product.matrix = M  # keeps alive the arrays csr points into
-        return product
 
     def rows(self, M, lo, hi):
         """The products of rows lo..hi-1 of M, 0 <= lo <= hi <= M.n_rows:

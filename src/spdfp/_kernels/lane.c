@@ -1,8 +1,8 @@
 /* The C lane of spdfp: whole record blocks of PDFP / SPDFP steps, with the
  * snapshot of x and v and the time stamp that end each epoch, the A x and
- * B x products of a block's snapshots, one call each, the Gram product of
- * each Lanczos step of sparse.estimate_spectrum, and the products of every
- * sparse.RowView. The record products take four snapshots per pass over a
+ * B x products of a block's snapshots, one call each, and the products of
+ * every sparse.RowView, the Lanczos steps of sparse.estimate_spectrum
+ * among them. The record products take four snapshots per pass over a
  * matrix's rows, and a step starts from the B^T v the step before it left,
  * so it makes three B products, not four. A step over all rows of A takes
  * A x four rows per pass and A^T w as a gather over A's transpose, four of
@@ -11,7 +11,7 @@
  * int64/double arrays, no Python C-API; spdfp._kernels loads the built
  * library with ctypes and checks every array before it passes a pointer.
  * It exports spdfp_run_size, spdfp_lane_version, spdfp_run_steps,
- * spdfp_products, spdfp_gram, spdfp_scales and spdfp_rows; everything else
+ * spdfp_products, spdfp_scales and spdfp_rows; everything else
  * is static.
  *
  * Each function mirrors the NumPy reference (sparse.RowView,
@@ -86,10 +86,10 @@ int64_t spdfp_run_size(void)
  * spdfp_products takes a block of snapshots. Revision 3: spdfp_run_steps
  * runs a block of epochs and takes their snapshots and time stamps.
  * Revision 4: spdfp_gram. Revision 5: spdfp_scales. Revision 6: run
- * holds At, and spdfp_rows. */
+ * holds At, and spdfp_rows. Revision 7: no spdfp_gram. */
 int64_t spdfp_lane_version(void)
 {
-    return 6;
+    return 7;
 }
 
 /* out[i - lo] = (row i of M) . x for lo <= i < hi. */
@@ -199,21 +199,6 @@ void spdfp_products(const run *r, const double *X, int64_t count, double *AX, do
 {
     matvecs(&r->A, X, count, AX);
     matvecs(&r->B, X, count, BX);
-}
-
-/* The Gram product of a Lanczos step of sparse.estimate_spectrum: out =
- * M^T (M u), M.n_cols doubles, through work = M u, M.n_rows doubles, or
- * with outer set out = M (M^T u), M.n_rows doubles, through work = M^T u,
- * M.n_cols doubles. Both products are RowView's, so out gets its bits. */
-void spdfp_gram(const csr *M, int64_t outer, const double *u, double *work, double *out)
-{
-    if (outer) {
-        rmatvec(M, u, work, 0, M->n_rows);
-        matvec(M, work, out, 0, M->n_rows);
-    } else {
-        matvec(M, u, work, 0, M->n_rows);
-        rmatvec(M, work, out, 0, M->n_rows);
-    }
 }
 
 /* The products of sparse.RowView over rows lo..hi-1 of M: out = M[lo:hi] x,

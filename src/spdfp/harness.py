@@ -319,12 +319,13 @@ def load_problem(path):
     value ProblemSpec refuses, is a ValueError that names the file.
 
     The keys and B are read from text on every call. Where the truth file
-    of path (_truth_path) holds the sha256 of the data file's bytes and an
-    A with B's column count, the dataset is built from its arrays instead
-    of parsed; where its fingerprint is that of the spec, A and B take its
-    spectral estimates and run no Lanczos. Any other case, a missing,
-    older or damaged truth file among them (one _read_truth refuses, or
-    whose arrays SparseMatrix or Dataset refuses), parses and estimates."""
+    of path (_truth_path) is one _read_truth takes, its stored dataset has
+    B's column count and its data_sha256 is the sha256 of the data file's
+    bytes, the dataset is built from its arrays instead of parsed; where
+    its fingerprint is that of the spec, A and B take its spectral
+    estimates and run no Lanczos. With no truth file, or one _read_truth
+    refuses (older, damaged or not one at all), it parses and estimates,
+    and `spdfp run` refuses that file."""
     return _load_problem(path)[0]
 
 
@@ -332,36 +333,23 @@ def _load_problem(path):
     """(spec, found, fingerprint): load_problem's spec of path, what
     _read_truth gave for its truth file (a dict, None where there is no
     such file, or the error it raised), and the spec's problem_fingerprint
-    where the file holds a stored problem, else None. _ground_truth takes
-    the truth from them, so a run reads the file once."""
+    where it gave a dict, else None. _ground_truth takes the truth from
+    them, so a run reads the file once."""
     kv = _read_kv(path, ("loss", "data", "b_matrix"), ("l2_weight", "composite_weight"),
                   "problem")
     here = os.path.dirname(os.path.abspath(path))
     # LIBSVM cannot record an empty last feature column; B's shape line can
     B = load_matrix(os.path.join(here, kv["b_matrix"]))
     data_path = os.path.join(here, kv["data"])
-    truth_path = _truth_path(path)
     try:
-        found = _read_truth(truth_path)
+        found = _read_truth(_truth_path(path))
     except FileNotFoundError:
         found = None
     except (OSError, ValueError) as err:  # one that load_ground_truth refuses
         found = err
-    try:
-        stored = _truth_fields(found, _STORED_PROBLEM) if isinstance(found, dict) else {}
-    except ValueError:
-        stored = {}
-    complete = len(stored) == len(_STORED_PROBLEM)  # else an older truth, or none: parse
-    dataset = None
-    if (complete and stored["A_shape"][1] == B.n_cols
-            and str(stored["data_sha256"]) == _file_bytes(data_path)[1]):
-        try:
-            samples = SparseMatrix(*stored["A_shape"].tolist(), stored["A_indptr"],
-                                   stored["A_indices"], stored["A_data"])
-            dataset = Dataset.read_from(str(stored["data_sha256"]), samples, stored["labels"])
-        except ValueError:  # arrays that SparseMatrix or Dataset refuses: parse
-            pass
-    if dataset is None:
+    dataset = found["dataset"] if isinstance(found, dict) else None
+    if (dataset is None or dataset.dim != B.n_cols
+            or dataset.data_sha256 != _file_bytes(data_path)[1]):
         dataset = load_libsvm(data_path, n_features=B.n_cols)
     l2_weight = _kv_number(path, kv, "l2_weight", float, 0.0)
     composite_weight = _kv_number(path, kv, "composite_weight", float, 0.0)
@@ -370,10 +358,10 @@ def _load_problem(path):
                            composite_weight=composite_weight, B=B)
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from None
-    fingerprint = problem_fingerprint(spec) if complete else None
-    if complete and str(stored["fingerprint"]) == fingerprint:
+    fingerprint = problem_fingerprint(spec) if isinstance(found, dict) else None
+    if fingerprint is not None and str(found["fingerprint"]) == fingerprint:
         for name, M in (("A", spec.dataset.samples), ("B", B)):
-            M.spectrum = SpectralEstimate(**{f.name: stored[f"{name}_{f.name}"].item()
+            M.spectrum = SpectralEstimate(**{f.name: found[f"{name}_{f.name}"].item()
                                              for f in fields(SpectralEstimate)})
     return spec, found, fingerprint
 
@@ -548,32 +536,28 @@ def problem_fingerprint(spec):
 
 
 def save_ground_truth(gt, path, spec):
-    """Write gt, the ground truth of spec, to an .npz file, with spec's
-    problem_fingerprint, which load_ground_truth checks.
-
-    When spec's dataset was read from a LIBSVM file (its data_sha256 is
-    set), the file also holds what load_problem would otherwise work out
-    again: that digest, A's shape and CSR arrays, the labels, and the
-    SpectralEstimate fields of A and B, as A_rho_max, B_residual and so on.
-    Those estimates are the ones computed here, on this machine."""
-    cache = {}
-    if spec.dataset.data_sha256 is not None:
-        A = spec.dataset.samples
-        cache = {"data_sha256": spec.dataset.data_sha256, "A_shape": np.array(A.shape),
-                 "A_indptr": A.indptr, "A_indices": A.indices, "A_data": A.data,
-                 "labels": spec.dataset.labels}
-        for name, M in (("A", A), ("B", spec.B)):
-            cache.update({f"{name}_{f.name}": getattr(M.spectrum, f.name)
-                          for f in fields(SpectralEstimate)})
-    np.savez(path, x_star=gt.x_star, v_star=gt.v_star,
-             objective_star=gt.objective_star, residual=gt.residual,
-             gamma=gt.gamma, lam=gt.lam, iterations=gt.iterations,
-             fingerprint=problem_fingerprint(spec), **cache)
+    """Write gt, the ground truth of spec, to an .npz file of the fields
+    _TRUTH_FIELDS names: gt's; spec's problem_fingerprint, which
+    load_ground_truth checks; and what load_problem would otherwise work
+    out again: the data_sha256 of spec's dataset ('' for one not read from
+    a file, which no file's bytes hash to), A's shape and CSR arrays, the
+    labels, and the SpectralEstimate fields of A and B, as A_rho_max,
+    B_residual and so on. Those estimates are the ones computed here, on
+    this machine (for a matrix without one, here and now)."""
+    A = spec.dataset.samples
+    values = {**vars(gt), "fingerprint": problem_fingerprint(spec),
+              "data_sha256": spec.dataset.data_sha256 or "", "A_shape": np.array(A.shape),
+              "A_indptr": A.indptr, "A_indices": A.indices, "A_data": A.data,
+              "labels": spec.dataset.labels}
+    for name, M in (("A", A), ("B", spec.B)):
+        values.update({f"{name}_{f.name}": getattr(M.spectrum, f.name)
+                       for f in fields(SpectralEstimate)})
+    np.savez(path, **{key: values[key] for key in _TRUTH_FIELDS})
 
 
-# what each field of a truth file holds, as save_ground_truth writes it: the
-# kind of its dtype and its shape, with None for a length of any size; the
-# fields of GroundTruth first
+# the fields of a truth file, the ones save_ground_truth writes and
+# _read_truth requires: the kind of each dtype and its shape, with None for
+# a length of any size; the fields of GroundTruth first
 _TRUTH_FIELDS = {
     "x_star": ("f", (None,)), "v_star": ("f", (None,)), "objective_star": ("f", ()),
     "residual": ("f", ()), "gamma": ("f", ()), "lam": ("f", ()), "iterations": ("i", ()),
@@ -583,93 +567,63 @@ _TRUTH_FIELDS = {
     **{f"{name}_{f.name}": (np.dtype(f.type).kind, ()) for name in "AB"
        for f in fields(SpectralEstimate)},
 }
-# the fields that load_problem reads: the fingerprint and the stored problem
-_STORED_PROBLEM = tuple(_TRUTH_FIELDS)[len(fields(GroundTruth)):]
 
 
 # what np.load, zipfile and its decompressors raise on a damaged file
 _DAMAGED = (OSError, ValueError, EOFError, RuntimeError, zipfile.BadZipFile, zlib.error)
 
 
-def _holds(arr, kind, shape):
-    """Whether arr has the dtype kind and the shape (None for any length)."""
-    return (arr.dtype.kind == kind and arr.ndim == len(shape)
-            and all(n is None or n == m for n, m in zip(shape, arr.shape)))
-
-
 def _read_truth(path):
-    """The fields of the truth file at path that _TRUTH_FIELDS names and it
-    holds, as a dict, from one read. A file that is not an .npz of plain
-    arrays, or that lacks a field of GroundTruth, is a ValueError that
-    names it; one that cannot be opened is an OSError. A field that cannot
-    be read, or whose dtype kind or shape is not the one _TRUTH_FIELDS
-    gives, maps to such a ValueError in place of its array, which
-    _truth_fields raises to a reader of that field."""
-    def refused(err):
-        return ValueError(f"{path}: not a ground truth file: {err}; rerun `spdfp truth`")
-
+    """Every field of the truth file at path that _TRUTH_FIELDS names, as a
+    dict, from one read, and under "dataset" the Dataset of its stored A,
+    labels and data_sha256. A file that cannot be opened is an OSError. A
+    file that is not an .npz of plain arrays, lacks a field, holds one of
+    another dtype kind or shape than _TRUTH_FIELDS gives, or holds arrays
+    that SparseMatrix or Dataset refuses, is a ValueError that names it."""
     with open(path, "rb") as fh:
         try:
             if fh.read(2) != b"PK":  # the start of a zip archive, as an .npz file is
                 raise ValueError("not an .npz file")
             fh.seek(0)
+            found = {}
             with np.load(fh) as z:
-                missing = [f.name for f in fields(GroundTruth) if f.name not in z.files]
-                if missing:
-                    raise ValueError(f"no {missing[0]} in it")
-                found = {}
-                for key in _TRUTH_FIELDS:
-                    if key in z.files:
-                        try:
-                            arr = found[key] = z[key]
-                            if not _holds(arr, *_TRUTH_FIELDS[key]):
-                                raise ValueError(f"its {key} is a {arr.dtype} array of "
-                                                 f"shape {arr.shape}")
-                        except _DAMAGED as err:
-                            found[key] = refused(err)
-                return found
+                for key, (kind, shape) in _TRUTH_FIELDS.items():
+                    if key not in z.files:
+                        raise ValueError(f"no {key} in it")
+                    arr = found[key] = z[key]
+                    if not (arr.dtype.kind == kind and arr.ndim == len(shape) and all(
+                            n is None or n == m for n, m in zip(shape, arr.shape))):
+                        raise ValueError(f"its {key} is a {arr.dtype} array of shape "
+                                         f"{arr.shape}")
+            samples = SparseMatrix(*found["A_shape"].tolist(), found["A_indptr"],
+                                   found["A_indices"], found["A_data"])
+            found["dataset"] = Dataset.read_from(str(found["data_sha256"]), samples,
+                                                 found["labels"])
+            return found
         except _DAMAGED as err:
-            raise refused(err) from None
-
-
-def _truth_fields(found, keys):
-    """The arrays of found, what _read_truth gave, that keys name. Where it
-    gave an error, or refused one of those fields, that error is raised."""
-    if isinstance(found, Exception):
-        raise found
-    for key in keys:
-        if isinstance(found.get(key), ValueError):
-            raise found[key]
-    return {key: found[key] for key in keys if key in found}
+            raise ValueError(f"{path}: not a ground truth file: {err}; "
+                             "rerun `spdfp truth`") from None
 
 
 def load_ground_truth(path, spec):
-    """The GroundTruth of spec saved by save_ground_truth. A file that holds
-    a fingerprint must hold spec's; one without, written before
-    fingerprints, must have spec's shapes; else a ValueError names the
-    file, as it does for a file or field that _read_truth refuses. Files
-    that also hold the raw PDFP dual (v_star_pdfp) load too."""
+    """The GroundTruth of spec saved by save_ground_truth. A file that
+    _read_truth refuses, an older one among them, and one whose fingerprint
+    is not spec's are a ValueError that names the file and says to rerun
+    `spdfp truth`."""
     return _ground_truth(path, _read_truth(path), spec)
 
 
 def _ground_truth(path, found, spec, fingerprint=None):
     """load_ground_truth from found, what _read_truth gave for path (a dict,
-    or the error it raised); fingerprint is spec's problem_fingerprint, or
-    None to work it out."""
-    z = _truth_fields(found, [f.name for f in fields(GroundTruth)] + ["fingerprint"])
-    gt = GroundTruth(x_star=z["x_star"], v_star=z["v_star"],
-                     objective_star=float(z["objective_star"]),
-                     residual=float(z["residual"]), gamma=float(z["gamma"]),
-                     lam=float(z["lam"]), iterations=int(z["iterations"]))
-    if "fingerprint" in z:
-        if str(z["fingerprint"]) != (fingerprint or problem_fingerprint(spec)):
-            raise ValueError(f"{path}: this ground truth was computed for another problem "
-                             "(its fingerprint differs); rerun `spdfp truth`")
-    elif gt.x_star.shape != (spec.dim,) or gt.v_star.shape != (spec.B.n_rows,):
-        raise ValueError(f"{path}: this ground truth has x* of shape {gt.x_star.shape} and "
-                         f"v* of shape {gt.v_star.shape}, but the problem has {spec.dim} "
-                         f"features and {spec.B.n_rows} rows of B; rerun `spdfp truth`")
-    return gt
+    or the error it raised, which is raised); fingerprint is spec's
+    problem_fingerprint, or None to work it out."""
+    if isinstance(found, Exception):
+        raise found
+    if str(found["fingerprint"]) != (fingerprint or problem_fingerprint(spec)):
+        raise ValueError(f"{path}: this ground truth was computed for another problem "
+                         "(its fingerprint differs); rerun `spdfp truth`")
+    return GroundTruth(**{f.name: found[f.name] if found[f.name].ndim else found[f.name].item()
+                          for f in fields(GroundTruth)})
 
 
 # ---------------------------------------------------------------------------

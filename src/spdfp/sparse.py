@@ -279,9 +279,9 @@ def estimate_spectrum(B, tol=1e-10, max_iter=10000):
     as G has rows. A failure to converge within max_iter is reported through
     the ``converged`` flag, not an exception.
 
-    The Gram products are the C lane's (_kernels.LANE.gram) where it is
-    built, else RowView's, with the same bits; the reorthogonalisation and
-    the eigenvalues of T_k are NumPy's on either lane.
+    The Gram products are two of RowView's, so C products where the C lane
+    is built, else NumPy ones, with the same bits; the reorthogonalisation
+    and the eigenvalues of T_k are NumPy's on either lane.
     """
     if B.n_rows == 0 or B.n_cols == 0:
         raise ValueError("cannot estimate spectrum of an empty matrix")
@@ -291,12 +291,9 @@ def estimate_spectrum(B, tol=1e-10, max_iter=10000):
         raise ValueError("max_iter must be at least 1")
     outer = B.n_cols > B.n_rows  # G = B B^T, else B^T B
     n = B.n_rows if outer else B.n_cols
-    if _kernels.LANE is not None:
-        gram = _kernels.LANE.gram(B, outer)
-    else:
-        rows = B.row_view(0, B.n_rows)
-        gram = ((lambda u: rows.matvec(rows.rmatvec(u))) if outer
-                else (lambda u: rows.rmatvec(rows.matvec(u))))
+    rows = B.row_view(0, B.n_rows)
+    gram = ((lambda u: rows.matvec(rows.rmatvec(u))) if outer
+            else (lambda u: rows.rmatvec(rows.matvec(u))))
     q = np.random.default_rng(0).standard_normal(n)
     q /= np.linalg.norm(q)
     basis, alphas, betas, converged = [], [], [], False

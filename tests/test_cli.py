@@ -1,6 +1,6 @@
 import os
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -145,24 +145,10 @@ def test_run_refuses_the_truth_of_another_problem(tmp_path, capsys):
     assert main(["run", "--config", desk_run_config(tmp_path)]) == 0
 
 
-def test_run_checks_the_shapes_of_a_truth_without_fingerprint(tmp_path, capsys):
-    # a truth file written before fingerprints, of a problem with d = 10,
-    # next to a problem with d = 12
-    base = str(tmp_path / "prob")
-    assert main(["synth", "--out", base, "--n", "60", "--d", "10", "--seed", "7"]) == 0
-    gt = harness.compute_ground_truth(load_problem(base + ".problem"), iters=1500)
-    np.savez(base + ".problem.truth.npz", x_star=gt.x_star, v_star=gt.v_star,
-             objective_star=gt.objective_star, residual=gt.residual, gamma=gt.gamma,
-             lam=gt.lam, iterations=gt.iterations)
-    assert main(["run", "--config", desk_run_config(tmp_path)]) == 0  # same shapes: loads
-    assert main(["synth", "--out", base, "--n", "60", "--d", "12", "--seed", "7"]) == 0
-    refused(capsys, ["run", "--config", desk_run_config(tmp_path)],
-            r"prob\.problem\.truth\.npz: .*shape \(10,\).*12 features.*rerun `spdfp truth`")
-
-
 def test_a_damaged_truth_is_refused_with_its_path(tmp_path, capsys):
     # each put where `spdfp run` reads the truth: the run refuses it in one
-    # line that names it, and load_problem next to it parses
+    # line that names it, and load_problem next to it parses; a file written
+    # before fingerprints, with the optimum's fields only, is one of them
     base = str(tmp_path / "prob")
     assert main(["synth", "--out", base, "--n", "60", "--d", "10", "--seed", "7"]) == 0
     fresh = harness.problem_fingerprint(load_problem(base + ".problem"))
@@ -171,9 +157,11 @@ def test_a_damaged_truth_is_refused_with_its_path(tmp_path, capsys):
     good = truth.read_bytes()
     with np.load(truth) as z:
         np.savez(tmp_path / "no_x.npz", **{k: z[k] for k in z.files if k != "x_star"})
+        np.savez(tmp_path / "unsigned.npz", **{f.name: z[f.name] for f in fields(GroundTruth)})
         np.save(tmp_path / "x.npy", z["x_star"])
     for damaged in (good[:len(good) // 2], (tmp_path / "x.npy").read_bytes(),
-                    (tmp_path / "no_x.npz").read_bytes(), b"x_star = 0\n"):
+                    (tmp_path / "no_x.npz").read_bytes(),
+                    (tmp_path / "unsigned.npz").read_bytes(), b"x_star = 0\n"):
         truth.write_bytes(damaged)
         assert harness.problem_fingerprint(load_problem(base + ".problem")) == fresh
         refused(capsys, ["run", "--config", desk_run_config(tmp_path)],
@@ -221,10 +209,10 @@ def test_a_truth_field_of_the_wrong_kind_or_shape_is_refused_with_its_path(tmp_p
     ("B_rho_max", lambda a: np.array([a, a])),
 ], ids=["A_shape-one", "A_shape-negative", "A_shape-float", "A_indptr-short",
         "A_indices-float", "A_data-short", "labels-short", "labels-str", "B_rho_max-1d"])
-def test_damaged_stored_problem_arrays_mean_no_stored_problem(tmp_path, monkeypatch, key,
-                                                             damage):
-    # load_problem parses the data file instead, as for a truth file
-    # without a stored problem, and `spdfp run` goes on with that truth
+def test_damaged_stored_problem_arrays_mean_no_stored_problem(tmp_path, monkeypatch, capsys,
+                                                             key, damage):
+    # load_problem parses the data file instead, as with no truth file, and
+    # `spdfp run` refuses the file in one line that names it
     truth, arrays = desk_truth(tmp_path)
     problem = str(tmp_path / "prob.problem")
     parsed = []
@@ -236,7 +224,8 @@ def test_damaged_stored_problem_arrays_mean_no_stored_problem(tmp_path, monkeypa
     np.savez(truth, **{**arrays, key: damage(arrays[key])})
     assert harness.problem_fingerprint(load_problem(problem)) == fresh
     assert len(parsed) == 1
-    assert main(["run", "--config", desk_run_config(tmp_path)]) == 0
+    refused(capsys, ["run", "--config", desk_run_config(tmp_path)],
+            rf"^{re.escape(str(truth))}: not a ground truth file: .*; rerun `spdfp truth`$")
 
 
 def test_truth_refuses_a_synth_source_and_takes_no_out(tmp_path, capsys, monkeypatch):
@@ -254,10 +243,6 @@ def test_truth_refuses_a_synth_source_and_takes_no_out(tmp_path, capsys, monkeyp
 
 # ---------------------------------------------------------------------------
 # the problem and its spectra, stored with the truth
-
-TRUTH_KEYS = ("x_star", "v_star", "objective_star", "residual", "gamma", "lam", "iterations",
-              "fingerprint")
-
 
 @pytest.fixture(params=["c", "numpy"])
 def lane(request, monkeypatch):
@@ -296,18 +281,30 @@ def never(*args, **kwargs):
     raise AssertionError("the data file was parsed or Lanczos run")
 
 
+def unread_data(base):
+    """Rewrite the truth file of base with data_sha256 = '', as for a
+    dataset read from no file: load_problem then parses the data file."""
+    with np.load(base + ".problem.truth.npz") as z:
+        arrays = {k: z[k] for k in z.files}
+    np.savez(base + ".problem.truth.npz", **{**arrays, "data_sha256": np.array("")})
+
+
 def test_run_takes_the_problem_and_its_spectra_from_the_truth(tmp_path, monkeypatch, lane):
     base = problem_with_truth(tmp_path)
     with monkeypatch.context() as m:
         m.setattr(harness, "load_libsvm", never)
         m.setattr(spdfp.sparse, "estimate_spectrum", never)
         assert main(["run", "--config", run_config(tmp_path, "stored")]) == 0
-    # the same run against the truth without the stored problem: parsed and estimated
-    with np.load(base + ".problem.truth.npz") as z:
-        assert set(TRUTH_KEYS) < set(z.files)
-        old = {key: z[key] for key in TRUTH_KEYS}
-    np.savez(base + ".problem.truth.npz", **old)
-    assert main(["run", "--config", run_config(tmp_path, "parsed")]) == 0
+    # the same run against a truth whose stored dataset was read from no
+    # file: parsed, and estimated no more
+    unread_data(base)
+    parsed = []
+    real = harness.load_libsvm
+    with monkeypatch.context() as m:
+        m.setattr(harness, "load_libsvm", lambda *a, **k: parsed.append(a) or real(*a, **k))
+        m.setattr(spdfp.sparse, "estimate_spectrum", never)
+        assert main(["run", "--config", run_config(tmp_path, "parsed")]) == 0
+    assert len(parsed) == 1
     for suffix in (".csv", "_mean.csv"):
         assert (csv_without_wall_time(tmp_path / "out" / ("stored" + suffix))
                 == csv_without_wall_time(tmp_path / "out" / ("parsed" + suffix)))
@@ -323,12 +320,10 @@ def test_a_run_reads_its_truth_file_once_and_fingerprints_once(tmp_path, monkeyp
                             calls.append(_name) or _real(*a, **k))
     assert main(["run", "--config", run_config(tmp_path, "once")]) == 0
     assert sorted(calls) == ["_read_truth", "problem_fingerprint"]
-    # a truth file from before the stored problem: one read, one fingerprint
-    with np.load(base + ".problem.truth.npz") as z:
-        old = {key: z[key] for key in TRUTH_KEYS}
-    np.savez(base + ".problem.truth.npz", **old)
+    # a truth whose stored dataset was read from no file: one read, one fingerprint
+    unread_data(base)
     calls.clear()
-    assert main(["run", "--config", run_config(tmp_path, "older")]) == 0
+    assert main(["run", "--config", run_config(tmp_path, "unread")]) == 0
     assert sorted(calls) == ["_read_truth", "problem_fingerprint"]
 
 

@@ -593,22 +593,18 @@ def test_ground_truth_reaches_its_target_where_3000_iterations_did_not():
     assert 3000 < gt.iterations < DEFAULT_TRUTH_ITERS
 
 
-def test_old_truth_files_with_the_raw_dual_still_load(tmp_path):
+def test_old_truth_files_with_the_raw_dual_are_refused(tmp_path):
+    # a file of an older version, which held the raw PDFP dual and no
+    # fingerprint, is refused with its path, not read in part
     spec = synth_fused_lasso(40, 6, 0.1, 0.01, seed=2)
     gt = compute_ground_truth(spec)
     path = tmp_path / "old.truth.npz"
     np.savez(path, x_star=gt.x_star, v_star=gt.v_star,
              v_star_pdfp=(gt.gamma / gt.lam) * gt.v_star, objective_star=gt.objective_star,
              residual=gt.residual, gamma=gt.gamma, lam=gt.lam, iterations=3000)
-    old = load_ground_truth(path, spec)
-    np.testing.assert_array_equal(old.x_star, gt.x_star)
-    np.testing.assert_array_equal(old.v_star, gt.v_star)
-    assert (old.objective_star, old.residual, old.gamma, old.lam, old.iterations) == (
-        gt.objective_star, gt.residual, gt.gamma, gt.lam, 3000)
-    save_ground_truth(gt, tmp_path / "new.truth.npz", spec)
-    assert sorted(np.load(tmp_path / "new.truth.npz").files) == sorted(
-        ("x_star", "v_star", "objective_star", "residual", "gamma", "lam", "iterations",
-         "fingerprint"))
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}: not a ground truth file: "
+                                         r"no fingerprint in it; rerun `spdfp truth`$"):
+        load_ground_truth(path, spec)
 
 
 def test_every_truncated_truth_file_is_refused_with_its_path(tmp_path):
@@ -628,6 +624,103 @@ def test_every_truncated_truth_file_is_refused_with_its_path(tmp_path):
         assert re.fullmatch(rf"{re.escape(str(path))}: not a ground truth file: .*; "
                             r"rerun `spdfp truth`", str(err.value)), (size, str(err.value))
     assert problem_fingerprint(load_problem(problem)) == problem_fingerprint(spec)
+
+
+def same_bits(a, b):
+    """Whether a and b are of one type and, as arrays, of one dtype, shape
+    and bytes (so -0.0, the sign of a NaN and subnormals count)."""
+    a_, b_ = np.asarray(a), np.asarray(b)
+    return (type(a) is type(b) and a_.dtype == b_.dtype and a_.shape == b_.shape
+            and a_.tobytes() == b_.tobytes())
+
+
+def test_a_truth_file_holds_its_fields_and_gives_its_truth_back(tmp_path):
+    # for a spec read from LIBSVM and one built in memory, whose data_sha256
+    # is '': the file holds the fields of _TRUTH_FIELDS in their order, and
+    # load_ground_truth gives the GroundTruth back bit for bit
+    synth = synth_fused_lasso(40, 6, 0.1, 0.01, seed=2)
+    read = load_problem(save_problem(synth, tmp_path / "p"))
+    gt = GroundTruth(x_star=np.array([-0.0, np.nan, -np.inf, 5e-324, 1.0, -2.5]),
+                     v_star=np.random.default_rng(4).standard_normal(5), objective_star=-0.0,
+                     residual=5e-324, gamma=0.1 + 0.2, lam=1 / 3, iterations=2**40)
+    for name, spec in (("read", read), ("synth", synth)):
+        path = tmp_path / f"{name}.truth.npz"
+        save_ground_truth(gt, path, spec)
+        with np.load(path) as z:
+            assert z.files == list(harness._TRUTH_FIELDS), name
+            assert str(z["data_sha256"]) == (spec.dataset.data_sha256 or ""), name
+        back = load_ground_truth(path, spec)
+        for f in fields(GroundTruth):
+            assert same_bits(getattr(back, f.name), getattr(gt, f.name)), (name, f.name)
+    assert read.dataset.data_sha256 and synth.dataset.data_sha256 is None
+
+
+@pytest.fixture(scope="module")
+def small_truth(tmp_path_factory):
+    """(problem path, spec, truth path, the truth file's arrays) of a 40 x 6
+    problem saved with its truth in a directory of its own."""
+    problem = save_problem(synth_fused_lasso(40, 6, 0.1, 0.01, seed=2),
+                           tmp_path_factory.mktemp("truth") / "p")
+    spec = load_problem(problem)
+    gt = GroundTruth(x_star=np.zeros(6), v_star=np.zeros(5), objective_star=0.0, residual=0.0,
+                     gamma=1.0, lam=0.1, iterations=0)
+    path = problem + ".truth.npz"
+    save_ground_truth(gt, path, spec)
+    with np.load(path) as z:
+        return problem, spec, path, {k: z[k] for k in z.files}
+
+
+# dtypes of every kind a truth field might be damaged to, strings among them
+OTHER_KINDS = (np.float64, np.int64, np.bool_, np.complex128, "U3", "S3")
+
+
+@st.composite
+def damaged_fields(draw, arrays):
+    """The arrays of a truth file with one damage: a field missing, of
+    another dtype kind, 0-d for 1-d or the other way round, of another
+    fixed length, or CSR arrays and labels of the right kind and number of
+    dimensions that SparseMatrix or Dataset refuses."""
+    key = draw(st.sampled_from(list(harness._TRUTH_FIELDS)))
+    arr = arrays[key]
+    damage = draw(st.sampled_from(("missing", "kind", "ndim", "stored problem")))
+    if damage == "missing":
+        return {k: v for k, v in arrays.items() if k != key}
+    if damage == "kind":
+        kind = draw(st.sampled_from([t for t in OTHER_KINDS if np.dtype(t).kind != arr.dtype.kind]))
+        return {**arrays, key: np.zeros(arr.shape, dtype=kind)}
+    if damage == "ndim":
+        return {**arrays, key: arr.reshape(1) if arr.ndim == 0 else np.asarray(arr[0])}
+    (n, d), indptr = arrays["A_shape"], arrays["A_indptr"]
+    swapped = indptr.copy()
+    swapped[[1, 2]] = indptr[[2, 1]]
+    stored = [("A_shape", np.array([n])), ("A_shape", np.array([n, d, 1])),
+              ("A_shape", np.array([-1, d])), ("A_shape", np.array([n + 1, d])),
+              ("A_shape", np.array([0, d])), ("A_shape", np.array([n, 0])),
+              ("A_indptr", indptr[:-1]), ("A_indptr", indptr + 1), ("A_indptr", swapped),
+              ("A_data", arrays["A_data"][:-1]), ("labels", arrays["labels"][:-1])]
+    key, value = draw(st.sampled_from(stored))
+    if draw(st.booleans()):  # a column index out of range instead
+        indices = arrays["A_indices"].copy()
+        indices[draw(st.integers(0, len(indices) - 1))] = draw(st.sampled_from([-1, d, 2**40]))
+        key, value = "A_indices", indices
+    return {**arrays, key: value}
+
+
+@settings(max_examples=50, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_every_damaged_truth_field_is_refused_whole(small_truth, data):
+    # load_ground_truth raises the one refusal that names the file, and
+    # load_problem next to it parses the data file once, to the fresh spec
+    problem, spec, path, arrays = small_truth
+    np.savez(path, **data.draw(damaged_fields(arrays)))
+    with pytest.raises(ValueError, match=rf"^{re.escape(path)}: not a ground truth file: "
+                                         r".*; rerun `spdfp truth`$"):
+        load_ground_truth(path, spec)
+    parsed, real = [], harness.load_libsvm
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(harness, "load_libsvm", lambda *a, **k: parsed.append(a) or real(*a, **k))
+        assert problem_fingerprint(load_problem(problem)) == problem_fingerprint(spec)
+    assert len(parsed) == 1
 
 
 def test_truth_fingerprint_follows_every_input_of_the_truth(tmp_path):
@@ -1239,19 +1332,17 @@ def test_each_operator_estimated_once_per_run(tmp_path, monkeypatch):
     compute_ground_truth(spec, iters=1)
     assert count(40) == 1 and count(5) == 1
 
-    # a truth cached next to the problem file: the run's own spec estimates
-    # B once, and A once if some pdfp clause steps by default_gamma
+    # a truth cached next to the problem file holds both estimates of its
+    # spec, which the run's own spec takes: no Lanczos at all
     problem = save_problem(synth_fused_lasso(40, 6, 0.1, 0.01, seed=2), tmp_path / "p")
     save_ground_truth(truth, problem + ".truth.npz", spec)
-    for solvers, data_estimates in (("pdfp()", 1), ("pdfp(gamma=0.5)", 0),
-                                    ("pdfp(); spdfp2(p=10); pdfp(label=again)", 1)):
+    for solvers in ("pdfp()", "pdfp(gamma=0.5)", "pdfp(); spdfp2(p=10); pdfp(label=again)"):
         calls.clear()
         cfg = ExperimentConfig(problem=problem, solvers=parse_solver_list(solvers),
                                repetitions=3, epochs=1, output=str(tmp_path / "run"),
                                master_seed=1)
         run_experiment(cfg)
-        assert count(40) == data_estimates, solvers
-        assert count(5) == 1, solvers
+        assert calls == [], solvers
 
     # no truth at all: the truth and every pdfp(gamma=auto) clause share one
     # estimate of A, and the truth, the clauses and the guard one of B

@@ -121,14 +121,14 @@ def c_lane(tmp_path_factory):
     return kernels.CLane(str(lib))
 
 
-@pytest.mark.parametrize("version", [None, 1, 2, 3, 4, 5])
+@pytest.mark.parametrize("version", [None, 1, 2, 3, 4, 5, 6])
 def test_loader_refuses_a_library_built_from_another_lane_c(tmp_path, version):
     # a library with the run struct of this lane.c but no version stamp, as
     # built from the lane.c whose spdfp_products took no snapshots, or with
     # another stamp, as from the lane.c whose spdfp_run_steps ran one span of
     # steps or the ones without spdfp_gram, spdfp_scales or spdfp_rows and
-    # At: calling it could write through the wrong pointers, or fail on a
-    # missing symbol
+    # At, or with spdfp_gram: calling it could write through the wrong
+    # pointers, or fail on a missing symbol
     cc = find_compiler()
     if cc is None:
         pytest.skip("no C compiler found ($CC, cc, gcc or clang)")
@@ -310,11 +310,12 @@ def spectrum_matrices():
 
 
 def test_spectrum_same_bits_on_both_lanes(monkeypatch, c_lane):
-    # the C lane's Gram product gives every Lanczos step RowView's bits, so
-    # the whole estimate is the same: rho_max and residual to the bit
-    grams = []
-    gram = c_lane.gram
-    monkeypatch.setattr(c_lane, "gram", lambda *a: grams.append(a) or gram(*a))
+    # the C lane's RowView products give every Lanczos step the NumPy
+    # lane's bits, so the whole estimate is the same: rho_max and residual
+    # to the bit
+    views = []
+    rows = c_lane.rows
+    monkeypatch.setattr(c_lane, "rows", lambda *a: views.append(a) or rows(*a))
     matrices = spectrum_matrices()
     for name, M in matrices.items():
         estimates = []
@@ -324,8 +325,8 @@ def test_spectrum_same_bits_on_both_lanes(monkeypatch, c_lane):
         c, numpy = estimates
         assert (c.iterations_used, c.converged) == (numpy.iterations_used, numpy.converged), name
         assert_same_bits([c.rho_max, c.residual], [numpy.rho_max, numpy.residual])
-        assert grams[-1] == (M, M.n_cols > M.n_rows)
-    assert len(grams) == len(matrices)
+        assert views[-1] == (M, 0, M.n_rows)
+    assert len(views) == len(matrices)
 
 
 def test_products_take_blocks_of_snapshots_four_at_a_time(c_lane):

@@ -39,14 +39,14 @@ def test_no_cython_or_python_c_api():
 def test_c_lane_exports_only_its_step_entry_points():
     """lane.c runs steps and nothing else: every function it defines is
     static except the run's size, the lane's version, the steps, the
-    record products, the records' step-size factors, the Gram product
-    of the Lanczos steps and RowView's products."""
+    record products, the records' step-size factors and RowView's
+    products."""
     with open(os.path.join(ROOT, "src", "spdfp", "_kernels", "lane.c"), encoding="utf-8") as fh:
         source = fh.read()
     # a definition starts at column 0: return type, name, parameters, body
     definitions = re.findall(r"^([A-Za-z_][\w \t*]*?)\b(\w+)\(([^;{]*)\)\s*\{", source, re.M)
     exported = sorted(name for head, name, _ in definitions if not head.startswith("static"))
-    assert exported == ["spdfp_gram", "spdfp_lane_version", "spdfp_products", "spdfp_rows",
+    assert exported == ["spdfp_lane_version", "spdfp_products", "spdfp_rows",
                         "spdfp_run_size", "spdfp_run_steps", "spdfp_scales"]
     static = {name for head, name, _ in definitions if head.startswith("static")}
     assert {"matvec", "matvec4", "rmatvec", "soft", "gradient"} <= static
@@ -110,6 +110,17 @@ def test_truth_files_have_one_reader():
                 and isinstance(f.value, ast.Name) and f.value.id in ("np", "numpy"))
 
     assert functions_that_call(np_load) == {"harness._read_truth"}
+
+
+def test_truth_files_have_one_writer():
+    """np.savez is called in one function, which writes every field of
+    harness._TRUTH_FIELDS, so no writer makes a file the reader refuses."""
+    def np_savez(call):
+        f = call.func
+        return (isinstance(f, ast.Attribute) and f.attr.startswith("savez")
+                and isinstance(f.value, ast.Name) and f.value.id in ("np", "numpy"))
+
+    assert functions_that_call(np_savez) == {"harness.save_ground_truth"}
 
 
 def test_text_input_is_decoded_in_one_function():
