@@ -2,11 +2,11 @@
 
 lane.c, built into the shared library ``_lane`` by
 ``python setup.py build_ext --inplace``, runs the PDFP / SPDFP steps of a
-run's record blocks, with each epoch's snapshot and time stamp, the A x and
-B x products of those snapshots, the step-size factors of their records
-and the products of every sparse.RowView, the Lanczos method's among them,
-and is loaded with ctypes when it was built. ``LANE`` is the loaded CLane,
-or None, and then every step runs on the NumPy reference path of
+run's record blocks, with each epoch's snapshot and time stamp, the
+step-size factors of their records and the products of every
+sparse.RowView, the records' A x and B x and the Lanczos method's among
+them, and is loaded with ctypes when it was built. ``LANE`` is the loaded
+CLane, or None, and then every step runs on the NumPy reference path of
 spdfp.solvers, every record's factors come from Python float lists there,
 and every product is RowView's NumPy one; spdfp.solvers._steps,
 solvers._scales and sparse.RowView read it to pick the lane. Both paths
@@ -22,7 +22,7 @@ import os
 import numpy as np
 
 _KINDS = {"pdfp": 0, "spdfp1": 1, "spdfp2": 2}
-_LANE_VERSION = 7   # spdfp_lane_version() of the lane.c this module calls
+_LANE_VERSION = 8   # spdfp_lane_version() of the lane.c this module calls
 _LOSSES = {"square": 0, "hinge": 1, "logistic": 2}
 
 
@@ -78,36 +78,30 @@ class CLane:
                               "'python setup.py build_ext --inplace'")
         lib.spdfp_run_steps.argtypes = (ctypes.POINTER(_Run), p, i64, i64, i64, p, p, p)
         lib.spdfp_run_steps.restype = ctypes.c_int
-        lib.spdfp_products.argtypes = (ctypes.POINTER(_Run), p, i64, p, p)
-        lib.spdfp_products.restype = None
         d = ctypes.c_double
         lib.spdfp_scales.argtypes = (d, d, d, i64, i64, i64, p, p)
         lib.spdfp_scales.restype = None
-        lib.spdfp_rows.argtypes = (ctypes.POINTER(_Csr), i64, i64, i64, p, p)
+        lib.spdfp_rows.argtypes = (ctypes.POINTER(_Csr), i64, i64, i64, p, i64, p)
         lib.spdfp_rows.restype = None
         self._lib = lib
 
     def rows(self, M, lo, hi):
-        """The products of rows lo..hi-1 of M, 0 <= lo <= hi <= M.n_rows:
-        x -> M[lo:hi] x and y -> M[lo:hi]^T y, as two functions that return
-        a fresh array and refuse a vector that is not a C-contiguous float64
-        one of the right length. They sum as sparse.RowView's NumPy products
-        do, so they give its bits."""
+        """Rows lo..hi-1 of M, 0 <= lo <= hi <= M.n_rows, as one function
+        product(x, transpose, stacked): M[lo:hi] x, or M[lo:hi]^T x with
+        transpose set, of a vector x, or of each row of x with stacked set,
+        as a fresh array. It refuses an x that is not a C-contiguous float64
+        array of that shape, and sums as sparse.RowView's NumPy products do."""
         csr, fn = _csr(M), self._lib.spdfp_rows
-        n, d = hi - lo, M.n_cols
 
-        def matvec(x):
-            out = np.empty(n)
-            fn(csr, lo, hi, 0, _address(x, np.float64, d), out.ctypes.data)
+        def product(x, transpose, stacked):
+            n_in, n_out = (hi - lo, M.n_cols) if transpose else (M.n_cols, hi - lo)
+            address = _address(x, np.float64, *(None,) * stacked, n_in)
+            out = np.empty((*x.shape[:-1], n_out))
+            fn(csr, lo, hi, transpose, address, len(x) if stacked else 1, out.ctypes.data)
             return out
 
-        def rmatvec(y):
-            out = np.empty(d)
-            fn(csr, lo, hi, 1, _address(y, np.float64, n), out.ctypes.data)
-            return out
-
-        matvec.matrix = rmatvec.matrix = M  # keeps alive the arrays csr points into
-        return matvec, rmatvec
+        product.matrix = M  # keeps alive the arrays csr points into
+        return product
 
     def scales(self, c, alpha, lam, ks, dual):
         """The a_k weights gamma_k**2 / lam, inf where the square overflows,
@@ -137,9 +131,8 @@ class Steps:
     into the next rows of the given snapshot arrays and stamps the time, in
     C. So a run draws the picks of a block of epochs at once and steps and
     snapshots the whole block in one call. ``iterates`` is (x, v), the
-    arrays the steps update. ``products(X)`` gives A x and B x of each
-    snapshot x in the rows of X, for a block of epoch records, in one call.
-    solvers._ReferenceSteps takes the same calls on the reference path.
+    arrays the steps update. solvers._ReferenceSteps takes the same calls on
+    the reference path.
 
     Every step runs wholly in C, the logistic one too: its loss weights take
     libm exp, as spdfp.problem.loss_weights does through math.exp, so the
@@ -169,8 +162,7 @@ class Steps:
                                _address(x, np.float64, A.n_cols),
                                _address(v, np.float64, B.n_rows), work.ctypes.data)
         self._fn = lib.spdfp_run_steps
-        self._products_fn = lib.spdfp_products
-        self._shape = A.n_rows, A.n_cols, B.n_rows
+        self._shape = A.n_cols, B.n_rows
         self._k = 1
 
     def __call__(self, picks, X=None, V=None, stamps=None):
@@ -181,24 +173,12 @@ class Steps:
         the first step."""
         address = _address(picks, np.int64, None, None)
         epochs, per_epoch = picks.shape
-        _, d, m = self._shape
+        d, m = self._shape
         out = [None if a is None else _address(a, np.float64, epochs, *row)
                for a, row in ((X, (d,)), (V, (m,)), (stamps, ()))]
         if self._fn(self._run, address, epochs, per_epoch, self._k, *out) != 0:
             raise ValueError("batch index or row range out of bounds")
         self._k += picks.size
-
-    def products(self, X):
-        """(A X^T)^T and (B X^T)^T: A x and B x of each row x of X, a
-        C-contiguous float64 array of snapshots of x, one per row. The C
-        code takes four rows per pass over A or B, each entry summed in
-        CSR order as SparseMatrix.matvec sums it, so each row gets the bits
-        it gets alone."""
-        n, d, m = self._shape
-        address = _address(X, np.float64, None, d)
-        AX, BX = np.empty((len(X), n)), np.empty((len(X), m))
-        self._products_fn(self._run, address, len(X), AX.ctypes.data, BX.ctypes.data)
-        return AX, BX
 
 
 def _built_library():

@@ -1,8 +1,8 @@
 /* The C lane of spdfp: whole record blocks of PDFP / SPDFP steps, with the
- * snapshot of x and v and the time stamp that end each epoch, the A x and
- * B x products of a block's snapshots, one call each, and the products of
- * every sparse.RowView, the Lanczos steps of sparse.estimate_spectrum
- * among them. The record products take four snapshots per pass over a
+ * snapshot of x and v and the time stamp that end each epoch, and the
+ * products of every sparse.RowView, among them the A x and B x of a record
+ * block's snapshots, one call each, and the Lanczos steps of
+ * sparse.estimate_spectrum. A stack of vectors takes four per pass over a
  * matrix's rows, and a step starts from the B^T v the step before it left,
  * so it makes three B products, not four. A step over all rows of A takes
  * A x four rows per pass and A^T w as a gather over A's transpose, four of
@@ -11,8 +11,7 @@
  * int64/double arrays, no Python C-API; spdfp._kernels loads the built
  * library with ctypes and checks every array before it passes a pointer.
  * It exports spdfp_run_size, spdfp_lane_version, spdfp_run_steps,
- * spdfp_products, spdfp_scales and spdfp_rows; everything else
- * is static.
+ * spdfp_scales and spdfp_rows; everything else is static.
  *
  * Each function mirrors the NumPy reference (sparse.RowView,
  * prox.soft_threshold, solvers._pdfp_step, the scale lists of
@@ -86,10 +85,11 @@ int64_t spdfp_run_size(void)
  * spdfp_products takes a block of snapshots. Revision 3: spdfp_run_steps
  * runs a block of epochs and takes their snapshots and time stamps.
  * Revision 4: spdfp_gram. Revision 5: spdfp_scales. Revision 6: run
- * holds At, and spdfp_rows. Revision 7: no spdfp_gram. */
+ * holds At, and spdfp_rows. Revision 7: no spdfp_gram. Revision 8: no
+ * spdfp_products; spdfp_rows takes a stack of vectors. */
 int64_t spdfp_lane_version(void)
 {
-    return 7;
+    return 8;
 }
 
 /* out[i - lo] = (row i of M) . x for lo <= i < hi. */
@@ -162,19 +162,21 @@ static double soft(double y, double t)
     return s * m;
 }
 
-/* out[s] = M X[s] for the count rows of X (M.n_cols doubles each), out
- * row-major with M.n_rows doubles per row. Each group of four rows takes
- * one pass over M with four accumulators, each summed from 0.0 in CSR order
- * as matvec sums it; the count % 4 rows left over go through matvec. */
-static void matvecs(const csr *M, const double *X, int64_t count, double *out)
+/* out[s] = M[lo:hi] X[s] for the count rows of X (M.n_cols doubles each),
+ * out row-major with hi - lo doubles per row. Each group of four rows takes
+ * one pass over the rows of M with four accumulators, each summed from 0.0
+ * in CSR order as matvec sums it; the count % 4 rows left over go through
+ * matvec. */
+static void matvecs(const csr *M, int64_t lo, int64_t hi, const double *X, int64_t count,
+                    double *out)
 {
-    int64_t d = M->n_cols, n = M->n_rows, s = 0;
+    int64_t d = M->n_cols, n = hi - lo, s = 0;
     for (; s + 4 <= count; s += 4) {
         const double *x0 = X + s * d, *x1 = x0 + d, *x2 = x1 + d, *x3 = x2 + d;
         double *o = out + s * n;
         for (int64_t i = 0; i < n; i++) {
             double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
-            for (int64_t j = M->indptr[i]; j < M->indptr[i + 1]; j++) {
+            for (int64_t j = M->indptr[lo + i]; j < M->indptr[lo + i + 1]; j++) {
                 double a = M->data[j];
                 int64_t c = M->indices[j];
                 a0 = a0 + a * x0[c];
@@ -189,29 +191,22 @@ static void matvecs(const csr *M, const double *X, int64_t count, double *out)
         }
     }
     for (; s < count; s++)
-        matvec(M, X + s * d, out + s * n, 0, n);
+        matvec(M, X + s * d, out + s * n, lo, hi);
 }
 
-/* AX[i] = A X[i] and BX[i] = B X[i] for each of the count rows of X, a
- * run's snapshots of x (A.n_cols doubles each), for its records. AX and BX
- * are row-major, A.n_rows and B.n_rows doubles per row. */
-void spdfp_products(const run *r, const double *X, int64_t count, double *AX, double *BX)
-{
-    matvecs(&r->A, X, count, AX);
-    matvecs(&r->B, X, count, BX);
-}
-
-/* The products of sparse.RowView over rows lo..hi-1 of M: out = M[lo:hi] x,
- * hi - lo doubles from x of M.n_cols, or with transpose set out =
- * M[lo:hi]^T x, M.n_cols doubles from x of hi - lo. The caller checks that
+/* The products of sparse.RowView over rows lo..hi-1 of M, of each of the
+ * count vectors stacked in x: out[s] = M[lo:hi] x[s], hi - lo doubles from
+ * M.n_cols, or with transpose set out[s] = M[lo:hi]^T x[s], M.n_cols
+ * doubles from hi - lo; x and out row-major. The caller checks that
  * 0 <= lo <= hi <= M.n_rows and the lengths. */
 void spdfp_rows(const csr *M, int64_t lo, int64_t hi, int64_t transpose, const double *x,
-                double *out)
+                int64_t count, double *out)
 {
-    if (transpose)
-        rmatvec(M, x, out, lo, hi);
+    if (!transpose)
+        matvecs(M, lo, hi, x, count, out);
     else
-        matvec(M, x, out, lo, hi);
+        for (int64_t s = 0; s < count; s++)
+            rmatvec(M, x + s * (hi - lo), out + s * M->n_cols, lo, hi);
 }
 
 /* The exponent of gamma**2: volatile, so that the compiler calls pow and

@@ -593,16 +593,22 @@ def _read_truth(path):
                     arr = found[key] = z[key]
                     if not (arr.dtype.kind == kind and arr.ndim == len(shape) and all(
                             n is None or n == m for n, m in zip(shape, arr.shape))):
-                        raise ValueError(f"its {key} is a {arr.dtype} array of shape "
-                                         f"{arr.shape}")
+                        raise ValueError(_wrong_field(key, arr))
             samples = SparseMatrix(*found["A_shape"].tolist(), found["A_indptr"],
                                    found["A_indices"], found["A_data"])
             found["dataset"] = Dataset.read_from(str(found["data_sha256"]), samples,
                                                  found["labels"])
             return found
         except _DAMAGED as err:
-            raise ValueError(f"{path}: not a ground truth file: {err}; "
-                             "rerun `spdfp truth`") from None
+            raise _not_a_truth(path, err) from None
+
+
+def _wrong_field(key, arr):
+    return f"its {key} is a {arr.dtype} array of shape {arr.shape}"
+
+
+def _not_a_truth(path, why):
+    return ValueError(f"{path}: not a ground truth file: {why}; rerun `spdfp truth`")
 
 
 def load_ground_truth(path, spec):
@@ -616,12 +622,16 @@ def load_ground_truth(path, spec):
 def _ground_truth(path, found, spec, fingerprint=None):
     """load_ground_truth from found, what _read_truth gave for path (a dict,
     or the error it raised, which is raised); fingerprint is spec's
-    problem_fingerprint, or None to work it out."""
+    problem_fingerprint, or None to work it out. An x_star or v_star of
+    another length than spec's x or B x is refused as a wrong field."""
     if isinstance(found, Exception):
         raise found
     if str(found["fingerprint"]) != (fingerprint or problem_fingerprint(spec)):
         raise ValueError(f"{path}: this ground truth was computed for another problem "
                          "(its fingerprint differs); rerun `spdfp truth`")
+    for key, length in (("x_star", spec.dim), ("v_star", spec.B.n_rows)):
+        if found[key].shape != (length,):
+            raise _not_a_truth(path, _wrong_field(key, found[key]))
     return GroundTruth(**{f.name: found[f.name] if found[f.name].ndim else found[f.name].item()
                           for f in fields(GroundTruth)})
 

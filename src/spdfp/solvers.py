@@ -169,9 +169,9 @@ class _RunContext:
     ``full`` is (RowView of all of A, labels), ``batches`` holds one such
     pair per row range in ``ranges``, in order, ``B`` is a RowView of all of
     B and ``BtB`` is B^T B dense, for the ADMM x-update; each is built on
-    first use, so a run on the C lane's fused steps builds none. The steps
-    convert and check nothing: iterates must be float64 vectors of the
-    right lengths.
+    first use, so a run on the C lane's fused steps builds only the views
+    its records take A x and B x from. The steps convert and check nothing:
+    iterates must be float64 vectors of the right lengths.
     """
 
     def __init__(self, spec, prox_spec, ranges=()):
@@ -216,11 +216,6 @@ class _RunContext:
     def dual_reflect(self, lam, v, bt):
         # (I - lam B B^T) v without materializing B B^T, from bt = B^T v
         return v - lam * self.B.matvec(bt)
-
-    def products(self, X):
-        """A x and B x of each row x of X, stacked as rows."""
-        A = self.full[0]
-        return np.array([A.matvec(x) for x in X]), np.array([self.B.matvec(x) for x in X])
 
 
 # Reference steps: (ctx, params, k, batch, *carried) -> new carried values,
@@ -418,7 +413,7 @@ class RunRecords(Sequence):
 
 
 def _square(g):
-    """g ** 2, or inf where that overflows."""
+    """g ** 2, or inf where Python's float ** raises OverflowError."""
     try:
         return g ** 2
     except OverflowError:
@@ -438,25 +433,22 @@ def _scales(kind, cfg, ks):
     if _kernels.LANE is not None:
         return _kernels.LANE.scales(c, alpha, lam, ks, dual)
     scale = np.array([lam / (c / (k - 1)**alpha) if k > 1 else 1.0 for k in ks]) if dual else None
-    try:
-        weight = np.array([(c / k**alpha) ** 2 / lam for k in ks])
-    except OverflowError:  # Python's float ** raises where NumPy's gives inf
-        weight = np.array([_square(c / k**alpha) / lam for k in ks])
-    return weight, scale
+    return np.array([_square(c / k**alpha) / lam for k in ks]), scale
 
 
-def _block_records(kind, spec, cfg, reference, products, first, X, V, ks, wall):
+def _block_records(kind, spec, cfg, reference, ctx, first, X, V, ks, wall):
     """The columns (COLUMNS) of the records of epochs first, first + 1, ...,
     up to the first after epoch 0 whose objective is NaN or infinite: row i
     of X, and of V unless it is None ('stoc_admm'), holds the iterates x_k
     and v_k, k = ks[i], at the end of epoch first + i, whose steps ended
     wall[i] seconds after the run started.
 
-    products(X) gives A x and B x of every row x of X in one call; each
-    column is then one NumPy operation over the stacked rows, with the bits
-    it has for each row alone (_objective), and the a_k weights and dual
-    scales one array each (_scales). No per-epoch Python object is built."""
-    objective = _objective(spec, X, *products(X))
+    A x and B x of every row x of X are one RowView.matvecs each, of ctx's
+    views of A and B; each column is then one NumPy operation over the
+    stacked rows, with the bits it has for each row alone (_objective), and
+    the a_k weights and dual scales one array each (_scales). No per-epoch
+    Python object is built."""
+    objective = _objective(spec, X, ctx.full[0].matvecs(X), ctx.B.matvecs(X))
     finite = np.isfinite(objective)
     finite[0] |= first == 0  # epoch 0 runs no step
     n = len(ks) if finite.all() else int(finite.argmin()) + 1
@@ -498,7 +490,7 @@ class _ReferenceSteps:
         self._state = AdmmState if kind == "stoc_admm" else IterState
         self._carry_bt = kind != "stoc_admm"
         self._quiet = {} if on_step is not None else {"over": "ignore", "invalid": "ignore"}
-        self.iterates, self.products, self._k = iterates, ctx.products, 1
+        self.iterates, self._k = iterates, 1
 
     def __call__(self, picks, X=None, V=None, stamps=None):
         """The steps of picks, an int64 array of one row of picks per
@@ -630,7 +622,7 @@ def run_solver(kind, spec, prox_spec, cfg, admm_cfg=None, x0=None, v0=None,
                 break
         ks = range(1 + first * per_epoch, 1 + (first + filled) * per_epoch, per_epoch)
         t = time.perf_counter()
-        blocks.append(_block_records(kind, spec, cfg, reference, steps.products, first,
+        blocks.append(_block_records(kind, spec, cfg, reference, ctx, first,
                                      X[:filled], None if V is None else V[:filled], ks,
                                      wall[:filled]))
         t0 += time.perf_counter() - t  # building records is not run time

@@ -7,12 +7,12 @@ indices within each row, duplicates summed and exact zeros dropped at
 construction, which fixes the reduction order and keeps runs
 bit-reproducible. Entries that come strictly ordered by (row, column),
 as from_dense and stack_identity give them, skip the sort. Every product
-outside the fused steps is RowView's, which the C lane computes where it is
-built and NumPy otherwise, with the same bits, and the eigenvalue comes
-from Lanczos on the Gram products of those products. A matrix is
-immutable, so it estimates its eigenvalue once, on first use of
-SparseMatrix.spectrum, and keeps it, unless it was handed the estimate of a
-stored ground truth first.
+outside the fused steps is RowView's, the records' too, which the C lane
+computes where it is built and NumPy otherwise, with the same bits, and
+the eigenvalue comes from Lanczos on the Gram products of those products.
+A matrix is immutable, so it estimates its eigenvalue once, on first use
+of SparseMatrix.spectrum, and keeps it, unless it was handed the estimate
+of a stored ground truth first.
 """
 
 import math
@@ -178,13 +178,13 @@ class RowView:
     """Rows [row_start, row_stop) of a SparseMatrix, set up once for loops
     that apply the same rows many times.
 
-    These are the package's one pair of products: each output entry is a
+    These are the package's one set of products: each output entry is a
     sum from 0.0 in CSR order. Where the C lane is built (_kernels.LANE),
     lane.c's spdfp_rows computes them, on the matrix this view holds on to,
-    and refuses a vector that is not a C-contiguous float64 one of the
-    right length; otherwise np.bincount does, converting and checking
+    and refuses an array that is not a C-contiguous float64 one of the
+    right shape; otherwise np.bincount does, converting and checking
     nothing. Both give the same bits. x must be a float64 vector of length
-    n_cols, y one of length n_rows.
+    n_cols, y one of length n_rows, and X a stack of such x, one per row.
     """
 
     __slots__ = ("indices", "data", "rows", "n_rows", "n_cols", "_lane")
@@ -207,15 +207,22 @@ class RowView:
     # np.bincount gives int64 zeros when there are no entries, hence astype
     def matvec(self, x):
         if self._lane is not None:
-            return self._lane[0](x)
+            return self._lane(x, False, False)
         return np.bincount(self.rows, weights=self.data * x[self.indices],
                            minlength=self.n_rows).astype(np.float64, copy=False)
 
     def rmatvec(self, y):
         if self._lane is not None:
-            return self._lane[1](y)
+            return self._lane(y, True, False)
         return np.bincount(self.indices, weights=self.data * y[self.rows],
                            minlength=self.n_cols).astype(np.float64, copy=False)
+
+    def matvecs(self, X):
+        """The matvec of each row of X, one row each: one C call, which
+        takes four rows per pass over the matrix, or matvec row by row."""
+        if self._lane is not None:
+            return self._lane(X, False, True)
+        return np.array([self.matvec(x) for x in X])
 
 
 def identity(d):

@@ -184,12 +184,16 @@ def desk_truth(tmp_path):
     ("iterations", lambda a: np.array(3.5)),
     ("residual", lambda a: np.array([1e-14, 1e-14])),
     ("x_star", lambda a: a[None]),
+    ("x_star", lambda a: a[:-1]),
+    ("v_star", lambda a: a[:-1]),
     ("fingerprint", lambda a: np.array(1.0)),
-], ids=["objective_star-str", "iterations-float", "residual-1d", "x_star-2d", "fingerprint-float"])
+], ids=["objective_star-str", "iterations-float", "residual-1d", "x_star-2d", "x_star-short",
+        "v_star-short", "fingerprint-float"])
 def test_a_truth_field_of_the_wrong_kind_or_shape_is_refused_with_its_path(tmp_path, capsys,
                                                                           key, damage):
-    # each once converted with a bare float() or int(), or taken as it was:
-    # `spdfp run` refuses the file in one line that names it
+    # each once converted with a bare float() or int(), or taken as it was,
+    # and an x_star or v_star one entry short, which the fingerprint does
+    # not cover: `spdfp run` refuses the file in one line that names it
     truth, arrays = desk_truth(tmp_path)
     np.savez(truth, **{**arrays, key: damage(arrays[key])})
     refused(capsys, ["run", "--config", desk_run_config(tmp_path)],

@@ -20,10 +20,12 @@ import subprocess
 import sysconfig
 import time
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import spdfp._kernels as kernels
 from spdfp import gradients, harness, solvers, sparse
@@ -121,14 +123,15 @@ def c_lane(tmp_path_factory):
     return kernels.CLane(str(lib))
 
 
-@pytest.mark.parametrize("version", [None, 1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("version", [None, 1, 2, 3, 4, 5, 6, 7])
 def test_loader_refuses_a_library_built_from_another_lane_c(tmp_path, version):
     # a library with the run struct of this lane.c but no version stamp, as
     # built from the lane.c whose spdfp_products took no snapshots, or with
     # another stamp, as from the lane.c whose spdfp_run_steps ran one span of
     # steps or the ones without spdfp_gram, spdfp_scales or spdfp_rows and
-    # At, or with spdfp_gram: calling it could write through the wrong
-    # pointers, or fail on a missing symbol
+    # At, or with spdfp_gram, or with spdfp_products and a spdfp_rows of one
+    # vector: calling it could write through the wrong pointers, or fail on
+    # a missing symbol
     cc = find_compiler()
     if cc is None:
         pytest.skip("no C compiler found ($CC, cc, gcc or clang)")
@@ -195,11 +198,21 @@ def test_soft_threshold_values():
     assert_same_bits(soft_threshold(y, 0.5), [1.5, -0.0, 0.0, -0.0, 0.0, 0.0])
 
 
-def test_lane_parity_bitwise(c_lane):
-    # the C lane's products run inside its fused steps and for the records:
-    # one step of each kind over a random row range of a random A, and A x
-    # and B x of a block of snapshots (x before and after the step, and a
-    # random x), against the reference step and SparseMatrix
+def stacked_products(monkeypatch, c_lane, M, lo, hi, X):
+    """RowView(M, lo, hi).matvecs(X) on the C lane, then on the NumPy lane."""
+    got = []
+    for lane in (c_lane, None):
+        monkeypatch.setattr(kernels, "LANE", lane)
+        got.append(M.row_view(lo, hi).matvecs(X))
+    return got
+
+
+def test_lane_parity_bitwise(monkeypatch, c_lane):
+    # the C lane's products run inside its fused steps and in RowView, for
+    # the records among others: one step of each kind over a random row
+    # range of a random A, and A x and B x of a block of snapshots (x before
+    # and after the step, and a random x), against the reference step and
+    # RowView's NumPy products
     rng = np.random.default_rng(1)
     empty_rows = 0
     for trial in range(200):
@@ -225,26 +238,22 @@ def test_lane_parity_bitwise(c_lane):
         assert_same_bits(x, want_x)
         assert_same_bits(v, want_v)
         X = np.array([x0, x, rng.standard_normal(A.n_cols)])
-        AX, BX = steps.products(X)
-        assert AX.shape == (3, A.n_rows) and BX.shape == (3, B.n_rows)
-        for row, Ax, Bx in zip(X, AX, BX):
-            assert_same_bits(Ax, A.matvec(row))
-            assert_same_bits(Bx, B.matvec(row))
+        for M in (A, B):
+            got, want = stacked_products(monkeypatch, c_lane, M, 0, M.n_rows, X)
+            assert got.shape == want.shape == (3, M.n_rows)
+            assert_same_bits(got, want)
     assert empty_rows
     # two matrices that share indptr and indices, applied in turn
     M = random_csr(rng)
     M2 = SparseMatrix(M.n_rows, M.n_cols, M.indptr, M.indices, 2.0 * M.data)
     assert M2.indptr is M.indptr
-    x = rng.standard_normal(M.n_cols)
-    for N in (M, M2, M):
-        spec = ProblemSpec(loss="square", dataset=Dataset(N, np.ones(N.n_rows)),
-                           l2_weight=0.0, composite_weight=0.0, B=N)
-        steps = c_lane.steps("pdfp", spec, ProxSpec("l1", 0.0),
-                             SolverConfig(schedule=ConstantSchedule(0.1), lam=0.5, p=1),
-                             ((0, N.n_rows),), x.copy(), np.zeros(N.n_rows))
-        (Ax,), (Bx,) = steps.products(x[None])
-        assert_same_bits(Ax, N.matvec(x))
-        assert_same_bits(Bx, Ax)
+    X = rng.standard_normal((2, M.n_cols))
+    monkeypatch.setattr(kernels, "LANE", c_lane)
+    views = [N.row_view(0, N.n_rows) for N in (M, M2)]
+    got = [view.matvecs(X) for view in views + views]
+    monkeypatch.setattr(kernels, "LANE", None)
+    for N, products in zip((M, M2, M, M2), got):
+        assert_same_bits(products, [N.matvec(x) for x in X])
 
 
 @pytest.mark.parametrize("c,alpha,lam,ks", [
@@ -329,37 +338,38 @@ def test_spectrum_same_bits_on_both_lanes(monkeypatch, c_lane):
     assert len(views) == len(matrices)
 
 
-def test_products_take_blocks_of_snapshots_four_at_a_time(c_lane):
+def test_products_take_blocks_of_snapshots_four_at_a_time(monkeypatch, c_lane):
     # blocks of 1 to 9 snapshots reach both the four-wide pass and the
-    # leftover one-at-a-time rows; snapshots hold +-0.0, +-inf and NaN,
-    # so each output entry must sum the same products in the same order as
-    # SparseMatrix.matvec, row by row
+    # leftover one-at-a-time rows (every count % 4), over row ranges that
+    # start past row 0 and may be empty; snapshots hold +-0.0, +-inf and
+    # NaN, so each output entry must sum the same products in the same
+    # order as RowView's NumPy matvec, row by row. The transposed products
+    # of a stack take rmatvec's bits, vector by vector
     rng = np.random.default_rng(5)
     special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
-    empty_rows = 0
+    seen = {"empty row": 0, "lo > 0": 0, "empty range": 0}
     for trial in range(60):
-        A = random_csr(rng)
-        B = random_csr(rng, A.n_cols)
-        empty_rows += int(np.any(np.diff(A.indptr) == 0)) + int(np.any(np.diff(B.indptr) == 0))
-        spec = ProblemSpec(loss="square", dataset=Dataset(A, np.ones(A.n_rows)),
-                           l2_weight=0.0, composite_weight=0.0, B=B)
-        steps = c_lane.steps("spdfp1", spec, ProxSpec("l1", 0.0),
-                             SolverConfig(schedule=StepSchedule(c=0.1, alpha=0.7), lam=0.5, p=1),
-                             ((0, A.n_rows),), np.zeros(A.n_cols), np.zeros(B.n_rows))
+        M = random_csr(rng)
+        lo = int(rng.integers(0, M.n_rows + 1))
+        hi = int(rng.integers(lo, M.n_rows + 1))
+        seen["empty row"] += int(np.any(np.diff(M.indptr[lo:hi + 1]) == 0))
+        seen["lo > 0"] += lo > 0
+        seen["empty range"] += lo == hi
         count = 1 + trial % 9
-        X = rng.standard_normal((count, A.n_cols))
+        X = rng.standard_normal((count, M.n_cols))
         mask = rng.random(X.shape) < 0.3
         X[mask] = rng.choice(special, int(mask.sum()))
-        X[0, :len(special)] = special[:A.n_cols]
-        AX, BX = steps.products(X)
-        assert AX.shape == (count, A.n_rows) and BX.shape == (count, B.n_rows)
+        X[0, :len(special)] = special[:M.n_cols]
         with np.errstate(invalid="ignore"):
-            want = [(A.matvec(x), B.matvec(x)) for x in X]
-        for got, ref in zip(itertools.chain(AX, BX), itertools.chain(*zip(*want))):
-            nan = np.isnan(ref)
-            np.testing.assert_array_equal(np.isnan(got), nan)
-            assert_same_bits(got[~nan], ref[~nan])
-    assert empty_rows
+            got, want = stacked_products(monkeypatch, c_lane, M, lo, hi, X)
+            Y = with_specials(rng, rng.standard_normal((count, hi - lo)), 0.3)
+            got_t = c_lane.rows(M, lo, hi)(Y, True, True)
+            want_t = [M.row_view(lo, hi).rmatvec(y) for y in Y]
+        assert got.shape == want.shape == (count, hi - lo)
+        assert got_t.shape == (count, M.n_cols)
+        assert_same_bits_but_nan_signs(got, want)
+        assert_same_bits_but_nan_signs(got_t, want_t)
+    assert all(seen.values()), seen
 
 
 SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2e-308, -1e-310])
@@ -548,10 +558,11 @@ def run_on_lane(monkeypatch, lane, *args, **kwargs):
     states = []
     block_records = solvers._block_records
 
-    def grab(kind, spec, cfg, reference, products, first, X, V, ks, wall):
-        assert len(X) == len(V) == len(ks) == len(wall)
-        states.extend([x.copy(), v.copy()] for x, v in zip(X, V))
-        return block_records(kind, spec, cfg, reference, products, first, X, V, ks, wall)
+    def grab(kind, spec, cfg, reference, ctx, first, X, V, ks, wall):
+        snapshots = (X,) if V is None else (X, V)  # a stoc_admm run snapshots x alone
+        assert all(len(a) == len(ks) == len(wall) for a in snapshots)
+        states.extend([a.copy() for a in rows] for rows in zip(*snapshots))
+        return block_records(kind, spec, cfg, reference, ctx, first, X, V, ks, wall)
 
     with monkeypatch.context() as m:
         m.setattr(kernels, "LANE", lane)
@@ -785,6 +796,44 @@ def test_runs_on_row_view_products_give_the_same_bits_on_both_lanes(monkeypatch,
     assert len(c_seen) == len(np_seen) == cfg.max_epochs * plan.n_batches
     assert_same_bits(c_seen, np_seen)
     assert_same_bits(c_values, np_values)
+
+
+
+def test_records_take_one_stacked_product_per_block_and_matrix(monkeypatch, c_lane):
+    # a stoc_admm run on the C lane steps through RowView, and the records
+    # of each of its blocks of 3, 3 and 1 epochs take A x and B x of all the
+    # block's snapshots in one spdfp_rows call each, not one per snapshot
+    lib, building, per_block = c_lane._lib, [False], []
+
+    class Spy:  # the library, with the calls made while records are built
+        def __getattr__(self, name):
+            fn = getattr(lib, name)
+
+            def call(*a):
+                if building[0]:
+                    per_block[-1].append((name, a[3], a[5]))  # spdfp_rows' transpose, count
+                return fn(*a)
+            return call
+
+    block_records = solvers._block_records
+
+    def records(*a):
+        per_block.append([])
+        building[0] = True
+        try:
+            return block_records(*a)
+        finally:
+            building[0] = False
+
+    monkeypatch.setattr(c_lane, "_lib", Spy())
+    monkeypatch.setattr(kernels, "LANE", c_lane)
+    monkeypatch.setattr(solvers, "_block_records", records)
+    monkeypatch.setattr(solvers, "_RECORD_BLOCK", 3 * 37)  # x, v, A x and B x: 6 + 4 + 23 + 4
+    spec = fused_spec("square", 0.1)
+    cfg = SolverConfig(schedule=StepSchedule(c=0.5, alpha=0.7), lam=0.1, p=5, max_epochs=6)
+    admm = solvers.AdmmConfig(beta_tilde=2.0, zeta_schedule=StepSchedule(c=0.5, alpha=0.5))
+    assert len(run_solver("stoc_admm", spec, ProxSpec("l1", 0.2), cfg, admm_cfg=admm)) == 7
+    assert per_block == [[("spdfp_rows", 0, n)] * 2 for n in (3, 3, 1)]
 
 
 def test_fused_steps_reject_out_of_range_picks(c_lane):
@@ -1273,3 +1322,102 @@ def test_a_full_range_step_keeps_the_bits_of_special_values(monkeypatch, c_lane)
             want = reference_step("pdfp", ctx, cfg, 1, ctx.batches[0], x0, v0)
         for got, ref in zip((x, v), want):
             assert_same_bits_but_nan_signs(got, ref)
+
+
+# ---------------------------------------------------------------------------
+# lane parity on generated problems
+
+# the nonzero entries of generated problems: subnormals among them
+PARITY_VALUES = [-2.0, -1.0, -0.5, 0.5, 1.0, 1.5, 5e-324, -5e-324, 2.2e-308, -1e-310]
+
+
+@st.composite
+def parity_problems(draw):
+    """A small ProblemSpec and a start x0, v0: A (n x d) and B (m x d) hold
+    PARITY_VALUES and zeros, so their rows and columns may be empty, and
+    some of their entries are explicit +-0.0; every loss, and an l1 or no
+    prox. Labels of the square loss, x0 and v0 hold signed zeros and
+    subnormals too."""
+    n, d, m = draw(st.integers(1, 9)), draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    entries = st.sampled_from([0.0] * 4 + PARITY_VALUES)
+    signed = st.sampled_from([0.0, -0.0, *PARITY_VALUES])
+
+    def vector(values, size):
+        return np.array(draw(st.lists(values, min_size=size, max_size=size)), dtype=np.float64)
+
+    def matrix(rows):
+        M = SparseMatrix.from_dense(vector(entries, rows * d).reshape(rows, d))
+        zeros = draw(st.lists(st.sampled_from([None, None, 0.0, -0.0]),
+                              min_size=M.nnz, max_size=M.nnz))
+        data = [a if z is None else z for a, z in zip(M.data, zeros)]
+        return SparseMatrix(M.n_rows, M.n_cols, M.indptr, M.indices, data)
+
+    loss = draw(st.sampled_from(["square", "hinge", "logistic"]))
+    labels = vector(signed if loss == "square" else st.sampled_from([-1.0, 1.0]), n)
+    spec = ProblemSpec(loss=loss, dataset=Dataset(matrix(n), labels),
+                       l2_weight=draw(st.sampled_from([0.0, 0.1])),
+                       composite_weight=draw(st.sampled_from([0.0, 0.3])), B=matrix(m))
+    return spec, vector(signed, d), vector(signed, m)
+
+
+def assert_same_bits_in(got, want):
+    """assert_same_bits_but_nan_signs over nested lists of arrays, floats
+    and Nones."""
+    if isinstance(got, (list, tuple)):
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert_same_bits_in(a, b)
+    elif got is None or want is None:
+        assert got is want is None
+    else:
+        assert_same_bits_but_nan_signs(got, want)
+
+
+# the function-scoped fixture is the autouse numpy_reference, whose LANE
+# each example sets itself
+@settings(max_examples=50, deadline=None, database=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(parity_problems(), st.data())
+def test_lanes_give_the_same_bits_on_generated_problems(monkeypatch, c_lane, problem, data):
+    # the records, snapshots and truths of both lanes, over generated
+    # problems: every solver, and a run with on_step; batch sizes that may
+    # not divide n, constant and decaying steps, lambda under the guard
+    # 1 / (||B||_1 ||B||_inf) and at most 1, and record blocks of one to a
+    # few epochs
+    spec, x0, v0 = problem
+    draw = data.draw
+    B = np.abs(spec.B.to_dense())
+    lam = draw(st.sampled_from([0.3, 0.99])) / max(B.sum(axis=0).max() * B.sum(axis=1).max(), 1.0)
+    c = draw(st.sampled_from([0.05, 0.5, 2.0]))
+    alpha = draw(st.sampled_from([0.0, 0.5, 1.0]))
+    cfg = SolverConfig(schedule=ConstantSchedule(c) if alpha == 0 else StepSchedule(c, alpha),
+                       lam=lam, p=draw(st.integers(1, spec.n)), seed=draw(st.integers(0, 9)),
+                       max_epochs=draw(st.integers(0, 8)))
+    constant = replace(cfg, schedule=ConstantSchedule(c),
+                       stop_tolerance=draw(st.sampled_from([0.0, 1e-3])))
+    row = spec.dim + spec.n + 2 * spec.B.n_rows  # the doubles of one epoch's record
+    block = draw(st.sampled_from([1, 2 * row, 5 * row, solvers._RECORD_BLOCK]))
+    admm = solvers.AdmmConfig(beta_tilde=2.0, zeta_schedule=StepSchedule(c=0.5, alpha=0.5))
+    ref = Reference(x_star=x0[::-1].copy(), v_star=v0[::-1].copy(), objective_star=0.25)
+    prox_spec = prox_for(spec)
+    watched = draw(st.sampled_from(["spdfp1", "spdfp2"]))  # the kind of the on_step run
+    iters = draw(st.integers(1, 60))
+    lanes = []
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore")  # diverged runs and capped truths warn
+        for lane in (c_lane, None):
+            seen, got = [], []
+            runs = [("pdfp", constant, {}), ("spdfp1", cfg, {}), ("spdfp2", cfg, {}),
+                    ("stoc_admm", cfg, {"admm_cfg": admm}),
+                    (watched, cfg, {"on_step": lambda s: seen.append([s.x, s.v])})]
+            with monkeypatch.context() as m:
+                m.setattr(solvers, "_RECORD_BLOCK", block)
+                for kind, run_cfg, extra in runs:
+                    recs, states = run_on_lane(m, lane, kind, spec, prox_spec, run_cfg,
+                                               x0=x0, v0=v0, reference=ref, **extra)
+                    got.append([[col for name, col in zip(solvers.COLUMNS, recs.columns)
+                                 if name != "wall_time"], states])
+                m.setattr(kernels, "LANE", lane)
+                truth = compute_ground_truth(spec, constant, iters=iters)
+            lanes.append([got, seen, [getattr(truth, f.name) for f in fields(truth)]])
+    assert_same_bits_in(*lanes)

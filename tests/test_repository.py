@@ -39,15 +39,14 @@ def test_no_cython_or_python_c_api():
 def test_c_lane_exports_only_its_step_entry_points():
     """lane.c runs steps and nothing else: every function it defines is
     static except the run's size, the lane's version, the steps, the
-    record products, the records' step-size factors and RowView's
-    products."""
+    records' step-size factors and RowView's products."""
     with open(os.path.join(ROOT, "src", "spdfp", "_kernels", "lane.c"), encoding="utf-8") as fh:
         source = fh.read()
     # a definition starts at column 0: return type, name, parameters, body
     definitions = re.findall(r"^([A-Za-z_][\w \t*]*?)\b(\w+)\(([^;{]*)\)\s*\{", source, re.M)
     exported = sorted(name for head, name, _ in definitions if not head.startswith("static"))
-    assert exported == ["spdfp_lane_version", "spdfp_products", "spdfp_rows",
-                        "spdfp_run_size", "spdfp_run_steps", "spdfp_scales"]
+    assert exported == ["spdfp_lane_version", "spdfp_rows", "spdfp_run_size",
+                        "spdfp_run_steps", "spdfp_scales"]
     static = {name for head, name, _ in definitions if head.startswith("static")}
     assert {"matvec", "matvec4", "rmatvec", "soft", "gradient"} <= static
 
