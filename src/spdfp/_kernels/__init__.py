@@ -2,17 +2,17 @@
 
 lane.c, built into the shared library ``_lane`` by
 ``python setup.py build_ext --inplace``, runs the PDFP / SPDFP steps of a
-run's record blocks, with each epoch's snapshot and time stamp, the
-step-size factors of their records and the products of every
+run's record blocks, with each epoch's snapshot, time stamp and the
+step-size factors of its a_k record, and the products of every
 sparse.RowView, the records' A x and B x and the Lanczos method's among
 them, and is loaded with ctypes when it was built. ``LANE`` is the loaded
 CLane, or None, and then every step runs on the NumPy reference path of
-spdfp.solvers, every record's factors come from Python float lists there,
-and every product is RowView's NumPy one; spdfp.solvers._steps,
-solvers._scales and sparse.RowView read it to pick the lane. Both paths
-give the same bits. So where the lane is built every sparse product is C;
-the prox outside the fused steps (prox.soft_threshold) and the ADMM
-x-update's linear solve are NumPy on either path.
+spdfp.solvers, which works each record's factors out in Python floats, and
+every product is RowView's NumPy one; spdfp.solvers._steps and
+sparse.RowView read it to pick the lane. Both paths give the same bits. So
+where the lane is built every sparse product is C; the prox outside the
+fused steps (prox.soft_threshold) and the ADMM x-update's linear solve are
+NumPy on either path.
 """
 
 import ctypes
@@ -22,7 +22,7 @@ import os
 import numpy as np
 
 _KINDS = {"pdfp": 0, "spdfp1": 1, "spdfp2": 2}
-_LANE_VERSION = 8   # spdfp_lane_version() of the lane.c this module calls
+_LANE_VERSION = 9   # spdfp_lane_version() of the lane.c this module calls
 _LOSSES = {"square": 0, "hinge": 1, "logistic": 2}
 
 
@@ -76,11 +76,8 @@ class CLane:
                 or lib.spdfp_run_size() != ctypes.sizeof(_Run)):
             raise ImportError(f"{path} was built from another lane.c; rebuild it with "
                               "'python setup.py build_ext --inplace'")
-        lib.spdfp_run_steps.argtypes = (ctypes.POINTER(_Run), p, i64, i64, i64, p, p, p)
+        lib.spdfp_run_steps.argtypes = (ctypes.POINTER(_Run), p, i64, i64, i64, p, p, p, p, p)
         lib.spdfp_run_steps.restype = ctypes.c_int
-        d = ctypes.c_double
-        lib.spdfp_scales.argtypes = (d, d, d, i64, i64, i64, p, p)
-        lib.spdfp_scales.restype = None
         lib.spdfp_rows.argtypes = (ctypes.POINTER(_Csr), i64, i64, i64, p, i64, p)
         lib.spdfp_rows.restype = None
         self._lib = lib
@@ -103,18 +100,6 @@ class CLane:
         product.matrix = M  # keeps alive the arrays csr points into
         return product
 
-    def scales(self, c, alpha, lam, ks, dual):
-        """The a_k weights gamma_k**2 / lam, inf where the square overflows,
-        of each k of the range ks, gamma_k = c / k**alpha with libm pow, as
-        an array; and with dual set the dual scales lam / gamma_{k-1}, 1 at
-        k = 1, as another, else None. They are the bits of the Python float
-        lists of solvers._scales."""
-        weight = np.empty(len(ks))
-        dscale = np.empty(len(ks)) if dual else None
-        self._lib.spdfp_scales(c, alpha, lam, ks.start, ks.step, len(ks), weight.ctypes.data,
-                               None if dscale is None else dscale.ctypes.data)
-        return weight, dscale
-
     def steps(self, kind, spec, prox_spec, cfg, ranges, x, v):
         """The steps of one run of kind over x and v, as a Steps."""
         return Steps(self._lib, kind, spec, prox_spec, cfg, ranges, x, v)
@@ -128,9 +113,10 @@ class Steps:
 
     A call takes the picks of some epochs, indices into the ranges, as an
     int64 array of one row per epoch; after each epoch it copies x and v
-    into the next rows of the given snapshot arrays and stamps the time, in
-    C. So a run draws the picks of a block of epochs at once and steps and
-    snapshots the whole block in one call. ``iterates`` is (x, v), the
+    into the next rows of the given snapshot arrays, writes the step-size
+    factors of the epoch's record and stamps the time, in C. So a run draws
+    the picks of a block of epochs at once and steps and snapshots the
+    whole block in one call. ``iterates`` is (x, v), the
     arrays the steps update. solvers._ReferenceSteps takes the same calls on
     the reference path.
 
@@ -165,17 +151,18 @@ class Steps:
         self._shape = A.n_cols, B.n_rows
         self._k = 1
 
-    def __call__(self, picks, X=None, V=None, stamps=None):
+    def __call__(self, picks, X=None, V=None, stamps=None, weights=None, dscales=None):
         """The steps of picks, a C-contiguous int64 array of one row of
-        picks per epoch. After epoch e, x goes to X[e], v to V[e] and the
-        seconds since the call began to stamps[e], where given: C-contiguous
-        float64 arrays of one row per epoch. Every pick is checked before
-        the first step."""
+        picks per epoch. After epoch e, x goes to X[e], v to V[e], the
+        seconds since the call began to stamps[e] and the factors of the
+        epoch's a_k record (solvers._record_factors) to weights[e] and
+        dscales[e], where given: C-contiguous float64 arrays of one row per
+        epoch. Every pick is checked before the first step."""
         address = _address(picks, np.int64, None, None)
         epochs, per_epoch = picks.shape
         d, m = self._shape
         out = [None if a is None else _address(a, np.float64, epochs, *row)
-               for a, row in ((X, (d,)), (V, (m,)), (stamps, ()))]
+               for a, row in ((X, (d,)), (V, (m,)), (stamps, ()), (weights, ()), (dscales, ()))]
         if self._fn(self._run, address, epochs, per_epoch, self._k, *out) != 0:
             raise ValueError("batch index or row range out of bounds")
         self._k += picks.size

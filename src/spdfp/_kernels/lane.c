@@ -6,16 +6,16 @@
  * matrix's rows, and a step starts from the B^T v the step before it left,
  * so it makes three B products, not four. A step over all rows of A takes
  * A x four rows per pass and A^T w as a gather over A's transpose, four of
- * its rows per pass, with no scatter. The step-size factors of a block's
- * records (spdfp_scales) come from here too. Plain C99 over raw
- * int64/double arrays, no Python C-API; spdfp._kernels loads the built
- * library with ctypes and checks every array before it passes a pointer.
- * It exports spdfp_run_size, spdfp_lane_version, spdfp_run_steps,
- * spdfp_scales and spdfp_rows; everything else is static.
+ * its rows per pass, with no scatter. Each epoch's end also writes the
+ * step-size factors of its a_k record. Plain C99 over raw int64/double
+ * arrays, no Python C-API; spdfp._kernels loads the built library with
+ * ctypes and checks every array before it passes a pointer. At revision 9
+ * it exports spdfp_run_size, spdfp_lane_version, spdfp_run_steps and
+ * spdfp_rows; everything else is static.
  *
  * Each function mirrors the NumPy reference (sparse.RowView,
- * prox.soft_threshold, solvers._pdfp_step, the scale lists of
- * solvers._scales) op for op, so that both lanes give the same bits:
+ * prox.soft_threshold, solvers._pdfp_step, solvers._record_factors) op for
+ * op, so that both lanes give the same bits:
  *   - a product sums each output entry from 0.0 in CSR order, as
  *     np.bincount does, and multiplies data by the vector in that order,
  *     also when it takes four rows or four snapshots at once, one
@@ -86,10 +86,11 @@ int64_t spdfp_run_size(void)
  * runs a block of epochs and takes their snapshots and time stamps.
  * Revision 4: spdfp_gram. Revision 5: spdfp_scales. Revision 6: run
  * holds At, and spdfp_rows. Revision 7: no spdfp_gram. Revision 8: no
- * spdfp_products; spdfp_rows takes a stack of vectors. */
+ * spdfp_products; spdfp_rows takes a stack of vectors. Revision 9: no
+ * spdfp_scales; spdfp_run_steps writes the a_k factors of its epochs. */
 int64_t spdfp_lane_version(void)
 {
-    return 8;
+    return 9;
 }
 
 /* out[i - lo] = (row i of M) . x for lo <= i < hi. */
@@ -209,26 +210,6 @@ void spdfp_rows(const csr *M, int64_t lo, int64_t hi, int64_t transpose, const d
             rmatvec(M, x + s * (hi - lo), out + s * M->n_cols, lo, hi);
 }
 
-/* The exponent of gamma**2: volatile, so that the compiler calls pow and
- * does not fold pow(g, 2.0) into g * g, which may differ in the last bit. */
-static volatile const double TWO = 2.0;
-
-/* The step-size factors of the records of n epochs that end before steps
- * k = k0 + i * step, i < n (solvers._scales): weight[i] =
- * gamma_k**2 / lam, inf where the square overflows, and, where dscale is
- * not NULL, dscale[i] = lam / gamma_{k-1}, or 1 for k = 1, which puts a dual
- * after step k - 1 on the subgradient scale. gamma_k = c / k**alpha. */
-void spdfp_scales(double c, double alpha, double lam, int64_t k0, int64_t step, int64_t n,
-                  double *weight, double *dscale)
-{
-    for (int64_t i = 0; i < n; i++) {
-        int64_t k = k0 + i * step;
-        weight[i] = pow(c / pow((double)k, alpha), TWO) / lam;
-        if (dscale)
-            dscale[i] = k > 1 ? lam / (c / pow((double)(k - 1), alpha)) : 1.0;
-    }
-}
-
 /* gradients._rows_gradient over rows lo..hi-1 of A: w holds the margins,
  * then the loss weights (problem.loss_weights); g gets the gradient. Over
  * all rows of A, with At set, A x and A^T w take four rows per pass, A^T w
@@ -316,17 +297,24 @@ static void step(const run *r, int64_t lo, int64_t hi, int64_t k)
         x[j] = xh[j] - x_scale * bt[j];
 }
 
+/* The exponent of gamma**2: volatile, so that the compiler calls pow and
+ * does not fold pow(g, 2.0) into g * g, which may differ in the last bit. */
+static volatile const double TWO = 2.0;
+
 /* Run n_epochs epochs of per_epoch steps each on r->x and r->v. Step s uses
  * rows ranges[2p]..ranges[2p+1]-1 of A, p = picks[s]; k is the 1-based step
  * counter before the first step. After epoch e, x goes to row e of X
- * (A.n_cols doubles a row), v to row e of V (B.n_rows doubles a row) and
- * the seconds since the call began to stamps[e]; a NULL X, V or stamps
- * takes nothing. Returns BAD_INPUT, having changed nothing, if a pick or
- * its range is out of bounds, else OK. Each call computes B^T v into the
- * work array step() reads it from, after the checks, so a caller may write
- * into v between calls. */
+ * (A.n_cols doubles a row), v to row e of V (B.n_rows doubles a row), the
+ * factors of its a_k record (solvers._record_factors), k the step after it,
+ * to weights[e] = gamma_k**2 / lam, inf where the square overflows, and
+ * dscales[e] = lam / gamma_{k-1}, or 1 for k = 1, and the seconds since the
+ * call began to stamps[e]; a NULL array takes nothing. Returns BAD_INPUT,
+ * having changed nothing, if a pick or its range is out of bounds, else OK.
+ * Each call computes B^T v into the work array step() reads it from, after
+ * the checks, so a caller may write into v between calls. */
 int spdfp_run_steps(const run *r, const int64_t *picks, int64_t n_epochs, int64_t per_epoch,
-                    int64_t k, double *X, double *V, double *stamps)
+                    int64_t k, double *X, double *V, double *stamps, double *weights,
+                    double *dscales)
 {
     struct timespec t0;
     int64_t d = r->A.n_cols, m = r->B.n_rows, n_steps = n_epochs * per_epoch;
@@ -349,6 +337,10 @@ int spdfp_run_steps(const run *r, const int64_t *picks, int64_t n_epochs, int64_
             memcpy(X + e * d, r->x, (size_t)d * sizeof(double));
         if (V)
             memcpy(V + e * m, r->v, (size_t)m * sizeof(double));
+        if (weights)
+            weights[e] = pow(r->c / pow((double)k, r->alpha), TWO) / r->lam;
+        if (dscales)
+            dscales[e] = k > 1 ? r->lam / (r->c / pow((double)(k - 1), r->alpha)) : 1.0;
         if (stamps)
             stamps[e] = since(&t0);
     }

@@ -245,12 +245,16 @@ def save_matrix(M, path):
 
 
 def load_matrix(path):
-    """The matrix of a coordinate-list file; without a '# shape' line its
-    shape is the smallest that holds the entries."""
+    """The matrix of a coordinate-list file; without a '# shape' line, which
+    may come once and before the first entry, its shape is the smallest
+    that holds the entries."""
     rows, cols, vals, n_rows, n_cols = [], [], [], None, None
     for lineno, line in _text_lines(path):
         if line.startswith("#"):
             m = re.match(r"#\s*shape\s+(\d+)\s+(\d+)", line)
+            if m and (rows or n_rows is not None):
+                raise ValueError(f"{path}:{lineno}: a '# shape' line must come once, "
+                                 "before the first entry")
             if m:
                 n_rows, n_cols = int(m.group(1)), int(m.group(2))
             continue
@@ -395,9 +399,9 @@ def _kv_number(where, kv, key, kind, default=None):
 
 def _read_kv(path, required, optional, what):
     """The 'key = value' lines of path as a dict, blank and '#' lines
-    skipped. Another line, a key given twice, a missing required key and a
-    key in neither tuple are ValueErrors that name the file; what names
-    the kind of file ("missing problem key 'loss'")."""
+    skipped. Another line, an empty value, a key given twice, a missing
+    required key and a key in neither tuple are ValueErrors that name the
+    file; what names the kind of file ("missing problem key 'loss'")."""
     out, seen = {}, {}
     for lineno, line in _text_lines(path):
         if line.startswith("#"):
@@ -405,11 +409,13 @@ def _read_kv(path, required, optional, what):
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
-        key = key.strip()
+        key, value = key.strip(), value.strip()
+        if not value:
+            raise ValueError(f"{path}:{lineno}: key {key!r} has no value")
         if key in seen:
             raise ValueError(f"{path}:{lineno}: key {key!r} repeats line {seen[key]}")
         seen[key] = lineno
-        out[key] = value.strip()
+        out[key] = value
     for key in required:
         if key not in out:
             raise ValueError(f"{path}: missing {what} key {key!r}")

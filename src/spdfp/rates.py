@@ -28,7 +28,12 @@ def phi_c(c, t):
 
 
 def smallest_step_index(c, alpha):
-    """Smallest integer k >= 1 with c / k**alpha <= 1."""
+    """Smallest integer k >= 1 with c / k**alpha <= 1. A ValueError refuses
+    c and alpha where c**(1/alpha) passes 2**53, past which float step
+    indices are not exact."""
+    if math.log2(c) > 53 * alpha:
+        raise ValueError(f"c={c} and alpha={alpha} put the first step index c**(1/alpha) "
+                         "past 2**53, where float step indices are not exact")
     k = max(1, math.floor(c ** (1.0 / alpha)))
     while c / k**alpha > 1.0:
         k += 1
@@ -91,9 +96,14 @@ def lemma_bound(params, k):
                 + tau * c0**2 / (k + 1) ** c0 * (1 + 1 / k0) ** c0 * phi_c(c0 - 1, k))
     if k < max(2 * k0, 3):
         raise ValueError(f"bound valid for k >= {max(2 * k0, 3)}, got {k}")
-    grow = math.exp(c * k0 ** (1 - a) / (1 - a))
-    decay = math.exp(-c * (1 - 2 ** (a - 1)) * (k + 1) ** (1 - a) / (1 - a))
-    return ((tau * c * c * phi_c(1 - 2 * a, k) + s_k0 * grow) * decay
+    # s_k0's factor exp(c k0**(1-a) / (1-a)) times the decay, as one exp,
+    # since the first alone overflows where the product is finite
+    shrink = c * (1 - 2 ** (a - 1)) * (k + 1) ** (1 - a) / (1 - a)
+    try:
+        start = s_k0 * math.exp(c * k0 ** (1 - a) / (1 - a) - shrink) if s_k0 else 0.0
+    except OverflowError:  # a bound past the largest double
+        start = math.inf
+    return (tau * c * c * phi_c(1 - 2 * a, k) * math.exp(-shrink) + start
             + tau * 2**a * c / (k - 2) ** a)
 
 

@@ -30,9 +30,9 @@ same bits. ``run_solver`` and the ground truth each drive them in one loop.
 ``run_solver`` goes through its epochs in blocks: one draw of batch
 indices, one steps call and one _block_records call each, whose columns are
 one operation over the block each, not one call per epoch. The scalar
-factors of the a_k column (a_k weights and dual scales) come from the C lane
-(spdfp_scales) where it is built, else from lists of Python floats, with
-the same bits.
+factors of the a_k column (a_k weights and dual scales) come from the steps
+call too, which writes them beside each epoch's snapshot: in C where the
+lane is built, else in Python floats (_record_factors), with the same bits.
 """
 
 import math
@@ -412,46 +412,38 @@ class RunRecords(Sequence):
         return list(map(RunRecord, *self.field_values()))
 
 
-def _square(g):
-    """g ** 2, or inf where Python's float ** raises OverflowError."""
-    try:
-        return g ** 2
-    except OverflowError:
-        return math.inf
+def _record_factors(cfg, k, e, weights, dscales):
+    """Row e of weights and of dscales, where given, for the record after
+    step k - 1: the a_k weight gamma(k) ** 2 / lam, inf where Python's float
+    ** overflows, and lam / gamma(k - 1), 1 at k = 1, which puts the dual on
+    alg1's subgradient scale. gamma(k) = c / k**alpha takes libm's pow, not
+    NumPy's power, as lane.c's spdfp_run_steps does, with the same bits."""
+    if weights is not None:
+        try:
+            weights[e] = (cfg.schedule.c / k**cfg.schedule.alpha) ** 2 / cfg.lam
+        except OverflowError:
+            weights[e] = math.inf
+    if dscales is not None:
+        dscales[e] = cfg.lam / (cfg.schedule.c / (k - 1)**cfg.schedule.alpha) if k > 1 else 1.0
 
 
-def _scales(kind, cfg, ks):
-    """(weight, scale) of the records of the epochs that end before steps
-    ks, a range: the a_k weights gamma(k) ** 2 / lam, inf where the square
-    overflows, and for all kinds but 'spdfp1' the scales lam / gamma(k - 1),
-    1 at k = 1, that put a dual after step k - 1 on alg1's subgradient
-    scale, else None. The C lane works them out where it is built; else they
-    are lists of Python floats, gamma(k) = c / k**alpha with libm's pow, as
-    in StepSchedule.gamma, not NumPy's power. Both give the same bits."""
-    c, alpha, lam = cfg.schedule.c, cfg.schedule.alpha, cfg.lam
-    dual = kind != "spdfp1"
-    if _kernels.LANE is not None:
-        return _kernels.LANE.scales(c, alpha, lam, ks, dual)
-    scale = np.array([lam / (c / (k - 1)**alpha) if k > 1 else 1.0 for k in ks]) if dual else None
-    return np.array([_square(c / k**alpha) / lam for k in ks]), scale
-
-
-def _block_records(kind, spec, cfg, reference, ctx, first, X, V, ks, wall):
+def _block_records(spec, reference, ctx, first, X, V, wall, weights, dscales):
     """The columns (COLUMNS) of the records of epochs first, first + 1, ...,
     up to the first after epoch 0 whose objective is NaN or infinite: row i
-    of X, and of V unless it is None ('stoc_admm'), holds the iterates x_k
-    and v_k, k = ks[i], at the end of epoch first + i, whose steps ended
-    wall[i] seconds after the run started.
+    of X, and of V unless it is None ('stoc_admm'), holds the iterates at
+    the end of epoch first + i, whose steps ended wall[i] seconds after the
+    run started. The a_k column takes row i of weights, and of dscales
+    unless it is None ('spdfp1', whose dual is on the subgradient scale),
+    where weights is given (_record_factors).
 
     A x and B x of every row x of X are one RowView.matvecs each, of ctx's
     views of A and B; each column is then one NumPy operation over the
-    stacked rows, with the bits it has for each row alone (_objective), and
-    the a_k weights and dual scales one array each (_scales). No per-epoch
-    Python object is built."""
+    stacked rows, with the bits it has for each row alone (_objective). No
+    per-epoch Python object is built."""
     objective = _objective(spec, X, ctx.full[0].matvecs(X), ctx.B.matvecs(X))
     finite = np.isfinite(objective)
     finite[0] |= first == 0  # epoch 0 runs no step
-    n = len(ks) if finite.all() else int(finite.argmin()) + 1
+    n = len(wall) if finite.all() else int(finite.argmin()) + 1
     rel = sq = a_k = None
     if reference is not None:
         diff = X - reference.x_star
@@ -459,10 +451,9 @@ def _block_records(kind, spec, cfg, reference, ctx, first, X, V, ks, wall):
         if reference.objective_star is not None:
             f_star = reference.objective_star
             rel = (objective - f_star) / max(abs(f_star), 1e-12)
-        if reference.v_star is not None and V is not None:
-            weight, scale = _scales(kind, cfg, ks)
-            dv = (V if scale is None else V * scale[:, None]) - reference.v_star
-            a_k = sq + weight * np.vecdot(dv, dv)
+        if weights is not None:
+            dv = (V if dscales is None else V * dscales[:, None]) - reference.v_star
+            a_k = sq + weights * np.vecdot(dv, dv)
     return tuple(None if c is None else c[:n] for c in (wall, objective, rel, sq, a_k))
 
 
@@ -492,13 +483,14 @@ class _ReferenceSteps:
         self._quiet = {} if on_step is not None else {"over": "ignore", "invalid": "ignore"}
         self.iterates, self._k = iterates, 1
 
-    def __call__(self, picks, X=None, V=None, stamps=None):
+    def __call__(self, picks, X=None, V=None, stamps=None, weights=None, dscales=None):
         """The steps of picks, an int64 array of one row of picks per
         epoch; k counts the steps of all calls from 1. After epoch e, x goes
-        to X[e], v to V[e] and the seconds since the call began to
-        stamps[e], where given. Every pick is checked before the first
-        step, as on the C lane: one outside [0, len(ctx.ranges)) raises
-        ValueError and changes nothing."""
+        to X[e], v to V[e], the seconds since the call began to stamps[e]
+        and the factors of the epoch's a_k record (_record_factors) to
+        weights[e] and dscales[e], where given. Every pick is checked before
+        the first step, as on the C lane: one outside [0, len(ctx.ranges))
+        raises ValueError and changes nothing."""
         t0 = time.perf_counter()
         step, params, ctx, on_step = self._step, self._params, self._ctx, self._on_step
         if picks.size and not (0 <= picks.min() and picks.max() < len(ctx.ranges)):
@@ -518,6 +510,7 @@ class _ReferenceSteps:
                     X[e] = carried[0]
                 if V is not None:
                     V[e] = carried[1]
+                _record_factors(params, k, e, weights, dscales)
                 if stamps is not None:
                     stamps[e] = time.perf_counter() - t0
         self.iterates, self._k = carried[:n], k
@@ -560,8 +553,9 @@ def run_solver(kind, spec, prox_spec, cfg, admm_cfg=None, x0=None, v0=None,
     The epochs come in blocks of at most _RECORD_BLOCK doubles of snapshots
     and their products. A block draws the batch indices of its epochs when
     it starts ('pdfp' draws none) and steps them in one call, which copies x
-    and v into the block's own arrays and stamps the time after each epoch;
-    a 'pdfp' run that checks its residual makes one call per epoch. The
+    and v into the block's own arrays, writes the factors of the a_k column
+    where a record reads them and stamps the time after each epoch; a
+    'pdfp' run that checks its residual makes one call per epoch. The
     block then works out its columns (_block_records), which the run joins
     block by block; wall_time is the stamp plus the time of the call since
     the run started, less the time spent on the columns of earlier blocks.
@@ -595,17 +589,23 @@ def run_solver(kind, spec, prox_spec, cfg, admm_cfg=None, x0=None, v0=None,
     # a pdfp run that stops on its residual checks it after every epoch
     check_stop = kind == "pdfp" and cfg.stop_tolerance > 0
     span = 1 if check_stop else rows
+    # the factors of the a_k column, asked of the steps only where it is recorded
+    with_a_k = kind != "stoc_admm" and reference is not None and reference.v_star is not None
+    dual_scaled = with_a_k and kind in ("pdfp", "spdfp2")
     blocks, stop = [], False
     for first in range(0, cfg.max_epochs + 1, rows):
         n = min(rows, cfg.max_epochs + 1 - first)
-        X = np.empty((n, spec.dim))
-        V = None if kind == "stoc_admm" else np.empty((n, spec.B.n_rows))
-        wall = np.empty(n)
+        # the rows the steps fill in per epoch: x, v, time stamp, a_k weight and dual scale
+        out = (np.empty((n, spec.dim)),
+               None if kind == "stoc_admm" else np.empty((n, spec.B.n_rows)),
+               np.empty(n), np.empty(n) if with_a_k else None, np.empty(n) if dual_scaled else None)
+        X, V, wall, weights, dscales = out
         skipped = filled = int(first == 0)  # epoch 0 runs no step
         if skipped:
             X[0] = steps.iterates[0]
             if V is not None:
                 V[0] = steps.iterates[1]
+            _record_factors(cfg, 1, 0, weights, dscales)
             wall[0] = time.perf_counter() - t0
         shape = (n - skipped, per_epoch)
         picks = (np.zeros(shape, dtype=np.int64) if kind == "pdfp"
@@ -613,18 +613,16 @@ def run_solver(kind, spec, prox_spec, cfg, admm_cfg=None, x0=None, v0=None,
         for lo in range(0, len(picks), span):
             part = slice(skipped + lo, min(n, skipped + lo + span))
             at = time.perf_counter() - t0
-            steps(picks[lo:lo + span], X[part], None if V is None else V[part], wall[part])
+            steps(picks[lo:lo + span], *[None if a is None else a[part] for a in out])
             wall[part] += at
             filled = part.stop
             stop = check_stop and _fixed_point_residual(
                 ctx, cfg.schedule.c, cfg.lam, *steps.iterates) <= cfg.stop_tolerance
             if stop:
                 break
-        ks = range(1 + first * per_epoch, 1 + (first + filled) * per_epoch, per_epoch)
         t = time.perf_counter()
-        blocks.append(_block_records(kind, spec, cfg, reference, ctx, first,
-                                     X[:filled], None if V is None else V[:filled], ks,
-                                     wall[:filled]))
+        blocks.append(_block_records(spec, reference, ctx, first,
+                                     *[None if a is None else a[:filled] for a in out]))
         t0 += time.perf_counter() - t  # building records is not run time
         objective = blocks[-1][1]
         epoch, last = first + len(objective) - 1, float(objective[-1])

@@ -118,6 +118,21 @@ def test_synth_command_and_synth_sources_share_their_defaults(tmp_path, monkeypa
                                                              source.composite_weight)
 
 
+def test_bound_check_refuses_a_first_index_past_2_53_in_one_line(capsys):
+    # c**(1/alpha) = 1e2000 overflowed into a traceback
+    refused(capsys, ["bound-check", "--alphas", "0.1", "--cs", "1e200", "--k-max", "10"],
+            r"^c=1e\+200 and alpha=0\.1 put the first step index c\*\*\(1/alpha\) past 2\*\*53")
+
+
+def test_bound_check_prints_a_cell_whose_growth_factor_alone_overflows(capsys):
+    # the alpha < 1 bound's exp(c k0**(1-alpha) / (1-alpha)) = exp(800) ended
+    # in an OverflowError traceback, though the bound is finite
+    assert main(["bound-check", "--alphas", "0.5", "--cs", "20", "--taus", "0.1",
+                 "--s-inits", "1", "--k-max", "850"]) == 0
+    out = capsys.readouterr().out
+    assert "alpha=0.5 c=20.0 tau=0.1 s_init=1.0 k0=400: PASS\n" in out
+
+
 def test_bound_check_names_the_flag_of_a_bad_value(capsys):
     for flag in ("--alphas", "--cs", "--taus", "--s-inits"):
         refused(capsys, ["bound-check", flag, "0.5,abc", "--k-max", "10"],

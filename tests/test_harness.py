@@ -389,6 +389,35 @@ def test_matrix_errors_say_where(tmp_path):
             load_matrix(p)
 
 
+def test_a_shape_line_after_an_entry_or_a_second_one_is_named(tmp_path):
+    # a shape line takes effect only before the first entry, and only once:
+    # one after an entry failed with an error naming no file, and a second
+    # one silently replaced the first
+    p = tmp_path / "m.txt"
+    for text, line in (("5 5 1.0\n# shape 2 2\n", 2),
+                       ("# shape 2 2\n# shape 9 9\n5 5 1.0\n", 2),
+                       ("# shape 9 9\n0 0 1.0\n# a note\n#shape 9 9\n", 4)):
+        p.write_text(text)
+        with pytest.raises(ValueError, match=f"m.txt:{line}: a '# shape' line must come once, "
+                                             "before the first entry"):
+            load_matrix(p)
+    p.write_text("# a note\n# shape 9 9\n# another\n5 5 1.0\n")
+    assert load_matrix(p).shape == (9, 9)
+
+
+def test_a_key_without_a_value_is_named(tmp_path):
+    # 'output =' once wrote <dir>/.csv and <dir>/_mean.csv
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("problem = synth:n=20\nsolvers = pdfp()\nrepetitions = 1\nepochs = 1\n"
+                   "output =  \nmaster_seed = 1\n")
+    with pytest.raises(ValueError, match=r"run.cfg:5: key 'output' has no value"):
+        parse_experiment_config(cfg)
+    p = tmp_path / "x.problem"
+    p.write_text("loss = square\ndata =\n")
+    with pytest.raises(ValueError, match=r"x.problem:2: key 'data' has no value"):
+        load_problem(p)
+
+
 def test_repeated_key_names_both_lines(tmp_path):
     p = tmp_path / "x.problem"
     p.write_text("loss = square\ndata = d.libsvm\n# note\nloss = hinge\n")

@@ -123,14 +123,15 @@ def c_lane(tmp_path_factory):
     return kernels.CLane(str(lib))
 
 
-@pytest.mark.parametrize("version", [None, 1, 2, 3, 4, 5, 6, 7])
+@pytest.mark.parametrize("version", [None, 1, 2, 3, 4, 5, 6, 7, 8])
 def test_loader_refuses_a_library_built_from_another_lane_c(tmp_path, version):
     # a library with the run struct of this lane.c but no version stamp, as
     # built from the lane.c whose spdfp_products took no snapshots, or with
     # another stamp, as from the lane.c whose spdfp_run_steps ran one span of
     # steps or the ones without spdfp_gram, spdfp_scales or spdfp_rows and
     # At, or with spdfp_gram, or with spdfp_products and a spdfp_rows of one
-    # vector: calling it could write through the wrong pointers, or fail on
+    # vector, or with spdfp_scales and a spdfp_run_steps without the a_k
+    # factors: calling it could write through the wrong pointers, or fail on
     # a missing symbol
     cc = find_compiler()
     if cc is None:
@@ -258,38 +259,58 @@ def test_lane_parity_bitwise(monkeypatch, c_lane):
 
 @pytest.mark.parametrize("c,alpha,lam,ks", [
     (0.5, 0.7, 0.3, range(1, 300)),
-    (0.5, 0.7, 0.3, range(9, 9000, 8)),
+    (0.5, 0.7, 0.3, range(17, 2000, 8)),
     (0.3, 0.0, 0.2, range(1, 50)),
     (2.0, 1.0, 0.05, range(1, 700, 7)),
     (1e200, 0.7, 0.5, range(1, 30)),
     (1.5e154, 0.55, 2.0, range(1, 3000, 3)),
     (1e-160, 0.7, 0.5, range(1, 40)),
 ], ids=["k1", "step8", "alpha0", "alpha1", "inf", "overflow-edge", "subnormal"])
-def test_scales_give_the_python_lists_bits(monkeypatch, c_lane, c, alpha, lam, ks):
+def test_steps_write_the_a_k_factors_with_the_python_bits(c_lane, c, alpha, lam, ks):
     # the a_k weights gamma(k) ** 2 / lam and dual scales lam / gamma(k - 1)
-    # of a block's records, from spdfp_scales, against the Python float
-    # lists of the NumPy lane: k = 1 (scale 1), alpha = 0 and 1, weights
-    # whose square passes the largest double (inf) or falls below the
-    # smallest normal one, and blocks that start past k = 1
+    # that a steps call writes for the records of its epochs, k the step
+    # after each, on the C lane against the Python floats of the reference
+    # steps and of a transcription: k = 1 (scale 1, from an epoch of no
+    # steps), alpha = 0 and 1, weights whose square passes the largest
+    # double (inf) or falls below the smallest normal one, and a call that
+    # starts past k = 1 (step8 first steps to k = 9 without outputs)
     sched = ConstantSchedule(c) if alpha == 0 else StepSchedule(c=c, alpha=alpha)
-    cfg = SolverConfig(schedule=sched, lam=lam, p=1)
-    for kind in ("pdfp", "spdfp1", "spdfp2"):
-        monkeypatch.setattr(kernels, "LANE", c_lane)
-        got = solvers._scales(kind, cfg, ks)
-        monkeypatch.setattr(kernels, "LANE", None)
-        want = solvers._scales(kind, cfg, ks)
-        assert_same_bits(got[0], want[0])
-        if kind == "spdfp1":
-            assert got[1] is want[1] is None
+    cfg = SolverConfig(schedule=sched, lam=lam, p=5)
+    spec = fused_spec("square", 0.0)
+    prox_spec = ProxSpec("l1", 0.2)
+    ctx = solvers._RunContext(spec, prox_spec, ((0, 5),))
+    lead = np.zeros((1, ks[0] - ks.step - 1 if ks[0] > 1 else 0), dtype=np.int64)
+    per_epoch = np.zeros((len(ks) - (ks[0] == 1), ks.step), dtype=np.int64)
+    got = []
+    for steps in (c_lane.steps("spdfp2", spec, prox_spec, cfg, ((0, 5),), np.ones(6), np.zeros(4)),
+                  solvers._ReferenceSteps("spdfp2", cfg, ctx, (np.ones(6), np.zeros(4)), None)):
+        weights, dscales = np.full(len(ks), 7.0), np.full(len(ks), 7.0)
+        if ks[0] == 1:
+            steps(lead, weights=weights[:1], dscales=dscales[:1])
         else:
-            assert_same_bits(got[1], want[1])
-            assert (want[1][0] == 1.0) == (ks[0] == 1)
+            steps(lead)
+        steps(per_epoch, weights=weights[len(ks) - len(per_epoch):],
+              dscales=dscales[len(ks) - len(per_epoch):])
+        got.append((weights, dscales))
+    (c_weights, c_dscales), (weights, dscales) = got
+    assert_same_bits(c_weights, weights)
+    assert_same_bits(c_dscales, dscales)
+
+    def square(g):
+        try:
+            return g ** 2
+        except OverflowError:
+            return math.inf
+
+    assert_same_bits(weights, [square(c / k**alpha) / lam for k in ks])
+    assert_same_bits(dscales, [lam / (c / (k - 1)**alpha) if k > 1 else 1.0 for k in ks])
+    assert (dscales[0] == 1.0) == (ks[0] == 1)
     if c == 1e200:
-        assert np.isinf(want[0]).all()
+        assert np.isinf(weights).all()
     if c == 1.5e154:
-        assert np.isinf(want[0]).any() and np.isfinite(want[0]).any()
+        assert np.isinf(weights).any() and np.isfinite(weights).any()
     if c == 1e-160:
-        assert 0 < want[0].min() < np.finfo(float).tiny
+        assert 0 < weights.min() < np.finfo(float).tiny
 
 
 def spectrum_matrices():
@@ -558,11 +579,12 @@ def run_on_lane(monkeypatch, lane, *args, **kwargs):
     states = []
     block_records = solvers._block_records
 
-    def grab(kind, spec, cfg, reference, ctx, first, X, V, ks, wall):
+    def grab(spec, reference, ctx, first, X, V, wall, weights, dscales):
         snapshots = (X,) if V is None else (X, V)  # a stoc_admm run snapshots x alone
-        assert all(len(a) == len(ks) == len(wall) for a in snapshots)
+        assert all(len(a) == len(wall) for a in snapshots)
+        assert all(a is None or len(a) == len(wall) for a in (weights, dscales))
         states.extend([a.copy() for a in rows] for rows in zip(*snapshots))
-        return block_records(kind, spec, cfg, reference, ctx, first, X, V, ks, wall)
+        return block_records(spec, reference, ctx, first, X, V, wall, weights, dscales)
 
     with monkeypatch.context() as m:
         m.setattr(kernels, "LANE", lane)
@@ -623,7 +645,7 @@ def test_fused_run_matches_python_path_bitwise(monkeypatch, c_lane, kind, loss, 
             block_records = solvers._block_records
             sizes, stepped = [], []
             m.setattr(solvers, "_block_records",
-                      lambda *a: sizes.append(len(a[-2])) or block_records(*a))
+                      lambda *a: sizes.append(len(a[4])) or block_records(*a))
             for cls in (kernels.Steps, solvers._ReferenceSteps):
                 m.setattr(cls, "__call__", lambda self, picks, *a, call=cls.__call__:
                           stepped.append(len(picks)) or call(self, picks, *a))
@@ -675,6 +697,31 @@ def test_fused_pdfp_stops_at_the_same_epoch(monkeypatch, c_lane):
     python = run_on_lane(monkeypatch, None, "pdfp", spec, ProxSpec("l1", 0.2), cfg)
     assert 1 < len(fused[0]) < 501
     assert_same_run(fused, python)
+
+
+@pytest.mark.parametrize("lane", ["c", "numpy"])
+def test_a_pdfp_run_that_starts_within_its_tolerance_still_steps_epoch_1(monkeypatch, c_lane,
+                                                                          lane):
+    # the residual is first checked after a step, so a run from a pair that
+    # already meets the tolerance records epoch 0 and epoch 1 and stops; its
+    # epoch 0 record is that of the start, with a_k's dual scale 1 at k = 1
+    spec = fused_spec("square", 0.0)
+    monkeypatch.setattr(kernels, "LANE", c_lane if lane == "c" else None)
+    gt = compute_ground_truth(spec)
+    prox_spec = prox_for(spec)
+    x0, v0 = gt.x_star, (gt.gamma / gt.lam) * gt.v_star
+    tol = 1e-6
+    assert fixed_point_residual(spec, prox_spec, gt.gamma, gt.lam, x0, v0) <= tol
+    cfg = SolverConfig(schedule=ConstantSchedule(gt.gamma), lam=gt.lam, p=spec.n,
+                       max_epochs=50, stop_tolerance=tol)
+    ref = Reference(x_star=np.zeros(spec.dim), v_star=np.ones(spec.B.n_rows), objective_star=0.5)
+    stepped = []
+    for cls in (kernels.Steps, solvers._ReferenceSteps):
+        monkeypatch.setattr(cls, "__call__", lambda self, picks, *a, call=cls.__call__, **kw:
+                            stepped.append(picks.size) or call(self, picks, *a, **kw))
+    recs = run_solver("pdfp", spec, prox_spec, cfg, x0=x0, v0=v0, reference=ref)
+    assert [r.epoch for r in recs] == [0, 1] and stepped == [1]
+    check_record_bits(recs[0], "pdfp", spec, cfg, ref, x0, v0, 1)
 
 
 @pytest.mark.parametrize("kind", ["pdfp", "spdfp1", "spdfp2"])
@@ -860,6 +907,12 @@ def test_fused_steps_reject_out_of_range_picks(c_lane):
                                        (np.ones((3, 12))[:, ::2], None, None, TypeError)):
         with pytest.raises(error):
             steps(picks, bad_x, bad_v, bad_t)
+    # and its a_k factor arrays one float64 per epoch
+    for bad, error in ((np.ones(2), ValueError), (np.ones((3, 1)), TypeError),
+                       (np.ones(3, dtype=np.float32), TypeError), (np.ones(6)[::2], TypeError)):
+        for out in ("weights", "dscales"):
+            with pytest.raises(error):
+                steps(picks, **{out: bad})
     assert_same_bits(x, np.ones(6))
     assert_same_bits(v, np.ones(4))
     # a refused call takes no step from the count: the next step is the first
@@ -1133,10 +1186,10 @@ def test_wall_time_leaves_out_building_the_records(monkeypatch, c_lane, lane):
                          ids=["spdfp1", "spdfp2", "pdfp"])
 def test_records_over_many_blocks_match_the_one_epoch_transcription(monkeypatch, c_lane, lane,
                                                                     kind, sched):
-    # a block takes the step sizes of all its epochs as one list, and its
-    # dual scales and a_k weights from it; every record, in each of four
-    # blocks, keeps the bits of the error columns worked out for its epoch
-    # alone, with gamma(k - 1) and gamma(k) ** 2 / lam
+    # the steps call writes each epoch's dual scale and a_k weight beside its
+    # snapshot, and epoch 0's come from the run; every record, in each of
+    # four blocks, keeps the bits of the error columns worked out for its
+    # epoch alone, with gamma(k - 1) and gamma(k) ** 2 / lam
     spec = fused_spec("square", 0.1)
     cfg = SolverConfig(schedule=sched, lam=0.8 / spec.B.spectrum.rho_max, p=5, seed=12,
                        max_epochs=13)
@@ -1146,7 +1199,7 @@ def test_records_over_many_blocks_match_the_one_epoch_transcription(monkeypatch,
     sizes = []
     block_records = solvers._block_records
     monkeypatch.setattr(solvers, "_block_records",
-                        lambda *a: sizes.append(len(a[-2])) or block_records(*a))
+                        lambda *a: sizes.append(len(a[4])) or block_records(*a))
     monkeypatch.setattr(solvers, "_RECORD_BLOCK", 4 * 37)  # four rows of x, v, A x and B x
     recs, states = run_on_lane(monkeypatch, c_lane if lane == "c" else None, kind, spec,
                                ProxSpec("l1", 0.2), cfg, reference=ref)

@@ -57,6 +57,22 @@ def test_smallest_step_index():
     assert smallest_step_index(8.0, 1.0) == 8
 
 
+def test_recursion_params_refuse_a_first_index_past_2_53():
+    # past 2**53 float step indices are not exact: c = 1e17 at alpha = 1 gave
+    # k0 = 99999999999999992, and c = 1e300 searched for minutes
+    with pytest.raises(ValueError, match=r"c=1e\+17 and alpha=1 .* past 2\*\*53"):
+        RecursionParams(alpha=1, c=1e17, tau=0.1, s_init=0.0)
+    assert RecursionParams(alpha=1.0, c=2.0**53, tau=0.1, s_init=0.0).k0 == 2**53
+
+
+def test_lemma_bound_is_finite_where_its_growth_factor_alone_overflows():
+    # exp(c k0**(1-alpha) / (1-alpha)) = exp(800) at alpha = 0.5, c = 20
+    # (k0 = 400) passes the largest double, but times the decay it does not
+    p = RecursionParams(alpha=0.5, c=20.0, tau=0.1, s_init=1.0)
+    assert p.k0 == 400
+    assert 0 < lemma_bound(p, 2 * p.k0) < math.inf
+
+
 def test_recursion_params_k0_consistency():
     p = RecursionParams(alpha=0.5, c=2.0, tau=0.1, s_init=1.0)
     assert p.k0 == 4

@@ -38,15 +38,15 @@ def test_no_cython_or_python_c_api():
 
 def test_c_lane_exports_only_its_step_entry_points():
     """lane.c runs steps and nothing else: every function it defines is
-    static except the run's size, the lane's version, the steps, the
-    records' step-size factors and RowView's products."""
+    static except the run's size, the lane's version, the steps (with the
+    step-size factors of their records) and RowView's products."""
     with open(os.path.join(ROOT, "src", "spdfp", "_kernels", "lane.c"), encoding="utf-8") as fh:
         source = fh.read()
     # a definition starts at column 0: return type, name, parameters, body
     definitions = re.findall(r"^([A-Za-z_][\w \t*]*?)\b(\w+)\(([^;{]*)\)\s*\{", source, re.M)
     exported = sorted(name for head, name, _ in definitions if not head.startswith("static"))
     assert exported == ["spdfp_lane_version", "spdfp_rows", "spdfp_run_size",
-                        "spdfp_run_steps", "spdfp_scales"]
+                        "spdfp_run_steps"]
     static = {name for head, name, _ in definitions if head.startswith("static")}
     assert {"matvec", "matvec4", "rmatvec", "soft", "gradient"} <= static
 
@@ -68,32 +68,53 @@ def test_build_requires_only_what_setup_py_imports():
     assert {re.match(r"[A-Za-z0-9_.\-]+", r).group(0) for r in requires} == imported
 
 
-def functions_that_call(accept):
-    """The names, as module.function, of the functions of src/spdfp whose
-    own body (not that of a function within it) holds a call accept takes."""
+def functions_where(accept):
+    """The names, as module.function or module.Class.function, of the
+    functions of src/spdfp whose own body (not that of a function within
+    it) holds a node accept takes; module is the file's path under
+    src/spdfp without '.py'."""
     found = set()
 
-    class Calls(ast.NodeVisitor):
+    class Nodes(ast.NodeVisitor):
         def __init__(self, module):
             self.where = [module]
 
-        def visit_FunctionDef(self, node):
-            self.where.append(node.name)
-            self.generic_visit(node)
-            self.where.pop()
-
-        def visit_Call(self, node):
+        def visit(self, node):
+            named = isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            if named:
+                self.where.append(node.name)
             if accept(node):
                 found.add(".".join(self.where))
             self.generic_visit(node)
+            if named:
+                self.where.pop()
 
     package = os.path.join(ROOT, "src", "spdfp")
     for here, _, files in os.walk(package):
         for name in sorted(f for f in files if f.endswith(".py")):
             with open(os.path.join(here, name), encoding="utf-8") as fh:
                 tree = ast.parse(fh.read())
-            Calls(os.path.relpath(os.path.join(here, name[:-3]), package)).visit(tree)
+            Nodes(os.path.relpath(os.path.join(here, name[:-3]), package)).visit(tree)
     return found
+
+
+def functions_that_call(accept):
+    """functions_where, of the calls accept takes."""
+    return functions_where(lambda node: isinstance(node, ast.Call) and accept(node))
+
+
+def test_two_functions_pick_the_lane():
+    """Outside spdfp._kernels, _kernels.LANE is read in two places only: the
+    steps of a run and RowView's products pick their lane there, and every
+    other C call (the records' step-size factors among them) goes through
+    those."""
+    def reads_lane(node):
+        return ((isinstance(node, ast.Attribute) and node.attr == "LANE")
+                or (isinstance(node, ast.Name) and node.id == "LANE")
+                or (isinstance(node, ast.alias) and node.name == "LANE"))
+
+    outside = {f for f in functions_where(reads_lane) if not f.startswith("_kernels")}
+    assert outside == {"solvers._steps", "sparse.RowView.__init__"}
 
 
 def called_name(call):
