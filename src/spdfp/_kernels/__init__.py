@@ -12,7 +12,10 @@ every product is RowView's NumPy one; spdfp.solvers._steps and
 sparse.RowView read it to pick the lane. Both paths give the same bits. So
 where the lane is built every sparse product is C; the prox outside the
 fused steps (prox.soft_threshold) and the ADMM x-update's linear solve are
-NumPy on either path.
+NumPy on either path. A C product over rows that are all full, which an
+O(1) test on indptr finds (sparse.SparseMatrix refuses CSR that is not
+canonical, which makes it sound), sweeps the matrix's columns eight
+outputs at a time, with each output's CSR-order sum and so its bits.
 """
 
 import ctypes
@@ -127,8 +130,11 @@ class Steps:
     first step, so a write into ``iterates[1]`` between calls counts. A run
     whose one range is all of A builds A's transpose (SparseMatrix.transpose)
     and gathers each step's A^T w through it, four of its rows per pass,
-    with the bits of the scatter over A that a mini-batch step makes. Keeps
-    every array its pointers refer to alive."""
+    with the bits of the scatter over A that a mini-batch step makes. Where
+    A is dense, such a step sweeps A's columns instead: A x reads the
+    transpose as d rows of n, and A^T w reads A's own rows, as a mini-batch
+    step's A^T w over full rows does, each with the same bits. Keeps every
+    array its pointers refer to alive."""
 
     def __init__(self, lib, kind, spec, prox_spec, cfg, ranges, x, v):
         A, B, labels = spec.dataset.samples, spec.B, spec.dataset.labels

@@ -6,12 +6,18 @@
  * matrix's rows, and a step starts from the B^T v the step before it left,
  * so it makes three B products, not four. A step over all rows of A takes
  * A x four rows per pass and A^T w as a gather over A's transpose, four of
- * its rows per pass, with no scatter. Each epoch's end also writes the
- * step-size factors of its a_k record. Plain C99 over raw int64/double
- * arrays, no Python C-API; spdfp._kernels loads the built library with
- * ctypes and checks every array before it passes a pointer. At revision 9
- * it exports spdfp_run_size, spdfp_lane_version, spdfp_run_steps and
- * spdfp_rows; everything else is static.
+ * its rows per pass, with no scatter. Where the rows of a product are all
+ * full, it takes a column sweep instead (sweep): a step over all rows of a
+ * dense A reads A x from A's transpose as d rows of n and A^T w from A
+ * itself, and every M^T y over full rows, a mini-batch step's A^T w and
+ * spdfp_rows' transpose product among them, reads M's rows in order. Each
+ * epoch's end also writes the step-size factors of its a_k record. Plain
+ * C99 over raw int64/double arrays, no Python C-API, plus GCC / Clang's
+ * vector_size(16) type of two doubles (SSE2 / NEON width, so no -march);
+ * spdfp._kernels loads the built library with ctypes and checks every array
+ * before it passes a pointer. At revision 9 it exports spdfp_run_size,
+ * spdfp_lane_version, spdfp_run_steps and spdfp_rows; everything else is
+ * static.
  *
  * Each function mirrors the NumPy reference (sparse.RowView,
  * prox.soft_threshold, solvers._pdfp_step, solvers._record_factors) op for
@@ -28,6 +34,13 @@
  *     left open by IEEE 754, and the compiler may order the operands of +
  *     and * either way, so the sign of such a NaN may differ between the
  *     lanes);
+ *   - the column sweep gives each output a lane of a two-double
+ *     accumulator, which starts at 0.0 and adds data times vector one
+ *     entry at a time, in CSR order again: a full row of canonical CSR
+ *     (sparse.SparseMatrix refuses any other) holds columns
+ *     0..n_cols-1 in order, so row i of a dense A is A's data from
+ *     i n_cols on, and column c is row c of its transpose; a vector add or
+ *     multiply is the scalar one in each lane, rounded alike;
  *   - both lanes compute B^T v once per call and then take it from the
  *     step before, the same rmatvec of the same v;
  *   - every NumPy expression is the same C expression in the same order,
@@ -104,9 +117,71 @@ static void matvec(const csr *M, const double *x, double *out, int64_t lo, int64
     }
 }
 
-/* out[0:n_cols] = (rows lo..hi-1 of M)^T y. */
+/* Two doubles, added and multiplied lane by lane. */
+typedef double pair __attribute__((vector_size(16)));
+
+/* Whether rows lo..hi-1 of M are all full. A row of canonical CSR holds
+ * each column at most once, so n_cols entries a row on average means every
+ * row holds columns 0..n_cols-1 in order. */
+static int full_rows(const csr *M, int64_t lo, int64_t hi)
+{
+    return M->indptr[hi] - M->indptr[lo] == (hi - lo) * M->n_cols;
+}
+
+/* out[j] = sum of D[t width + j] y[t] over t = 0..len-1, in that order,
+ * from 0.0, for j < width: a sweep down the columns of the len x width
+ * row-major D. Eight columns take four pair accumulators, one lane each,
+ * through the rows; of the width % 8 columns left, each two take one pair
+ * through the rows, and the last odd one a double. Loads and stores go
+ * through memcpy, since D and out need not be 16-aligned. */
+static void sweep(const double *D, int64_t width, const double *y, int64_t len, double *out)
+{
+    int64_t j = 0;
+    for (; j + 8 <= width; j += 8) {
+        pair a0 = {0.0, 0.0}, a1 = a0, a2 = a0, a3 = a0;
+        const double *row = D + j;
+        for (int64_t t = 0; t < len; t++, row += width) {
+            pair s = {y[t], y[t]}, d0, d1, d2, d3;
+            memcpy(&d0, row, sizeof d0);
+            memcpy(&d1, row + 2, sizeof d1);
+            memcpy(&d2, row + 4, sizeof d2);
+            memcpy(&d3, row + 6, sizeof d3);
+            a0 = a0 + d0 * s;
+            a1 = a1 + d1 * s;
+            a2 = a2 + d2 * s;
+            a3 = a3 + d3 * s;
+        }
+        memcpy(out + j, &a0, sizeof a0);
+        memcpy(out + j + 2, &a1, sizeof a1);
+        memcpy(out + j + 4, &a2, sizeof a2);
+        memcpy(out + j + 6, &a3, sizeof a3);
+    }
+    for (; j + 2 <= width; j += 2) {
+        pair a = {0.0, 0.0};
+        const double *row = D + j;
+        for (int64_t t = 0; t < len; t++, row += width) {
+            pair s = {y[t], y[t]}, d0;
+            memcpy(&d0, row, sizeof d0);
+            a = a + d0 * s;
+        }
+        memcpy(out + j, &a, sizeof a);
+    }
+    if (j < width) {
+        double a = 0.0;
+        for (int64_t t = 0; t < len; t++)
+            a = a + D[t * width + j] * y[t];
+        out[j] = a;
+    }
+}
+
+/* out[0:n_cols] = (rows lo..hi-1 of M)^T y: a sweep down M's columns where
+ * the rows are all full, else a scatter over their entries. */
 static void rmatvec(const csr *M, const double *y, double *out, int64_t lo, int64_t hi)
 {
+    if (full_rows(M, lo, hi)) {
+        sweep(M->data + M->indptr[lo], M->n_cols, y, hi - lo, out);
+        return;
+    }
     for (int64_t c = 0; c < M->n_cols; c++)
         out[c] = 0.0;
     for (int64_t i = lo; i < hi; i++)
@@ -212,14 +287,18 @@ void spdfp_rows(const csr *M, int64_t lo, int64_t hi, int64_t transpose, const d
 
 /* gradients._rows_gradient over rows lo..hi-1 of A: w holds the margins,
  * then the loss weights (problem.loss_weights); g gets the gradient. Over
- * all rows of A, with At set, A x and A^T w take four rows per pass, A^T w
- * as a gather over At's rows; a mini-batch takes matvec and rmatvec. */
+ * all rows of A, with At set, A x sweeps At's columns where A is dense,
+ * else takes four rows per pass; A^T w sweeps A's columns where the rows
+ * are full (rmatvec), else, over all rows, gathers four of At's rows per
+ * pass. A mini-batch takes matvec and rmatvec. */
 static void gradient(const run *r, int64_t lo, int64_t hi, const double *x,
                     double *w, double *g)
 {
     int64_t nb = hi - lo, d = r->A.n_cols;
     int full = lo == 0 && hi == r->A.n_rows && r->At.indptr != NULL;
-    if (full)
+    if (full && full_rows(&r->At, 0, d))
+        sweep(r->At.data, nb, x, d, w);
+    else if (full)
         matvec4(&r->A, x, w);
     else
         matvec(&r->A, x, w, lo, hi);
@@ -234,7 +313,7 @@ static void gradient(const run *r, int64_t lo, int64_t hi, const double *x,
             w[i] = -b * (t >= 0.0 ? 1.0 / (1.0 + e) : e / (1.0 + e));
         }
     }
-    if (full)
+    if (full && !full_rows(&r->A, 0, nb))
         matvec4(&r->At, w, g);
     else
         rmatvec(&r->A, w, g, lo, hi);

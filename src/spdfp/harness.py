@@ -455,17 +455,30 @@ def default_gamma(spec):
     smooth part's gradient: c = 1/4 for the logistic loss (its second
     derivative is at most 1/4) and 1 for the square loss. PDFP converges
     for any step below 2 / L. The hinge loss has no Lipschitz gradient, so
-    it has no such step: that raises a ValueError."""
+    it has no such step, nor has a zero A with nu = 0 (L = 0): each raises a
+    ValueError."""
     if spec.loss == "hinge":
         raise ValueError("the hinge loss has no Lipschitz gradient, so PDFP has no default "
                          "step 1/L for it; give the step explicitly (pdfp gamma=..., or a "
                          "SolverConfig as the ground truth's cfg)")
     c = 0.25 if spec.loss == "logistic" else 1.0
-    return 1.0 / (c * spec.dataset.samples.spectrum.rho_max / spec.n + spec.l2_weight)
+    lipschitz = c * spec.dataset.samples.spectrum.rho_max / spec.n + spec.l2_weight
+    if lipschitz == 0:
+        raise ValueError("A is zero and l2_weight = 0, so the smooth part's gradient is "
+                         "constant (L = 0) and PDFP has no default step 1/L; give the "
+                         "step explicitly (pdfp gamma=..., or a SolverConfig as the "
+                         "ground truth's cfg)")
+    return 1.0 / lipschitz
 
 
 def default_lambda(spec):
-    return DEFAULT_LAMBDA_FRACTION / spec.B.spectrum.rho_max
+    """DEFAULT_LAMBDA_FRACTION / rho_max(B B^T); a zero B, whose rho_max is
+    0, has no such lambda, which raises a ValueError."""
+    rho_max = spec.B.spectrum.rho_max
+    if rho_max == 0:
+        raise ValueError(f"B is zero (rho_max(BB^T) = 0), so there is no default "
+                         f"lambda = {DEFAULT_LAMBDA_FRACTION}/rho_max(BB^T)")
+    return DEFAULT_LAMBDA_FRACTION / rho_max
 
 
 def prox_for(spec):

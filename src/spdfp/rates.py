@@ -13,6 +13,7 @@ exponent.
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -64,6 +65,12 @@ class RecursionParams:
     def eta(self, k):
         return self.c / k**self.alpha
 
+    @cached_property
+    def s_k0(self):
+        """s_{k0} of the extremal recursion started at s_init, which
+        lemma_bound reads at every k: simulated on first use, and kept."""
+        return simulate_recursion(self, self.k0)[-1]
+
 
 def simulate_recursion(params, k_max):
     """Extremal sequence s_1..s_{k_max}: equality in the recursion, clipped
@@ -84,10 +91,10 @@ def lemma_bound(params, k):
     Valid for k >= 2*k0 (alpha = 1) or k >= max(2*k0, 3) (alpha < 1, where
     the (k-2)**alpha term needs k > 2); below that an error is raised. The
     sequence value s_{k0} entering the bound is that of the extremal
-    recursion started at s_init.
+    recursion started at s_init (params.s_k0).
     """
     a, c, tau, k0 = params.alpha, params.c, params.tau, params.k0
-    s_k0 = simulate_recursion(params, k0)[-1]
+    s_k0 = params.s_k0
     if a == 1.0:
         if k < 2 * k0:
             raise ValueError(f"bound valid for k >= {2 * k0}, got {k}")

@@ -167,11 +167,12 @@ class _RunContext:
     """What the reference steps read, built once per run from checked inputs.
 
     ``full`` is (RowView of all of A, labels), ``batches`` holds one such
-    pair per row range in ``ranges``, in order, ``B`` is a RowView of all of
-    B and ``BtB`` is B^T B dense, for the ADMM x-update; each is built on
-    first use, so a run on the C lane's fused steps builds only the views
-    its records take A x and B x from. The steps convert and check nothing:
-    iterates must be float64 vectors of the right lengths.
+    pair per row range in ``ranges``, in order, and ``B`` is a RowView of
+    all of B; each is built on first use, so a run on the C lane's fused
+    steps builds only the views its records take A x and B x from. So are
+    the dense d x d terms of the ADMM x-update (admm_terms). The steps
+    convert and check nothing: iterates must be float64 vectors of the
+    right lengths.
     """
 
     def __init__(self, spec, prox_spec, ranges=()):
@@ -179,6 +180,7 @@ class _RunContext:
         self.prox_l1 = prox_spec.kind == "l1"
         self.prox_weight = prox_spec.weight
         self.ranges = ranges
+        self._admm = None
 
     @cached_property
     def B(self):
@@ -193,10 +195,13 @@ class _RunContext:
     def full(self):
         return self._rows(0, self.spec.n)
 
-    @cached_property
-    def BtB(self):
-        Bd = self.spec.B.to_dense()
-        return Bd.T @ Bd
+    def admm_terms(self, beta):
+        """(I, beta B^T B), the dense d x d terms of the ADMM x-update with
+        penalty beta: built on the first call, and kept while beta stays."""
+        if self._admm is None or self._admm[0] != beta:
+            Bd = self.spec.B.to_dense()
+            self._admm = beta, np.eye(self.spec.dim), beta * (Bd.T @ Bd)
+        return self._admm[1:]
 
     def _rows(self, lo, hi):
         return self.spec.dataset.samples.row_view(lo, hi), self.spec.dataset.labels[lo:hi]
@@ -244,9 +249,10 @@ def _pdfp_step(kind, ctx, cfg, k, batch, x, v, bt):
 def _stoc_admm(ctx, admm_cfg, k, batch, x, y, multiplier):
     beta = admm_cfg.beta_tilde
     zeta = admm_cfg.zeta_schedule.gamma(k)
+    eye, beta_BtB = ctx.admm_terms(beta)
     g = ctx.gradient(batch, x)
     rhs = ctx.B.rmatvec(beta * y + multiplier) + x / zeta - g
-    x_new = np.linalg.solve(np.eye(len(x)) / zeta + beta * ctx.BtB, rhs)
+    x_new = np.linalg.solve(eye / zeta + beta_BtB, rhs)
     Bx = ctx.B.matvec(x_new)
     y_new = ctx.prox(1.0 / beta, Bx - multiplier / beta)
     return x_new, y_new, multiplier - beta * (Bx - y_new)

@@ -2,11 +2,13 @@
 
 The solvers only ever need y = Mx, y = M^T x (of all rows, or of a row
 range through a RowView) and the largest eigenvalue of M M^T, so that is
-the whole surface of this module. Storage is canonical CSR: sorted column
-indices within each row, duplicates summed and exact zeros dropped at
-construction, which fixes the reduction order and keeps runs
-bit-reproducible. Entries that come strictly ordered by (row, column),
-as from_dense and stack_identity give them, skip the sort. Every product
+the whole surface of this module. Storage is canonical CSR: strictly
+increasing column indices within each row, which the constructor checks,
+and from_coo sums duplicates and drops exact zeros. That fixes the
+reduction order and keeps runs bit-reproducible, and it makes a row with
+n_cols entries hold every column in order, which the C lane's column
+sweep over full rows relies on. Entries that come strictly ordered by
+(row, column), as from_dense and stack_identity give them, skip the sort. Every product
 outside the fused steps is RowView's, the records' too, which the C lane
 computes where it is built and NumPy otherwise, with the same bits, and
 the eigenvalue comes from Lanczos on the Gram products of those products.
@@ -31,9 +33,10 @@ class SparseMatrix:
     n_rows, n_cols : int
         Matrix shape.
     indptr, indices, data : ndarray
-        Standard CSR arrays (int64, int64, float64). Assumed canonical;
-        use :meth:`from_coo` / :meth:`from_dense` to canonicalize arbitrary
-        input.
+        Standard CSR arrays (int64, int64, float64). The column indices of
+        each row must be strictly increasing, else a ValueError names the
+        first row that breaks it; use :meth:`from_coo` / :meth:`from_dense`
+        to canonicalize arbitrary input. Stored zeros are kept.
     """
 
     __slots__ = ("n_rows", "n_cols", "indptr", "indices", "data", "_spectrum")
@@ -52,6 +55,15 @@ class SparseMatrix:
             raise ValueError("indices/data length mismatch")
         if len(indices) and (indices.min() < 0 or indices.max() >= n_cols):
             raise ValueError("column index out of range")
+        # entry j and j + 1 of one row need indices[j] < indices[j + 1]
+        unsorted = indices[1:] <= indices[:-1]
+        starts = indptr[1:-1]
+        unsorted[starts[(starts > 0) & (starts < len(indices))] - 1] = False
+        if unsorted.any():
+            j = int(unsorted.argmax())
+            row = int(np.searchsorted(indptr, j, side="right")) - 1
+            raise ValueError(f"row {row}: column indices must be strictly increasing "
+                             f"(canonical CSR), got {indices[j]} then {indices[j + 1]}")
         for arr in (indptr, indices, data):
             arr.setflags(write=False)
         self.n_rows = int(n_rows)

@@ -139,6 +139,27 @@ def test_bound_check_names_the_flag_of_a_bad_value(capsys):
                 f"bound-check: {flag} = 'abc' is not a finite float")
 
 
+@pytest.mark.parametrize("operator,pattern", [
+    ("B", r"^B is zero \(rho_max\(BB\^T\) = 0\), so there is no default lambda"),
+    ("A", r"^A is zero and l2_weight = 0, .* no default step 1/L"),
+], ids=["B", "A"])
+def test_a_zero_operator_is_refused_in_one_line(tmp_path, capsys, operator, pattern):
+    # a B.txt of its shape line alone is a zero B, whose rho_max = 0 leaves
+    # no default lambda; a LIBSVM file of labels alone, with l2_weight = 0,
+    # has L = 0 and no default step: `spdfp truth` and `spdfp run` each
+    # refuse it in one line that names the operator
+    base = str(tmp_path / "prob")
+    assert main(["synth", "--out", base, "--n", "30", "--d", "6", "--seed", "2"]) == 0
+    capsys.readouterr()
+    if operator == "B":
+        (tmp_path / "prob.B.txt").write_text("# shape 5 6\n")
+    else:
+        (tmp_path / "prob.libsvm").write_text("1\n-1\n" * 15)
+        assert load_problem(base + ".problem").dataset.samples.nnz == 0
+    refused(capsys, ["truth", "--problem", base + ".problem"], pattern)
+    refused(capsys, ["run", "--config", desk_run_config(tmp_path)], pattern)
+
+
 def desk_run_config(tmp_path):
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("problem = prob.problem\nsolvers = spdfp2(p=10)\nrepetitions = 1\n"
@@ -225,9 +246,12 @@ def test_a_truth_field_of_the_wrong_kind_or_shape_is_refused_with_its_path(tmp_p
     ("A_data", lambda a: a[:-1]),
     ("labels", lambda a: a[:-1]),
     ("labels", lambda a: a.astype(str)),
+    ("A_indices", lambda a: a[[1, 0, *range(2, len(a))]]),
+    ("A_indices", lambda a: np.concatenate([a[:1], a[:-1]])),
     ("B_rho_max", lambda a: np.array([a, a])),
 ], ids=["A_shape-one", "A_shape-negative", "A_shape-float", "A_indptr-short",
-        "A_indices-float", "A_data-short", "labels-short", "labels-str", "B_rho_max-1d"])
+        "A_indices-float", "A_data-short", "labels-short", "labels-str", "A_indices-unsorted",
+        "A_indices-repeated", "B_rho_max-1d"])
 def test_damaged_stored_problem_arrays_mean_no_stored_problem(tmp_path, monkeypatch, capsys,
                                                              key, damage):
     # load_problem parses the data file instead, as with no truth file, and

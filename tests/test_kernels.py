@@ -107,20 +107,34 @@ def numpy_reference(monkeypatch):
     monkeypatch.setattr(kernels, "LANE", None)
 
 
-@pytest.fixture(scope="module")
-def c_lane(tmp_path_factory):
+def build_lane(tmp_path_factory, flags):
+    """The C lane compiled with flags, loaded; a warning in the C lane
+    fails the build, and with it the tests that use it."""
     cc = find_compiler()
     if cc is None:
         pytest.skip("no C compiler found ($CC, cc, gcc or clang), so the C lane cannot be built")
     lib = tmp_path_factory.mktemp("lane") / "lane.so"
-    # the flags setup.py builds with, -ffp-contract=off among them, which the
-    # bit parity rests on; a warning in the C lane fails the build, and with
-    # it these tests
-    flags = shipped_compile_args() + ["-std=c99", "-Wall", "-Wextra", "-Werror"]
-    assert "-ffp-contract=off" in flags  # where FMA is not in the base ISA, parity alone misses it
+    flags = [*flags, "-std=c99", "-pedantic", "-Wall", "-Wextra", "-Werror"]
     subprocess.run([cc, *flags, "-shared", "-fPIC", "-o", str(lib), LANE_SOURCE, "-lm"],
                    check=True, capture_output=True)
     return kernels.CLane(str(lib))
+
+
+@pytest.fixture(scope="module")
+def c_lane(tmp_path_factory):
+    # the flags setup.py builds with, -ffp-contract=off among them, which the
+    # bit parity rests on
+    flags = shipped_compile_args()
+    assert "-ffp-contract=off" in flags  # where FMA is not in the base ISA, parity alone misses it
+    return build_lane(tmp_path_factory, flags)
+
+
+@pytest.fixture(scope="module")
+def unoptimised_lane(tmp_path_factory):
+    # the shipped flags at -O0: what the optimiser makes of the vector code
+    # must not change a bit
+    return build_lane(tmp_path_factory,
+                      ["-O0" if f.startswith("-O") else f for f in shipped_compile_args()])
 
 
 @pytest.mark.parametrize("version", [None, 1, 2, 3, 4, 5, 6, 7, 8])
@@ -396,11 +410,11 @@ def test_products_take_blocks_of_snapshots_four_at_a_time(monkeypatch, c_lane):
 SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2e-308, -1e-310])
 
 
-def with_specials(rng, a, share):
-    """a with about share of its entries replaced by SPECIAL values."""
+def with_specials(rng, a, share, specials=SPECIAL):
+    """a with about share of its entries replaced by values of specials."""
     a = a.copy()
     mask = rng.random(a.shape) < share
-    a[mask] = rng.choice(SPECIAL, int(mask.sum()))
+    a[mask] = rng.choice(specials, int(mask.sum()))
     return a
 
 
@@ -1474,3 +1488,125 @@ def test_lanes_give_the_same_bits_on_generated_problems(monkeypatch, c_lane, pro
                 truth = compute_ground_truth(spec, constant, iters=iters)
             lanes.append([got, seen, [getattr(truth, f.name) for f in fields(truth)]])
     assert_same_bits_in(*lanes)
+
+
+# ---------------------------------------------------------------------------
+# full rows: the column sweep
+
+# finite values a dense problem's data holds beside normal draws: signed
+# zeros, stored as entries, and subnormals
+DENSE_FINITE = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310])
+
+
+def dense_matrix(rng, n_rows, n_cols, specials, share=0.15):
+    """An n_rows x n_cols SparseMatrix whose rows are all full, zeros of
+    either sign stored as entries: about share of them are specials."""
+    data = with_specials(rng, rng.standard_normal(n_rows * n_cols), share, specials)
+    return SparseMatrix(n_rows, n_cols, np.arange(n_rows + 1) * n_cols,
+                        np.tile(np.arange(n_cols), n_rows), data)
+
+
+# the shapes of the dense tests: neither side a multiple of 2 or 8, so the
+# sweep's eight-column blocks, its pairs and its last odd column all run,
+# and the same with one side 8 and one side 1
+DENSE_SHAPES = [(1, 1), (3, 5), (8, 1), (13, 9), (23, 17), (37, 27)]
+
+
+def test_full_rows_sweep_with_the_numpy_bits(monkeypatch, c_lane, unoptimised_lane):
+    # RowView products over full rows, on both C builds against the NumPy
+    # lane: rmatvec sweeps, of one vector and of a stack (spdfp_rows'
+    # transpose product), over row ranges that start anywhere; data and
+    # vectors hold signed zeros, subnormals, inf and NaN
+    rng = np.random.default_rng(81)
+    for n_rows, n_cols in DENSE_SHAPES:
+        for trial in range(8):
+            M = dense_matrix(rng, n_rows, n_cols, SPECIAL if trial % 2 else DENSE_FINITE)
+            lo = int(rng.integers(0, n_rows + 1))
+            hi = int(rng.integers(lo, n_rows + 1))
+            Y = with_specials(rng, rng.standard_normal((5, hi - lo)), 0.15)
+            x = with_specials(rng, rng.standard_normal(n_cols), 0.15)
+            got = []
+            for lane in (c_lane, unoptimised_lane, None):
+                monkeypatch.setattr(kernels, "LANE", lane)
+                view = M.row_view(lo, hi)
+                with np.errstate(invalid="ignore", over="ignore"):
+                    stacked = (lane.rows(M, lo, hi)(Y, True, True) if lane
+                               else np.array([view.rmatvec(y) for y in Y]))
+                    got.append((view.rmatvec(Y[0]), stacked, view.matvec(x)))
+            for lane_got in got[:2]:
+                for a, b in zip(lane_got, got[2]):
+                    assert_same_bits_but_nan_signs(a, b)
+
+
+def dense_spec(loss, n, d, seed):
+    """A problem on an n x d A of full rows whose data hold DENSE_FINITE
+    values, B = [G; I] with a chain G."""
+    rng = np.random.default_rng(seed)
+    A = dense_matrix(rng, n, d, DENSE_FINITE)
+    b = (with_specials(rng, rng.standard_normal(n), 0.15, DENSE_FINITE) if loss == "square"
+         else rng.choice([-1.0, 1.0], n))
+    G = sparse.build_difference_matrix(d)
+    return ProblemSpec(loss=loss, dataset=Dataset(A, b), l2_weight=0.01,
+                       composite_weight=0.1, B=stack_identity(G))
+
+
+@pytest.mark.parametrize("loss", ["square", "logistic"])
+@pytest.mark.parametrize("n,d", [(37, 27), (45, 9)])
+def test_dense_problems_give_the_same_bits_on_every_lane(monkeypatch, c_lane, unoptimised_lane,
+                                                         loss, n, d):
+    # the truth, a pdfp run and spdfp1 / spdfp2 runs with p < n, whose
+    # batches start at multiples of 7 and end in a short one: the C lane at
+    # the shipped flags and at -O0, against the NumPy lane
+    spec = dense_spec(loss, n, d, seed=n + d)
+    A = spec.dataset.samples
+    assert np.all(np.diff(A.indptr) == d) and np.any(bits(A.data) == bits(-0.0))
+    truths, runs = [], []
+    for lane in (c_lane, unoptimised_lane, None):
+        monkeypatch.setattr(kernels, "LANE", lane)
+        truths.append(compute_ground_truth(spec, iters=600))
+        gt = truths[-1]
+        ref, prox_spec = gt.reference(), prox_for(spec)
+        pdfp = SolverConfig(schedule=ConstantSchedule(gt.gamma), lam=gt.lam, p=n, max_epochs=20)
+        batches = SolverConfig(schedule=StepSchedule(c=0.5, alpha=0.7), lam=gt.lam, p=7,
+                               max_epochs=6, seed=3)
+        runs.append([run_on_lane(monkeypatch, lane, kind, spec, prox_spec, cfg, reference=ref)
+                     for kind, cfg in (("pdfp", pdfp), ("spdfp1", batches),
+                                       ("spdfp2", batches))])
+    for got in (0, 1):
+        for name in ("x_star", "v_star", "objective_star", "residual", "iterations"):
+            assert_same_bits(getattr(truths[got], name), getattr(truths[2], name))
+        for a, b in zip(runs[got], runs[2]):
+            assert_same_run(a, b)
+
+
+@pytest.mark.parametrize("rows", ["all", "batch"])
+def test_a_dense_step_keeps_the_bits_of_special_values(monkeypatch, c_lane, unoptimised_lane,
+                                                       rows):
+    # one pdfp step over all rows of a dense A (A x swept from A's
+    # transpose, A^T w from A) or one spdfp2 step over a batch that starts
+    # at row 3 and ends before the last (A^T w swept), against the
+    # reference step: A, x and v hold signed zeros and subnormals, and in
+    # every other trial inf and NaN too
+    rng = np.random.default_rng(83)
+    shapes = [(n, d) for n, d in DENSE_SHAPES if rows == "all" or n >= 5]
+    for trial, (n, d) in enumerate(shapes * 4):
+        specials = SPECIAL if trial % 2 else DENSE_FINITE
+        A = dense_matrix(rng, n, d, specials)
+        B = random_csr(rng, d)
+        spec = ProblemSpec(loss="square", dataset=Dataset(A, rng.standard_normal(n)),
+                           l2_weight=0.1, composite_weight=0.5, B=B)
+        kind, lo, hi = ("pdfp", 0, n) if rows == "all" else ("spdfp2", 3, n - 1)
+        cfg = SolverConfig(schedule=ConstantSchedule(0.1), lam=0.5, p=1)
+        prox_spec = ProxSpec("l1", 0.5)
+        x0 = with_specials(rng, rng.standard_normal(d), 0.15, specials)
+        v0 = with_specials(rng, rng.standard_normal(B.n_rows), 0.15, specials)
+        ctx = solvers._RunContext(spec, prox_spec, ((lo, hi),))
+        with np.errstate(all="ignore"):
+            want = reference_step(kind, ctx, cfg, 1, ctx.batches[0], x0, v0)
+            for lane in (c_lane, unoptimised_lane):
+                x, v = x0.copy(), v0.copy()
+                steps = lane.steps(kind, spec, prox_spec, cfg, ((lo, hi),), x, v)
+                assert bool(steps._run.At.indptr) == (rows == "all")
+                steps(ONE_STEP)
+                for got, ref in zip((x, v), want):
+                    assert_same_bits_but_nan_signs(got, ref)

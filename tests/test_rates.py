@@ -148,6 +148,21 @@ def test_lemma_bound_spot_values_extended_precision(alpha, c, tau, s_init, k):
                                               rel=1e-12)
 
 
+def test_lemma_bound_simulates_s_k0_once_per_params(monkeypatch):
+    # s_k0 depends on the params alone: bound-check's cell of k0 = 400 and
+    # k from 800 to 2000 runs one simulation of it, not one per k
+    import spdfp.rates as rates
+    calls = []
+    simulate = rates.simulate_recursion
+    monkeypatch.setattr(rates, "simulate_recursion",
+                        lambda params, k_max: calls.append(k_max) or simulate(params, k_max))
+    p = RecursionParams(alpha=0.5, c=20.0, tau=0.1, s_init=1.0)
+    bounds = [lemma_bound(p, k) for k in range(2 * p.k0, 2001)]
+    assert calls == [p.k0] and p.s_k0 == simulate(p, p.k0)[-1]
+    fresh = RecursionParams(alpha=0.5, c=20.0, tau=0.1, s_init=1.0)
+    assert bounds[-1] == lemma_bound(fresh, 2000) and fresh == p
+
+
 def test_lemma_bound_vanishes_without_noise_or_start():
     p = RecursionParams(alpha=1.0, c=0.5, tau=0.0, s_init=0.0)
     for k in (2, 10, 100):

@@ -357,6 +357,40 @@ def test_stoc_admm_x_update_matches_dense_solve():
                                atol=1e-10)
 
 
+def test_stoc_admm_builds_its_dense_terms_once_per_run(monkeypatch):
+    # the identity and beta B^T B of the x-update: one of each per run, not
+    # one per step; the records keep the bits of the per-step expression
+    spec, _, _ = fused_spec(60, 8, seed=10, mu=0.1)
+    admm = AdmmConfig(beta_tilde=5.0, zeta_schedule=StepSchedule(c=0.5, alpha=0.5))
+    cfg = SolverConfig(schedule=StepSchedule(c=1.0, alpha=1.0), lam=0.1, p=10, max_epochs=4)
+    made, states = [], []
+    eye, to_dense = np.eye, SparseMatrix.to_dense
+    with monkeypatch.context() as m:
+        m.setattr(np, "eye", lambda *a, **kw: made.append("eye") or eye(*a, **kw))
+        m.setattr(SparseMatrix, "to_dense", lambda M: made.append("B") or to_dense(M))
+        run_solver("stoc_admm", spec, ProxSpec("l1", 0.1), cfg, admm_cfg=admm,
+                   on_step=states.append)
+    assert made == ["B", "eye"] and len(states) == 24
+    # the step as it was written, with both terms built per step, over the
+    # same draws
+    Bd = spec.B.to_dense()
+    ctx = solvers._RunContext(spec, ProxSpec("l1", 0.1), make_batch_plan(60, 10).ranges)
+    x, y, mult = np.zeros(8), np.zeros(Bd.shape[0]), np.zeros(Bd.shape[0])
+    picks = _draw_batch_indices(make_batch_plan(60, 10), np.random.default_rng(cfg.seed), (4, 6))
+    k = 1
+    for i in picks.ravel():
+        beta, zeta = admm.beta_tilde, admm.zeta_schedule.gamma(k)
+        g = ctx.gradient(ctx.batches[i], x)
+        rhs = ctx.B.rmatvec(beta * y + mult) + x / zeta - g
+        x = np.linalg.solve(np.eye(8) / zeta + beta * (Bd.T @ Bd), rhs)
+        Bx = ctx.B.matvec(x)
+        y = ctx.prox(1.0 / beta, Bx - mult / beta)
+        mult = mult - beta * (Bx - y)
+        k += 1
+    for got, want in zip((states[-1].x, states[-1].y, states[-1].multiplier), (x, y, mult)):
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_stoc_admm_feasibility_trend():
     spec, _, _ = fused_spec(60, 8, seed=10, mu=0.1)
     admm = AdmmConfig(beta_tilde=5.0, zeta_schedule=StepSchedule(c=0.5, alpha=0.5))

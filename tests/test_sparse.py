@@ -51,6 +51,21 @@ def test_constructor_rejects_malformed_indptr():
     np.testing.assert_array_equal(M.matvec(np.ones(3)), [2.0, 0.0, 1.0])
 
 
+def test_constructor_refuses_a_row_out_of_column_order_and_names_it():
+    # canonical CSR: strictly increasing columns within a row. Across a row
+    # boundary, or an empty row, any order is fine; stored zeros are kept
+    with pytest.raises(ValueError, match=r"^row 0: column indices must be strictly "
+                                         r"increasing \(canonical CSR\), got 2 then 0$"):
+        SparseMatrix(2, 3, [0, 2, 3], [2, 0, 1], [1.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match=r"^row 3: .*got 1 then 1$"):
+        SparseMatrix(4, 3, [0, 2, 2, 2, 4], [1, 2, 1, 1], [1.0] * 4)
+    with pytest.raises(ValueError, match=r"^row 1: .*got 2 then 1$"):
+        SparseMatrix(3, 3, [0, 0, 2, 3], [2, 1, 0], [1.0] * 3)
+    M = SparseMatrix(4, 3, [0, 0, 3, 3, 4], [0, 1, 2, 0], [1.0, 0.0, -0.0, 2.0])
+    assert M.nnz == 4 and list(M.indices) == [0, 1, 2, 0]
+    assert SparseMatrix(2, 0, [0, 0, 0], [], []).nnz == 0
+
+
 def test_transpose_involution():
     rng = np.random.default_rng(0)
     for _ in range(20):
