@@ -15,7 +15,8 @@ fused steps (prox.soft_threshold) and the ADMM x-update's linear solve are
 NumPy on either path. A C product over rows that are all full, which an
 O(1) test on indptr finds (sparse.SparseMatrix refuses CSR that is not
 canonical, which makes it sound), sweeps the matrix's columns eight
-outputs at a time, with each output's CSR-order sum and so its bits.
+outputs at a time, with each output's CSR-order sum and so its bits; any
+other transposed product scatters over the rows' entries.
 """
 
 import ctypes
@@ -25,7 +26,7 @@ import os
 import numpy as np
 
 _KINDS = {"pdfp": 0, "spdfp1": 1, "spdfp2": 2}
-_LANE_VERSION = 9   # spdfp_lane_version() of the lane.c this module calls
+_LANE_VERSION = 10  # spdfp_lane_version() of the lane.c this module calls
 _LOSSES = {"square": 0, "hinge": 1, "logistic": 2}
 
 
@@ -43,7 +44,7 @@ class _Run(ctypes.Structure):
                 ("c", ctypes.c_double), ("alpha", ctypes.c_double),
                 ("lam", ctypes.c_double), ("nu", ctypes.c_double),
                 ("prox_weight", ctypes.c_double),
-                ("A", _Csr), ("B", _Csr), ("At", _Csr), ("labels", ctypes.c_void_p),
+                ("A", _Csr), ("B", _Csr), ("At", ctypes.c_void_p), ("labels", ctypes.c_void_p),
                 ("ranges", ctypes.c_void_p), ("n_ranges", ctypes.c_int64),
                 ("x", ctypes.c_void_p), ("v", ctypes.c_void_p), ("work", ctypes.c_void_p)]
 
@@ -127,28 +128,29 @@ class Steps:
     libm exp, as spdfp.problem.loss_weights does through math.exp, so the
     steps give the reference step's bits. A step starts from the B^T v the
     step before it left; each call works B^T v out afresh from v before its
-    first step, so a write into ``iterates[1]`` between calls counts. A run
-    whose one range is all of A builds A's transpose (SparseMatrix.transpose)
-    and gathers each step's A^T w through it, four of its rows per pass,
-    with the bits of the scatter over A that a mini-batch step makes. Where
-    A is dense, such a step sweeps A's columns instead: A x reads the
-    transpose as d rows of n, and A^T w reads A's own rows, as a mini-batch
-    step's A^T w over full rows does, each with the same bits. Keeps every
-    array its pointers refer to alive."""
+    first step, so a write into ``iterates[1]`` between calls counts. A
+    step's A^T w is lane.c's one transposed product, as RowView's is: a
+    sweep down A's columns where its rows are all full, else a scatter. A
+    run whose one range is all of a dense A (A.nnz == n d, which canonical
+    CSR allows only with every row full) keeps a dense copy of A's
+    transpose, and each step's A x sweeps its columns; a full-range step
+    over another A takes A x four rows per pass. Keeps every array its
+    pointers refer to alive."""
 
     def __init__(self, lib, kind, spec, prox_spec, cfg, ranges, x, v):
         A, B, labels = spec.dataset.samples, spec.B, spec.dataset.labels
         ranges = np.array(ranges, dtype=np.int64).reshape(-1, 2)
         work = np.empty(A.n_rows + 3 * A.n_cols + 2 * B.n_rows)
-        # a run over all rows of A gathers A^T w through A's transpose,
-        # which lives as long as the run
-        At = A.transpose() if ranges.tolist() == [[0, A.n_rows]] else None
+        # a run over all rows of a dense A sweeps A x down the columns of a
+        # dense copy of A's transpose, which lives as long as the run
+        dense = ranges.tolist() == [[0, A.n_rows]] and A.nnz == A.n_rows * A.n_cols
+        At = np.ascontiguousarray(A.data.reshape(A.n_rows, A.n_cols).T) if dense else None
         self._keep = (A, B, At, labels, ranges, x, v, work)
         self.iterates = x, v
         self._run = run = _Run(_KINDS[kind], _LOSSES[spec.loss], prox_spec.kind == "l1",
                                cfg.schedule.c, cfg.schedule.alpha,
                                cfg.lam, spec.l2_weight, prox_spec.weight, _csr(A), _csr(B),
-                               _Csr() if At is None else _csr(At),
+                               None if At is None else At.ctypes.data,
                                _address(labels, np.float64, A.n_rows),
                                ranges.ctypes.data, len(ranges),
                                _address(x, np.float64, A.n_cols),

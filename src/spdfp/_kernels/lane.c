@@ -4,20 +4,19 @@
  * block's snapshots, one call each, and the Lanczos steps of
  * sparse.estimate_spectrum. A stack of vectors takes four per pass over a
  * matrix's rows, and a step starts from the B^T v the step before it left,
- * so it makes three B products, not four. A step over all rows of A takes
- * A x four rows per pass and A^T w as a gather over A's transpose, four of
- * its rows per pass, with no scatter. Where the rows of a product are all
- * full, it takes a column sweep instead (sweep): a step over all rows of a
- * dense A reads A x from A's transpose as d rows of n and A^T w from A
- * itself, and every M^T y over full rows, a mini-batch step's A^T w and
- * spdfp_rows' transpose product among them, reads M's rows in order. Each
- * epoch's end also writes the step-size factors of its a_k record. Plain
- * C99 over raw int64/double arrays, no Python C-API, plus GCC / Clang's
- * vector_size(16) type of two doubles (SSE2 / NEON width, so no -march);
- * spdfp._kernels loads the built library with ctypes and checks every array
- * before it passes a pointer. At revision 9 it exports spdfp_run_size,
- * spdfp_lane_version, spdfp_run_steps and spdfp_rows; everything else is
- * static.
+ * so it makes three B products, not four. Every M^T y is rmatvec: where
+ * its rows are all full, a column sweep (sweep) that reads M's rows in
+ * order, else a scatter over their entries; a step's A^T w is one, over
+ * all rows of A or a mini-batch's. A step over all rows of A takes A x
+ * four rows per pass, or, where A is dense, sweeps the columns of a dense
+ * copy of A's transpose, d rows of n; a mini-batch step's A x is matvec.
+ * Each epoch's end also writes the step-size factors of its a_k record.
+ * Plain C99 over raw int64/double arrays, no Python C-API, plus GCC /
+ * Clang's vector_size(16) type of two doubles (SSE2 / NEON width, so no
+ * -march); spdfp._kernels loads the built library with ctypes and checks
+ * every array before it passes a pointer. At revision 10 it exports
+ * spdfp_run_size, spdfp_lane_version, spdfp_run_steps and spdfp_rows;
+ * everything else is static.
  *
  * Each function mirrors the NumPy reference (sparse.RowView,
  * prox.soft_threshold, solvers._pdfp_step, solvers._record_factors) op for
@@ -26,21 +25,16 @@
  *     np.bincount does, and multiplies data by the vector in that order,
  *     also when it takes four rows or four snapshots at once, one
  *     accumulator each;
- *   - the gather A^T w sums row c of A's transpose from 0.0 in A's row
- *     order, which is the order in which rmatvec adds into out[c], since a
- *     row of canonical CSR holds column c at most once: so each entry gets
- *     rmatvec's bits, inf, signed zeros and subnormals included, and NaN
- *     where rmatvec gives NaN (which of two NaNs a sum or product keeps is
- *     left open by IEEE 754, and the compiler may order the operands of +
- *     and * either way, so the sign of such a NaN may differ between the
- *     lanes);
  *   - the column sweep gives each output a lane of a two-double
  *     accumulator, which starts at 0.0 and adds data times vector one
  *     entry at a time, in CSR order again: a full row of canonical CSR
  *     (sparse.SparseMatrix refuses any other) holds columns
  *     0..n_cols-1 in order, so row i of a dense A is A's data from
  *     i n_cols on, and column c is row c of its transpose; a vector add or
- *     multiply is the scalar one in each lane, rounded alike;
+ *     multiply is the scalar one in each lane, rounded alike (which of two
+ *     NaNs a sum or product keeps is left open by IEEE 754, and the
+ *     compiler may order the operands of + and * either way, so the sign
+ *     of such a NaN may differ between the lanes);
  *   - both lanes compute B^T v once per call and then take it from the
  *     step before, the same rmatvec of the same v;
  *   - every NumPy expression is the same C expression in the same order,
@@ -72,15 +66,15 @@ typedef struct {
 
 /* One run: problem, step parameters, the row ranges of A a step may use,
  * and the iterates x (length A.n_cols) and v (length B.n_rows) the steps
- * update in place. At is A's transpose, each row's entries in A's row
- * order, for a run whose one range is all of A, else its indptr is NULL.
- * work holds A.n_rows + 3 A.n_cols + 2 B.n_rows doubles. Mirrored by
+ * update in place. At is A's transpose as a dense row-major A.n_cols x
+ * A.n_rows array, for a run whose one range is all of a dense A, else
+ * NULL. work holds A.n_rows + 3 A.n_cols + 2 B.n_rows doubles. Mirrored by
  * _kernels._Run. */
 typedef struct {
     int64_t kind, loss, prox_l1;
     double c, alpha, lam, nu, prox_weight;
-    csr A, B, At;
-    const double *labels;
+    csr A, B;
+    const double *At, *labels;
     const int64_t *ranges;
     int64_t n_ranges;
     double *x, *v, *work;
@@ -100,10 +94,11 @@ int64_t spdfp_run_size(void)
  * Revision 4: spdfp_gram. Revision 5: spdfp_scales. Revision 6: run
  * holds At, and spdfp_rows. Revision 7: no spdfp_gram. Revision 8: no
  * spdfp_products; spdfp_rows takes a stack of vectors. Revision 9: no
- * spdfp_scales; spdfp_run_steps writes the a_k factors of its epochs. */
+ * spdfp_scales; spdfp_run_steps writes the a_k factors of its epochs.
+ * Revision 10: run's At is a dense array, or NULL. */
 int64_t spdfp_lane_version(void)
 {
-    return 9;
+    return 10;
 }
 
 /* out[i - lo] = (row i of M) . x for lo <= i < hi. */
@@ -191,8 +186,7 @@ static void rmatvec(const csr *M, const double *y, double *out, int64_t lo, int6
 
 /* out[i] = (row i of M) . x for every row of M, with matvec's bits: four
  * rows per pass, one accumulator each, summed from 0.0 in CSR order over
- * the entries the four rows all have, then each row's own remainder. Over
- * A it gives A x; over A's transpose, A^T y as rmatvec sums it. */
+ * the entries the four rows all have, then each row's own remainder. */
 static void matvec4(const csr *M, const double *x, double *out)
 {
     const int64_t *p = M->indptr, *col = M->indices;
@@ -287,18 +281,15 @@ void spdfp_rows(const csr *M, int64_t lo, int64_t hi, int64_t transpose, const d
 
 /* gradients._rows_gradient over rows lo..hi-1 of A: w holds the margins,
  * then the loss weights (problem.loss_weights); g gets the gradient. Over
- * all rows of A, with At set, A x sweeps At's columns where A is dense,
- * else takes four rows per pass; A^T w sweeps A's columns where the rows
- * are full (rmatvec), else, over all rows, gathers four of At's rows per
- * pass. A mini-batch takes matvec and rmatvec. */
+ * all rows of A, A x sweeps At's columns where the run holds At, else
+ * takes four rows per pass; a mini-batch takes matvec. A^T w is rmatvec. */
 static void gradient(const run *r, int64_t lo, int64_t hi, const double *x,
                     double *w, double *g)
 {
     int64_t nb = hi - lo, d = r->A.n_cols;
-    int full = lo == 0 && hi == r->A.n_rows && r->At.indptr != NULL;
-    if (full && full_rows(&r->At, 0, d))
-        sweep(r->At.data, nb, x, d, w);
-    else if (full)
+    if (r->At != NULL)
+        sweep(r->At, nb, x, d, w);
+    else if (lo == 0 && hi == r->A.n_rows)
         matvec4(&r->A, x, w);
     else
         matvec(&r->A, x, w, lo, hi);
@@ -313,10 +304,7 @@ static void gradient(const run *r, int64_t lo, int64_t hi, const double *x,
             w[i] = -b * (t >= 0.0 ? 1.0 / (1.0 + e) : e / (1.0 + e));
         }
     }
-    if (full && !full_rows(&r->A, 0, nb))
-        matvec4(&r->At, w, g);
-    else
-        rmatvec(&r->A, w, g, lo, hi);
+    rmatvec(&r->A, w, g, lo, hi);
     for (int64_t j = 0; j < d; j++)
         g[j] = g[j] / (double)nb;
     if (r->nu != 0.0)

@@ -247,7 +247,8 @@ def save_matrix(M, path):
 def load_matrix(path):
     """The matrix of a coordinate-list file; without a '# shape' line, which
     may come once and before the first entry, its shape is the smallest
-    that holds the entries."""
+    that holds the entries. A count or an index past int64, where
+    SparseMatrix keeps them, is refused with the line."""
     rows, cols, vals, n_rows, n_cols = [], [], [], None, None
     for lineno, line in _text_lines(path):
         if line.startswith("#"):
@@ -257,14 +258,17 @@ def load_matrix(path):
                                  "before the first entry")
             if m:
                 n_rows, n_cols = int(m.group(1)), int(m.group(2))
+                if max(n_rows, n_cols) > _INDEX_MAX:
+                    raise ValueError(f"{path}:{lineno}: a shape past int64 in {line!r}")
             continue
         try:
             r, c, v = line.split()
             r, c, v = int(r), int(c), float(v)
         except ValueError:
             raise ValueError(f"{path}:{lineno}: expected 'row col value', got {line!r}") from None
-        if r < 0 or c < 0 or (n_rows is not None and r >= n_rows) or (
-                n_cols is not None and c >= n_cols):
+        # the shape an index implies, index + 1, must fit in int64 too
+        if (min(r, c) < 0 or max(r, c) >= _INDEX_MAX or (n_rows is not None and r >= n_rows)
+                or (n_cols is not None and c >= n_cols)):
             raise ValueError(f"{path}:{lineno}: index out of range in {line!r}")
         if not math.isfinite(v):
             raise ValueError(f"{path}:{lineno}: value in {line!r} is not finite")
@@ -499,8 +503,9 @@ def compute_ground_truth(spec, cfg=None, iters=DEFAULT_TRUTH_ITERS):
     """Run PDFP on spec's own prox (prox_for) until its fixed-point residual
     is at most TRUTH_TARGET, for at most iters steps, and certify the
     result. A cfg needs a constant step; without one, it steps by
-    default_gamma (a ValueError for the hinge loss) with default_lambda,
-    which read A.spectrum and B.spectrum.
+    default_gamma with default_lambda, which read A.spectrum and
+    B.spectrum, and refuses the hinge loss, which has no default step, with
+    a ValueError that names the library route to its truth file.
 
     The residual is checked every _TRUTH_CHUNK steps, through the length of
     the chunk's last step (_step_length). The stored residual is that of
@@ -511,6 +516,12 @@ def compute_ground_truth(spec, cfg=None, iters=DEFAULT_TRUTH_ITERS):
         raise ValueError("iters must be at least 1")
     prox_spec = prox_for(spec)
     if cfg is None:
+        if spec.loss == "hinge":
+            raise ValueError("the hinge loss has no Lipschitz gradient, so its ground truth "
+                             "has no default step; compute it in Python with "
+                             "compute_ground_truth(spec, cfg=SolverConfig(...)) and save it "
+                             "with save_ground_truth(gt, '<problem>.truth.npz', spec), which "
+                             "`spdfp run` then reads")
         cfg = SolverConfig(schedule=ConstantSchedule(default_gamma(spec)),
                            lam=default_lambda(spec), p=spec.n)
     _check_constant_step(cfg)

@@ -149,16 +149,6 @@ class SparseMatrix:
             raise ValueError(f"rmatvec expects a vector of length {self.n_rows}")
         return RowView(self, 0, self.n_rows).rmatvec(y)
 
-    def transpose(self):
-        """M^T, by a stable counting sort of the entries by column: row c of
-        M^T holds column c of M in M's row order. Of a canonical matrix it
-        is the canonical transpose, the arrays from_coo gives."""
-        order = np.argsort(self.indices, kind="stable")
-        rows = np.arange(self.n_rows, dtype=np.int64).repeat(np.diff(self.indptr))
-        indptr = np.zeros(self.n_cols + 1, dtype=np.int64)
-        np.cumsum(np.bincount(self.indices, minlength=self.n_cols), out=indptr[1:])
-        return SparseMatrix(self.n_cols, self.n_rows, indptr, rows[order], self.data[order])
-
     def to_dense(self):
         out = np.zeros((self.n_rows, self.n_cols))
         rows, cols, vals = self.entries()

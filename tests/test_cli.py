@@ -1,9 +1,15 @@
+import contextlib
+import io
 import os
 import re
+import tempfile
+import warnings
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import spdfp._kernels as kernels
 import spdfp.sparse
@@ -17,6 +23,7 @@ from spdfp.harness import (
     save_problem,
     synth_fused_lasso,
 )
+from spdfp.solvers import ConstantSchedule, SolverConfig
 from spdfp.sparse import SparseMatrix, estimate_spectrum
 from test_kernels import c_lane  # noqa: F401  (the fixture that builds the C lane)
 
@@ -160,11 +167,63 @@ def test_a_zero_operator_is_refused_in_one_line(tmp_path, capsys, operator, patt
     refused(capsys, ["run", "--config", desk_run_config(tmp_path)], pattern)
 
 
-def desk_run_config(tmp_path):
+def desk_run_config(tmp_path, solvers="spdfp2(p=10)"):
     cfg = tmp_path / "exp.cfg"
-    cfg.write_text("problem = prob.problem\nsolvers = spdfp2(p=10)\nrepetitions = 1\n"
+    cfg.write_text(f"problem = prob.problem\nsolvers = {solvers}\nrepetitions = 1\n"
                    "epochs = 2\noutput = out/run\nmaster_seed = 5\n")
     return str(cfg)
+
+
+BEYOND_INT64 = "99999999999999999999"
+
+
+@pytest.mark.parametrize("case", ["index", "shape-and-token", "shape"])
+def test_an_index_or_count_past_int64_is_refused_with_its_line(tmp_path, capsys, case):
+    # an entry index past int64 in a B.txt with no shape line, and a shape
+    # count past it, with or without a LIBSVM index past it: an
+    # OverflowError traceback from SparseMatrix.from_coo, or NumPy's
+    # "Maximum allowed dimension exceeded", which names no file
+    base = str(tmp_path / "prob")
+    assert main(["synth", "--out", base, "--n", "30", "--d", "6", "--seed", "2"]) == 0
+    capsys.readouterr()
+    b_txt, libsvm = tmp_path / "prob.B.txt", tmp_path / "prob.libsvm"
+    if case == "index":
+        lines = b_txt.read_text().splitlines()[1:] + [f"0 {BEYOND_INT64} 1.0"]
+        b_txt.write_text("\n".join(lines) + "\n")
+        where = rf"prob\.B\.txt:{len(lines)}: index out of range"
+    else:
+        b_txt.write_text("# shape 5 100000000000000000000\n")
+        where = r"prob\.B\.txt:1: a shape past int64"
+    if case == "shape-and-token":
+        first, *rest = libsvm.read_text().splitlines()
+        libsvm.write_text("\n".join([f"{first} {BEYOND_INT64}:1", *rest]) + "\n")
+    refused(capsys, ["truth", "--problem", base + ".problem"], where)
+    refused(capsys, ["run", "--config", desk_run_config(tmp_path)], where)
+
+
+def test_a_hinge_problem_is_told_the_route_to_its_truth(tmp_path, capsys):
+    # with no truth file, `spdfp truth` and `spdfp run` (even one whose pdfp
+    # clause gives its step) named pdfp gamma=..., which reaches no truth;
+    # the route they name, a truth saved from Python, lets the run finish
+    base = str(tmp_path / "prob")
+    assert main(["synth", "--out", base, "--n", "30", "--d", "6", "--seed", "2"]) == 0
+    capsys.readouterr()
+    libsvm = tmp_path / "prob.libsvm"
+    libsvm.write_text("".join(("1" if i % 2 else "-1") + line[line.index(" "):] + "\n"
+                              for i, line in enumerate(libsvm.read_text().splitlines())))
+    problem = tmp_path / "prob.problem"
+    problem.write_text(problem.read_text().replace("loss = square", "loss = hinge"))
+    config = desk_run_config(tmp_path, "pdfp(gamma=0.1); spdfp2(p=10)")
+    route = r"compute_ground_truth\(spec, cfg=SolverConfig\(\.\.\.\)\).*save_ground_truth"
+    for argv in (["truth", "--problem", base + ".problem"], ["run", "--config", config]):
+        refused(capsys, argv, rf"^(?!.*pdfp gamma).*{route}")
+    spec = load_problem(base + ".problem")
+    cfg = SolverConfig(schedule=ConstantSchedule(0.1), lam=harness.default_lambda(spec), p=spec.n)
+    with pytest.warns(RuntimeWarning, match="cap of 200 iterations"):
+        save_ground_truth(harness.compute_ground_truth(spec, cfg=cfg, iters=200),
+                          base + ".problem.truth.npz", spec)
+    assert main(["run", "--config", config]) == 0
+    assert "pdfp gamma" not in capsys.readouterr().err
 
 
 def test_run_refuses_the_truth_of_another_problem(tmp_path, capsys):
@@ -419,3 +478,92 @@ def test_truth_files_keep_what_the_benchmark_reads(tmp_path, lane):
             want = np.asarray(getattr(gt, key), dtype=np.float64)
             assert z[key].dtype == np.float64 and z[key].shape == want.shape, key
             assert z[key].tobytes() == want.tobytes(), key
+
+
+# ---------------------------------------------------------------------------
+# every input fails in one line: cli.main over mutated input files
+
+# the tokens a mutation swaps in: numbers a reader must refuse or take, two
+# past int64, a bare colon and a shape line
+MUTATION_TOKENS = ["0", "-1", "nan", "inf", "1e400", "9223372036854775808", BEYOND_INT64,
+                   ":", "# shape 2 2"]
+MUTATED_FILES = ["prob.problem", "prob.libsvm", "prob.B.txt", "prob.problem.truth.npz",
+                 "exp.cfg"]
+
+
+@pytest.fixture(scope="module")
+def tiny_inputs(tmp_path_factory):
+    """A 12 x 4 synth problem, its truth and a run config of the four
+    solver kinds, as {file name: bytes}."""
+    here = tmp_path_factory.mktemp("tiny")
+    base = str(here / "prob")
+    assert main(["synth", "--out", base, "--n", "12", "--d", "4", "--seed", "2"]) == 0
+    assert main(["truth", "--problem", base + ".problem"]) == 0
+    (here / "exp.cfg").write_text(
+        "problem = prob.problem\n"
+        "solvers = pdfp(); spdfp1(p=4); spdfp2(c=0.5,p=4); stoc_admm(p=4)\n"
+        "repetitions = 1\nepochs = 3\noutput = out/run\nmaster_seed = 5\n")
+    return {name: (here / name).read_bytes() for name in MUTATED_FILES}
+
+
+# up to three edits of a file's lines, each (op, line, arg): drop or
+# duplicate a line, truncate it to arg bytes, or swap the token of arg =
+# (piece, token) in for the whole line or for that piece of it, pieces
+# being what blanks and colons separate; line and piece numbers are taken
+# modulo what the file and the line have
+LINE_EDITS = st.lists(st.one_of(
+    st.tuples(st.sampled_from(["drop", "duplicate"]), st.integers(0, 40), st.just(0)),
+    st.tuples(st.just("truncate"), st.integers(0, 40), st.integers(0, 30)),
+    st.tuples(st.sampled_from(["line", "piece"]), st.integers(0, 40),
+              st.tuples(st.integers(0, 8), st.sampled_from(MUTATION_TOKENS)))),
+    min_size=1, max_size=3)
+
+
+def mutate(raw, edits):
+    lines = raw.split(b"\n")
+    for op, at, arg in edits:
+        i = at % len(lines)
+        if op == "drop":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        elif op == "truncate":
+            lines[i] = lines[i][:arg]
+        elif op == "line":
+            lines[i] = arg[1].encode()
+        else:
+            pieces = re.split(rb"([\s:]+)", lines[i])
+            pieces[2 * (arg[0] % (len(pieces) // 2 + 1))] = arg[1].encode()
+            lines[i] = b"".join(pieces)
+        if not lines:
+            lines = [b""]
+    return b"\n".join(lines)
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(st.dictionaries(st.sampled_from(MUTATED_FILES), LINE_EDITS, min_size=1, max_size=2))
+@example({"prob.B.txt": [("drop", 0, 0), ("line", 0, (0, f"0 {BEYOND_INT64} 1.0"))]})
+@example({"prob.B.txt": [("piece", 0, (3, "100000000000000000000"))]})
+@example({"prob.B.txt": [("line", 0, (0, "# shape 5 100000000000000000000"))],
+          "prob.libsvm": [("piece", 0, (1, BEYOND_INT64))]})
+def test_every_mutated_input_ends_in_status_0_or_one_error_line(tiny_inputs, mutations):
+    # one or two of the input files, each with up to three line edits:
+    # `spdfp run`, then `spdfp truth`, which rewrites the truth file, exit 0
+    # or 2 with one 'spdfp: error:' line, and no exception escapes; the
+    # examples are an index and a shape count past int64 in B.txt, and
+    # the latter with a LIBSVM index past it
+    with tempfile.TemporaryDirectory() as here:
+        for name, raw in tiny_inputs.items():
+            with open(os.path.join(here, name), "wb") as fh:
+                fh.write(mutate(raw, mutations[name]) if name in mutations else raw)
+        for argv in (["run", "--config", os.path.join(here, "exp.cfg")],
+                     ["truth", "--problem", os.path.join(here, "prob.problem"),
+                      "--iters", "2000"]):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+                    warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                status = main(argv)
+            lines = err.getvalue().splitlines()
+            assert status == 0 or (status == 2 and len(lines) == 1
+                                   and lines[0].startswith("spdfp: error: ")), (argv, lines)

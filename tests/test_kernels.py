@@ -137,7 +137,7 @@ def unoptimised_lane(tmp_path_factory):
                       ["-O0" if f.startswith("-O") else f for f in shipped_compile_args()])
 
 
-@pytest.mark.parametrize("version", [None, 1, 2, 3, 4, 5, 6, 7, 8])
+@pytest.mark.parametrize("version", [None, 1, 2, 3, 4, 5, 6, 7, 8, 9])
 def test_loader_refuses_a_library_built_from_another_lane_c(tmp_path, version):
     # a library with the run struct of this lane.c but no version stamp, as
     # built from the lane.c whose spdfp_products took no snapshots, or with
@@ -145,8 +145,8 @@ def test_loader_refuses_a_library_built_from_another_lane_c(tmp_path, version):
     # steps or the ones without spdfp_gram, spdfp_scales or spdfp_rows and
     # At, or with spdfp_gram, or with spdfp_products and a spdfp_rows of one
     # vector, or with spdfp_scales and a spdfp_run_steps without the a_k
-    # factors: calling it could write through the wrong pointers, or fail on
-    # a missing symbol
+    # factors, or with a CSR At in the run struct: calling it could write
+    # through the wrong pointers, or fail on a missing symbol
     cc = find_compiler()
     if cc is None:
         pytest.skip("no C compiler found ($CC, cc, gcc or clang)")
@@ -1307,10 +1307,10 @@ def test_capped_truth_same_bits_on_both_paths(monkeypatch, c_lane):
 
 
 def ragged_spec(loss):
-    # n = 23 and d = 7, not multiples of 4, so the four-row passes over A
-    # and over its transpose both end in leftover rows; rows of unequal
-    # length, so each pass finishes rows past the shortest one; an empty
-    # row and two empty columns, which are empty rows of the transpose
+    # n = 23, not a multiple of 4, so the four-row passes over A end in
+    # leftover rows; rows of unequal length, so each pass finishes rows past
+    # the shortest one; an empty row and two empty columns, which the
+    # scatter A^T w never writes into
     rng = np.random.default_rng(31)
     n, d = 23, 7
     A = rng.standard_normal((n, d))
@@ -1325,15 +1325,11 @@ def ragged_spec(loss):
 
 
 @pytest.mark.parametrize("loss", ["square", "logistic"])
-def test_full_range_steps_gather_through_the_transpose_with_the_python_bits(monkeypatch, c_lane,
-                                                                           loss):
+def test_full_range_steps_scatter_with_the_python_bits(monkeypatch, c_lane, loss):
     spec = ragged_spec(loss)
     A = spec.dataset.samples
     lengths = np.diff(A.indptr)
     assert len(set(lengths)) > 3 and 0 in lengths and 0 in np.bincount(A.indices, minlength=7)
-    made = []
-    steps = c_lane.steps
-    monkeypatch.setattr(c_lane, "steps", lambda *a: made.append(steps(*a)) or made[-1])
     truths = []
     for lane in (c_lane, None):
         monkeypatch.setattr(kernels, "LANE", lane)
@@ -1350,18 +1346,33 @@ def test_full_range_steps_gather_through_the_transpose_with_the_python_bits(monk
     for kind, cfg in (("pdfp", pdfp), ("spdfp1", whole), ("spdfp2", batches)):
         assert_same_run(*[run_on_lane(monkeypatch, lane, kind, spec, prox_spec, cfg, reference=ref)
                           for lane in (c_lane, None)])
-    # the truth and the runs over all rows of A carry its transpose, the
-    # mini-batch run does not
-    assert [bool(st._run.At.indptr) for st in made] == [True, True, True, False]
-    At, T = made[0]._keep[2], A.transpose()
-    assert [a.tobytes() for a in (At.indptr, At.indices, At.data)] == [
-        a.tobytes() for a in (T.indptr, T.indices, T.data)]
+
+
+def test_only_a_full_range_run_over_a_dense_a_holds_its_transpose(c_lane):
+    # the dense copy of A^T that a full-range step's A x sweeps: none for a
+    # sparse A or a mini-batch run, which take A x by rows
+    cfg = SolverConfig(schedule=ConstantSchedule(0.1), lam=0.5, p=1)
+    prox_spec = ProxSpec("l1", 0.5)
+    for spec, rows, dense in ((ragged_spec("square"), None, False),
+                              (dense_spec("square", 23, 9, seed=5), (3, 20), False),
+                              (dense_spec("logistic", 23, 9, seed=5), None, True)):
+        A = spec.dataset.samples
+        x, v = np.zeros(A.n_cols), np.zeros(spec.B.n_rows)
+        steps = c_lane.steps("pdfp", spec, prox_spec, cfg, (rows or (0, A.n_rows),), x, v)
+        At = steps._keep[2]
+        if not dense:
+            assert At is None and steps._run.At is None
+            continue
+        assert At.shape == (A.n_cols, A.n_rows) and At.flags.c_contiguous
+        assert steps._run.At == At.ctypes.data
+        assert_same_bits(At, A.to_dense().T)
 
 
 def test_a_full_range_step_keeps_the_bits_of_special_values(monkeypatch, c_lane):
-    # one pdfp step over all rows of A, which gathers A^T w through A's
-    # transpose, against the reference step's bincount scatter; A and x hold
-    # signed zeros and subnormals, and in every other trial inf and NaN too
+    # one pdfp step over all rows of a sparse A, which scatters A^T w over
+    # A's entries, against the reference step's bincount scatter; A and x
+    # hold signed zeros and subnormals, and in every other trial inf and NaN
+    # too
     rng = np.random.default_rng(13)
     finite = SPECIAL[np.isfinite(SPECIAL)]
     for trial in range(120):
@@ -1381,7 +1392,7 @@ def test_a_full_range_step_keeps_the_bits_of_special_values(monkeypatch, c_lane)
         v0 = rng.standard_normal(B.n_rows)
         x, v = x0.copy(), v0.copy()
         steps = c_lane.steps("pdfp", spec, prox_spec, cfg, ((0, A.n_rows),), x, v)
-        assert steps._run.At.indptr
+        assert steps._run.At is None or A.nnz == A.n_rows * A.n_cols
         monkeypatch.setattr(kernels, "LANE", None)
         ctx = solvers._RunContext(spec, prox_spec, ((0, A.n_rows),))
         with np.errstate(all="ignore"):
@@ -1582,8 +1593,8 @@ def test_dense_problems_give_the_same_bits_on_every_lane(monkeypatch, c_lane, un
 @pytest.mark.parametrize("rows", ["all", "batch"])
 def test_a_dense_step_keeps_the_bits_of_special_values(monkeypatch, c_lane, unoptimised_lane,
                                                        rows):
-    # one pdfp step over all rows of a dense A (A x swept from A's
-    # transpose, A^T w from A) or one spdfp2 step over a batch that starts
+    # one pdfp step over all rows of a dense A (A x swept from a dense copy
+    # of A's transpose, A^T w from A) or one spdfp2 step over a batch that starts
     # at row 3 and ends before the last (A^T w swept), against the
     # reference step: A, x and v hold signed zeros and subnormals, and in
     # every other trial inf and NaN too
@@ -1606,7 +1617,7 @@ def test_a_dense_step_keeps_the_bits_of_special_values(monkeypatch, c_lane, unop
             for lane in (c_lane, unoptimised_lane):
                 x, v = x0.copy(), v0.copy()
                 steps = lane.steps(kind, spec, prox_spec, cfg, ((lo, hi),), x, v)
-                assert bool(steps._run.At.indptr) == (rows == "all")
+                assert (steps._run.At is not None) == (rows == "all")
                 steps(ONE_STEP)
                 for got, ref in zip((x, v), want):
                     assert_same_bits_but_nan_signs(got, ref)

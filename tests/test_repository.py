@@ -51,6 +51,39 @@ def test_c_lane_exports_only_its_step_entry_points():
     assert {"matvec", "matvec4", "rmatvec", "soft", "gradient"} <= static
 
 
+def c_struct_fields(source, name):
+    """The fields of lane.c's 'typedef struct { ... } name;' in order, as
+    (field, kind): kind is 'int64', 'double', 'pointer' or the name of the
+    struct type a field is of."""
+    source = re.sub(r"/\*.*?\*/", "", source, flags=re.S)
+    body = re.search(r"typedef struct \{([^}]*)\}\s*" + name + r"\s*;", source).group(1)
+    fields = []
+    for declaration in filter(None, (d.strip() for d in body.split(";"))):
+        c_type, declarators = re.fullmatch(r"(?:const\s+)?(\w+)\s+(.+)", declaration,
+                                           re.S).groups()
+        for declarator in declarators.split(","):
+            field = declarator.strip()
+            kind = {"int64_t": "int64", "double": "double"}.get(c_type, c_type)
+            fields.append((field.lstrip("*").strip(), "pointer" if field[0] == "*" else kind))
+    return fields
+
+
+def test_c_structs_and_their_ctypes_mirrors_agree():
+    """_kernels._Csr and _Run name lane.c's csr and run fields in their
+    order, each of the same kind: the loader's spdfp_run_size check cannot
+    tell two fields of one size apart."""
+    import ctypes
+
+    from spdfp import _kernels
+
+    kinds = {ctypes.c_int64: "int64", ctypes.c_double: "double", ctypes.c_void_p: "pointer",
+             _kernels._Csr: "csr"}
+    with open(os.path.join(ROOT, "src", "spdfp", "_kernels", "lane.c"), encoding="utf-8") as fh:
+        source = fh.read()
+    for name, mirror in (("csr", _kernels._Csr), ("run", _kernels._Run)):
+        assert c_struct_fields(source, name) == [(f, kinds[t]) for f, t in mirror._fields_]
+
+
 def test_build_requires_only_what_setup_py_imports():
     """The build needs what setup.py imports, and nothing else: the C lane
     is compiled without NumPy headers."""

@@ -66,39 +66,6 @@ def test_constructor_refuses_a_row_out_of_column_order_and_names_it():
     assert SparseMatrix(2, 0, [0, 0, 0], [], []).nnz == 0
 
 
-def test_transpose_involution():
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        M = random_sparse(rng, int(rng.integers(1, 8)), int(rng.integers(1, 8)))
-        T = M.transpose().transpose()
-        assert T.shape == M.shape
-        np.testing.assert_array_equal(T.to_dense(), M.to_dense())
-
-
-def test_transpose_gives_the_arrays_of_from_coo():
-    # the stable counting sort by column against from_coo's sort of the
-    # swapped entries, over random matrices, empty rows and columns, and
-    # matrices with no rows or no columns
-    rng = np.random.default_rng(3)
-    matrices = [SparseMatrix.from_coo(0, 4, [], [], []), SparseMatrix.from_coo(5, 0, [], [], []),
-                SparseMatrix.from_coo(0, 0, [], [], []), SparseMatrix.from_coo(3, 4, [], [], [])]
-    for _ in range(40):
-        M = random_sparse(rng, int(rng.integers(1, 12)), int(rng.integers(1, 12)),
-                          density=float(rng.uniform(0.05, 0.9)))
-        matrices.append(M)
-    empty = 0
-    for M in matrices:
-        empty += int(np.any(np.diff(M.indptr) == 0)) + int(M.n_cols > len(set(M.indices)))
-        rows, cols, vals = M.entries()
-        want = SparseMatrix.from_coo(M.n_cols, M.n_rows, cols, rows, vals)
-        got = M.transpose()
-        assert got.shape == want.shape
-        for a, b in zip((got.indptr, got.indices, got.data), (want.indptr, want.indices,
-                                                              want.data)):
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-    assert empty > 10
-
-
 def test_matvec_adjoint_consistency():
     # <Bu, v> == <u, B^T v> to 1e-12 relative
     rng = np.random.default_rng(1)
@@ -248,9 +215,8 @@ def test_matrix_keeps_its_spectrum():
         assert fresh is not est
         assert dataclasses.astuple(est) == dataclasses.astuple(fresh)
         assert est.converged and 0 <= est.residual <= 1e-10 * est.rho_max
-    # a row block or a transpose is another matrix, with its own estimate
+    # a row block is another matrix, with its own estimate
     assert M.row_block(0, 4).spectrum is not M.spectrum
-    assert M.transpose().spectrum.rho_max == pytest.approx(M.spectrum.rho_max, rel=1e-13)
 
 
 def test_spectrum_rejects_empty_and_bad_tol():
