@@ -12,11 +12,12 @@ every product is RowView's NumPy one; spdfp.solvers._steps and
 sparse.RowView read it to pick the lane. Both paths give the same bits. So
 where the lane is built every sparse product is C; the prox outside the
 fused steps (prox.soft_threshold) and the ADMM x-update's linear solve are
-NumPy on either path. A C product over rows that are all full, which an
-O(1) test on indptr finds (sparse.SparseMatrix refuses CSR that is not
-canonical, which makes it sound), sweeps the matrix's columns eight
-outputs at a time, with each output's CSR-order sum and so its bits; any
-other transposed product scatters over the rows' entries.
+NumPy on either path. A C transposed product over rows that are all
+full, which an O(1) test on indptr finds (sparse.SparseMatrix refuses CSR
+that is not canonical, which makes it sound), sweeps the matrix's columns
+eight outputs at a time, with each output's CSR-order sum and so its bits;
+any other scatters over the rows' entries. A C product M x takes four rows
+per pass, except a step's A x over a dense A, which sweeps (see Steps).
 """
 
 import ctypes
@@ -26,7 +27,7 @@ import os
 import numpy as np
 
 _KINDS = {"pdfp": 0, "spdfp1": 1, "spdfp2": 2}
-_LANE_VERSION = 10  # spdfp_lane_version() of the lane.c this module calls
+_LANE_VERSION = 11  # spdfp_lane_version() of the lane.c this module calls
 _LOSSES = {"square": 0, "hinge": 1, "logistic": 2}
 
 
@@ -131,19 +132,18 @@ class Steps:
     first step, so a write into ``iterates[1]`` between calls counts. A
     step's A^T w is lane.c's one transposed product, as RowView's is: a
     sweep down A's columns where its rows are all full, else a scatter. A
-    run whose one range is all of a dense A (A.nnz == n d, which canonical
-    CSR allows only with every row full) keeps a dense copy of A's
-    transpose, and each step's A x sweeps its columns; a full-range step
-    over another A takes A x four rows per pass. Keeps every array its
-    pointers refer to alive."""
+    run over a dense A (A.nnz == n d, which canonical CSR allows only with
+    every row full) keeps a dense copy of A's transpose, and each step's
+    A x sweeps the columns of its rows there; over another A it takes four
+    rows per pass. Keeps every array its pointers refer to alive."""
 
     def __init__(self, lib, kind, spec, prox_spec, cfg, ranges, x, v):
         A, B, labels = spec.dataset.samples, spec.B, spec.dataset.labels
         ranges = np.array(ranges, dtype=np.int64).reshape(-1, 2)
         work = np.empty(A.n_rows + 3 * A.n_cols + 2 * B.n_rows)
-        # a run over all rows of a dense A sweeps A x down the columns of a
-        # dense copy of A's transpose, which lives as long as the run
-        dense = ranges.tolist() == [[0, A.n_rows]] and A.nnz == A.n_rows * A.n_cols
+        # a run over a dense A sweeps A x down the columns of a dense copy
+        # of A's transpose, which lives as long as the run
+        dense = A.nnz == A.n_rows * A.n_cols
         At = np.ascontiguousarray(A.data.reshape(A.n_rows, A.n_cols).T) if dense else None
         self._keep = (A, B, At, labels, ranges, x, v, work)
         self.iterates = x, v

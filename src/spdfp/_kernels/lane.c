@@ -4,17 +4,17 @@
  * block's snapshots, one call each, and the Lanczos steps of
  * sparse.estimate_spectrum. A stack of vectors takes four per pass over a
  * matrix's rows, and a step starts from the B^T v the step before it left,
- * so it makes three B products, not four. Every M^T y is rmatvec: where
- * its rows are all full, a column sweep (sweep) that reads M's rows in
- * order, else a scatter over their entries; a step's A^T w is one, over
- * all rows of A or a mini-batch's. A step over all rows of A takes A x
- * four rows per pass, or, where A is dense, sweeps the columns of a dense
- * copy of A's transpose, d rows of n; a mini-batch step's A x is matvec.
- * Each epoch's end also writes the step-size factors of its a_k record.
+ * so it makes three B products, not four. Every M x is matvec, four rows
+ * per pass, but a step's A x over a dense A, which sweeps the columns of
+ * the step's rows in a dense copy of A's transpose, d rows of n. Every
+ * M^T y is rmatvec: where its rows are all full, a column sweep (sweep)
+ * that reads M's rows in order, else a scatter over their entries. A step
+ * over all rows of A and a mini-batch step take the same products. Each
+ * epoch's end also writes the step-size factors of its a_k record.
  * Plain C99 over raw int64/double arrays, no Python C-API, plus GCC /
  * Clang's vector_size(16) type of two doubles (SSE2 / NEON width, so no
  * -march); spdfp._kernels loads the built library with ctypes and checks
- * every array before it passes a pointer. At revision 10 it exports
+ * every array before it passes a pointer. At revision 11 it exports
  * spdfp_run_size, spdfp_lane_version, spdfp_run_steps and spdfp_rows;
  * everything else is static.
  *
@@ -67,9 +67,8 @@ typedef struct {
 /* One run: problem, step parameters, the row ranges of A a step may use,
  * and the iterates x (length A.n_cols) and v (length B.n_rows) the steps
  * update in place. At is A's transpose as a dense row-major A.n_cols x
- * A.n_rows array, for a run whose one range is all of a dense A, else
- * NULL. work holds A.n_rows + 3 A.n_cols + 2 B.n_rows doubles. Mirrored by
- * _kernels._Run. */
+ * A.n_rows array, for a run over a dense A, else NULL. work holds
+ * A.n_rows + 3 A.n_cols + 2 B.n_rows doubles. Mirrored by _kernels._Run. */
 typedef struct {
     int64_t kind, loss, prox_l1;
     double c, alpha, lam, nu, prox_weight;
@@ -95,104 +94,23 @@ int64_t spdfp_run_size(void)
  * holds At, and spdfp_rows. Revision 7: no spdfp_gram. Revision 8: no
  * spdfp_products; spdfp_rows takes a stack of vectors. Revision 9: no
  * spdfp_scales; spdfp_run_steps writes the a_k factors of its epochs.
- * Revision 10: run's At is a dense array, or NULL. */
+ * Revision 10: run's At is a dense array, or NULL. Revision 11: a run
+ * over a dense A holds At whatever its ranges. */
 int64_t spdfp_lane_version(void)
 {
-    return 10;
+    return 11;
 }
 
-/* out[i - lo] = (row i of M) . x for lo <= i < hi. */
+/* out[i - lo] = (row i of M) . x for lo <= i < hi, each summed from 0.0 in
+ * CSR order: four rows per pass, one accumulator each, over the entries the
+ * four rows all have, then each row's own remainder; the rows left over
+ * take one accumulator each. */
 static void matvec(const csr *M, const double *x, double *out, int64_t lo, int64_t hi)
-{
-    for (int64_t i = lo; i < hi; i++) {
-        double acc = 0.0;
-        for (int64_t j = M->indptr[i]; j < M->indptr[i + 1]; j++)
-            acc = acc + M->data[j] * x[M->indices[j]];
-        out[i - lo] = acc;
-    }
-}
-
-/* Two doubles, added and multiplied lane by lane. */
-typedef double pair __attribute__((vector_size(16)));
-
-/* Whether rows lo..hi-1 of M are all full. A row of canonical CSR holds
- * each column at most once, so n_cols entries a row on average means every
- * row holds columns 0..n_cols-1 in order. */
-static int full_rows(const csr *M, int64_t lo, int64_t hi)
-{
-    return M->indptr[hi] - M->indptr[lo] == (hi - lo) * M->n_cols;
-}
-
-/* out[j] = sum of D[t width + j] y[t] over t = 0..len-1, in that order,
- * from 0.0, for j < width: a sweep down the columns of the len x width
- * row-major D. Eight columns take four pair accumulators, one lane each,
- * through the rows; of the width % 8 columns left, each two take one pair
- * through the rows, and the last odd one a double. Loads and stores go
- * through memcpy, since D and out need not be 16-aligned. */
-static void sweep(const double *D, int64_t width, const double *y, int64_t len, double *out)
-{
-    int64_t j = 0;
-    for (; j + 8 <= width; j += 8) {
-        pair a0 = {0.0, 0.0}, a1 = a0, a2 = a0, a3 = a0;
-        const double *row = D + j;
-        for (int64_t t = 0; t < len; t++, row += width) {
-            pair s = {y[t], y[t]}, d0, d1, d2, d3;
-            memcpy(&d0, row, sizeof d0);
-            memcpy(&d1, row + 2, sizeof d1);
-            memcpy(&d2, row + 4, sizeof d2);
-            memcpy(&d3, row + 6, sizeof d3);
-            a0 = a0 + d0 * s;
-            a1 = a1 + d1 * s;
-            a2 = a2 + d2 * s;
-            a3 = a3 + d3 * s;
-        }
-        memcpy(out + j, &a0, sizeof a0);
-        memcpy(out + j + 2, &a1, sizeof a1);
-        memcpy(out + j + 4, &a2, sizeof a2);
-        memcpy(out + j + 6, &a3, sizeof a3);
-    }
-    for (; j + 2 <= width; j += 2) {
-        pair a = {0.0, 0.0};
-        const double *row = D + j;
-        for (int64_t t = 0; t < len; t++, row += width) {
-            pair s = {y[t], y[t]}, d0;
-            memcpy(&d0, row, sizeof d0);
-            a = a + d0 * s;
-        }
-        memcpy(out + j, &a, sizeof a);
-    }
-    if (j < width) {
-        double a = 0.0;
-        for (int64_t t = 0; t < len; t++)
-            a = a + D[t * width + j] * y[t];
-        out[j] = a;
-    }
-}
-
-/* out[0:n_cols] = (rows lo..hi-1 of M)^T y: a sweep down M's columns where
- * the rows are all full, else a scatter over their entries. */
-static void rmatvec(const csr *M, const double *y, double *out, int64_t lo, int64_t hi)
-{
-    if (full_rows(M, lo, hi)) {
-        sweep(M->data + M->indptr[lo], M->n_cols, y, hi - lo, out);
-        return;
-    }
-    for (int64_t c = 0; c < M->n_cols; c++)
-        out[c] = 0.0;
-    for (int64_t i = lo; i < hi; i++)
-        for (int64_t j = M->indptr[i]; j < M->indptr[i + 1]; j++)
-            out[M->indices[j]] = out[M->indices[j]] + M->data[j] * y[i - lo];
-}
-
-/* out[i] = (row i of M) . x for every row of M, with matvec's bits: four
- * rows per pass, one accumulator each, summed from 0.0 in CSR order over
- * the entries the four rows all have, then each row's own remainder. */
-static void matvec4(const csr *M, const double *x, double *out)
 {
     const int64_t *p = M->indptr, *col = M->indices;
     const double *a = M->data;
-    int64_t n = M->n_rows, i = 0;
-    for (; i + 4 <= n; i += 4) {
+    int64_t i = lo;
+    for (; i + 4 <= hi; i += 4) {
         int64_t s0 = p[i], s1 = p[i + 1], s2 = p[i + 2], s3 = p[i + 3], e3 = p[i + 4];
         int64_t len = s1 - s0;
         if (s2 - s1 < len) len = s2 - s1;
@@ -213,12 +131,91 @@ static void matvec4(const csr *M, const double *x, double *out)
             a2 = a2 + a[j] * x[col[j]];
         for (int64_t j = s3 + len; j < e3; j++)
             a3 = a3 + a[j] * x[col[j]];
-        out[i] = a0;
-        out[i + 1] = a1;
-        out[i + 2] = a2;
-        out[i + 3] = a3;
+        out[i - lo] = a0;
+        out[i - lo + 1] = a1;
+        out[i - lo + 2] = a2;
+        out[i - lo + 3] = a3;
     }
-    matvec(M, x, out + i, i, n);
+    for (; i < hi; i++) {
+        double acc = 0.0;
+        for (int64_t j = p[i]; j < p[i + 1]; j++)
+            acc = acc + a[j] * x[col[j]];
+        out[i - lo] = acc;
+    }
+}
+
+/* Two doubles, added and multiplied lane by lane. */
+typedef double pair __attribute__((vector_size(16)));
+
+/* Whether rows lo..hi-1 of M are all full. A row of canonical CSR holds
+ * each column at most once, so n_cols entries a row on average means every
+ * row holds columns 0..n_cols-1 in order. */
+static int full_rows(const csr *M, int64_t lo, int64_t hi)
+{
+    return M->indptr[hi] - M->indptr[lo] == (hi - lo) * M->n_cols;
+}
+
+/* out[j] = sum of D[t stride + j] y[t] over t = 0..len-1, in that order,
+ * from 0.0, for j < width: a sweep down the first width columns of the len
+ * rows of the row-major D, stride doubles apart. Eight columns take four
+ * pair accumulators, one lane each, through the rows; of the width % 8
+ * columns left, each two take one pair through the rows, and the last odd
+ * one a double. Loads and stores go through memcpy, since D and out need
+ * not be 16-aligned. */
+static void sweep(const double *D, int64_t stride, int64_t width, const double *y, int64_t len,
+                  double *out)
+{
+    int64_t j = 0;
+    for (; j + 8 <= width; j += 8) {
+        pair a0 = {0.0, 0.0}, a1 = a0, a2 = a0, a3 = a0;
+        const double *row = D + j;
+        for (int64_t t = 0; t < len; t++, row += stride) {
+            pair s = {y[t], y[t]}, d0, d1, d2, d3;
+            memcpy(&d0, row, sizeof d0);
+            memcpy(&d1, row + 2, sizeof d1);
+            memcpy(&d2, row + 4, sizeof d2);
+            memcpy(&d3, row + 6, sizeof d3);
+            a0 = a0 + d0 * s;
+            a1 = a1 + d1 * s;
+            a2 = a2 + d2 * s;
+            a3 = a3 + d3 * s;
+        }
+        memcpy(out + j, &a0, sizeof a0);
+        memcpy(out + j + 2, &a1, sizeof a1);
+        memcpy(out + j + 4, &a2, sizeof a2);
+        memcpy(out + j + 6, &a3, sizeof a3);
+    }
+    for (; j + 2 <= width; j += 2) {
+        pair a = {0.0, 0.0};
+        const double *row = D + j;
+        for (int64_t t = 0; t < len; t++, row += stride) {
+            pair s = {y[t], y[t]}, d0;
+            memcpy(&d0, row, sizeof d0);
+            a = a + d0 * s;
+        }
+        memcpy(out + j, &a, sizeof a);
+    }
+    if (j < width) {
+        double a = 0.0;
+        for (int64_t t = 0; t < len; t++)
+            a = a + D[t * stride + j] * y[t];
+        out[j] = a;
+    }
+}
+
+/* out[0:n_cols] = (rows lo..hi-1 of M)^T y: a sweep down M's columns where
+ * the rows are all full, else a scatter over their entries. */
+static void rmatvec(const csr *M, const double *y, double *out, int64_t lo, int64_t hi)
+{
+    if (full_rows(M, lo, hi)) {
+        sweep(M->data + M->indptr[lo], M->n_cols, M->n_cols, y, hi - lo, out);
+        return;
+    }
+    for (int64_t c = 0; c < M->n_cols; c++)
+        out[c] = 0.0;
+    for (int64_t i = lo; i < hi; i++)
+        for (int64_t j = M->indptr[i]; j < M->indptr[i + 1]; j++)
+            out[M->indices[j]] = out[M->indices[j]] + M->data[j] * y[i - lo];
 }
 
 /* np.sign(y) * np.maximum(np.abs(y) - t, 0.0) for one entry: np.sign maps
@@ -280,17 +277,15 @@ void spdfp_rows(const csr *M, int64_t lo, int64_t hi, int64_t transpose, const d
 }
 
 /* gradients._rows_gradient over rows lo..hi-1 of A: w holds the margins,
- * then the loss weights (problem.loss_weights); g gets the gradient. Over
- * all rows of A, A x sweeps At's columns where the run holds At, else
- * takes four rows per pass; a mini-batch takes matvec. A^T w is rmatvec. */
+ * then the loss weights (problem.loss_weights); g gets the gradient. A x
+ * sweeps columns lo..hi-1 of At where the run holds At, else is matvec;
+ * A^T w is rmatvec. */
 static void gradient(const run *r, int64_t lo, int64_t hi, const double *x,
                     double *w, double *g)
 {
     int64_t nb = hi - lo, d = r->A.n_cols;
     if (r->At != NULL)
-        sweep(r->At, nb, x, d, w);
-    else if (lo == 0 && hi == r->A.n_rows)
-        matvec4(&r->A, x, w);
+        sweep(r->At + lo, r->A.n_rows, nb, x, d, w);
     else
         matvec(&r->A, x, w, lo, hi);
     for (int64_t i = 0; i < nb; i++) {

@@ -4,8 +4,9 @@ Subcommands: ``synth`` (emit a synthetic problem to files), ``truth``
 (compute the ground truth of a .problem file and cache it in
 <problem>.truth.npz), ``run`` (execute an experiment config),
 ``bound-check`` (verify the recursion decay bound on a parameter grid).
-A refused input or a file that cannot be read is reported as one line,
-``spdfp: error: <message>``, on standard error, with exit status 2.
+A refused input, a file that cannot be read or an input too large for
+memory is reported as one line, ``spdfp: error: <message>``, on standard
+error, with exit status 2.
 """
 
 import argparse
@@ -108,8 +109,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as err:  # a refused input, or a file that cannot be read
-        print(f"{parser.prog}: error: {err}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as err:
+        # a refused input, a file that cannot be read, or an input too large
+        # to hold (NumPy's MemoryError names the size; a bare one is empty)
+        print(f"{parser.prog}: error: {err or type(err).__name__}", file=sys.stderr)
         return 2
 
 

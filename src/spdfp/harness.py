@@ -454,24 +454,22 @@ class GroundTruth:
                          objective_star=self.objective_star)
 
 
-def default_gamma(spec):
+def default_gamma(spec, instead="give the step explicitly (pdfp gamma=..., or a SolverConfig "
+                                 "as the ground truth's cfg)"):
     """1 / L with L = c rho_max(A A^T)/n + nu, the Lipschitz constant of the
     smooth part's gradient: c = 1/4 for the logistic loss (its second
     derivative is at most 1/4) and 1 for the square loss. PDFP converges
     for any step below 2 / L. The hinge loss has no Lipschitz gradient, so
     it has no such step, nor has a zero A with nu = 0 (L = 0): each raises a
-    ValueError."""
+    ValueError that ends in instead, what the caller may do instead."""
     if spec.loss == "hinge":
         raise ValueError("the hinge loss has no Lipschitz gradient, so PDFP has no default "
-                         "step 1/L for it; give the step explicitly (pdfp gamma=..., or a "
-                         "SolverConfig as the ground truth's cfg)")
+                         f"step 1/L for it; {instead}")
     c = 0.25 if spec.loss == "logistic" else 1.0
     lipschitz = c * spec.dataset.samples.spectrum.rho_max / spec.n + spec.l2_weight
     if lipschitz == 0:
         raise ValueError("A is zero and l2_weight = 0, so the smooth part's gradient is "
-                         "constant (L = 0) and PDFP has no default step 1/L; give the "
-                         "step explicitly (pdfp gamma=..., or a SolverConfig as the "
-                         "ground truth's cfg)")
+                         f"constant (L = 0) and PDFP has no default step 1/L; {instead}")
     return 1.0 / lipschitz
 
 
@@ -504,8 +502,9 @@ def compute_ground_truth(spec, cfg=None, iters=DEFAULT_TRUTH_ITERS):
     is at most TRUTH_TARGET, for at most iters steps, and certify the
     result. A cfg needs a constant step; without one, it steps by
     default_gamma with default_lambda, which read A.spectrum and
-    B.spectrum, and refuses the hinge loss, which has no default step, with
-    a ValueError that names the library route to its truth file.
+    B.spectrum, and refuses a problem with no default step (the hinge loss,
+    or L = 0) with a ValueError that names the library route to its truth
+    file.
 
     The residual is checked every _TRUTH_CHUNK steps, through the length of
     the chunk's last step (_step_length). The stored residual is that of
@@ -516,13 +515,10 @@ def compute_ground_truth(spec, cfg=None, iters=DEFAULT_TRUTH_ITERS):
         raise ValueError("iters must be at least 1")
     prox_spec = prox_for(spec)
     if cfg is None:
-        if spec.loss == "hinge":
-            raise ValueError("the hinge loss has no Lipschitz gradient, so its ground truth "
-                             "has no default step; compute it in Python with "
-                             "compute_ground_truth(spec, cfg=SolverConfig(...)) and save it "
-                             "with save_ground_truth(gt, '<problem>.truth.npz', spec), which "
-                             "`spdfp run` then reads")
-        cfg = SolverConfig(schedule=ConstantSchedule(default_gamma(spec)),
+        route = ("compute the ground truth in Python with compute_ground_truth(spec, "
+                 "cfg=SolverConfig(...)) and save it with save_ground_truth(gt, "
+                 "'<problem>.truth.npz', spec), which `spdfp run` then reads")
+        cfg = SolverConfig(schedule=ConstantSchedule(default_gamma(spec, route)),
                            lam=default_lambda(spec), p=spec.n)
     _check_constant_step(cfg)
     check_lambda(cfg, spec.B)

@@ -2,6 +2,8 @@ import contextlib
 import io
 import os
 import re
+import subprocess
+import sys
 import tempfile
 import warnings
 from dataclasses import fields, replace
@@ -148,13 +150,15 @@ def test_bound_check_names_the_flag_of_a_bad_value(capsys):
 
 @pytest.mark.parametrize("operator,pattern", [
     ("B", r"^B is zero \(rho_max\(BB\^T\) = 0\), so there is no default lambda"),
-    ("A", r"^A is zero and l2_weight = 0, .* no default step 1/L"),
+    ("A", r"^(?!.*pdfp gamma)A is zero and l2_weight = 0, .* no default step 1/L.*"
+          r"compute_ground_truth\(spec, cfg=SolverConfig\(\.\.\.\)\).*save_ground_truth"),
 ], ids=["B", "A"])
 def test_a_zero_operator_is_refused_in_one_line(tmp_path, capsys, operator, pattern):
     # a B.txt of its shape line alone is a zero B, whose rho_max = 0 leaves
     # no default lambda; a LIBSVM file of labels alone, with l2_weight = 0,
     # has L = 0 and no default step: `spdfp truth` and `spdfp run` each
-    # refuse it in one line that names the operator
+    # refuse it in one line that names the operator, and for A the library
+    # route to its truth, not pdfp gamma=..., which reaches no truth
     base = str(tmp_path / "prob")
     assert main(["synth", "--out", base, "--n", "30", "--d", "6", "--seed", "2"]) == 0
     capsys.readouterr()
@@ -165,6 +169,30 @@ def test_a_zero_operator_is_refused_in_one_line(tmp_path, capsys, operator, patt
         assert load_problem(base + ".problem").dataset.samples.nnz == 0
     refused(capsys, ["truth", "--problem", base + ".problem"], pattern)
     refused(capsys, ["run", "--config", desk_run_config(tmp_path)], pattern)
+
+
+def test_an_operator_too_large_for_memory_is_refused_in_one_line(tmp_path):
+    # a B.txt shape line that gives A 10**12 columns, within int64: the
+    # first product of a spectrum estimate cannot allocate its 7.28 TiB,
+    # which ended in a MemoryError traceback. Run in a child whose address
+    # space is capped before it starts, so that it never touches that much
+    resource = pytest.importorskip("resource")
+    base = str(tmp_path / "prob")
+    assert main(["synth", "--out", base, "--n", "30", "--d", "6", "--seed", "2"]) == 0
+    b_txt = tmp_path / "prob.B.txt"
+    b_txt.write_text("\n".join(["# shape 11 1000000000000"] + b_txt.read_text().splitlines()[1:])
+                     + "\n")
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    cap = 2 << 30 if hard == resource.RLIM_INFINITY else min(2 << 30, hard)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(spdfp.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-m", "spdfp.cli", "truth", "--problem",
+                           base + ".problem"], capture_output=True, text=True, env=env,
+                          preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, hard)),
+                          timeout=120)
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("spdfp: error: ") and done.stderr.count("\n") == 1, done.stderr
+    assert "Unable to allocate 7.28 TiB" in done.stderr
 
 
 def desk_run_config(tmp_path, solvers="spdfp2(p=10)"):

@@ -137,7 +137,7 @@ def unoptimised_lane(tmp_path_factory):
                       ["-O0" if f.startswith("-O") else f for f in shipped_compile_args()])
 
 
-@pytest.mark.parametrize("version", [None, 1, 2, 3, 4, 5, 6, 7, 8, 9])
+@pytest.mark.parametrize("version", [None, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10])
 def test_loader_refuses_a_library_built_from_another_lane_c(tmp_path, version):
     # a library with the run struct of this lane.c but no version stamp, as
     # built from the lane.c whose spdfp_products took no snapshots, or with
@@ -145,8 +145,10 @@ def test_loader_refuses_a_library_built_from_another_lane_c(tmp_path, version):
     # steps or the ones without spdfp_gram, spdfp_scales or spdfp_rows and
     # At, or with spdfp_gram, or with spdfp_products and a spdfp_rows of one
     # vector, or with spdfp_scales and a spdfp_run_steps without the a_k
-    # factors, or with a CSR At in the run struct: calling it could write
-    # through the wrong pointers, or fail on a missing symbol
+    # factors, or with a CSR At in the run struct, or with an At that only a
+    # full-range run holds, which a mini-batch step would sweep from its
+    # start: calling it could write through the wrong pointers or the wrong
+    # rows, or fail on a missing symbol
     cc = find_compiler()
     if cc is None:
         pytest.skip("no C compiler found ($CC, cc, gcc or clang)")
@@ -1348,24 +1350,25 @@ def test_full_range_steps_scatter_with_the_python_bits(monkeypatch, c_lane, loss
                           for lane in (c_lane, None)])
 
 
-def test_only_a_full_range_run_over_a_dense_a_holds_its_transpose(c_lane):
-    # the dense copy of A^T that a full-range step's A x sweeps: none for a
-    # sparse A or a mini-batch run, which take A x by rows
+def test_every_run_over_a_dense_a_holds_its_transpose(c_lane):
+    # the dense copy of A^T whose columns a step's A x sweeps, held by every
+    # run over a dense A, mini-batch runs included; a run over a sparse A,
+    # of any range, holds none and takes A x by rows
     cfg = SolverConfig(schedule=ConstantSchedule(0.1), lam=0.5, p=1)
     prox_spec = ProxSpec("l1", 0.5)
-    for spec, rows, dense in ((ragged_spec("square"), None, False),
-                              (dense_spec("square", 23, 9, seed=5), (3, 20), False),
-                              (dense_spec("logistic", 23, 9, seed=5), None, True)):
+    for spec, dense in ((ragged_spec("square"), False), (dense_spec("square", 23, 9, seed=5), True),
+                        (dense_spec("logistic", 23, 9, seed=5), True)):
         A = spec.dataset.samples
-        x, v = np.zeros(A.n_cols), np.zeros(spec.B.n_rows)
-        steps = c_lane.steps("pdfp", spec, prox_spec, cfg, (rows or (0, A.n_rows),), x, v)
-        At = steps._keep[2]
-        if not dense:
-            assert At is None and steps._run.At is None
-            continue
-        assert At.shape == (A.n_cols, A.n_rows) and At.flags.c_contiguous
-        assert steps._run.At == At.ctypes.data
-        assert_same_bits(At, A.to_dense().T)
+        for ranges in (((0, A.n_rows),), ((3, 20),), ((0, 8), (8, 16), (16, A.n_rows))):
+            x, v = np.zeros(A.n_cols), np.zeros(spec.B.n_rows)
+            steps = c_lane.steps("spdfp2", spec, prox_spec, cfg, ranges, x, v)
+            At = steps._keep[2]
+            if not dense:
+                assert At is None and steps._run.At is None
+                continue
+            assert At.shape == (A.n_cols, A.n_rows) and At.flags.c_contiguous
+            assert steps._run.At == At.ctypes.data
+            assert_same_bits(At, A.to_dense().T)
 
 
 def test_a_full_range_step_keeps_the_bits_of_special_values(monkeypatch, c_lane):
@@ -1562,12 +1565,15 @@ def dense_spec(loss, n, d, seed):
 
 
 @pytest.mark.parametrize("loss", ["square", "logistic"])
-@pytest.mark.parametrize("n,d", [(37, 27), (45, 9)])
+@pytest.mark.parametrize("n,d,p", [pytest.param(37, 27, 7, id="37-27"),
+                                   pytest.param(45, 9, 7, id="45-9"),
+                                   pytest.param(45, 9, 19, id="45-9-19")])
 def test_dense_problems_give_the_same_bits_on_every_lane(monkeypatch, c_lane, unoptimised_lane,
-                                                         loss, n, d):
+                                                         loss, n, d, p):
     # the truth, a pdfp run and spdfp1 / spdfp2 runs with p < n, whose
-    # batches start at multiples of 7 and end in a short one: the C lane at
-    # the shipped flags and at -O0, against the NumPy lane
+    # batches start at multiples of p and end in a short one, so that with
+    # p = 19 a batch's A x sweeps eight columns of A's transpose at a time:
+    # the C lane at the shipped flags and at -O0, against the NumPy lane
     spec = dense_spec(loss, n, d, seed=n + d)
     A = spec.dataset.samples
     assert np.all(np.diff(A.indptr) == d) and np.any(bits(A.data) == bits(-0.0))
@@ -1578,7 +1584,7 @@ def test_dense_problems_give_the_same_bits_on_every_lane(monkeypatch, c_lane, un
         gt = truths[-1]
         ref, prox_spec = gt.reference(), prox_for(spec)
         pdfp = SolverConfig(schedule=ConstantSchedule(gt.gamma), lam=gt.lam, p=n, max_epochs=20)
-        batches = SolverConfig(schedule=StepSchedule(c=0.5, alpha=0.7), lam=gt.lam, p=7,
+        batches = SolverConfig(schedule=StepSchedule(c=0.5, alpha=0.7), lam=gt.lam, p=p,
                                max_epochs=6, seed=3)
         runs.append([run_on_lane(monkeypatch, lane, kind, spec, prox_spec, cfg, reference=ref)
                      for kind, cfg in (("pdfp", pdfp), ("spdfp1", batches),
@@ -1593,11 +1599,11 @@ def test_dense_problems_give_the_same_bits_on_every_lane(monkeypatch, c_lane, un
 @pytest.mark.parametrize("rows", ["all", "batch"])
 def test_a_dense_step_keeps_the_bits_of_special_values(monkeypatch, c_lane, unoptimised_lane,
                                                        rows):
-    # one pdfp step over all rows of a dense A (A x swept from a dense copy
-    # of A's transpose, A^T w from A) or one spdfp2 step over a batch that starts
-    # at row 3 and ends before the last (A^T w swept), against the
-    # reference step: A, x and v hold signed zeros and subnormals, and in
-    # every other trial inf and NaN too
+    # one pdfp step over all rows of a dense A or one spdfp2 step over a
+    # batch that starts at row 3 and ends before the last, each with A x
+    # swept from a dense copy of A's transpose and A^T w from A, against
+    # the reference step: A, x and v hold signed zeros and subnormals, and
+    # in every other trial inf and NaN too
     rng = np.random.default_rng(83)
     shapes = [(n, d) for n, d in DENSE_SHAPES if rows == "all" or n >= 5]
     for trial, (n, d) in enumerate(shapes * 4):
@@ -1617,7 +1623,7 @@ def test_a_dense_step_keeps_the_bits_of_special_values(monkeypatch, c_lane, unop
             for lane in (c_lane, unoptimised_lane):
                 x, v = x0.copy(), v0.copy()
                 steps = lane.steps(kind, spec, prox_spec, cfg, ((lo, hi),), x, v)
-                assert (steps._run.At is not None) == (rows == "all")
+                assert steps._run.At is not None
                 steps(ONE_STEP)
                 for got, ref in zip((x, v), want):
                     assert_same_bits_but_nan_signs(got, ref)

@@ -48,7 +48,7 @@ def test_c_lane_exports_only_its_step_entry_points():
     assert exported == ["spdfp_lane_version", "spdfp_rows", "spdfp_run_size",
                         "spdfp_run_steps"]
     static = {name for head, name, _ in definitions if head.startswith("static")}
-    assert {"matvec", "matvec4", "rmatvec", "soft", "gradient"} <= static
+    assert {"matvec", "sweep", "rmatvec", "soft", "gradient"} <= static
 
 
 def c_struct_fields(source, name):
