@@ -3,21 +3,24 @@
 lane.c, built into the shared library ``_lane`` by
 ``python setup.py build_ext --inplace``, runs the PDFP / SPDFP steps of a
 run's record blocks, with each epoch's snapshot, time stamp and the
-step-size factors of its a_k record, and the products of every
-sparse.RowView, the records' A x and B x and the Lanczos method's among
-them, and is loaded with ctypes when it was built. ``LANE`` is the loaded
-CLane, or None, and then every step runs on the NumPy reference path of
-spdfp.solvers, which works each record's factors out in Python floats, and
-every product is RowView's NumPy one; spdfp.solvers._steps and
-sparse.RowView read it to pick the lane. Both paths give the same bits. So
-where the lane is built every sparse product is C; the prox outside the
-fused steps (prox.soft_threshold) and the ADMM x-update's linear solve are
-NumPy on either path. A C transposed product over rows that are all
-full, which an O(1) test on indptr finds (sparse.SparseMatrix refuses CSR
-that is not canonical, which makes it sound), sweeps the matrix's columns
-eight outputs at a time, with each output's CSR-order sum and so its bits;
-any other scatters over the rows' entries. A C product M x takes four rows
-per pass, except a step's A x over a dense A, which sweeps (see Steps).
+step-size factors of its a_k record, and the products of
+sparse.RowView (every stacked one, and the single-vector ones of a view
+of at least sparse.C_PRODUCT_ENTRIES entries), the records' A x and B x
+and the Lanczos method's among them, and is loaded with ctypes when it
+was built. ``LANE`` is the loaded CLane, or None, and then every step
+runs on the NumPy reference path of spdfp.solvers, which works each
+record's factors out in Python floats, and every product is RowView's
+NumPy one; spdfp.solvers._steps and sparse.RowView read it to pick the
+lane. Both paths give the same bits. So where the lane is built every
+sparse product is C but a small view's single-vector ones; the prox
+outside the fused steps (prox.soft_threshold) and the ADMM x-update's
+linear solve are NumPy on either path. A C transposed product over rows
+that are all full, which an O(1) test on indptr finds
+(sparse.SparseMatrix refuses CSR that is not canonical, which makes it
+sound), sweeps the matrix's columns eight outputs at a time, with each
+output's CSR-order sum and so its bits; any other scatters over the rows'
+entries. A C product M x takes four rows per pass, except a step's A x
+over a dense A, which sweeps (see Steps).
 """
 
 import ctypes

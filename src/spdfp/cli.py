@@ -56,10 +56,9 @@ def _cmd_bound_check(args):
                 for s_init in s_inits:
                     params = RecursionParams(alpha=alpha, c=c, tau=tau, s_init=s_init)
                     s = simulate_recursion(params, args.k_max)
-                    k_start = 2 * params.k0 if alpha == 1.0 else max(2 * params.k0, 3)
                     bad = 0
                     worst = 0.0
-                    for k in range(k_start, args.k_max + 1):
+                    for k in range(params.bound_start, args.k_max + 1):
                         gap = s[k - 1] - lemma_bound(params, k)
                         if gap > 0:
                             bad += 1

@@ -95,25 +95,68 @@ def load_libsvm(path, n_features=None):
     """Parse a LIBSVM text file into a Dataset (1-based feature indices).
 
     The file is read once, and the Dataset's data_sha256 is the digest of
-    the bytes parsed. The reader converts the lines a chunk at a time
-    (_libsvm_chunks); a file with anything in it that a line-by-line read
-    (_libsvm_lines) might refuse is read again that way, which raises the
-    error of its first bad line. Both give each number the bits float() or
-    int() gives it."""
+    the bytes parsed. Its lines are converted a chunk of about
+    _LIBSVM_CHUNK characters at a time, by one map over the chunk's labels,
+    indices or values each, which gives each number the bits float() or
+    int() gives it. An index past n_features, or past int64 where that is
+    None, is refused. A chunk that fails a check is walked line by line
+    with _refuse_line, so the error names the file's first bad line; a
+    byte that is not UTF-8 is raised once the lines before it pass."""
     raw, digest = _file_bytes(path)
-    read = _libsvm_chunks(path, raw)
-    labels, rows, cols, vals, max_col = (read if read is not None
-                                         else _libsvm_lines(path, raw, n_features))
-    if len(labels) == 0:
+    lines, undecoded = _text_lines(path, raw), None
+    limit = _INDEX_MAX if n_features is None else n_features
+
+    def chunk():  # the (lineno, line) pairs of the next chunk, none at the end
+        nonlocal undecoded
+        numbered, size = [], 0
+        try:
+            for lineno, line in lines:
+                numbered.append((lineno, line))
+                size += len(line)
+                if size >= _LIBSVM_CHUNK:
+                    break
+        except ValueError as err:  # a byte that is not UTF-8, which ends the lines
+            undecoded = err
+        return numbered
+
+    labels, rows, cols, vals, n = [], [], [], [], 0
+    for numbered in iter(chunk, []):
+        parts = [line.split() for _, line in numbered]
+        try:
+            toks = list(chain.from_iterable([p[1:] for p in parts]))
+            # each token idx:val has one colon, so 2 pieces when neither is empty
+            pieces = " ".join(toks).replace(":", " ").split()
+            if (list(map(str.count, toks, repeat(":"))).count(1) != len(toks)
+                    or len(pieces) != 2 * len(toks)
+                    or not all(map(str.isdecimal, pieces[0::2]))):
+                raise ValueError
+            label = np.array(list(map(float, [p[0] for p in parts])))
+            j = np.array(list(map(int, pieces[0::2])), dtype=np.int64)
+            v = np.array(list(map(float, pieces[1::2])))
+            if not (np.isfinite(label).all() and np.isfinite(v).all()
+                    and np.all((j >= 1) & (j <= limit))):
+                raise ValueError
+        except (ValueError, OverflowError):  # OverflowError: an index past int64
+            for lineno, line in numbered:
+                _refuse_line(path, lineno, line, n_features)
+            raise
+        counts = np.fromiter(map(len, parts), dtype=np.int64, count=len(parts)) - 1
+        labels.append(label)
+        rows.append(np.repeat(np.arange(n, n + len(parts)), counts))
+        cols.append(j - 1)
+        vals.append(v)
+        n += len(parts)
+    if undecoded is not None:
+        raise undecoded
+    if not n:
         raise ValueError(f"{path}: no samples found")
-    dim = n_features if n_features is not None else max_col
-    if dim < max_col:
-        raise ValueError(f"{path}: feature index {max_col} exceeds n_features={dim}")
-    samples = SparseMatrix.from_coo(len(labels), dim, rows, cols, vals)
-    return Dataset.read_from(digest, samples, np.array(labels))
+    cols = np.concatenate(cols)
+    dim = n_features if n_features is not None else int(cols.max(initial=-1)) + 1
+    samples = SparseMatrix.from_coo(n, dim, np.concatenate(rows), cols, np.concatenate(vals))
+    return Dataset.read_from(digest, samples, np.concatenate(labels))
 
 
-_LIBSVM_CHUNK = 1 << 16  # characters of lines _libsvm_chunks converts at once
+_LIBSVM_CHUNK = 1 << 16  # characters of lines load_libsvm converts at once
 _INDEX_MAX = np.iinfo(np.int64).max  # the largest feature index, as a column count
 
 
@@ -135,93 +178,41 @@ def _text_lines(path, raw=None):
                 yield lineno, line
 
 
-def _libsvm_chunks(path, raw):
-    """(labels, rows, cols, vals, max_col) of raw, the bytes of the LIBSVM
-    file at path, or None if it holds no sample or anything _libsvm_lines
-    might refuse. Each chunk of about _LIBSVM_CHUNK characters of lines is
-    checked and converted by one map over its labels, indices or values
-    each."""
-    labels, rows, cols, vals, n = [], [], [], [], 0
-    lines = _text_lines(path, raw)
-
-    def chunk():  # the split lines of the next chunk, none at the end
-        parts, size = [], 0
-        for _, line in lines:
-            parts.append(line.split())
-            size += len(line)
-            if size >= _LIBSVM_CHUNK:
-                break
-        return parts
-
+def _refuse_line(path, lineno, line, n_features):
+    """Raise the ValueError of the first bad token of line, the stripped line
+    lineno of the LIBSVM file at path, if it has one: a label or value that
+    float() refuses or that is not finite, a token that is not idx:val, or
+    an index below 1, past n_features, or past int64 where that is None."""
+    parts = line.split()
     try:
-        for parts in iter(chunk, []):
-            toks = list(chain.from_iterable([p[1:] for p in parts]))
-            # each token idx:val has one colon, so 2 pieces when neither is empty
-            pieces = " ".join(toks).replace(":", " ").split()
-            if (list(map(str.count, toks, repeat(":"))).count(1) != len(toks)
-                    or len(pieces) != 2 * len(toks)
-                    or not all(map(str.isdecimal, pieces[0::2]))):
-                return None
-            label = np.array(list(map(float, [p[0] for p in parts])))
-            j = np.array(list(map(int, pieces[0::2])), dtype=np.int64)
-            v = np.array(list(map(float, pieces[1::2])))
-            if not (np.isfinite(label).all() and np.isfinite(v).all() and np.all(j >= 1)):
-                return None
-            counts = np.fromiter(map(len, parts), dtype=np.int64, count=len(parts)) - 1
-            labels.append(label)
-            rows.append(np.repeat(np.arange(n, n + len(parts)), counts))
-            cols.append(j - 1)
-            vals.append(v)
-            n += len(parts)
-    except (ValueError, OverflowError):  # a bad label, index or value, or a byte not UTF-8
-        return None
-    if not n:
-        return None
-    cols = np.concatenate(cols)
-    return (np.concatenate(labels), np.concatenate(rows), cols, np.concatenate(vals),
-            int(cols.max()) + 1 if len(cols) else 0)
-
-
-def _libsvm_lines(path, raw, n_features=None):
-    """(labels, rows, cols, vals, max_col) of raw, the bytes of the LIBSVM
-    file at path, read line by line, or the ValueError of its first bad
-    line. An index beyond int64 is one when n_features is None; else
-    load_libsvm refuses it as beyond n_features."""
-    labels = []
-    rows, cols, vals = [], [], []
-    max_col = 0
-    for lineno, line in _text_lines(path, raw):
-        parts = line.split()
+        label = float(parts[0])
+    except ValueError:
+        raise ValueError(f"{path}:{lineno}: bad label {parts[0]!r}") from None
+    if not math.isfinite(label):
+        raise ValueError(f"{path}:{lineno}: label {parts[0]!r} is not finite")
+    for tok in parts[1:]:
+        # accepts what fullmatch(r"(\d+):([^\s:]+)") does: split()
+        # leaves no whitespace, and isdecimal() is \d
+        idx, _, val = tok.partition(":")
+        if not (idx.isdecimal() and val) or ":" in val:
+            raise ValueError(f"{path}:{lineno}: bad feature token {tok!r}")
         try:
-            label = float(parts[0])
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: bad label {parts[0]!r}") from None
-        if not math.isfinite(label):
-            raise ValueError(f"{path}:{lineno}: label {parts[0]!r} is not finite")
-        i = len(labels)
-        labels.append(label)
-        for tok in parts[1:]:
-            # accepts what fullmatch(r"(\d+):([^\s:]+)") does: split()
-            # leaves no whitespace, and isdecimal() is \d
-            idx, _, val = tok.partition(":")
-            if not (idx.isdecimal() and val) or ":" in val:
-                raise ValueError(f"{path}:{lineno}: bad feature token {tok!r}")
             j = int(idx)
-            if j < 1:
-                raise ValueError(f"{path}:{lineno}: indices are 1-based, got {j}")
-            if j > _INDEX_MAX and n_features is None:
-                raise ValueError(f"{path}:{lineno}: feature index {j} is too large")
-            try:
-                v = float(val)
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: bad value in {tok!r}") from None
-            if not math.isfinite(v):
-                raise ValueError(f"{path}:{lineno}: value in {tok!r} is not finite")
-            rows.append(i)
-            cols.append(j - 1)
-            vals.append(v)
-            max_col = max(max_col, j)
-    return labels, rows, cols, vals, max_col
+        except ValueError:  # more digits than int() converts, so far past int64
+            raise ValueError(f"{path}:{lineno}: feature index of {len(idx)} digits "
+                             "is too large") from None
+        if j < 1:
+            raise ValueError(f"{path}:{lineno}: indices are 1-based, got {j}")
+        if n_features is not None and j > n_features:
+            raise ValueError(f"{path}:{lineno}: feature index {j} exceeds n_features={n_features}")
+        if j > _INDEX_MAX:
+            raise ValueError(f"{path}:{lineno}: feature index {j} is too large")
+        try:
+            v = float(val)
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: bad value in {tok!r}") from None
+        if not math.isfinite(v):
+            raise ValueError(f"{path}:{lineno}: value in {tok!r} is not finite")
 
 
 def save_libsvm(dataset, path):

@@ -56,7 +56,7 @@ def prox_residual(spec, tau, y):
 def prox_scaled(spec, r, y):
     """prox of h(x) = r * f1(x / r) at y, via the identity
     prox_h(y) = r * prox_{f1 / r}(y / r)."""
-    if not r > 0:
-        raise ValueError("scale r must be positive")
+    if not 0 < r < math.inf:
+        raise ValueError("scale r must be positive and finite")
     y = np.asarray(y, dtype=np.float64)
     return r * prox(spec, 1.0 / r, y / r)

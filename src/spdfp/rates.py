@@ -65,6 +65,13 @@ class RecursionParams:
     def eta(self, k):
         return self.c / k**self.alpha
 
+    @property
+    def bound_start(self):
+        """The first k at which lemma_bound claims to hold, which it refuses
+        below, as bound-check starts there: 2*k0 for alpha = 1, and
+        max(2*k0, 3) for alpha < 1, where its (k-2)**alpha term needs k > 2."""
+        return 2 * self.k0 if self.alpha == 1.0 else max(2 * self.k0, 3)
+
     @cached_property
     def s_k0(self):
         """s_{k0} of the extremal recursion started at s_init, which
@@ -88,21 +95,18 @@ def simulate_recursion(params, k_max):
 def lemma_bound(params, k):
     """Closed-form decay bound at index k.
 
-    Valid for k >= 2*k0 (alpha = 1) or k >= max(2*k0, 3) (alpha < 1, where
-    the (k-2)**alpha term needs k > 2); below that an error is raised. The
+    Valid for k >= params.bound_start; below that an error is raised. The
     sequence value s_{k0} entering the bound is that of the extremal
     recursion started at s_init (params.s_k0).
     """
     a, c, tau, k0 = params.alpha, params.c, params.tau, params.k0
+    if k < params.bound_start:
+        raise ValueError(f"bound valid for k >= {params.bound_start}, got {k}")
     s_k0 = params.s_k0
     if a == 1.0:
-        if k < 2 * k0:
-            raise ValueError(f"bound valid for k >= {2 * k0}, got {k}")
         c0 = c
         return (s_k0 * (k0 / (k + 1)) ** c0
                 + tau * c0**2 / (k + 1) ** c0 * (1 + 1 / k0) ** c0 * phi_c(c0 - 1, k))
-    if k < max(2 * k0, 3):
-        raise ValueError(f"bound valid for k >= {max(2 * k0, 3)}, got {k}")
     # s_k0's factor exp(c k0**(1-a) / (1-a)) times the decay, as one exp,
     # since the first alone overflows where the product is finite
     shrink = c * (1 - 2 ** (a - 1)) * (k + 1) ** (1 - a) / (1 - a)

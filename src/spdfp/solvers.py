@@ -121,12 +121,17 @@ class SolverConfig:
     stop_tolerance: float = 0.0
 
     def __post_init__(self):
+        for name in ("p", "max_epochs", "seed"):  # a NumPy integer is one too
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if not 0 < self.lam < math.inf:
             raise ValueError("lambda must be positive and finite")
         if self.p < 1:
             raise ValueError("batch size must be at least 1")
         if self.max_epochs < 0:
             raise ValueError("max_epochs must be nonnegative")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if not 0 <= self.stop_tolerance < math.inf:
             raise ValueError("stop_tolerance must be nonnegative and finite")
 
@@ -360,6 +365,20 @@ class Reference:
     v_star: np.ndarray = None
     objective_star: float = None
 
+    def check(self, spec):
+        """Refuse, naming the field, an x_star not of shape (spec.dim,), and
+        where given a v_star not of shape (spec.B.n_rows,) or an
+        objective_star that is not finite."""
+        given = [("x_star", self.x_star, spec.dim)]
+        if self.v_star is not None:
+            given.append(("v_star", self.v_star, spec.B.n_rows))
+        for name, value, length in given:
+            if np.shape(value) != (length,):
+                raise ValueError(f"reference {name} must have shape ({length},), "
+                                 f"got {np.shape(value)}")
+        if self.objective_star is not None and not math.isfinite(self.objective_star):
+            raise ValueError(f"reference objective_star = {self.objective_star} is not finite")
+
 
 @dataclass
 class RunRecord:
@@ -548,9 +567,9 @@ def run_solver(kind, spec, prox_spec, cfg, admm_cfg=None, x0=None, v0=None,
     cfg.stop_tolerance. Records include error columns when a Reference is
     supplied.
 
-    Every input (kind, the schedule, the lambda guard, the batch plan, x0
-    and v0) is checked once, before the first step; the steps then run
-    unchecked on raw arrays, in the lane _steps picks. The lambda guard
+    Every input (kind, the schedule, the lambda guard, the batch plan, x0,
+    v0 and the reference) is checked once, before the first step; the
+    steps then run unchecked on raw arrays, in the lane _steps picks. The lambda guard
     reads spec.B.spectrum unless rho_max, taken as exact, is given.
     on_step, when given, is called with the state after every step: an
     IterState, or an AdmmState for 'stoc_admm'. Its arrays are fresh each
@@ -579,6 +598,8 @@ def run_solver(kind, spec, prox_spec, cfg, admm_cfg=None, x0=None, v0=None,
     if kind != "stoc_admm":
         check_lambda(cfg, spec.B, rho_max=rho_max)
     plan = make_batch_plan(spec.n, cfg.p)
+    if reference is not None:
+        reference.check(spec)
     if kind == "stoc_admm":
         s = initial_admm_state(spec, x0=x0)
         params, iterates = admm_cfg, (s.x, s.y, s.multiplier)

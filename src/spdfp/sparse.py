@@ -10,7 +10,9 @@ n_cols entries hold every column in order, which the C lane's column
 sweep over full rows relies on. Entries that come strictly ordered by
 (row, column), as from_dense and stack_identity give them, skip the sort. Every product
 outside the fused steps is RowView's, the records' too, which the C lane
-computes where it is built and NumPy otherwise, with the same bits, and
+computes where it is built and NumPy otherwise, with the same bits (a
+view below C_PRODUCT_ENTRIES entries takes NumPy's single-vector products
+on either lane, as a C call costs more than they do), and
 the eigenvalue comes from Lanczos on the Gram products of those products.
 A matrix is immutable, so it estimates its eigenvalue once, on first use
 of SparseMatrix.spectrum, and keeps it, unless it was handed the estimate
@@ -176,54 +178,72 @@ class SparseMatrix:
         return f"SparseMatrix({self.n_rows}x{self.n_cols}, nnz={self.nnz})"
 
 
+# The entry count from which a view's single-vector products are lane.c's,
+# where the lane is built: below it NumPy's are faster, as each C call pays
+# a ctypes floor of about 5 us. A matvec plus rmatvec, C against NumPy, in
+# us, on one CPU of a 2-vCPU Xeon (dense 16-column rows): 1024 entries
+# 11.3 / 8.7, 1536 11.5 / 12.1, 2048 12.3 / 16.1, 5120 14.6 / 36.7.
+C_PRODUCT_ENTRIES = 1536
+
+
 class RowView:
     """Rows [row_start, row_stop) of a SparseMatrix, set up once for loops
     that apply the same rows many times.
 
     These are the package's one set of products: each output entry is a
     sum from 0.0 in CSR order. Where the C lane is built (_kernels.LANE),
-    lane.c's spdfp_rows computes them, on the matrix this view holds on to,
-    and refuses an array that is not a C-contiguous float64 one of the
-    right shape; otherwise np.bincount does, converting and checking
-    nothing. Both give the same bits. x must be a float64 vector of length
+    lane.c's spdfp_rows computes the stacked ones (matvecs), and matvec and
+    rmatvec for a view of at least C_PRODUCT_ENTRIES entries, on the matrix
+    this view holds on to, refusing an array that is not a C-contiguous
+    float64 one of the right shape; otherwise np.bincount does, converting
+    and checking nothing, from arrays of the view's entries built on first
+    use. Both give the same bits. x must be a float64 vector of length
     n_cols, y one of length n_rows, and X a stack of such x, one per row.
     """
 
-    __slots__ = ("indices", "data", "rows", "n_rows", "n_cols", "_lane")
+    __slots__ = ("n_rows", "n_cols", "_matrix", "_start", "_stacked", "_single", "_entries")
 
     def __init__(self, M, row_start, row_stop):
         if not 0 <= row_start <= row_stop <= M.n_rows:
             raise ValueError("row range out of bounds")
         self.n_rows = row_stop - row_start
         self.n_cols = M.n_cols
-        if _kernels.LANE is not None:
-            self._lane = _kernels.LANE.rows(M, row_start, row_stop)
-        else:
-            self._lane = None
-            lo, hi = M.indptr[row_start], M.indptr[row_stop]
-            counts = M.indptr[row_start + 1:row_stop + 1] - M.indptr[row_start:row_stop]
-            self.indices = M.indices[lo:hi]
-            self.data = M.data[lo:hi]
-            self.rows = np.arange(self.n_rows).repeat(counts)
+        self._matrix, self._start, self._entries = M, row_start, None
+        lane = _kernels.LANE
+        self._stacked = None if lane is None else lane.rows(M, row_start, row_stop)
+        large = M.indptr[row_stop] - M.indptr[row_start] >= C_PRODUCT_ENTRIES
+        self._single = self._stacked if large else None
+
+    def _numpy_entries(self):
+        """(rows, indices, data) of the view's entries, which the NumPy
+        products read: built on first use, and kept."""
+        M, start, stop = self._matrix, self._start, self._start + self.n_rows
+        lo, hi = M.indptr[start], M.indptr[stop]
+        counts = M.indptr[start + 1:stop + 1] - M.indptr[start:stop]
+        self._entries = np.arange(self.n_rows).repeat(counts), M.indices[lo:hi], M.data[lo:hi]
+        return self._entries
 
     # np.bincount gives int64 zeros when there are no entries, hence astype
     def matvec(self, x):
-        if self._lane is not None:
-            return self._lane(x, False, False)
-        return np.bincount(self.rows, weights=self.data * x[self.indices],
+        if self._single is not None:
+            return self._single(x, False, False)
+        rows, indices, data = self._entries or self._numpy_entries()
+        return np.bincount(rows, weights=data * x[indices],
                            minlength=self.n_rows).astype(np.float64, copy=False)
 
     def rmatvec(self, y):
-        if self._lane is not None:
-            return self._lane(y, True, False)
-        return np.bincount(self.indices, weights=self.data * y[self.rows],
+        if self._single is not None:
+            return self._single(y, True, False)
+        rows, indices, data = self._entries or self._numpy_entries()
+        return np.bincount(indices, weights=data * y[rows],
                            minlength=self.n_cols).astype(np.float64, copy=False)
 
     def matvecs(self, X):
-        """The matvec of each row of X, one row each: one C call, which
-        takes four rows per pass over the matrix, or matvec row by row."""
-        if self._lane is not None:
-            return self._lane(X, False, True)
+        """The matvec of each row of X, one row each: one C call at any
+        size, which takes four rows per pass over the matrix, or matvec row
+        by row."""
+        if self._stacked is not None:
+            return self._stacked(X, False, True)
         return np.array([self.matvec(x) for x in X])
 
 

@@ -1,8 +1,9 @@
 """Independent oracles used by the tests.
 
-Everything here is a straight-line dense-NumPy computation, deliberately
-sharing no code with the library: scalar prox minimization, dense spectra,
-and step-by-step solver transcriptions.
+Everything here is a straight-line dense-NumPy or plain-Python computation,
+deliberately sharing no code with the library: scalar prox minimization,
+dense spectra, step-by-step solver transcriptions, and a token-by-token
+LIBSVM reader.
 """
 
 import mpmath
@@ -14,6 +15,31 @@ def batch_probability(plan, i):
     sample uniformly and its batch, so the batch's share of the samples."""
     start, stop = plan.ranges[i]
     return (stop - start) / plan.n
+
+
+def libsvm_csr(text):
+    """(labels, indptr, indices, data, n_cols) of LIBSVM text, read token by
+    token with float() and int(), as Python lists: lines split at \n, \r
+    or \r\n only, blank ones skipped; in each row, duplicate indices
+    summed from 0.0 in file order, zeros of either sign dropped and the
+    columns sorted; n_cols the largest index of any token."""
+    labels, indptr, indices, data, n_cols = [], [0], [], [], 0
+    for line in text.replace("\r\n", "\n").replace("\r", "\n").split("\n"):
+        tokens = line.split()
+        if not tokens:
+            continue
+        labels.append(float(tokens[0]))
+        row = {}
+        for tok in tokens[1:]:
+            idx, val = tok.split(":")
+            j = int(idx) - 1
+            row[j] = row.get(j, 0.0) + float(val)
+            n_cols = max(n_cols, j + 1)
+        kept = sorted((j, v) for j, v in row.items() if v != 0.0)
+        indices += [j for j, _ in kept]
+        data += [v for _, v in kept]
+        indptr.append(len(indices))
+    return labels, indptr, indices, data, n_cols
 
 
 def golden_section_min(f, lo, hi, iters=120):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import oracles
 import spdfp.harness as harness
 from spdfp.harness import (
     CSV_COLUMNS,
@@ -172,6 +173,12 @@ def test_libsvm_errors(tmp_path):
     p.write_text("1 1:x\n")
     with pytest.raises(ValueError, match="bad.libsvm:1: bad value in '1:x'"):
         load_libsvm(p)
+    # more digits than int() converts, with n_features or without
+    p.write_text("1 1:1\n-1 " + "1" * 5000 + ":1\n")
+    for n_features in (None, 50):
+        with pytest.raises(ValueError) as err:
+            load_libsvm(p, n_features=n_features)
+        assert str(err.value) == f"{p}:2: feature index of 5000 digits is too large"
 
 
 def test_libsvm_accepts_what_the_token_pattern_does(tmp_path):
@@ -191,8 +198,8 @@ def test_libsvm_rejects_non_finite_numbers(tmp_path):
             load_libsvm(p)
 
 
-# every refusal of the reader, word for word: a file with any of these in it
-# is read line by line, which names the first bad line
+# every refusal of the reader, word for word: the chunk that holds any of
+# these is walked line by line, which names the first bad line
 LIBSVM_REFUSALS = [
     (b"1 1:1\nx 1:2\n", None, "{p}:2: bad label 'x'"),
     (b"1 1:1\ninf 1:2\n", None, "{p}:2: label 'inf' is not finite"),
@@ -209,16 +216,22 @@ LIBSVM_REFUSALS = [
     # \x0c splits tokens but not lines
     (b"1 1:2\x0c2:3\n2 1:1:1\n", None, "{p}:2: bad feature token '1:1:1'"),
     (b"\n \n", None, "{p}: no samples found"),
-    (b"1 60:1\n", 50, "{p}: feature index 60 exceeds n_features=50"),
+    (b"1 60:1\n", 50, "{p}:1: feature index 60 exceeds n_features=50"),
     # a Unicode digit is a decimal digit to the index as to isdecimal()
-    ("1 ٣:1\n".encode(), 2, "{p}: feature index 3 exceeds n_features=2"),
+    ("1 ٣:1\n".encode(), 2, "{p}:1: feature index 3 exceeds n_features=2"),
     (b"1 99999999999999999999999:1\n", 50,
-     "{p}: feature index 99999999999999999999999 exceeds n_features=50"),
+     "{p}:1: feature index 99999999999999999999999 exceeds n_features=50"),
+    # the first bad line is the one past n_features, not the bad token after it
+    (b"1 60:1\n-1 2:3:4\n", 50, "{p}:1: feature index 60 exceeds n_features=50"),
+    # past n_features in the third chunk of a line a chunk
+    (b"1 1:1 2:1\n-1 2:1 3:1\n1 60:1\n", 50, "{p}:3: feature index 60 exceeds n_features=50"),
     # beyond int64, so no column count; with n_features, the refusal above
     (b"1 1:1\n-1 99999999999999999999999:1\n", None,
      "{p}:2: feature index 99999999999999999999999 is too large"),
     (b"\xef\xbb\xbf1 1:2\n", None, "{p}:1: bad label '\\ufeff1'"),
     (b"1 1:2\n\xff 1:2\n", None, "{p}:2: byte 0xff is not UTF-8"),
+    # a bad line before a byte that is not UTF-8 comes first
+    (b"x 1:2\n\xff 1:2\n", None, "{p}:1: bad label 'x'"),
 ]
 
 
@@ -236,25 +249,26 @@ def test_libsvm_refusals_are_word_for_word(tmp_path, monkeypatch, chunk, text, n
 
 
 @pytest.mark.parametrize("chunk", [None, 8], ids=["chunks", "a line a chunk"])
-def test_libsvm_chunks_read_what_the_lines_read(tmp_path, monkeypatch, chunk):
-    # files the chunked reader takes whole, blank lines, a row of its label
-    # alone, Unicode digits, duplicates and unsorted columns among them: the
-    # same labels and entries, bit for bit, as a read line by line
+def test_libsvm_reads_the_bits_of_float_and_int(tmp_path, monkeypatch, chunk):
+    # blank lines, CRLF, a row of its label alone, a form feed inside a
+    # line, Unicode digits, duplicates and unsorted columns: the labels and
+    # CSR arrays, bit for bit, of a token-by-token float()/int() read
     if chunk is not None:
         monkeypatch.setattr(harness, "_LIBSVM_CHUNK", chunk)
     p = tmp_path / "ok.libsvm"
     for text in ("1 003:0.5 1:-2e-3 ٢:+7\n", "\n1 2:1 2:3 1:5\r\n\n-0.0\n2 1:1e-320\n",
                  "1 1:2\x0c2:3\n-1 3:-0.0 4:1_5.5\n",
                  "\n".join(f"{i % 3 - 1} {i + 1}:{i / 7!r} 40:{-i}" for i in range(30))):
-        p.write_text(text, encoding="utf-8")
-        raw = p.read_bytes()
-        chunks, lines = harness._libsvm_chunks(p, raw), harness._libsvm_lines(p, raw)
-        assert chunks is not None
-        assert chunks[4] == lines[4]
-        for got, want, dtype in zip(chunks[:4], lines[:4], (np.float64, np.int64, np.int64,
-                                                             np.float64)):
-            assert got.dtype == dtype
-            assert got.tobytes() == np.array(want, dtype=dtype).tobytes()
+        p.write_bytes(text.encode())
+        got = load_libsvm(p)
+        labels, indptr, indices, data, n_cols = oracles.libsvm_csr(text)
+        assert got.samples.shape == (len(labels), n_cols)
+        for arr, want, dtype in ((got.labels, labels, np.float64),
+                                 (got.samples.indptr, indptr, np.int64),
+                                 (got.samples.indices, indices, np.int64),
+                                 (got.samples.data, data, np.float64)):
+            assert arr.dtype == dtype
+            assert arr.tobytes() == np.array(want, dtype=dtype).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -300,8 +314,7 @@ def test_libsvm_round_trip_keeps_the_bits(tmp_path, M, data):
     back = load_libsvm(p, n_features=M.n_cols)
     assert back.labels.tobytes() == labels.tobytes()
     assert_same_csr(back.samples, M)
-    # read in chunks, not line by line, and written back to the same bytes
-    assert harness._libsvm_chunks(p, p.read_bytes()) is not None
+    # written back to the same bytes
     save_libsvm(back, tmp_path / "again.libsvm")
     assert (tmp_path / "again.libsvm").read_bytes() == p.read_bytes()
 

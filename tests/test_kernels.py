@@ -464,34 +464,61 @@ def test_row_view_products_give_the_numpy_bits_on_the_c_lane(monkeypatch, c_lane
     assert all(seen.values()), seen
 
 
-def test_row_view_refuses_a_short_or_strided_vector_before_c_reads_it(monkeypatch, c_lane):
-    calls = []
-    lib = c_lane._lib
+def spy_on(monkeypatch, lane):
+    """Load lane as kernels.LANE, with a list that records the names of the
+    library functions it calls, which is returned."""
+    calls, lib = [], lane._lib
 
     class Spy:  # the library, with a record of the calls of its functions
         def __getattr__(self, name):
             fn = getattr(lib, name)
             return lambda *a: calls.append(name) or fn(*a)
 
-    monkeypatch.setattr(c_lane, "_lib", Spy())
-    monkeypatch.setattr(kernels, "LANE", c_lane)
-    M = SparseMatrix.from_dense(np.arange(30.0).reshape(6, 5))
+    monkeypatch.setattr(lane, "_lib", Spy())
+    monkeypatch.setattr(kernels, "LANE", lane)
+    return calls
+
+
+def test_row_view_refuses_a_short_or_strided_vector_before_c_reads_it(monkeypatch, c_lane):
+    calls = spy_on(monkeypatch, c_lane)
+    d = -(-sparse.C_PRODUCT_ENTRIES // 3)  # so that rows 1-3 take the C products
+    M = SparseMatrix.from_dense(np.arange(6.0 * d).reshape(6, d))
     view = M.row_view(1, 4)
-    for product, bad, error in ((view.matvec, np.ones(4), ValueError),
-                                (view.matvec, np.ones(10)[::2], TypeError),
-                                (view.matvec, np.ones(5, dtype=np.float32), TypeError),
-                                (view.matvec, np.ones((5, 1)), TypeError),
+    for product, bad, error in ((view.matvec, np.ones(d - 1), ValueError),
+                                (view.matvec, np.ones(2 * d)[::2], TypeError),
+                                (view.matvec, np.ones(d, dtype=np.float32), TypeError),
+                                (view.matvec, np.ones((d, 1)), TypeError),
                                 (view.rmatvec, np.ones(2), ValueError),
                                 (view.rmatvec, np.ones(6)[::2], TypeError),
                                 (view.rmatvec, [1.0, 2.0, 3.0], TypeError)):
         with pytest.raises(error):
             product(bad)
     assert calls == []
-    assert_same_bits(view.matvec(np.ones(5)), [35.0, 60.0, 85.0])
-    assert_same_bits(view.rmatvec(np.ones(3)), [30.0, 33.0, 36.0, 39.0, 42.0])
+    rows = M.to_dense()[1:4]  # integers, so every order of summing gives the same bits
+    assert_same_bits(view.matvec(np.ones(d)), rows.sum(axis=1))
+    assert_same_bits(view.rmatvec(np.ones(3)), rows.sum(axis=0))
     assert calls == ["spdfp_rows", "spdfp_rows"]
     with pytest.raises(ValueError, match="row range out of bounds"):
         sparse.RowView(M, 4, 7)
+
+
+def test_row_view_takes_the_c_products_from_c_product_entries(monkeypatch, c_lane):
+    # on the C lane, a view below C_PRODUCT_ENTRIES entries takes NumPy's
+    # matvec and rmatvec, whose arrays it builds on their first call, and
+    # one at or above it lane.c's; matvecs is one C call at either size
+    calls = spy_on(monkeypatch, c_lane)
+    for entries, single in ((sparse.C_PRODUCT_ENTRIES - 1, []),
+                            (sparse.C_PRODUCT_ENTRIES, ["spdfp_rows", "spdfp_rows"])):
+        M = SparseMatrix.from_coo(2, entries, np.ones(entries, dtype=np.int64),
+                                  np.arange(entries), np.ones(entries))
+        view = M.row_view(0, 2)
+        calls.clear()
+        assert_same_bits(view.matvecs(np.ones((3, entries))), np.tile([0.0, entries], (3, 1)))
+        assert calls == ["spdfp_rows"] and view._entries is None
+        calls.clear()
+        assert_same_bits(view.matvec(np.ones(entries)), [0.0, entries])
+        assert_same_bits(view.rmatvec(np.array([5.0, 2.0])), np.full(entries, 2.0))
+        assert calls == single
 
 
 def test_soft_threshold_signed_zeros_and_nan(c_lane):

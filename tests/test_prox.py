@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -115,6 +118,15 @@ def test_prox_scaled_zero_kind_and_errors():
         prox_scaled(L1, 0.0, y)
     with pytest.raises(ValueError):
         prox_scaled(L1, -1.0, y)
+
+
+@pytest.mark.parametrize("r", [math.inf, math.nan, -math.inf])
+def test_prox_scaled_refuses_a_scale_that_is_not_finite(r):
+    # r = inf used to give [nan, nan] with a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^scale r must be positive and finite$"):
+            prox_scaled(ProxSpec("l1", 1.0), r, np.array([1.0, -2.0]))
 
 
 def test_proxspec_validation():

@@ -180,6 +180,17 @@ def test_lemma_bound_domain_errors():
     lemma_bound(q, 3)
 
 
+@pytest.mark.parametrize("alpha,c,start", [(1.0, 2.0, 4), (1.0, 0.5, 2), (0.5, 0.5, 3),
+                                           (0.5, 4.0, 32)])
+def test_bound_start_is_where_lemma_bound_starts(alpha, c, start):
+    # 2*k0 for alpha = 1, max(2*k0, 3) below it; k0 is 2, 1, 1 and 16
+    p = RecursionParams(alpha=alpha, c=c, tau=0.1, s_init=1.0)
+    assert p.bound_start == start
+    with pytest.raises(ValueError, match=f"^bound valid for k >= {start}, got {start - 1}$"):
+        lemma_bound(p, start - 1)
+    assert math.isfinite(lemma_bound(p, start))
+
+
 def test_lemma_bound_eventually_nonincreasing_alpha1():
     p = RecursionParams(alpha=1.0, c=2.0, tau=0.5, s_init=1.0)
     ks = np.arange(2 * p.k0, 10001)

@@ -1,5 +1,6 @@
 import collections.abc
 import math
+import re
 import warnings
 from dataclasses import replace
 from types import SimpleNamespace
@@ -140,6 +141,41 @@ def test_stop_tolerance_must_be_nonnegative_and_finite(bad):
     with pytest.raises(ValueError, match="stop_tolerance"):
         SolverConfig(schedule=ConstantSchedule(0.1), lam=0.1, p=1, stop_tolerance=bad)
     SolverConfig(schedule=ConstantSchedule(0.1), lam=0.1, p=1, stop_tolerance=0.0)
+
+
+@pytest.mark.parametrize("field,bad,message", [
+    ("p", 2.5, "p must be an integer, got 2.5"),
+    ("max_epochs", 2.5, "max_epochs must be an integer, got 2.5"),
+    ("seed", 1.0, "seed must be an integer, got 1.0"),
+    ("seed", -1, "seed must be nonnegative, got -1"),
+])
+def test_solver_config_refuses_counts_that_are_not_integers(field, bad, message):
+    # each used to end in a TypeError or NumPy's seed error inside run_solver
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        SolverConfig(schedule=ConstantSchedule(0.1), lam=0.1, **{"p": 1, field: bad})
+    cfg = SolverConfig(schedule=ConstantSchedule(0.1), lam=0.1, p=np.int64(2),
+                       max_epochs=np.int32(3), seed=np.uint64(4))  # NumPy integers pass
+    assert (cfg.p, cfg.max_epochs, cfg.seed) == (2, 3, 4)
+
+
+@pytest.mark.parametrize("ref,message", [
+    # length 1 used to broadcast: the records of x* = 0 and v* = 0
+    (Reference(np.zeros(1), np.zeros(1), 1.0), "reference x_star must have shape (5,), got (1,)"),
+    (Reference(np.zeros(3)), "reference x_star must have shape (5,), got (3,)"),
+    (Reference(np.zeros(5), np.zeros(1)), "reference v_star must have shape (4,), got (1,)"),
+    (Reference(np.zeros(5), np.zeros(4), math.nan),
+     "reference objective_star = nan is not finite"),
+    (Reference(np.zeros(5), None, -math.inf), "reference objective_star = -inf is not finite"),
+])
+def test_run_solver_refuses_a_reference_of_the_wrong_shape_before_the_first_step(ref, message):
+    spec, _, _ = fused_spec(12, 5, seed=3)
+    cfg = SolverConfig(schedule=StepSchedule(c=0.5, alpha=0.7), lam=0.2, p=3, max_epochs=2)
+    steps = []
+    for kind in ("spdfp2", "stoc_admm"):
+        admm = AdmmConfig(beta_tilde=1.0, zeta_schedule=ConstantSchedule(1.0))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_solver(kind, spec, L1, cfg, admm_cfg=admm, reference=ref, on_step=steps.append)
+    assert steps == []
 
 
 def test_lambda_guard_rejects_nan():
