@@ -19,8 +19,10 @@ that are all full, which an O(1) test on indptr finds
 (sparse.SparseMatrix refuses CSR that is not canonical, which makes it
 sound), sweeps the matrix's columns eight outputs at a time, with each
 output's CSR-order sum and so its bits; any other scatters over the rows'
-entries. A C product M x takes four rows per pass, except a step's A x
-over a dense A, which sweeps (see Steps).
+entries, four entries of a row a pass. A C product M x takes four rows per
+pass, except a step's A x over a dense A, which sweeps (see Steps); a
+stack of them takes eight vectors a pass over M's rows, through a scratch
+block that CLane.rows lends, so that lane.c allocates nothing.
 """
 
 import ctypes
@@ -30,7 +32,7 @@ import os
 import numpy as np
 
 _KINDS = {"pdfp": 0, "spdfp1": 1, "spdfp2": 2}
-_LANE_VERSION = 11  # spdfp_lane_version() of the lane.c this module calls
+_LANE_VERSION = 12  # spdfp_lane_version() of the lane.c this module calls
 _LOSSES = {"square": 0, "hinge": 1, "logistic": 2}
 
 
@@ -86,7 +88,7 @@ class CLane:
                               "'python setup.py build_ext --inplace'")
         lib.spdfp_run_steps.argtypes = (ctypes.POINTER(_Run), p, i64, i64, i64, p, p, p, p, p)
         lib.spdfp_run_steps.restype = ctypes.c_int
-        lib.spdfp_rows.argtypes = (ctypes.POINTER(_Csr), i64, i64, i64, p, i64, p)
+        lib.spdfp_rows.argtypes = (ctypes.POINTER(_Csr), i64, i64, i64, p, i64, p, p)
         lib.spdfp_rows.restype = None
         self._lib = lib
 
@@ -95,14 +97,22 @@ class CLane:
         product(x, transpose, stacked): M[lo:hi] x, or M[lo:hi]^T x with
         transpose set, of a vector x, or of each row of x with stacked set,
         as a fresh array. It refuses an x that is not a C-contiguous float64
-        array of that shape, and sums as sparse.RowView's NumPy products do."""
-        csr, fn = _csr(M), self._lib.spdfp_rows
+        array of that shape, and sums as sparse.RowView's NumPy products do.
+        A stack of eight or more vectors without transpose takes eight a
+        pass over M's rows, through a scratch block of 8 M.n_cols doubles
+        that the function makes on its first such call and keeps."""
+        csr, fn, block = _csr(M), self._lib.spdfp_rows, None
 
         def product(x, transpose, stacked):
+            nonlocal block
             n_in, n_out = (hi - lo, M.n_cols) if transpose else (M.n_cols, hi - lo)
             address = _address(x, np.float64, *(None,) * stacked, n_in)
+            count = len(x) if stacked else 1
+            if block is None and count >= 8 and not transpose:
+                block = np.empty(8 * M.n_cols)
             out = np.empty((*x.shape[:-1], n_out))
-            fn(csr, lo, hi, transpose, address, len(x) if stacked else 1, out.ctypes.data)
+            fn(csr, lo, hi, transpose, address, count,
+               None if block is None else block.ctypes.data, out.ctypes.data)
             return out
 
         product.matrix = M  # keeps alive the arrays csr points into

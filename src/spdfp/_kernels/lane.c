@@ -2,19 +2,23 @@
  * snapshot of x and v and the time stamp that end each epoch, and the
  * products of every sparse.RowView, among them the A x and B x of a record
  * block's snapshots, one call each, and the Lanczos steps of
- * sparse.estimate_spectrum. A stack of vectors takes four per pass over a
- * matrix's rows, and a step starts from the B^T v the step before it left,
- * so it makes three B products, not four. Every M x is matvec, four rows
- * per pass, but a step's A x over a dense A, which sweeps the columns of
- * the step's rows in a dense copy of A's transpose, d rows of n. Every
- * M^T y is rmatvec: where its rows are all full, a column sweep (sweep)
- * that reads M's rows in order, else a scatter over their entries. A step
- * over all rows of A and a mini-batch step take the same products. Each
- * epoch's end also writes the step-size factors of its a_k record.
+ * sparse.estimate_spectrum. A stack of vectors (matvecs) takes eight per
+ * pass over a matrix's rows, in four pair accumulators that read the eight
+ * from a transposed block the caller lends, then four, then one, and a
+ * step starts from the B^T v the step before it left, so it makes three B
+ * products, not four. Every M x is matvec, four rows per pass, but a
+ * step's A x over a dense A, which sweeps the columns of the step's rows
+ * in a dense copy of A's transpose, d rows of n. Every M^T y is rmatvec:
+ * where its rows are all full, a column sweep (sweep) that reads M's rows
+ * in order, else a scatter over their entries, four entries of a row per
+ * pass. A step over all rows of A and a mini-batch step take the same
+ * products. The prox (soft) is two selects and a copysign, with no
+ * branch. Each epoch's end also writes the step-size factors of its a_k
+ * record.
  * Plain C99 over raw int64/double arrays, no Python C-API, plus GCC /
  * Clang's vector_size(16) type of two doubles (SSE2 / NEON width, so no
  * -march); spdfp._kernels loads the built library with ctypes and checks
- * every array before it passes a pointer. At revision 11 it exports
+ * every array before it passes a pointer. At revision 12 it exports
  * spdfp_run_size, spdfp_lane_version, spdfp_run_steps and spdfp_rows;
  * everything else is static.
  *
@@ -24,7 +28,14 @@
  *   - a product sums each output entry from 0.0 in CSR order, as
  *     np.bincount does, and multiplies data by the vector in that order,
  *     also when it takes four rows or four snapshots at once, one
- *     accumulator each;
+ *     accumulator each, or eight snapshots, one lane of a pair each (a
+ *     vector add or multiply is the scalar one in each lane, below);
+ *   - the scatter's pass loads its four outputs before it stores them,
+ *     which is sound as a row of canonical CSR holds each column at most
+ *     once, so the four are distinct and each still adds its entries in
+ *     CSR order;
+ *   - soft's selects and copysign give np.sign(y) * np.maximum(|y| - t, 0)
+ *     bit for bit (see soft), a NaN y aside, whose sign is left open;
  *   - the column sweep gives each output a lane of a two-double
  *     accumulator, which starts at 0.0 and adds data times vector one
  *     entry at a time, in CSR order again: a full row of canonical CSR
@@ -95,10 +106,11 @@ int64_t spdfp_run_size(void)
  * spdfp_products; spdfp_rows takes a stack of vectors. Revision 9: no
  * spdfp_scales; spdfp_run_steps writes the a_k factors of its epochs.
  * Revision 10: run's At is a dense array, or NULL. Revision 11: a run
- * over a dense A holds At whatever its ranges. */
+ * over a dense A holds At whatever its ranges. Revision 12: spdfp_rows
+ * takes the scratch block of an eight-vector pass. */
 int64_t spdfp_lane_version(void)
 {
-    return 11;
+    return 12;
 }
 
 /* out[i - lo] = (row i of M) . x for lo <= i < hi, each summed from 0.0 in
@@ -204,52 +216,106 @@ static void sweep(const double *D, int64_t stride, int64_t width, const double *
 }
 
 /* out[0:n_cols] = (rows lo..hi-1 of M)^T y: a sweep down M's columns where
- * the rows are all full, else a scatter over their entries. */
+ * the rows are all full, else a scatter over their entries, four entries of
+ * a row a pass, which loads the four outputs before it stores them: a row
+ * of canonical CSR holds each column at most once, so no two of the four
+ * are the same output, and each output still sums from 0.0 in CSR order. */
 static void rmatvec(const csr *M, const double *y, double *out, int64_t lo, int64_t hi)
 {
     if (full_rows(M, lo, hi)) {
         sweep(M->data + M->indptr[lo], M->n_cols, M->n_cols, y, hi - lo, out);
         return;
     }
+    const int64_t *col = M->indices;
+    const double *a = M->data;
     for (int64_t c = 0; c < M->n_cols; c++)
         out[c] = 0.0;
-    for (int64_t i = lo; i < hi; i++)
-        for (int64_t j = M->indptr[i]; j < M->indptr[i + 1]; j++)
-            out[M->indices[j]] = out[M->indices[j]] + M->data[j] * y[i - lo];
+    for (int64_t i = lo; i < hi; i++) {
+        double yi = y[i - lo];
+        int64_t j = M->indptr[i], e = M->indptr[i + 1];
+        for (; j + 4 <= e; j += 4) {
+            int64_t c0 = col[j], c1 = col[j + 1], c2 = col[j + 2], c3 = col[j + 3];
+            double o0 = out[c0], o1 = out[c1], o2 = out[c2], o3 = out[c3];
+            out[c0] = o0 + a[j] * yi;
+            out[c1] = o1 + a[j + 1] * yi;
+            out[c2] = o2 + a[j + 2] * yi;
+            out[c3] = o3 + a[j + 3] * yi;
+        }
+        for (; j < e; j++)
+            out[col[j]] = out[col[j]] + a[j] * yi;
+    }
 }
 
-/* np.sign(y) * np.maximum(np.abs(y) - t, 0.0) for one entry: np.sign maps
- * both zeros to +0.0 and keeps NaN, np.maximum keeps a NaN first operand,
- * so y = -0.3, t = 1 gives -0.0. */
+/* np.sign(y) * np.maximum(np.abs(y) - t, 0.0) for one entry, with two
+ * selects and no branch. t is >= 0 or NaN, so a is never -0.0, and m,
+ * which keeps a NaN a as np.maximum does, is +0.0, positive or NaN: for a
+ * nonzero y, np.sign's +-1 times m is copysign(m, y). np.sign maps both
+ * zeros to +0.0, and +0.0 * m keeps the NaN m of a NaN t (gamma / lam
+ * overflows to inf against a zero weight). So y = -0.3, t = 1 gives -0.0,
+ * y = -0.0 gives +0.0, and a NaN y stays NaN, of either sign. */
 static double soft(double y, double t)
 {
     double a = fabs(y) - t;
-    double m = (a > 0.0 || isnan(a)) ? a : 0.0;
-    double s = y > 0.0 ? 1.0 : y < 0.0 ? -1.0 : y == 0.0 ? 0.0 : y;
-    return s * m;
+    double m = a <= 0.0 ? 0.0 : a;
+    return y == 0.0 ? 0.0 * m : copysign(m, y);
 }
 
 /* out[s] = M[lo:hi] X[s] for the count rows of X (M.n_cols doubles each),
- * out row-major with hi - lo doubles per row. Each group of four rows takes
- * one pass over the rows of M with four accumulators, each summed from 0.0
- * in CSR order as matvec sums it; the count % 4 rows left over go through
- * matvec. */
+ * out row-major with hi - lo doubles per row, each entry summed from 0.0 in
+ * CSR order as matvec sums it. Each group of eight rows of X is first
+ * copied into block transposed, M.n_cols rows of eight, so that the eight
+ * values an entry of M multiplies lie side by side; one pass over the rows
+ * of M then takes four pair accumulators, two rows of X each, one lane a
+ * row, and one 16-byte load of block a pair. A group of four rows left
+ * over takes one pass with four accumulators, and the count % 4 rows left
+ * after it go through matvec. */
 static void matvecs(const csr *M, int64_t lo, int64_t hi, const double *X, int64_t count,
-                    double *out)
+                    double *block, double *out)
 {
+    const int64_t *p = M->indptr, *col = M->indices;
+    const double *a = M->data;
     int64_t d = M->n_cols, n = hi - lo, s = 0;
+    for (; s + 8 <= count; s += 8) {
+        for (int64_t c = 0; c < d; c++)
+            for (int64_t t = 0; t < 8; t++)
+                block[8 * c + t] = X[(s + t) * d + c];
+        double *o = out + s * n;
+        for (int64_t i = 0; i < n; i++) {
+            pair a0 = {0.0, 0.0}, a1 = a0, a2 = a0, a3 = a0;
+            for (int64_t j = p[lo + i]; j < p[lo + i + 1]; j++) {
+                pair e = {a[j], a[j]}, x0, x1, x2, x3;
+                const double *b = block + 8 * col[j];
+                memcpy(&x0, b, sizeof x0);
+                memcpy(&x1, b + 2, sizeof x1);
+                memcpy(&x2, b + 4, sizeof x2);
+                memcpy(&x3, b + 6, sizeof x3);
+                a0 = a0 + e * x0;
+                a1 = a1 + e * x1;
+                a2 = a2 + e * x2;
+                a3 = a3 + e * x3;
+            }
+            o[i] = a0[0];
+            o[n + i] = a0[1];
+            o[2 * n + i] = a1[0];
+            o[3 * n + i] = a1[1];
+            o[4 * n + i] = a2[0];
+            o[5 * n + i] = a2[1];
+            o[6 * n + i] = a3[0];
+            o[7 * n + i] = a3[1];
+        }
+    }
     for (; s + 4 <= count; s += 4) {
         const double *x0 = X + s * d, *x1 = x0 + d, *x2 = x1 + d, *x3 = x2 + d;
         double *o = out + s * n;
         for (int64_t i = 0; i < n; i++) {
             double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
-            for (int64_t j = M->indptr[lo + i]; j < M->indptr[lo + i + 1]; j++) {
-                double a = M->data[j];
-                int64_t c = M->indices[j];
-                a0 = a0 + a * x0[c];
-                a1 = a1 + a * x1[c];
-                a2 = a2 + a * x2[c];
-                a3 = a3 + a * x3[c];
+            for (int64_t j = p[lo + i]; j < p[lo + i + 1]; j++) {
+                double e = a[j];
+                int64_t c = col[j];
+                a0 = a0 + e * x0[c];
+                a1 = a1 + e * x1[c];
+                a2 = a2 + e * x2[c];
+                a3 = a3 + e * x3[c];
             }
             o[i] = a0;
             o[n + i] = a1;
@@ -264,13 +330,15 @@ static void matvecs(const csr *M, int64_t lo, int64_t hi, const double *X, int64
 /* The products of sparse.RowView over rows lo..hi-1 of M, of each of the
  * count vectors stacked in x: out[s] = M[lo:hi] x[s], hi - lo doubles from
  * M.n_cols, or with transpose set out[s] = M[lo:hi]^T x[s], M.n_cols
- * doubles from hi - lo; x and out row-major. The caller checks that
+ * doubles from hi - lo; x and out row-major. block is matvecs' scratch of
+ * 8 M.n_cols doubles, which only products of eight or more vectors without
+ * transpose touch, so it may be NULL for any other. The caller checks that
  * 0 <= lo <= hi <= M.n_rows and the lengths. */
 void spdfp_rows(const csr *M, int64_t lo, int64_t hi, int64_t transpose, const double *x,
-                int64_t count, double *out)
+                int64_t count, double *block, double *out)
 {
     if (!transpose)
-        matvecs(M, lo, hi, x, count, out);
+        matvecs(M, lo, hi, x, count, block, out);
     else
         for (int64_t s = 0; s < count; s++)
             rmatvec(M, x + s * (hi - lo), out + s * M->n_cols, lo, hi);

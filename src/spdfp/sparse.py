@@ -181,8 +181,11 @@ class SparseMatrix:
 # The entry count from which a view's single-vector products are lane.c's,
 # where the lane is built: below it NumPy's are faster, as each C call pays
 # a ctypes floor of about 5 us. A matvec plus rmatvec, C against NumPy, in
-# us, on one CPU of a 2-vCPU Xeon (dense 16-column rows): 1024 entries
-# 11.3 / 8.7, 1536 11.5 / 12.1, 2048 12.3 / 16.1, 5120 14.6 / 36.7.
+# us, min of 5 x 2000 calls on one CPU of a 2-vCPU Xeon, rows of 16
+# entries: dense 16-column rows (rmatvec sweeps) 1024 entries 11.0 / 8.8,
+# 1536 11.8 / 12.5, 2048 12.2 / 16.1, 5120 15.2 / 35.3; every other of 32
+# columns (rmatvec scatters) 1024 11.6 / 8.6, 1536 12.5 / 11.5, 2048
+# 13.2 / 15.6, 5120 16.6 / 35.2.
 C_PRODUCT_ENTRIES = 1536
 
 
@@ -196,23 +199,30 @@ class RowView:
     rmatvec for a view of at least C_PRODUCT_ENTRIES entries, on the matrix
     this view holds on to, refusing an array that is not a C-contiguous
     float64 one of the right shape; otherwise np.bincount does, converting
-    and checking nothing, from arrays of the view's entries built on first
-    use. Both give the same bits. x must be a float64 vector of length
-    n_cols, y one of length n_rows, and X a stack of such x, one per row.
+    and checking nothing. Each lane's arrays (lane.c's CSR struct, or the
+    view's entries) are built on first use, so a view that only takes
+    NumPy's products never builds lane.c's. Both give the same bits. x must
+    be a float64 vector of length n_cols, y one of length n_rows, and X a
+    stack of such x, one per row.
     """
 
-    __slots__ = ("n_rows", "n_cols", "_matrix", "_start", "_stacked", "_single", "_entries")
+    __slots__ = ("n_rows", "n_cols", "_matrix", "_start", "_lane", "_large", "_c", "_entries")
 
     def __init__(self, M, row_start, row_stop):
         if not 0 <= row_start <= row_stop <= M.n_rows:
             raise ValueError("row range out of bounds")
         self.n_rows = row_stop - row_start
         self.n_cols = M.n_cols
-        self._matrix, self._start, self._entries = M, row_start, None
-        lane = _kernels.LANE
-        self._stacked = None if lane is None else lane.rows(M, row_start, row_stop)
-        large = M.indptr[row_stop] - M.indptr[row_start] >= C_PRODUCT_ENTRIES
-        self._single = self._stacked if large else None
+        self._matrix, self._start, self._c, self._entries = M, row_start, None, None
+        self._lane = _kernels.LANE
+        self._large = (self._lane is not None
+                       and M.indptr[row_stop] - M.indptr[row_start] >= C_PRODUCT_ENTRIES)
+
+    def _c_products(self):
+        """lane.c's product function over the view (_kernels.CLane.rows):
+        built on first use, and kept."""
+        self._c = self._lane.rows(self._matrix, self._start, self._start + self.n_rows)
+        return self._c
 
     def _numpy_entries(self):
         """(rows, indices, data) of the view's entries, which the NumPy
@@ -225,25 +235,25 @@ class RowView:
 
     # np.bincount gives int64 zeros when there are no entries, hence astype
     def matvec(self, x):
-        if self._single is not None:
-            return self._single(x, False, False)
+        if self._large:
+            return (self._c or self._c_products())(x, False, False)
         rows, indices, data = self._entries or self._numpy_entries()
         return np.bincount(rows, weights=data * x[indices],
                            minlength=self.n_rows).astype(np.float64, copy=False)
 
     def rmatvec(self, y):
-        if self._single is not None:
-            return self._single(y, True, False)
+        if self._large:
+            return (self._c or self._c_products())(y, True, False)
         rows, indices, data = self._entries or self._numpy_entries()
         return np.bincount(indices, weights=data * y[rows],
                            minlength=self.n_cols).astype(np.float64, copy=False)
 
     def matvecs(self, X):
         """The matvec of each row of X, one row each: one C call at any
-        size, which takes four rows per pass over the matrix, or matvec row
-        by row."""
-        if self._stacked is not None:
-            return self._stacked(X, False, True)
+        size, which takes eight rows per pass over the matrix (the rest four,
+        then one), or matvec row by row."""
+        if self._lane is not None:
+            return (self._c or self._c_products())(X, False, True)
         return np.array([self.matvec(x) for x in X])
 
 

@@ -107,17 +107,27 @@ def numpy_reference(monkeypatch):
     monkeypatch.setattr(kernels, "LANE", None)
 
 
-def build_lane(tmp_path_factory, flags):
-    """The C lane compiled with flags, loaded; a warning in the C lane
-    fails the build, and with it the tests that use it."""
+def compile_library(tmp_path_factory, flags, source):
+    """The path of the shared library compiled from source with flags; a
+    warning fails the build, and with it the tests that use it."""
     cc = find_compiler()
     if cc is None:
         pytest.skip("no C compiler found ($CC, cc, gcc or clang), so the C lane cannot be built")
     lib = tmp_path_factory.mktemp("lane") / "lane.so"
     flags = [*flags, "-std=c99", "-pedantic", "-Wall", "-Wextra", "-Werror"]
-    subprocess.run([cc, *flags, "-shared", "-fPIC", "-o", str(lib), LANE_SOURCE, "-lm"],
+    subprocess.run([cc, *flags, "-shared", "-fPIC", "-o", str(lib), str(source), "-lm"],
                    check=True, capture_output=True)
-    return kernels.CLane(str(lib))
+    return str(lib)
+
+
+def build_lane(tmp_path_factory, flags):
+    """The C lane compiled with flags, loaded."""
+    return kernels.CLane(compile_library(tmp_path_factory, flags, LANE_SOURCE))
+
+
+def unoptimised_flags():
+    """The shipped flags at -O0."""
+    return ["-O0" if f.startswith("-O") else f for f in shipped_compile_args()]
 
 
 @pytest.fixture(scope="module")
@@ -133,11 +143,26 @@ def c_lane(tmp_path_factory):
 def unoptimised_lane(tmp_path_factory):
     # the shipped flags at -O0: what the optimiser makes of the vector code
     # must not change a bit
-    return build_lane(tmp_path_factory,
-                      ["-O0" if f.startswith("-O") else f for f in shipped_compile_args()])
+    return build_lane(tmp_path_factory, unoptimised_flags())
 
 
-@pytest.mark.parametrize("version", [None, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10])
+@pytest.fixture(scope="module")
+def soft_builds(tmp_path_factory):
+    # lane.c's soft() as a function of (y, t), at the shipped flags and at
+    # -O0: lane.c exports no prox, and a step's prox argument is a sum from
+    # +0.0, which is never -0.0, so only a direct call reaches y = -0.0
+    probe = tmp_path_factory.mktemp("soft") / "soft.c"
+    probe.write_text(f'#include "{LANE_SOURCE}"\n'
+                     "double soft_probe(double y, double t) { return soft(y, t); }\n")
+    builds = []
+    for flags in (shipped_compile_args(), unoptimised_flags()):
+        fn = ctypes.CDLL(compile_library(tmp_path_factory, flags, probe)).soft_probe
+        fn.argtypes, fn.restype = (ctypes.c_double, ctypes.c_double), ctypes.c_double
+        builds.append(fn)
+    return builds
+
+
+@pytest.mark.parametrize("version", [None, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11])
 def test_loader_refuses_a_library_built_from_another_lane_c(tmp_path, version):
     # a library with the run struct of this lane.c but no version stamp, as
     # built from the lane.c whose spdfp_products took no snapshots, or with
@@ -147,8 +172,9 @@ def test_loader_refuses_a_library_built_from_another_lane_c(tmp_path, version):
     # vector, or with spdfp_scales and a spdfp_run_steps without the a_k
     # factors, or with a CSR At in the run struct, or with an At that only a
     # full-range run holds, which a mini-batch step would sweep from its
-    # start: calling it could write through the wrong pointers or the wrong
-    # rows, or fail on a missing symbol
+    # start, or with a spdfp_rows that takes no scratch block: calling it
+    # could write through the wrong pointers or the wrong rows, or fail on a
+    # missing symbol
     cc = find_compiler()
     if cc is None:
         pytest.skip("no C compiler found ($CC, cc, gcc or clang)")
@@ -358,54 +384,62 @@ def spectrum_matrices():
 def test_spectrum_same_bits_on_both_lanes(monkeypatch, c_lane):
     # the C lane's RowView products give every Lanczos step the NumPy
     # lane's bits, so the whole estimate is the same: rho_max and residual
-    # to the bit
+    # to the bit; a matrix of at least C_PRODUCT_ENTRIES entries takes
+    # lane.c's products over all its rows, and a smaller one never builds
+    # them
     views = []
     rows = c_lane.rows
     monkeypatch.setattr(c_lane, "rows", lambda *a: views.append(a) or rows(*a))
-    matrices = spectrum_matrices()
-    for name, M in matrices.items():
+    seen_large = 0
+    for name, M in spectrum_matrices().items():
         estimates = []
+        views.clear()
         for lane in (c_lane, None):
             monkeypatch.setattr(kernels, "LANE", lane)
             estimates.append(estimate_spectrum(M))
         c, numpy = estimates
         assert (c.iterations_used, c.converged) == (numpy.iterations_used, numpy.converged), name
         assert_same_bits([c.rho_max, c.residual], [numpy.rho_max, numpy.residual])
-        assert views[-1] == (M, 0, M.n_rows)
-    assert len(views) == len(matrices)
+        large = M.nnz >= sparse.C_PRODUCT_ENTRIES
+        seen_large += large
+        assert views == ([(M, 0, M.n_rows)] if large else []), name
+    assert seen_large
 
 
-def test_products_take_blocks_of_snapshots_four_at_a_time(monkeypatch, c_lane):
-    # blocks of 1 to 9 snapshots reach both the four-wide pass and the
-    # leftover one-at-a-time rows (every count % 4), over row ranges that
-    # start past row 0 and may be empty; snapshots hold +-0.0, +-inf and
-    # NaN, so each output entry must sum the same products in the same
-    # order as RowView's NumPy matvec, row by row. The transposed products
-    # of a stack take rmatvec's bits, vector by vector
+def test_products_take_blocks_of_snapshots_eight_then_four_at_a_time(monkeypatch, c_lane,
+                                                                    unoptimised_lane):
+    # blocks of 1 to 17 snapshots reach two eight-wide pair passes, the
+    # four-wide pass and the leftover one-at-a-time rows (every count % 8),
+    # on both C builds, over row ranges that start past row 0 and may be
+    # empty; snapshots hold +-0.0, +-inf, NaN and subnormals, so each output
+    # entry must sum the same products in the same order as RowView's NumPy
+    # matvec, row by row, in the row of out its snapshot has. The
+    # transposed products of a stack take rmatvec's bits, vector by vector
     rng = np.random.default_rng(5)
-    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan])
     seen = {"empty row": 0, "lo > 0": 0, "empty range": 0}
-    for trial in range(60):
+    for trial in range(68):
         M = random_csr(rng)
         lo = int(rng.integers(0, M.n_rows + 1))
         hi = int(rng.integers(lo, M.n_rows + 1))
         seen["empty row"] += int(np.any(np.diff(M.indptr[lo:hi + 1]) == 0))
         seen["lo > 0"] += lo > 0
         seen["empty range"] += lo == hi
-        count = 1 + trial % 9
-        X = rng.standard_normal((count, M.n_cols))
-        mask = rng.random(X.shape) < 0.3
-        X[mask] = rng.choice(special, int(mask.sum()))
-        X[0, :len(special)] = special[:M.n_cols]
-        with np.errstate(invalid="ignore"):
-            got, want = stacked_products(monkeypatch, c_lane, M, lo, hi, X)
-            Y = with_specials(rng, rng.standard_normal((count, hi - lo)), 0.3)
-            got_t = c_lane.rows(M, lo, hi)(Y, True, True)
-            want_t = [M.row_view(lo, hi).rmatvec(y) for y in Y]
-        assert got.shape == want.shape == (count, hi - lo)
-        assert got_t.shape == (count, M.n_cols)
-        assert_same_bits_but_nan_signs(got, want)
-        assert_same_bits_but_nan_signs(got_t, want_t)
+        count = 1 + trial % 17
+        X = with_specials(rng, rng.standard_normal((count, M.n_cols)), 0.3)
+        X[0, :len(SPECIAL)] = SPECIAL[:M.n_cols]
+        Y = with_specials(rng, rng.standard_normal((count, hi - lo)), 0.3)
+        monkeypatch.setattr(kernels, "LANE", None)
+        view = M.row_view(lo, hi)
+        with np.errstate(invalid="ignore", over="ignore"):
+            want, want_t = view.matvecs(X), [view.rmatvec(y) for y in Y]
+            for lane in (c_lane, unoptimised_lane):
+                monkeypatch.setattr(kernels, "LANE", lane)
+                got = M.row_view(lo, hi).matvecs(X)
+                got_t = lane.rows(M, lo, hi)(Y, True, True)
+                assert got.shape == want.shape == (count, hi - lo)
+                assert got_t.shape == (count, M.n_cols)
+                assert_same_bits_but_nan_signs(got, want)
+                assert_same_bits_but_nan_signs(got_t, want_t)
     assert all(seen.values()), seen
 
 
@@ -432,11 +466,12 @@ def assert_same_bits_but_nan_signs(a, b):
     assert_same_bits(a[~nan], b[~nan])
 
 
-def test_row_view_products_give_the_numpy_bits_on_the_c_lane(monkeypatch, c_lane):
+def test_row_view_products_give_the_numpy_bits_on_the_c_lane(c_lane):
     # spdfp_rows against RowView's np.bincount lines, bit for bit: matrices
     # whose data and vectors hold signed zeros, NaN, inf and subnormals,
     # with empty rows and columns, over row ranges that may be empty, with n
-    # and d mostly not multiples of 4
+    # and d mostly not multiples of 4. The views are below
+    # C_PRODUCT_ENTRIES, so the C side calls lane.c's products directly
     rng = np.random.default_rng(9)
     seen = {"empty row": 0, "empty column": 0, "empty range": 0, "ragged": 0}
     for _ in range(300):
@@ -451,17 +486,71 @@ def test_row_view_products_give_the_numpy_bits_on_the_c_lane(monkeypatch, c_lane
         seen["empty column"] += int(len(set(M.indices)) < M.n_cols)
         seen["empty range"] += lo == hi
         seen["ragged"] += M.n_rows % 4 != 0 and M.n_cols % 4 != 0
-        got = []
-        for lane in (c_lane, None):
-            monkeypatch.setattr(kernels, "LANE", lane)
-            view = M.row_view(lo, hi)
-            with np.errstate(invalid="ignore", over="ignore"):
-                got.append((view.matvec(x), view.rmatvec(y)))
-        (c_ax, c_aty), (np_ax, np_aty) = got
+        product, view = c_lane.rows(M, lo, hi), M.row_view(lo, hi)
+        with np.errstate(invalid="ignore", over="ignore"):
+            c_ax, c_aty = product(x, False, False), product(y, True, False)
+            np_ax, np_aty = view.matvec(x), view.rmatvec(y)
         assert c_ax.shape == (hi - lo,) and c_aty.shape == (M.n_cols,)
         assert_same_bits_but_nan_signs(c_ax, np_ax)
         assert_same_bits_but_nan_signs(c_aty, np_aty)
     assert all(seen.values()), seen
+
+
+def test_scatter_takes_every_remainder_of_its_four_entry_pass(c_lane, unoptimised_lane):
+    # rmatvec's scatter takes four entries of a row a pass, then the rest
+    # of the row one at a time: rows of 0 to 9 entries (never full, so no
+    # sweep) reach every remainder after zero, one and two passes, over
+    # columns drawn anew for each row, in shuffled row order; data and y
+    # hold signed zeros, subnormals, inf and NaN. Both C builds against
+    # the NumPy lane, of one vector and of a stack
+    rng = np.random.default_rng(35)
+    for trial in range(40):
+        n_cols = int(rng.integers(10, 24))
+        lengths = rng.permutation(np.repeat(np.arange(10), 2))
+        indices = [np.sort(rng.choice(n_cols, k, replace=False)) for k in lengths]
+        data = rng.standard_normal(lengths.sum())
+        M = SparseMatrix(len(lengths), n_cols, np.concatenate([[0], np.cumsum(lengths)]),
+                         np.concatenate(indices).astype(np.int64),
+                         with_specials(rng, data, 0.15) if trial % 2 else data)
+        lo, hi = int(rng.integers(0, 3)), M.n_rows - int(rng.integers(0, 3))
+        Y = with_specials(rng, rng.standard_normal((3, hi - lo)), 0.3)
+        view = M.row_view(lo, hi)
+        with np.errstate(invalid="ignore", over="ignore"):
+            want = [view.rmatvec(y) for y in Y]
+            for lane in (c_lane, unoptimised_lane):
+                product = lane.rows(M, lo, hi)
+                assert_same_bits_but_nan_signs(product(Y[0], True, False), want[0])
+                assert_same_bits_but_nan_signs(product(Y, True, True), want)
+
+
+def test_a_small_view_never_builds_the_c_products(monkeypatch, c_lane):
+    # lane.c's CSR struct of a view is built on the first product that
+    # takes it, and kept: a view below C_PRODUCT_ENTRIES entries, and
+    # SparseMatrix.matvec / rmatvec, which make a fresh view each call,
+    # build none for single vectors; a stack builds one, and a large view
+    # builds one at its first single product
+    built = []
+    csr = kernels._csr
+    monkeypatch.setattr(kernels, "_csr", lambda M: built.append(M) or csr(M))
+    monkeypatch.setattr(kernels, "LANE", c_lane)
+    M = SparseMatrix.from_dense(np.arange(12.0).reshape(3, 4))
+    view = M.row_view(0, 3)
+    assert_same_bits(view.matvec(np.ones(4)), [6.0, 22.0, 38.0])
+    assert_same_bits(view.rmatvec(np.ones(3)), [12.0, 15.0, 18.0, 21.0])
+    assert_same_bits(M.matvec(np.ones(4)), [6.0, 22.0, 38.0])
+    assert_same_bits(M.rmatvec(np.ones(3)), [12.0, 15.0, 18.0, 21.0])
+    assert built == []
+    for count in (2, 9):  # the second takes the eight-wide pass, on the same struct
+        assert_same_bits(view.matvecs(np.ones((count, 4))), [[6.0, 22.0, 38.0]] * count)
+        assert built == [M]
+    entries = sparse.C_PRODUCT_ENTRIES
+    L = SparseMatrix.from_dense(np.ones((1, entries)))
+    large = L.row_view(0, 1)
+    assert built == [M]
+    for _ in range(2):
+        assert_same_bits(large.matvec(np.ones(entries)), [float(entries)])
+        assert_same_bits(large.rmatvec(np.ones(1)), np.ones(entries))
+    assert built == [M, L]
 
 
 def spy_on(monkeypatch, lane):
@@ -521,32 +610,53 @@ def test_row_view_takes_the_c_products_from_c_product_entries(monkeypatch, c_lan
         assert calls == single
 
 
-def test_soft_threshold_signed_zeros_and_nan(c_lane):
+def test_soft_threshold_signed_zeros_and_nan(c_lane, unoptimised_lane):
     # A has no entries and B = I, so with v = 0 the first step's prox
     # argument is x itself (-0.0 becomes +0.0 in B x) and its threshold is
-    # (gamma / lam) * weight = 2 * weight: ties |arg| = t, zeros, +-inf and
-    # NaN all reach the C lane's soft()
-    y = np.array([-0.3, 0.3, -0.0, 0.0, 2.0, -2.0, 1.0, -1.0, np.inf, -np.inf, np.nan, -np.nan])
+    # (gamma / lam) * weight = 2 * weight: ties |arg| = t, zeros, +-inf,
+    # NaN and subnormals, against a subnormal threshold too, all reach the
+    # C lane's soft(), on both C builds; with lam = 1e-310, gamma / lam
+    # overflows, so the threshold is inf, or NaN against a zero weight,
+    # which the prox of a zero must keep
+    y = np.array([-0.3, 0.3, -0.0, 0.0, 2.0, -2.0, 1.0, -1.0, np.inf, -np.inf, np.nan, -np.nan,
+                  5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e-310, -1e-310, 3e-310, -3e-310])
     d = len(y)
-    for kind, weight in itertools.product(("pdfp", "spdfp1", "spdfp2"), (0.5, 0.0)):
+    for lane, kind, weight, lam in itertools.product((c_lane, unoptimised_lane),
+                                                    ("pdfp", "spdfp1", "spdfp2"),
+                                                    (0.5, 0.0, 1e-310), (0.5, 1e-310)):
         spec = ProblemSpec(loss="square",
                            dataset=Dataset(SparseMatrix.from_coo(4, d, [], [], []), np.ones(4)),
                            l2_weight=0.0, composite_weight=weight, B=identity(d))
         sched = ConstantSchedule(1.0) if kind == "pdfp" else StepSchedule(c=1.0, alpha=0.7)
-        cfg = SolverConfig(schedule=sched, lam=0.5, p=4)
+        cfg = SolverConfig(schedule=sched, lam=lam, p=4)
         prox_spec = ProxSpec("l1", weight)
         x, v = y.copy(), np.zeros(d)
-        steps = c_lane.steps(kind, spec, prox_spec, cfg, ((0, 4),), x, v)
-        with np.errstate(invalid="ignore"):
+        steps = lane.steps(kind, spec, prox_spec, cfg, ((0, 4),), x, v)
+        with np.errstate(invalid="ignore", over="ignore"):
             steps(ONE_STEP)
             ctx = solvers._RunContext(spec, prox_spec, ((0, 4),))
             want = reference_step(kind, ctx, cfg, 1, ctx.batches[0], y.copy(), np.zeros(d))
         # which sign an operation on two NaNs keeps is left open by IEEE 754
         # and differs between NumPy's loops, so NaNs are compared by position
         for got, ref in zip((x, v), want):
-            nan = np.isnan(ref)
-            np.testing.assert_array_equal(np.isnan(got), nan)
-            assert_same_bits(got[~nan], ref[~nan])
+            assert_same_bits_but_nan_signs(got, ref)
+
+
+def test_soft_gives_the_numpy_bits_of_every_pair(soft_builds):
+    # lane.c's soft() against prox.soft_threshold on every pair of a y and
+    # a threshold t: y of both signs, zeros, ties, subnormals, the largest
+    # double, inf and NaN; t zero, subnormal, normal, inf and NaN (what
+    # gamma / lam makes of a zero weight once it overflows). NaN outputs
+    # are compared by position, their sign being left open
+    big = np.finfo(float).max
+    ys = [0.0, 0.3, 1.0, 2.0, np.inf, 5e-324, 1e-310, 2.2e-308, big, np.nan]
+    ys = np.array(ys + [-y for y in ys])
+    ts = np.array([0.0, 5e-324, 1e-310, 0.3, 1.0, 2.0, np.inf, np.nan])
+    Y, T = (a.ravel() for a in np.meshgrid(ys, ts))
+    with np.errstate(invalid="ignore"):
+        want = soft_threshold(Y, T)
+    for soft in soft_builds:
+        assert_same_bits_but_nan_signs([soft(y, t) for y, t in zip(Y, T)], want)
 
 
 def test_logistic_weights_at_extreme_margins(c_lane):
@@ -1553,7 +1663,7 @@ def dense_matrix(rng, n_rows, n_cols, specials, share=0.15):
 DENSE_SHAPES = [(1, 1), (3, 5), (8, 1), (13, 9), (23, 17), (37, 27)]
 
 
-def test_full_rows_sweep_with_the_numpy_bits(monkeypatch, c_lane, unoptimised_lane):
+def test_full_rows_sweep_with_the_numpy_bits(c_lane, unoptimised_lane):
     # RowView products over full rows, on both C builds against the NumPy
     # lane: rmatvec sweeps, of one vector and of a stack (spdfp_rows'
     # transpose product), over row ranges that start anywhere; data and
@@ -1566,17 +1676,15 @@ def test_full_rows_sweep_with_the_numpy_bits(monkeypatch, c_lane, unoptimised_la
             hi = int(rng.integers(lo, n_rows + 1))
             Y = with_specials(rng, rng.standard_normal((5, hi - lo)), 0.15)
             x = with_specials(rng, rng.standard_normal(n_cols), 0.15)
-            got = []
-            for lane in (c_lane, unoptimised_lane, None):
-                monkeypatch.setattr(kernels, "LANE", lane)
-                view = M.row_view(lo, hi)
-                with np.errstate(invalid="ignore", over="ignore"):
-                    stacked = (lane.rows(M, lo, hi)(Y, True, True) if lane
-                               else np.array([view.rmatvec(y) for y in Y]))
-                    got.append((view.rmatvec(Y[0]), stacked, view.matvec(x)))
-            for lane_got in got[:2]:
-                for a, b in zip(lane_got, got[2]):
-                    assert_same_bits_but_nan_signs(a, b)
+            view = M.row_view(lo, hi)
+            with np.errstate(invalid="ignore", over="ignore"):
+                want = (view.rmatvec(Y[0]), [view.rmatvec(y) for y in Y], view.matvec(x))
+                for lane in (c_lane, unoptimised_lane):
+                    product = lane.rows(M, lo, hi)  # these views are below C_PRODUCT_ENTRIES
+                    got = (product(Y[0], True, False), product(Y, True, True),
+                           product(x, False, False))
+                    for a, b in zip(got, want):
+                        assert_same_bits_but_nan_signs(a, b)
 
 
 def dense_spec(loss, n, d, seed):
