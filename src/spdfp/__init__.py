@@ -36,11 +36,7 @@ from spdfp.solvers import (
     SolverConfig,
     StepSchedule,
     fixed_point_residual,
-    pdfp_step,
     run_solver,
-    spdfp_step_alg1,
-    spdfp_step_alg2,
-    stoc_admm_step,
 )
 from spdfp.sparse import (
     SparseMatrix,
@@ -61,8 +57,7 @@ __all__ = [
     "backend", "build_difference_matrix", "estimate_spectrum",
     "fit_rate", "fixed_point_residual", "full_gradient", "identity",
     "joint_error", "lemma_bound", "make_batch_plan", "objective_value",
-    "phi_c", "prox", "prox_residual", "prox_scaled", "pdfp_step",
-    "run_solver", "simulate_recursion", "spdfp_step_alg1", "spdfp_step_alg2",
-    "stack_identity", "stochastic_gradient", "stoc_admm_step",
+    "phi_c", "prox", "prox_residual", "prox_scaled", "run_solver",
+    "simulate_recursion", "stack_identity", "stochastic_gradient",
     "variance_constants",
 ]

@@ -37,11 +37,6 @@ def make_batch_plan(n, p):
     return BatchPlan(n=n, p=p, ranges=ranges)
 
 
-def draw_batch_index(plan, rng):
-    """Draw batch i with probability (batch size)/n using one uniform draw."""
-    return int(_draw_batch_indices(plan, rng, None))
-
-
 def _draw_batch_indices(plan, rng, size):
     """Batch indices as an int64 array of shape size, an int or a tuple (a
     scalar for None). One draw of K indices in any shape gives the same

@@ -1,26 +1,27 @@
 """Iteration engines.
 
-Four solvers share the state layout (primal x, dual v, counter k):
+Four solver kinds share the state layout (primal x, dual v, counter k):
 
-* ``pdfp_step``        batch primal-dual fixed-point step, constant step size
-* ``spdfp_step_alg1``  stochastic variant with gamma_k = c/k^alpha; the dual
-                       iterate lives on the subgradient scale (this is the
-                       form the convergence analysis tracks)
-* ``spdfp_step_alg2``  the rescaled equivalent used for numerics; the dual
-                       carries a factor gamma_k/lambda relative to alg1
-* ``stoc_admm_step``   stochastic ADMM baseline with a d x d linear solve
-                       per step
+* ``pdfp``       batch primal-dual fixed-point step, constant step size
+* ``spdfp1``     stochastic variant with gamma_k = c/k^alpha; the dual
+                 iterate lives on the subgradient scale (this is the form
+                 the convergence analysis tracks)
+* ``spdfp2``     the rescaled equivalent used for numerics; the dual carries
+                 a factor gamma_k/lambda relative to spdfp1, and its dual
+                 memory term the factor gamma_1/lambda at k = 1 and
+                 ((k-1)/k)**alpha after
+* ``stoc_admm``  stochastic ADMM baseline with a d x d linear solve per step
 
-``run_solver`` wraps any of them into an epoch loop with per-epoch records,
-returned as columns (RunRecords) whose RunRecord rows are built only when
-one is read.
+``run_solver`` is the one entry to all of them: an epoch loop with
+per-epoch records, returned as columns (RunRecords) whose RunRecord rows
+are built only when one is read. A caller that wants every step's state
+passes ``on_step``, which gets an IterState (an AdmmState for 'stoc_admm')
+after each step.
 It checks its inputs once and builds a _RunContext (raw CSR arrays, row maps
 and scalars), on which the private reference step of each kind runs: one
 _pdfp_step for the three PDFP-family kinds, set up as lane.c's step is, and
-_stoc_admm. Each public step function builds a context over its rows (all of
-them for pdfp_step, the drawn batch otherwise) and calls the same step.
-PDFP needs a constant step: run_solver, pdfp_step and the ground truth all
-refuse any other through _check_constant_step.
+_stoc_admm. PDFP needs a constant step: run_solver and the ground truth
+both refuse any other through _check_constant_step.
 
 _steps alone picks the lane of the steps: the C lane's (_kernels.Steps) for a
 'pdfp', 'spdfp1' or 'spdfp2' run without on_step where the lane is built,
@@ -47,7 +48,7 @@ from typing import ClassVar
 import numpy as np
 
 from spdfp import _kernels
-from spdfp.gradients import _draw_batch_indices, _rows_gradient, draw_batch_index, make_batch_plan
+from spdfp.gradients import _draw_batch_indices, _rows_gradient, make_batch_plan
 from spdfp.problem import _objective
 from spdfp.prox import soft_threshold
 
@@ -89,7 +90,8 @@ class ConstantSchedule:
 
 @dataclass
 class IterState:
-    """Primal/dual iterates before step k (1-based)."""
+    """Primal/dual iterates before step k (1-based): what run_solver's
+    on_step gets after each step of a PDFP-family run."""
 
     x: np.ndarray
     v: np.ndarray
@@ -98,6 +100,8 @@ class IterState:
 
 @dataclass
 class AdmmState:
+    """ADMM iterates before step k: what on_step gets in a 'stoc_admm' run."""
+
     x: np.ndarray
     y: np.ndarray
     multiplier: np.ndarray
@@ -266,49 +270,6 @@ def _stoc_admm(ctx, admm_cfg, k, batch, x, y, multiplier):
 def _check_constant_step(cfg):
     if cfg.schedule.alpha != 0:
         raise ValueError(f"pdfp needs a constant step, got alpha={cfg.schedule.alpha}")
-
-
-def pdfp_step(spec, prox_spec, cfg, state):
-    """One batch step with constant gamma = cfg.schedule.c; a schedule with
-    alpha > 0 raises ValueError, as in run_solver."""
-    _check_constant_step(cfg)
-    return _one_step("pdfp", spec, prox_spec, cfg, state, (0, spec.n))
-
-
-def spdfp_step_alg1(spec, prox_spec, cfg, state, rng, plan):
-    """One stochastic step, dual on the subgradient scale."""
-    return _one_step("spdfp1", spec, prox_spec, cfg, state,
-                     plan.ranges[draw_batch_index(plan, rng)])
-
-
-def spdfp_step_alg2(spec, prox_spec, cfg, state, rng, plan):
-    """One stochastic step in the rescaled form.
-
-    At k = 1 the dual memory term carries the factor gamma_1/lambda; for
-    k >= 2 it carries ((k-1)/k)**alpha.
-    """
-    return _one_step("spdfp2", spec, prox_spec, cfg, state,
-                     plan.ranges[draw_batch_index(plan, rng)])
-
-
-def _one_step(kind, spec, prox_spec, cfg, state, rows):
-    """One step of kind from state on the samples rows = (lo, hi)."""
-    ctx = _RunContext(spec, prox_spec, (rows,))
-    v = _iterate(state.v, spec.B.n_rows, "state.v")
-    x, v, _ = _pdfp_step(kind, ctx, cfg, state.k, ctx.batches[0],
-                         _iterate(state.x, spec.dim, "state.x"), v, ctx.B.rmatvec(v))
-    return IterState(x=x, v=v, k=state.k + 1)
-
-
-def stoc_admm_step(spec, prox_spec, admm_cfg, state, rng, plan):
-    """One stochastic ADMM step (x linear solve, y prox, multiplier update)."""
-    ctx = _RunContext(spec, prox_spec, (plan.ranges[draw_batch_index(plan, rng)],))
-    m = spec.B.n_rows
-    x, y, mult = _stoc_admm(ctx, admm_cfg, state.k, ctx.batches[0],
-                            _iterate(state.x, spec.dim, "state.x"),
-                            _iterate(state.y, m, "state.y"),
-                            _iterate(state.multiplier, m, "state.multiplier"))
-    return AdmmState(x=x, y=y, multiplier=mult, k=state.k + 1)
 
 
 def _fixed_point_residual(ctx, gamma, lam, x, v):

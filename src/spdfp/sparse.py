@@ -41,7 +41,7 @@ class SparseMatrix:
         to canonicalize arbitrary input. Stored zeros are kept.
     """
 
-    __slots__ = ("n_rows", "n_cols", "indptr", "indices", "data", "_spectrum")
+    __slots__ = ("n_rows", "n_cols", "indptr", "indices", "data", "_spectrum", "_view")
 
     def __init__(self, n_rows, n_cols, indptr, indices, data):
         if n_rows < 0 or n_cols < 0:
@@ -73,7 +73,7 @@ class SparseMatrix:
         self.indptr = indptr
         self.indices = indices
         self.data = data
-        self._spectrum = None
+        self._spectrum = self._view = None
 
     @classmethod
     def from_coo(cls, n_rows, n_cols, rows, cols, vals):
@@ -137,19 +137,25 @@ class SparseMatrix:
             raise TypeError("expected a SpectralEstimate")
         self._spectrum = estimate
 
+    def _all_rows(self):
+        """The RowView of all rows that matvec and rmatvec apply: made on
+        the first product, with the lane built then, and kept."""
+        self._view = RowView(self, 0, self.n_rows)
+        return self._view
+
     def matvec(self, x):
         """Return M x."""
         x = np.ascontiguousarray(x, dtype=np.float64)
         if x.shape != (self.n_cols,):
             raise ValueError(f"matvec expects a vector of length {self.n_cols}")
-        return RowView(self, 0, self.n_rows).matvec(x)
+        return (self._view or self._all_rows()).matvec(x)
 
     def rmatvec(self, y):
         """Return M^T y."""
         y = np.ascontiguousarray(y, dtype=np.float64)
         if y.shape != (self.n_rows,):
             raise ValueError(f"rmatvec expects a vector of length {self.n_rows}")
-        return RowView(self, 0, self.n_rows).rmatvec(y)
+        return (self._view or self._all_rows()).rmatvec(y)
 
     def to_dense(self):
         out = np.zeros((self.n_rows, self.n_cols))

@@ -525,10 +525,11 @@ def test_scatter_takes_every_remainder_of_its_four_entry_pass(c_lane, unoptimise
 
 def test_a_small_view_never_builds_the_c_products(monkeypatch, c_lane):
     # lane.c's CSR struct of a view is built on the first product that
-    # takes it, and kept: a view below C_PRODUCT_ENTRIES entries, and
-    # SparseMatrix.matvec / rmatvec, which make a fresh view each call,
-    # build none for single vectors; a stack builds one, and a large view
-    # builds one at its first single product
+    # takes it, and kept: a view below C_PRODUCT_ENTRIES entries, as the
+    # one a small matrix keeps for SparseMatrix.matvec / rmatvec, builds
+    # none for single vectors; a stack builds one, and a large view builds
+    # one at its first single product, the view a large matrix keeps for
+    # its own products once
     built = []
     csr = kernels._csr
     monkeypatch.setattr(kernels, "_csr", lambda M: built.append(M) or csr(M))
@@ -551,6 +552,10 @@ def test_a_small_view_never_builds_the_c_products(monkeypatch, c_lane):
         assert_same_bits(large.matvec(np.ones(entries)), [float(entries)])
         assert_same_bits(large.rmatvec(np.ones(1)), np.ones(entries))
     assert built == [M, L]
+    for _ in range(2):
+        assert_same_bits(L.matvec(np.ones(entries)), [float(entries)])
+        assert_same_bits(L.rmatvec(np.ones(1)), np.ones(entries))
+    assert built == [M, L, L]
 
 
 def spy_on(monkeypatch, lane):
@@ -976,6 +981,7 @@ def test_runs_on_row_view_products_give_the_same_bits_on_both_lanes(monkeypatch,
     outputs = []
     for lane in (c_lane, None):
         monkeypatch.setattr(kernels, "LANE", lane)
+        spec = fused_spec(loss, 0.1)  # new matrices, whose kept views take this lane
         seen = []
         recs = [run_solver("stoc_admm", spec, prox_spec, cfg, admm_cfg=admm, reference=ref),
                 run_solver("spdfp1", spec, prox_spec, cfg, reference=ref,
@@ -1391,12 +1397,13 @@ def logistic_spec():
 
 @pytest.mark.parametrize("instance", ["desk", "rate", "logistic"])
 def test_ground_truth_same_bits_on_both_paths(monkeypatch, c_lane, instance):
-    spec = {"desk": lambda: synth_fused_lasso(1000, 50, 0.05, 0.01, 7, mu=0.1),
-            "rate": rate_spec, "logistic": logistic_spec}[instance]()
+    make = {"desk": lambda: synth_fused_lasso(1000, 50, 0.05, 0.01, 7, mu=0.1),
+            "rate": rate_spec, "logistic": logistic_spec}[instance]
     truths = []
     for lane in (c_lane, None):
         monkeypatch.setattr(kernels, "LANE", lane)
-        truths.append(compute_ground_truth(spec))
+        # new matrices, whose kept views (objective_star's A x) take this lane
+        truths.append(compute_ground_truth(make()))
     a, b = truths
     for name in ("x_star", "v_star", "objective_star", "residual"):
         assert_same_bits(getattr(a, name), getattr(b, name))
@@ -1409,10 +1416,11 @@ def test_truth_stop_is_the_residual_of_the_pair_before_the_last_step(monkeypatch
                                                                     instance):
     # the truth stops on the length of a chunk's last step, which is the
     # fixed-point residual of the pair before it up to rounding in x and v
-    spec = {"rate": rate_spec, "logistic": logistic_spec}[instance]()
+    make = {"rate": rate_spec, "logistic": logistic_spec}[instance]
     step_length = harness._step_length
     for lane in (c_lane, None):
         monkeypatch.setattr(kernels, "LANE", lane)
+        spec = make()  # new matrices, whose kept views take this lane
         seen = []
 
         def spy(x_prev, v_prev, x, v):
@@ -1432,13 +1440,12 @@ def test_truth_stop_is_the_residual_of_the_pair_before_the_last_step(monkeypatch
 
 def test_capped_truth_same_bits_on_both_paths(monkeypatch, c_lane):
     # caps that end in a partial chunk, down to a single step
-    spec = rate_spec()
     for cap in (26, 1):
         truths = []
         for lane in (c_lane, None):
             monkeypatch.setattr(kernels, "LANE", lane)
             with pytest.warns(RuntimeWarning, match=f"cap of {cap} iterations"):
-                truths.append(compute_ground_truth(spec, iters=cap))
+                truths.append(compute_ground_truth(rate_spec(), iters=cap))
         a, b = truths
         assert a.iterations == b.iterations == cap
         for name in ("x_star", "v_star", "objective_star", "residual"):

@@ -101,6 +101,18 @@ def test_build_requires_only_what_setup_py_imports():
     assert {re.match(r"[A-Za-z0-9_.\-]+", r).group(0) for r in requires} == imported
 
 
+def test_every_export_is_a_name_of_the_package():
+    """Every name in spdfp.__all__ resolves on the package and is defined in
+    an spdfp module, so a stale export fails here, not in a user's import."""
+    import spdfp
+
+    assert len(set(spdfp.__all__)) == len(spdfp.__all__)
+    for name in spdfp.__all__:
+        assert hasattr(spdfp, name), name
+        module = getattr(getattr(spdfp, name), "__module__", None)
+        assert module is not None and module.split(".")[0] == "spdfp", (name, module)
+
+
 def functions_where(accept):
     """The names, as module.function or module.Class.function, of the
     functions of src/spdfp whose own body (not that of a function within

@@ -18,7 +18,9 @@ from spdfp.sparse import SparseMatrix, build_difference_matrix, estimate_spectru
 from spdfp.solvers import (
     SOLVER_KINDS,
     AdmmConfig,
+    AdmmState,
     ConstantSchedule,
+    IterState,
     Reference,
     SolverConfig,
     StepSchedule,
@@ -26,11 +28,7 @@ from spdfp.solvers import (
     fixed_point_residual,
     initial_admm_state,
     initial_state,
-    pdfp_step,
     run_solver,
-    spdfp_step_alg1,
-    spdfp_step_alg2,
-    stoc_admm_step,
 )
 
 L1 = ProxSpec("l1", 1.0)
@@ -55,6 +53,16 @@ def replay_draws(seed, n, p, n_steps):
     rng = np.random.default_rng(seed)
     nb = len(make_batch_plan(n, p).ranges)
     return [min(int(rng.integers(0, n)) // p, nb - 1) for _ in range(n_steps)]
+
+
+def stepped(kind, spec, prox_spec, cfg, count, **kwargs):
+    """The states after each of the first count steps of run_solver(kind,
+    ...), as on_step gets them; the run goes for the epochs they take."""
+    per_epoch = 1 if kind == "pdfp" else make_batch_plan(spec.n, cfg.p).n_batches
+    states = []
+    run_solver(kind, spec, prox_spec, replace(cfg, max_epochs=-(-count // per_epoch)),
+               on_step=states.append, **kwargs)
+    return states[:count]
 
 
 # ---------------------------------------------------------------------------
@@ -95,15 +103,6 @@ def test_constant_step_spdfp_runs_and_pdfp_refuses_a_decaying_one():
     decaying = replace(cfg, schedule=StepSchedule(0.1, 0.7))
     with pytest.raises(ValueError, match="pdfp needs a constant step"):
         run_solver("pdfp", spec, prox_spec, decaying)
-
-
-def test_pdfp_step_refuses_a_decaying_step_as_run_solver_does():
-    # pdfp_step steps by gamma(k) as the C lane does, so with alpha > 0 it
-    # would silently take a decaying step; it refuses that config instead
-    spec, _, _ = fused_spec(20, 6, seed=8, mu=0.2)
-    cfg = SolverConfig(schedule=StepSchedule(0.5, 0.7), lam=0.18, p=20)
-    with pytest.raises(ValueError, match="pdfp needs a constant step, got alpha=0.7"):
-        pdfp_step(spec, ProxSpec("l1", 0.2), cfg, initial_state(spec))
 
 
 def test_lambda_guard():
@@ -228,8 +227,7 @@ def test_pdfp_reduces_to_gradient_descent_with_zero_prox():
     spec, A, b = fused_spec(12, 5, seed=1)
     gamma = 0.1
     cfg = SolverConfig(schedule=ConstantSchedule(gamma), lam=0.2, p=12)
-    state = initial_state(spec, x0=np.ones(5))
-    new = pdfp_step(spec, ZERO, cfg, state)
+    new, = stepped("pdfp", spec, ZERO, cfg, 1, x0=np.ones(5))
     np.testing.assert_array_equal(new.v, np.zeros(4))
     np.testing.assert_allclose(new.x, np.ones(5) - gamma * full_gradient(spec, np.ones(5)),
                                atol=1e-15)
@@ -241,23 +239,20 @@ def test_pdfp_zero_state_is_fixed_when_gradient_vanishes():
     spec = ProblemSpec(loss="square", dataset=ds, l2_weight=0.0,
                        composite_weight=1.0, B=build_difference_matrix(4))
     cfg = SolverConfig(schedule=ConstantSchedule(0.5), lam=0.2, p=4)
-    state = initial_state(spec)
-    new = pdfp_step(spec, L1, cfg, state)
+    new, = stepped("pdfp", spec, L1, cfg, 1)
     np.testing.assert_array_equal(new.x, np.zeros(4))
     np.testing.assert_array_equal(new.v, np.zeros(3))
 
 
-def test_pdfp_step_matches_transcription():
+def test_pdfp_matches_transcription():
     spec, A, b = fused_spec(9, 5, seed=2)
     Ad, bd, Bd = dense_parts(spec)
     gamma, lam = 0.3, 0.2
     cfg = SolverConfig(schedule=ConstantSchedule(gamma), lam=lam, p=9)
     rng = np.random.default_rng(3)
     x0, v0 = rng.standard_normal(5), rng.standard_normal(4)
-    state = initial_state(spec, x0=x0, v0=v0)
     prox_spec = ProxSpec("l1", spec.composite_weight)
-    for _ in range(3):
-        state = pdfp_step(spec, prox_spec, cfg, state)
+    state = stepped("pdfp", spec, prox_spec, cfg, 3, x0=x0, v0=v0)[-1]
     xs, vs = oracles.pdfp_steps(Ad, bd, Bd, 0.0, spec.composite_weight,
                                 gamma, lam, 3, x0=x0, v0=v0)
     np.testing.assert_allclose(state.x, xs[-1], atol=1e-12)
@@ -269,12 +264,9 @@ def test_pdfp_stationarity_at_fixed_point():
     gamma = 0.5
     lam = 0.9 / np.linalg.eigvalsh(spec.B.to_dense() @ spec.B.to_dense().T).max()
     cfg = SolverConfig(schedule=ConstantSchedule(gamma), lam=lam, p=40)
-    state = initial_state(spec)
-    for _ in range(4000):
-        state = pdfp_step(spec, L1, cfg, state)
+    state, after = stepped("pdfp", spec, L1, cfg, 4001)[-2:]  # after 4000 steps, and one more
     res = fixed_point_residual(spec, L1, gamma, lam, state.x, state.v)
     assert res <= 1e-12
-    after = pdfp_step(spec, L1, cfg, state)
     assert np.linalg.norm(after.x - state.x) <= 1e-12
     assert np.linalg.norm(after.v - state.v) <= 1e-12
 
@@ -287,12 +279,10 @@ def test_spdfp1_single_batch_x_matches_pdfp_with_gamma_k():
     lam = 0.2
     c, alpha = 0.4, 0.7
     cfg = SolverConfig(schedule=StepSchedule(c=c, alpha=alpha), lam=lam, p=10)
-    rng = np.random.default_rng(0)
-    state = initial_state(spec, x0=np.ones(4), v0=np.zeros(3))
-    got = spdfp_step_alg1(spec, L1, cfg, state, rng, make_batch_plan(10, 10))
+    got, = stepped("spdfp1", spec, L1, cfg, 1, x0=np.ones(4), v0=np.zeros(3))
     # same x as a batch step with gamma = gamma_1 = c
     cfg_b = SolverConfig(schedule=ConstantSchedule(c), lam=lam, p=10)
-    want = pdfp_step(spec, L1, cfg_b, initial_state(spec, x0=np.ones(4)))
+    want, = stepped("pdfp", spec, L1, cfg_b, 1, x0=np.ones(4))
     np.testing.assert_allclose(got.x, want.x, atol=1e-12)
     # dual scales differ by lam/gamma
     np.testing.assert_allclose((c / lam) * got.v, want.v, atol=1e-12)
@@ -301,11 +291,9 @@ def test_spdfp1_single_batch_x_matches_pdfp_with_gamma_k():
 def test_spdfp1_zero_prox_is_sgd():
     spec, _, _ = fused_spec(8, 4, seed=6)
     cfg = SolverConfig(schedule=StepSchedule(c=0.3, alpha=0.6), lam=0.2, p=2, seed=9)
-    rng = np.random.default_rng(9)
     plan = make_batch_plan(8, 2)
-    state = initial_state(spec, x0=np.ones(4))
     draws = replay_draws(9, 8, 2, 1)
-    new = spdfp_step_alg1(spec, ZERO, cfg, state, rng, plan)
+    new, = stepped("spdfp1", spec, ZERO, cfg, 1, x0=np.ones(4))
     g = stochastic_gradient(spec, plan, draws[0], np.ones(4))
     np.testing.assert_allclose(new.x, np.ones(4) - 0.3 * g, atol=1e-14)
     np.testing.assert_array_equal(new.v, np.zeros(3))
@@ -320,18 +308,13 @@ def test_spdfp_50_steps_match_transcription(alg, oracle):
     Ad, bd, Bd = dense_parts(spec)
     c, alpha, lam, p, seed = 0.5, 0.7, 0.15, 2, 123
     cfg = SolverConfig(schedule=StepSchedule(c=c, alpha=alpha), lam=lam, p=p, seed=seed)
-    plan = make_batch_plan(8, p)
-    step = spdfp_step_alg1 if alg == "alg1" else spdfp_step_alg2
+    kind = "spdfp1" if alg == "alg1" else "spdfp2"
     start = np.random.default_rng(71)
     for x0, v0 in ((None, None), (start.standard_normal(4), start.standard_normal(3))):
-        rng = np.random.default_rng(seed)
-        state = initial_state(spec, x0=x0, v0=v0)
-        lib_x, lib_v = [state.x.copy()], [state.v.copy()]
-        for _ in range(50):
-            state = step(spec, L1 if spec.composite_weight == 1.0 else
-                         ProxSpec("l1", spec.composite_weight), cfg, state, rng, plan)
-            lib_x.append(state.x.copy())
-            lib_v.append(state.v.copy())
+        states = [initial_state(spec, x0=x0, v0=v0),
+                  *stepped(kind, spec, ProxSpec("l1", spec.composite_weight), cfg, 50,
+                           x0=x0, v0=v0)]
+        lib_x, lib_v = [s.x for s in states], [s.v for s in states]
         draws = replay_draws(seed, 8, p, 50)
         xs, vs = oracle(Ad, bd, Bd, 0.0, spec.composite_weight, c, alpha, lam, p, draws,
                         x0=x0, v0=v0)
@@ -361,9 +344,8 @@ def test_stoc_admm_zero_fixed_point():
     spec = ProblemSpec(loss="square", dataset=ds, l2_weight=0.0,
                        composite_weight=0.0, B=identity(3))
     admm = AdmmConfig(beta_tilde=1.0, zeta_schedule=ConstantSchedule(0.5))
-    state = initial_admm_state(spec)
-    rng = np.random.default_rng(0)
-    new = stoc_admm_step(spec, ZERO, admm, state, rng, make_batch_plan(3, 3))
+    cfg = SolverConfig(schedule=ConstantSchedule(1.0), lam=1.0, p=3)
+    new, = stepped("stoc_admm", spec, ZERO, cfg, 1, admm_cfg=admm)
     np.testing.assert_array_equal(new.x, np.zeros(3))
     np.testing.assert_array_equal(new.y, np.zeros(3))
     np.testing.assert_array_equal(new.multiplier, np.zeros(3))
@@ -374,12 +356,12 @@ def test_stoc_admm_x_update_matches_dense_solve():
     Ad, bd, Bd = dense_parts(spec)
     beta, zc = 2.0, 0.7
     admm = AdmmConfig(beta_tilde=beta, zeta_schedule=StepSchedule(c=zc, alpha=0.5))
-    rng = np.random.default_rng(1)
-    state = initial_admm_state(spec, x0=np.array([0.3, -0.2, 0.5]))
-    state.y = np.array([0.1, -0.4])
-    state.multiplier = np.array([0.2, 0.3])
-    new = stoc_admm_step(spec, ProxSpec("l1", 0.3), admm, state, rng,
-                         plan=make_batch_plan(6, 6))
+    # the private step, since a run starts from y = multiplier = 0
+    ctx = solvers._RunContext(spec, ProxSpec("l1", 0.3), make_batch_plan(6, 6).ranges)
+    state = AdmmState(x=np.array([0.3, -0.2, 0.5]), y=np.array([0.1, -0.4]),
+                      multiplier=np.array([0.2, 0.3]), k=1)
+    new = AdmmState(*solvers._stoc_admm(ctx, admm, state.k, ctx.batches[0],
+                                        state.x, state.y, state.multiplier), k=state.k + 1)
     zeta = zc  # k = 1
     g = oracles.square_grad(Ad, bd, 0.0, state.x)
     M = np.eye(3) / zeta + beta * Bd.T @ Bd
@@ -430,13 +412,10 @@ def test_stoc_admm_builds_its_dense_terms_once_per_run(monkeypatch):
 def test_stoc_admm_feasibility_trend():
     spec, _, _ = fused_spec(60, 8, seed=10, mu=0.1)
     admm = AdmmConfig(beta_tilde=5.0, zeta_schedule=StepSchedule(c=0.5, alpha=0.5))
-    plan = make_batch_plan(60, 10)
-    rng = np.random.default_rng(11)
-    state = initial_admm_state(spec)
-    gaps = []
-    for _ in range(200):
-        state = stoc_admm_step(spec, ProxSpec("l1", 0.1), admm, state, rng, plan)
-        gaps.append(np.linalg.norm(spec.B.matvec(state.x) - state.y))
+    cfg = SolverConfig(schedule=StepSchedule(c=1.0, alpha=1.0), lam=0.1, p=10, seed=11)
+    gaps = [np.linalg.norm(spec.B.matvec(state.x) - state.y)
+            for state in stepped("stoc_admm", spec, ProxSpec("l1", 0.1), cfg, 200,
+                                 admm_cfg=admm)]
     # eventual decrease, not monotone: late gaps well below the early ones
     assert np.mean(gaps[-20:]) < 0.5 * np.mean(gaps[:20])
     assert max(gaps[-10:]) < max(gaps[:10])
@@ -697,9 +676,7 @@ def test_one_step_joint_error_estimate():
 
     # reference pair from a long batch run; dual rescaled to subgradient scale
     cfgb = SolverConfig(schedule=ConstantSchedule(gamma), lam=lam, p=n)
-    st = initial_state(spec)
-    for _ in range(5000):
-        st = pdfp_step(spec, prox_spec, cfgb, st)
+    st = stepped("pdfp", spec, prox_spec, cfgb, 5000)[-1]
     x_star = st.x
     v_star = (lam / gamma) * st.v
     assert fixed_point_residual(spec, prox_spec, gamma, lam, x_star, st.v) < 1e-12
@@ -708,24 +685,21 @@ def test_one_step_joint_error_estimate():
     c, alpha = 0.5, 0.7
     cfg = SolverConfig(schedule=StepSchedule(c=c, alpha=alpha), lam=lam, p=p, seed=3)
     plan = make_batch_plan(n, p)
-    rng2 = np.random.default_rng(3)
-    state = initial_state(spec)
-    for _ in range(5):
-        state = spdfp_step_alg1(spec, prox_spec, cfg, state, rng2, plan)
+    state = stepped("spdfp1", spec, prox_spec, cfg, 5)[-1]
     k = state.k
     gam_k = cfg.schedule.gamma(k)
     gam_k1 = cfg.schedule.gamma(k + 1)
 
-    # empirical average of a_{k+1} over 2000 sampled one-step transitions
-    draw_rng = np.random.default_rng(999)
+    # empirical average of a_{k+1} over 2000 sampled one-step transitions,
+    # each the private step from state on a batch of one draw
+    ctx = solvers._RunContext(spec, prox_spec, plan.ranges)
+    bt = ctx.B.rmatvec(state.v)
     acc = 0.0
     n_samples = 2000
-    for _ in range(n_samples):
-        trial = IterStateCopy = initial_state(spec, x0=state.x, v0=state.v)
-        trial.k = k
-        nxt = spdfp_step_alg1(spec, prox_spec, cfg, trial, draw_rng, plan)
-        dx = nxt.x - x_star
-        dv = nxt.v - v_star
+    for i in _draw_batch_indices(plan, np.random.default_rng(999), n_samples).tolist():
+        x, v, _ = solvers._pdfp_step("spdfp1", ctx, cfg, k, ctx.batches[i], state.x, state.v, bt)
+        dx = x - x_star
+        dv = v - v_star
         acc += dx @ dx + gam_k1**2 / lam * (dv @ dv)
     lhs = acc / n_samples
 
@@ -743,7 +717,7 @@ def test_one_step_joint_error_estimate():
 
 
 # ---------------------------------------------------------------------------
-# run_solver against a loop over the public step functions
+# run_solver against a loop over the reference step bodies, one step a call
 
 def bits(a):
     return np.asarray(a, dtype=np.float64).view(np.int64)
@@ -789,7 +763,7 @@ def parity_spec(loss):
 @pytest.mark.parametrize("kind", SOLVER_KINDS)
 @pytest.mark.parametrize("loss", LOSSES)
 @pytest.mark.parametrize("prox_spec", [ProxSpec("l1", 0.2), ZERO], ids=["l1", "zero"])
-def test_run_solver_matches_public_steps_bitwise(kind, loss, prox_spec):
+def test_run_solver_matches_single_steps_bitwise(kind, loss, prox_spec):
     spec = parity_spec(loss)
     lam = 0.8 / estimate_spectrum(spec.B).rho_max
     sched = ConstantSchedule(0.3) if kind == "pdfp" else StepSchedule(c=0.5, alpha=0.7)
@@ -807,18 +781,21 @@ def test_run_solver_matches_public_steps_bitwise(kind, loss, prox_spec):
 
     recs = run_solver(kind, spec, prox_spec, cfg, admm_cfg=admm, reference=ref, on_step=grab)
 
+    # each step on its own: a batch index drawn alone ('pdfp' draws none)
+    # and B^T v worked out afresh
     plan = make_batch_plan(spec.n, cfg.p)
     rng = np.random.default_rng(cfg.seed)
-    if kind == "stoc_admm":
-        state = initial_admm_state(spec)
-        step = lambda s: stoc_admm_step(spec, prox_spec, admm, s, rng, plan)  # noqa: E731
-    elif kind == "pdfp":
-        state = initial_state(spec)
-        step = lambda s: pdfp_step(spec, prox_spec, cfg, s)  # noqa: E731
-    else:
-        state = initial_state(spec)
-        alg = spdfp_step_alg1 if kind == "spdfp1" else spdfp_step_alg2
-        step = lambda s: alg(spec, prox_spec, cfg, s, rng, plan)  # noqa: E731
+    ctx = solvers._RunContext(spec, prox_spec, ((0, spec.n),) if kind == "pdfp" else plan.ranges)
+
+    def step(s):
+        batch = ctx.batches[0 if kind == "pdfp" else _draw_batch_indices(plan, rng, None)]
+        if kind == "stoc_admm":
+            return AdmmState(*solvers._stoc_admm(ctx, admm, s.k, batch, s.x, s.y, s.multiplier),
+                             s.k + 1)
+        x, v, _ = solvers._pdfp_step(kind, ctx, cfg, s.k, batch, s.x, s.v, ctx.B.rmatvec(s.v))
+        return IterState(x, v, s.k + 1)
+
+    state = initial_admm_state(spec) if kind == "stoc_admm" else initial_state(spec)
     steps_per_epoch = 1 if kind == "pdfp" else plan.n_batches
 
     def check_record(rec, s, epoch):
