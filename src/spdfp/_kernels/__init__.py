@@ -10,9 +10,10 @@ and the Lanczos method's among them, and is loaded with ctypes when it
 was built. ``LANE`` is the loaded CLane, or None, and then every step
 runs on the NumPy reference path of spdfp.solvers, which works each
 record's factors out in Python floats, and every product is RowView's
-NumPy one; spdfp.solvers._steps and sparse.RowView read it to pick the
-lane. Both paths give the same bits. So where the lane is built every
-sparse product is C but a small view's single-vector ones; the prox
+NumPy one; spdfp.solvers._steps, once a run, and sparse.RowView's
+products, at each call, read it to pick the lane. Both paths give the
+same bits. So where the lane is built every sparse product is C but a
+small view's single-vector ones; the prox
 outside the fused steps (prox.soft_threshold) and the ADMM x-update's
 linear solve are NumPy on either path. A C transposed product over rows
 that are all full, which an O(1) test on indptr finds
@@ -100,7 +101,8 @@ class CLane:
         array of that shape, and sums as sparse.RowView's NumPy products do.
         A stack of eight or more vectors without transpose takes eight a
         pass over M's rows, through a scratch block of 8 M.n_cols doubles
-        that the function makes on its first such call and keeps."""
+        that the function makes on its first such call and keeps. Its
+        ``lane`` is this CLane, so a kept function tells which lane it is of."""
         csr, fn, block = _csr(M), self._lib.spdfp_rows, None
 
         def product(x, transpose, stacked):
@@ -116,6 +118,7 @@ class CLane:
             return out
 
         product.matrix = M  # keeps alive the arrays csr points into
+        product.lane = self
         return product
 
     def steps(self, kind, spec, prox_spec, cfg, ranges, x, v):

@@ -17,8 +17,8 @@ per-epoch records, returned as columns (RunRecords) whose RunRecord rows
 are built only when one is read. A caller that wants every step's state
 passes ``on_step``, which gets an IterState (an AdmmState for 'stoc_admm')
 after each step.
-It checks its inputs once and builds a _RunContext (raw CSR arrays, row maps
-and scalars), on which the private reference step of each kind runs: one
+It checks its inputs once and builds a _RunContext (the kept row views of A
+and B, and scalars), on which the private reference step of each kind runs: one
 _pdfp_step for the three PDFP-family kinds, set up as lane.c's step is, and
 _stoc_admm. PDFP needs a constant step: run_solver and the ground truth
 both refuse any other through _check_constant_step.
@@ -176,33 +176,25 @@ class _RunContext:
     """What the reference steps read, built once per run from checked inputs.
 
     ``full`` is (RowView of all of A, labels), ``batches`` holds one such
-    pair per row range in ``ranges``, in order, and ``B`` is a RowView of
-    all of B; each is built on first use, so a run on the C lane's fused
-    steps builds only the views its records take A x and B x from. So are
-    the dense d x d terms of the ADMM x-update (admm_terms). The steps
+    pair per row range in ``ranges``, in order, and ``B`` is the RowView of
+    all of B: each view is the matrix's kept one (SparseMatrix.row_view),
+    so a run sets none up that an earlier one on the same matrices did, and
+    each builds its arrays on its first product. The dense d x d terms of
+    the ADMM x-update (admm_terms) are built on first use. The steps
     convert and check nothing: iterates must be float64 vectors of the
     right lengths.
     """
 
     def __init__(self, spec, prox_spec, ranges=()):
+        A, labels = spec.dataset.samples, spec.dataset.labels
         self.spec = spec
         self.prox_l1 = prox_spec.kind == "l1"
         self.prox_weight = prox_spec.weight
         self.ranges = ranges
+        self.B = spec.B.row_view(0, spec.B.n_rows)
+        self.full = A.row_view(0, spec.n), labels
+        self.batches = [(A.row_view(lo, hi), labels[lo:hi]) for lo, hi in ranges]
         self._admm = None
-
-    @cached_property
-    def B(self):
-        return self.spec.B.row_view(0, self.spec.B.n_rows)
-
-    @cached_property
-    def batches(self):
-        return [self.full if (lo, hi) == (0, self.spec.n) else self._rows(lo, hi)
-                for lo, hi in self.ranges]
-
-    @cached_property
-    def full(self):
-        return self._rows(0, self.spec.n)
 
     def admm_terms(self, beta):
         """(I, beta B^T B), the dense d x d terms of the ADMM x-update with
@@ -211,9 +203,6 @@ class _RunContext:
             Bd = self.spec.B.to_dense()
             self._admm = beta, np.eye(self.spec.dim), beta * (Bd.T @ Bd)
         return self._admm[1:]
-
-    def _rows(self, lo, hi):
-        return self.spec.dataset.samples.row_view(lo, hi), self.spec.dataset.labels[lo:hi]
 
     def gradient(self, batch, x):
         rows, labels = batch
@@ -295,24 +284,29 @@ def check_lambda(cfg, B, rho_max=None):
     """Reject a lambda not shown to lie in (0, 1/rho_max(B B^T)), and a NaN
     lambda or rho_max. A given rho_max is taken as exact. Otherwise lambda
     passes below 1/(theta + r), for B.spectrum theta with residual bound r,
-    if that converged, or else below 1/(||B||_1 ||B||_inf) <= 1/rho_max."""
+    if that converged, or else (worked out only then) below
+    1/(||B||_1 ||B||_inf) <= 1/rho_max."""
     def limit(bound):
         return math.inf if bound == 0 else 1.0 / bound
     if rho_max is not None:
-        trusted = [limit(rho_max)]
-        limits = f"1/rho_max(BB^T) = {trusted[0]}"
+        if 0 < cfg.lam < limit(rho_max):
+            return
+        limits = f"1/rho_max(BB^T) = {limit(rho_max)}"
     else:
-        est, a = B.spectrum, np.abs(B.data)
+        est = B.spectrum
+        lanczos = limit(est.rho_max + est.residual)
+        if est.converged and 0 < cfg.lam < lanczos:
+            return
+        a = np.abs(B.data)
         rows = np.repeat(np.arange(B.n_rows), np.diff(B.indptr))
         norms = limit(float(np.bincount(B.indices, weights=a, minlength=B.n_cols).max()
                             * np.bincount(rows, weights=a, minlength=B.n_rows).max()))
-        lanczos = limit(est.rho_max + est.residual)
-        trusted = [lanczos, norms] if est.converged else [norms]
+        if 0 < cfg.lam < norms:
+            return
         limits = (f"1/(theta + r) = {lanczos} (Lanczos, converged={est.converged}), "
                   f"1/(||B||_1 ||B||_inf) = {norms}")
-    if not any(0 < cfg.lam < v for v in trusted):
-        raise ValueError(f"lambda={cfg.lam} is not shown to satisfy "
-                         f"0 < lambda < 1/rho_max(BB^T): {limits}")
+    raise ValueError(f"lambda={cfg.lam} is not shown to satisfy "
+                     f"0 < lambda < 1/rho_max(BB^T): {limits}")
 
 
 @dataclass(frozen=True)
@@ -529,12 +523,12 @@ def run_solver(kind, spec, prox_spec, cfg, admm_cfg=None, x0=None, v0=None,
     supplied.
 
     Every input (kind, the schedule, the lambda guard, the batch plan, x0,
-    v0 and the reference) is checked once, before the first step; the
-    steps then run unchecked on raw arrays, in the lane _steps picks. The lambda guard
-    reads spec.B.spectrum unless rho_max, taken as exact, is given.
-    on_step, when given, is called with the state after every step: an
-    IterState, or an AdmmState for 'stoc_admm'. Its arrays are fresh each
-    step, so a caller may keep them.
+    v0, which 'stoc_admm' refuses, and the reference) is checked once, before
+    the first step; the steps then run unchecked on raw arrays, in the lane
+    _steps picks. The lambda guard reads spec.B.spectrum unless rho_max,
+    taken as exact, is given. on_step, when given, is called with the state
+    after every step: an IterState, or an AdmmState for 'stoc_admm'. Its
+    arrays are fresh each step, so a caller may keep them.
 
     The epochs come in blocks of at most _RECORD_BLOCK doubles of snapshots
     and their products. A block draws the batch indices of its epochs when
@@ -563,6 +557,8 @@ def run_solver(kind, spec, prox_spec, cfg, admm_cfg=None, x0=None, v0=None,
         reference.check(spec)
     if kind == "stoc_admm":
         s = initial_admm_state(spec, x0=x0)
+        if v0 is not None:
+            raise ValueError("stoc_admm takes no v0: its dual iterates start at zero")
         params, iterates = admm_cfg, (s.x, s.y, s.multiplier)
     else:
         s = initial_state(spec, x0=x0, v0=v0)

@@ -8,15 +8,16 @@ and from_coo sums duplicates and drops exact zeros. That fixes the
 reduction order and keeps runs bit-reproducible, and it makes a row with
 n_cols entries hold every column in order, which the C lane's column
 sweep over full rows relies on. Entries that come strictly ordered by
-(row, column), as from_dense and stack_identity give them, skip the sort. Every product
-outside the fused steps is RowView's, the records' too, which the C lane
-computes where it is built and NumPy otherwise, with the same bits (a
-view below C_PRODUCT_ENTRIES entries takes NumPy's single-vector products
-on either lane, as a C call costs more than they do), and
-the eigenvalue comes from Lanczos on the Gram products of those products.
-A matrix is immutable, so it estimates its eigenvalue once, on first use
-of SparseMatrix.spectrum, and keeps it, unless it was handed the estimate
-of a stored ground truth first.
+(row, column), as from_dense and stack_identity give them, skip the sort.
+Every product outside the fused steps is RowView's, through the one view
+a matrix keeps per row range (SparseMatrix.row_view), the records' too:
+the C lane's where it is built when the product is called, else NumPy's,
+with the same bits (a view below C_PRODUCT_ENTRIES entries takes NumPy's
+single-vector products on either lane, as a C call costs more than they
+do), and the eigenvalue comes from Lanczos on the Gram products of those
+products. A matrix is immutable, so it estimates its eigenvalue once, on
+first use of SparseMatrix.spectrum, and keeps it, unless it was handed
+the estimate of a stored ground truth first.
 """
 
 import math
@@ -41,7 +42,7 @@ class SparseMatrix:
         to canonicalize arbitrary input. Stored zeros are kept.
     """
 
-    __slots__ = ("n_rows", "n_cols", "indptr", "indices", "data", "_spectrum", "_view")
+    __slots__ = ("n_rows", "n_cols", "indptr", "indices", "data", "_spectrum", "_views")
 
     def __init__(self, n_rows, n_cols, indptr, indices, data):
         if n_rows < 0 or n_cols < 0:
@@ -73,7 +74,7 @@ class SparseMatrix:
         self.indptr = indptr
         self.indices = indices
         self.data = data
-        self._spectrum = self._view = None
+        self._spectrum, self._views = None, {}
 
     @classmethod
     def from_coo(cls, n_rows, n_cols, rows, cols, vals):
@@ -137,25 +138,19 @@ class SparseMatrix:
             raise TypeError("expected a SpectralEstimate")
         self._spectrum = estimate
 
-    def _all_rows(self):
-        """The RowView of all rows that matvec and rmatvec apply: made on
-        the first product, with the lane built then, and kept."""
-        self._view = RowView(self, 0, self.n_rows)
-        return self._view
-
     def matvec(self, x):
         """Return M x."""
         x = np.ascontiguousarray(x, dtype=np.float64)
         if x.shape != (self.n_cols,):
             raise ValueError(f"matvec expects a vector of length {self.n_cols}")
-        return (self._view or self._all_rows()).matvec(x)
+        return self.row_view(0, self.n_rows).matvec(x)
 
     def rmatvec(self, y):
         """Return M^T y."""
         y = np.ascontiguousarray(y, dtype=np.float64)
         if y.shape != (self.n_rows,):
             raise ValueError(f"rmatvec expects a vector of length {self.n_rows}")
-        return (self._view or self._all_rows()).rmatvec(y)
+        return self.row_view(0, self.n_rows).rmatvec(y)
 
     def to_dense(self):
         out = np.zeros((self.n_rows, self.n_cols))
@@ -170,8 +165,12 @@ class SparseMatrix:
         return rows, self.indices.copy(), self.data.copy()
 
     def row_view(self, row_start, row_stop):
-        """Rows [row_start, row_stop) as a RowView for repeated products."""
-        return RowView(self, row_start, row_stop)
+        """The matrix's one RowView of rows [row_start, row_stop), made on
+        first use and kept: matvec and rmatvec use the one of all rows."""
+        view = self._views.get((row_start, row_stop))
+        if view is None:
+            view = self._views[row_start, row_stop] = RowView(self, row_start, row_stop)
+        return view
 
     def row_block(self, row_start, row_stop):
         """The submatrix of rows [row_start, row_stop) as a SparseMatrix."""
@@ -196,23 +195,24 @@ C_PRODUCT_ENTRIES = 1536
 
 
 class RowView:
-    """Rows [row_start, row_stop) of a SparseMatrix, set up once for loops
-    that apply the same rows many times.
+    """Rows [row_start, row_stop) of a SparseMatrix, set up once per matrix
+    (SparseMatrix.row_view) for all the products over them.
 
     These are the package's one set of products: each output entry is a
-    sum from 0.0 in CSR order. Where the C lane is built (_kernels.LANE),
-    lane.c's spdfp_rows computes the stacked ones (matvecs), and matvec and
-    rmatvec for a view of at least C_PRODUCT_ENTRIES entries, on the matrix
-    this view holds on to, refusing an array that is not a C-contiguous
-    float64 one of the right shape; otherwise np.bincount does, converting
-    and checking nothing. Each lane's arrays (lane.c's CSR struct, or the
+    sum from 0.0 in CSR order. Each product takes the lane in use when it
+    is called (_kernels.LANE): where the C lane is built, lane.c's
+    spdfp_rows computes the stacked ones (matvecs), and matvec and rmatvec
+    for a view of at least C_PRODUCT_ENTRIES entries, on the matrix this
+    view holds on to, refusing an array that is not a C-contiguous float64
+    one of the right shape; otherwise np.bincount does, converting and
+    checking nothing. Each lane's arrays (lane.c's CSR struct, or the
     view's entries) are built on first use, so a view that only takes
     NumPy's products never builds lane.c's. Both give the same bits. x must
     be a float64 vector of length n_cols, y one of length n_rows, and X a
     stack of such x, one per row.
     """
 
-    __slots__ = ("n_rows", "n_cols", "_matrix", "_start", "_lane", "_large", "_c", "_entries")
+    __slots__ = ("n_rows", "n_cols", "_matrix", "_start", "_large", "_c", "_entries")
 
     def __init__(self, M, row_start, row_stop):
         if not 0 <= row_start <= row_stop <= M.n_rows:
@@ -220,14 +220,17 @@ class RowView:
         self.n_rows = row_stop - row_start
         self.n_cols = M.n_cols
         self._matrix, self._start, self._c, self._entries = M, row_start, None, None
-        self._lane = _kernels.LANE
-        self._large = (self._lane is not None
-                       and M.indptr[row_stop] - M.indptr[row_start] >= C_PRODUCT_ENTRIES)
+        self._large = M.indptr[row_stop] - M.indptr[row_start] >= C_PRODUCT_ENTRIES
 
     def _c_products(self):
-        """lane.c's product function over the view (_kernels.CLane.rows):
-        built on first use, and kept."""
-        self._c = self._lane.rows(self._matrix, self._start, self._start + self.n_rows)
+        """lane.c's product function over the view (_kernels.CLane.rows) of
+        the lane in use, or None where none is: built on first use under
+        that lane, and kept."""
+        lane = _kernels.LANE
+        if lane is None:
+            return None
+        if self._c is None or self._c.lane is not lane:
+            self._c = lane.rows(self._matrix, self._start, self._start + self.n_rows)
         return self._c
 
     def _numpy_entries(self):
@@ -241,15 +244,15 @@ class RowView:
 
     # np.bincount gives int64 zeros when there are no entries, hence astype
     def matvec(self, x):
-        if self._large:
-            return (self._c or self._c_products())(x, False, False)
+        if self._large and (c := self._c_products()):
+            return c(x, False, False)
         rows, indices, data = self._entries or self._numpy_entries()
         return np.bincount(rows, weights=data * x[indices],
                            minlength=self.n_rows).astype(np.float64, copy=False)
 
     def rmatvec(self, y):
-        if self._large:
-            return (self._c or self._c_products())(y, True, False)
+        if self._large and (c := self._c_products()):
+            return c(y, True, False)
         rows, indices, data = self._entries or self._numpy_entries()
         return np.bincount(indices, weights=data * y[rows],
                            minlength=self.n_cols).astype(np.float64, copy=False)
@@ -258,8 +261,8 @@ class RowView:
         """The matvec of each row of X, one row each: one C call at any
         size, which takes eight rows per pass over the matrix (the rest four,
         then one), or matvec row by row."""
-        if self._lane is not None:
-            return (self._c or self._c_products())(X, False, True)
+        if c := self._c_products():
+            return c(X, False, True)
         return np.array([self.matvec(x) for x in X])
 
 

@@ -528,8 +528,8 @@ def test_a_small_view_never_builds_the_c_products(monkeypatch, c_lane):
     # takes it, and kept: a view below C_PRODUCT_ENTRIES entries, as the
     # one a small matrix keeps for SparseMatrix.matvec / rmatvec, builds
     # none for single vectors; a stack builds one, and a large view builds
-    # one at its first single product, the view a large matrix keeps for
-    # its own products once
+    # one at its first single product, which the matrix's own products
+    # then share, as the view is the one the matrix keeps
     built = []
     csr = kernels._csr
     monkeypatch.setattr(kernels, "_csr", lambda M: built.append(M) or csr(M))
@@ -555,7 +555,7 @@ def test_a_small_view_never_builds_the_c_products(monkeypatch, c_lane):
     for _ in range(2):
         assert_same_bits(L.matvec(np.ones(entries)), [float(entries)])
         assert_same_bits(L.rmatvec(np.ones(1)), np.ones(entries))
-    assert built == [M, L, L]
+    assert built == [M, L]
 
 
 def spy_on(monkeypatch, lane):
@@ -613,6 +613,26 @@ def test_row_view_takes_the_c_products_from_c_product_entries(monkeypatch, c_lan
         assert_same_bits(view.matvec(np.ones(entries)), [0.0, entries])
         assert_same_bits(view.rmatvec(np.array([5.0, 2.0])), np.full(entries, 2.0))
         assert calls == single
+
+
+def test_a_kept_view_takes_the_lane_of_each_product(monkeypatch, c_lane):
+    # a view binds no lane: one first used on the NumPy lane takes lane.c's
+    # products once the C lane is in use, and NumPy's again after, with the
+    # same bits, and so do the matrix's own products, which share it
+    calls = spy_on(monkeypatch, c_lane)
+    rng = np.random.default_rng(8)
+    M = SparseMatrix.from_dense(rng.standard_normal((4, -(-sparse.C_PRODUCT_ENTRIES // 4))))
+    x, y = rng.standard_normal(M.n_cols), rng.standard_normal(4)
+    X = rng.standard_normal((3, M.n_cols))
+    view, got = M.row_view(0, 4), []
+    for lane, c_calls in ((None, 0), (c_lane, 5), (None, 0)):
+        monkeypatch.setattr(kernels, "LANE", lane)
+        calls.clear()
+        got.append([view.matvec(x), view.rmatvec(y), view.matvecs(X), M.matvec(x), M.rmatvec(y)])
+        assert calls == ["spdfp_rows"] * c_calls
+    assert M.row_view(0, 4) is view
+    for products in got[1:]:
+        assert_same_bits_in(products, got[0])
 
 
 def test_soft_threshold_signed_zeros_and_nan(c_lane, unoptimised_lane):
@@ -961,6 +981,30 @@ def test_admm_and_on_step_runs_keep_the_python_path(monkeypatch, c_lane):
     admm = solvers.AdmmConfig(beta_tilde=2.0, zeta_schedule=StepSchedule(c=0.5, alpha=0.5))
     run_solver("stoc_admm", spec, ProxSpec("l1", 0.2), cfg, admm_cfg=admm)
     assert calls == []
+
+
+@pytest.mark.parametrize("lane", ["numpy", "c"])
+def test_a_second_run_sets_up_no_view_and_no_c_products(monkeypatch, c_lane, lane):
+    # a run takes its products from its matrices' kept views, so once a run
+    # of a kind has set them up, with lane.c's CSR structs where the lane is
+    # built, a second run sets up none; the fused steps' run struct holds
+    # A's and B's CSR arrays anew each run
+    monkeypatch.setattr(kernels, "LANE", c_lane if lane == "c" else None)
+    spec = fused_spec("logistic", 0.1)
+    rho = estimate_spectrum(spec.B).rho_max
+    cfg = SolverConfig(schedule=ConstantSchedule(0.5), lam=0.8 / rho, p=5, max_epochs=2)
+    admm = solvers.AdmmConfig(beta_tilde=2.0, zeta_schedule=StepSchedule(c=0.5, alpha=0.5))
+    views, built = [], []
+    init, csr = sparse.RowView.__init__, kernels._csr
+    for kind in solvers.SOLVER_KINDS:
+        run_solver(kind, spec, ProxSpec("l1", 0.2), cfg, admm_cfg=admm)
+        with monkeypatch.context() as m:
+            m.setattr(sparse.RowView, "__init__", lambda *a: views.append(a) or init(*a))
+            m.setattr(kernels, "_csr", lambda M: built.append(M) or csr(M))
+            run_solver(kind, spec, ProxSpec("l1", 0.2), cfg, admm_cfg=admm)
+        fused = lane == "c" and kind != "stoc_admm"
+        assert views == [] and built == ([spec.dataset.samples, spec.B] if fused else [])
+        built.clear()
 
 
 @pytest.mark.parametrize("loss", ["square", "hinge", "logistic"])
@@ -1632,14 +1676,14 @@ def test_lanes_give_the_same_bits_on_generated_problems(monkeypatch, c_lane, pro
         warnings.simplefilter("ignore")  # diverged runs and capped truths warn
         for lane in (c_lane, None):
             seen, got = [], []
-            runs = [("pdfp", constant, {}), ("spdfp1", cfg, {}), ("spdfp2", cfg, {}),
-                    ("stoc_admm", cfg, {"admm_cfg": admm}),
-                    (watched, cfg, {"on_step": lambda s: seen.append([s.x, s.v])})]
+            runs = [("pdfp", constant, {"v0": v0}), ("spdfp1", cfg, {"v0": v0}),
+                    ("spdfp2", cfg, {"v0": v0}), ("stoc_admm", cfg, {"admm_cfg": admm}),
+                    (watched, cfg, {"v0": v0, "on_step": lambda s: seen.append([s.x, s.v])})]
             with monkeypatch.context() as m:
                 m.setattr(solvers, "_RECORD_BLOCK", block)
                 for kind, run_cfg, extra in runs:
                     recs, states = run_on_lane(m, lane, kind, spec, prox_spec, run_cfg,
-                                               x0=x0, v0=v0, reference=ref, **extra)
+                                               x0=x0, reference=ref, **extra)
                     got.append([[col for name, col in zip(solvers.COLUMNS, recs.columns)
                                  if name != "wall_time"], states])
                 m.setattr(kernels, "LANE", lane)

@@ -150,20 +150,28 @@ def functions_that_call(accept):
 
 def test_two_functions_pick_the_lane():
     """Outside spdfp._kernels, _kernels.LANE is read in two places only: the
-    steps of a run and RowView's products pick their lane there, and every
-    other C call (the records' step-size factors among them) goes through
-    those."""
+    steps of a run and RowView's products, at each call, pick their lane
+    there, and every other C call (the records' step-size factors among
+    them) goes through those."""
     def reads_lane(node):
         return ((isinstance(node, ast.Attribute) and node.attr == "LANE")
                 or (isinstance(node, ast.Name) and node.id == "LANE")
                 or (isinstance(node, ast.alias) and node.name == "LANE"))
 
     outside = {f for f in functions_where(reads_lane) if not f.startswith("_kernels")}
-    assert outside == {"solvers._steps", "sparse.RowView.__init__"}
+    assert outside == {"solvers._steps", "sparse.RowView._c_products"}
 
 
 def called_name(call):
     return getattr(call.func, "attr", getattr(call.func, "id", None))
+
+
+def test_every_row_view_is_one_its_matrix_keeps():
+    """RowView is made in SparseMatrix.row_view alone, so every view in the
+    package is the one its matrix keeps for its row range, and products
+    over the same rows never set them up twice."""
+    made = functions_that_call(lambda call: called_name(call) == "RowView")
+    assert made == {"sparse.SparseMatrix.row_view"}
 
 
 def test_truth_files_have_one_reader():

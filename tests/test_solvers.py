@@ -826,7 +826,7 @@ def test_run_solver_matches_single_steps_bitwise(kind, loss, prox_spec):
 @pytest.mark.parametrize("kind,bad", [
     *[(kind, "x0") for kind in SOLVER_KINDS],
     *[(kind, "p") for kind in SOLVER_KINDS],
-    *[(kind, "v0") for kind in ("pdfp", "spdfp1", "spdfp2")],
+    *[(kind, "v0") for kind in SOLVER_KINDS],
     *[(kind, "lambda") for kind in ("pdfp", "spdfp1", "spdfp2")],
 ])
 def test_run_solver_rejects_bad_input_before_any_step(kind, bad):
@@ -837,7 +837,9 @@ def test_run_solver_rejects_bad_input_before_any_step(kind, bad):
     cfg = SolverConfig(schedule=StepSchedule(c=0.5, alpha=0.7), lam=lam, p=p, max_epochs=2)
     admm = AdmmConfig(beta_tilde=2.0, zeta_schedule=StepSchedule(c=0.5, alpha=0.5))
     x0 = np.zeros(spec.dim + (bad == "x0"))
-    v0 = np.zeros(spec.B.n_rows - (bad == "v0"))
+    # a stoc_admm run takes no v0 at all, so it is given one only to be refused
+    v0 = (None if kind == "stoc_admm" and bad != "v0"
+          else np.zeros(spec.B.n_rows - (bad == "v0")))
     steps = []
     with pytest.raises(ValueError):
         run_solver(kind, spec, L1, cfg, admm_cfg=admm, x0=x0, v0=v0,

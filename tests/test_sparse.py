@@ -220,17 +220,18 @@ def test_matrix_keeps_its_spectrum():
 
 
 def test_matrix_keeps_one_view_for_its_products():
-    # matvec and rmatvec apply one RowView of all rows, made on the first
-    # product; a second product reuses it and the entries it built
+    # matvec and rmatvec apply the matrix's kept RowView of all rows, whose
+    # entries the first product builds; a second product reuses them
     M = build_difference_matrix(6)
-    assert M._view is None
+    view = M.row_view(0, 5)
+    assert view._entries is None
     np.testing.assert_array_equal(M.matvec(np.arange(6.0)), np.ones(5))
-    view, entries = M._view, M._view._entries
+    entries = view._entries
     assert entries is not None
     with mock.patch.object(np, "arange", side_effect=AssertionError("entries rebuilt")):
         np.testing.assert_array_equal(M.rmatvec(np.ones(5)), [-1.0, 0.0, 0.0, 0.0, 0.0, 1.0])
         np.testing.assert_array_equal(M.matvec(np.ones(6)), np.zeros(5))
-    assert M._view is view and view._entries is entries
+    assert M.row_view(0, 5) is view and view._entries is entries
 
 
 def test_spectrum_rejects_empty_and_bad_tol():
