@@ -97,27 +97,29 @@ class CLane:
         """Rows lo..hi-1 of M, 0 <= lo <= hi <= M.n_rows, as one function
         product(x, transpose, stacked): M[lo:hi] x, or M[lo:hi]^T x with
         transpose set, of a vector x, or of each row of x with stacked set,
-        as a fresh array. It refuses an x that is not a C-contiguous float64
+        as a fresh array. M is a sparse.SparseMatrix or the
+        sparse.CsrArrays of one; the function keeps M's CSR arrays alive,
+        not M. It refuses an x that is not a C-contiguous float64
         array of that shape, and sums as sparse.RowView's NumPy products do.
         A stack of eight or more vectors without transpose takes eight a
         pass over M's rows, through a scratch block of 8 M.n_cols doubles
         that the function makes on its first such call and keeps. Its
         ``lane`` is this CLane, so a kept function tells which lane it is of."""
-        csr, fn, block = _csr(M), self._lib.spdfp_rows, None
+        csr, n_cols, fn, block = _csr(M), M.n_cols, self._lib.spdfp_rows, None
 
         def product(x, transpose, stacked):
             nonlocal block
-            n_in, n_out = (hi - lo, M.n_cols) if transpose else (M.n_cols, hi - lo)
+            n_in, n_out = (hi - lo, n_cols) if transpose else (n_cols, hi - lo)
             address = _address(x, np.float64, *(None,) * stacked, n_in)
             count = len(x) if stacked else 1
             if block is None and count >= 8 and not transpose:
-                block = np.empty(8 * M.n_cols)
+                block = np.empty(8 * n_cols)
             out = np.empty((*x.shape[:-1], n_out))
             fn(csr, lo, hi, transpose, address, count,
                None if block is None else block.ctypes.data, out.ctypes.data)
             return out
 
-        product.matrix = M  # keeps alive the arrays csr points into
+        product.arrays = M.indptr, M.indices, M.data  # which csr points into
         product.lane = self
         return product
 

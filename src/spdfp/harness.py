@@ -276,22 +276,33 @@ def load_matrix(path):
 def build_graph_matrix(dataset, threshold):
     """Feature graph from correlation thresholding: one row e_i - e_j per
     feature pair with |corr(i, j)| > threshold. Zero-variance features are
-    excluded with a warning."""
+    excluded with a warning.
+
+    One working copy of the live columns is centred and scaled in place,
+    and the dense samples go once it is taken, so at most two dense copies
+    of the samples are alive at once: the samples and X.std's temporary,
+    then the samples and that copy. The copy is X[:, live] even where every
+    feature is live: NumPy lays it out column by column, so its column
+    means sum pairwise, and centring X itself would change their bits."""
     if not 0 <= threshold < 1:
         raise ValueError("threshold must lie in [0, 1)")
     X = dataset.samples.to_dense()
+    n, d = X.shape
     std = X.std(axis=0)
     ok = std > 0
     if not np.all(ok):
         warnings.warn(f"excluding {int(np.sum(~ok))} zero-variance feature(s) "
                       "from the correlation graph")
     live = np.flatnonzero(ok)
-    Xc = (X[:, live] - X[:, live].mean(axis=0)) / std[live]
-    corr = (Xc.T @ Xc) / X.shape[0]
+    Xc = X[:, live]
+    del X
+    Xc -= Xc.mean(axis=0)
+    Xc /= std[live]
+    corr = (Xc.T @ Xc) / n
     # the pairs a < b of live features, in row-major order
     a, b = np.nonzero(np.triu(np.abs(corr) > threshold, 1))
     r = len(a)
-    return SparseMatrix.from_coo(r, X.shape[1], np.repeat(np.arange(r), 2),
+    return SparseMatrix.from_coo(r, d, np.repeat(np.arange(r), 2),
                                  np.column_stack([live[a], live[b]]).ravel(),
                                  np.tile([1.0, -1.0], r))
 

@@ -8,7 +8,9 @@ and from_coo sums duplicates and drops exact zeros. That fixes the
 reduction order and keeps runs bit-reproducible, and it makes a row with
 n_cols entries hold every column in order, which the C lane's column
 sweep over full rows relies on. Entries that come strictly ordered by
-(row, column), as from_dense and stack_identity give them, skip the sort.
+(row, column), as stack_identity gives them, skip the sort; from_dense
+takes no coordinates at all, but builds the canonical arrays from one
+mask of the array's nonzero entries, with the bits from_coo would give.
 Every product outside the fused steps is RowView's, through the one view
 a matrix keeps per row range (SparseMatrix.row_view), the records' too:
 the C lane's where it is built when the product is called, else NumPy's,
@@ -21,6 +23,7 @@ the estimate of a stored ground truth first.
 """
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,11 +110,25 @@ class SparseMatrix:
 
     @classmethod
     def from_dense(cls, arr):
+        """Build from a 2-d array of any memory order, with the bits that
+        from_coo gives its nonzero entries in row-major order: zeros of
+        either sign dropped, each kept value 0.0 + v. The canonical arrays
+        come straight from one mask of the nonzero entries, with no
+        coordinate triples, so the working memory past the CSR arrays is
+        that mask."""
         arr = np.asarray(arr, dtype=np.float64)
         if arr.ndim != 2:
             raise ValueError("expected a 2-d array")
-        rows, cols = np.nonzero(arr)
-        return cls.from_coo(arr.shape[0], arr.shape[1], rows, cols, arr[rows, cols])
+        n_rows, n_cols = arr.shape
+        nonzero = arr != 0.0
+        indptr = np.zeros(n_rows + 1, dtype=np.int64)
+        np.cumsum(np.count_nonzero(nonzero, axis=1), out=indptr[1:])
+        # a boolean index takes its entries in row-major order on any layout
+        indices = np.broadcast_to(np.arange(n_cols, dtype=np.int64), arr.shape)[nonzero]
+        data = arr[nonzero]
+        del nonzero  # before the constructor's checks allocate theirs
+        np.add(0.0, data, out=data)
+        return cls(n_rows, n_cols, indptr, indices, data)
 
     @property
     def shape(self):
@@ -153,9 +170,12 @@ class SparseMatrix:
         return self.row_view(0, self.n_rows).rmatvec(y)
 
     def to_dense(self):
+        """The matrix as a fresh C-ordered array, zero where no entry is
+        stored: written from the matrix's own arrays, so the working memory
+        past it is one row index per entry."""
         out = np.zeros((self.n_rows, self.n_cols))
-        rows, cols, vals = self.entries()
-        out[rows, cols] = vals
+        rows = np.repeat(np.arange(self.n_rows, dtype=np.int64), np.diff(self.indptr))
+        out[rows, self.indices] = self.data
         return out
 
     def entries(self):
@@ -183,6 +203,11 @@ class SparseMatrix:
         return f"SparseMatrix({self.n_rows}x{self.n_cols}, nnz={self.nnz})"
 
 
+# The shape and CSR arrays of a SparseMatrix, which a RowView and lane.c's
+# products over it (_kernels.CLane.rows) read and keep alive
+CsrArrays = namedtuple("CsrArrays", "n_rows n_cols indptr indices data")
+
+
 # The entry count from which a view's single-vector products are lane.c's,
 # where the lane is built: below it NumPy's are faster, as each C call pays
 # a ctypes floor of about 5 us. A matvec plus rmatvec, C against NumPy, in
@@ -202,8 +227,9 @@ class RowView:
     sum from 0.0 in CSR order. Each product takes the lane in use when it
     is called (_kernels.LANE): where the C lane is built, lane.c's
     spdfp_rows computes the stacked ones (matvecs), and matvec and rmatvec
-    for a view of at least C_PRODUCT_ENTRIES entries, on the matrix this
-    view holds on to, refusing an array that is not a C-contiguous float64
+    for a view of at least C_PRODUCT_ENTRIES entries, on the CSR arrays
+    this view holds on to (not the matrix, so a matrix is freed when its
+    last reference goes), refusing an array that is not a C-contiguous float64
     one of the right shape; otherwise np.bincount does, converting and
     checking nothing. Each lane's arrays (lane.c's CSR struct, or the
     view's entries) are built on first use, so a view that only takes
@@ -212,14 +238,17 @@ class RowView:
     stack of such x, one per row.
     """
 
-    __slots__ = ("n_rows", "n_cols", "_matrix", "_start", "_large", "_c", "_entries")
+    __slots__ = ("n_rows", "n_cols", "_csr", "_start", "_large", "_c", "_entries")
 
     def __init__(self, M, row_start, row_stop):
         if not 0 <= row_start <= row_stop <= M.n_rows:
             raise ValueError("row range out of bounds")
         self.n_rows = row_stop - row_start
         self.n_cols = M.n_cols
-        self._matrix, self._start, self._c, self._entries = M, row_start, None, None
+        # M's shape and arrays, not M: M keeps its views, so a view that held
+        # M would make a cycle that only the cyclic garbage collector frees
+        self._csr = CsrArrays(M.n_rows, M.n_cols, M.indptr, M.indices, M.data)
+        self._start, self._c, self._entries = row_start, None, None
         self._large = M.indptr[row_stop] - M.indptr[row_start] >= C_PRODUCT_ENTRIES
 
     def _c_products(self):
@@ -230,13 +259,13 @@ class RowView:
         if lane is None:
             return None
         if self._c is None or self._c.lane is not lane:
-            self._c = lane.rows(self._matrix, self._start, self._start + self.n_rows)
+            self._c = lane.rows(self._csr, self._start, self._start + self.n_rows)
         return self._c
 
     def _numpy_entries(self):
         """(rows, indices, data) of the view's entries, which the NumPy
         products read: built on first use, and kept."""
-        M, start, stop = self._matrix, self._start, self._start + self.n_rows
+        M, start, stop = self._csr, self._start, self._start + self.n_rows
         lo, hi = M.indptr[start], M.indptr[stop]
         counts = M.indptr[start + 1:stop + 1] - M.indptr[start:stop]
         self._entries = np.arange(self.n_rows).repeat(counts), M.indices[lo:hi], M.data[lo:hi]

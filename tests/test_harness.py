@@ -2,6 +2,7 @@ import csv
 import io
 import os
 import re
+import tracemalloc
 import warnings
 from dataclasses import fields, replace
 
@@ -557,6 +558,24 @@ def test_graph_matrix_matches_a_loop_over_pairs(seed):
         want[r, i], want[r, j] = 1.0, -1.0
     assert G.shape == (len(pairs), d)
     np.testing.assert_array_equal(G.to_dense(), want)
+
+
+def test_graph_matrix_holds_two_dense_copies_at_most():
+    # tracemalloc's peak over build_graph_matrix on a 2000 x 100 half-dense
+    # matrix: the dense samples and one more n x d copy (X.std's
+    # temporary, then the live columns), and O(d^2) for the correlations
+    rng = np.random.default_rng(38)
+    n, d = 2000, 100
+    X = (rng.standard_normal((n, 1)) + rng.standard_normal((n, d))) * (rng.random((n, d)) < 0.5)
+    ds = Dataset(samples=SparseMatrix.from_dense(X), labels=np.zeros(n))
+    tracemalloc.start()
+    try:
+        G = build_graph_matrix(ds, 0.2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert G.n_rows > 0
+    assert peak <= 2 * X.nbytes + 8 * (8 * d * d)
 
 
 def test_graph_matrix_invalid_threshold():

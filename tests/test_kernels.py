@@ -11,6 +11,7 @@ compute_ground_truth. Bits are compared through
 
 import ast
 import ctypes
+import gc
 import itertools
 import math
 import os
@@ -20,6 +21,7 @@ import subprocess
 import sysconfig
 import time
 import warnings
+import weakref
 from dataclasses import fields, replace
 
 import numpy as np
@@ -381,6 +383,13 @@ def spectrum_matrices():
             "rate A": rate.dataset.samples, "rate B": rate.B}
 
 
+def csr_of(M):
+    """Which matrix's CSR arrays M, a SparseMatrix or the CsrArrays that
+    its views hand lane.c, holds: its shape and the identities of its
+    arrays, so that a spy can tell whose products were built."""
+    return M.n_rows, M.n_cols, id(M.indptr), id(M.indices), id(M.data)
+
+
 def test_spectrum_same_bits_on_both_lanes(monkeypatch, c_lane):
     # the C lane's RowView products give every Lanczos step the NumPy
     # lane's bits, so the whole estimate is the same: rho_max and residual
@@ -389,7 +398,8 @@ def test_spectrum_same_bits_on_both_lanes(monkeypatch, c_lane):
     # them
     views = []
     rows = c_lane.rows
-    monkeypatch.setattr(c_lane, "rows", lambda *a: views.append(a) or rows(*a))
+    monkeypatch.setattr(c_lane, "rows",
+                        lambda M, lo, hi: views.append((csr_of(M), lo, hi)) or rows(M, lo, hi))
     seen_large = 0
     for name, M in spectrum_matrices().items():
         estimates = []
@@ -402,7 +412,7 @@ def test_spectrum_same_bits_on_both_lanes(monkeypatch, c_lane):
         assert_same_bits([c.rho_max, c.residual], [numpy.rho_max, numpy.residual])
         large = M.nnz >= sparse.C_PRODUCT_ENTRIES
         seen_large += large
-        assert views == ([(M, 0, M.n_rows)] if large else []), name
+        assert views == ([(csr_of(M), 0, M.n_rows)] if large else []), name
     assert seen_large
 
 
@@ -532,7 +542,7 @@ def test_a_small_view_never_builds_the_c_products(monkeypatch, c_lane):
     # then share, as the view is the one the matrix keeps
     built = []
     csr = kernels._csr
-    monkeypatch.setattr(kernels, "_csr", lambda M: built.append(M) or csr(M))
+    monkeypatch.setattr(kernels, "_csr", lambda M: built.append(csr_of(M)) or csr(M))
     monkeypatch.setattr(kernels, "LANE", c_lane)
     M = SparseMatrix.from_dense(np.arange(12.0).reshape(3, 4))
     view = M.row_view(0, 3)
@@ -543,19 +553,19 @@ def test_a_small_view_never_builds_the_c_products(monkeypatch, c_lane):
     assert built == []
     for count in (2, 9):  # the second takes the eight-wide pass, on the same struct
         assert_same_bits(view.matvecs(np.ones((count, 4))), [[6.0, 22.0, 38.0]] * count)
-        assert built == [M]
+        assert built == [csr_of(M)]
     entries = sparse.C_PRODUCT_ENTRIES
     L = SparseMatrix.from_dense(np.ones((1, entries)))
     large = L.row_view(0, 1)
-    assert built == [M]
+    assert built == [csr_of(M)]
     for _ in range(2):
         assert_same_bits(large.matvec(np.ones(entries)), [float(entries)])
         assert_same_bits(large.rmatvec(np.ones(1)), np.ones(entries))
-    assert built == [M, L]
+    assert built == [csr_of(M), csr_of(L)]
     for _ in range(2):
         assert_same_bits(L.matvec(np.ones(entries)), [float(entries)])
         assert_same_bits(L.rmatvec(np.ones(1)), np.ones(entries))
-    assert built == [M, L]
+    assert built == [csr_of(M), csr_of(L)]
 
 
 def spy_on(monkeypatch, lane):
@@ -1005,6 +1015,30 @@ def test_a_second_run_sets_up_no_view_and_no_c_products(monkeypatch, c_lane, lan
         fused = lane == "c" and kind != "stoc_admm"
         assert views == [] and built == ([spec.dataset.samples, spec.B] if fused else [])
         built.clear()
+
+
+@pytest.mark.parametrize("lane", ["numpy", "c"])
+def test_a_dropped_matrix_is_freed_without_the_cyclic_collector(monkeypatch, c_lane, lane):
+    # a matrix keeps its views, and neither a view nor lane.c's products
+    # over it (their closure included) hold the matrix, only its shape and
+    # CSR arrays: so a matrix that took single, stacked and Lanczos
+    # products is freed, arrays and all, when its last reference goes, with
+    # the cyclic garbage collector off
+    monkeypatch.setattr(kernels, "LANE", c_lane if lane == "c" else None)
+    M = SparseMatrix.from_dense(np.random.default_rng(38).standard_normal((40, 60)))
+    assert M.nnz >= sparse.C_PRODUCT_ENTRIES  # so that the C lane takes the single products
+    M.matvec(np.ones(60))
+    M.rmatvec(np.ones(40))
+    M.row_view(3, 30).matvecs(np.ones((9, 60)))
+    assert M.spectrum.converged
+    assert all((view._c is not None) == (lane == "c") for view in M._views.values())
+    arrays = [weakref.ref(a) for a in (M.indptr, M.indices, M.data)]
+    gc.disable()
+    try:
+        del M
+        assert [a() for a in arrays] == [None] * 3
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("loss", ["square", "hinge", "logistic"])

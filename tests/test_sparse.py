@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -234,6 +235,23 @@ def test_matrix_keeps_one_view_for_its_products():
     assert M.row_view(0, 5) is view and view._entries is entries
 
 
+def test_from_dense_holds_one_mask_past_its_output():
+    # tracemalloc's peak over from_dense on a 2000 x 100 half-dense array:
+    # the CSR arrays it returns, one boolean mask of the array (which the
+    # constructor's check of nnz booleans never outgrows) and 4 KiB, the
+    # size of neither, for array headers and the like
+    rng = np.random.default_rng(38)
+    a = rng.standard_normal((2000, 100)) * (rng.random((2000, 100)) < 0.5)
+    tracemalloc.start()
+    try:
+        M = SparseMatrix.from_dense(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert M.nnz == np.count_nonzero(a)
+    assert peak <= M.indptr.nbytes + M.indices.nbytes + M.data.nbytes + a.size + 4096
+
+
 def test_spectrum_rejects_empty_and_bad_tol():
     with pytest.raises(ValueError):
         estimate_spectrum(SparseMatrix.from_coo(0, 3, [], [], []))
@@ -365,3 +383,41 @@ def test_duplicates_sum_from_zero_in_input_order(triples, data):
     assert M.data.tobytes() == np.array([s for _, s in kept], dtype=np.float64).tobytes()
     assert np.diff(M.indptr).tolist() == [sum(r == i for (r, _), _ in kept)
                                           for i in range(n_rows)]
+
+
+# from_dense builds canonical CSR straight from a mask of the nonzero
+# entries; from_coo over np.nonzero, the route it replaced, is the oracle
+# of its bits, on arrays of any memory order
+
+def from_dense_by_coo(a):
+    rows, cols = np.nonzero(a)
+    return SparseMatrix.from_coo(a.shape[0], a.shape[1], rows, cols, a[rows, cols])
+
+
+@st.composite
+def dense_arrays(draw, max_side=6):
+    n_rows = draw(st.integers(0, max_side))
+    n_cols = draw(st.integers(0, max_side))
+    values = st.sampled_from([0.0, -0.0, 2.2e-308, -1e-310]) | st.floats() | SPECIAL
+    a = np.array(draw(st.lists(values, min_size=n_rows * n_cols, max_size=n_rows * n_cols)),
+                 dtype=np.float64).reshape(n_rows, n_cols)
+    # empty rows and columns, then the layout: C, Fortran, or a transpose
+    a[draw(st.lists(st.integers(0, max(n_rows - 1, 0)), max_size=n_rows)), :] = 0.0
+    a[:, draw(st.lists(st.integers(0, max(n_cols - 1, 0)), max_size=n_cols))] = -0.0
+    layout = draw(st.sampled_from(["C", "F", "transposed"]))
+    if layout == "F":
+        return np.asfortranarray(a)
+    return np.ascontiguousarray(a.T).T if layout == "transposed" else a
+
+
+@PROPERTY_SETTINGS
+@given(dense_arrays())
+def test_from_dense_gives_the_bits_of_from_coo_over_nonzero(a):
+    M = SparseMatrix.from_dense(a)
+    assert M.shape == a.shape
+    assert csr_bytes(M) == csr_bytes(from_dense_by_coo(a))
+    back = M.to_dense()
+    assert back.flags.c_contiguous and back.shape == a.shape
+    # a, with -0.0 as +0.0 (NaN compares equal to NaN here)
+    np.testing.assert_array_equal(back, a)
+    assert not np.signbit(back[back == 0.0]).any()
